@@ -27,17 +27,17 @@ near-kernel directions of the linearization.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
 
 from .bundle import KOClassDesk, _loop_anchor_projectors, bundle_from_projectors
-from .dichotomy import build_projector_family, verify_ed
+from .dichotomy import build_projector_family, verify_ed, verify_families, whole_line_families
 from .errors import (
     CertificationError,
     DomainError,
+    HomindexError,
     InputError,
     NumericError,
     SamplingError,
@@ -46,7 +46,6 @@ from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop
 from .fredholm import (
     DECAY_TOL,
     FiniteWindowSequence,
-    assemble_truncated,
     kernel_cokernel,
 )
 
@@ -116,6 +115,10 @@ class NonlinearField:
     loop: ParameterLoop | None = None
     kind: str = "nonlinear"
     refiner: Callable[[int], "NonlinearField"] | None = None
+    #: linearizations along the trivial branch by finite-difference step
+    _linearizations: dict = dataclass_field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if self.dim < 1:
@@ -335,8 +338,12 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
     The returned field evaluates the fibre derivative at zero; with an
     analytic derivative this is exact, otherwise it is sampled by
     central differences.  The full derivative is kept, including any
-    decaying nonautonomous part that does not vanish at zero.
+    decaying nonautonomous part that does not vanish at zero.  The same
+    system and step always give the same field object, so its matrix
+    table and family memo serve certification and localization alike.
     """
+    if fd_step in f._linearizations:
+        return f._linearizations[fd_step]
     zero = np.zeros(f.dim)
 
     def evaluate(lam: int, n: int) -> np.ndarray:
@@ -346,7 +353,7 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
     for lam in range(f.n_params):
         for n in _time_probes(f.window):
             bound = max(bound, float(np.abs(evaluate(lam, n)).max()))
-    return DiscreteVectorField(
+    lin = DiscreteVectorField(
         dim=f.dim,
         evaluator=evaluate,
         window=f.window,
@@ -354,6 +361,8 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
         kind="tabulated-from-nonlinear",
         loop=f.loop,
     )
+    f._linearizations[fd_step] = lin
+    return lin
 
 
 @dataclass(frozen=True)
@@ -530,20 +539,6 @@ class F3Check:
         return self.verdict == "pass"
 
 
-def _boundary_conditioned_extremes(field, lam, window, fam_plus, fam_minus):
-    """Extreme singular values of the truncation with decay boundary rows."""
-    lo, hi = window
-    trunc = assemble_truncated(field, lam, (lo, hi))
-    d = field.dim
-    w = hi - lo + 1
-    stacked = np.zeros(((w - 1) * d + 2 * d, w * d))
-    stacked[: (w - 1) * d] = trunc.matrix
-    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
-    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    return float(svals.min()), float(svals.max())
-
-
 def check_F3(
     field: DiscreteVectorField,
     lam: int,
@@ -574,7 +569,9 @@ def check_F3(
             lambda_index=int(lam),
             message=f"could not certify the half-line splittings or the kernel count: {exc}",
         )
-    smin, smax = _boundary_conditioned_extremes(field, lam, (lo, hi), fam_plus, fam_minus)
+    # extreme singular values of the truncation with decay boundary rows
+    smin = float(report.singular_values.min())
+    smax = float(report.singular_values.max())
     ok = report.index == 0 and report.dim_ker == 0
     if ok:
         message = (
@@ -716,7 +713,8 @@ def certify_bifurcation(
     A rank mismatch between the half-line families makes F3 impossible
     and fails the hypotheses outright; a scan with no pass and at
     least one indeterminate sample blocks certification with a
-    refinement hint instead of a guess.
+    refinement hint instead of a guess.  `options.threads` must be at
+    least 1; results never depend on it.
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
@@ -844,15 +842,13 @@ def certify_bifurcation(
             warnings=tuple(warnings),
         )
 
-    # F3 scan in loop order; the first passing sample becomes lambda0
-    def scan(lam: int) -> F3Check:
-        return check_F3(lin, lam, window=opts.f3_window, horizon=opts.horizon)
-
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            checks = list(pool.map(scan, range(n)))
-    else:
-        checks = [scan(lam) for lam in range(n)]
+    # F3 scan in loop order; the first passing sample becomes lambda0.
+    # The families and witnesses of all samples are built as batches
+    # first; each check then reads them from the memo (and raises its
+    # own error for a window that does not straddle zero).
+    plus, minus = whole_line_families(lin, range(n), opts.f3_window, opts.horizon)
+    verify_families(plus + minus)
+    checks = [check_F3(lin, lam, window=opts.f3_window, horizon=opts.horizon) for lam in range(n)]
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)
     f3_ok = lambda0 is not None
@@ -1042,7 +1038,9 @@ def localize_bifurcations(
     Returns (parameter index, solution sequence) pairs ordered by
     parameter index and solution size.  With `grid_refinement` > 1 the
     field's `refiner` hook supplies the finer loop and the returned
-    indices refer to it.
+    indices refer to it.  The families of all samples are built as one
+    batch per side (or read from the memo certification filled).
+    `threads` must be at least 1; results never depend on it.
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1065,51 +1063,49 @@ def localize_bifurcations(
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     lin = linearize_at_zero(f, opts.fd_step)
-
-    def hunt(lam: int) -> list[tuple[int, FiniteWindowSequence]]:
-        try:
-            fam_plus = build_projector_family(lin, lam, "plus", 0, length=hi, horizon=horizon)
-            fam_minus = build_projector_family(
-                lin, lam, "minus", 0, length=-lo, horizon=horizon
+    lams = range(f.n_params)
+    plus, minus = whole_line_families(lin, lams, (lo, hi), horizon)
+    found: list[tuple[int, FiniteWindowSequence]] = []
+    for lam, fam_plus, fam_minus in zip(lams, plus, minus):
+        failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)
+        if failure is None:
+            found.extend(
+                _hunt(f, lam, fam_plus, fam_minus, (lo, hi), opts, seed_cosine, decay_tol)
             )
-        except (CertificationError, NumericError) as exc:
-            _LOG.info("parameter sample %d skipped: %s", lam, exc)
-            return []
-        overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[
-            fam_minus.index_of(0)
-        ]
-        if overlap.size == 0:
-            return []
-        u, cosines, vt = np.linalg.svd(overlap)
-        accepted: list[np.ndarray] = []
-        for k in range(len(cosines)):
-            if cosines[k] < seed_cosine:
-                break
-            base = _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], (lo, hi))
-            for scale in opts.seed_scales:
-                found = _gauss_newton(
-                    f, lam, base * (scale * f.r0), (lo, hi), fam_plus, fam_minus, opts
-                )
-                if found is None:
-                    continue
-                sup = float(np.abs(found).max())
-                if not (10.0 * decay_tol < sup < f.r0):
-                    _LOG.debug(
-                        "parameter sample %d: candidate rejected (sup %.3e)", lam, sup
-                    )
-                    continue
-                if any(float(np.abs(found - prev).max()) <= 1e-8 for prev in accepted):
-                    continue
-                accepted.append(found)
-        accepted.sort(key=lambda a: float(np.abs(a).max()))
-        return [
-            (lam, FiniteWindowSequence.tabulate((lo, hi), a, decay_tol=decay_tol))
-            for a in accepted
-        ]
+        elif isinstance(failure, (CertificationError, NumericError)):
+            _LOG.info("parameter sample %d skipped: %s", lam, failure)
+        else:
+            raise failure.with_traceback(None)
+    return found
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(hunt, range(f.n_params)))
-    else:
-        chunks = [hunt(lam) for lam in range(f.n_params)]
-    return [item for chunk in chunks for item in chunk]
+
+def _hunt(f, lam, fam_plus, fam_minus, window, opts, seed_cosine, decay_tol):
+    """Newton-polished nonzero solutions seeded at one sample's near-kernel."""
+    lo, hi = window
+    overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
+    if overlap.size == 0:
+        return []
+    u, cosines, vt = np.linalg.svd(overlap)
+    accepted: list[np.ndarray] = []
+    for k in range(len(cosines)):
+        if cosines[k] < seed_cosine:
+            break
+        base = _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], (lo, hi))
+        for scale in opts.seed_scales:
+            found = _gauss_newton(
+                f, lam, base * (scale * f.r0), (lo, hi), fam_plus, fam_minus, opts
+            )
+            if found is None:
+                continue
+            sup = float(np.abs(found).max())
+            if not (10.0 * decay_tol < sup < f.r0):
+                _LOG.debug("parameter sample %d: candidate rejected (sup %.3e)", lam, sup)
+                continue
+            if any(float(np.abs(found - prev).max()) <= 1e-8 for prev in accepted):
+                continue
+            accepted.append(found)
+    accepted.sort(key=lambda a: float(np.abs(a).max()))
+    return [
+        (lam, FiniteWindowSequence.tabulate((lo, hi), a, decay_tol=decay_tol))
+        for a in accepted
+    ]

@@ -19,12 +19,11 @@ unstable bundle inside the trivial bundle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import HORIZON, build_projector_family
+from .dichotomy import HORIZON, build_projector_families
 from .errors import (
     HomindexError,
     InputError,
@@ -185,31 +184,27 @@ def _loop_anchor_projectors(
     horizon: int,
     threads: int,
 ):
-    """Certified half-line projectors at the anchors, one pair per sample."""
+    """Certified half-line projectors at the anchors, one pair per sample.
+
+    Each side is built as one batch over the whole loop.  The first
+    failure in loop order (plus before minus within a sample) is raised
+    with its sample named.  `threads` is validated only; the batch runs
+    in one thread, so results never depend on it.
+    """
     if field.loop is None:
         raise InputError("stable/unstable bundles need a field with a parameter loop")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
-
-    def one(i: int):
-        try:
-            fam_plus = build_projector_family(
-                field, i, "plus", anchor_plus, length=2, horizon=horizon
-            )
-            fam_minus = build_projector_family(
-                field, i, "minus", anchor_minus, length=2, horizon=horizon
-            )
-        except HomindexError as exc:
-            raise _with_sample_context(exc, i) from exc
-        return fam_plus.projector(anchor_plus), fam_minus.projector(anchor_minus)
-
-    indices = range(len(field.loop))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, indices))
-    else:
-        pairs = [one(i) for i in indices]
-    return [p for p, _ in pairs], [m for _, m in pairs]
+    lams = range(len(field.loop))
+    plus = build_projector_families(field, lams, "plus", anchor_plus, length=2, horizon=horizon)
+    minus = build_projector_families(
+        field, lams, "minus", anchor_minus, length=2, horizon=horizon
+    )
+    for i, pair in enumerate(zip(plus, minus)):
+        for outcome in pair:
+            if isinstance(outcome, HomindexError):
+                raise _with_sample_context(outcome, i) from outcome
+    return [p.projector(anchor_plus) for p in plus], [m.projector(anchor_minus) for m in minus]
 
 
 def stable_unstable_bundles(
@@ -225,8 +220,8 @@ def stable_unstable_bundles(
     fibres are the forward-decaying set im P+(lam, anchor_plus) and the
     backward-decaying set ker P-(lam, anchor_minus).  Any per-sample
     certification failure propagates with the failing sample named.
-    Fibre computations may run on several threads; the assembly order
-    is fixed, so results do not depend on `threads`.
+    `threads` must be at least 1 and is otherwise unused: results never
+    depend on it.
     """
     plus, minus = _loop_anchor_projectors(
         field, anchor_plus, anchor_minus, horizon, threads
@@ -247,7 +242,10 @@ def index_bundle_pair(
     horizon: int = HORIZON,
     threads: int = 1,
 ) -> tuple[SampledBundle, SampledBundle]:
-    """The (im P+, im P-) pair whose formal difference is the index class."""
+    """The (im P+, im P-) pair whose formal difference is the index class.
+
+    `threads` must be at least 1; results never depend on it.
+    """
     plus, minus = _loop_anchor_projectors(
         field, anchor_plus, anchor_minus, horizon, threads
     )

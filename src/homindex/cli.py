@@ -38,7 +38,13 @@ import numpy as np
 from . import __version__
 from .bifurcation import CertifyOptions, certify_bifurcation, localize_bifurcations
 from .bundle import KOClassDesk, bundle_csv_rows, index_bundle_pair
-from .dichotomy import build_projector_family, dichotomy_spectrum, verify_ed
+from .dichotomy import (
+    build_projector_family,
+    dichotomy_spectrum,
+    verify_ed,
+    verify_families,
+    whole_line_families,
+)
 from .errors import (
     CertificationError,
     HomindexError,
@@ -212,6 +218,11 @@ def _cmd_index(scenario: Scenario, threads: int) -> CommandOutcome:
         raise InputError("options.index_window must straddle time zero")
     per, csvs = [], []
     rows = []
+    # one batch per side for every requested sample; the loop reads the memo
+    plus, minus = whole_line_families(
+        field, opts["lambdas"], (lo, hi), **_family_kwargs(scenario)
+    )
+    verify_families(plus + minus)
     for lam in opts["lambdas"]:
         fam_plus = build_projector_family(
             field, lam, "plus", 0, length=hi, **_family_kwargs(scenario)
@@ -458,8 +469,7 @@ def _cmd_realize(scenario: Scenario, threads: int) -> CommandOutcome:
     d = field.dim
     table = np.empty((n_params, width, d, d))
     for lam in range(n_params):
-        for i, n in enumerate(range(lo, hi + 1)):
-            table[lam, i] = field.matrix(lam, n)
+        table[lam] = field.matrices(lam, lo, hi)
     doc = scenario.echo()
     doc["name"] = f"{scenario.name}-realized"
     doc["field"] = {

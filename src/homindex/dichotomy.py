@@ -10,11 +10,24 @@ orthonormal columns, grouped by rate, span the splitting subspaces.
 Scaling the field by 1/gamma shifts every rate by -log(gamma) and
 leaves the singular directions unchanged, so one pair of runs serves
 the whole gamma grid of a dichotomy spectrum scan.
+
+Loop-wide sweeps: the QR method is the same for every parameter
+sample, so `build_projector_families` runs it for many samples at once
+with the sample on numpy's leading axis: the sweep, the image and
+kernel marches, the family checks and the `verify_families` fits each
+take one stacked call per step instead of one call per sample and step.
+The single-sample `build_projector_family` and `verify_ed` are batches
+of one.  A failing sample keeps the error a single-sample build would
+raise and never stops the others.  Families are memoized on the field
+per (sample, side, anchor, length, horizon, tolerances), and witnesses
+on their family, so the F2 and F3 scans, the index command and
+localization each build one batch per side and every later consumer
+reads the same objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -22,6 +35,7 @@ from . import matrixcore
 from .errors import (
     CertificationError,
     DomainError,
+    HomindexError,
     IndeterminateError,
     InputError,
     NoDichotomyError,
@@ -38,7 +52,10 @@ __all__ = [
     "SpectrumResult",
     "estimate_splitting",
     "build_projector_family",
+    "build_projector_families",
+    "whole_line_families",
     "verify_ed",
+    "verify_families",
     "dichotomy_spectrum",
     "shift_operator_projector",
 ]
@@ -77,10 +94,15 @@ def _check_window(field: DiscreteVectorField, lo: int, hi: int) -> None:
 
 
 def _qr_step(b: np.ndarray):
+    """One QR accumulation step on a stack of matrices (..., d, d).
+
+    Returns the sign-normalized orthogonal factors and the log moduli of
+    the diagonal of R (floored at 1e-300).
+    """
     q, r = np.linalg.qr(b)
-    s = np.sign(np.diag(r))
-    s = np.where(s == 0.0, 1.0, s)
-    return q * s, np.log(np.maximum(np.abs(np.diag(r)), 1e-300))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    sign = np.where(diag < 0.0, -1.0, 1.0)
+    return q * sign[..., None, :], np.log(np.maximum(np.abs(diag), 1e-300))
 
 
 _GENERIC_SEEDS: dict[int, np.ndarray] = {}
@@ -101,38 +123,63 @@ def _generic_seed(d: int) -> np.ndarray:
     return _GENERIC_SEEDS[d]
 
 
-def _qr_frame(b: np.ndarray) -> np.ndarray:
-    if b.shape[1] == 0:
-        return b
-    q, r = np.linalg.qr(b)
-    d = np.abs(np.diag(r))
-    if d.min() < 1e-250:
-        raise NumericError("a marched frame lost rank; the splitting is not regular here")
-    s = np.sign(np.diag(r))
-    return q * np.where(s == 0.0, 1.0, s)
+def _sweep(mats: np.ndarray, side: str, snapshot: int = 0):
+    """QR accumulation along stacked runs of factors.
 
-
-def _preimage_frame(a: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of the preimage {x : a x in span(frame)}.
-
-    Works for singular `a` as well; the preimage must keep the frame's
-    column count (a regular splitting), otherwise the march is refused.
+    `mats` has shape (samples, times, d, d) and holds A(n) at
+    consecutive times.  The plus side accumulates the transposed
+    factors in decreasing time (right singular directions of the
+    forward propagator), the minus side the factors in increasing time.
+    Returns the final orthogonal factors (samples, d, d), the per-step
+    column log growth (samples, times, d) in sweep order, and the
+    factors after the first `snapshot` steps (None for 0).
     """
-    d, r = a.shape[0], frame.shape[1]
+    n_samples, n_times, d = mats.shape[0], mats.shape[1], mats.shape[-1]
+    q = np.broadcast_to(_generic_seed(d), (n_samples, d, d))
+    logs = np.empty((n_samples, n_times, d))
+    if side == "plus":
+        factors, order = mats.swapaxes(-1, -2), range(n_times - 1, -1, -1)
+    else:
+        factors, order = mats, range(n_times)
+    far = None
+    for idx, k in enumerate(order):
+        q, logs[:, idx] = _qr_step(factors[:, k] @ q)
+        if idx == snapshot - 1:
+            far = q
+    return q, logs, far
+
+
+def _qr_frames(b: np.ndarray):
+    """Sign-normalized orthonormal frames of a stack (..., d, r).
+
+    Also returns a mask of the stack entries whose columns lost rank.
+    """
+    if b.shape[-1] == 0:
+        return b, np.zeros(b.shape[:-2], dtype=bool)
+    q, r = np.linalg.qr(b)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    lost = np.abs(diag).min(axis=-1) < 1e-250
+    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], lost
+
+
+def _preimage_frames(a: np.ndarray, frame: np.ndarray):
+    """Orthonormal frames of the preimages {x : a x in span(frame)} for a stack.
+
+    Works for singular `a` as well.  Returns the frames and the
+    dimension each preimage actually has (None when the frame is empty
+    or full); a regular splitting keeps the frame's column count, and
+    the caller refuses the march otherwise.
+    """
+    d, r = a.shape[-1], frame.shape[-1]
     if r == 0:
-        return np.zeros((d, 0))
+        return np.zeros(a.shape[:-1] + (0,)), None
     if r == d:
-        return np.eye(d)
-    resid = (np.eye(d) - frame @ frame.T) @ a
-    u, s, vt = np.linalg.svd(resid)
-    cutoff = max(s[0], 1.0) * 1e-11
-    rank = int((s > cutoff).sum())
-    if d - rank != r:
-        raise NumericError(
-            f"preimage of a marched image frame has dimension {d - rank}, expected {r}; "
-            "the splitting is not regular here"
-        )
-    return vt[rank:].T
+        return np.broadcast_to(np.eye(d), a.shape), None
+    resid = (np.eye(d) - frame @ frame.swapaxes(-1, -2)) @ a
+    _, s, vt = np.linalg.svd(resid)
+    cutoff = np.maximum(s[..., 0], 1.0) * 1e-11
+    rank = (s > cutoff[..., None]).sum(axis=-1)
+    return vt[..., d - r :, :].swapaxes(-1, -2), d - rank
 
 
 def _source_run(field: DiscreteVectorField, lam: int, anchor: int, horizon: int):
@@ -144,21 +191,15 @@ def _source_run(field: DiscreteVectorField, lam: int, anchor: int, horizon: int)
     estimates.
     """
     _check_window(field, anchor, anchor + horizon - 1)
-    q = _generic_seed(field.dim)
-    logs = np.empty((horizon, field.dim))
-    for idx, m in enumerate(range(anchor + horizon - 1, anchor - 1, -1)):
-        q, logs[idx] = _qr_step(field.matrix(lam, m).T @ q)
-    return q, logs[horizon // 2 :].mean(axis=0)
+    q, logs, _ = _sweep(field.matrices(lam, anchor, anchor + horizon - 1)[None], "plus")
+    return q[0], logs[0, horizon // 2 :].mean(axis=0)
 
 
 def _image_run(field: DiscreteVectorField, lam: int, anchor: int, horizon: int):
     """Directions at `anchor` sorted by backward reach over [anchor-horizon, anchor)."""
     _check_window(field, anchor - horizon, anchor - 1)
-    q = _generic_seed(field.dim)
-    logs = np.empty((horizon, field.dim))
-    for idx, m in enumerate(range(anchor - horizon, anchor)):
-        q, logs[idx] = _qr_step(field.matrix(lam, m) @ q)
-    return q, logs[horizon // 2 :].mean(axis=0)
+    q, logs, _ = _sweep(field.matrices(lam, anchor - horizon, anchor - 1)[None], "minus")
+    return q[0], logs[0, horizon // 2 :].mean(axis=0)
 
 
 def _classify_rates(rates, cut, horizon, zero_margin, gap_ratio):
@@ -271,7 +312,8 @@ class ProjectorFamily:
     and the step matrices satisfy
     ``A(times[i]) @ image_frames[i] = image_frames[i+1] @ image_steps[i]``
     (same for the kernel).  `bound` is the largest operator norm of a
-    projector in the family.
+    projector in the family.  Families are shared through the field's
+    memo, so `build_projector_families` hands out read-only arrays.
     """
 
     side: str
@@ -284,12 +326,16 @@ class ProjectorFamily:
     image_steps: np.ndarray
     kernel_steps: np.ndarray
     bound: float
+    #: EDWitness (or the error) per verify_ed settings; filled by verify_families
+    _witnesses: dict = dataclass_field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         p = self.projectors
         if p.ndim != 3 or p.shape[1] != p.shape[2] or p.shape[0] != len(self.times):
             raise InputError("projector stack and times disagree")
-        worst = max(abs(pi @ pi - pi).max() for pi in p)
+        worst = abs(p @ p - p).max()
         if worst > TAU_PROJ * (1.0 + self.bound) ** 2:
             raise NumericError(f"family fails idempotency ({worst:.3e})")
 
@@ -307,9 +353,19 @@ class ProjectorFamily:
         return self.projectors[self.index_of(n)]
 
 
-def _assemble_family(
-    field: DiscreteVectorField,
-    lam: int,
+def _first_true(bad: np.ndarray):
+    """(row, first True column) for every row of a boolean matrix that has one."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    return zip(rows.tolist(), bad[rows].argmax(axis=1).tolist())
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Max-abs entry of each matrix in a stack; 0 for empty matrices."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def _assemble_batch(
+    mats: np.ndarray,
     times: np.ndarray,
     im: np.ndarray,
     ker: np.ndarray,
@@ -318,69 +374,286 @@ def _assemble_family(
     tau_proj: float,
     tau_inv: float,
     sigma_reg: float,
-) -> ProjectorFamily:
-    steps = len(times) - 1
-    d = field.dim
-    r = im.shape[2]
-    projectors = np.empty((steps + 1, d, d))
-    bound = 0.0
-    for i in range(steps + 1):
-        m = np.hstack([im[i], ker[i]])
-        smin = np.linalg.svd(m, compute_uv=False).min()
-        if smin < 1e-8:
-            raise NumericError(
+    errors: dict | None = None,
+) -> list:
+    """Validate marched frames and package one projector family per sample.
+
+    `mats` (samples, steps, d, d) holds A(times[i]) for i < steps; `im`
+    and `ker` (samples, steps + 1, d, .) the image and kernel frames.
+    `errors` maps samples that already failed to their error.  Every
+    other sample gets its family, or the first error of the checks in
+    the order a single-sample run meets them: frame transversality at
+    each time, then per step invariance, kernel regularity and frame
+    transport, then idempotency.
+    """
+    errors = {} if errors is None else errors
+    d, r = im.shape[-2], im.shape[-1]
+    basis = np.concatenate([im, ker], axis=-1)
+    smin = np.linalg.svd(basis, compute_uv=False).min(axis=-1)
+    crossing = smin < 1e-8
+    for j, i in _first_true(crossing):
+        errors.setdefault(
+            j,
+            NumericError(
                 f"image and kernel frames almost intersect at time {times[i]} "
-                f"(smallest singular value {smin:.2e})"
-            )
-        projectors[i] = np.hstack([im[i], np.zeros((d, d - r))]) @ np.linalg.inv(m)
-        bound = max(bound, float(np.linalg.norm(projectors[i], 2)))
-    im_steps = np.empty((steps, r, r))
-    ker_steps = np.empty((steps, d - r, d - r))
-
-    def _max0(x):
-        return float(abs(x).max()) if x.size else 0.0
-
-    a_scale = 1.0
-    for i in range(steps):
-        a = field.matrix(lam, int(times[i]))
-        a_scale = max(a_scale, float(abs(a).max()))
-        im_steps[i] = im[i + 1].T @ (a @ im[i])
-        ker_steps[i] = ker[i + 1].T @ (a @ ker[i])
-        resid = float(abs(a @ projectors[i] - projectors[i + 1] @ a).max())
-        if resid > tau_inv * (1.0 + a_scale) * (1.0 + bound):
-            raise CertificationError(
-                f"invariance residual {resid:.3e} at time {times[i]} exceeds {tau_inv:.1e}"
-            )
-        if d - r > 0:
-            smin = float(np.linalg.svd(ker_steps[i], compute_uv=False).min())
-            if smin < sigma_reg:
-                raise CertificationError(
-                    f"kernel transition at time {times[i]} is not regular "
-                    f"(smallest singular value {smin:.3e} < {sigma_reg:.1e})"
-                )
-        worst = max(
-            _max0(a @ im[i] - im[i + 1] @ im_steps[i]),
-            _max0(a @ ker[i] - ker[i + 1] @ ker_steps[i]),
+                f"(smallest singular value {smin[j, i]:.2e})"
+            ),
         )
-        if worst > tau_inv * (1.0 + a_scale):
-            raise CertificationError(
-                f"frame transport residual {worst:.3e} at time {times[i]} exceeds {tau_inv:.1e}"
-            )
-    worst_idem = max(float(abs(p @ p - p).max()) for p in projectors)
-    if worst_idem > tau_proj * (1.0 + bound) ** 2:
-        raise CertificationError(f"idempotency residual {worst_idem:.3e} exceeds {tau_proj:.1e}")
-    return ProjectorFamily(
-        side=side,
-        anchor=anchor,
-        times=np.asarray(times, dtype=int),
-        projectors=projectors,
-        rank=r,
-        image_frames=im,
-        kernel_frames=ker,
-        image_steps=im_steps,
-        kernel_steps=ker_steps,
-        bound=bound,
+    # refused samples get a harmless basis so the stacked inverse stays finite
+    basis = np.where(crossing[..., None, None], np.eye(d), basis)
+    projectors = im @ np.linalg.inv(basis)[..., :r, :]
+    bound = np.linalg.svd(projectors, compute_uv=False)[..., 0].max(axis=1)
+
+    here, ahead = slice(None, -1), slice(1, None)
+    im_steps = im[:, ahead].swapaxes(-1, -2) @ (mats @ im[:, here])
+    ker_steps = ker[:, ahead].swapaxes(-1, -2) @ (mats @ ker[:, here])
+    a_scale = np.maximum.accumulate(np.maximum(_max_abs(mats), 1.0), axis=1)
+    resid = _max_abs(mats @ projectors[:, here] - projectors[:, ahead] @ mats)
+    invariance_bad = resid > tau_inv * (1.0 + a_scale) * (1.0 + bound[:, None])
+    if d - r > 0:
+        ker_smin = np.linalg.svd(ker_steps, compute_uv=False).min(axis=-1)
+    else:
+        ker_smin = np.full(resid.shape, np.inf)
+    irregular = ker_smin < sigma_reg
+    transport = np.maximum(
+        _max_abs(mats @ im[:, here] - im[:, ahead] @ im_steps),
+        _max_abs(mats @ ker[:, here] - ker[:, ahead] @ ker_steps),
     )
+    transport_bad = transport > tau_inv * (1.0 + a_scale)
+    for j, i in _first_true(invariance_bad | irregular | transport_bad):
+        if invariance_bad[j, i]:
+            msg = f"invariance residual {resid[j, i]:.3e} at time {times[i]} exceeds {tau_inv:.1e}"
+        elif irregular[j, i]:
+            msg = (
+                f"kernel transition at time {times[i]} is not regular "
+                f"(smallest singular value {ker_smin[j, i]:.3e} < {sigma_reg:.1e})"
+            )
+        else:
+            msg = (
+                f"frame transport residual {transport[j, i]:.3e} at time {times[i]} "
+                f"exceeds {tau_inv:.1e}"
+            )
+        errors.setdefault(j, CertificationError(msg))
+    idem = _max_abs(projectors @ projectors - projectors).max(axis=1)
+    for j in np.flatnonzero(idem > tau_proj * (1.0 + bound) ** 2).tolist():
+        errors.setdefault(
+            j, CertificationError(f"idempotency residual {idem[j]:.3e} exceeds {tau_proj:.1e}")
+        )
+
+    times = np.asarray(times, dtype=int)
+    for arr in (times, projectors, im, ker, im_steps, ker_steps):
+        arr.setflags(write=False)
+    out = []
+    for j in range(len(mats)):
+        if j in errors:
+            out.append(errors[j])
+            continue
+        try:
+            out.append(
+                ProjectorFamily(
+                    side=side,
+                    anchor=anchor,
+                    times=times,
+                    projectors=projectors[j],
+                    rank=r,
+                    image_frames=im[j],
+                    kernel_frames=ker[j],
+                    image_steps=im_steps[j],
+                    kernel_steps=ker_steps[j],
+                    bound=float(bound[j]),
+                )
+            )
+        except HomindexError as exc:
+            out.append(exc)
+    return out
+
+
+def _family_plan(field: DiscreteVectorField, side: str, anchor: int, length, horizon: int):
+    """Validated family window: (length, first and last swept time, family times, offset).
+
+    `offset` locates the family's first time inside the swept run.
+    """
+    if side not in ("plus", "minus"):
+        raise InputError(f"side must be 'plus' or 'minus', got {side!r}")
+    if horizon < 8:
+        raise InputError("rate estimation needs a horizon of at least 8 steps")
+    length = int(length) if length is not None else horizon
+    if length < 2:
+        raise InputError("family window must contain at least 2 steps")
+    run = length + horizon
+    if side == "plus":
+        _check_window(field, anchor, anchor + run - 1)
+        return length, anchor, anchor + run - 1, np.arange(anchor, anchor + length + 1), 0
+    _check_window(field, anchor - run, anchor - 1)
+    return length, anchor - run, anchor - 1, np.arange(anchor - length, anchor + 1), horizon
+
+
+def _build_batch(
+    mats, side, anchor, horizon, times, offset, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio
+) -> list:
+    """Families (or errors) for stacked swept runs `mats` (samples, run, d, d)."""
+    n_samples, run, d = mats.shape[0], mats.shape[1], mats.shape[-1]
+    length = len(times) - 1
+    # one sweep; the snapshot after `horizon` factors estimates the
+    # splitting at the far window end, the final state at the anchor
+    q, logs, far = _sweep(mats, side, snapshot=horizon)
+    rates = logs[:, run // 2 :].mean(axis=1)
+    out: list = [None] * n_samples
+    by_rank: dict[int, list[int]] = {}
+    masks = np.empty((n_samples, d), dtype=bool)
+    for j in range(n_samples):
+        status, below = _classify_rates(rates[j], 0.0, run, zero_margin, gap_ratio)
+        if status == "no_ed":
+            out[j] = NoDichotomyError(
+                f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
+                f"rate sits within {zero_margin:.1e} of zero"
+            )
+        elif status == "indeterminate":
+            out[j] = IndeterminateError(
+                f"run of {run} steps is too short to separate the rate groups at anchor "
+                f"{anchor} ({side} side)"
+            )
+        else:
+            masks[j] = below
+            by_rank.setdefault(int(below.sum()), []).append(j)
+
+    for r, members in by_rank.items():
+        rows = np.array(members)
+        a = mats[rows, offset : offset + length]  # A(times[i]) for i < length
+        # below-rate columns first, each group in its original column order
+        order = np.argsort(~masks[rows], axis=1, kind="stable")[:, None, :]
+        at_far = np.take_along_axis(far[rows], order, axis=2)
+        at_anchor = np.take_along_axis(q[rows], order, axis=2)
+        errors: dict[int, Exception] = {}
+        im = np.empty((len(rows), length + 1, d, r))
+        ker = np.empty((len(rows), length + 1, d, d - r))
+
+        def march_image(seed):
+            # backward through step preimages
+            im[:, length] = seed
+            for i in range(length - 1, -1, -1):
+                im[:, i], found = _preimage_frames(a[:, i], im[:, i + 1])
+                if found is None:
+                    continue
+                for j in np.flatnonzero(found != r).tolist():
+                    errors.setdefault(
+                        j,
+                        NumericError(
+                            f"preimage of a marched image frame has dimension {found[j]}, "
+                            f"expected {r}; the splitting is not regular here"
+                        ),
+                    )
+
+        def march_kernel(seed):
+            # forward by the field
+            ker[:, 0] = seed
+            for i in range(length):
+                ker[:, i + 1], lost = _qr_frames(a[:, i] @ ker[:, i])
+                for j in np.flatnonzero(lost).tolist():
+                    errors.setdefault(
+                        j,
+                        NumericError(
+                            "a marched frame lost rank; the splitting is not regular here"
+                        ),
+                    )
+
+        if side == "plus":
+            # canonical image: seeded at the far end, marched backward;
+            # free complement: fixed orthogonal at the anchor, marched forward
+            march_image(at_far[..., :r])
+            march_kernel(at_anchor[..., r:])
+        else:
+            # canonical kernel: seeded at the far (past) end, marched forward;
+            # free complement: fixed orthogonal at the anchor, marched backward
+            march_kernel(at_far[..., r:])
+            march_image(at_anchor[..., :r])
+        families = _assemble_batch(
+            a, times, im, ker, side, anchor, tau_proj, tau_inv, sigma_reg, errors
+        )
+        for j, family in zip(members, families):
+            out[j] = family
+    return out
+
+
+def _first_entry_error(field: DiscreteVectorField, lam: int, times) -> HomindexError | None:
+    """The first error `field.matrix(lam, n)` raises for n in `times`, in that order."""
+    for n in times:
+        try:
+            field.matrix(lam, n)
+        except HomindexError as exc:
+            return exc
+    return None
+
+
+def build_projector_families(
+    field: DiscreteVectorField,
+    lams,
+    side: str,
+    anchor: int,
+    length: int | None = None,
+    horizon: int = HORIZON,
+    tau_proj: float = TAU_PROJ,
+    tau_inv: float = TAU_INV,
+    sigma_reg: float = SIGMA_REG,
+    zero_margin: float = ZERO_MARGIN,
+    gap_ratio: float = GAP_RATIO,
+) -> list:
+    """Certified projector families of many parameter samples in one sweep.
+
+    The construction and checks are those of `build_projector_family`,
+    run once for all samples with the sample on numpy's leading axis.
+    Returns, in the order of `lams`, each sample's `ProjectorFamily` or
+    the `HomindexError` its build raised; a failing sample never stops
+    the others.  Results are memoized on the field per (sample, side,
+    anchor, length, horizon, tolerances), so any later request for the
+    same key, batched or single, returns the same object.
+    """
+    try:
+        length, lo, hi, times, offset = _family_plan(field, side, anchor, length, horizon)
+    except HomindexError as exc:
+        return [exc for _ in lams]
+    key = (side, anchor, length, horizon, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
+    memo = field._families
+    todo, runs = [], []
+    for lam in dict.fromkeys(lams):
+        if (lam, key) in memo:
+            continue
+        try:
+            runs.append(field.matrices(lam, lo, hi))
+            todo.append(lam)
+        except HomindexError as exc:
+            if side == "plus":  # a single-sample sweep meets the latest bad time first
+                exc = _first_entry_error(field, lam, range(hi, lo - 1, -1)) or exc
+            memo[lam, key] = exc
+    if todo:
+        built = _build_batch(
+            np.stack(runs), side, anchor, horizon, times, offset,
+            tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
+        )
+        for lam, outcome in zip(todo, built):
+            memo[lam, key] = outcome
+    return [memo[lam, key] for lam in lams]
+
+
+def whole_line_families(
+    field: DiscreteVectorField, lams, window, horizon: int = HORIZON, **tolerances
+) -> tuple[list, list]:
+    """Both half-line families anchored at 0 on `window`, one batch per side.
+
+    The plus families cover [0, window[1]] and the minus families
+    [window[0], 0]; `tolerances` go to `build_projector_families`.
+    Returns the plus and minus outcome lists.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    plus = build_projector_families(field, lams, "plus", 0, hi, horizon, **tolerances)
+    minus = build_projector_families(field, lams, "minus", 0, -lo, horizon, **tolerances)
+    return plus, minus
+
+
+def _raise_or_return(outcome):
+    if isinstance(outcome, HomindexError):
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def build_projector_family(
@@ -406,73 +679,14 @@ def build_projector_family(
     step preimages, while the complement (the free choice, fixed
     orthogonal at the seed time) is marched forward by the field.
     Idempotency, invariance, regularity and rank constancy are
-    validated before returning.
+    validated before returning.  This is `build_projector_families`
+    for a single sample, memo included.
     """
-    if side not in ("plus", "minus"):
-        raise InputError(f"side must be 'plus' or 'minus', got {side!r}")
-    if horizon < 8:
-        raise InputError("rate estimation needs a horizon of at least 8 steps")
-    length = int(length) if length is not None else horizon
-    if length < 2:
-        raise InputError("family window must contain at least 2 steps")
-    d = field.dim
-    run = length + horizon
-    if side == "plus":
-        times = np.arange(anchor, anchor + length + 1)
-        _check_window(field, anchor, anchor + run - 1)
-    else:
-        times = np.arange(anchor - length, anchor + 1)
-        _check_window(field, anchor - run, anchor - 1)
-
-    # one sweep; the snapshot after `horizon` factors estimates the
-    # splitting at the far window end, the final state at the anchor
-    q = _generic_seed(d)
-    logs = np.empty((run, d))
-    far = None
-    if side == "plus":
-        sweep = range(anchor + run - 1, anchor - 1, -1)
-    else:
-        sweep = range(anchor - run, anchor)
-    for idx, m in enumerate(sweep):
-        a = field.matrix(lam, m)
-        q, logs[idx] = _qr_step(a.T @ q if side == "plus" else a @ q)
-        if idx == horizon - 1:
-            far = q.copy()
-    rates = logs[run // 2 :].mean(axis=0)
-    status, below = _classify_rates(rates, 0.0, run, zero_margin, gap_ratio)
-    if status == "no_ed":
-        raise NoDichotomyError(
-            f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
-            f"rate sits within {zero_margin:.1e} of zero"
-        )
-    if status == "indeterminate":
-        raise IndeterminateError(
-            f"run of {run} steps is too short to separate the rate groups at anchor "
-            f"{anchor} ({side} side)"
-        )
-
-    r = int(below.sum())
-    im = np.empty((length + 1, d, r))
-    ker = np.empty((length + 1, d, d - r))
-    if side == "plus":
-        # canonical image: seeded at the far end, marched backward;
-        # free complement: fixed orthogonal at the anchor, marched forward
-        im[length] = far[:, below]
-        for i in range(length - 1, -1, -1):
-            im[i] = _preimage_frame(field.matrix(lam, int(times[i])), im[i + 1])
-        ker[0] = q[:, ~below]
-        for i in range(length):
-            ker[i + 1] = _qr_frame(field.matrix(lam, int(times[i])) @ ker[i])
-    else:
-        # canonical kernel: seeded at the far (past) end, marched forward;
-        # free complement: fixed orthogonal at the anchor, marched backward
-        ker[0] = far[:, ~below]
-        for i in range(length):
-            ker[i + 1] = _qr_frame(field.matrix(lam, int(times[i])) @ ker[i])
-        im[length] = q[:, below]
-        for i in range(length - 1, -1, -1):
-            im[i] = _preimage_frame(field.matrix(lam, int(times[i])), im[i + 1])
-    return _assemble_family(field, lam, times, im, ker, side, anchor, tau_proj, tau_inv, sigma_reg)
+    (outcome,) = build_projector_families(
+        field, [lam], side, anchor, length, horizon,
+        tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
+    )
+    return _raise_or_return(outcome)
 
 
 @dataclass(frozen=True)
@@ -508,13 +722,185 @@ class EDWitness:
         return self.k_const * (1.0 + self.alpha) / (1.0 - self.alpha) * (1.0 + bound)
 
 
-def _fit_line(points):
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    if len(points) == 1:
-        return y[0] / x[0], 0.0
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
+def _fit_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares line slopes of the rows of `y` against `x`."""
+    if len(x) == 1:
+        return y[:, 0] / x[0]
+    return np.polyfit(x, y.T, 1)[0]
+
+
+def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tuple[int, int]]):
+    """Transition chains at every sample point (anchor a, delta) at once.
+
+    `steps_stack` (samples, steps, k, k) holds per-step transition
+    matrices; the chain of a point is steps[a+delta-1] @ ... @ steps[a].
+    All anchors advance together through the steps, so the work is one
+    stacked product per step.  Returns (samples, points, k, k).
+    """
+    n_samples, n_steps, k = steps_stack.shape[0], steps_stack.shape[1], steps_stack.shape[-1]
+    chains = np.broadcast_to(np.eye(k), (n_samples, len(anchors), k, k)).copy()
+    recorded = np.empty((n_samples, len(points), k, k))
+    where = {pt: p for p, pt in enumerate(points)}
+    for t in range(n_steps):
+        live = sum(a <= t for a in anchors)  # anchors are sorted
+        chains[:, :live] = steps_stack[:, t, None] @ chains[:, :live]
+        slots = [
+            (i, where[a, t - a + 1])
+            for i, a in enumerate(anchors[:live])
+            if (a, t - a + 1) in where
+        ]
+        if slots:
+            src, dst = zip(*slots)
+            recorded[:, list(dst)] = chains[:, list(src)]
+    return recorded
+
+
+def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: int) -> list:
+    """`verify_ed` for families of equal window length, rank and dimension."""
+    steps = len(fams[0].times) - 1
+    if steps < 4:
+        return [InputError("family window too short to fit dichotomy constants") for _ in fams]
+    d = fams[0].dim
+    r = fams[0].rank
+    n = len(fams)
+    anchors = sorted(set(np.linspace(0, steps - 1, min(max_anchors, steps), dtype=int).tolist()))
+    deltas = set()
+    delta = 1
+    while delta <= steps:
+        deltas.add(delta)
+        delta *= 2
+    deltas.add(steps)
+    # sample points in anchor-major, delta-minor order: the order of the checks
+    points = [(a, dl) for a in anchors for dl in range(1, steps - a + 1) if dl in deltas]
+    offsets = [a for a, _ in points]
+    x = np.array([dl for _, dl in points], dtype=float)
+    im_steps = np.stack([f.image_steps for f in fams])
+    ker_steps = np.stack([f.kernel_steps for f in fams])
+
+    fits = []  # (is_stable, log sizes (n, points), slope)
+    if r > 0:
+        smax = np.linalg.svd(_chain_points(im_steps, anchors, points), compute_uv=False).max(-1)
+        y_s = np.log(np.maximum(smax, 1e-300))
+        fits.append((True, y_s, _fit_slopes(x, y_s)))
+    if d - r > 0:
+        smin = np.linalg.svd(_chain_points(ker_steps, anchors, points), compute_uv=False).min(-1)
+        y_u = np.log(np.maximum(smin, 1e-300))
+        fits.append((False, y_u, -_fit_slopes(x, y_u)))
+    log_alpha = np.max([part for _, _, part in fits], axis=0)
+
+    errors: dict[int, Exception] = {}
+    for j in np.flatnonzero(log_alpha >= 0.0).tolist():
+        stable_first, y, part = fits[0]
+        if stable_first and part[j] == log_alpha[j]:
+            p = int(np.argmax(y[j] / x))
+        else:
+            p = int(np.argmin(fits[-1][1][j] / x))
+        errors[j] = NoDichotomyError(
+            f"fitted rate alpha = {np.exp(log_alpha[j]):.6f} >= 1; offending orbit at "
+            f"family offset {offsets[p]}, {points[p][1]} steps"
+        )
+    alpha = np.exp(log_alpha)
+
+    log_k = np.zeros(n)
+    for stable, y, _ in fits:
+        sized = y if stable else -y
+        log_k = np.maximum(log_k, (sized - x * log_alpha[:, None]).max(axis=1))
+    k_const = np.exp(log_k)
+
+    # validate every sampled pair against the final constants with slack
+    budget = np.log1p(slack)
+    log_kc = np.log(k_const)[:, None]
+    slope = x * log_alpha[:, None]
+    for stable, y, _ in fits:
+        if stable:
+            bad, what = y > log_kc + slope + budget, "decay"
+        else:
+            bad, what = y < -log_kc - slope - budget, "growth"
+        for j, p in _first_true(bad):
+            errors.setdefault(
+                j,
+                CertificationError(
+                    f"{what} bound violated at offset {offsets[p]}, {points[p][1]} steps"
+                ),
+            )
+
+    # backward form: least-norm preimages of kernel vectors decay like alpha**delta
+    checked = np.full(n, len(points) * len(fits))
+    if d - r > 0 and inverse_probes > 0:
+        probe_deltas = sorted(deltas)[:inverse_probes]
+        im_frames = np.stack([f.image_frames for f in fams])
+        ker_frames = np.stack([f.kernel_frames for f in fams])
+        inv_lo = np.linalg.inv(np.concatenate([im_frames[:, 0], ker_frames[:, 0]], axis=-1))
+        chain_im = np.broadcast_to(np.eye(r), (n, r, r))
+        chain_ker = np.broadcast_to(np.eye(d - r), (n, d - r, d - r))
+        for delta in range(1, probe_deltas[-1] + 1):
+            chain_im = im_steps[:, delta - 1] @ chain_im
+            chain_ker = ker_steps[:, delta - 1] @ chain_ker
+            if delta not in probe_deltas:
+                continue
+            probed = _max_abs(chain_ker) < 1e100
+            basis_hi = np.concatenate([im_frames[:, delta], ker_frames[:, delta]], axis=-1)
+            blocks = np.zeros((n, d, d))
+            blocks[:, :r, :r] = chain_im
+            blocks[:, r:, r:] = chain_ker
+            phi = basis_hi @ blocks @ inv_lo
+            y_vec = ker_frames[:, delta]
+            # per-sample least squares: a stacked pseudo-inverse loses the
+            # residual accuracy this check needs on ill-conditioned steps
+            z = np.zeros((n, d, d - r))
+            for j in np.flatnonzero(probed).tolist():
+                z[j] = np.linalg.lstsq(phi[j], y_vec[j], rcond=None)[0]
+            unreached = np.abs(phi @ z - y_vec).max(axis=-2) > 1e-8
+            too_long = np.linalg.norm(z, axis=-2) > (
+                (1.0 + slack) * k_const[:, None] * alpha[:, None] ** delta
+            )
+            for j, col in _first_true((unreached | too_long) & probed[:, None]):
+                if unreached[j, col]:
+                    msg = (
+                        f"kernel vector at step {delta} is not reachable; "
+                        "the family is not regular"
+                    )
+                else:
+                    msg = f"backward decay of least-norm preimages fails at {delta} steps"
+                errors.setdefault(j, CertificationError(msg))
+            checked += np.where(probed, d - r, 0)
+
+    return [
+        errors[j]
+        if j in errors
+        else EDWitness(
+            family=fam,
+            k_const=float(k_const[j]),
+            alpha=float(alpha[j]),
+            checked_pairs=int(checked[j]),
+            slack=slack,
+        )
+        for j, fam in enumerate(fams)
+    ]
+
+
+def verify_families(
+    families, slack: float = 0.05, max_anchors: int = 12, inverse_probes: int = 4
+) -> list:
+    """`verify_ed` for many families, batched over families of equal shape.
+
+    Takes the outcomes of `build_projector_families`.  Returns, in
+    order, each family's `EDWitness` or the `HomindexError` its
+    validation raised; an error given in place of a family is passed
+    through.  Results are cached on the family per (slack, max_anchors,
+    inverse_probes).
+    """
+    key = (slack, max_anchors, inverse_probes)
+    groups: dict[tuple, dict[int, ProjectorFamily]] = {}
+    for fam in families:
+        if isinstance(fam, ProjectorFamily) and key not in fam._witnesses:
+            shape = (len(fam.times), fam.rank, fam.dim)
+            groups.setdefault(shape, {})[id(fam)] = fam
+    for group in groups.values():
+        batch = list(group.values())
+        for fam, outcome in zip(batch, _verify_batch(batch, slack, max_anchors, inverse_probes)):
+            fam._witnesses[key] = outcome
+    return [fam._witnesses[key] if isinstance(fam, ProjectorFamily) else fam for fam in families]
 
 
 def verify_ed(
@@ -533,112 +919,11 @@ def verify_ed(
     rates, and K is then the smallest constant covering every sampled
     pair.  The backward (inverse) form is validated on least-norm
     preimages of kernel vectors.  Raises NoDichotomyError when the
-    fitted alpha reaches 1.
+    fitted alpha reaches 1.  This is `verify_families` for one family,
+    cache included.
     """
-    steps = len(family.times) - 1
-    if steps < 4:
-        raise InputError("family window too short to fit dichotomy constants")
-    d = family.dim
-    r = family.rank
-    anchors = sorted(set(np.linspace(0, steps - 1, min(max_anchors, steps), dtype=int)))
-    deltas = set()
-    delta = 1
-    while delta <= steps:
-        deltas.add(delta)
-        delta *= 2
-    deltas.add(steps)
-
-    stable_pts = []
-    unstable_pts = []
-    for a in anchors:
-        chain_im = np.eye(r)
-        chain_ker = np.eye(d - r)
-        for delta in range(1, steps - a + 1):
-            chain_im = family.image_steps[a + delta - 1] @ chain_im
-            chain_ker = family.kernel_steps[a + delta - 1] @ chain_ker
-            if delta in deltas:
-                if r > 0:
-                    smax = float(np.linalg.svd(chain_im, compute_uv=False).max())
-                    stable_pts.append((delta, np.log(max(smax, 1e-300)), a))
-                if d - r > 0:
-                    smin = float(np.linalg.svd(chain_ker, compute_uv=False).min())
-                    unstable_pts.append((delta, np.log(max(smin, 1e-300)), a))
-
-    log_alpha_parts = []
-    if stable_pts:
-        slope_s, icept_s = _fit_line([(p[0], p[1]) for p in stable_pts])
-        log_alpha_parts.append(slope_s)
-    if unstable_pts:
-        slope_u, icept_u = _fit_line([(p[0], p[1]) for p in unstable_pts])
-        log_alpha_parts.append(-slope_u)
-    if not log_alpha_parts:
-        raise InputError("family has neither image nor kernel directions")
-    log_alpha = max(log_alpha_parts)
-    if log_alpha >= 0.0:
-        worst = None
-        if stable_pts and log_alpha_parts[0] == log_alpha:
-            worst = max(stable_pts, key=lambda p: p[1] / p[0])
-        else:
-            worst = min(unstable_pts, key=lambda p: p[1] / p[0])
-        raise NoDichotomyError(
-            f"fitted rate alpha = {np.exp(log_alpha):.6f} >= 1; offending orbit at "
-            f"family offset {worst[2]}, {worst[0]} steps"
-        )
-    alpha = float(np.exp(log_alpha))
-
-    log_k = 0.0
-    for delta, y, _ in stable_pts:
-        log_k = max(log_k, y - delta * log_alpha)
-    for delta, y, _ in unstable_pts:
-        log_k = max(log_k, -y - delta * log_alpha)
-    k_const = float(np.exp(log_k))
-
-    # validate every sampled pair against the final constants with slack
-    budget = np.log1p(slack)
-    for delta, y, a in stable_pts:
-        if y > np.log(k_const) + delta * log_alpha + budget:
-            raise CertificationError(f"decay bound violated at offset {a}, {delta} steps")
-    for delta, y, a in unstable_pts:
-        if y < -np.log(k_const) - delta * log_alpha - budget:
-            raise CertificationError(f"growth bound violated at offset {a}, {delta} steps")
-
-    # backward form: least-norm preimages of kernel vectors decay like alpha**delta
-    checked = len(stable_pts) + len(unstable_pts)
-    if d - r > 0 and inverse_probes > 0:
-        probe_deltas = sorted(deltas)[:inverse_probes]
-        chain_im = np.eye(r)
-        chain_ker = np.eye(d - r)
-        for delta in range(1, steps + 1):
-            chain_im = family.image_steps[delta - 1] @ chain_im
-            chain_ker = family.kernel_steps[delta - 1] @ chain_ker
-            if delta in probe_deltas and abs(chain_ker).max() < 1e100:
-                basis_hi = np.hstack([family.image_frames[delta], family.kernel_frames[delta]])
-                basis_lo = np.hstack([family.image_frames[0], family.kernel_frames[0]])
-                blocks = np.zeros((d, d))
-                blocks[:r, :r] = chain_im
-                blocks[r:, r:] = chain_ker
-                phi = basis_hi @ blocks @ np.linalg.inv(basis_lo)
-                for j in range(d - r):
-                    y_vec = family.kernel_frames[delta][:, j]
-                    z, res, _, _ = np.linalg.lstsq(phi, y_vec, rcond=None)
-                    if abs(phi @ z - y_vec).max() > 1e-8:
-                        raise CertificationError(
-                            f"kernel vector at step {delta} is not reachable; "
-                            "the family is not regular"
-                        )
-                    if np.linalg.norm(z) > (1.0 + slack) * k_const * alpha**delta:
-                        raise CertificationError(
-                            f"backward decay of least-norm preimages fails at {delta} steps"
-                        )
-                    checked += 1
-
-    return EDWitness(
-        family=family,
-        k_const=k_const,
-        alpha=alpha,
-        checked_pairs=checked,
-        slack=slack,
-    )
+    (outcome,) = verify_families([family], slack, max_anchors, inverse_probes)
+    return _raise_or_return(outcome)
 
 
 @dataclass(frozen=True)
@@ -816,7 +1101,11 @@ def _family_from_projectors(
         im[i] = u[:, :rank]
         u2, s2, _ = np.linalg.svd(eye - p)
         ker[i] = u2[:, : d - rank]
-    return _assemble_family(field, lam, times, im, ker, side, anchor, tau_proj, tau_inv, sigma_reg)
+    mats = field.matrices(lam, int(times[0]), int(times[-2]))
+    (outcome,) = _assemble_batch(
+        mats[None], times, im[None], ker[None], side, anchor, tau_proj, tau_inv, sigma_reg
+    )
+    return _raise_or_return(outcome)
 
 
 def shift_operator_projector(

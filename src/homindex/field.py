@@ -6,6 +6,17 @@ stored as orthonormal frames over a closed parameter loop.  The
 constructions here (hyperbolic families from a bundle, piecewise
 realizations, controlled perturbations) are the raw material for the
 dichotomy, index and bifurcation layers.
+
+Every `DiscreteVectorField` owns a lazily filled table of its matrices,
+logically of shape (n_params, times, d, d).  Each (sample, time) entry
+is evaluated and validated (shape, finiteness) once, on first use;
+`matrix` reads one entry and `matrices` a whole time range of one
+sample from it.  The table is stored in blocks of `TABLE_BLOCK`
+consecutive times, so a probe at a far window edge costs one block and
+not the span in between.  A field also carries a memo that the
+dichotomy layer fills with one projector family per (sample, side,
+anchor, window length, horizon, tolerances); see
+`dichotomy.build_projector_families`.
 """
 
 from __future__ import annotations
@@ -45,6 +56,9 @@ OVERFLOW_LIMIT = 1e150
 
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
+
+#: consecutive times stored together in a field's matrix table
+TABLE_BLOCK = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -98,12 +112,79 @@ class ParameterLoop:
         return float(self.samples[i % len(self), 0])
 
 
+class _MatrixTable:
+    """Validated matrices of one field, evaluated on first use.
+
+    Blocks of `TABLE_BLOCK` times are allocated on demand, each with a
+    mask of filled entries.  An entry whose evaluation fails validation
+    keeps its error, so every (sample, time) pair reaches the evaluator
+    exactly once.
+    """
+
+    def __init__(self, field: "DiscreteVectorField"):
+        self._field = field
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._errors: dict[tuple[int, int], Exception] = {}
+
+    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        if b not in self._blocks:
+            f = self._field
+            self._blocks[b] = (
+                np.empty((f.n_params, TABLE_BLOCK, f.dim, f.dim)),
+                np.zeros((f.n_params, TABLE_BLOCK), dtype=bool),
+            )
+        return self._blocks[b]
+
+    def _fill(self, values: np.ndarray, filled: np.ndarray, lam: int, n: int, i: int) -> None:
+        if (lam, n) in self._errors:
+            raise self._errors[lam, n].with_traceback(None)
+        f = self._field
+        a = np.asarray(f.evaluator(lam, n), dtype=float)
+        if a.shape != (f.dim, f.dim):
+            exc = NumericError(f"evaluator returned shape {a.shape} at (lam={lam}, n={n})")
+        elif not np.isfinite(a).all():
+            exc = NumericError(f"evaluator returned non-finite entries at (lam={lam}, n={n})")
+        else:
+            values[lam, i] = a
+            filled[lam, i] = True
+            return
+        self._errors[lam, n] = exc
+        raise exc
+
+    def rows(self, lam: int, lo: int, hi: int) -> np.ndarray:
+        """Matrices at times lo..hi of sample `lam`, shape (hi - lo + 1, d, d)."""
+        parts = []
+        for b in range(lo // TABLE_BLOCK, hi // TABLE_BLOCK + 1):
+            values, filled = self._block(b)
+            start = b * TABLE_BLOCK
+            i0, i1 = max(lo, start) - start, min(hi, start + TABLE_BLOCK - 1) - start + 1
+            if not filled[lam, i0:i1].all():
+                for i in range(i0, i1):
+                    if not filled[lam, i]:
+                        self._fill(values, filled, lam, start + i, i)
+            parts.append(values[lam, i0:i1])
+        out = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+        out.setflags(write=False)
+        return out
+
+    def entry(self, lam: int, n: int) -> np.ndarray:
+        values, filled = self._block(n // TABLE_BLOCK)
+        i = n % TABLE_BLOCK
+        if not filled[lam, i]:
+            self._fill(values, filled, lam, n, i)
+        out = values[lam, i]
+        out.setflags(write=False)
+        return out
+
+
 @dataclass(frozen=True)
 class DiscreteVectorField:
     """Matrix field (parameter sample, time) -> d x d real matrix.
 
     The evaluator receives the integer index of a parameter sample (0
-    for unparametrized fields) and an integer time inside `window`.
+    for unparametrized fields) and an integer time inside `window`; it
+    is called at most once per (sample, time), because the results are
+    validated into the field's table (see the module docstring).
     `bound` is a sampled sup-norm estimate, `kind` a short provenance
     tag used by reports.
     """
@@ -114,28 +195,46 @@ class DiscreteVectorField:
     bound: float = 0.0
     kind: str = "custom"
     loop: ParameterLoop | None = None
+    _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
+    #: projector families by (sample, family key); filled by the dichotomy layer
+    _families: dict = dataclass_field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dimension must be at least 1")
         if self.window[0] >= self.window[1]:
             raise InputError("window must be a nonempty interval of times")
+        object.__setattr__(self, "_table", _MatrixTable(self))
 
     @property
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
+    def _check_lam(self, lam: int) -> None:
+        if not (0 <= lam < self.n_params):
+            raise InputError(f"parameter index {lam} outside range({self.n_params})")
+
     def matrix(self, lam: int, n: int) -> np.ndarray:
         if not (self.window[0] <= n <= self.window[1]):
             raise InputError(f"time {n} outside the evaluable window {self.window}")
-        if not (0 <= lam < self.n_params):
-            raise InputError(f"parameter index {lam} outside range({self.n_params})")
-        a = np.asarray(self.evaluator(lam, n), dtype=float)
-        if a.shape != (self.dim, self.dim):
-            raise NumericError(f"evaluator returned shape {a.shape} at (lam={lam}, n={n})")
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"evaluator returned non-finite entries at (lam={lam}, n={n})")
-        return a
+        self._check_lam(lam)
+        return self._table.entry(int(lam), int(n))
+
+    def matrices(self, lam: int, lo: int, hi: int) -> np.ndarray:
+        """Read-only stack of the matrices at times lo..hi, shape (hi - lo + 1, d, d).
+
+        Raises like `matrix`; among several bad entries, the one at the
+        lowest time is named.
+        """
+        if lo > hi:
+            raise InputError(f"time range [{lo}, {hi}] is empty")
+        for n in (lo, hi):
+            if not (self.window[0] <= n <= self.window[1]):
+                raise InputError(f"time {n} outside the evaluable window {self.window}")
+        self._check_lam(lam)
+        return self._table.rows(int(lam), int(lo), int(hi))
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,8 @@ class IndexReport:
     `dim_ker_truncated` from the boundary-conditioned truncation's null
     space.  The flag records their agreement; the index always equals
     the half-line projector rank difference, and the cokernel dimension
-    is the kernel dimension minus the index.
+    is the kernel dimension minus the index.  `singular_values` are
+    those of the boundary-conditioned truncation, in descending order.
     """
 
     index: int
@@ -199,6 +200,9 @@ class IndexReport:
     consistent: bool
     dim_ker_truncated: int
     kernel_basis: tuple[FiniteWindowSequence, ...] = ()
+    singular_values: np.ndarray = dataclass_field(
+        default_factory=lambda: np.empty(0), repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.index != self.dim_ker - self.dim_coker:
@@ -293,12 +297,15 @@ def _intersection_dimension(f_plus: np.ndarray, f_minus: np.ndarray) -> int:
 
 
 def _null_space(stacked: np.ndarray, gap_ratio: float):
-    """Null dimension and basis under the grouped singular-value rule."""
+    """Null dimension, right singular vectors and singular values.
+
+    The null dimension follows the grouped singular-value rule.
+    """
     svals, vt = np.linalg.svd(stacked, full_matrices=True)[1:]
     cols = stacked.shape[1]
     smax = float(svals[0]) if len(svals) else 0.0
     if smax == 0.0:
-        return cols, vt
+        return cols, vt, svals
     implicit = cols - len(svals)  # columns beyond the rank bound are exact zeros
     cut = _NULL_CUT * smax
     zero = svals < cut
@@ -318,7 +325,7 @@ def _null_space(stacked: np.ndarray, gap_ratio: float):
             f"to the null cutoff {cut:.3e} to certify an empty kernel; enlarge "
             "the truncation window"
         )
-    return n_zero, vt
+    return n_zero, vt, svals
 
 
 def kernel_cokernel(
@@ -383,7 +390,7 @@ def kernel_cokernel(
     stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
     stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
 
-    dim_ker_truncated, vt = _null_space(stacked, gap_ratio)
+    dim_ker_truncated, vt, svals = _null_space(stacked, gap_ratio)
     basis = []
     for row in vt[len(vt) - dim_ker_truncated :]:
         values = row.reshape(w, d)
@@ -401,6 +408,7 @@ def kernel_cokernel(
         consistent=dim_ker == dim_ker_truncated,
         dim_ker_truncated=dim_ker_truncated,
         kernel_basis=tuple(basis),
+        singular_values=svals,
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainError, IndeterminateError, InputError, NumericError
 
@@ -45,6 +44,9 @@ _EIG_COND_LIMIT = 1e12
 
 _MAX_NODES = 1024
 _NODE_CONV_TOL = 1e-10
+
+# complex entries per stacked resolvent solve (8 MB); bounds the node chunk
+_SOLVE_CHUNK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,21 @@ def _finalize_split(a: np.ndarray, p: np.ndarray, gap: float) -> SpectralSplit:
 def _contour_sum(a: np.ndarray, nodes: int) -> np.ndarray:
     # trapezoid rule for (2*pi*i)^(-1) * integral of (z I - a)^(-1) dz over |z| = 1,
     # with z = exp(i theta):  P ~ (1/N) sum_j z_j (z_j I - a)^(-1)
+    # nodes are solved in stacked chunks small enough to bound the memory
     d = a.shape[0]
     eye = np.eye(d, dtype=complex)
     acc = np.zeros((d, d), dtype=complex)
-    for j in range(nodes):
-        z = np.exp(2j * np.pi * j / nodes)
+    chunk = max(1, _SOLVE_CHUNK_ENTRIES // (d * d))
+    for j0 in range(0, nodes, chunk):
+        z = np.exp(2j * np.pi * np.arange(j0, min(j0 + chunk, nodes)) / nodes)
+        shifted = z[:, None, None] * eye - a
         try:
-            acc += z * sla.solve(z * eye - a, eye)
-        except sla.LinAlgError as exc:  # pragma: no cover - solver failure is rare
-            raise NumericError(f"resolvent solve failed at node {j} of {nodes}") from exc
+            resolvents = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure is rare
+            raise NumericError(
+                f"resolvent solve failed at nodes {j0}..{j0 + len(z) - 1} of {nodes}"
+            ) from exc
+        acc += np.einsum("j,jkl->kl", z, resolvents)
     return acc / nodes
 
 

@@ -1,0 +1,190 @@
+"""Loop-wide batches: the field table, the family memo and per-sample failures."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from homindex.bifurcation import (
+    CertifyOptions,
+    PerturbedSystemSpec,
+    certify_bifurcation,
+    check_F3,
+    linearize_at_zero,
+    localize_bifurcations,
+)
+from homindex.dichotomy import (
+    ProjectorFamily,
+    build_projector_families,
+    build_projector_family,
+    verify_ed,
+    verify_families,
+)
+from homindex.errors import InputError, NoDichotomyError, NumericError
+from homindex.field import DiscreteVectorField, ParameterLoop, tabulated_field
+from homindex.scenario import Scenario
+
+SADDLE = np.diag([0.5, 2.0])
+
+
+def saddle_loop_field(n_samples=8, broken=None, window=(-100, 100)):
+    """Constant saddle at every sample; sample `broken` gets the identity (no dichotomy)."""
+    loop = ParameterLoop.circle(n_samples)
+    values = np.broadcast_to(SADDLE, (n_samples, window[1] - window[0] + 1, 2, 2)).copy()
+    if broken is not None:
+        values[broken] = np.eye(2)
+    return tabulated_field(values, window, loop=loop)
+
+
+def counting_field(n_samples=8, bad=None):
+    """Rotated saddles with an evaluator that counts its calls per (sample, time)."""
+    calls = Counter()
+
+    def evaluate(lam, n):
+        calls[lam, n] += 1
+        if (lam, n) == bad:
+            return np.full((2, 2), np.nan)
+        c, s = np.cos(0.1 * lam), np.sin(0.1 * lam)
+        rot = np.array([[c, -s], [s, c]])
+        return rot @ SADDLE @ rot.T
+
+    field = DiscreteVectorField(
+        dim=2, evaluator=evaluate, window=(-200, 200), loop=ParameterLoop.circle(n_samples)
+    )
+    return field, calls
+
+
+FAMILY_KEYS = [("plus", 0, 30), ("minus", 0, 30), ("plus", 8, 2), ("minus", -8, 2)]
+
+
+@pytest.mark.parametrize("side,anchor,length", FAMILY_KEYS)
+def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, length):
+    scenario = Scenario.builtin("system2-mobius")
+    batched_field = scenario.build_field()
+    single_field = scenario.build_field()
+    assert batched_field is not single_field
+    lams = range(batched_field.n_params)
+    batch = build_projector_families(batched_field, lams, side, anchor, length, horizon=40)
+    witnesses = verify_families(batch)
+    for lam, fam, wit in zip(lams, batch, witnesses):
+        one = build_projector_family(single_field, lam, side, anchor, length, horizon=40)
+        assert isinstance(fam, ProjectorFamily) and fam.rank == one.rank
+        assert np.array_equal(fam.times, one.times)
+        for name in ("projectors", "image_frames", "kernel_frames", "image_steps", "kernel_steps"):
+            assert np.allclose(getattr(fam, name), getattr(one, name), rtol=0.0, atol=1e-12), name
+        if length < 4:  # too short to fit constants: both paths refuse alike
+            with pytest.raises(InputError, match=str(wit)):
+                verify_ed(single_field, lam, one)
+            continue
+        one_wit = verify_ed(single_field, lam, one)
+        assert wit.k_const == pytest.approx(one_wit.k_const, rel=1e-12)
+        assert wit.alpha == pytest.approx(one_wit.alpha, rel=1e-12)
+        assert wit.checked_pairs == one_wit.checked_pairs
+
+
+def test_family_memo_returns_the_same_object():
+    field = saddle_loop_field()
+    batch = build_projector_families(field, range(8), "plus", 0, 20, horizon=40)
+    assert build_projector_family(field, 3, "plus", 0, 20, horizon=40) is batch[3]
+    assert build_projector_family(field, 3, "plus", 0, 21, horizon=40) is not batch[3]
+    (wit,) = verify_families([batch[3]])
+    assert verify_ed(field, 3, batch[3]) is wit
+    with pytest.raises(ValueError):
+        batch[3].projectors[0, 0, 0] = 1.0  # shared families are read-only
+
+
+def test_failing_sample_keeps_its_error_and_spares_the_others():
+    k = 5
+    expected = (
+        "no dichotomy detected at anchor 0 on the plus side: a sampled rate sits "
+        "within 2.0e-03 of zero"
+    )
+    field = saddle_loop_field(broken=k)
+    batch = build_projector_families(field, range(8), "plus", 0, 30, horizon=40)
+    assert isinstance(batch[k], NoDichotomyError) and str(batch[k]) == expected
+    assert all(isinstance(batch[i], ProjectorFamily) for i in range(8) if i != k)
+    # the single-sample path (memo hit or fresh build) raises the same error
+    for f in (field, saddle_loop_field(broken=k)):
+        with pytest.raises(NoDichotomyError) as info:
+            build_projector_family(f, k, "plus", 0, 30, horizon=40)
+        assert str(info.value) == expected
+    verdicts = [check_F3(field, lam, window=(-30, 30), horizon=40).verdict for lam in range(8)]
+    assert verdicts == ["pass"] * k + ["indeterminate"] + ["pass"] * (8 - k - 1)
+
+
+def test_f2_names_the_first_failing_sample_in_loop_order():
+    field = saddle_loop_field(n_samples=8, broken=5, window=(-10_000, 10_000))
+    zero = lambda lam, n, x: np.zeros(2)  # noqa: E731
+    f = PerturbedSystemSpec(
+        a_field=field, residual=zero, residual_derivative=lambda lam, n, x: np.zeros((2, 2))
+    ).to_nonlinear()
+    cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+    assert cert.verdict == "hypotheses_failed" and not cert.f2_ok
+    assert any(
+        w.startswith("(F2) half-line dichotomies are unavailable: parameter sample 5: "
+                     "no dichotomy detected at anchor 8 on the plus side")
+        for w in cert.warnings
+    )
+
+
+def test_non_finite_entry_is_named_and_every_entry_is_evaluated_once():
+    field, calls = counting_field(bad=(2, 5))
+    for _ in range(2):
+        with pytest.raises(NumericError, match=r"non-finite entries at \(lam=2, n=5\)"):
+            field.matrix(2, 5)
+    batch = build_projector_families(field, range(8), "plus", 0, 30, horizon=40)
+    assert isinstance(batch[2], NumericError)
+    assert "(lam=2, n=5)" in str(batch[2])
+    assert all(isinstance(batch[i], ProjectorFamily) for i in range(8) if i != 2)
+    build_projector_families(field, range(8), "minus", 0, 30, horizon=40)
+    build_projector_families(field, range(8), "plus", 8, 2, horizon=40)
+    verdicts = [check_F3(field, lam, window=(-30, 30), horizon=40).verdict for lam in range(8)]
+    assert verdicts == ["pass"] * 2 + ["indeterminate"] + ["pass"] * 5
+    for lam in range(8):
+        if lam == 2:
+            with pytest.raises(NumericError, match=r"\(lam=2, n=5\)"):
+                field.matrices(lam, -70, 69)
+        else:
+            assert field.matrices(lam, -70, 69).shape == (140, 2, 2)
+    assert set(calls.values()) == {1}
+    assert all((lam, n) in calls for lam in range(8) if lam != 2 for n in range(-70, 70))
+
+
+def test_each_side_names_the_bad_entry_its_sweep_meets_first():
+    # the plus sweep runs down from the far end, the minus sweep up to the anchor
+    for side, bad, named in (("plus", {5, 40}, 40), ("minus", {-60, -20}, -60)):
+        field = DiscreteVectorField(
+            dim=2,
+            evaluator=lambda lam, n, bad=bad: np.full((2, 2), np.inf) if n in bad else SADDLE,
+            window=(-200, 200),
+            loop=ParameterLoop.circle(8),
+        )
+        with pytest.raises(NumericError, match=rf"\(lam=0, n={named}\)"):
+            build_projector_family(field, 0, side, 0, 30, horizon=40)
+
+
+def test_localization_reuses_the_families_certification_built():
+    f = Scenario.builtin("system2-mobius").build_nonlinear()
+    assert linearize_at_zero(f) is linearize_at_zero(f)
+    cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+    assert cert.verdict == "bifurcation_certified"
+    memo = linearize_at_zero(f)._families
+    before = dict(memo)
+    found = localize_bifurcations(f, cert, window=(-30, 30), horizon=40)
+    assert found
+    assert memo.keys() == before.keys()
+    assert all(memo[key] is before[key] for key in before)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, homindex.cli; sys.exit(int('scipy' in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
