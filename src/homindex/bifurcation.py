@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import KOClassDesk, _loop_anchor_projectors, bundle_from_projectors
+from .bundle import KOClassDesk, index_bundle_pair
 from .dichotomy import build_projector_family, verify_ed, verify_families, whole_line_families
 from .errors import (
     CertificationError,
@@ -113,7 +113,6 @@ class NonlinearField:
     window: tuple[int, int] = _WIDE_WINDOW
     r0: float = 1.0
     loop: ParameterLoop | None = None
-    kind: str = "nonlinear"
     refiner: Callable[[int], "NonlinearField"] | None = None
     #: linearizations along the trivial branch by finite-difference step
     _linearizations: dict = dataclass_field(
@@ -349,16 +348,10 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
     def evaluate(lam: int, n: int) -> np.ndarray:
         return _point_derivative(f, lam, n, zero, fd_step)
 
-    bound = 0.0
-    for lam in range(f.n_params):
-        for n in _time_probes(f.window):
-            bound = max(bound, float(np.abs(evaluate(lam, n)).max()))
     lin = DiscreteVectorField(
         dim=f.dim,
         evaluator=evaluate,
         window=f.window,
-        bound=bound,
-        kind="tabulated-from-nonlinear",
         loop=f.loop,
     )
     f._linearizations[fd_step] = lin
@@ -500,7 +493,6 @@ class PerturbedSystemSpec:
             window=self.window,
             r0=self.r0,
             loop=a_field.loop,
-            kind="system2",
         )
 
 
@@ -609,7 +601,6 @@ class CertifyOptions:
     anchor_minus: int = -8
     horizon: int = 40
     f3_window: tuple[int, int] = (-40, 40)
-    threads: int = 1
     manifold_dim: int | None = None
     fd_step: float = FD_STEP
 
@@ -659,7 +650,6 @@ class BifurcationCertificate:
     f3_verdicts: tuple[str, ...] = ()
     evidence: tuple[tuple[str, str], ...] = ()
     warnings: tuple[str, ...] = ()
-    candidates: tuple = ()
 
     def __post_init__(self):
         if self.verdict not in _VERDICTS:
@@ -713,16 +703,13 @@ def certify_bifurcation(
     A rank mismatch between the half-line families makes F3 impossible
     and fails the hypotheses outright; a scan with no pass and at
     least one indeterminate sample blocks certification with a
-    refinement hint instead of a guess.  `options.threads` must be at
-    least 1; results never depend on it.
+    refinement hint instead of a guess.
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
         raise InputError("certification scans a parameter loop; the field has none")
     if not (opts.anchor_minus < 0 < opts.anchor_plus):
         raise InputError("anchors must straddle zero: anchor_minus < 0 < anchor_plus")
-    if opts.threads < 1:
-        raise InputError(f"threads must be at least 1, got {opts.threads}")
 
     warnings: list[str] = []
     evidence: list[tuple[str, str]] = []
@@ -785,14 +772,8 @@ def certify_bifurcation(
 
     # F2: half-line dichotomies along the loop and the index-bundle class
     try:
-        plus_projs, minus_projs = _loop_anchor_projectors(
-            lin, opts.anchor_plus, opts.anchor_minus, opts.horizon, opts.threads
-        )
-        stable = bundle_from_projectors(
-            f.loop, plus_projs, part="image", name=f"im P+ at n={opts.anchor_plus}"
-        )
-        minus_image = bundle_from_projectors(
-            f.loop, minus_projs, part="image", name=f"im P- at n={opts.anchor_minus}"
+        stable, minus_image = index_bundle_pair(
+            lin, opts.anchor_plus, opts.anchor_minus, opts.horizon
         )
     except (CertificationError, NumericError, SamplingError) as exc:
         warnings.append(f"(F2) half-line dichotomies are unavailable: {exc}")
@@ -1020,7 +1001,6 @@ def localize_bifurcations(
     horizon: int = 40,
     seed_cosine: float = SEED_COSINE,
     decay_tol: float = DECAY_TOL,
-    threads: int = 1,
 ) -> list[tuple[int, FiniteWindowSequence]]:
     """Hunt nonzero bounded solutions near the linearization's near-kernels.
 
@@ -1040,7 +1020,6 @@ def localize_bifurcations(
     field's `refiner` hook supplies the finer loop and the returned
     indices refer to it.  The families of all samples are built as one
     batch per side (or read from the memo certification filled).
-    `threads` must be at least 1; results never depend on it.
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1060,8 +1039,6 @@ def localize_bifurcations(
         f = f.refiner(grid_refinement)
     if f.loop is None:
         raise InputError("localization scans a parameter loop; the field has none")
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads}")
     lin = linearize_at_zero(f, opts.fd_step)
     lams = range(f.n_params)
     plus, minus = whole_line_families(lin, lams, (lo, hi), horizon)

@@ -182,19 +182,15 @@ def _loop_anchor_projectors(
     anchor_plus: int,
     anchor_minus: int,
     horizon: int,
-    threads: int,
 ):
     """Certified half-line projectors at the anchors, one pair per sample.
 
     Each side is built as one batch over the whole loop.  The first
     failure in loop order (plus before minus within a sample) is raised
-    with its sample named.  `threads` is validated only; the batch runs
-    in one thread, so results never depend on it.
+    with its sample named.
     """
     if field.loop is None:
         raise InputError("stable/unstable bundles need a field with a parameter loop")
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads}")
     lams = range(len(field.loop))
     plus = build_projector_families(field, lams, "plus", anchor_plus, length=2, horizon=horizon)
     minus = build_projector_families(
@@ -212,7 +208,6 @@ def stable_unstable_bundles(
     anchor_plus: int,
     anchor_minus: int,
     horizon: int = HORIZON,
-    threads: int = 1,
 ) -> tuple[SampledBundle, SampledBundle]:
     """Stable and unstable bundles of a parametrized field over its loop.
 
@@ -220,12 +215,8 @@ def stable_unstable_bundles(
     fibres are the forward-decaying set im P+(lam, anchor_plus) and the
     backward-decaying set ker P-(lam, anchor_minus).  Any per-sample
     certification failure propagates with the failing sample named.
-    `threads` must be at least 1 and is otherwise unused: results never
-    depend on it.
     """
-    plus, minus = _loop_anchor_projectors(
-        field, anchor_plus, anchor_minus, horizon, threads
-    )
+    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon)
     stable = bundle_from_projectors(
         field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
     )
@@ -240,15 +231,9 @@ def index_bundle_pair(
     anchor_plus: int,
     anchor_minus: int,
     horizon: int = HORIZON,
-    threads: int = 1,
 ) -> tuple[SampledBundle, SampledBundle]:
-    """The (im P+, im P-) pair whose formal difference is the index class.
-
-    `threads` must be at least 1; results never depend on it.
-    """
-    plus, minus = _loop_anchor_projectors(
-        field, anchor_plus, anchor_minus, horizon, threads
-    )
+    """The (im P+, im P-) pair whose formal difference is the index class."""
+    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon)
     top = bundle_from_projectors(
         field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
     )
@@ -263,7 +248,6 @@ def index_bundle_class(
     anchor_plus: int,
     anchor_minus: int,
     horizon: int = HORIZON,
-    threads: int = 1,
 ) -> KOClassDesk:
     """KO class [im P+] - [im P-] of the field's difference operator.
 
@@ -272,7 +256,7 @@ def index_bundle_class(
     trivial bundle and carries the same w1 bit, but the class is
     computed from the image bundle directly.
     """
-    top, bottom = index_bundle_pair(field, anchor_plus, anchor_minus, horizon, threads)
+    top, bottom = index_bundle_pair(field, anchor_plus, anchor_minus, horizon)
     return KOClassDesk.of_pair(top, bottom)
 
 

@@ -121,7 +121,7 @@ def _solution_csv(name: str, loop, lam: int, phi: FiniteWindowSequence):
 # subcommands
 
 
-def _cmd_spectrum(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts, tol = scenario.options, scenario.tolerances
     per, warnings, csvs = [], [], []
@@ -172,7 +172,7 @@ def _family_kwargs(scenario: Scenario) -> dict:
     }
 
 
-def _cmd_projectors(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts = scenario.options
     per, csvs = [], []
@@ -210,7 +210,7 @@ def _cmd_projectors(scenario: Scenario, threads: int) -> CommandOutcome:
     return CommandOutcome(results={"per_lambda": per}, csv_files=csvs)
 
 
-def _cmd_index(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_index(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts, tol = scenario.options, scenario.tolerances
     lo, hi = opts["index_window"]
@@ -286,7 +286,7 @@ def _class_dump(cls: KOClassDesk) -> dict:
     }
 
 
-def _cmd_class(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_class(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts = scenario.options
     top, bottom = index_bundle_pair(
@@ -294,7 +294,6 @@ def _cmd_class(scenario: Scenario, threads: int) -> CommandOutcome:
         opts["anchor_plus"],
         opts["anchor_minus"],
         horizon=scenario.horizon,
-        threads=threads,
     )
     cls = KOClassDesk.of_pair(top, bottom)
     results = {
@@ -311,7 +310,7 @@ def _cmd_class(scenario: Scenario, threads: int) -> CommandOutcome:
     return CommandOutcome(results=results, csv_files=csvs)
 
 
-def _cmd_certify(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_certify(scenario: Scenario) -> CommandOutcome:
     f = scenario.build_nonlinear()
     opts = scenario.options
     cert = certify_bifurcation(
@@ -321,7 +320,6 @@ def _cmd_certify(scenario: Scenario, threads: int) -> CommandOutcome:
             anchor_minus=opts["anchor_minus"],
             horizon=scenario.horizon,
             f3_window=tuple(opts["f3_window"]),
-            threads=threads,
             manifold_dim=opts["manifold_dim"],
         ),
     )
@@ -351,7 +349,6 @@ def _cmd_certify(scenario: Scenario, threads: int) -> CommandOutcome:
                 window=tuple(opts["localize_window"]),
                 horizon=scenario.horizon,
                 decay_tol=scenario.tolerances["decay_tol"],
-                threads=threads,
             )
             loop = f.refiner(opts["grid_refinement"]).loop if opts[
                 "grid_refinement"
@@ -370,51 +367,31 @@ def _cmd_certify(scenario: Scenario, threads: int) -> CommandOutcome:
     )
 
 
-def _solve_forcings(scenario: Scenario, window: tuple[int, int], dim: int):
-    """Forcing sequences named in the scenario: explicit rows or seeded noise."""
+def _solve_forcings(scenario: Scenario, dim: int):
+    """Forcing sequences named in the scenario: explicit rows or seeded noise.
+
+    The scenario validated them against its forcing window.
+    """
     spec = scenario.options["solve"]["rhs"]
+    window = scenario.forcing_window
     lo, hi = window
     width = hi - lo + 1
     out = []
     if isinstance(spec, list):
-        for k, entry in enumerate(spec):
-            if not isinstance(entry, dict) or "at" not in entry or "value" not in entry:
-                raise InputError(
-                    f"scenario field 'options.solve.rhs[{k}]': expected "
-                    "{'at': time, 'value': vector}"
-                )
-            at = int(entry["at"])
-            if not (lo <= at <= hi):
-                raise InputError(
-                    f"scenario field 'options.solve.rhs[{k}].at': time {at} outside "
-                    f"the forcing window [{lo}, {hi}]"
-                )
-            value = np.asarray(entry["value"], dtype=float).reshape(-1)
-            if value.shape != (dim,):
-                raise InputError(
-                    f"scenario field 'options.solve.rhs[{k}].value': expected a "
-                    f"vector of length {dim}"
-                )
+        for entry in spec:
+            at = entry["at"]
             vals = np.zeros((width, dim))
-            vals[at - lo] = value
+            vals[at - lo] = entry["value"]
             out.append((f"impulse_at_{at}", FiniteWindowSequence.tabulate(window, vals)))
-    elif isinstance(spec, dict) and spec.get("kind") == "seeded_random":
-        count = int(spec.get("count", 3))
-        if count < 1:
-            raise InputError("scenario field 'options.solve.rhs.count': needs at least 1")
+    else:
         rng = np.random.default_rng(scenario.seed)
-        for k in range(count):
+        for k in range(spec["count"]):
             vals = rng.standard_normal((width, dim))
             out.append((f"seeded_{k:03d}", FiniteWindowSequence.tabulate(window, vals)))
-    else:
-        raise InputError(
-            "scenario field 'options.solve.rhs': expected a list of impulses or "
-            "{'kind': 'seeded_random', 'count': k}"
-        )
     return out
 
 
-def _cmd_solve(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_solve(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     tol = scenario.tolerances
     sopts = scenario.options["solve"]
@@ -423,12 +400,8 @@ def _cmd_solve(scenario: Scenario, threads: int) -> CommandOutcome:
     fam = build_projector_family(
         field, lam, side, anchor, length=length, **_family_kwargs(scenario)
     )
-    if side == "plus":
-        forcing_window = (anchor, anchor + length - 1)
-    else:
-        forcing_window = (anchor - length, anchor - 1)
     solutions, csvs = [], []
-    for i, (label, psi) in enumerate(_solve_forcings(scenario, forcing_window, field.dim)):
+    for i, (label, psi) in enumerate(_solve_forcings(scenario, field.dim)):
         phi = green_solve(
             field,
             lam,
@@ -456,7 +429,7 @@ def _cmd_solve(scenario: Scenario, threads: int) -> CommandOutcome:
     return CommandOutcome(results=results, csv_files=csvs)
 
 
-def _cmd_realize(scenario: Scenario, threads: int) -> CommandOutcome:
+def _cmd_realize(scenario: Scenario) -> CommandOutcome:
     if scenario.field_kind != "realization":
         raise InputError(
             f"realize materializes 'realization' fields; this scenario has "
@@ -521,7 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; must be at least 1 and never changes results",
+        )
     return parser
 
 
@@ -568,7 +546,7 @@ def run(argv=None) -> int:
                 raise InputError(f"--seed must be nonnegative, got {args.seed}")
             scenario = scenario.with_seed(args.seed)
         handler = _COMMANDS[args.command][0]
-        outcome = handler(scenario, args.threads)
+        outcome = handler(scenario)
         report = {
             "homindex_version": __version__,
             "schema_version": scenario.data["schema_version"],

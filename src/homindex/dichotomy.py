@@ -182,23 +182,17 @@ def _preimage_frames(a: np.ndarray, frame: np.ndarray):
     return vt[..., d - r :, :].swapaxes(-1, -2), d - rank
 
 
-def _source_run(field: DiscreteVectorField, lam: int, anchor: int, horizon: int):
-    """Directions at `anchor` sorted by forward stretch over [anchor, anchor+horizon).
+def _rate_run(field: DiscreteVectorField, lam: int, side: str, anchor: int, horizon: int):
+    """Directions at `anchor` with per-column rate estimates for one side.
 
-    Runs the QR accumulation on the transposed factors in decreasing
-    time order; the final orthogonal columns approximate the right
-    singular directions of the forward propagator, with per-column rate
-    estimates.
+    The plus side sorts them by forward stretch over [anchor,
+    anchor+horizon) (the right singular directions of the forward
+    propagator), the minus side by backward reach over
+    [anchor-horizon, anchor).
     """
-    _check_window(field, anchor, anchor + horizon - 1)
-    q, logs, _ = _sweep(field.matrices(lam, anchor, anchor + horizon - 1)[None], "plus")
-    return q[0], logs[0, horizon // 2 :].mean(axis=0)
-
-
-def _image_run(field: DiscreteVectorField, lam: int, anchor: int, horizon: int):
-    """Directions at `anchor` sorted by backward reach over [anchor-horizon, anchor)."""
-    _check_window(field, anchor - horizon, anchor - 1)
-    q, logs, _ = _sweep(field.matrices(lam, anchor - horizon, anchor - 1)[None], "minus")
+    lo = anchor if side == "plus" else anchor - horizon
+    _check_window(field, lo, lo + horizon - 1)
+    q, logs, _ = _sweep(field.matrices(lam, lo, lo + horizon - 1)[None], side)
     return q[0], logs[0, horizon // 2 :].mean(axis=0)
 
 
@@ -270,10 +264,7 @@ def estimate_splitting(
         raise InputError(f"side must be 'plus' or 'minus', got {side!r}")
     if horizon < 8:
         raise InputError("rate estimation needs a horizon of at least 8 steps")
-    if side == "plus":
-        q, col_rates = _source_run(field, lam, anchor, horizon)
-    else:
-        q, col_rates = _image_run(field, lam, anchor, horizon)
+    q, col_rates = _rate_run(field, lam, side, anchor, horizon)
     status, below = _classify_rates(col_rates, 0.0, horizon, zero_margin, gap_ratio)
     if status == "no_ed":
         raise NoDichotomyError(
@@ -986,21 +977,18 @@ def dichotomy_spectrum(
     if grid < 16:
         raise InputError("gamma grid needs at least 16 points")
     d = field.dim
-    qp, rates_p = _source_run(field, lam, 0, horizon)
-    qm, rates_m = _image_run(field, lam, 0, horizon)
-    log_thr = np.log(gap_ratio) / horizon
+    qp, rates_p = _rate_run(field, lam, "plus", 0, horizon)
+    qm, rates_m = _rate_run(field, lam, "minus", 0, horizon)
 
     def classify(gamma: float) -> str:
         lg = np.log(gamma)
-        dist = min(np.abs(rates_p - lg).min(), np.abs(rates_m - lg).min())
-        if dist < zero_margin:
+        status_p, s_mask = _classify_rates(rates_p, lg, horizon, zero_margin, gap_ratio)
+        status_m, _ = _classify_rates(rates_m, lg, horizon, zero_margin, gap_ratio)
+        # a rate at the cut on either side beats an unresolved gap
+        if "no_ed" in (status_p, status_m):
             return "no_ed"
-        for rates in (rates_p, rates_m):
-            below = rates < lg
-            if below.any() and (~below).any():
-                if rates[~below].min() - rates[below].max() < log_thr:
-                    return "indeterminate"
-        s_mask = rates_p < lg
+        if "indeterminate" in (status_p, status_m):
+            return "indeterminate"
         u_mask = rates_m > lg
         s, u = int(s_mask.sum()), int(u_mask.sum())
         if s + u != d:

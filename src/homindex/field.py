@@ -1,7 +1,7 @@
 """Parametrized matrix fields on the integer lattice and sampled frame bundles.
 
 A field assigns to each parameter sample and each lattice time a real
-d x d matrix; the propagator composes these left to right.  Bundles are
+d x d matrix.  Bundles are
 stored as orthonormal frames over a closed parameter loop.  The
 constructions here (hyperbolic families from a bundle, piecewise
 realizations, controlled perturbations) are the raw material for the
@@ -33,7 +33,6 @@ __all__ = [
     "DiscreteVectorField",
     "SampledBundle",
     "SmallnessReport",
-    "propagator",
     "autonomous_field",
     "tabulated_field",
     "construct_hyperbolic_family",
@@ -49,10 +48,6 @@ FRAME_TOL = 1e-10
 
 #: consecutive fibres may tilt by at most this principal angle
 MAX_FIBRE_ANGLE = np.pi / 3
-
-#: propagator guards
-MAX_PRODUCT_STEPS = 10_000
-OVERFLOW_LIMIT = 1e150
 
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
@@ -185,15 +180,11 @@ class DiscreteVectorField:
     for unparametrized fields) and an integer time inside `window`; it
     is called at most once per (sample, time), because the results are
     validated into the field's table (see the module docstring).
-    `bound` is a sampled sup-norm estimate, `kind` a short provenance
-    tag used by reports.
     """
 
     dim: int
     evaluator: Callable[[int, int], np.ndarray]
     window: tuple[int, int] = _WIDE_WINDOW
-    bound: float = 0.0
-    kind: str = "custom"
     loop: ParameterLoop | None = None
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
     #: projector families by (sample, family key); filled by the dichotomy layer
@@ -311,37 +302,6 @@ class SmallnessReport:
         return self.plus_ok and self.minus_ok
 
 
-def propagator(field: DiscreteVectorField, lam: int, k: int, n: int) -> np.ndarray:
-    """Propagator Phi(k, n) = A_{k-1} ... A_n for k >= n (identity at k == n).
-
-    Raises InputError beyond 1e4 factors and NumericError once entries
-    pass 1e150; long or stiff products belong to the rate machinery in
-    the dichotomy layer, not here.
-    """
-    if k < n:
-        raise InputError(f"propagator needs k >= n, got k={k} < n={n}")
-    if k - n > MAX_PRODUCT_STEPS:
-        raise InputError(f"product of {k - n} factors exceeds the cap {MAX_PRODUCT_STEPS}")
-    out = np.eye(field.dim)
-    for m in range(n, k):
-        out = field.matrix(lam, m) @ out
-        peak = abs(out).max()
-        if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-            raise NumericError(
-                f"propagator entries exceeded {OVERFLOW_LIMIT:.0e} after step {m}; "
-                "use rate-based routines for long products"
-            )
-    return out
-
-
-def _sampled_bound(evaluator, n_params: int, times) -> float:
-    worst = 0.0
-    for lam in range(n_params):
-        for n in times:
-            worst = max(worst, float(abs(np.asarray(evaluator(lam, n))).max()))
-    return worst
-
-
 def autonomous_field(matrix, window: tuple[int, int] = _WIDE_WINDOW) -> DiscreteVectorField:
     """Constant-in-time, parameter-independent field from one square matrix."""
     a = np.asarray(matrix, dtype=float)
@@ -354,8 +314,6 @@ def autonomous_field(matrix, window: tuple[int, int] = _WIDE_WINDOW) -> Discrete
         dim=a.shape[0],
         evaluator=lambda lam, n: a,
         window=window,
-        bound=float(abs(a).max()),
-        kind="autonomous",
     )
 
 
@@ -389,8 +347,6 @@ def tabulated_field(
         dim=v.shape[2],
         evaluator=lambda lam, n: v[lam, n - lo],
         window=window,
-        bound=float(abs(v).max()),
-        kind="tabulated",
         loop=loop,
     )
 
@@ -415,8 +371,6 @@ def construct_hyperbolic_family(bundle: SampledBundle, q: float) -> DiscreteVect
     return DiscreteVectorField(
         dim=d,
         evaluator=lambda lam, n: mats[lam],
-        bound=float(abs(mats).max()),
-        kind=f"hyperbolic-family({bundle.name})",
         loop=bundle.loop,
     )
 
@@ -463,16 +417,9 @@ def realization_field(
             return ahead.evaluator(lam, n)
         return np.asarray(mid(lam, n), dtype=float)
 
-    bound = max(
-        ahead.bound,
-        behind.bound,
-        _sampled_bound(mid, n_params, range(kappa_minus, kappa_plus + 1)),
-    )
     return DiscreteVectorField(
         dim=d,
         evaluator=evaluate,
-        bound=bound,
-        kind=f"realization({stable_ahead.name}|{stable_behind.name})",
         loop=stable_ahead.loop,
     )
 
@@ -526,8 +473,6 @@ def perturb_field(
         dim=d,
         evaluator=evaluate,
         window=base.window,
-        bound=base.bound + max(obs_plus, obs_minus),
-        kind=f"perturbed({base.kind})",
         loop=base.loop,
     )
     return out, report

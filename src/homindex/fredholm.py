@@ -1,18 +1,18 @@
-"""Difference operators on integer windows: truncation, index, Green solvers.
+"""Difference operators on integer windows: truncation, index, Green solves.
 
 The first-order difference operator (L phi)(n) = phi(n+1) - A_n phi(n)
 acting on sequences vanishing at both ends is Fredholm precisely when
 the field carries exponential dichotomies on both half-lines.  Its
 index is the rank difference of the two half-line projector families,
 its kernel is the meet of the forward-decaying and backward-decaying
-subspaces, and explicit Green's-function sums invert it on either
-half-line.  Everything here works on finite windows whose boundary
-conditions encode the half-line decay characterizations - never plain
-zero endpoints, which would shift the index.
+subspaces, and the half-line Green's-function solution inverts it on
+either half-line.  Everything here works on finite windows whose
+boundary conditions encode the half-line decay characterizations -
+never plain zero endpoints, which would shift the index.
 
-All sums are evaluated by marching in the contracting direction of the
-relevant subbundle (images forward, kernels backward), so no propagator
-is ever formed over a long window.
+Green solves march in the contracting direction of the relevant
+subbundle (images forward, kernels backward), so no propagator is ever
+formed over a long window.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     IndeterminateError,
     InputError,
-    NumericError,
     WindowTooShortError,
 )
 from .field import DiscreteVectorField
@@ -37,14 +36,10 @@ __all__ = [
     "SV_GAP_RATIO",
     "DEFAULT_WINDOW",
     "FiniteWindowSequence",
-    "TruncatedOperator",
     "IndexReport",
-    "GreenKernel",
     "assemble_truncated",
     "kernel_cokernel",
     "green_solve",
-    "green_kernel",
-    "kernel_convolve",
 ]
 
 #: sup-norm level under which a sequence counts as settled at a window end
@@ -81,15 +76,12 @@ class FiniteWindowSequence:
     `values[i]` is the vector at time `window[0] + i`.  The decay flags
     record whether the sup-norm over the 10% outermost indices at each
     end stays below the tolerance the sequence was tabulated with.
-    `row_sum_bound` is only set on convolution outputs and carries the
-    kernel's sup of absolute row sums.
     """
 
     window: tuple[int, int]
     values: np.ndarray
     decays_left: bool
     decays_right: bool
-    row_sum_bound: float | None = None
 
     @classmethod
     def tabulate(
@@ -97,7 +89,6 @@ class FiniteWindowSequence:
         window,
         values,
         decay_tol: float = DECAY_TOL,
-        row_sum_bound: float | None = None,
     ) -> "FiniteWindowSequence":
         lo, hi = _as_window(window)
         if lo > hi:
@@ -120,7 +111,6 @@ class FiniteWindowSequence:
             values=v,
             decays_left=bool(mags[:edge].max() < decay_tol),
             decays_right=bool(mags[-edge:].max() < decay_tol),
-            row_sum_bound=row_sum_bound,
         )
 
     @property
@@ -136,47 +126,6 @@ class FiniteWindowSequence:
         if not (lo <= n <= hi):
             raise InputError(f"time {n} outside the sequence window [{lo}, {hi}]")
         return self.values[n - lo]
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense finite section of the difference operator on a time window.
-
-    The matrix maps the stacked values (phi(n_min), ..., phi(n_max)) to
-    the stacked residuals phi(n+1) - A_n phi(n) for n_min <= n < n_max,
-    row-major in n; each block row holds exactly -A_n and the identity.
-    """
-
-    window: tuple[int, int]
-    matrix: np.ndarray
-    boundary_policy: str
-
-    def __post_init__(self):
-        lo, hi = self.window
-        w = hi - lo + 1
-        rows, cols = self.matrix.shape
-        if cols % w != 0 or rows != (w - 1) * (cols // w):
-            raise InputError(
-                f"matrix shape {self.matrix.shape} does not tile a {w}-point window"
-            )
-
-    @property
-    def block_dim(self) -> int:
-        return self.matrix.shape[1] // (self.window[1] - self.window[0] + 1)
-
-    def apply(self, phi) -> np.ndarray:
-        d = self.block_dim
-        if isinstance(phi, FiniteWindowSequence):
-            if phi.window != self.window:
-                raise InputError(
-                    f"sequence window {phi.window} does not match the operator window {self.window}"
-                )
-            flat = phi.values.reshape(-1)
-        else:
-            flat = np.asarray(phi, dtype=float).reshape(-1)
-            if flat.size != self.matrix.shape[1]:
-                raise InputError("stacked sequence has the wrong length for this window")
-        return (self.matrix @ flat).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -213,46 +162,13 @@ class IndexReport:
             )
 
 
-@dataclass(frozen=True)
-class GreenKernel:
-    """Evaluator for the dichotomy Green's function of a projector family.
+def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> np.ndarray:
+    """Dense finite section of phi(n+1) - A_n(lam) phi(n) on `window`.
 
-    G(n, m) propagates the image component forward from m to n when
-    m <= n and the kernel component backward (through the inverses of
-    the kernel transition factors) when n < m, with a minus sign on the
-    backward branch.
+    The (w-1)*d x w*d matrix maps the stacked values (phi(lo), ...,
+    phi(hi)) to the stacked residuals for lo <= n < hi, row-major in n;
+    each block row holds exactly -A_n and the identity.
     """
-
-    side: str
-    family: ProjectorFamily
-
-    def __call__(self, n: int, m: int) -> np.ndarray:
-        return self.evaluate(n, m)
-
-    def evaluate(self, n: int, m: int) -> np.ndarray:
-        fam = self.family
-        i_n, i_m = fam.index_of(n), fam.index_of(m)
-        d = fam.dim
-        r = fam.rank
-        basis = np.hstack([fam.image_frames[i_m], fam.kernel_frames[i_m]])
-        coords = np.linalg.inv(basis)
-        if m <= n:
-            if r == 0:
-                return np.zeros((d, d))
-            block = coords[:r]  # image coordinates of P(m)
-            for i in range(i_m, i_n):
-                block = fam.image_steps[i] @ block
-            return fam.image_frames[i_n] @ block
-        if r == d:
-            return np.zeros((d, d))
-        block = coords[r:]  # kernel coordinates of I - P(m)
-        for i in range(i_m - 1, i_n - 1, -1):
-            block = np.linalg.solve(fam.kernel_steps[i], block)
-        return -(fam.kernel_frames[i_n] @ block)
-
-
-def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> TruncatedOperator:
-    """Dense finite section of phi(n+1) - A_n(lam) phi(n) on `window`."""
     lo, hi = _as_window(window)
     if hi - lo + 1 < 2:
         raise InputError("truncation window needs at least two times")
@@ -263,7 +179,7 @@ def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> Truncate
     for i, n in enumerate(range(lo, hi)):
         matrix[i * d : (i + 1) * d, i * d : (i + 1) * d] = -field.matrix(lam, n)
         matrix[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = eye
-    return TruncatedOperator(window=(lo, hi), matrix=matrix, boundary_policy="interior")
+    return matrix
 
 
 def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> None:
@@ -383,10 +299,9 @@ def kernel_cokernel(
             f"index {index}; the witnesses and the window are inconsistent"
         )
 
-    trunc = assemble_truncated(field, lam, (lo, hi))
     w = hi - lo + 1
     stacked = np.zeros(((w - 1) * d + 2 * d, w * d))
-    stacked[: (w - 1) * d] = trunc.matrix
+    stacked[: (w - 1) * d] = assemble_truncated(field, lam, (lo, hi))
     stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
     stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
 
@@ -539,53 +454,4 @@ def green_solve(
 
     return FiniteWindowSequence.tabulate(
         (out_lo, out_hi), causal - anticausal, decay_tol=decay_tol
-    )
-
-
-def green_kernel(pf: ProjectorFamily) -> GreenKernel:
-    """Green's-function evaluator attached to a certified family."""
-    return GreenKernel(side=pf.side, family=pf)
-
-
-def kernel_convolve(
-    f,
-    phi: FiniteWindowSequence,
-    window=None,
-    decay_tol: float = DECAY_TOL,
-) -> FiniteWindowSequence:
-    """Windowed convolution (f * phi)(n) = sum_k f(n, k) phi(k).
-
-    `f` maps a pair of integer times to a matrix; `phi` supplies the
-    summation range.  The sup of the absolute row sums is recorded on
-    the output and the regularity estimate ``|out| <= c0 |phi|`` is
-    asserted, which is what makes the convolution a bounded map between
-    vanishing sequences.
-    """
-    out_lo, out_hi = _as_window(window) if window is not None else phi.window
-    if out_lo > out_hi:
-        raise InputError(f"output window [{out_lo}, {out_hi}] is empty")
-    k_lo, k_hi = phi.window
-    rows = []
-    row_sums = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(out_lo, out_hi + 1):
-            acc = None
-            row_sum = 0.0
-            for k in range(k_lo, k_hi + 1):
-                block = np.asarray(f(n, k), dtype=float)
-                row_sum += float(np.linalg.norm(block, np.inf)) if block.size else 0.0
-                term = block @ phi.values[k - k_lo]
-                acc = term if acc is None else acc + term
-            if not np.isfinite(row_sum):
-                raise NumericError(f"kernel row sums overflow at time {n}")
-            rows.append(acc)
-            row_sums.append(row_sum)
-    out = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("convolution values overflow")
-    c0 = float(max(row_sums))
-    if np.abs(out).max() > c0 * phi.norm_inf * (1.0 + 1e-12) + 1e-300:
-        raise NumericError("convolution exceeded its row-sum bound; kernel is inconsistent")
-    return FiniteWindowSequence.tabulate(
-        (out_lo, out_hi), out, decay_tol=decay_tol, row_sum_bound=c0
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -230,6 +231,44 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
     return out
 
 
+def _forcing_window(solve: dict) -> tuple[int, int]:
+    """Times the half-line Green solve can be forced at."""
+    anchor, length = solve["anchor"], solve["length"]
+    if solve["side"] == "plus":
+        return anchor, anchor + length - 1
+    return anchor - length, anchor - 1
+
+
+def _validate_rhs(solve: dict, dimension: int) -> None:
+    path = "options.solve.rhs"
+    spec = solve["rhs"]
+    if isinstance(spec, dict) and spec.get("kind") == "seeded_random":
+        if _expect_int(spec["count"], f"{path}.count") < 1:
+            _fail(f"{path}.count", "needs at least 1")
+        return
+    if not isinstance(spec, list):
+        _fail(path, "expected a list of impulses or {'kind': 'seeded_random', 'count': k}")
+    lo, hi = _forcing_window(solve)
+    for k, entry in enumerate(spec):
+        where = f"{path}[{k}]"
+        if not isinstance(entry, dict) or "at" not in entry or "value" not in entry:
+            _fail(where, "expected {'at': time, 'value': vector}")
+        extra = set(entry) - {"at", "value"}
+        if extra:
+            _fail(f"{where}.{sorted(extra)[0]}", "unknown field")
+        at = _expect_int(entry["at"], f"{where}.at")
+        if not (lo <= at <= hi):
+            _fail(f"{where}.at", f"time {at} outside the forcing window [{lo}, {hi}]")
+        value = entry["value"]
+        if (
+            not isinstance(value, list)
+            or len(value) != dimension
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
+            or not all(math.isfinite(x) for x in value)
+        ):
+            _fail(f"{where}.value", f"expected a vector of {dimension} finite numbers")
+
+
 def _materialize(raw) -> dict:
     if not isinstance(raw, dict):
         raise InputError("a scenario must be a JSON object")
@@ -278,6 +317,9 @@ def _materialize(raw) -> dict:
         if not isinstance(value, (int, float)) or not (float(value) > 0.0):
             _fail(f"tolerances.{key}", f"expected a positive number, got {value!r}")
         out["tolerances"][key] = float(value)
+    # log(gap_ratio) is the rate-gap and singular-value-gap threshold
+    if not out["tolerances"]["gap_ratio"] > 1.0:
+        _fail("tolerances.gap_ratio", f"must exceed 1, got {out['tolerances']['gap_ratio']!r}")
     options = raw.get("options", {})
     if not isinstance(options, dict):
         _fail("options", "expected an object")
@@ -328,6 +370,7 @@ def _materialize(raw) -> dict:
         _fail("options.solve.length", "needs at least 2 steps")
     if solve["side"] not in ("plus", "minus"):
         _fail("options.solve.side", f"expected 'plus' or 'minus', got {solve['side']!r}")
+    _validate_rhs(solve, dimension)
     return out
 
 
@@ -416,6 +459,11 @@ class Scenario:
     @property
     def tolerances(self) -> dict:
         return self.data["tolerances"]
+
+    @property
+    def forcing_window(self) -> tuple[int, int]:
+        """Times `options.solve.rhs` may force: the solve's half-line window."""
+        return _forcing_window(self.options["solve"])
 
     @property
     def field_kind(self) -> str:

@@ -1,8 +1,9 @@
 """Shared test utilities: independent oracles and random samplers.
 
 The oracles here are deliberately small re-derivations (plain
-eigendecomposition, dense propagator products) so that library results
-can be checked against an implementation that shares no code with them.
+eigendecomposition, dense propagator products, a Green's-function
+evaluator and its convolution) so that library results can be checked
+against an implementation that shares no code with them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ __all__ = [
     "random_conjugator",
     "random_hyperbolic",
     "dense_product",
+    "green_kernel",
+    "kernel_convolve",
     "span_gap",
 ]
 
@@ -97,6 +100,42 @@ def dense_product(matrices) -> np.ndarray:
     for a in matrices:
         out = a @ out
     return out
+
+
+def green_kernel(fam):
+    """Oracle: the dichotomy Green's function G(n, m) of a projector family.
+
+    For m <= n, G carries the image component of P(m) forward from m
+    to n through the image transition factors; for n < m it carries the
+    kernel component of I - P(m) backward through the kernel transition
+    factors, with a minus sign.
+    """
+
+    def g(n: int, m: int) -> np.ndarray:
+        i_n, i_m, r = fam.index_of(n), fam.index_of(m), fam.rank
+        coords = np.linalg.inv(np.hstack([fam.image_frames[i_m], fam.kernel_frames[i_m]]))
+        if m <= n:
+            block = coords[:r]
+            for i in range(i_m, i_n):
+                block = fam.image_steps[i] @ block
+            return fam.image_frames[i_n] @ block
+        block = coords[r:]
+        for i in range(i_m - 1, i_n - 1, -1):
+            block = np.linalg.solve(fam.kernel_steps[i], block)
+        return -(fam.kernel_frames[i_n] @ block)
+
+    return g
+
+
+def kernel_convolve(kernel, phi, window) -> np.ndarray:
+    """Oracle: values of (kernel * phi)(n) = sum_k kernel(n, k) phi(k) on `window`."""
+    k_lo = phi.window[0]
+    return np.array(
+        [
+            sum(kernel(n, k_lo + j) @ v for j, v in enumerate(phi.values))
+            for n in range(window[0], window[1] + 1)
+        ]
+    )
 
 
 def span_gap(f, g) -> float:

@@ -380,18 +380,6 @@ def test_stable_unstable_bundles_per_sample_failure():
                                 horizon=12)
 
 
-def test_stable_unstable_bundles_thread_determinism():
-    loop = ParameterLoop.circle(8)
-    mb = mobius_bundle(loop)
-    field = realization_field(mb, trivial_bundle(loop, 2, 1), q=0.5)
-    a = stable_unstable_bundles(field, anchor_plus=8, anchor_minus=-8,
-                                horizon=16, threads=1)
-    b = stable_unstable_bundles(field, anchor_plus=8, anchor_minus=-8,
-                                horizon=16, threads=4)
-    assert np.array_equal(np.asarray(a[0].frames), np.asarray(b[0].frames))
-    assert np.array_equal(np.asarray(a[1].frames), np.asarray(b[1].frames))
-
-
 # ---------------------------------------------------------------------------
 # index_bundle_class
 

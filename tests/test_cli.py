@@ -434,6 +434,34 @@ def test_solve_rejects_impulse_outside_forcing_window(tmp_path, capsys):
     assert "options.solve.rhs[0].at" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, path",
+    [
+        ({"solve": {"rhs": [{"at": "a", "value": [1, 0]}]}}, "options.solve.rhs[0].at"),
+        ({"solve": {"rhs": [{"at": 3, "value": [1, 0, 0]}]}}, "options.solve.rhs[0].value"),
+        ({"solve": {"rhs": [{"at": 3, "value": ["x", 0]}]}}, "options.solve.rhs[0].value"),
+        ({"solve": {"rhs": [{"at": 3, "value": [1, 0], "t": 0}]}}, "options.solve.rhs[0].t"),
+        ({"solve": {"rhs": {"kind": "seeded_random", "count": "3"}}}, "options.solve.rhs.count"),
+        ({"solve": {"rhs": {"kind": "seeded_random", "count": 0}}}, "options.solve.rhs.count"),
+        ({"solve": {"rhs": "noise"}}, "options.solve.rhs"),
+    ],
+)
+def test_malformed_solve_forcing_exits_three_naming_the_field(tmp_path, capsys, options, path):
+    ref = write_doc(tmp_path, saddle_doc(options=options))
+    assert run(["solve", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"scenario field '{path}'" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("gap_ratio", [0.5, 1.0])
+def test_gap_ratio_at_most_one_exits_three_naming_the_field(tmp_path, capsys, gap_ratio):
+    ref = write_doc(tmp_path, saddle_doc(tolerances={"gap_ratio": gap_ratio}))
+    assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "scenario field 'tolerances.gap_ratio'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # realize round trip
 

@@ -1,4 +1,4 @@
-"""Fields, propagators, loops and sampled bundles."""
+"""Fields, their matrix tables, loops and sampled bundles."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_product
-from homindex.errors import DomainError, InputError, NumericError, SamplingError
+from homindex.errors import DomainError, InputError, SamplingError
 from homindex.field import (
     DiscreteVectorField,
     ParameterLoop,
@@ -18,7 +18,6 @@ from homindex.field import (
     direct_sum,
     mobius_bundle,
     perturb_field,
-    propagator,
     realization_field,
     tabulated_field,
     trivial_bundle,
@@ -31,8 +30,7 @@ def test_propagator_composition_order():
     a1 = np.diag([2.0, 3.0])
     f = tabulated_field(np.stack([a0, a1]), window=(0, 1))
     expected = np.array([[0.0, 2.0], [3.0, 0.0]])
-    assert np.allclose(propagator(f, 0, 2, 0), expected)
-    assert np.allclose(propagator(f, 0, 1, 1), np.eye(2))
+    assert np.allclose(dense_product(f.matrices(0, 0, 1)), expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -41,20 +39,13 @@ def test_cocycle_identity(seed, dim):
     rng = np.random.default_rng(seed)
     mats = rng.uniform(-1.0, 1.0, size=(9, dim, dim))
     f = tabulated_field(mats, window=(0, 8))
+
+    def product(k, n):  # Phi(k, n) = A_{k-1} ... A_n read from the field's table
+        return dense_product(f.matrices(0, n, k - 1))
+
     k, m, n = 9, 5, 2
-    left = propagator(f, 0, k, m) @ propagator(f, 0, m, n)
-    assert np.allclose(left, propagator(f, 0, k, n), atol=1e-12)
-    assert np.allclose(propagator(f, 0, k, n), dense_product(mats[n:k]), atol=1e-12)
-
-
-def test_propagator_guards():
-    f = autonomous_field(np.diag([3.0, 3.0]))
-    with pytest.raises(InputError):
-        propagator(f, 0, 20_001, 0)
-    with pytest.raises(NumericError):
-        propagator(f, 0, 400, 0)  # 3^400 blows past 1e150
-    with pytest.raises(InputError):
-        propagator(f, 0, 0, 3)
+    assert np.allclose(product(k, m) @ product(m, n), product(k, n), atol=1e-12)
+    assert np.allclose(product(k, n), dense_product(mats[n:k]), atol=1e-12)
 
 
 def test_loop_validation():

@@ -185,7 +185,6 @@ def test_echo_round_trips_through_from_dict():
 def test_autonomous_builder_matches_direct_construction():
     s = Scenario.from_dict(minimal_doc())
     field = s.build_field()
-    assert field.kind == "autonomous"
     np.testing.assert_allclose(field.matrix(0, 17), [[0.5, 0.0], [0.0, 2.0]])
 
 
