@@ -84,6 +84,9 @@ TRANSVERSALITY_TOL = 1e-6
 #: relative precision of spectrum interval endpoints
 REFINE_REL = 1e-3
 
+#: fewest family steps on which dichotomy constants are fitted
+MIN_FIT_STEPS = 4
+
 
 def _check_window(field: DiscreteVectorField, lo: int, hi: int) -> None:
     if field.window[0] > lo or field.window[1] < hi:
@@ -749,7 +752,7 @@ def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tupl
 def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: int) -> list:
     """`verify_ed` for families of equal window length, rank and dimension."""
     steps = len(fams[0].times) - 1
-    if steps < 4:
+    if steps < MIN_FIT_STEPS:
         return [InputError("family window too short to fit dichotomy constants") for _ in fams]
     d = fams[0].dim
     r = fams[0].rank

@@ -10,6 +10,9 @@ either half-line.  Everything here works on finite windows whose
 boundary conditions encode the half-line decay characterizations -
 never plain zero endpoints, which would shift the index.
 
+The truncated kernel count reads only the singular values of the
+boundary-conditioned truncation; no singular vector is formed.
+
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
 formed over a long window.
@@ -34,10 +37,10 @@ __all__ = [
     "DECAY_TOL",
     "SOLVE_TOL",
     "SV_GAP_RATIO",
-    "DEFAULT_WINDOW",
     "FiniteWindowSequence",
     "IndexReport",
     "assemble_truncated",
+    "boundary_conditioned",
     "kernel_cokernel",
     "green_solve",
 ]
@@ -50,9 +53,6 @@ SOLVE_TOL = 1e-8
 
 #: required gap between the zero and nonzero singular-value groups
 SV_GAP_RATIO = 1e3
-
-#: default truncation window for index computations
-DEFAULT_WINDOW = (-100, 100)
 
 #: relative cutoff separating null from non-null singular values
 _NULL_CUT = 1e-8
@@ -138,7 +138,8 @@ class IndexReport:
     space.  The flag records their agreement; the index always equals
     the half-line projector rank difference, and the cokernel dimension
     is the kernel dimension minus the index.  `singular_values` are
-    those of the boundary-conditioned truncation, in descending order.
+    those of the boundary-conditioned truncation, in descending order,
+    from a values-only SVD; the report holds no kernel basis.
     """
 
     index: int
@@ -148,7 +149,6 @@ class IndexReport:
     rank_minus: int
     consistent: bool
     dim_ker_truncated: int
-    kernel_basis: tuple[FiniteWindowSequence, ...] = ()
     singular_values: np.ndarray = dataclass_field(
         default_factory=lambda: np.empty(0), repr=False, compare=False
     )
@@ -213,15 +213,12 @@ def _intersection_dimension(f_plus: np.ndarray, f_minus: np.ndarray) -> int:
 
 
 def _null_space(stacked: np.ndarray, gap_ratio: float):
-    """Null dimension, right singular vectors and singular values.
-
-    The null dimension follows the grouped singular-value rule.
-    """
-    svals, vt = np.linalg.svd(stacked, full_matrices=True)[1:]
+    """Null dimension and singular values, by the grouped singular-value rule."""
+    svals = np.linalg.svd(stacked, compute_uv=False)
     cols = stacked.shape[1]
     smax = float(svals[0]) if len(svals) else 0.0
     if smax == 0.0:
-        return cols, vt, svals
+        return cols, svals
     implicit = cols - len(svals)  # columns beyond the rank bound are exact zeros
     cut = _NULL_CUT * smax
     zero = svals < cut
@@ -241,7 +238,25 @@ def _null_space(stacked: np.ndarray, gap_ratio: float):
             f"to the null cutoff {cut:.3e} to certify an empty kernel; enlarge "
             "the truncation window"
         )
-    return n_zero, vt, svals
+    return n_zero, svals
+
+
+def boundary_conditioned(
+    field: DiscreteVectorField,
+    lam: int,
+    window,
+    fam_plus: ProjectorFamily,
+    fam_minus: ProjectorFamily,
+) -> np.ndarray:
+    """The truncation on `window` with rows P-(lo) phi(lo) and (I - P+(hi)) phi(hi) appended."""
+    lo, hi = _as_window(window)
+    d = field.dim
+    w = hi - lo + 1
+    stacked = np.zeros(((w - 1) * d + 2 * d, w * d))
+    stacked[: (w - 1) * d] = assemble_truncated(field, lam, (lo, hi))
+    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
+    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
+    return stacked
 
 
 def kernel_cokernel(
@@ -250,7 +265,6 @@ def kernel_cokernel(
     window,
     witnesses: tuple[EDWitness, EDWitness],
     gap_ratio: float = SV_GAP_RATIO,
-    decay_tol: float = DECAY_TOL,
 ) -> IndexReport:
     """Kernel/cokernel dimensions and Fredholm index on a finite window.
 
@@ -260,8 +274,9 @@ def kernel_cokernel(
     (kernel of the minus family); and algebraically, as the null space
     of the truncated operator with rows appended that pin phi(n_min) to
     the backward-decaying set and phi(n_max) to the forward-decaying
-    one.  The index is the projector rank difference; the report's flag
-    records whether the two kernel counts agree.
+    one (`boundary_conditioned`), counted from its singular values
+    alone.  The index is the projector rank difference; the report's
+    flag records whether the two kernel counts agree.
     """
     lo, hi = _as_window(window)
     if hi - lo + 1 < 8:
@@ -299,20 +314,9 @@ def kernel_cokernel(
             f"index {index}; the witnesses and the window are inconsistent"
         )
 
-    w = hi - lo + 1
-    stacked = np.zeros(((w - 1) * d + 2 * d, w * d))
-    stacked[: (w - 1) * d] = assemble_truncated(field, lam, (lo, hi))
-    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
-    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
-
-    dim_ker_truncated, vt, svals = _null_space(stacked, gap_ratio)
-    basis = []
-    for row in vt[len(vt) - dim_ker_truncated :]:
-        values = row.reshape(w, d)
-        top = np.abs(values).max()
-        if top > 0:
-            values = values / top
-        basis.append(FiniteWindowSequence.tabulate((lo, hi), values, decay_tol=decay_tol))
+    dim_ker_truncated, svals = _null_space(
+        boundary_conditioned(field, lam, (lo, hi), fam_plus, fam_minus), gap_ratio
+    )
 
     return IndexReport(
         index=index,
@@ -322,7 +326,6 @@ def kernel_cokernel(
         rank_minus=rank_minus,
         consistent=dim_ker == dim_ker_truncated,
         dim_ker_truncated=dim_ker_truncated,
-        kernel_basis=tuple(basis),
         singular_values=svals,
     )
 

@@ -20,8 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .bifurcation import NonlinearField, PerturbedSystemSpec, linearize_at_zero
+from .dichotomy import MIN_FIT_STEPS
 from .errors import InputError
 from .field import (
+    _WIDE_WINDOW,
     DiscreteVectorField,
     ParameterLoop,
     SampledBundle,
@@ -334,14 +336,28 @@ def _materialize(raw) -> dict:
         isinstance(v, bool) or not isinstance(v, int) for v in lambdas
     ):
         _fail("options.lambdas", "expected a list of parameter indices")
+    if not lambdas:
+        _fail("options.lambdas", "needs at least one parameter index")
     for v in lambdas:
         if not (0 <= v < n_params):
             _fail("options.lambdas", f"index {v} outside range({n_params})")
     opts["lambdas"] = [int(v) for v in lambdas]
     for key in ("index_window", "f3_window", "localize_window"):
-        opts[key] = _expect_window(opts[key], f"options.{key}")
+        lo, hi = opts[key] = _expect_window(opts[key], f"options.{key}")
+        if not lo < 0 < hi:
+            _fail(f"options.{key}", f"window [{lo}, {hi}] must straddle time zero")
+        if key != "localize_window" and min(-lo, hi) < MIN_FIT_STEPS:
+            need = f"each half-line needs {MIN_FIT_STEPS} steps to fit dichotomy constants"
+            _fail(f"options.{key}", f"window [{lo}, {hi}] is too short: {need}")
     for key in ("grid", "anchor", "length", "anchor_plus", "anchor_minus", "grid_refinement"):
         opts[key] = _expect_int(opts[key], f"options.{key}")
+    if opts["anchor_minus"] >= 0:
+        _fail("options.anchor_minus", f"must be negative, got {opts['anchor_minus']}")
+    if opts["anchor_plus"] <= 0:
+        _fail("options.anchor_plus", f"must be positive, got {opts['anchor_plus']}")
+    f_lo, f_hi = out["field"].get("window", _WIDE_WINDOW)
+    if not f_lo <= opts["anchor"] <= f_hi:
+        _fail("options.anchor", f"time {opts['anchor']} outside the field window [{f_lo}, {f_hi}]")
     for key in ("gamma_min", "gamma_max"):
         if isinstance(opts[key], bool) or not isinstance(opts[key], (int, float)):
             _fail(f"options.{key}", f"expected a number, got {opts[key]!r}")

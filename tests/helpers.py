@@ -2,13 +2,17 @@
 
 The oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
-evaluator and its convolution) so that library results can be checked
-against an implementation that shares no code with them.
+evaluator and its convolution, a full SVD of the boundary-conditioned
+truncation) so that library results can be checked against an
+implementation that shares no code with them; the SVD oracle shares
+only the matrix it decomposes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from homindex.fredholm import FiniteWindowSequence, boundary_conditioned
 
 __all__ = [
     "rotation",
@@ -19,6 +23,7 @@ __all__ = [
     "dense_product",
     "green_kernel",
     "kernel_convolve",
+    "truncated_null_space",
     "span_gap",
 ]
 
@@ -136,6 +141,31 @@ def kernel_convolve(kernel, phi, window) -> np.ndarray:
             for n in range(window[0], window[1] + 1)
         ]
     )
+
+
+def truncated_null_space(field, lam, window, witnesses, decay_tol=1e-6):
+    """Oracle: full SVD of the boundary-conditioned truncation on `window`.
+
+    Returns the singular values (descending) and the null vectors, each
+    scaled to sup-norm one, as `FiniteWindowSequence`s.  A vector is
+    null when its singular value is below 1e-8 times the largest, or
+    when it lies beyond the row count.  Only the matrix is shared with
+    `kernel_cokernel`, through `boundary_conditioned`.
+    """
+    wit_plus, wit_minus = witnesses
+    stacked = boundary_conditioned(field, lam, window, wit_plus.family, wit_minus.family)
+    svals, vt = np.linalg.svd(stacked, full_matrices=True)[1:]
+    n_null = int((svals < 1e-8 * svals[0]).sum()) + stacked.shape[1] - len(svals)
+    w, d = window[1] - window[0] + 1, field.dim
+    basis = []
+    for row in vt[len(vt) - n_null :]:
+        values = row.reshape(w, d)
+        basis.append(
+            FiniteWindowSequence.tabulate(
+                window, values / np.abs(values).max(), decay_tol=decay_tol
+            )
+        )
+    return svals, tuple(basis)
 
 
 def span_gap(f, g) -> float:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from homindex.cli import run
-from homindex.scenario import SCHEMA_VERSION, Scenario
+from homindex.dichotomy import MIN_FIT_STEPS
+from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document
 
 
 def saddle_doc(**overrides) -> dict:
@@ -460,6 +461,47 @@ def test_gap_ratio_at_most_one_exits_three_naming_the_field(tmp_path, capsys, ga
     assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "scenario field 'tolerances.gap_ratio'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, options, path",
+    [
+        ("index", "autonomous-saddle", {"lambdas": []}, "options.lambdas"),
+        ("spectrum", "realization-mobius", {"lambdas": []}, "options.lambdas"),
+        ("certify", "system2-mobius", {"f3_window": [2, 30]}, "options.f3_window"),
+        ("certify", "system2-mobius", {"localize_window": [-30, -2]}, "options.localize_window"),
+        ("index", "mobius-double", {"index_window": [1, 30]}, "options.index_window"),
+        ("index", "mobius-double", {"index_window": [-3, 3]}, "options.index_window"),
+        ("index", "mobius-double", {"index_window": [-30, 3]}, "options.index_window"),
+        ("certify", "system2-mobius", {"f3_window": [-2, 30]}, "options.f3_window"),
+        ("certify", "system2-mobius", {"anchor_plus": -1}, "options.anchor_plus"),
+        ("class", "realization-mobius", {"anchor_minus": 0}, "options.anchor_minus"),
+        ("projectors", "autonomous-saddle", {"anchor": 1000000}, "options.anchor"),
+    ],
+)
+def test_out_of_range_options_exit_three_naming_the_field(
+    tmp_path, capsys, command, name, options, path
+):
+    doc = builtin_document(name)
+    doc.setdefault("options", {}).update(options)
+    ref = write_doc(tmp_path, doc)
+    assert run([command, "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"scenario field '{path}'" in err and "Traceback" not in err
+
+
+def test_shortest_windows_the_loader_accepts_run(tmp_path):
+    # the loader's bound is the library's own fitting threshold
+    k = MIN_FIT_STEPS
+    ref = write_doc(tmp_path, saddle_doc(options={"index_window": [-k, k]}))
+    assert run(["index", "--scenario", ref, "--out", str(tmp_path / "o")]) == 0
+    assert report_of(tmp_path / "o")["results"]["per_lambda"][0]["index"] == 0
+    doc = builtin_document("system2-mobius")
+    doc["options"].update(f3_window=[-k, k], localize=False)
+    ref = write_doc(tmp_path, doc)
+    # the window is too short to decide F3, but the check runs on every sample
+    assert run(["certify", "--scenario", ref, "--out", str(tmp_path / "c")]) in (0, 2)
+    assert len(report_of(tmp_path / "c")["results"]["f3_verdicts"]) == 16
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from homindex import dichotomy, field, fredholm
+from homindex.scenario import Scenario
 from homindex.errors import (
     DomainError,
     IndeterminateError,
@@ -17,7 +18,13 @@ from homindex.errors import (
     WindowTooShortError,
 )
 
-from helpers import green_kernel, kernel_convolve, random_hyperbolic, random_orthogonal
+from helpers import (
+    green_kernel,
+    kernel_convolve,
+    random_hyperbolic,
+    random_orthogonal,
+    truncated_null_space,
+)
 
 SADDLE = np.diag([0.5, 2.0])
 MIXED = np.array([[0.5, 0.3], [0.0, 2.0]])
@@ -264,12 +271,13 @@ def test_kernel_convolve_green_decay_flags():
 
 def test_kernel_cokernel_invertible_autonomous_saddle():
     f = field.autonomous_field(SADDLE, window=(-200, 200))
-    report = fredholm.kernel_cokernel(f, 0, (-30, 30), half_line_witnesses(f))
+    wit = half_line_witnesses(f)
+    report = fredholm.kernel_cokernel(f, 0, (-30, 30), wit)
     assert report.index == 0
     assert report.dim_ker == 0 and report.dim_coker == 0
     assert report.rank_plus == 1 and report.rank_minus == 1
     assert report.consistent
-    assert report.kernel_basis == ()
+    assert truncated_null_space(f, 0, (-30, 30), wit)[1] == ()
 
 
 def test_kernel_cokernel_rank_jump_index_two():
@@ -294,13 +302,15 @@ def test_kernel_cokernel_rank_jump_index_two():
     null_dim = int((svals < 1e-8 * svals[0]).sum()) + (w * 2 - len(svals))
     assert null_dim == 2
 
-    report = fredholm.kernel_cokernel(f, 0, (-30, 30), half_line_witnesses(f))
+    wit = half_line_witnesses(f)
+    report = fredholm.kernel_cokernel(f, 0, (-30, 30), wit)
     assert report.rank_plus == 2 and report.rank_minus == 0
     assert report.index == 2
     assert report.dim_ker == 2 and report.dim_coker == 0
     assert report.consistent
-    assert len(report.kernel_basis) == 2
-    for element in report.kernel_basis:
+    basis = truncated_null_space(f, 0, (-30, 30), wit)[1]
+    assert len(basis) == report.dim_ker_truncated == 2
+    for element in basis:
         assert element.decays_left and element.decays_right
 
 
@@ -319,15 +329,16 @@ def test_kernel_cokernel_mobius_realization():
         meets = abs(fibre @ np.array([0.0, 1.0])) > 1.0 - 1e-12
         assert meets == (expect_ker == 1)
 
-        report = fredholm.kernel_cokernel(
-            f, lam, (-40, 40), half_line_witnesses(f, lam=lam, length=40)
-        )
+        wit = half_line_witnesses(f, lam=lam, length=40)
+        report = fredholm.kernel_cokernel(f, lam, (-40, 40), wit)
         assert report.rank_plus == 1 and report.rank_minus == 1
         assert report.index == 0
         assert report.dim_ker == expect_ker
         assert report.dim_coker == expect_ker
         assert report.consistent
-    homoclinic = report.kernel_basis[0]
+        basis = truncated_null_space(f, lam, (-40, 40), wit)[1]
+        assert len(basis) == report.dim_ker_truncated == expect_ker
+    homoclinic = basis[0]
     assert homoclinic.decays_left and homoclinic.decays_right
 
 
@@ -359,10 +370,35 @@ def test_index_two_way_on_random_asymptotically_hyperbolic_fields():
         # rank-nullity bookkeeping at the bottom anchor, exactly
         fam_minus = wit[1].family
         assert fam_minus.rank + fam_minus.kernel_frames.shape[2] == d
-        for element in report.kernel_basis:
+        basis = truncated_null_space(f, 0, (-40, 40), wit)[1]
+        assert len(basis) == report.dim_ker_truncated
+        for element in basis:
             assert element.decays_left and element.decays_right
         hits += report.dim_ker > 0
     assert hits >= 1  # the ensemble does exercise nontrivial kernels
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [("mobius-double", "index_window"), ("system2-mobius", "f3_window")],
+)
+def test_values_only_singular_values_match_a_full_svd(name, window):
+    # mobius-double on the index command's window, system2-mobius on
+    # F3's (the linearization along the trivial branch, window +-30)
+    scenario = Scenario.builtin(name)
+    f = scenario.build_field()
+    lo, hi = scenario.options[window]
+    assert (lo, hi) == (-30, 30)
+    kernels = 0
+    for lam in scenario.options["lambdas"]:
+        wit = half_line_witnesses(f, lam=lam, length=hi, horizon=scenario.horizon)
+        report = fredholm.kernel_cokernel(f, lam, (lo, hi), wit)
+        svals, basis = truncated_null_space(f, lam, (lo, hi), wit)
+        assert report.singular_values.shape == svals.shape
+        np.testing.assert_allclose(report.singular_values, svals, rtol=0, atol=1e-12 * svals[0])
+        assert report.dim_ker_truncated == len(basis)
+        kernels += len(basis)
+    assert kernels > 0  # the Moebius flip gives some sample a kernel
 
 
 def test_index_invariant_under_small_perturbations():
@@ -420,10 +456,10 @@ def test_index_report_guards():
     with pytest.raises(InputError):
         fredholm.IndexReport(
             index=1, dim_ker=0, dim_coker=0, rank_plus=1, rank_minus=0,
-            consistent=True, dim_ker_truncated=0, kernel_basis=(),
+            consistent=True, dim_ker_truncated=0,
         )
     with pytest.raises(InputError):
         fredholm.IndexReport(
             index=0, dim_ker=0, dim_coker=0, rank_plus=1, rank_minus=0,
-            consistent=True, dim_ker_truncated=0, kernel_basis=(),
+            consistent=True, dim_ker_truncated=0,
         )
