@@ -93,23 +93,70 @@ def _time_probes(window, extra=()) -> list[int]:
     return sorted(probes)
 
 
+def _call_stack(fn, label: str, lam: int, times: np.ndarray, states: np.ndarray, shape):
+    """`fn(lam, times, states)` as a float stack of shape (T, *shape), validated once.
+
+    A wrong shape is reported at the first time and a non-finite row at
+    its own time.  A call that raises is narrowed to its first failing
+    row, which names the (lam, n) of the error; this is the only place a
+    stack is evaluated row by row.
+    """
+    try:
+        out = np.asarray(fn(lam, times, states), dtype=float)
+    except Exception as exc:
+        n, x, cause = times[0], states[0], exc
+        for i in range(len(times)):
+            try:
+                fn(lam, times[i : i + 1], states[i : i + 1])
+            except Exception as row_exc:
+                n, x, cause = times[i], states[i], row_exc
+                break
+        raise InputError(
+            f"{label} failure at (lam={lam}, n={n}, |x|={float(np.abs(x).max()):.3e}): {cause}"
+        ) from cause
+    if out.shape != (len(times),) + shape:
+        row_shape = out.shape[1:] if out.shape[:1] == (len(times),) else out.shape
+        raise InputError(f"{label} returned shape {row_shape} at (lam={lam}, n={times[0]})")
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out.reshape(len(times), -1)).all(axis=1))
+        raise NumericError(
+            f"{label} returned non-finite values at (lam={lam}, n={times[bad[0]]})"
+        )
+    return out
+
+
+def _central_difference(g, states: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians (T, d, d) of a stacked map g: (T, d) -> (T, d)."""
+    d = states.shape[1]
+    cols = np.empty((len(states), d, d))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        cols[:, :, j] = (g(states + e) - g(states - e)) / (2.0 * h)
+    return cols
+
+
 @dataclass(frozen=True)
 class NonlinearField:
     """Parametrized nonlinear difference system with a trivial branch.
 
-    `evaluator(lam, n, x)` returns f(lam, n, x) in R^dim for a
-    parameter sample index, an integer time inside `window` and a
-    state vector; `derivative(lam, n, x)`, when given, returns the
-    dim x dim fibre derivative.  The trivial branch f(lam, n, 0) = 0
-    is validated on a probe grid at construction.  `r0` is the radius
-    of the state ball on which the model is trusted; `refiner(k)`,
-    when given, returns the same system sampled on a k-fold refined
-    parameter loop.
+    The system is given in Nemitski form, over time ranges:
+    `evaluator(lam, times, states)` receives a parameter sample index,
+    a 1-D integer array of T times inside `window` and a (T, dim) stack
+    of states, and returns the (T, dim) stack of f(lam, times[i],
+    states[i]); `derivative(lam, times, states)`, when given, returns
+    the (T, dim, dim) stack of fibre derivatives.  Every consumer makes
+    one call per stack, and each returned stack is validated once
+    (shape, then finiteness); errors name the (lam, n) of the first bad
+    row.  The trivial branch f(lam, n, 0) = 0 is validated on a probe
+    grid at construction.  `r0` is the radius of the state ball on
+    which the model is trusted; `refiner(k)`, when given, returns the
+    same system sampled on a k-fold refined parameter loop.
     """
 
     dim: int
-    evaluator: Callable[[int, int, np.ndarray], np.ndarray]
-    derivative: Callable[[int, int, np.ndarray], np.ndarray] | None = None
+    evaluator: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     window: tuple[int, int] = _WIDE_WINDOW
     r0: float = 1.0
     loop: ParameterLoop | None = None
@@ -126,11 +173,11 @@ class NonlinearField:
             raise InputError("window must be a nonempty interval of times")
         if not (self.r0 > 0.0):
             raise InputError("the trust radius r0 must be positive")
-        zero = np.zeros(self.dim)
+        times = np.array(_time_probes(self.window))
+        zero = np.zeros((len(times), self.dim))
         worst = 0.0
         for lam in range(self.n_params):
-            for n in _time_probes(self.window):
-                worst = max(worst, float(np.abs(self.value(lam, n, zero)).max()))
+            worst = max(worst, float(np.abs(self.value(lam, times, zero)).max()))
         if worst > TRIVIAL_BRANCH_TOL:
             raise InputError(
                 "the zero sequence is not a trivial branch: |f(lam, n, 0)| reaches "
@@ -141,64 +188,54 @@ class NonlinearField:
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
-    def value(self, lam: int, n: int, x) -> np.ndarray:
-        if not (self.window[0] <= n <= self.window[1]):
-            raise InputError(f"time {n} outside the evaluable window {self.window}")
+    def _check(self, lam: int, times: np.ndarray, states: np.ndarray) -> None:
+        for n in (int(times.min()), int(times.max())):
+            if not (self.window[0] <= n <= self.window[1]):
+                raise InputError(f"time {n} outside the evaluable window {self.window}")
         if not (0 <= lam < self.n_params):
             raise InputError(f"parameter index {lam} outside range({self.n_params})")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
+        if states.shape != (len(times), self.dim):
             raise InputError(
-                f"state must be a vector of length {self.dim}, got shape {x.shape}"
+                f"states must form a ({len(times)}, {self.dim}) stack, got shape {states.shape}"
             )
-        try:
-            out = np.atleast_1d(
-                np.asarray(self.evaluator(lam, n, x), dtype=float)
-            ).reshape(-1)
-        except Exception as exc:
-            raise InputError(
-                f"evaluator failure at (lam={lam}, n={n}, "
-                f"|x|={float(np.abs(x).max()):.3e}): {exc}"
-            ) from exc
-        if out.shape != (self.dim,):
-            raise InputError(f"evaluator returned shape {out.shape} at (lam={lam}, n={n})")
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"evaluator returned non-finite values at (lam={lam}, n={n})")
-        return out
+
+    def value(self, lam: int, times, states) -> np.ndarray:
+        """The (T, dim) stack f(lam, times[i], states[i]), validated once.
+
+        A scalar time with one state vector gives that single (dim,)
+        value, through the same stacked call.
+        """
+        times = np.asarray(times, dtype=np.int64)
+        states = np.asarray(states, dtype=float)
+        if times.ndim == 0:
+            return self.value(lam, times[None], np.atleast_1d(states)[None])[0]
+        self._check(lam, times, states)
+        return _call_stack(self.evaluator, "evaluator", lam, times, states, (self.dim,))
 
 
-def _fd_derivative(f: NonlinearField, lam: int, n: int, x, h: float) -> np.ndarray:
-    """Central-difference fibre derivative, column by column."""
+def _check_fd_step(h: float) -> None:
     if not (h > 0.0):
         raise InputError(f"finite-difference step must be positive, got {h}")
     if 1.0 + h == 1.0:
         raise NumericError(
             f"finite-difference step {h:.1e} underflows at working precision"
         )
-    x = np.asarray(x, dtype=float)
-    cols = np.empty((f.dim, f.dim))
-    for j in range(f.dim):
-        e = np.zeros(f.dim)
-        e[j] = h
-        cols[:, j] = (f.value(lam, n, x + e) - f.value(lam, n, x - e)) / (2.0 * h)
-    return cols
 
 
-def _point_derivative(
-    f: NonlinearField, lam: int, n: int, x, fd_step: float = FD_STEP
-) -> np.ndarray:
-    """Fibre derivative at one site: analytic when available, else FD."""
+def _fd_derivative(f: NonlinearField, lam: int, times, states, h: float) -> np.ndarray:
+    """Central-difference fibre derivatives of a stack, one `value` call per column and sign."""
+    _check_fd_step(h)
+    return _central_difference(lambda x: f.value(lam, times, x), np.asarray(states, float), h)
+
+
+def _derivatives(f: NonlinearField, lam: int, times, states, fd_step: float = FD_STEP):
+    """Fibre derivatives (T, dim, dim) at (times[i], states[i]): analytic, else FD."""
     if f.derivative is None:
-        return _fd_derivative(f, lam, n, x, fd_step)
-    try:
-        a = np.asarray(f.derivative(lam, n, np.asarray(x, dtype=float)), dtype=float)
-    except Exception as exc:
-        raise InputError(f"derivative failure at (lam={lam}, n={n}): {exc}") from exc
-    if a.shape != (f.dim, f.dim):
-        raise InputError(f"derivative returned shape {a.shape} at (lam={lam}, n={n})")
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"derivative returned non-finite values at (lam={lam}, n={n})")
-    return a
+        return _fd_derivative(f, lam, times, states, fd_step)
+    times = np.asarray(times, dtype=np.int64)
+    states = np.asarray(states, dtype=float)
+    f._check(lam, times, states)
+    return _call_stack(f.derivative, "derivative", lam, times, states, (f.dim, f.dim))
 
 
 @dataclass(frozen=True)
@@ -259,9 +296,7 @@ def nemitski_apply(
     """Substitution operator: the sequence n -> f(lam, n, phi(n))."""
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
-    vals = np.empty((hi - lo + 1, f.dim))
-    for i, n in enumerate(range(lo, hi + 1)):
-        vals[i] = f.value(lam, n, phi.values[i])
+    vals = f.value(lam, np.arange(lo, hi + 1), phi.values)
     return FiniteWindowSequence.tabulate((lo, hi), vals, decay_tol=decay_tol)
 
 
@@ -274,17 +309,10 @@ def nemitski_derivative(
     each block is the analytic fibre derivative when the field carries
     one and a central finite difference with step `fd_step` otherwise.
     """
-    if not (fd_step > 0.0):
-        raise InputError(f"finite-difference step must be positive, got {fd_step}")
-    if 1.0 + fd_step == 1.0:
-        raise NumericError(
-            f"finite-difference step {fd_step:.1e} underflows at working precision"
-        )
+    _check_fd_step(fd_step)
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
-    blocks = np.empty((hi - lo + 1, f.dim, f.dim))
-    for i, n in enumerate(range(lo, hi + 1)):
-        blocks[i] = _point_derivative(f, lam, n, phi.values[i], fd_step)
+    blocks = _derivatives(f, lam, np.arange(lo, hi + 1), phi.values, fd_step)
     return BlockDiagonalOperator(window=(lo, hi), blocks=blocks)
 
 
@@ -343,10 +371,9 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
     """
     if fd_step in f._linearizations:
         return f._linearizations[fd_step]
-    zero = np.zeros(f.dim)
 
-    def evaluate(lam: int, n: int) -> np.ndarray:
-        return _point_derivative(f, lam, n, zero, fd_step)
+    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
+        return _derivatives(f, lam, times, np.zeros((len(times), f.dim)), fd_step)
 
     lin = DiscreteVectorField(
         dim=f.dim,
@@ -365,16 +392,20 @@ class PerturbedSystemSpec:
     Models phi(n+1) = (A + D)(lam, n) phi(n) + R(lam, n, phi(n)) with
     `a_field` the principal linear part, `d_field` an optional
     additive linear part and `residual` the remainder R, which must
-    vanish on the zero branch.  `edge_derivative_plus`/`minus` record
+    vanish on the zero branch.  `residual(lam, times, states)` and
+    `residual_derivative(lam, times, states)` take the Nemitski form of
+    `NonlinearField.evaluator`: a (T, dim) stack of states at T times,
+    returning (T, dim) and (T, dim, dim) stacks, each validated once
+    with errors naming (lam, n).  `edge_derivative_plus`/`minus` record
     |D_x R(lam, n, 0)| at the far ends of the window; the linearization
     method wants these to vanish at infinity, summarized by
     `residual_derivative_vanishes`.
     """
 
     a_field: DiscreteVectorField
-    residual: Callable[[int, int, np.ndarray], np.ndarray]
+    residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     d_field: DiscreteVectorField | None = None
-    residual_derivative: Callable[[int, int, np.ndarray], np.ndarray] | None = None
+    residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     r0: float = 1.0
     edge_derivative_plus: float = dataclass_field(init=False, default=float("nan"))
     edge_derivative_minus: float = dataclass_field(init=False, default=float("nan"))
@@ -391,25 +422,21 @@ class PerturbedSystemSpec:
         lo, hi = self.window
         if lo >= hi:
             raise InputError("the linear parts share no time window")
-        zero = np.zeros(d)
+        times = np.array(_time_probes((lo, hi)))
+        edges = np.array([min(hi, 50), max(lo, -50)])
         worst = 0.0
         for lam in range(self.a_field.n_params):
-            for n in _time_probes((lo, hi)):
-                worst = max(worst, float(np.abs(self._residual_at(lam, n, zero)).max()))
+            r = self._residual(lam, times, np.zeros((len(times), d)))
+            worst = max(worst, float(np.abs(r).max()))
         if worst > TRIVIAL_BRANCH_TOL:
             raise InputError(
                 "the residual does not vanish on the zero branch: |R(lam, n, 0)| "
                 f"reaches {worst:.3e} > {TRIVIAL_BRANCH_TOL:.0e} on the probe grid"
             )
-        n_plus, n_minus = min(hi, 50), max(lo, -50)
         plus = minus = 0.0
         for lam in range(self.a_field.n_params):
-            plus = max(
-                plus, float(np.abs(self._residual_derivative_at(lam, n_plus, zero)).max())
-            )
-            minus = max(
-                minus, float(np.abs(self._residual_derivative_at(lam, n_minus, zero)).max())
-            )
+            dr = np.abs(self._residual_derivative(lam, edges, np.zeros((2, d))))
+            plus, minus = max(plus, float(dr[0].max())), max(minus, float(dr[1].max()))
         object.__setattr__(self, "edge_derivative_plus", plus)
         object.__setattr__(self, "edge_derivative_minus", minus)
 
@@ -429,62 +456,39 @@ class PerturbedSystemSpec:
             and self.edge_derivative_minus < EDGE_DERIVATIVE_TOL
         )
 
-    def _residual_at(self, lam: int, n: int, x) -> np.ndarray:
-        try:
-            r = np.atleast_1d(
-                np.asarray(self.residual(lam, n, np.asarray(x, dtype=float)), dtype=float)
-            ).reshape(-1)
-        except Exception as exc:
-            raise InputError(f"residual failure at (lam={lam}, n={n}): {exc}") from exc
-        if r.shape != (self.a_field.dim,):
-            raise InputError(f"residual returned shape {r.shape} at (lam={lam}, n={n})")
-        return r
+    def _residual(self, lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return _call_stack(self.residual, "residual", lam, times, states, (self.a_field.dim,))
 
-    def _residual_derivative_at(self, lam: int, n: int, x) -> np.ndarray:
+    def _residual_derivative(self, lam: int, times: np.ndarray, states: np.ndarray):
         d = self.a_field.dim
-        if self.residual_derivative is not None:
-            try:
-                a = np.asarray(
-                    self.residual_derivative(lam, n, np.asarray(x, dtype=float)),
-                    dtype=float,
-                )
-            except Exception as exc:
-                raise InputError(
-                    f"residual derivative failure at (lam={lam}, n={n}): {exc}"
-                ) from exc
-            if a.shape != (d, d):
-                raise InputError(
-                    f"residual derivative returned shape {a.shape} at (lam={lam}, n={n})"
-                )
-            return a
-        x = np.asarray(x, dtype=float)
-        cols = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = FD_STEP
-            cols[:, j] = (
-                self._residual_at(lam, n, x + e) - self._residual_at(lam, n, x - e)
-            ) / (2.0 * FD_STEP)
-        return cols
+        if self.residual_derivative is None:
+            return _central_difference(lambda x: self._residual(lam, times, x), states, FD_STEP)
+        return _call_stack(
+            self.residual_derivative, "residual derivative", lam, times, states, (d, d)
+        )
 
     def to_nonlinear(self) -> NonlinearField:
-        """Assemble the full nonlinear field x -> (A + D) x + R(., x)."""
+        """Assemble the full nonlinear field x -> (A + D) x + R(., x).
+
+        A + D is read from the linear parts' tables, one stack per call.
+        """
         a_field, d_field = self.a_field, self.d_field
 
-        def system_matrix(lam: int, n: int) -> np.ndarray:
-            a = a_field.matrix(lam, n)
+        def system_matrices(lam: int, times: np.ndarray) -> np.ndarray:
+            a = a_field.matrices_at(lam, times)
             if d_field is not None:
-                a = a + d_field.matrix(lam if d_field.loop is not None else 0, n)
+                a = a + d_field.matrices_at(lam if d_field.loop is not None else 0, times)
             return a
 
-        def evaluate(lam: int, n: int, x: np.ndarray) -> np.ndarray:
-            return system_matrix(lam, n) @ x + self._residual_at(lam, n, x)
+        def evaluate(lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+            linear = (system_matrices(lam, times) @ states[..., None])[..., 0]
+            return linear + self._residual(lam, times, states)
 
         derivative = None
         if self.residual_derivative is not None:
 
-            def derivative(lam: int, n: int, x: np.ndarray) -> np.ndarray:
-                return system_matrix(lam, n) + self._residual_derivative_at(lam, n, x)
+            def derivative(lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+                return system_matrices(lam, times) + self._residual_derivative(lam, times, states)
 
         return NonlinearField(
             dim=a_field.dim,
@@ -676,15 +680,20 @@ class BifurcationCertificate:
                 )
 
 
-def _state_probes(dim: int, r0: float) -> list[np.ndarray]:
-    """Deterministic states inside the trust ball: zero, axes, a mixed point."""
-    probes = [np.zeros(dim)]
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 0.5 * r0
-        probes.append(e)
-    probes.append(np.full(dim, -0.35 * r0 / max(1.0, float(np.sqrt(dim)))))
-    return probes
+def _probe_grid(times, dim: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every (time, state) probe pair, time-major, as a stack of times and one of states.
+
+    The states lie inside the trust ball: zero, the axes at 0.5 r0 and
+    a mixed point.
+    """
+    states = np.vstack(
+        [
+            np.zeros(dim),
+            0.5 * r0 * np.eye(dim),
+            np.full(dim, -0.35 * r0 / max(1.0, float(np.sqrt(dim)))),
+        ]
+    )
+    return np.repeat(times, len(states)), np.tile(states, (len(times), 1))
 
 
 def certify_bifurcation(
@@ -716,26 +725,26 @@ def certify_bifurcation(
     n = f.n_params
 
     # F0: trivial branch and derivative trust
-    zero = np.zeros(f.dim)
+    branch_times = np.array(_time_probes(f.window, extra=(opts.anchor_minus, opts.anchor_plus)))
+    zero = np.zeros((len(branch_times), f.dim))
     branch_worst = 0.0
     for lam in range(n):
-        for t in _time_probes(f.window, extra=(opts.anchor_minus, opts.anchor_plus)):
-            branch_worst = max(branch_worst, float(np.abs(f.value(lam, t, zero)).max()))
+        branch_worst = max(branch_worst, float(np.abs(f.value(lam, branch_times, zero)).max()))
     evidence.append(("f0_trivial_branch_sup", f"{branch_worst:.3e}"))
     f0_ok = branch_worst <= TRIVIAL_BRANCH_TOL
 
     lam_probes = sorted({0, n // 3, n // 2, (2 * n) // 3, n - 1})
     time_probes = _time_probes(f.window, extra=(-9, 2, 10))
-    core_times = [t for t in time_probes if abs(t) <= 10]
-    states = _state_probes(f.dim, f.r0)
+    probe_times, probe_states = _probe_grid(time_probes, f.dim, f.r0)
+    core_times, core_states = _probe_grid(
+        [t for t in time_probes if abs(t) <= 10], f.dim, f.r0
+    )
     if f.derivative is not None:
         deviation = 0.0
         for lam in lam_probes:
-            for t in core_times:
-                for x in states:
-                    fd = _fd_derivative(f, lam, t, x, opts.fd_step)
-                    analytic = _point_derivative(f, lam, t, x)
-                    deviation = max(deviation, float(np.abs(analytic - fd).max()))
+            fd = _fd_derivative(f, lam, core_times, core_states, opts.fd_step)
+            analytic = _derivatives(f, lam, core_times, core_states)
+            deviation = max(deviation, float(np.abs(analytic - fd).max()))
         f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
         evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
     else:
@@ -752,11 +761,8 @@ def certify_bifurcation(
     # F1: sampled derivative bound on the trust ball
     bound = 0.0
     for lam in lam_probes:
-        for t in time_probes:
-            for x in states:
-                bound = max(
-                    bound, float(np.abs(_point_derivative(f, lam, t, x, opts.fd_step)).max())
-                )
+        blocks = _derivatives(f, lam, probe_times, probe_states, opts.fd_step)
+        bound = max(bound, float(np.abs(blocks).max()))
     f1_ok = bool(np.isfinite(bound))
     evidence.append(("f1_derivative_sup", f"{bound:.3e}"))
     warnings.append(
@@ -940,28 +946,25 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
     d = f.dim
     p_lo = fam_minus.projector(lo)
     q_hi = np.eye(d) - fam_plus.projector(hi)
+    times, steps = np.arange(lo, hi), np.arange(w - 1)
 
     def residual(flat):
         phi = flat.reshape(w, d)
         rows = np.empty((w + 1, d))
-        for i in range(w - 1):
-            rows[i] = phi[i + 1] - f.value(lam, lo + i, phi[i])
+        rows[: w - 1] = phi[1:] - f.value(lam, times, phi[:-1])
         rows[w - 1] = p_lo @ phi[0]
         rows[w] = q_hi @ phi[-1]
         return rows.reshape(-1)
 
     def jacobian(flat):
         phi = flat.reshape(w, d)
-        jac = np.zeros(((w + 1) * d, w * d))
-        eye = np.eye(d)
-        for i in range(w - 1):
-            jac[i * d : (i + 1) * d, i * d : (i + 1) * d] = -_point_derivative(
-                f, lam, lo + i, phi[i], opts.fd_step
-            )
-            jac[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = eye
-        jac[(w - 1) * d : w * d, :d] = p_lo
-        jac[w * d :, (w - 1) * d :] = q_hi
-        return jac
+        # block (i, j) of the (w+1)d x wd matrix is jac[i, :, j, :]
+        jac = np.zeros((w + 1, d, w, d))
+        jac[steps, :, steps, :] = -_derivatives(f, lam, times, phi[:-1], opts.fd_step)
+        jac[steps, :, steps + 1, :] = np.eye(d)
+        jac[w - 1, :, 0, :] = p_lo
+        jac[w, :, w - 1, :] = q_hi
+        return jac.reshape((w + 1) * d, w * d)
 
     x = np.asarray(x0, dtype=float).reshape(-1)
     try:

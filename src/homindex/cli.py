@@ -122,6 +122,7 @@ def _solution_csv(name: str, loop, lam: int, phi: FiniteWindowSequence):
 
 
 def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("spectrum")
     field = scenario.build_field()
     opts, tol = scenario.options, scenario.tolerances
     per, warnings, csvs = [], [], []
@@ -173,6 +174,7 @@ def _family_kwargs(scenario: Scenario) -> dict:
 
 
 def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("projectors")
     field = scenario.build_field()
     opts = scenario.options
     per, csvs = [], []
@@ -211,6 +213,7 @@ def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
 
 
 def _cmd_index(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("index")
     field = scenario.build_field()
     opts, tol = scenario.options, scenario.tolerances
     lo, hi = opts["index_window"]
@@ -263,6 +266,7 @@ def _class_dump(cls: KOClassDesk) -> dict:
 
 
 def _cmd_class(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("class")
     field = scenario.build_field()
     opts = scenario.options
     top, bottom = index_bundle_pair(
@@ -287,6 +291,7 @@ def _cmd_class(scenario: Scenario) -> CommandOutcome:
 
 
 def _cmd_certify(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("certify")
     f = scenario.build_nonlinear()
     opts = scenario.options
     cert = certify_bifurcation(
@@ -368,6 +373,7 @@ def _solve_forcings(scenario: Scenario, dim: int):
 
 
 def _cmd_solve(scenario: Scenario) -> CommandOutcome:
+    scenario.check_times("solve")
     field = scenario.build_field()
     tol = scenario.tolerances
     sopts = scenario.options["solve"]
@@ -389,10 +395,10 @@ def _cmd_solve(scenario: Scenario) -> CommandOutcome:
             decay_tol=tol["decay_tol"],
         )
         lo, hi = phi.window
-        defect = 0.0
-        for j, n in enumerate(range(lo, hi)):
-            step = phi.values[j + 1] - field.matrix(lam, n) @ phi.values[j]
-            defect = max(defect, float(np.abs(step - psi.value_at(n)).max()))
+        mats = field.matrices(lam, lo, hi - 1)
+        steps = phi.values[1:] - (mats @ phi.values[:-1, :, None])[..., 0]
+        forcing = psi.values[lo - psi.window[0] : hi - psi.window[0]]
+        defect = float(np.abs(steps - forcing).max())
         solutions.append({"label": label, "defect_sup": _num(defect), **_sequence_dump(phi)})
         csvs.append(_solution_csv(f"solution_{i:03d}.csv", field.loop, lam, phi))
     results = {
@@ -411,6 +417,7 @@ def _cmd_realize(scenario: Scenario) -> CommandOutcome:
             f"realize materializes 'realization' fields; this scenario has "
             f"'{scenario.field_kind}'"
         )
+    scenario.check_times("realize")
     field = scenario.build_field()
     lo, hi = scenario.window
     n_params = field.n_params

@@ -51,6 +51,7 @@ __all__ = [
     "EDWitness",
     "SpectrumResult",
     "estimate_splitting",
+    "family_run",
     "build_projector_family",
     "build_projector_families",
     "whole_line_families",
@@ -193,9 +194,9 @@ def _rate_run(field: DiscreteVectorField, lam: int, side: str, anchor: int, hori
     propagator), the minus side by backward reach over
     [anchor-horizon, anchor).
     """
-    lo = anchor if side == "plus" else anchor - horizon
-    _check_window(field, lo, lo + horizon - 1)
-    q, logs, _ = _sweep(field.matrices(lam, lo, lo + horizon - 1)[None], side)
+    lo, hi = family_run(side, anchor, 0, horizon)
+    _check_window(field, lo, hi)
+    q, logs, _ = _sweep(field.matrices(lam, lo, hi)[None], side)
     return q[0], logs[0, horizon // 2 :].mean(axis=0)
 
 
@@ -462,6 +463,18 @@ def _assemble_batch(
     return out
 
 
+def family_run(side: str, anchor: int, length: int, horizon: int) -> tuple[int, int]:
+    """First and last time the sweep of a half-line family reads.
+
+    A family of `length` steps at `anchor` sweeps `length + horizon`
+    factors: [anchor, anchor + length + horizon) on the plus side and
+    [anchor - length - horizon, anchor) on the minus side.  With
+    `length` 0 this is the rate run of `dichotomy_spectrum`.
+    """
+    run = length + horizon
+    return (anchor, anchor + run - 1) if side == "plus" else (anchor - run, anchor - 1)
+
+
 def _family_plan(field: DiscreteVectorField, side: str, anchor: int, length, horizon: int):
     """Validated family window: (length, first and last swept time, family times, offset).
 
@@ -474,12 +487,11 @@ def _family_plan(field: DiscreteVectorField, side: str, anchor: int, length, hor
     length = int(length) if length is not None else horizon
     if length < 2:
         raise InputError("family window must contain at least 2 steps")
-    run = length + horizon
+    lo, hi = family_run(side, anchor, length, horizon)
+    _check_window(field, lo, hi)
     if side == "plus":
-        _check_window(field, anchor, anchor + run - 1)
-        return length, anchor, anchor + run - 1, np.arange(anchor, anchor + length + 1), 0
-    _check_window(field, anchor - run, anchor - 1)
-    return length, anchor - run, anchor - 1, np.arange(anchor - length, anchor + 1), horizon
+        return length, lo, hi, np.arange(anchor, anchor + length + 1), 0
+    return length, lo, hi, np.arange(anchor - length, anchor + 1), horizon
 
 
 def _build_batch(
@@ -1124,10 +1136,11 @@ def shift_operator_projector(
     lo = -(n_times // 2)
     times = np.arange(lo, lo + n_times)
     _check_window(field, int(times[0]), int(times[-1]))
-    big = np.zeros((n_times * d, n_times * d))
-    for i in range(n_times):
-        j = (i - 1) % n_times
-        big[i * d : (i + 1) * d, j * d : (j + 1) * d] = field.matrix(lam, int(times[j]))
+    # block (i, i - 1 mod n_times) of the shift holds A(times[i - 1])
+    big = np.zeros((n_times, d, n_times, d))
+    rows = np.arange(n_times)
+    big[rows, :, rows - 1, :] = field.matrices(lam, int(times[0]), int(times[-1]))[rows - 1]
+    big = big.reshape(n_times * d, n_times * d)
     try:
         split = matrixcore.spectral_projector_contour(big, nodes=nodes, margin=margin)
     except (DomainError, IndeterminateError) as exc:

@@ -1,22 +1,31 @@
 """Parametrized matrix fields on the integer lattice and sampled frame bundles.
 
 A field assigns to each parameter sample and each lattice time a real
-d x d matrix.  Bundles are
-stored as orthonormal frames over a closed parameter loop.  The
-constructions here (hyperbolic families from a bundle, piecewise
-realizations, controlled perturbations) are the raw material for the
-dichotomy, index and bifurcation layers.
+d x d matrix.  Bundles are stored as orthonormal frames over a closed
+parameter loop.  The constructions here (hyperbolic families from a
+bundle, piecewise realizations, controlled perturbations) are the raw
+material for the dichotomy, index and bifurcation layers.
+
+Fields are evaluated over time ranges, never point by point.  An
+evaluator `evaluator(lam, times)` takes the index of a parameter sample
+and a 1-D integer array of T times and returns the (T, d, d) stack of
+the matrices at those times; the `middle` of a realization and the
+perturbation of `perturb_field` have the same form.
 
 Every `DiscreteVectorField` owns a lazily filled table of its matrices,
-logically of shape (n_params, times, d, d).  Each (sample, time) entry
-is evaluated and validated (shape, finiteness) once, on first use;
-`matrix` reads one entry and `matrices` a whole time range of one
-sample from it.  The table is stored in blocks of `TABLE_BLOCK`
-consecutive times, so a probe at a far window edge costs one block and
-not the span in between.  A field also carries a memo that the
-dichotomy layer fills with one projector family per (sample, side,
-anchor, window length, horizon, tolerances); see
-`dichotomy.build_projector_families`.
+logically of shape (n_params, times, d, d).  A read (`matrix` for one
+entry, `matrices` for a time range, `matrices_at` for any times) fills
+the requested entries that are still empty: each run of consecutive
+empty times is one evaluator call, and the stack it returns is
+validated (shape, finiteness) once.  An entry that fails keeps a
+`NumericError` naming its (lam=..., n=...), so each (sample, time)
+reaches the evaluator at most once and a failed entry is never
+retried.  The table is stored in blocks of `TABLE_BLOCK` consecutive
+times and only the requested entries are filled, so a probe at a far
+window edge costs one block of memory and not the span in between.  A
+field also carries a memo that the dichotomy layer fills with one
+projector family per (sample, side, anchor, window length, horizon,
+tolerances); see `dichotomy.build_projector_families`.
 """
 
 from __future__ import annotations
@@ -82,9 +91,10 @@ class ParameterLoop:
             raise InputError("a loop needs at least 8 samples of equal coordinate length")
         if not np.all(np.isfinite(s)):
             raise InputError("loop samples must be finite")
-        for i in range(s.shape[0] - 1):
-            if np.array_equal(s[i], s[i + 1]):
-                raise InputError(f"loop samples {i} and {i + 1} coincide")
+        same = np.flatnonzero((s[:-1] == s[1:]).all(axis=1))
+        if same.size:
+            i = int(same[0])
+            raise InputError(f"loop samples {i} and {i + 1} coincide")
         object.__setattr__(self, "samples", _readonly(s))
 
     @classmethod
@@ -111,15 +121,18 @@ class _MatrixTable:
     """Validated matrices of one field, evaluated on first use.
 
     Blocks of `TABLE_BLOCK` times are allocated on demand, each with a
-    mask of filled entries.  An entry whose evaluation fails validation
-    keeps its error, so every (sample, time) pair reaches the evaluator
-    exactly once.
+    mask of filled entries.  A read fills the requested entries that
+    are still empty: each maximal run of consecutive empty times costs
+    one evaluator call, whose (run, d, d) stack is validated once.  An
+    entry that fails validation keeps its error, so every (sample,
+    time) pair reaches the evaluator at most once.
     """
 
     def __init__(self, field: "DiscreteVectorField"):
         self._field = field
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._errors: dict[tuple[int, int], Exception] = {}
+        #: per sample, the validation error of each failed time
+        self._errors: dict[int, dict[int, Exception]] = {}
 
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         if b not in self._blocks:
@@ -130,60 +143,80 @@ class _MatrixTable:
             )
         return self._blocks[b]
 
-    def _fill(self, values: np.ndarray, filled: np.ndarray, lam: int, n: int, i: int) -> None:
-        if (lam, n) in self._errors:
-            raise self._errors[lam, n].with_traceback(None)
-        f = self._field
-        a = np.asarray(f.evaluator(lam, n), dtype=float)
-        if a.shape != (f.dim, f.dim):
-            exc = NumericError(f"evaluator returned shape {a.shape} at (lam={lam}, n={n})")
-        elif not np.isfinite(a).all():
-            exc = NumericError(f"evaluator returned non-finite entries at (lam={lam}, n={n})")
-        else:
-            values[lam, i] = a
-            filled[lam, i] = True
-            return
-        self._errors[lam, n] = exc
-        raise exc
-
-    def rows(self, lam: int, lo: int, hi: int) -> np.ndarray:
-        """Matrices at times lo..hi of sample `lam`, shape (hi - lo + 1, d, d)."""
-        parts = []
+    def _segments(self, lo: int, hi: int):
+        """(block values, block mask, block slice, offset in lo..hi) covering lo..hi."""
         for b in range(lo // TABLE_BLOCK, hi // TABLE_BLOCK + 1):
             values, filled = self._block(b)
             start = b * TABLE_BLOCK
             i0, i1 = max(lo, start) - start, min(hi, start + TABLE_BLOCK - 1) - start + 1
-            if not filled[lam, i0:i1].all():
-                for i in range(i0, i1):
-                    if not filled[lam, i]:
-                        self._fill(values, filled, lam, start + i, i)
-            parts.append(values[lam, i0:i1])
+            yield values, filled, slice(i0, i1), start + i0 - lo
+
+    def _fill(self, lam: int, lo: int, hi: int) -> None:
+        f = self._field
+        times = np.arange(lo, hi + 1)
+        a = np.asarray(f.evaluator(lam, times), dtype=float)
+        if a.shape == (len(times), f.dim, f.dim):
+            bad = ~np.isfinite(a).all(axis=(1, 2))
+            what = "non-finite entries"
+        else:
+            bad = np.ones(len(times), dtype=bool)
+            shape = a.shape[1:] if a.shape[:1] == (len(times),) else a.shape
+            what = f"shape {shape}"
+        for values, filled, cols, k in self._segments(lo, hi):
+            k1 = k + cols.stop - cols.start
+            if not bad[k:k1].all():
+                values[lam, cols] = a[k:k1]
+            filled[lam, cols] = ~bad[k:k1]
+        for i in np.flatnonzero(bad).tolist():
+            self._errors.setdefault(lam, {})[lo + i] = NumericError(
+                f"evaluator returned {what} at (lam={lam}, n={lo + i})"
+            )
+
+    def rows(self, lam: int, lo: int, hi: int) -> np.ndarray:
+        """Matrices at times lo..hi of sample `lam`, shape (hi - lo + 1, d, d).
+
+        Raises the error of the failed entry at the lowest time, if any.
+        """
+        segments = list(self._segments(lo, hi))
+        if not all(filled[lam, cols].all() for _, filled, cols, _ in segments):
+            self._fill_gaps(lam, lo, hi, segments)
+        parts = [values[lam, cols] for values, _, cols, _ in segments]
         out = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
         out.setflags(write=False)
         return out
 
-    def entry(self, lam: int, n: int) -> np.ndarray:
-        values, filled = self._block(n // TABLE_BLOCK)
-        i = n % TABLE_BLOCK
-        if not filled[lam, i]:
-            self._fill(values, filled, lam, n, i)
-        out = values[lam, i]
-        out.setflags(write=False)
-        return out
+    def _fill_gaps(self, lam: int, lo: int, hi: int, segments) -> None:
+        """Fill each run of empty entries in lo..hi; raise the lowest failed entry's error."""
+        errors = self._errors.setdefault(lam, {})
+        empty = np.concatenate([~filled[lam, cols] for _, filled, cols, _ in segments])
+        for n in errors:
+            if lo <= n <= hi:
+                empty[n - lo] = False
+        padded = np.concatenate(([False], empty, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            self._fill(lam, lo + start, lo + stop - 1)
+        failed = [n for n in errors if lo <= n <= hi]
+        if failed:
+            raise errors[min(failed)].with_traceback(None)
 
 
 @dataclass(frozen=True)
 class DiscreteVectorField:
     """Matrix field (parameter sample, time) -> d x d real matrix.
 
-    The evaluator receives the integer index of a parameter sample (0
-    for unparametrized fields) and an integer time inside `window`; it
-    is called at most once per (sample, time), because the results are
-    validated into the field's table (see the module docstring).
+    `evaluator(lam, times)` receives the integer index of a parameter
+    sample (0 for unparametrized fields) and a 1-D integer array of T
+    consecutive times inside `window`, and returns the (T, d, d) stack
+    of the matrices at those times.  The table (see the module
+    docstring) calls it at most once per (sample, time) and validates
+    each returned stack once: a stack of the wrong shape fails every
+    entry it was asked for, and a non-finite matrix fails its own
+    entry, each with a `NumericError` naming (lam, n).
     """
 
     dim: int
-    evaluator: Callable[[int, int], np.ndarray]
+    evaluator: Callable[[int, np.ndarray], np.ndarray]
     window: tuple[int, int] = _WIDE_WINDOW
     loop: ParameterLoop | None = None
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
@@ -203,15 +236,16 @@ class DiscreteVectorField:
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
-    def _check_lam(self, lam: int) -> None:
+    def _check(self, lam: int, lo: int, hi: int) -> None:
+        for n in (lo, hi):
+            if not (self.window[0] <= n <= self.window[1]):
+                raise InputError(f"time {n} outside the evaluable window {self.window}")
         if not (0 <= lam < self.n_params):
             raise InputError(f"parameter index {lam} outside range({self.n_params})")
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
-        if not (self.window[0] <= n <= self.window[1]):
-            raise InputError(f"time {n} outside the evaluable window {self.window}")
-        self._check_lam(lam)
-        return self._table.entry(int(lam), int(n))
+        self._check(lam, n, n)
+        return self._table.rows(int(lam), int(n), int(n))[0]
 
     def matrices(self, lam: int, lo: int, hi: int) -> np.ndarray:
         """Read-only stack of the matrices at times lo..hi, shape (hi - lo + 1, d, d).
@@ -221,11 +255,28 @@ class DiscreteVectorField:
         """
         if lo > hi:
             raise InputError(f"time range [{lo}, {hi}] is empty")
-        for n in (lo, hi):
-            if not (self.window[0] <= n <= self.window[1]):
-                raise InputError(f"time {n} outside the evaluable window {self.window}")
-        self._check_lam(lam)
+        self._check(lam, lo, hi)
         return self._table.rows(int(lam), int(lo), int(hi))
+
+    def matrices_at(self, lam: int, times) -> np.ndarray:
+        """Read-only stack of the matrices at the integer `times`, in their order.
+
+        Times may repeat and need not be consecutive; each run of
+        consecutive times is one table read.  Raises like `matrices`.
+        """
+        times = np.asarray(times, dtype=np.int64).reshape(-1)
+        if times.size == 0:
+            raise InputError("no times requested")
+        lo, hi = int(times.min()), int(times.max())
+        self._check(lam, lo, hi)
+        if hi - lo + 1 == len(times) and (times[1:] > times[:-1]).all():
+            return self._table.rows(int(lam), lo, hi)  # already one consecutive run
+        uniq, inverse = np.unique(times, return_inverse=True)
+        runs = np.split(uniq, np.flatnonzero(uniq[1:] - uniq[:-1] > 1) + 1)
+        parts = [self._table.rows(int(lam), int(run[0]), int(run[-1])) for run in runs]
+        out = (parts[0] if len(parts) == 1 else np.concatenate(parts))[inverse]
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -251,19 +302,20 @@ class SampledBundle:
         if f.shape[2] != self.rank or not (0 <= self.rank <= f.shape[1]):
             raise InputError(f"rank {self.rank} inconsistent with frame shape {f.shape}")
         if self.rank:
-            eye = np.eye(self.rank)
-            for i in range(f.shape[0]):
-                if abs(f[i].T @ f[i] - eye).max() > FRAME_TOL:
-                    raise InputError(f"frame {i} is not orthonormal to 1e-10")
-            for i in range(f.shape[0]):
-                j = (i + 1) % f.shape[0]
-                # smallest cosine of a principal angle between consecutive fibres
-                smallest = np.linalg.svd(f[i].T @ f[j], compute_uv=False).min()
-                if smallest < np.cos(MAX_FIBRE_ANGLE):
-                    raise SamplingError(
-                        f"fibres {i} and {j} tilt by a principal angle >= pi/3; "
-                        "sample the loop more finely"
-                    )
+            ft = f.swapaxes(1, 2)
+            skew = np.abs(ft @ f - np.eye(self.rank)).max(axis=(1, 2))
+            bad = np.flatnonzero(skew > FRAME_TOL)
+            if bad.size:
+                raise InputError(f"frame {bad[0]} is not orthonormal to 1e-10")
+            # smallest cosine of a principal angle between consecutive fibres
+            smallest = np.linalg.svd(ft @ np.roll(f, -1, axis=0), compute_uv=False).min(axis=1)
+            bad = np.flatnonzero(smallest < np.cos(MAX_FIBRE_ANGLE))
+            if bad.size:
+                i, j = int(bad[0]), (int(bad[0]) + 1) % f.shape[0]
+                raise SamplingError(
+                    f"fibres {i} and {j} tilt by a principal angle >= pi/3; "
+                    "sample the loop more finely"
+                )
         object.__setattr__(self, "frames", _readonly(f))
 
     @property
@@ -312,7 +364,7 @@ def autonomous_field(matrix, window: tuple[int, int] = _WIDE_WINDOW) -> Discrete
     a = _readonly(a)
     return DiscreteVectorField(
         dim=a.shape[0],
-        evaluator=lambda lam, n: a,
+        evaluator=lambda lam, times: np.broadcast_to(a, (len(times),) + a.shape),
         window=window,
     )
 
@@ -345,7 +397,7 @@ def tabulated_field(
     lo = window[0]
     return DiscreteVectorField(
         dim=v.shape[2],
-        evaluator=lambda lam, n: v[lam, n - lo],
+        evaluator=lambda lam, times: v[lam, times - lo],
         window=window,
         loop=loop,
     )
@@ -370,7 +422,7 @@ def construct_hyperbolic_family(bundle: SampledBundle, q: float) -> DiscreteVect
     mats = _readonly(mats)
     return DiscreteVectorField(
         dim=d,
-        evaluator=lambda lam, n: mats[lam],
+        evaluator=lambda lam, times: np.broadcast_to(mats[lam], (len(times), d, d)),
         loop=bundle.loop,
     )
 
@@ -381,14 +433,17 @@ def realization_field(
     q: float = 0.5,
     kappa_minus: int = -8,
     kappa_plus: int = 8,
-    middle: Callable[[int, int], np.ndarray] | None = None,
+    middle: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> DiscreteVectorField:
     """Piecewise field realizing a prescribed pair of asymptotic bundles.
 
     Times below kappa_minus use the hyperbolic family of `stable_behind`,
     times above kappa_plus the hyperbolic family of `stable_ahead`, and
-    the middle uses `middle` (identity by default).  The middle samples
-    must be invertible.  Requires kappa_minus < 0 < kappa_plus.
+    the middle uses `middle` (identity by default), an evaluator of the
+    `DiscreteVectorField` form.  It is called once per sample, on all of
+    kappa_minus..kappa_plus, and its matrices must be finite and
+    invertible; the first offending (lam, n) in sample-then-time order
+    is named.  Requires kappa_minus < 0 < kappa_plus.
     """
     if not (kappa_minus < 0 < kappa_plus):
         raise InputError("need kappa_minus < 0 < kappa_plus")
@@ -399,23 +454,34 @@ def realization_field(
     ahead = construct_hyperbolic_family(stable_ahead, q)
     behind = construct_hyperbolic_family(stable_behind, q)
     d = stable_ahead.dim
-    eye = np.eye(d)
-    mid = middle if middle is not None else (lambda lam, n: eye)
     n_params = len(stable_ahead.loop)
-    for lam in range(n_params):
-        for n in range(kappa_minus, kappa_plus + 1):
-            t = np.asarray(mid(lam, n), dtype=float)
-            if t.shape != (d, d) or not np.all(np.isfinite(t)):
-                raise InputError(f"middle evaluator broken at (lam={lam}, n={n})")
-            if np.linalg.svd(t, compute_uv=False).min() < 1e-10:
-                raise DomainError(f"middle matrix at (lam={lam}, n={n}) is not invertible")
+    times = np.arange(kappa_minus, kappa_plus + 1)
+    mid = np.broadcast_to(np.eye(d), (n_params, len(times), d, d)).copy()
+    broken = np.zeros((n_params, len(times)), dtype=bool)
+    if middle is not None:
+        for lam in range(n_params):
+            m = np.asarray(middle(lam, times), dtype=float)
+            if m.shape != mid.shape[1:]:
+                broken[lam] = True
+                continue
+            broken[lam] = ~np.isfinite(m).all(axis=(1, 2))
+            mid[lam, ~broken[lam]] = m[~broken[lam]]
+    singular = np.linalg.svd(mid, compute_uv=False).min(axis=-1) < 1e-10
+    if (broken | singular).any():
+        lam, i = np.argwhere(broken | singular)[0].tolist()
+        if broken[lam, i]:
+            raise InputError(f"middle evaluator broken at (lam={lam}, n={times[i]})")
+        raise DomainError(f"middle matrix at (lam={lam}, n={times[i]}) is not invertible")
+    mid = _readonly(mid)
 
-    def evaluate(lam: int, n: int) -> np.ndarray:
-        if n < kappa_minus:
-            return behind.evaluator(lam, n)
-        if n > kappa_plus:
-            return ahead.evaluator(lam, n)
-        return np.asarray(mid(lam, n), dtype=float)
+    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
+        out = np.empty((len(times), d, d))
+        before, after = times < kappa_minus, times > kappa_plus
+        inside = ~(before | after)
+        out[before] = behind.evaluator(lam, times[before])
+        out[after] = ahead.evaluator(lam, times[after])
+        out[inside] = mid[lam, times[inside] - kappa_minus]
+        return out
 
     return DiscreteVectorField(
         dim=d,
@@ -426,7 +492,7 @@ def realization_field(
 
 def perturb_field(
     base: DiscreteVectorField,
-    perturbation: Callable[[int, int], np.ndarray],
+    perturbation: Callable[[int, np.ndarray], np.ndarray],
     gamma_plus: float,
     gamma_minus: float,
     kappa_plus: int = 0,
@@ -435,31 +501,35 @@ def perturb_field(
 ) -> tuple[DiscreteVectorField, SmallnessReport]:
     """Additive perturbation of a field with sampled tail-size bookkeeping.
 
+    `perturbation` is an evaluator of the `DiscreteVectorField` form.
     Returns the perturbed field together with a report stating whether
     the sampled perturbation norms stay within gamma_plus on times
     >= kappa_plus and within gamma_minus on times <= kappa_minus.  The
-    report records the verdict; it does not stop the construction.
+    tails are sampled with one call per parameter sample; the first
+    broken (lam, n) is named.  The report records the verdict; it does
+    not stop the construction.
     """
     if gamma_plus < 0 or gamma_minus < 0:
         raise InputError("perturbation budgets must be nonnegative")
     d = base.dim
     lo = max(base.window[0], kappa_minus - tail_samples)
     hi = min(base.window[1], kappa_plus + tail_samples)
+    times = np.arange(lo, hi + 1)
     obs_plus = 0.0
     obs_minus = 0.0
     for lam in range(base.n_params):
-        for n in range(lo, hi + 1):
-            e = np.asarray(perturbation(lam, n), dtype=float)
-            if e.shape != (d, d) or not np.all(np.isfinite(e)):
-                raise InputError(f"perturbation evaluator broken at (lam={lam}, n={n})")
-            size = float(np.linalg.norm(e, 2))
-            if n >= kappa_plus:
-                obs_plus = max(obs_plus, size)
-            if n <= kappa_minus:
-                obs_minus = max(obs_minus, size)
+        e = np.asarray(perturbation(lam, times), dtype=float)
+        bad = [0]  # a stack of the wrong shape is broken from its first time on
+        if e.shape == (len(times), d, d):
+            bad = np.flatnonzero(~np.isfinite(e).all(axis=(1, 2)))
+        if len(bad):
+            raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[bad[0]]})")
+        sizes = np.linalg.norm(e, 2, axis=(1, 2))
+        obs_plus = max(obs_plus, float(sizes[times >= kappa_plus].max(initial=0.0)))
+        obs_minus = max(obs_minus, float(sizes[times <= kappa_minus].max(initial=0.0)))
 
-    def evaluate(lam: int, n: int) -> np.ndarray:
-        return base.evaluator(lam, n) + np.asarray(perturbation(lam, n), dtype=float)
+    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
+        return base.evaluator(lam, times) + np.asarray(perturbation(lam, times), dtype=float)
 
     report = SmallnessReport(
         gamma_plus=gamma_plus,

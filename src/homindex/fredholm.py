@@ -174,12 +174,12 @@ def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> np.ndarr
         raise InputError("truncation window needs at least two times")
     d = field.dim
     w = hi - lo + 1
-    matrix = np.zeros(((w - 1) * d, w * d))
-    eye = np.eye(d)
-    for i, n in enumerate(range(lo, hi)):
-        matrix[i * d : (i + 1) * d, i * d : (i + 1) * d] = -field.matrix(lam, n)
-        matrix[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = eye
-    return matrix
+    # block (i, j) of the matrix is blocks[i, :, j, :]
+    blocks = np.zeros((w - 1, d, w, d))
+    steps = np.arange(w - 1)
+    blocks[steps, :, steps, :] = -field.matrices(lam, lo, hi - 1)
+    blocks[steps, :, steps + 1, :] = np.eye(d)
+    return blocks.reshape((w - 1) * d, w * d)
 
 
 def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> None:
@@ -436,9 +436,10 @@ def green_solve(
     causal = np.zeros((len(times), d))
     if r > 0:
         u = np.zeros(d)
+        mats = field.matrices(lam, out_lo, out_hi - 1)
         for i, n in enumerate(times[:-1]):
             forced = psi_at(int(n))
-            u = field.matrix(lam, int(n)) @ u
+            u = mats[i] @ u
             if forced is not None:
                 u = u + pf.projector(int(n) + 1) @ forced
             causal[i + 1] = u

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bifurcation import NonlinearField, PerturbedSystemSpec, linearize_at_zero
-from .dichotomy import MIN_FIT_STEPS
+from .dichotomy import MIN_FIT_STEPS, family_run
 from .errors import InputError
 from .field import (
     _WIDE_WINDOW,
@@ -316,12 +316,15 @@ def _materialize(raw) -> dict:
         _fail("tolerances", "expected an object")
     out["tolerances"] = _merge_defaults(tolerances, _TOLERANCE_DEFAULTS, "tolerances")
     for key, value in out["tolerances"].items():
-        if not isinstance(value, (int, float)) or not (float(value) > 0.0):
-            _fail(f"tolerances.{key}", f"expected a positive number, got {value!r}")
-        out["tolerances"][key] = float(value)
-    # log(gap_ratio) is the rate-gap and singular-value-gap threshold
-    if not out["tolerances"]["gap_ratio"] > 1.0:
-        _fail("tolerances.gap_ratio", f"must exceed 1, got {out['tolerances']['gap_ratio']!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(f"tolerances.{key}", f"expected a number, got {value!r}")
+        value = out["tolerances"][key] = float(value)
+        # log(gap_ratio) is the rate-gap and singular-value-gap threshold;
+        # every other tolerance is a small relative or absolute level
+        if key == "gap_ratio" and not value > 1.0:
+            _fail("tolerances.gap_ratio", f"must exceed 1, got {value!r}")
+        if key != "gap_ratio" and not 0.0 < value < 1.0:
+            _fail(f"tolerances.{key}", f"must lie in (0, 1), got {value!r}")
     options = raw.get("options", {})
     if not isinstance(options, dict):
         _fail("options", "expected an object")
@@ -355,9 +358,6 @@ def _materialize(raw) -> dict:
         _fail("options.anchor_minus", f"must be negative, got {opts['anchor_minus']}")
     if opts["anchor_plus"] <= 0:
         _fail("options.anchor_plus", f"must be positive, got {opts['anchor_plus']}")
-    f_lo, f_hi = out["field"].get("window", _WIDE_WINDOW)
-    if not f_lo <= opts["anchor"] <= f_hi:
-        _fail("options.anchor", f"time {opts['anchor']} outside the field window [{f_lo}, {f_hi}]")
     for key in ("gamma_min", "gamma_max"):
         if isinstance(opts[key], bool) or not isinstance(opts[key], (int, float)):
             _fail(f"options.{key}", f"expected a number, got {opts[key]!r}")
@@ -402,13 +402,17 @@ def _build_bundle(spec: dict, loop: ParameterLoop, dimension: int) -> SampledBun
 
 
 def _quadratic_decaying(amplitude: float):
-    def residual(lam, n, x):
-        w = amplitude * float(np.exp(-abs(n)))
-        return w * np.array([x[0] ** 2, x[0] * x[1]])
+    """R(n, x) = amplitude e^{-|n|} (x0^2, x0 x1) and its fibre derivative, over stacks."""
 
-    def derivative(lam, n, x):
-        w = amplitude * float(np.exp(-abs(n)))
-        return w * np.array([[2.0 * x[0], 0.0], [x[1], x[0]]])
+    def residual(lam, times, x):
+        w = amplitude * np.exp(-np.abs(times))
+        return w[:, None] * np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=-1)
+
+    def derivative(lam, times, x):
+        w = amplitude * np.exp(-np.abs(times))
+        zero = np.zeros(len(times))
+        rows = [[2.0 * x[:, 0], zero], [x[:, 1], x[:, 0]]]
+        return w[:, None, None] * np.moveaxis(np.array(rows), -1, 0)
 
     return residual, derivative
 
@@ -485,6 +489,57 @@ class Scenario:
     def field_kind(self) -> str:
         return self.data["field"]["kind"]
 
+    def check_times(self, command: str) -> None:
+        """Refuse, naming a scenario field, a command whose run leaves the field window.
+
+        Each command reads the field at times that its options, the
+        horizon and its windows decide, so a document stays valid for
+        the commands whose times fit the field window.  The field named
+        is the one with the largest part in the offending run's reach.
+        """
+        opts, horizon = self.options, self.horizon
+        runs = []  # ((path, size) pairs that set a run, its first and last time)
+
+        def family(side, anchor, length, anchor_path, length_path):
+            sizes = ((anchor_path, abs(anchor)), (length_path, length), ("horizon", horizon))
+            runs.append((sizes, family_run(side, anchor, length, horizon)))
+
+        def whole_line(window, path):
+            family("plus", 0, window[1], path, path)
+            family("minus", 0, -window[0], path, path)
+
+        if command == "spectrum":
+            whole_line((0, 0), "horizon")
+        elif command == "projectors":
+            family(opts["side"], opts["anchor"], opts["length"], "options.anchor", "options.length")
+        elif command == "index":
+            whole_line(opts["index_window"], "options.index_window")
+        elif command in ("class", "certify"):
+            family("plus", opts["anchor_plus"], 2, "options.anchor_plus", "options.anchor_plus")
+            family("minus", opts["anchor_minus"], 2, "options.anchor_minus", "options.anchor_minus")
+            if command == "certify":
+                whole_line(opts["f3_window"], "options.f3_window")
+                if opts["localize"]:
+                    whole_line(opts["localize_window"], "options.localize_window")
+        elif command == "solve":
+            sol = opts["solve"]
+            family(
+                sol["side"], sol["anchor"], sol["length"],
+                "options.solve.anchor", "options.solve.length",
+            )
+        elif command == "realize":
+            runs.append(((("window", 0),), self.window))
+        # a tabulated field's own window, else the closed-form fields' window
+        f_lo, f_hi = self.data["field"].get("window", _WIDE_WINDOW)
+        for sizes, (lo, hi) in runs:
+            if lo < f_lo or hi > f_hi:
+                path = max(sizes, key=lambda item: item[1])[0]
+                _fail(
+                    path,
+                    f"the {command} run reads times [{lo}, {hi}], outside the field "
+                    f"window [{f_lo}, {f_hi}]",
+                )
+
     def with_seed(self, seed: int) -> "Scenario":
         data = self.echo()
         data["seed"] = _expect_int(seed, "seed")
@@ -543,8 +598,8 @@ class Scenario:
             residual_spec = spec["residual"]
             if residual_spec["kind"] == "none":
                 dim = self.dimension
-                res = lambda lam, n, x: np.zeros(dim)  # noqa: E731
-                dres = lambda lam, n, x: np.zeros((dim, dim))  # noqa: E731
+                res = lambda lam, times, x: np.zeros((len(times), dim))  # noqa: E731
+                dres = lambda lam, times, x: np.zeros((len(times), dim, dim))  # noqa: E731
             else:
                 res, dres = _quadratic_decaying(residual_spec["amplitude"])
             system = PerturbedSystemSpec(

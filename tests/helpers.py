@@ -21,6 +21,8 @@ __all__ = [
     "random_conjugator",
     "random_hyperbolic",
     "dense_product",
+    "realization_matrix",
+    "quadratic_system_linearization",
     "green_kernel",
     "kernel_convolve",
     "truncated_null_space",
@@ -105,6 +107,34 @@ def dense_product(matrices) -> np.ndarray:
     for a in matrices:
         out = a @ out
     return out
+
+
+def realization_matrix(ahead, behind, q, kappa_minus, kappa_plus, lam, n) -> np.ndarray:
+    """Oracle: one entry of a realization field, evaluated at a single (lam, n).
+
+    The identity on kappa_minus..kappa_plus; before it the hyperbolic
+    matrix q P + (1/q)(I - P) of the behind fibre, after it that of the
+    ahead fibre, with P the orthogonal projector onto the fibre.
+    """
+    frame = ahead.frames[lam]
+    if n <= kappa_plus:
+        if n >= kappa_minus:
+            return np.eye(frame.shape[0])
+        frame = behind.frames[lam]
+    p = frame @ frame.T
+    return q * p + (1.0 / q) * (np.eye(frame.shape[0]) - p)
+
+
+def quadratic_system_linearization(a, amplitude, n) -> np.ndarray:
+    """Oracle: D_x of x -> a x + amplitude e^{-|n|} (x0^2, x0 x1) at x = 0, at one time.
+
+    The residual's fibre derivative at zero is the zero matrix scaled by
+    the decay weight; it is added so that the sum is formed as in the
+    system it checks.
+    """
+    w = amplitude * float(np.exp(-abs(n)))
+    x = np.zeros(2)
+    return a + w * np.array([[2.0 * x[0], 0.0], [x[1], x[0]]])
 
 
 def green_kernel(fam):

@@ -46,13 +46,14 @@ def counting_field(n_samples=8, bad=None):
     """Rotated saddles with an evaluator that counts its calls per (sample, time)."""
     calls = Counter()
 
-    def evaluate(lam, n):
-        calls[lam, n] += 1
-        if (lam, n) == bad:
-            return np.full((2, 2), np.nan)
+    def evaluate(lam, times):
+        calls.update((lam, n) for n in times.tolist())
         c, s = np.cos(0.1 * lam), np.sin(0.1 * lam)
         rot = np.array([[c, -s], [s, c]])
-        return rot @ SADDLE @ rot.T
+        out = np.broadcast_to(rot @ SADDLE @ rot.T, (len(times), 2, 2)).copy()
+        if bad is not None and bad[0] == lam:
+            out[times == bad[1]] = np.nan
+        return out
 
     field = DiscreteVectorField(
         dim=2, evaluator=evaluate, window=(-200, 200), loop=ParameterLoop.circle(n_samples)
@@ -120,9 +121,11 @@ def test_failing_sample_keeps_its_error_and_spares_the_others():
 
 def test_f2_names_the_first_failing_sample_in_loop_order():
     field = saddle_loop_field(n_samples=8, broken=5, window=(-10_000, 10_000))
-    zero = lambda lam, n, x: np.zeros(2)  # noqa: E731
+    zero = lambda lam, times, x: np.zeros((len(times), 2))  # noqa: E731
     f = PerturbedSystemSpec(
-        a_field=field, residual=zero, residual_derivative=lambda lam, n, x: np.zeros((2, 2))
+        a_field=field,
+        residual=zero,
+        residual_derivative=lambda lam, times, x: np.zeros((len(times), 2, 2)),
     ).to_nonlinear()
     cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
     assert cert.verdict == "hypotheses_failed" and not cert.f2_ok
@@ -161,12 +164,32 @@ def test_each_side_names_the_bad_entry_its_sweep_meets_first():
     for side, bad, named in (("plus", {5, 40}, 40), ("minus", {-60, -20}, -60)):
         field = DiscreteVectorField(
             dim=2,
-            evaluator=lambda lam, n, bad=bad: np.full((2, 2), np.inf) if n in bad else SADDLE,
+            evaluator=lambda lam, times, bad=bad: np.where(
+                np.isin(times, list(bad))[:, None, None], np.inf, SADDLE
+            ),
             window=(-200, 200),
             loop=ParameterLoop.circle(8),
         )
         with pytest.raises(NumericError, match=rf"\(lam=0, n={named}\)"):
             build_projector_family(field, 0, side, 0, 30, horizon=40)
+
+
+def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_once():
+    calls = Counter()
+
+    def evaluate(lam, times):
+        calls.update((lam, n) for n in times.tolist())
+        return np.zeros((len(times), 3, 3))
+
+    field = DiscreteVectorField(dim=2, evaluator=evaluate, window=(-20, 20))
+    with pytest.raises(NumericError, match=r"shape \(3, 3\) at \(lam=0, n=-5\)"):
+        field.matrices(0, -5, 5)
+    with pytest.raises(NumericError, match=r"\(lam=0, n=2\)"):
+        field.matrix(0, 2)
+    # only the two new times reach the evaluator; the lowest failure is named
+    with pytest.raises(NumericError, match=r"\(lam=0, n=-6\)"):
+        field.matrices(0, -6, 6)
+    assert set(calls.values()) == {1} and len(calls) == 13
 
 
 def test_localization_reuses_the_families_certification_built():

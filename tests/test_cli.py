@@ -477,6 +477,11 @@ def test_gap_ratio_at_most_one_exits_three_naming_the_field(tmp_path, capsys, ga
         ("certify", "system2-mobius", {"anchor_plus": -1}, "options.anchor_plus"),
         ("class", "realization-mobius", {"anchor_minus": 0}, "options.anchor_minus"),
         ("projectors", "autonomous-saddle", {"anchor": 1000000}, "options.anchor"),
+        # runs that leave the field window from an anchor inside it
+        ("projectors", "autonomous-saddle", {"anchor": 9990}, "options.anchor"),
+        ("projectors", "autonomous-saddle", {"length": 100000}, "options.length"),
+        ("class", "realization-mobius", {"anchor_plus": 9999}, "options.anchor_plus"),
+        ("solve", "autonomous-saddle", {"solve": {"anchor": 1000000}}, "options.solve.anchor"),
     ],
 )
 def test_out_of_range_options_exit_three_naming_the_field(
@@ -502,6 +507,37 @@ def test_shortest_windows_the_loader_accepts_run(tmp_path):
     # the window is too short to decide F3, but the check runs on every sample
     assert run(["certify", "--scenario", ref, "--out", str(tmp_path / "c")]) in (0, 2)
     assert len(report_of(tmp_path / "c")["results"]["f3_verdicts"]) == 16
+
+
+def test_a_narrow_tabulated_window_serves_the_commands_whose_runs_fit(tmp_path, capsys):
+    values = np.broadcast_to(np.diag([0.5, 2.0]), (121, 2, 2))
+    field = {"kind": "tabulated", "window": [-60, 60], "shape": [1, 121, 2]}
+    field["values"] = [float(x) for x in values.ravel()]
+    doc = saddle_doc(field=field, options={"index_window": [-10, 10]})
+    ref = write_doc(tmp_path, doc)
+    # index reads [-50, 49] and projectors [0, 59] at horizon 40
+    for command in ("index", "projectors", "spectrum"):
+        assert run([command, "--scenario", ref, "--out", str(tmp_path / command)]) == 0
+    doc["options"]["length"] = 60
+    ref = write_doc(tmp_path, doc)
+    assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "scenario field 'options.length'" in err and "[0, 99]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key", ["tau_proj", "tau_inv", "sigma_reg", "zero_margin", "decay_tol", "solve_tol"]
+)
+@pytest.mark.parametrize("value", [0.0, 1.0, 5.0])
+def test_tolerances_outside_the_unit_interval_exit_three_naming_the_field(
+    tmp_path, capsys, key, value
+):
+    ref = write_doc(tmp_path, saddle_doc(tolerances={key: value}))
+    assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"scenario field 'tolerances.{key}'" in err and "must lie in (0, 1)" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

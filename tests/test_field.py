@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_product
+from helpers import dense_product, quadratic_system_linearization, realization_matrix
+from homindex.bifurcation import CertifyOptions, certify_bifurcation, linearize_at_zero
 from homindex.errors import DomainError, InputError, SamplingError
 from homindex.field import (
     DiscreteVectorField,
@@ -22,6 +23,15 @@ from homindex.field import (
     tabulated_field,
     trivial_bundle,
 )
+from homindex.scenario import Scenario
+
+
+def _scenario_bundle(spec, loop, dim):
+    if spec["kind"] == "mobius":
+        return mobius_bundle(loop)
+    if spec["kind"] == "trivial":
+        return trivial_bundle(loop, dim, spec["rank"])
+    return direct_sum(mobius_bundle(loop), mobius_bundle(loop))
 
 
 def test_propagator_composition_order():
@@ -117,12 +127,12 @@ def test_realization_field_pieces():
     with pytest.raises(InputError):
         realization_field(e, f, kappa_minus=1, kappa_plus=4)
     with pytest.raises(DomainError):
-        realization_field(e, f, middle=lambda lam, n: np.zeros((2, 2)))
+        realization_field(e, f, middle=lambda lam, times: np.zeros((len(times), 2, 2)))
 
 
 def test_perturbation_smallness_report():
     base = autonomous_field(np.diag([0.5, 2.0]), window=(-100, 100))
-    bump = lambda lam, n: 1e-3 * np.exp(-abs(n)) * np.eye(2)
+    bump = lambda lam, times: 1e-3 * np.exp(-np.abs(times))[:, None, None] * np.eye(2)
     pert, report = perturb_field(base, bump, gamma_plus=1e-2, gamma_minus=1e-2)
     assert report.small
     assert report.observed_plus == pytest.approx(1e-3)
@@ -149,3 +159,85 @@ def test_tabulated_field_window_checks():
         f.matrix(0, 2)
     with pytest.raises(InputError):
         tabulated_field(mats, window=(0, 4))
+
+
+def test_stacked_constructor_checks_name_the_first_offender():
+    with pytest.raises(InputError, match="loop samples 3 and 4 coincide"):
+        ParameterLoop(np.array([0.0, 1, 2, 3, 3, 5, 6, 6, 8, 9])[:, None])
+    loop = ParameterLoop.circle(8)
+    frames = np.zeros((8, 2, 1))
+    frames[:, 0, 0] = 1.0
+    skewed = frames.copy()
+    skewed[5, 0, 0] = 2.0
+    with pytest.raises(InputError, match="frame 5 is not orthonormal"):
+        SampledBundle(loop=loop, rank=1, frames=skewed)
+    for flipped, named in ((4, "fibres 3 and 4"), (7, "fibres 6 and 7")):
+        tilted = frames.copy()
+        tilted[flipped] = [[0.0], [1.0]]
+        with pytest.raises(SamplingError, match=named):
+            SampledBundle(loop=loop, rank=1, frames=tilted)
+
+    e, f = mobius_bundle(ParameterLoop.circle(16)), trivial_bundle(ParameterLoop.circle(16), 2, 1)
+
+    def middle(broken, singular):
+        """Identity middle, NaN at `broken` and zero at `singular` (lam, n) points."""
+
+        def evaluate(lam, times):
+            out = np.broadcast_to(np.eye(2), (len(times), 2, 2)).copy()
+            out[times == broken[1]] *= np.nan if lam == broken[0] else 1.0
+            out[times == singular[1]] *= 0.0 if lam == singular[0] else 1.0
+            return out
+
+        return evaluate
+
+    # the first point in sample-then-time order decides which error is raised
+    with pytest.raises(DomainError, match=r"\(lam=1, n=3\) is not invertible"):
+        realization_field(e, f, middle=middle(broken=(2, -1), singular=(1, 3)))
+    with pytest.raises(InputError, match=r"broken at \(lam=1, n=-2\)"):
+        realization_field(e, f, middle=middle(broken=(1, -2), singular=(1, 3)))
+    with pytest.raises(InputError, match=r"broken at \(lam=0, n=-8\)"):
+        realization_field(e, f, middle=lambda lam, times: np.eye(2))
+
+    base = autonomous_field(np.diag([0.5, 2.0]), window=(-100, 100))
+
+    def spiky(lam, times):
+        out = np.zeros((len(times), 2, 2))
+        out[times == 7] = np.inf
+        return out
+
+    with pytest.raises(InputError, match=r"perturbation evaluator broken at \(lam=0, n=7\)"):
+        perturb_field(base, spiky, gamma_plus=1.0, gamma_minus=1.0)
+
+
+def test_realization_entries_equal_the_pointwise_oracle():
+    for name in ("realization-mobius", "mobius-double"):
+        scenario = Scenario.builtin(name)
+        spec, loop = scenario.data["field"], scenario.build_loop()
+        field = scenario.build_field()
+        ahead = _scenario_bundle(spec["stable_ahead"], loop, field.dim)
+        behind = _scenario_bundle(spec["stable_behind"], loop, field.dim)
+        times = list(range(-80, 81)) + [-10_000, 10_000]
+        for lam in range(field.n_params):
+            table = field.matrices_at(lam, times)
+            for n, entry in zip(times, table):
+                expected = realization_matrix(ahead, behind, spec["q"], -8, 8, lam, n)
+                assert np.array_equal(entry, expected), (name, lam, n)
+
+
+def test_system2_linearization_entries_equal_the_pointwise_oracle():
+    scenario = Scenario.builtin("system2-mobius")
+    spec, loop = scenario.data["field"], scenario.build_loop()
+    f = scenario.build_nonlinear()
+    certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+    lin = linearize_at_zero(f)  # the table certification filled
+    ahead = _scenario_bundle(spec["stable_ahead"], loop, 2)
+    behind = _scenario_bundle(spec["stable_behind"], loop, 2)
+    times = list(range(-70, 70)) + [-10_000, 10_000]
+    for lam in range(lin.n_params):
+        for n, entry in zip(times, lin.matrices_at(lam, times)):
+            expected = quadratic_system_linearization(
+                realization_matrix(ahead, behind, spec["q"], -8, 8, lam, n),
+                spec["residual"]["amplitude"],
+                n,
+            )
+            assert np.array_equal(entry, expected), (lam, n)

@@ -416,7 +416,7 @@ def test_index_invariant_under_small_perturbations():
         bumps = rng.standard_normal((321, 2, 2))
         bumps *= 0.99 * gamma / np.linalg.norm(bumps, ord=2, axis=(1, 2), keepdims=True)
         perturbed, smallness = field.perturb_field(
-            base, lambda lam, n: bumps[n + 160], gamma_plus=gamma, gamma_minus=gamma
+            base, lambda lam, times: bumps[times + 160], gamma_plus=gamma, gamma_minus=gamma
         )
         assert smallness.small
         report = fredholm.kernel_cokernel(
