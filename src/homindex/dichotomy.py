@@ -46,11 +46,9 @@ from .field import DiscreteVectorField
 
 __all__ = [
     "HORIZON",
-    "Splitting",
     "ProjectorFamily",
     "EDWitness",
     "SpectrumResult",
-    "estimate_splitting",
     "family_run",
     "build_projector_family",
     "build_projector_families",
@@ -211,91 +209,6 @@ def _classify_rates(rates, cut, horizon, zero_margin, gap_ratio):
         if gap < np.log(gap_ratio) / horizon:
             return "indeterminate", None
     return "ed", below
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """Estimated splitting at one anchor time.
-
-    `image` spans the canonical half-line subspace (forward decaying on
-    the plus side, the orthogonal complement of the backward decaying
-    directions on the minus side), `kernel` its complement; both are
-    orthonormal.  `rates` are the sampled exponential rate estimates,
-    sorted descending; `gap` is the rate gap across zero.
-    """
-
-    side: str
-    anchor: int
-    image: np.ndarray
-    kernel: np.ndarray
-    rates: np.ndarray
-    gap: float
-
-    @property
-    def rank(self) -> int:
-        return self.image.shape[1]
-
-
-def estimate_splitting(
-    field: DiscreteVectorField,
-    lam: int,
-    side: str,
-    anchor: int,
-    horizon: int = HORIZON,
-    zero_margin: float = ZERO_MARGIN,
-    gap_ratio: float = GAP_RATIO,
-) -> Splitting:
-    """Detect the exponential splitting at an anchor time on one half-line.
-
-    Parameters
-    ----------
-    side : str
-        "plus" looks forward over [anchor, anchor+horizon), "minus"
-        backward over [anchor-horizon, anchor).
-    horizon : int
-        Rate-estimation horizon (at least 8).
-
-    Raises
-    ------
-    NoDichotomyError
-        Some direction neither decays nor grows at the margin.
-    IndeterminateError
-        The consecutive-rate gap across zero is below
-        log(gap_ratio)/horizon, so the horizon cannot separate the
-        groups.
-    """
-    if side not in ("plus", "minus"):
-        raise InputError(f"side must be 'plus' or 'minus', got {side!r}")
-    if horizon < 8:
-        raise InputError("rate estimation needs a horizon of at least 8 steps")
-    q, col_rates = _rate_run(field, lam, side, anchor, horizon)
-    status, below = _classify_rates(col_rates, 0.0, horizon, zero_margin, gap_ratio)
-    if status == "no_ed":
-        raise NoDichotomyError(
-            f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
-            f"rate sits within {zero_margin:.1e} of zero"
-        )
-    if status == "indeterminate":
-        raise IndeterminateError(
-            f"horizon {horizon} too short to separate the rate groups at anchor {anchor} "
-            f"({side} side)"
-        )
-    # plus side: below-cut columns decay forward (canonical image seed);
-    # minus side: above-cut columns are reached with backward decay
-    # (canonical kernel seed) and the rest seeds the image
-    image, kernel = q[:, below], q[:, ~below]
-    if below.any() and (~below).any():
-        gap = float(col_rates[~below].min() - col_rates[below].max())
-    else:
-        gap = 2.0 * float(np.abs(col_rates).min())
-    return Splitting(
-        side=side,
-        anchor=anchor,
-        image=image,
-        kernel=kernel,
-        rates=np.sort(col_rates)[::-1],
-        gap=gap,
-    )
 
 
 @dataclass(frozen=True)
@@ -581,16 +494,6 @@ def _build_batch(
     return out
 
 
-def _first_entry_error(field: DiscreteVectorField, lam: int, times) -> HomindexError | None:
-    """The first error `field.matrix(lam, n)` raises for n in `times`, in that order."""
-    for n in times:
-        try:
-            field.matrix(lam, n)
-        except HomindexError as exc:
-            return exc
-    return None
-
-
 def build_projector_families(
     field: DiscreteVectorField,
     lams,
@@ -620,16 +523,18 @@ def build_projector_families(
         return [exc for _ in lams]
     key = (side, anchor, length, horizon, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
     memo = field._families
+    # read in sweep order (the plus sweep runs down from the far end), so
+    # a bad entry is named where a single-sample sweep meets it first
+    sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
     todo, runs = [], []
     for lam in dict.fromkeys(lams):
         if (lam, key) in memo:
             continue
         try:
-            runs.append(field.matrices(lam, lo, hi))
+            mats = field.matrices_at(lam, sweep)
+            runs.append(mats[::-1] if side == "plus" else mats)
             todo.append(lam)
         except HomindexError as exc:
-            if side == "plus":  # a single-sample sweep meets the latest bad time first
-                exc = _first_entry_error(field, lam, range(hi, lo - 1, -1)) or exc
             memo[lam, key] = exc
     if todo:
         built = _build_batch(

@@ -12,20 +12,21 @@ and a 1-D integer array of T times and returns the (T, d, d) stack of
 the matrices at those times; the `middle` of a realization and the
 perturbation of `perturb_field` have the same form.
 
-Every `DiscreteVectorField` owns a lazily filled table of its matrices,
-logically of shape (n_params, times, d, d).  A read (`matrix` for one
-entry, `matrices` for a time range, `matrices_at` for any times) fills
-the requested entries that are still empty: each run of consecutive
-empty times is one evaluator call, and the stack it returns is
-validated (shape, finiteness) once.  An entry that fails keeps a
-`NumericError` naming its (lam=..., n=...), so each (sample, time)
-reaches the evaluator at most once and a failed entry is never
-retried.  The table is stored in blocks of `TABLE_BLOCK` consecutive
-times and only the requested entries are filled, so a probe at a far
-window edge costs one block of memory and not the span in between.  A
-field also carries a memo that the dichotomy layer fills with one
-projector family per (sample, side, anchor, window length, horizon,
-tolerances); see `dichotomy.build_projector_families`.
+Every `DiscreteVectorField` owns an exact table of the matrices read so
+far: per parameter sample, the sorted times and their matrices.  All
+reads (`matrix` for one entry, `matrices` for a time range,
+`matrices_at` for any times, in any order and with repeats) go through
+one `read`.  It evaluates only the requested times that are not yet
+known, one evaluator call per run of consecutive times, and validates
+each returned stack (shape, finiteness) once.  An entry that fails
+keeps a `NumericError` naming its (lam=..., n=...), so each (sample,
+time) reaches the evaluator at most once and a failed entry is never
+retried; among several bad entries a read names the first one in the
+order it asked for them.  Memory grows with the entries read, not with
+the span between them, so a probe at a far window edge costs one
+entry.  A field also carries a memo that the dichotomy layer fills
+with one projector family per (sample, side, anchor, window length,
+horizon, tolerances); see `dichotomy.build_projector_families`.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ MAX_FIBRE_ANGLE = np.pi / 3
 
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
-
-#: consecutive times stored together in a field's matrix table
-TABLE_BLOCK = 64
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -120,85 +117,72 @@ class ParameterLoop:
 class _MatrixTable:
     """Validated matrices of one field, evaluated on first use.
 
-    Blocks of `TABLE_BLOCK` times are allocated on demand, each with a
-    mask of filled entries.  A read fills the requested entries that
-    are still empty: each maximal run of consecutive empty times costs
-    one evaluator call, whose (run, d, d) stack is validated once.  An
-    entry that fails validation keeps its error, so every (sample,
-    time) pair reaches the evaluator at most once.
+    Per sample, the table keeps the sorted times read so far with their
+    matrices, and the `NumericError` of each time that failed.  `read`
+    is its only access: one `searchsorted` finds the requested times
+    already known; the others, unless they failed before, are evaluated
+    one run of consecutive times per evaluator call and merged in.
     """
 
     def __init__(self, field: "DiscreteVectorField"):
         self._field = field
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: per sample, the sorted known times and their (len, d, d) matrices
+        self._known: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: per sample, the validation error of each failed time
         self._errors: dict[int, dict[int, Exception]] = {}
 
-    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        if b not in self._blocks:
-            f = self._field
-            self._blocks[b] = (
-                np.empty((f.n_params, TABLE_BLOCK, f.dim, f.dim)),
-                np.zeros((f.n_params, TABLE_BLOCK), dtype=bool),
-            )
-        return self._blocks[b]
+    def _locate(self, lam: int, times: np.ndarray):
+        """Positions of `times` among the sample's known times, and which are known."""
+        if lam not in self._known:
+            return None, np.zeros(times.shape, dtype=bool)
+        known = self._known[lam][0]
+        at = np.searchsorted(known, times)
+        return at, known.take(at, mode="clip") == times
 
-    def _segments(self, lo: int, hi: int):
-        """(block values, block mask, block slice, offset in lo..hi) covering lo..hi."""
-        for b in range(lo // TABLE_BLOCK, hi // TABLE_BLOCK + 1):
-            values, filled = self._block(b)
-            start = b * TABLE_BLOCK
-            i0, i1 = max(lo, start) - start, min(hi, start + TABLE_BLOCK - 1) - start + 1
-            yield values, filled, slice(i0, i1), start + i0 - lo
+    def read(self, lam: int, times: np.ndarray) -> np.ndarray:
+        """Read-only matrices of sample `lam` at the integer `times`, in their order.
 
-    def _fill(self, lam: int, lo: int, hi: int) -> None:
-        f = self._field
-        times = np.arange(lo, hi + 1)
-        a = np.asarray(f.evaluator(lam, times), dtype=float)
-        if a.shape == (len(times), f.dim, f.dim):
-            bad = ~np.isfinite(a).all(axis=(1, 2))
-            what = "non-finite entries"
-        else:
-            bad = np.ones(len(times), dtype=bool)
-            shape = a.shape[1:] if a.shape[:1] == (len(times),) else a.shape
-            what = f"shape {shape}"
-        for values, filled, cols, k in self._segments(lo, hi):
-            k1 = k + cols.stop - cols.start
-            if not bad[k:k1].all():
-                values[lam, cols] = a[k:k1]
-            filled[lam, cols] = ~bad[k:k1]
-        for i in np.flatnonzero(bad).tolist():
-            self._errors.setdefault(lam, {})[lo + i] = NumericError(
-                f"evaluator returned {what} at (lam={lam}, n={lo + i})"
-            )
-
-    def rows(self, lam: int, lo: int, hi: int) -> np.ndarray:
-        """Matrices at times lo..hi of sample `lam`, shape (hi - lo + 1, d, d).
-
-        Raises the error of the failed entry at the lowest time, if any.
+        Times may repeat and come in any order.  Raises the error of
+        the first failed entry in the order of `times`.
         """
-        segments = list(self._segments(lo, hi))
-        if not all(filled[lam, cols].all() for _, filled, cols, _ in segments):
-            self._fill_gaps(lam, lo, hi, segments)
-        parts = [values[lam, cols] for values, _, cols, _ in segments]
-        out = parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+        at, known = self._locate(lam, times)
+        if not known.all():
+            self._fill(lam, np.unique(times[~known]))
+            at, known = self._locate(lam, times)
+            if not known.all():
+                raise self._errors[lam][int(times[np.argmin(known)])].with_traceback(None)
+        out = self._known[lam][1][at]
         out.setflags(write=False)
         return out
 
-    def _fill_gaps(self, lam: int, lo: int, hi: int, segments) -> None:
-        """Fill each run of empty entries in lo..hi; raise the lowest failed entry's error."""
+    def _fill(self, lam: int, todo: np.ndarray) -> None:
+        """Evaluate the sorted unknown times `todo` that have not failed, one call per run."""
         errors = self._errors.setdefault(lam, {})
-        empty = np.concatenate([~filled[lam, cols] for _, filled, cols, _ in segments])
-        for n in errors:
-            if lo <= n <= hi:
-                empty[n - lo] = False
-        padded = np.concatenate(([False], empty, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-        for start, stop in zip(edges[::2], edges[1::2]):
-            self._fill(lam, lo + start, lo + stop - 1)
-        failed = [n for n in errors if lo <= n <= hi]
-        if failed:
-            raise errors[min(failed)].with_traceback(None)
+        if errors:
+            todo = todo[[n not in errors for n in todo.tolist()]]
+        f = self._field
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
+            if not run.size:
+                continue
+            a = np.asarray(f.evaluator(lam, run), dtype=float)
+            if a.shape == (len(run), f.dim, f.dim):
+                bad = ~np.isfinite(a).all(axis=(1, 2))
+                what = "non-finite entries"
+            else:
+                bad = np.ones(len(run), dtype=bool)
+                shape = a.shape[1:] if a.shape[:1] == (len(run),) else a.shape
+                what = f"shape {shape}"
+            for n in run[bad].tolist():
+                errors[n] = NumericError(f"evaluator returned {what} at (lam={lam}, n={n})")
+            if bad.all():
+                continue
+            # no known time lies inside a run of unknown ones: one insertion point
+            times, values = self._known.get(lam, (run[:0], a[:0]))
+            at = int(np.searchsorted(times, run[0]))
+            self._known[lam] = (
+                np.concatenate((times[:at], run[~bad], times[at:])),
+                np.concatenate((values[:at], a[~bad], values[at:])),
+            )
 
 
 @dataclass(frozen=True)
@@ -208,11 +192,13 @@ class DiscreteVectorField:
     `evaluator(lam, times)` receives the integer index of a parameter
     sample (0 for unparametrized fields) and a 1-D integer array of T
     consecutive times inside `window`, and returns the (T, d, d) stack
-    of the matrices at those times.  The table (see the module
-    docstring) calls it at most once per (sample, time) and validates
-    each returned stack once: a stack of the wrong shape fails every
-    entry it was asked for, and a non-finite matrix fails its own
-    entry, each with a `NumericError` naming (lam, n).
+    of the matrices at those times.  The exact table (see the module
+    docstring) calls it at most once per (sample, time), only for times
+    a read asked for, and validates each returned stack once: a stack
+    of the wrong shape fails every entry it was asked for, and a
+    non-finite matrix fails its own entry, each with a `NumericError`
+    naming (lam, n).  A read that meets failed entries raises the error
+    of the first one in the order of its requested times.
     """
 
     dim: int
@@ -245,7 +231,7 @@ class DiscreteVectorField:
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
         self._check(lam, n, n)
-        return self._table.rows(int(lam), int(n), int(n))[0]
+        return self._table.read(int(lam), np.array([int(n)]))[0]
 
     def matrices(self, lam: int, lo: int, hi: int) -> np.ndarray:
         """Read-only stack of the matrices at times lo..hi, shape (hi - lo + 1, d, d).
@@ -256,27 +242,19 @@ class DiscreteVectorField:
         if lo > hi:
             raise InputError(f"time range [{lo}, {hi}] is empty")
         self._check(lam, lo, hi)
-        return self._table.rows(int(lam), int(lo), int(hi))
+        return self._table.read(int(lam), np.arange(int(lo), int(hi) + 1))
 
     def matrices_at(self, lam: int, times) -> np.ndarray:
         """Read-only stack of the matrices at the integer `times`, in their order.
 
-        Times may repeat and need not be consecutive; each run of
-        consecutive times is one table read.  Raises like `matrices`.
+        Times may repeat and come in any order.  Raises like `matrix`;
+        among several bad entries, the first one in `times` is named.
         """
         times = np.asarray(times, dtype=np.int64).reshape(-1)
         if times.size == 0:
             raise InputError("no times requested")
-        lo, hi = int(times.min()), int(times.max())
-        self._check(lam, lo, hi)
-        if hi - lo + 1 == len(times) and (times[1:] > times[:-1]).all():
-            return self._table.rows(int(lam), lo, hi)  # already one consecutive run
-        uniq, inverse = np.unique(times, return_inverse=True)
-        runs = np.split(uniq, np.flatnonzero(uniq[1:] - uniq[:-1] > 1) + 1)
-        parts = [self._table.rows(int(lam), int(run[0]), int(run[-1])) for run in runs]
-        out = (parts[0] if len(parts) == 1 else np.concatenate(parts))[inverse]
-        out.setflags(write=False)
-        return out
+        self._check(lam, int(times.min()), int(times.max()))
+        return self._table.read(int(lam), times)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,22 @@ def _expect_int(value, path: str) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    """A finite real number: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _expect_number(value, path: str) -> float:
+    if not _is_number(value):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _expect_window(value, path: str) -> list:
     if (
         not isinstance(value, (list, tuple))
@@ -163,10 +179,15 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
     out = {"kind": kind}
     if kind == "autonomous":
         matrix = spec.get("matrix")
-        arr = np.asarray(matrix, dtype=float) if matrix is not None else None
-        if arr is None or arr.shape != (dimension, dimension) or not np.all(np.isfinite(arr)):
+        if not isinstance(matrix, (list, tuple)) or len(matrix) != dimension:
             _fail(f"{path}.matrix", f"expected a finite {dimension}x{dimension} matrix")
-        out["matrix"] = [[float(x) for x in row] for row in arr]
+        for i, row in enumerate(matrix):
+            if not isinstance(row, (list, tuple)) or len(row) != dimension:
+                _fail(f"{path}.matrix[{i}]", f"expected a row of {dimension} finite numbers")
+        out["matrix"] = [
+            [_expect_number(x, f"{path}.matrix[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)
+        ]
     elif kind == "tabulated":
         window = _expect_window(spec.get("window"), f"{path}.window")
         shape = spec.get("shape")
@@ -186,10 +207,8 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
                 f"{path}.values",
                 f"expected a flat row-major list of {n_params * n_times * d * d} numbers",
             )
-        arr = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            _fail(f"{path}.values", "entries must be finite numbers")
-        out.update(window=window, shape=[n_params, n_times, d], values=[float(x) for x in values])
+        values = [_expect_number(x, f"{path}.values[{k}]") for k, x in enumerate(values)]
+        out.update(window=window, shape=[n_params, n_times, d], values=values)
     else:  # realization or system2
         if loop_spec is None:
             _fail(path, f"a {kind!r} field needs a parameter loop")
@@ -200,9 +219,9 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
             spec.get("stable_behind"), dimension, f"{path}.stable_behind"
         )
         q = spec.get("q", 0.5)
-        if not isinstance(q, (int, float)) or not (0.0 < float(q) < 1.0):
+        out["q"] = _expect_number(q, f"{path}.q")
+        if not 0.0 < out["q"] < 1.0:
             _fail(f"{path}.q", f"contraction factor must lie in (0, 1), got {q!r}")
-        out["q"] = float(q)
         out["kappa_plus"] = _expect_int(spec.get("kappa_plus", 8), f"{path}.kappa_plus")
         out["kappa_minus"] = _expect_int(spec.get("kappa_minus", -8), f"{path}.kappa_minus")
         if not (out["kappa_minus"] < 0 < out["kappa_plus"]):
@@ -218,15 +237,14 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
             if residual["kind"] == "quadratic_decaying":
                 if dimension != 2:
                     _fail(f"{path}.residual", "the quadratic decaying residual needs dimension 2")
-                amplitude = residual.get("amplitude", 1.0)
-                if not isinstance(amplitude, (int, float)):
-                    _fail(f"{path}.residual.amplitude", f"expected a number, got {amplitude!r}")
-                res_out["amplitude"] = float(amplitude)
+                res_out["amplitude"] = _expect_number(
+                    residual.get("amplitude", 1.0), f"{path}.residual.amplitude"
+                )
             out["residual"] = res_out
             r0 = spec.get("r0", 1.0)
-            if not isinstance(r0, (int, float)) or not (float(r0) > 0.0):
+            out["r0"] = _expect_number(r0, f"{path}.r0")
+            if not out["r0"] > 0.0:
                 _fail(f"{path}.r0", f"trust radius must be positive, got {r0!r}")
-            out["r0"] = float(r0)
     extra = set(spec) - set(out)
     if extra:
         _fail(f"{path}.{sorted(extra)[0]}", "unknown field")
@@ -262,12 +280,8 @@ def _validate_rhs(solve: dict, dimension: int) -> None:
         if not (lo <= at <= hi):
             _fail(f"{where}.at", f"time {at} outside the forcing window [{lo}, {hi}]")
         value = entry["value"]
-        if (
-            not isinstance(value, list)
-            or len(value) != dimension
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-            or not all(math.isfinite(x) for x in value)
-        ):
+        numbers = isinstance(value, list) and all(map(_is_number, value))
+        if not numbers or len(value) != dimension:
             _fail(f"{where}.value", f"expected a vector of {dimension} finite numbers")
 
 
@@ -316,9 +330,7 @@ def _materialize(raw) -> dict:
         _fail("tolerances", "expected an object")
     out["tolerances"] = _merge_defaults(tolerances, _TOLERANCE_DEFAULTS, "tolerances")
     for key, value in out["tolerances"].items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"tolerances.{key}", f"expected a number, got {value!r}")
-        value = out["tolerances"][key] = float(value)
+        value = out["tolerances"][key] = _expect_number(value, f"tolerances.{key}")
         # log(gap_ratio) is the rate-gap and singular-value-gap threshold;
         # every other tolerance is a small relative or absolute level
         if key == "gap_ratio" and not value > 1.0:
@@ -359,9 +371,7 @@ def _materialize(raw) -> dict:
     if opts["anchor_plus"] <= 0:
         _fail("options.anchor_plus", f"must be positive, got {opts['anchor_plus']}")
     for key in ("gamma_min", "gamma_max"):
-        if isinstance(opts[key], bool) or not isinstance(opts[key], (int, float)):
-            _fail(f"options.{key}", f"expected a number, got {opts[key]!r}")
-        opts[key] = float(opts[key])
+        opts[key] = _expect_number(opts[key], f"options.{key}")
     if not (0.0 < opts["gamma_min"] < opts["gamma_max"]):
         _fail("options.gamma_min", "need 0 < gamma_min < gamma_max")
     if opts["grid"] < 16:

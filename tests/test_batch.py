@@ -192,6 +192,50 @@ def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_once():
     assert set(calls.values()) == {1} and len(calls) == 13
 
 
+def time_stamped_field(window=(-200, 200), bad=()):
+    """Field whose entry (0, 0) is the time; the evaluator counts its calls per time."""
+    calls = Counter()
+
+    def evaluate(lam, times):
+        calls.update(times.tolist())
+        out = np.broadcast_to(SADDLE, (len(times), 2, 2)).copy()
+        out[:, 0, 0] = times
+        out[np.isin(times, list(bad))] = np.inf
+        return out
+
+    return DiscreteVectorField(dim=2, evaluator=evaluate, window=window), calls
+
+
+def test_far_apart_reads_evaluate_only_the_requested_times():
+    field, calls = time_stamped_field(window=(-10_000, 10_000))
+    table = field.matrices_at(0, [-10_000, 0, 10_000])
+    assert table[:, 0, 0].tolist() == [-10_000, 0, 10_000]
+    assert sorted(calls) == [-10_000, 0, 10_000] and set(calls.values()) == {1}
+
+
+def test_unsorted_reads_with_repeats_come_back_in_request_order():
+    field, calls = time_stamped_field()
+    assert field.matrices(0, 0, 5)[:, 0, 0].tolist() == list(range(6))
+    times = [9, 3, -1, 9, 7, 3, -2, 8]
+    table = field.matrices_at(0, times)
+    assert table[:, 0, 0].tolist() == times
+    assert np.array_equal(table[:, 1], np.broadcast_to(SADDLE[1], (len(times), 2)))
+    assert sorted(calls) == [-2, -1, 0, 1, 2, 3, 4, 5, 7, 8, 9]
+    assert set(calls.values()) == {1}
+
+
+def test_a_read_names_its_first_bad_entry_in_request_order():
+    for times, named in (([40, 5], 40), ([5, 40], 5)):
+        field, calls = time_stamped_field(bad=(5, 40))
+        with pytest.raises(NumericError, match=rf"non-finite entries at \(lam=0, n={named}\)"):
+            field.matrices_at(0, times)
+        # both entries failed once; a read in the other order names the other one
+        other = 45 - named
+        with pytest.raises(NumericError, match=rf"\(lam=0, n={other}\)"):
+            field.matrices_at(0, times[::-1])
+        assert sorted(calls) == [5, 40] and set(calls.values()) == {1}
+
+
 def test_localization_reuses_the_families_certification_built():
     f = Scenario.builtin("system2-mobius").build_nonlinear()
     assert linearize_at_zero(f) is linearize_at_zero(f)

@@ -540,6 +540,60 @@ def test_tolerances_outside_the_unit_interval_exit_three_naming_the_field(
     assert "Traceback" not in err
 
 
+def tabulated_doc(entry) -> dict:
+    """Saddle on a 3-time tabulated window with value 5 replaced by `entry`."""
+    values = [float(x) for x in np.broadcast_to(np.diag([0.5, 2.0]), (3, 2, 2)).ravel()]
+    values[5] = entry
+    field = {"kind": "tabulated", "window": [-1, 1], "shape": [1, 3, 2], "values": values}
+    return saddle_doc(field=field)
+
+
+def autonomous_doc(matrix) -> dict:
+    return saddle_doc(field={"kind": "autonomous", "matrix": matrix})
+
+
+def quadratic(amplitude) -> dict:
+    return {"kind": "quadratic_decaying", "amplitude": amplitude}
+
+
+def system2_field_doc(**field) -> dict:
+    doc = system2_doc(1, 1, {"kind": "none"})
+    doc["field"].update(field)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (autonomous_doc([[0.5, {}], [0, 2]]), "field.matrix[0][1]"),
+        (autonomous_doc([[0.5, 0], 3.0]), "field.matrix[1]"),
+        (autonomous_doc([[0.5, 0], ["x", 2]]), "field.matrix[1][0]"),
+        (autonomous_doc([[True, 0], [0, 2]]), "field.matrix[0][0]"),
+        (autonomous_doc([[10**400, 0], [0, 2]]), "field.matrix[0][0]"),
+        (tabulated_doc({}), "field.values[5]"),
+        (tabulated_doc([1, 2]), "field.values[5]"),
+        (tabulated_doc("1"), "field.values[5]"),
+        (tabulated_doc(float("nan")), "field.values[5]"),
+        (system2_field_doc(residual=quadratic(True)), "field.residual.amplitude"),
+        (system2_field_doc(residual=quadratic(float("inf"))), "field.residual.amplitude"),
+        (system2_field_doc(r0=True), "field.r0"),
+        (system2_field_doc(q=True), "field.q"),
+        (saddle_doc(tolerances={"tau_inv": 10**400}), "tolerances.tau_inv"),
+        (saddle_doc(options={"gamma_max": float("inf")}), "options.gamma_max"),
+        (
+            saddle_doc(options={"solve": {"rhs": [{"at": 3, "value": [10**400, 0]}]}}),
+            "options.solve.rhs[0].value",
+        ),
+    ],
+)
+def test_non_numbers_exit_three_naming_the_entry(tmp_path, capsys, doc, path):
+    ref = write_doc(tmp_path, doc)
+    assert run(["index", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"scenario field '{path}'" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # realize round trip
 

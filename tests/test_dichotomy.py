@@ -1,4 +1,4 @@
-"""Splitting estimation, certified projector families, spectra, shift route."""
+"""Certified projector families and their splittings, spectra, shift route."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from helpers import dense_product, random_hyperbolic, rotation, span_gap
 from homindex.dichotomy import (
     build_projector_family,
     dichotomy_spectrum,
-    estimate_splitting,
     shift_operator_projector,
     verify_ed,
 )
@@ -30,16 +29,21 @@ def saddle_field():
     return autonomous_field(SADDLE)
 
 
+def anchor_frames(fam):
+    """Image and kernel frames of a family at its anchor."""
+    i = fam.index_of(fam.anchor)
+    return fam.image_frames[i], fam.kernel_frames[i]
+
+
 def test_splitting_on_diagonal_saddle():
     field = saddle_field()
     for side in ("plus", "minus"):
-        split = estimate_splitting(field, 0, side, 0)
-        assert split.rank == 1
-        assert np.allclose(np.abs(split.image[:, 0]), [1.0, 0.0], atol=1e-10)
-        assert np.allclose(np.abs(split.kernel[:, 0]), [0.0, 1.0], atol=1e-10)
-        assert np.allclose(split.rates, [np.log(2.0), np.log(0.5)], atol=1e-9)
-        assert split.gap == pytest.approx(np.log(4.0), abs=1e-9)
-        assert split.side == side
+        fam = build_projector_family(field, 0, side, 0)
+        image, kernel = anchor_frames(fam)
+        assert fam.rank == 1
+        assert np.allclose(np.abs(image[:, 0]), [1.0, 0.0], atol=1e-10)
+        assert np.allclose(np.abs(kernel[:, 0]), [0.0, 1.0], atol=1e-10)
+        assert fam.side == side
 
 
 def eig_subspace(m, which: str) -> np.ndarray:
@@ -61,14 +65,13 @@ def test_splitting_spans_match_eigenspaces(seed, dim, forward):
     field = autonomous_field(m)
     n_stable = int((moduli < 1.0).sum())
 
+    fam = build_projector_family(field, 0, "plus" if forward else "minus", 0)
+    image, kernel = anchor_frames(fam)
+    assert fam.rank == n_stable
     if forward:
-        split = estimate_splitting(field, 0, "plus", 0)
-        assert split.rank == n_stable
-        assert span_gap(split.image, eig_subspace(m, "stable")) <= 1e-7
+        assert span_gap(image, eig_subspace(m, "stable")) <= 1e-7
     else:
-        split = estimate_splitting(field, 0, "minus", 0)
-        assert split.rank == n_stable
-        assert span_gap(split.kernel, eig_subspace(m, "unstable")) <= 1e-7
+        assert span_gap(kernel, eig_subspace(m, "unstable")) <= 1e-7
 
 
 @settings(max_examples=20, deadline=None)
@@ -166,19 +169,19 @@ def test_verify_ed_full_rank_contraction():
 def test_splitting_rejects_unit_modulus():
     field = autonomous_field(np.diag([1.0, 2.0]))
     with pytest.raises(NoDichotomyError):
-        estimate_splitting(field, 0, "plus", 0)
+        build_projector_family(field, 0, "plus", 0)
 
 
 def test_splitting_indeterminate_until_horizon_grows():
     # rates +-0.02 are clear of the zero margin but their gap 0.04 is
-    # below log(1e3)/100, so the default horizon cannot split them
+    # below log(1e3)/100, so a 100-step run cannot split them
     field = autonomous_field(np.diag([0.98, 1.02]))
     with pytest.raises(IndeterminateError):
-        estimate_splitting(field, 0, "plus", 0)
-    split = estimate_splitting(field, 0, "plus", 0, horizon=300)
-    assert split.rank == 1
-    # a 0.04 rate gap over 300 steps identifies the axis to ~e^-12 only
-    assert np.allclose(np.abs(split.image[:, 0]), [1.0, 0.0], atol=1e-4)
+        build_projector_family(field, 0, "plus", 0, length=60, horizon=40)
+    fam = build_projector_family(field, 0, "plus", 0, horizon=300)
+    assert fam.rank == 1
+    # a 0.04 rate gap separates the two axes slowly
+    assert np.allclose(np.abs(anchor_frames(fam)[0][:, 0]), [1.0, 0.0], atol=1e-4)
 
 
 def test_spectrum_diagonal_saddle():
@@ -229,9 +232,9 @@ def test_spectrum_and_splitting_input_validation():
     with pytest.raises(InputError):
         dichotomy_spectrum(field, gamma_min=2.0, gamma_max=1.0)
     with pytest.raises(InputError):
-        estimate_splitting(field, 0, "sideways", 0)
+        build_projector_family(field, 0, "sideways", 0)
     with pytest.raises(InputError):
-        estimate_splitting(field, 0, "plus", 0, horizon=4)
+        build_projector_family(field, 0, "plus", 0, horizon=4)
 
 
 def test_shift_route_autonomous_saddle():
