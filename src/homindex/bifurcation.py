@@ -47,6 +47,7 @@ from .fredholm import (
     DECAY_TOL,
     FiniteWindowSequence,
     kernel_cokernel,
+    truncated_spectra,
 )
 
 __all__ = [
@@ -566,8 +567,8 @@ def check_F3(
             message=f"could not certify the half-line splittings or the kernel count: {exc}",
         )
     # extreme singular values of the truncation with decay boundary rows
-    smin = float(report.singular_values.min())
-    smax = float(report.singular_values.max())
+    smin = float(report.smallest_singular_values[0])
+    smax = report.sigma_max
     ok = report.index == 0 and report.dim_ker == 0
     if ok:
         message = (
@@ -830,11 +831,12 @@ def certify_bifurcation(
         )
 
     # F3 scan in loop order; the first passing sample becomes lambda0.
-    # The families and witnesses of all samples are built as batches
-    # first; each check then reads them from the memo (and raises its
-    # own error for a window that does not straddle zero).
+    # The families, witnesses and truncation spectra of all samples are
+    # built as batches first; each check then reads them from the memos
+    # (and raises its own error for a window that does not straddle zero).
     plus, minus = whole_line_families(lin, range(n), opts.f3_window, opts.horizon)
     verify_families(plus + minus)
+    truncated_spectra(lin, range(n), opts.f3_window, plus, minus)
     checks = [check_F3(lin, lam, window=opts.f3_window, horizon=opts.horizon) for lam in range(n)]
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)

@@ -52,7 +52,7 @@ from .errors import (
     NumericError,
     SamplingError,
 )
-from .fredholm import FiniteWindowSequence, green_solve, kernel_cokernel
+from .fredholm import FiniteWindowSequence, green_solve, kernel_cokernel, truncated_spectra
 from .scenario import Scenario, builtin_names
 
 __all__ = ["run", "main"]
@@ -218,11 +218,13 @@ def _cmd_index(scenario: Scenario) -> CommandOutcome:
     opts, tol = scenario.options, scenario.tolerances
     lo, hi = opts["index_window"]
     per = []
-    # one batch per side for every requested sample; the loop reads the memo
+    # one batch per side for every requested sample, then one batch of
+    # truncation spectra; the loop reads the memos
     plus, minus = whole_line_families(
         field, opts["lambdas"], (lo, hi), **_family_kwargs(scenario)
     )
     verify_families(plus + minus)
+    truncated_spectra(field, opts["lambdas"], (lo, hi), plus, minus)
     for lam in opts["lambdas"]:
         fam_plus = build_projector_family(
             field, lam, "plus", 0, length=hi, **_family_kwargs(scenario)

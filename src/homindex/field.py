@@ -24,9 +24,11 @@ time) reaches the evaluator at most once and a failed entry is never
 retried; among several bad entries a read names the first one in the
 order it asked for them.  Memory grows with the entries read, not with
 the span between them, so a probe at a far window edge costs one
-entry.  A field also carries a memo that the dichotomy layer fills
-with one projector family per (sample, side, anchor, window length,
-horizon, tolerances); see `dichotomy.build_projector_families`.
+entry.  A field also carries two memos: the dichotomy layer fills one
+with a projector family per (sample, side, anchor, window length,
+horizon, tolerances), see `dichotomy.build_projector_families`, and
+the Fredholm layer the other with the spectrum summary of a truncation
+per (sample, window, family pair), see `fredholm.truncated_spectra`.
 """
 
 from __future__ import annotations
@@ -208,6 +210,10 @@ class DiscreteVectorField:
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
     #: projector families by (sample, family key); filled by the dichotomy layer
     _families: dict = dataclass_field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    #: truncation spectra by (sample, window, family pair); filled by the Fredholm layer
+    _spectra: dict = dataclass_field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

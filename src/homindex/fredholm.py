@@ -10,8 +10,22 @@ either half-line.  Everything here works on finite windows whose
 boundary conditions encode the half-line decay characterizations -
 never plain zero endpoints, which would shift the index.
 
-The truncated kernel count reads only the singular values of the
-boundary-conditioned truncation; no singular vector is formed.
+The truncated kernel count reads singular values of the
+boundary-conditioned truncation M: the block rows P-(lo), phi(n+1) -
+A_n phi(n) and I - P+(hi).  M is block lower-bidiagonal and is never
+formed.  `truncated_spectra` resolves, for many parameter samples at
+once (the sample on numpy's leading axis), only what the count needs:
+- sigma_max, by Lanczos on M^T M, certified to 1e-6 relative by a
+  block LDL^T of (1 + 2e-6) theta - M^T M;
+- the values below the null cut 1e-8 sigma_max and the smallest one
+  above it, by inverse subspace iteration with a block
+  upper-bidiagonal R, R^T R = M^T M + mu I.  R comes from one batched
+  QR per block column of the rows of M plus regularization rows
+  sqrt(mu) I, sqrt(mu) = 1e-10 sigma_max.  Each step ends with a
+  Rayleigh-Ritz step on M itself and a residual test.
+A sample either routine leaves unresolved at its cap falls back to a
+values-only dense SVD of its own matrix, the only place M is formed.
+Everything costs O(w d^3) per sample and step on a window of w times.
 
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
@@ -27,6 +41,7 @@ import numpy as np
 from .dichotomy import EDWitness, ProjectorFamily, verify_ed
 from .errors import (
     DomainError,
+    HomindexError,
     IndeterminateError,
     InputError,
     WindowTooShortError,
@@ -39,8 +54,9 @@ __all__ = [
     "SV_GAP_RATIO",
     "FiniteWindowSequence",
     "IndexReport",
+    "TruncationSpectrum",
     "assemble_truncated",
-    "boundary_conditioned",
+    "truncated_spectra",
     "kernel_cokernel",
     "green_solve",
 ]
@@ -56,6 +72,25 @@ SV_GAP_RATIO = 1e3
 
 #: relative cutoff separating null from non-null singular values
 _NULL_CUT = 1e-8
+
+#: root of the regularization mu, relative to sigma_max, in the factor R
+_REGULARIZATION = 1e-10
+
+#: the inverse iteration resolves the smallest kept value to this times sigma_max
+_VALUE_TOL = 1e-12
+
+#: inverse-iteration steps before a sample falls back to the dense SVD
+_ITERATION_CAP = 150
+
+#: relative accuracy to which sigma_max is certified
+_SIGMA_MAX_RTOL = 1e-6
+
+#: Lanczos steps between checks, and checks before the dense fallback
+_LANCZOS_CHECK = 32
+_LANCZOS_CAP = 32
+
+#: Sturm shifts per sample and pass
+_STURM_GRID = 64
 
 #: a principal cosine this close to one counts as an intersection
 _ANGLE_TOL = 1e-8
@@ -137,9 +172,15 @@ class IndexReport:
     `dim_ker_truncated` from the boundary-conditioned truncation's null
     space.  The flag records their agreement; the index always equals
     the half-line projector rank difference, and the cokernel dimension
-    is the kernel dimension minus the index.  `singular_values` are
-    those of the boundary-conditioned truncation, in descending order,
-    from a values-only SVD; the report holds no kernel basis.
+    is the kernel dimension minus the index.  The truncation's singular
+    values are summarized, not listed: `smallest_singular_values` holds,
+    ascending, every value below the null cut and then the smallest
+    value above it, and `sigma_max` the largest.  `truncated_spectra`
+    resolves them on the blocks - the first group by inverse iteration
+    with the regularized block factor, stopped by a residual test at
+    about 1e-12 * `sigma_max`, and `sigma_max` by Lanczos, certified to
+    1e-6 relative - or, where that stays unresolved, by the counted
+    dense fallback.  The report holds no kernel basis.
     """
 
     index: int
@@ -149,9 +190,10 @@ class IndexReport:
     rank_minus: int
     consistent: bool
     dim_ker_truncated: int
-    singular_values: np.ndarray = dataclass_field(
+    smallest_singular_values: np.ndarray = dataclass_field(
         default_factory=lambda: np.empty(0), repr=False, compare=False
     )
+    sigma_max: float = dataclass_field(default=float("nan"), repr=False, compare=False)
 
     def __post_init__(self):
         if self.index != self.dim_ker - self.dim_coker:
@@ -162,24 +204,30 @@ class IndexReport:
             )
 
 
-def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> np.ndarray:
-    """Dense finite section of phi(n+1) - A_n(lam) phi(n) on `window`.
+@dataclass(frozen=True)
+class TruncationSpectrum:
+    """The singular values of a boundary-conditioned truncation that the kernel count reads.
 
-    The (w-1)*d x w*d matrix maps the stacked values (phi(lo), ...,
-    phi(hi)) to the stacked residuals for lo <= n < hi, row-major in n;
-    each block row holds exactly -A_n and the identity.
+    `smallest` holds, ascending, every value below the null cut
+    (`1e-8 * sigma_max`) and then the smallest value above it.
+    """
+
+    smallest: np.ndarray
+    sigma_max: float
+
+
+def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> np.ndarray:
+    """Step blocks of the finite section of phi(n+1) - A_n(lam) phi(n) on `window`.
+
+    Returns the (w-1, d, d) stack of -A_n for lo <= n < hi.  Block row
+    i of the section maps the values (phi(lo), ..., phi(hi)) to
+    ``blocks[i] @ phi(lo + i) + phi(lo + i + 1)``: the section is block
+    lower-bidiagonal, and its identity blocks are implicit.
     """
     lo, hi = _as_window(window)
     if hi - lo + 1 < 2:
         raise InputError("truncation window needs at least two times")
-    d = field.dim
-    w = hi - lo + 1
-    # block (i, j) of the matrix is blocks[i, :, j, :]
-    blocks = np.zeros((w - 1, d, w, d))
-    steps = np.arange(w - 1)
-    blocks[steps, :, steps, :] = -field.matrices(lam, lo, hi - 1)
-    blocks[steps, :, steps + 1, :] = np.eye(d)
-    return blocks.reshape((w - 1) * d, w * d)
+    return -field.matrices(lam, lo, hi - 1)
 
 
 def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> None:
@@ -212,51 +260,401 @@ def _intersection_dimension(f_plus: np.ndarray, f_minus: np.ndarray) -> int:
     return int(np.sum(gaps <= _ANGLE_TOL))
 
 
-def _null_space(stacked: np.ndarray, gap_ratio: float):
-    """Null dimension and singular values, by the grouped singular-value rule."""
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    cols = stacked.shape[1]
-    smax = float(svals[0]) if len(svals) else 0.0
-    if smax == 0.0:
-        return cols, svals
-    implicit = cols - len(svals)  # columns beyond the rank bound are exact zeros
+def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
+    """Null dimension by the grouped singular-value rule."""
+    small, smax = spectrum.smallest, spectrum.sigma_max
     cut = _NULL_CUT * smax
-    zero = svals < cut
-    n_zero = int(zero.sum()) + implicit
-    if n_zero - implicit > 0:
-        largest_zero = float(svals[zero].max())
-        smallest_kept = float(svals[~zero].min()) if np.any(~zero) else np.inf
+    n_zero = int((small < cut).sum())
+    smallest_kept = float(small[n_zero])
+    if n_zero:
+        largest_zero = float(small[n_zero - 1])
         if smallest_kept < max(largest_zero, smax * 1e-15) * gap_ratio:
             raise IndeterminateError(
                 "no clear singular-value gap separates the null group "
                 f"({largest_zero:.3e}) from the rest ({smallest_kept:.3e}); "
                 "enlarge the truncation window"
             )
-    elif len(svals) and float(svals.min()) < cut * gap_ratio and implicit == 0:
+    elif smallest_kept < cut * gap_ratio:
         raise IndeterminateError(
-            f"the smallest singular value {float(svals.min()):.3e} sits too close "
+            f"the smallest singular value {smallest_kept:.3e} sits too close "
             f"to the null cutoff {cut:.3e} to certify an empty kernel; enlarge "
             "the truncation window"
         )
-    return n_zero, svals
+    return n_zero
 
 
-def boundary_conditioned(
-    field: DiscreteVectorField,
-    lam: int,
-    window,
-    fam_plus: ProjectorFamily,
-    fam_minus: ProjectorFamily,
-) -> np.ndarray:
-    """The truncation on `window` with rows P-(lo) phi(lo) and (I - P+(hi)) phi(hi) appended."""
+# ---------------------------------------------------------------------------
+# the structured truncation solver
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+class _Sections:
+    """Boundary-conditioned truncations of S samples, kept as blocks.
+
+    The block rows of each (w+1)d x wd matrix M are, top to bottom:
+    ``first`` = P-(lo) in block column 0; ``steps[i]`` = -A_n and the
+    identity in block columns i and i+1; ``last`` = I - P+(hi) in
+    block column w-1.  M itself is never formed.  `matvec` and
+    `rmatvec` take vectors laid out as (d, k, S, columns).
+    """
+
+    def __init__(self, steps: np.ndarray, first: np.ndarray, last: np.ndarray):
+        self.steps, self.first, self.last = steps, first, last
+        self.count, self.width, self.dim = steps.shape[0], steps.shape[1] + 1, steps.shape[2]
+        self._steps = np.ascontiguousarray(steps.transpose(2, 3, 0, 1))
+        self._first = np.ascontiguousarray(first.transpose(1, 2, 0))
+        self._last = np.ascontiguousarray(last.transpose(1, 2, 0))
+
+    def take(self, rows) -> "_Sections":
+        return _Sections(self.steps[rows], self.first[rows], self.last[rows])
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        d, k, s, w = x.shape
+        y = np.empty((d, k, s, w + 1))
+        np.einsum("ijs,jks->iks", self._first, x[..., 0], out=y[..., 0])
+        np.einsum("ijsn,jksn->iksn", self._steps, x[..., :-1], out=y[..., 1:w])
+        y[..., 1:w] += x[..., 1:]
+        np.einsum("ijs,jks->iks", self._last, x[..., -1], out=y[..., w])
+        return y
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        d, k, s, w1 = y.shape
+        x = np.empty((d, k, s, w1 - 1))
+        np.einsum("jisn,jksn->iksn", self._steps, y[..., 1:-1], out=x[..., :-1])
+        np.einsum("jis,jks->iks", self._last, y[..., -1], out=x[..., -1])
+        x[..., 1:] += y[..., 1:-1]
+        x[..., 0] += np.einsum("jis,jks->iks", self._first, y[..., 0])
+        return x
+
+    def gram_diagonal(self) -> np.ndarray:
+        """The (S, w, d, d) diagonal blocks of M^T M; steps[c] is its block (c+1, c)."""
+        s, w, d = self.count, self.width, self.dim
+        gram = np.zeros((s, w, d, d))
+        gram[:, :-1] += _t(self.steps) @ self.steps
+        gram[:, 1:] += np.eye(d)
+        gram[:, 0] += _t(self.first) @ self.first
+        gram[:, -1] += _t(self.last) @ self.last
+        return gram
+
+    def dense(self, i: int) -> np.ndarray:
+        """Sample i's matrix M, formed densely (the fallback only)."""
+        w, d = self.width, self.dim
+        blocks = np.zeros((w + 1, d, w, d))
+        cols = np.arange(w - 1)
+        blocks[0, :, 0, :] = self.first[i]
+        blocks[cols + 1, :, cols, :] = self.steps[i]
+        blocks[cols + 1, :, cols + 1, :] = np.eye(d)
+        blocks[w, :, w - 1, :] = self.last[i]
+        return blocks.reshape((w + 1) * d, w * d)
+
+
+def _below_top(alphas: list, betas2: list, grid: np.ndarray) -> np.ndarray:
+    """Which shifts in `grid` (S, m) lie below the largest eigenvalue of T.
+
+    T is the symmetric tridiagonal matrix with diagonal `alphas` and
+    squared off-diagonal `betas2` (entry 0 unused), one value per
+    sample in each list.  A shift lies below the top eigenvalue exactly
+    when some pivot of the LDL^T factorization of T - shift I is
+    positive (Sturm count).  A pivot of exactly zero is read as a tiny
+    negative one: the next pivot becomes -inf.
+    """
+    pivot = alphas[0][:, None] - grid
+    largest = pivot.copy()
+    quotient = np.empty_like(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for alpha, beta2 in zip(alphas[1:], betas2[1:]):
+            np.divide(beta2[:, None], pivot, out=quotient)
+            np.subtract(alpha[:, None], grid, out=pivot)
+            pivot -= quotient
+            np.fmax(largest, pivot, out=largest)
+    return largest > 0
+
+
+def _gram_definite(sec: _Sections, shift: np.ndarray) -> np.ndarray:
+    """Per sample, whether shift * I - M^T M is positive definite.
+
+    M^T M is block tridiagonal, and by Sylvester's law of inertia the
+    matrix is definite exactly when every pivot of its block LDL^T is.
+    """
+    s, w, d = sec.count, sec.width, sec.dim
+    steps = sec.steps
+    shifted = shift[:, None, None, None] * np.eye(d) - sec.gram_diagonal()
+    pivots = np.empty_like(shifted)
+    pivots[:, 0] = shifted[:, 0]
+    try:
+        for c in range(w - 1):
+            pivots[:, c + 1] = shifted[:, c + 1] - steps[:, c] @ np.linalg.solve(
+                pivots[:, c], _t(steps[:, c])
+            )
+    except np.linalg.LinAlgError:  # a singular pivot: definiteness is not proved
+        return np.zeros(s, bool)
+    finite = np.isfinite(pivots).all(axis=(1, 2, 3))
+    pivots[~finite] = -1.0
+    return finite & (np.linalg.eigvalsh(pivots).min(axis=(1, 2)) > 0.0)
+
+
+def _sigma_max(sec: _Sections) -> np.ndarray:
+    """Largest singular value of each section, by Lanczos on M^T M.
+
+    Every `_LANCZOS_CHECK` steps two Sturm passes over the Lanczos
+    matrix T_k raise a lower bound L to just below its top eigenvalue
+    theta_k: a geometric ladder of shifts above the last L, then a
+    linear grid inside the ladder cell that holds theta_k.  L is a
+    lower bound on sigma_max^2.  Once theta_k has moved less than
+    rtol = `_SIGMA_MAX_RTOL` relative since the last check, or the
+    geometric extrapolation of its last two moves says it will move
+    less than that, block LDL^T tries to prove L (1 + 2 rtol) an upper
+    bound (`_gram_definite`) for every sample still open.  On success
+    sqrt(L) <= sigma_max <= sqrt(L) (1 + rtol), and sqrt(L) is
+    returned.  Samples without that certificate after `_LANCZOS_CAP`
+    checks get nan.
+    """
+    s, w, d = sec.count, sec.width, sec.dim
+    rows, last = np.arange(s), _STURM_GRID - 1
+    # M^T M in blocks, laid out (d, d, S, columns) like the vectors (d, S, w)
+    diagonal = np.ascontiguousarray(sec.gram_diagonal().transpose(2, 3, 0, 1))
+    below = sec._steps
+
+    def gram(x):
+        y = np.einsum("ijsn,jsn->isn", diagonal, x)
+        y[..., 1:] += np.einsum("ijsn,jsn->isn", below, x[..., :-1])
+        y[..., :-1] += np.einsum("jisn,jsn->isn", below, x[..., 1:])
+        return y
+
+    start = np.random.default_rng(0).standard_normal((d, 1, w))
+    q = np.broadcast_to(start / np.sqrt((start * start).sum()), (d, s, w))
+    previous = np.zeros_like(q)
+    beta = np.zeros(s)
+    alphas, betas2 = [], []
+    ladder = np.geomspace(1e-12, 1.0, _STURM_GRID)
+    spacing = np.linspace(0.0, 1.0, _STURM_GRID)
+    lower = np.zeros(s)
+    last_move = np.full(s, np.inf)
+    sigma = np.full(s, np.nan)
+    done = np.zeros(s, bool)
+    for step in range(1, _LANCZOS_CHECK * _LANCZOS_CAP + 1):
+        z = gram(q)
+        alpha = np.einsum("isn,isn->s", z, q)
+        z -= alpha[:, None] * q
+        z -= beta[:, None] * previous
+        alphas.append(alpha)
+        betas2.append(beta * beta)
+        beta = np.sqrt(np.einsum("isn,isn->s", z, z))
+        previous, q = q, z / np.where(beta > 0.0, beta, 1.0)[:, None]
+        if step % _LANCZOS_CHECK:
+            continue
+        # Gershgorin: theta_k is at most the largest row sum of T_k, whose
+        # entries are positive; off[i] couples rows i - 1 and i, off[0] = 0
+        off = np.sqrt(betas2)
+        row_sums = np.array(alphas) + off
+        row_sums[:-1] += off[1:]
+        grid = lower[:, None] + (row_sums.max(axis=0) - lower)[:, None] * ladder
+        n = _below_top(alphas, betas2, grid).sum(axis=1)
+        cell_top = grid[rows, np.minimum(n, last)]
+        # theta's move since the last check, and its geometric extrapolation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            move = cell_top / lower - 1.0
+            ratio = move / last_move
+            ahead = np.where(
+                np.isfinite(last_move) & (ratio < 1.0), move * ratio / (1.0 - ratio), np.inf
+            )
+        stalled = ~done & (np.minimum(move, ahead) <= _SIGMA_MAX_RTOL)
+        last_move = move
+        cell_bottom = np.where(n > 0, grid[rows, np.maximum(n - 1, 0)], lower)
+        grid = cell_bottom[:, None] + (cell_top - cell_bottom)[:, None] * spacing
+        n = _below_top(alphas, betas2, grid).sum(axis=1)
+        lower = np.where(n > 0, grid[rows, np.maximum(n - 1, 0)], cell_bottom)
+        if stalled.any():
+            proved = ~done & _gram_definite(sec, lower * (1.0 + 2.0 * _SIGMA_MAX_RTOL))
+            sigma[proved] = np.sqrt(lower[proved])
+            done |= proved
+            if done.all():
+                break
+    return sigma
+
+
+def _regularized_factor(sec: _Sections, root_mu: np.ndarray):
+    """Block upper-bidiagonal R with R^T R = M^T M + mu I.
+
+    Column block c takes one batched QR of the carried block, block
+    row c+1 and the rows root_mu * I; R's diagonal blocks are then
+    invertible with smallest singular value at least root_mu.
+    Returns the diagonal (S, w, d, d) and superdiagonal (S, w-1, d, d)
+    blocks.
+    """
+    s, w, d = sec.count, sec.width, sec.dim
+    eye = np.eye(d)
+    stack = np.zeros((s, 3 * d, 2 * d))
+    stack[:, d : 2 * d, d:] = eye
+    stack[:, 2 * d :, :d] = root_mu[:, None, None] * eye
+    diag = np.empty((s, w, d, d))
+    upper = np.empty((s, w - 1, d, d))
+    carry = sec.first
+    for c in range(w - 1):
+        stack[:, :d, :d] = carry
+        stack[:, d : 2 * d, :d] = sec.steps[:, c]
+        r = np.linalg.qr(stack, mode="r")
+        diag[:, c], upper[:, c], carry = r[:, :d, :d], r[:, :d, d:], r[:, d:, d:]
+    tail = np.concatenate([carry, sec.last, stack[:, 2 * d :, :d]], axis=1)
+    diag[:, -1] = np.linalg.qr(tail, mode="r")
+    return diag, upper
+
+
+def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
+    """The `TruncationSpectrum.smallest` group of each section, or None if unresolved.
+
+    Inverse subspace iteration with the regularized factor R (root mu =
+    `_REGULARIZATION` * sigma_max) on p = d + 3 columns, since the
+    kernel has dimension at most d (all w d columns on a shorter
+    window).  Each step applies (R^T R)^-1 by two block sweeps and ends
+    with a Rayleigh-Ritz step on the unregularized M: the SVD of the
+    (w+1)d x p product M Q.  Without mu the null group (~1e-17) would
+    swamp the other columns of (M^T M)^-1 Q in rounding.  A sample
+    stops when the Ritz value that is smallest above the null cut has
+    residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
+    * sigma_max, gap being its distance to the nearest Ritz value
+    farther than r from it (nearer ones count as its cluster, and with
+    none farther the bound is r itself); the values below the cut are
+    upper bounds on true ones (Cauchy interlacing).  Samples still
+    unresolved after `_ITERATION_CAP` steps get None.
+    """
+    s, w, d = sec.count, sec.width, sec.dim
+    p = min(d + 3, w * d)
+    diag, upper = _regularized_factor(sec, _REGULARIZATION * sigma_max)
+    inv = np.linalg.inv(diag)
+    # R^T z = b runs down: z_c = inv_c^T b_c - (inv_c^T U_{c-1}^T) z_{c-1};
+    # R z = b runs up:     z_c = inv_c b_c - (inv_c U_c) z_{c+1}
+    down = np.moveaxis(_t(inv[:, 1:]) @ _t(upper), 1, 0)
+    up = np.moveaxis(inv[:, :-1] @ upper, 1, 0)
+    del diag, upper
+    start = np.linalg.qr(np.random.default_rng(0).standard_normal((w * d, p)))[0]
+    x = np.broadcast_to(start, (s, w * d, p))
+    found: list = [None] * s
+    active = np.arange(s)
+    shrunk = True
+    for _ in range(_ITERATION_CAP):
+        if shrunk:
+            part = sec.take(active)
+            a_inv = inv[active]
+            a_down, a_up = list(down[:, active]), list(up[:, active])
+            cut = _NULL_CUT * sigma_max[active]
+            tol = _VALUE_TOL * sigma_max[active]
+            rows = np.arange(len(active))
+        # y = R^-1 R^-T x, both sweeps in place over the block columns
+        y = _t(a_inv) @ x.reshape(-1, w, d, p)
+        sweep = np.moveaxis(y, 1, 0)
+        for c in range(1, w):
+            sweep[c] -= a_down[c - 1] @ sweep[c - 1]
+        y = a_inv @ y
+        sweep = np.moveaxis(y, 1, 0)
+        for c in range(w - 2, -1, -1):
+            sweep[c] -= a_up[c] @ sweep[c + 1]
+        q = np.linalg.qr(y.reshape(-1, w * d, p))[0]
+        del y, sweep
+        # Rayleigh-Ritz on M, values ascending
+        u, values, vt = np.linalg.svd(
+            part.matvec(q.reshape(-1, w, d, p).transpose(2, 3, 0, 1))
+            .transpose(2, 3, 0, 1)
+            .reshape(-1, (w + 1) * d, p),
+            full_matrices=False,
+        )
+        values, vt = values[:, ::-1], vt[:, ::-1]
+        x = q @ _t(vt)
+        del q
+        # the first Ritz value at or above the cut, its residual and its gap
+        k = (values < cut[:, None]).sum(axis=1)
+        i = np.minimum(k, p - 1)
+        at = values[rows, i]
+        left = u[rows, :, p - 1 - i].reshape(-1, w + 1, d).transpose(2, 0, 1)[:, None]
+        residual = part.rmatvec(left)[:, 0].transpose(1, 2, 0).reshape(-1, w * d)
+        residual -= x[rows, :, i] * at[:, None]
+        r = np.sqrt((residual * residual).sum(axis=1))
+        del u, left, residual
+        # Ritz values within r of this one count as its cluster; with no
+        # value beyond it, the linear bound r is all there is
+        distance = np.abs(values - at[:, None])
+        gap = np.where(distance > r[:, None], distance, np.inf).min(axis=1)
+        err = np.where(np.isfinite(gap), r * r / gap, r)
+        resolved = (k < p) & (err <= tol)
+        for j in np.flatnonzero(resolved).tolist():
+            found[active[j]] = values[j, : k[j] + 1].copy()
+        if resolved.all():
+            break
+        shrunk = resolved.any()
+        active, x = active[~resolved], x[~resolved]
+    return found
+
+
+def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
+    """Sample i's spectrum summary from a values-only dense SVD: the fallback."""
+    values = np.linalg.svd(sec.dense(i), compute_uv=False)[::-1]
+    n_zero = int((values < _NULL_CUT * values[-1]).sum())
+    return TruncationSpectrum(values[: n_zero + 1], float(values[-1]))
+
+
+def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
+    """Spectrum summaries of stacked sections: structured, or dense where that is unresolved."""
+    sec = _Sections(steps, first, last)
+    sigma = _sigma_max(sec)
+    out: list = [None] * sec.count
+    certified = np.flatnonzero(np.isfinite(sigma))
+    if certified.size:
+        found = _smallest_values(sec.take(certified), sigma[certified])
+        for i, small in zip(certified.tolist(), found):
+            if small is not None:
+                out[i] = TruncationSpectrum(small, float(sigma[i]))
+    return [spectrum or _dense_spectrum(sec, i) for i, spectrum in enumerate(out)]
+
+
+def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> list:
+    """Spectrum summaries of many samples' boundary-conditioned truncations, in one batch.
+
+    `plus[i]` and `minus[i]` are sample `lams[i]`'s half-line families
+    (or the errors their builds raised, which come back unchanged).
+    The truncation on `window` = [lo, hi] has the block rows P-(lo),
+    phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
+    samples sit on numpy's leading axis (`_sigma_max`,
+    `_smallest_values`).  A sample that either routine leaves
+    unresolved falls back to a values-only dense SVD of its own
+    matrix, the only dense truncation formed.  Returns each sample's
+    `TruncationSpectrum`, or the error reading its blocks or boundary
+    rows raised; outcomes are memoized on the field per (sample,
+    window, family pair), where `kernel_cokernel` reads them.
+    """
     lo, hi = _as_window(window)
     d = field.dim
-    w = hi - lo + 1
-    stacked = np.zeros(((w - 1) * d + 2 * d, w * d))
-    stacked[: (w - 1) * d] = assemble_truncated(field, lam, (lo, hi))
-    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
-    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
-    return stacked
+    memo = field._spectra
+    keys, pending, parts = [], {}, []
+    for lam, fam_plus, fam_minus in zip(lams, plus, minus):
+        failed = next((f for f in (fam_plus, fam_minus) if isinstance(f, HomindexError)), None)
+        if failed is not None:
+            keys.append(failed)
+            continue
+        key = (lam, lo, hi, id(fam_plus), id(fam_minus))
+        keys.append(key)
+        if key in memo or key in pending:
+            continue
+        try:
+            if fam_plus.dim != d or fam_minus.dim != d:
+                raise InputError("witness families and field disagree on the dimension")
+            part = (
+                assemble_truncated(field, lam, (lo, hi)),
+                fam_minus.projector(lo),
+                np.eye(d) - fam_plus.projector(hi),
+            )
+        except HomindexError as exc:
+            memo[key] = (fam_plus, fam_minus, exc)
+            continue
+        pending[key] = (fam_plus, fam_minus)
+        parts.append(part)
+    if parts:
+        solved = _solve_spectra(*(np.stack(block) for block in zip(*parts)))
+        for (key, families), spectrum in zip(pending.items(), solved):
+            memo[key] = (*families, spectrum)
+    return [k if isinstance(k, HomindexError) else memo[k][2] for k in keys]
 
 
 def kernel_cokernel(
@@ -274,9 +672,14 @@ def kernel_cokernel(
     (kernel of the minus family); and algebraically, as the null space
     of the truncated operator with rows appended that pin phi(n_min) to
     the backward-decaying set and phi(n_max) to the forward-decaying
-    one (`boundary_conditioned`), counted from its singular values
-    alone.  The index is the projector rank difference; the report's
-    flag records whether the two kernel counts agree.
+    one.  The second count reads the spectrum summary of
+    `truncated_spectra` (a batch of one unless a batch over the samples
+    already filled the memo): the values below 1e-8 * sigma_max are
+    null, and a null group without a `gap_ratio` gap to the smallest
+    kept value, or an empty one whose smallest value lies within
+    `gap_ratio` of the cut, is indeterminate.  The index is the
+    projector rank difference; the report's flag records whether the
+    two kernel counts agree.
     """
     lo, hi = _as_window(window)
     if hi - lo + 1 < 8:
@@ -314,9 +717,10 @@ def kernel_cokernel(
             f"index {index}; the witnesses and the window are inconsistent"
         )
 
-    dim_ker_truncated, svals = _null_space(
-        boundary_conditioned(field, lam, (lo, hi), fam_plus, fam_minus), gap_ratio
-    )
+    (spectrum,) = truncated_spectra(field, [lam], (lo, hi), [fam_plus], [fam_minus])
+    if isinstance(spectrum, HomindexError):
+        raise spectrum.with_traceback(None)
+    dim_ker_truncated = _null_space(spectrum, gap_ratio)
 
     return IndexReport(
         index=index,
@@ -326,7 +730,8 @@ def kernel_cokernel(
         rank_minus=rank_minus,
         consistent=dim_ker == dim_ker_truncated,
         dim_ker_truncated=dim_ker_truncated,
-        singular_values=svals,
+        smallest_singular_values=spectrum.smallest,
+        sigma_max=spectrum.sigma_max,
     )
 
 

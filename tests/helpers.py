@@ -2,17 +2,16 @@
 
 The oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
-evaluator and its convolution, a full SVD of the boundary-conditioned
-truncation) so that library results can be checked against an
-implementation that shares no code with them; the SVD oracle shares
-only the matrix it decomposes.
+evaluator and its convolution, a full SVD of the densely assembled
+boundary-conditioned truncation) so that library results can be
+checked against an implementation that shares no code with them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from homindex.fredholm import FiniteWindowSequence, boundary_conditioned
+from homindex.fredholm import FiniteWindowSequence
 
 __all__ = [
     "rotation",
@@ -25,6 +24,7 @@ __all__ = [
     "quadratic_system_linearization",
     "green_kernel",
     "kernel_convolve",
+    "boundary_conditioned",
     "truncated_null_space",
     "span_gap",
 ]
@@ -173,22 +173,41 @@ def kernel_convolve(kernel, phi, window) -> np.ndarray:
     )
 
 
+def boundary_conditioned(field, lam, window, fam_plus, fam_minus) -> np.ndarray:
+    """Oracle: the dense boundary-conditioned truncation on `window`.
+
+    Rows, top to bottom: phi(n+1) - A_n phi(n) for lo <= n < hi, read
+    entry by entry with `field.matrix`; P-(lo) phi(lo); (I - P+(hi))
+    phi(hi).  The ((w+1) d) x (w d) matrix is formed in full.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    d = field.dim
+    w = hi - lo + 1
+    stacked = np.zeros(((w + 1) * d, w * d))
+    for i, n in enumerate(range(lo, hi)):
+        stacked[i * d : (i + 1) * d, i * d : (i + 1) * d] = -field.matrix(lam, n)
+        stacked[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = np.eye(d)
+    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
+    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
+    return stacked
+
+
 def truncated_null_space(field, lam, window, witnesses, decay_tol=1e-6):
     """Oracle: full SVD of the boundary-conditioned truncation on `window`.
 
     Returns the singular values (descending) and the null vectors, each
     scaled to sup-norm one, as `FiniteWindowSequence`s.  A vector is
-    null when its singular value is below 1e-8 times the largest, or
-    when it lies beyond the row count.  Only the matrix is shared with
-    `kernel_cokernel`, through `boundary_conditioned`.
+    null when its singular value is below 1e-8 times the largest.  The
+    matrix comes from `boundary_conditioned`, which shares no code with
+    `kernel_cokernel`.
     """
     wit_plus, wit_minus = witnesses
     stacked = boundary_conditioned(field, lam, window, wit_plus.family, wit_minus.family)
     svals, vt = np.linalg.svd(stacked, full_matrices=True)[1:]
-    n_null = int((svals < 1e-8 * svals[0]).sum()) + stacked.shape[1] - len(svals)
+    n_null = int((svals < 1e-8 * svals[0]).sum())
     w, d = window[1] - window[0] + 1, field.dim
     basis = []
-    for row in vt[len(vt) - n_null :]:
+    for row in vt[len(svals) - n_null : len(svals)]:
         values = row.reshape(w, d)
         basis.append(
             FiniteWindowSequence.tabulate(

@@ -94,32 +94,28 @@ def test_sequence_decay_flags_and_validation():
 
 def test_truncated_matrix_frozen_scalar_contraction():
     f = field.autonomous_field([[0.5]])
-    t = fredholm.assemble_truncated(f, 0, (0, 2))
-    np.testing.assert_array_equal(
-        t, np.array([[-0.5, 1.0, 0.0], [0.0, -0.5, 1.0]])
-    )
+    blocks = fredholm.assemble_truncated(f, 0, (0, 2))
+    np.testing.assert_array_equal(blocks, np.full((2, 1, 1), -0.5))
 
 
 def test_truncated_operator_shape_and_block_structure():
     f = field.autonomous_field(MIXED)
     window = (-5, 6)
-    t = fredholm.assemble_truncated(f, 0, window)
+    blocks = fredholm.assemble_truncated(f, 0, window)
     w = window[1] - window[0] + 1
-    assert t.shape == ((w - 1) * 2, w * 2)
-
-    # independent dense transcription of the stencil
-    expected = np.zeros(((w - 1) * 2, w * 2))
-    for i in range(w - 1):
-        expected[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = -MIXED
-        expected[2 * i : 2 * i + 2, 2 * i + 2 : 2 * i + 4] = np.eye(2)
-    np.testing.assert_array_equal(t, expected)
+    assert blocks.shape == (w - 1, 2, 2)
+    # one block -A_n per step n = lo, ..., hi - 1
+    np.testing.assert_array_equal(blocks, np.broadcast_to(-MIXED, (w - 1, 2, 2)))
+    with pytest.raises(InputError):
+        fredholm.assemble_truncated(f, 0, (3, 3))
 
 
 def test_truncated_annihilates_sampled_solution():
     f = field.autonomous_field([[0.5]])
-    t = fredholm.assemble_truncated(f, 0, (0, 20))
+    blocks = fredholm.assemble_truncated(f, 0, (0, 20))
     phi = seq((0, 20), 0.5 ** np.arange(21.0)[:, None])
-    residual = (t @ phi.values.ravel()).reshape(20, 1)
+    # block row i maps phi to blocks[i] phi(i) + phi(i + 1)
+    residual = (blocks @ phi.values[:-1, :, None])[..., 0] + phi.values[1:]
     np.testing.assert_array_equal(residual, np.zeros((20, 1)))
     np.testing.assert_array_equal(residual, apply_stencil(f, 0, phi))
 
@@ -394,8 +390,14 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
         wit = half_line_witnesses(f, lam=lam, length=hi, horizon=scenario.horizon)
         report = fredholm.kernel_cokernel(f, lam, (lo, hi), wit)
         svals, basis = truncated_null_space(f, lam, (lo, hi), wit)
-        assert report.singular_values.shape == svals.shape
-        np.testing.assert_allclose(report.singular_values, svals, rtol=0, atol=1e-12 * svals[0])
+        # the null group and the smallest kept value, ascending
+        small = svals[::-1][: len(basis) + 1]
+        assert report.smallest_singular_values.shape == small.shape
+        np.testing.assert_allclose(
+            report.smallest_singular_values, small, rtol=0, atol=1e-12 * svals[0]
+        )
+        # sigma_max to the certified Lanczos stop
+        assert abs(report.sigma_max - svals[0]) <= fredholm._SIGMA_MAX_RTOL * svals[0]
         assert report.dim_ker_truncated == len(basis)
         kernels += len(basis)
     assert kernels > 0  # the Moebius flip gives some sample a kernel

@@ -1,0 +1,270 @@
+"""The structured truncation solver against the dense oracle.
+
+`fredholm.truncated_spectra` counts the kernel of a boundary-conditioned
+truncation from a block QR factor, inverse subspace iteration and
+Lanczos, without forming the matrix.  These tests compare its null
+counts, gap verdicts, smallest kept value (to the 3 digits reports
+print) and sigma_max with a full SVD of the densely assembled matrix
+(`helpers.boundary_conditioned`), and check that no case needed the
+dense fallback.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from homindex import cli, fredholm
+from homindex.bifurcation import (
+    CertifyOptions,
+    PerturbedSystemSpec,
+    certify_bifurcation,
+    check_F3,
+    linearize_at_zero,
+)
+from homindex.dichotomy import verify_ed, whole_line_families
+from homindex.errors import HomindexError, IndeterminateError
+from homindex.field import (
+    DiscreteVectorField,
+    ParameterLoop,
+    mobius_bundle,
+    realization_field,
+    trivial_bundle,
+)
+from homindex.scenario import Scenario, builtin_document, builtin_names
+
+from helpers import boundary_conditioned, random_hyperbolic
+from test_bifurcation import decaying_quadratic
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    def refuse(sec, i):
+        raise AssertionError(f"sample {i} fell back to the dense SVD")
+
+    monkeypatch.setattr(fredholm, "_dense_spectrum", refuse)
+
+
+def dense_null_count(svals: np.ndarray, gap_ratio: float):
+    """Oracle: the grouped singular-value rule on a full descending spectrum.
+
+    Returns the null count, or None where the rule is indeterminate.
+    """
+    smax = svals[0]
+    cut = 1e-8 * smax
+    zero = svals < cut
+    if zero.any():
+        if svals[~zero].min() < max(svals[zero].max(), 1e-15 * smax) * gap_ratio:
+            return None
+    elif svals.min() < cut * gap_ratio:
+        return None
+    return int(zero.sum())
+
+
+def oracle_spectrum(field, lam, window, fam_plus, fam_minus) -> np.ndarray:
+    return np.linalg.svd(
+        boundary_conditioned(field, lam, window, fam_plus, fam_minus), compute_uv=False
+    )
+
+
+def assert_matches_oracle(field, lams, window, horizon=40, gap_ratio=fredholm.SV_GAP_RATIO):
+    """Compare every sample's structured spectrum summary with the dense oracle."""
+    plus, minus = whole_line_families(field, lams, window, horizon)
+    spectra = fredholm.truncated_spectra(field, lams, window, plus, minus)
+    counts = []
+    for lam, fam_plus, fam_minus, spectrum in zip(lams, plus, minus, spectra):
+        assert not isinstance(fam_plus, HomindexError), fam_plus
+        assert not isinstance(fam_minus, HomindexError), fam_minus
+        svals = oracle_spectrum(field, lam, window, fam_plus, fam_minus)
+        expected = dense_null_count(svals, gap_ratio)
+        try:
+            got = fredholm._null_space(spectrum, gap_ratio)
+        except IndeterminateError:
+            got = None
+        assert got == expected, (lam, got, expected)
+        n_zero = int((svals < 1e-8 * svals[0]).sum())
+        ascending = svals[::-1]
+        assert len(spectrum.smallest) == n_zero + 1
+        assert f"{spectrum.smallest[-1]:.3e}" == f"{ascending[n_zero]:.3e}"
+        np.testing.assert_allclose(
+            spectrum.smallest, ascending[: n_zero + 1], rtol=0, atol=1e-12 * svals[0]
+        )
+        assert abs(spectrum.sigma_max - svals[0]) <= fredholm._SIGMA_MAX_RTOL * svals[0]
+        counts.append(got)
+    return counts
+
+
+def builtin_cases():
+    for name in builtin_names():
+        for window in ("index_window", "f3_window"):
+            yield name, window
+
+
+@pytest.mark.parametrize("name, window", list(builtin_cases()))
+def test_every_builtin_matches_the_dense_oracle(name, window, no_fallback):
+    # F3 reads the linearization along the trivial branch; the linear
+    # builtins are checked on their own field at the F3 window too
+    scenario = Scenario.builtin(name)
+    if window == "f3_window" and scenario.data["field"]["kind"] == "system2":
+        f = linearize_at_zero(scenario.build_nonlinear())
+    else:
+        f = scenario.build_field()
+    lams = scenario.options["lambdas"]
+    assert_matches_oracle(f, lams, tuple(scenario.options[window]), scenario.horizon)
+
+
+def asymptotically_hyperbolic(seed: int, d: int, reach: int = 200) -> DiscreteVectorField:
+    """A_n = H+ for n >= 0 and H- below, plus a decaying random bump, on [-reach, reach]."""
+    rng = np.random.default_rng(seed)
+    ahead = random_hyperbolic(rng, d)[0]
+    behind = random_hyperbolic(rng, d)[0]
+    times = np.arange(-reach, reach + 1)
+    decay = 0.3 * np.exp(-np.abs(times) / 4.0)[:, None, None]
+    table = np.where((times >= 0)[:, None, None], ahead, behind)
+    table = table + decay * rng.standard_normal((len(times), d, d))
+
+    def evaluate(lam, n):
+        return table[n + reach]
+
+    return DiscreteVectorField(dim=d, evaluator=evaluate, window=(-reach, reach))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_random_asymptotically_hyperbolic_fields_match_the_dense_oracle(d, no_fallback):
+    checked = 0
+    for seed in range(12):
+        f = asymptotically_hyperbolic(1000 * d + seed, d)
+        plus, minus = whole_line_families(f, [0], (-30, 30), 40)
+        if any(isinstance(o, HomindexError) for o in plus + minus):
+            continue  # no certified splitting for this draw
+        assert_matches_oracle(f, [0], (-30, 30))
+        checked += 1
+    assert checked >= 6
+
+
+def switching_field(ahead, behind) -> DiscreteVectorField:
+    """diag(ahead) for n >= 0 and diag(behind) below."""
+    a, b = np.diag(ahead), np.diag(behind)
+
+    def evaluate(lam, n):
+        return np.where((n >= 0)[:, None, None], a, b)
+
+    return DiscreteVectorField(dim=len(ahead), evaluator=evaluate, window=(-200, 200))
+
+
+CONTRACT, EXPAND = [0.3, 0.5, 0.7], [2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "ahead, behind, kernel",
+    [
+        (CONTRACT, CONTRACT, 0),  # rank d on both sides: I - P+(hi) is exactly zero
+        (EXPAND, EXPAND, 0),  # rank 0 on both sides: P-(lo) is exactly zero
+        (CONTRACT, EXPAND, 3),  # both blocks zero, every solution decays both ways
+    ],
+)
+def test_zero_boundary_blocks_and_a_full_kernel(ahead, behind, kernel, no_fallback):
+    f = switching_field(ahead, behind)
+    assert assert_matches_oracle(f, [0], (-30, 30)) == [kernel]
+
+
+def test_a_continuum_at_the_low_end_stops_on_the_residual(monkeypatch, no_fallback):
+    # autonomous-saddle's small values crowd together (0.5012, 0.5050,
+    # 0.5111, ...), so p = 5 columns need many inverse-iteration steps
+    # (one reduced QR each, after the start); the residual test ends
+    # them well before the cap, and the values match the oracle
+    scenario = Scenario.builtin("autonomous-saddle")
+    f = scenario.build_field()
+    window = tuple(scenario.options["index_window"])
+    plus, minus = whole_line_families(f, [0], window, scenario.horizon)
+    reduced = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, mode="reduced"):
+        reduced.append(mode == "reduced")
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    (spectrum,) = fredholm.truncated_spectra(f, [0], window, plus, minus)
+    monkeypatch.undo()
+    steps = sum(reduced) - 1
+    assert 20 < steps < fredholm._ITERATION_CAP
+    assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == 0
+    svals = oracle_spectrum(f, 0, window, plus[0], minus[0])
+    assert abs(spectrum.smallest[0] - svals[-1]) <= 1e-12 * svals[0]
+
+
+def test_index_exits_four_on_the_first_indeterminate_sample(tmp_path, capsys):
+    # sigma_min / sigma_max falls from 0.021 (sample 2) to 0.0035 at
+    # sample 7 and rises to 0.014 at sample 12: with gap_ratio 5e5 the
+    # empty-kernel rule refuses sample 7 only, and index must stop there
+    # with the message the dense rule gives for that sample
+    doc = builtin_document("realization-mobius")
+    doc["options"] = {"lambdas": [0, 2, 7, 12]}
+    doc["tolerances"] = {"gap_ratio": 5e5}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+
+    scenario = Scenario.load(path)
+    f = scenario.build_field()
+    window = tuple(scenario.options["index_window"])
+    plus, minus = whole_line_families(f, [7], window, scenario.horizon)
+    svals = oracle_spectrum(f, 7, window, plus[0], minus[0])
+    assert dense_null_count(svals, 5e5) is None
+    message = (
+        f"the smallest singular value {svals[-1]:.3e} sits too close to the null "
+        f"cutoff {1e-8 * svals[0]:.3e} to certify an empty kernel; enlarge the "
+        "truncation window"
+    )
+    code = cli.run(["index", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_f3_marks_only_the_indeterminate_sample():
+    # sample 8 sits 1e-5 past the Moebius flip: the decaying subspaces
+    # meet to within 5e-11 but the truncation's smallest value is above
+    # the null cut and within gap_ratio of it
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    angles[8] = np.pi + 1e-5
+    loop = ParameterLoop(samples=angles[:, None], angular=True)
+    a_field = realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=0.5)
+    residual, residual_derivative = decaying_quadratic()
+    f = PerturbedSystemSpec(
+        a_field=a_field,
+        residual=residual,
+        residual_derivative=residual_derivative,
+        r0=1.0,
+    ).to_nonlinear()
+    options = CertifyOptions(f3_window=(-30, 30))
+    cert = certify_bifurcation(f, options)
+    assert cert.f3_verdicts == ("pass",) * 8 + ("indeterminate",) + ("pass",) * 7
+
+    lin = linearize_at_zero(f)
+    check = check_F3(lin, 8, window=(-30, 30), horizon=options.horizon)
+    plus, minus = whole_line_families(lin, [8], (-30, 30), options.horizon)
+    svals = oracle_spectrum(lin, 8, (-30, 30), plus[0], minus[0])
+    assert check.message == (
+        "could not certify the half-line splittings or the kernel count: the "
+        f"smallest singular value {svals[-1]:.3e} sits too close to the null cutoff "
+        f"{1e-8 * svals[0]:.3e} to certify an empty kernel; enlarge the truncation window"
+    )
+
+
+def test_a_wide_window_needs_no_dense_matrix(no_fallback):
+    # the dense truncation at +-300 with d = 4 is 2,408 x 2,404 (46 MB);
+    # the structured count stays far below that
+    scenario = Scenario.builtin("mobius-double")
+    f = scenario.build_field()
+    window = (-300, 300)
+    plus, minus = whole_line_families(f, [0], window, scenario.horizon)
+    witnesses = (verify_ed(f, 0, plus[0]), verify_ed(f, 0, minus[0]))
+    tracemalloc.start()
+    try:
+        report = fredholm.kernel_cokernel(f, 0, window, witnesses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert report.consistent
