@@ -26,6 +26,7 @@ near-kernel directions of the linearization.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -33,7 +34,13 @@ from typing import Callable
 import numpy as np
 
 from .bundle import KOClassDesk, index_bundle_pair
-from .dichotomy import build_projector_family, verify_ed, verify_families, whole_line_families
+from .dichotomy import (
+    build_projector_family,
+    family_run,
+    verify_ed,
+    verify_families,
+    whole_line_families,
+)
 from .errors import (
     CertificationError,
     DomainError,
@@ -94,46 +101,48 @@ def _time_probes(window, extra=()) -> list[int]:
     return sorted(probes)
 
 
-def _call_stack(fn, label: str, lam: int, times: np.ndarray, states: np.ndarray, shape):
-    """`fn(lam, times, states)` as a float stack of shape (T, *shape), validated once.
+def _call_stack(fn, label: str, lams: np.ndarray, times: np.ndarray, states: np.ndarray, shape):
+    """`fn(lams, times, states)` as a float stack of shape (S, T, *shape), validated once.
 
-    A wrong shape is reported at the first time and a non-finite row at
-    its own time.  A call that raises is narrowed to its first failing
-    row, which names the (lam, n) of the error; this is the only place a
-    stack is evaluated row by row.
+    A wrong shape is reported at the first sample and time, a non-finite
+    entry at its own (sample, time), samples first.  A call that raises
+    is narrowed to its first failing entry, samples first, which names
+    the (lam, n) of the error; this is the only place a stack is
+    evaluated entry by entry.
     """
     try:
-        out = np.asarray(fn(lam, times, states), dtype=float)
+        out = np.asarray(fn(lams, times, states), dtype=float)
     except Exception as exc:
-        n, x, cause = times[0], states[0], exc
-        for i in range(len(times)):
+        lam, n, x, cause = lams[0], times[0], states[0, 0], exc
+        for s, i in itertools.product(range(len(lams)), range(len(times))):
             try:
-                fn(lam, times[i : i + 1], states[i : i + 1])
-            except Exception as row_exc:
-                n, x, cause = times[i], states[i], row_exc
+                fn(lams[s : s + 1], times[i : i + 1], states[s : s + 1, i : i + 1])
+            except Exception as entry_exc:
+                lam, n, x, cause = lams[s], times[i], states[s, i], entry_exc
                 break
         raise InputError(
             f"{label} failure at (lam={lam}, n={n}, |x|={float(np.abs(x).max()):.3e}): {cause}"
         ) from cause
-    if out.shape != (len(times),) + shape:
-        row_shape = out.shape[1:] if out.shape[:1] == (len(times),) else out.shape
-        raise InputError(f"{label} returned shape {row_shape} at (lam={lam}, n={times[0]})")
-    if not np.isfinite(out).all():
-        bad = np.flatnonzero(~np.isfinite(out.reshape(len(times), -1)).all(axis=1))
-        raise NumericError(
-            f"{label} returned non-finite values at (lam={lam}, n={times[bad[0]]})"
+    size = (len(lams), len(times))
+    if out.shape != size + shape:
+        entry_shape = out.shape[2:] if out.shape[:2] == size else out.shape
+        raise InputError(
+            f"{label} returned shape {entry_shape} at (lam={lams[0]}, n={times[0]})"
         )
+    if not np.isfinite(out).all():
+        s, i = np.argwhere(~np.isfinite(out.reshape(size + (-1,))).all(axis=2))[0]
+        raise NumericError(f"{label} returned non-finite values at (lam={lams[s]}, n={times[i]})")
     return out
 
 
 def _central_difference(g, states: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians (T, d, d) of a stacked map g: (T, d) -> (T, d)."""
-    d = states.shape[1]
-    cols = np.empty((len(states), d, d))
+    """Central-difference Jacobians (..., d, d) of a stacked map g: (..., d) -> (..., d)."""
+    d = states.shape[-1]
+    cols = np.empty(states.shape + (d,))
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        cols[:, :, j] = (g(states + e) - g(states - e)) / (2.0 * h)
+        cols[..., j] = (g(states + e) - g(states - e)) / (2.0 * h)
     return cols
 
 
@@ -141,18 +150,25 @@ def _central_difference(g, states: np.ndarray, h: float) -> np.ndarray:
 class NonlinearField:
     """Parametrized nonlinear difference system with a trivial branch.
 
-    The system is given in Nemitski form, over time ranges:
-    `evaluator(lam, times, states)` receives a parameter sample index,
-    a 1-D integer array of T times inside `window` and a (T, dim) stack
-    of states, and returns the (T, dim) stack of f(lam, times[i],
-    states[i]); `derivative(lam, times, states)`, when given, returns
-    the (T, dim, dim) stack of fibre derivatives.  Every consumer makes
-    one call per stack, and each returned stack is validated once
-    (shape, then finiteness); errors name the (lam, n) of the first bad
-    row.  The trivial branch f(lam, n, 0) = 0 is validated on a probe
-    grid at construction.  `r0` is the radius of the state ball on
-    which the model is trusted; `refiner(k)`, when given, returns the
-    same system sampled on a k-fold refined parameter loop.
+    The system is given in Nemitski form, over samples and time ranges
+    at once: `evaluator(lams, times, states)` receives a 1-D integer
+    array of S parameter sample indices, a 1-D integer array of T times
+    inside `window` and an (S, T, dim) stack of states, and returns the
+    (S, T, dim) stack of f(lams[s], times[i], states[s, i]);
+    `derivative(lams, times, states)`, when given, returns the
+    (S, T, dim, dim) stack of fibre derivatives.  Every consumer makes
+    one call per stack: the probes at construction and in `certify`
+    stack every sample they need, and Gauss-Newton stacks one sample
+    (S = 1).  Each returned stack is validated once (shape, then
+    finiteness); errors name the (lam, n) of the first bad entry,
+    samples first.  The trivial branch f(lam, n, 0) = 0 is validated
+    at construction, for every sample on a probe grid, with one
+    `value` call.  `r0` is the radius of the state ball on which the
+    model is trusted; `refiner(k)`, when given, returns the same system
+    sampled on a k-fold refined parameter loop.  The linearization
+    along the trivial branch is memoized per finite-difference step
+    (see `linearize_at_zero`); it does not refer back to the system,
+    so a dropped system is freed by reference counting.
     """
 
     dim: int
@@ -175,10 +191,8 @@ class NonlinearField:
         if not (self.r0 > 0.0):
             raise InputError("the trust radius r0 must be positive")
         times = np.array(_time_probes(self.window))
-        zero = np.zeros((len(times), self.dim))
-        worst = 0.0
-        for lam in range(self.n_params):
-            worst = max(worst, float(np.abs(self.value(lam, times, zero)).max()))
+        zero = np.zeros((self.n_params, len(times), self.dim))
+        worst = float(np.abs(self.value(np.arange(self.n_params), times, zero)).max())
         if worst > TRIVIAL_BRANCH_TOL:
             raise InputError(
                 "the zero sequence is not a trivial branch: |f(lam, n, 0)| reaches "
@@ -189,29 +203,32 @@ class NonlinearField:
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
-    def _check(self, lam: int, times: np.ndarray, states: np.ndarray) -> None:
+    def _check(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> None:
+        if lams.ndim != 1 or times.ndim != 1:
+            raise InputError("samples and times must each form a 1-D array of indices")
         for n in (int(times.min()), int(times.max())):
             if not (self.window[0] <= n <= self.window[1]):
                 raise InputError(f"time {n} outside the evaluable window {self.window}")
-        if not (0 <= lam < self.n_params):
-            raise InputError(f"parameter index {lam} outside range({self.n_params})")
-        if states.shape != (len(times), self.dim):
-            raise InputError(
-                f"states must form a ({len(times)}, {self.dim}) stack, got shape {states.shape}"
-            )
+        outside = lams[(lams < 0) | (lams >= self.n_params)]
+        if outside.size:
+            raise InputError(f"parameter index {outside[0]} outside range({self.n_params})")
+        size = (len(lams), len(times), self.dim)
+        if states.shape != size:
+            raise InputError(f"states must form a {size} stack, got shape {states.shape}")
 
-    def value(self, lam: int, times, states) -> np.ndarray:
-        """The (T, dim) stack f(lam, times[i], states[i]), validated once.
+    def value(self, lams, times, states) -> np.ndarray:
+        """The (S, T, dim) stack f(lams[s], times[i], states[s, i]), validated once.
 
-        A scalar time with one state vector gives that single (dim,)
-        value, through the same stacked call.
+        A scalar sample and time with one state vector give that single
+        (dim,) value, through the same stacked call.
         """
+        lams = np.asarray(lams, dtype=np.int64)
         times = np.asarray(times, dtype=np.int64)
         states = np.asarray(states, dtype=float)
         if times.ndim == 0:
-            return self.value(lam, times[None], np.atleast_1d(states)[None])[0]
-        self._check(lam, times, states)
-        return _call_stack(self.evaluator, "evaluator", lam, times, states, (self.dim,))
+            return self.value(lams.reshape(1), times.reshape(1), states.reshape(1, 1, -1))[0, 0]
+        self._check(lams, times, states)
+        return _call_stack(self.evaluator, "evaluator", lams, times, states, (self.dim,))
 
 
 def _check_fd_step(h: float) -> None:
@@ -223,20 +240,21 @@ def _check_fd_step(h: float) -> None:
         )
 
 
-def _fd_derivative(f: NonlinearField, lam: int, times, states, h: float) -> np.ndarray:
+def _fd_derivative(f: NonlinearField, lams, times, states, h: float) -> np.ndarray:
     """Central-difference fibre derivatives of a stack, one `value` call per column and sign."""
     _check_fd_step(h)
-    return _central_difference(lambda x: f.value(lam, times, x), np.asarray(states, float), h)
+    return _central_difference(lambda x: f.value(lams, times, x), np.asarray(states, float), h)
 
 
-def _derivatives(f: NonlinearField, lam: int, times, states, fd_step: float = FD_STEP):
-    """Fibre derivatives (T, dim, dim) at (times[i], states[i]): analytic, else FD."""
+def _derivatives(f: NonlinearField, lams, times, states, fd_step: float = FD_STEP):
+    """Fibre derivatives (S, T, dim, dim) at (times[i], states[s, i]): analytic, else FD."""
     if f.derivative is None:
-        return _fd_derivative(f, lam, times, states, fd_step)
+        return _fd_derivative(f, lams, times, states, fd_step)
+    lams = np.asarray(lams, dtype=np.int64)
     times = np.asarray(times, dtype=np.int64)
     states = np.asarray(states, dtype=float)
-    f._check(lam, times, states)
-    return _call_stack(f.derivative, "derivative", lam, times, states, (f.dim, f.dim))
+    f._check(lams, times, states)
+    return _call_stack(f.derivative, "derivative", lams, times, states, (f.dim, f.dim))
 
 
 @dataclass(frozen=True)
@@ -297,7 +315,7 @@ def nemitski_apply(
     """Substitution operator: the sequence n -> f(lam, n, phi(n))."""
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
-    vals = f.value(lam, np.arange(lo, hi + 1), phi.values)
+    vals = f.value([lam], np.arange(lo, hi + 1), phi.values[None])[0]
     return FiniteWindowSequence.tabulate((lo, hi), vals, decay_tol=decay_tol)
 
 
@@ -313,7 +331,7 @@ def nemitski_derivative(
     _check_fd_step(fd_step)
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
-    blocks = _derivatives(f, lam, np.arange(lo, hi + 1), phi.values, fd_step)
+    blocks = _derivatives(f, [lam], np.arange(lo, hi + 1), phi.values[None], fd_step)[0]
     return BlockDiagonalOperator(window=(lo, hi), blocks=blocks)
 
 
@@ -369,12 +387,21 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
     decaying nonautonomous part that does not vanish at zero.  The same
     system and step always give the same field object, so its matrix
     table and family memo serve certification and localization alike.
+    Its evaluator holds the system's evaluator and derivative, not the
+    system that memoizes it, so the two are freed by reference counting.
     """
     if fd_step in f._linearizations:
         return f._linearizations[fd_step]
+    dim, value, derivative = f.dim, f.evaluator, f.derivative
 
-    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
-        return _derivatives(f, lam, times, np.zeros((len(times), f.dim)), fd_step)
+    def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
+        zero = np.zeros((len(lams), len(times), dim))
+        if derivative is not None:
+            return _call_stack(derivative, "derivative", lams, times, zero, (dim, dim))
+        _check_fd_step(fd_step)
+        return _central_difference(
+            lambda x: _call_stack(value, "evaluator", lams, times, x, (dim,)), zero, fd_step
+        )
 
     lin = DiscreteVectorField(
         dim=f.dim,
@@ -393,14 +420,17 @@ class PerturbedSystemSpec:
     Models phi(n+1) = (A + D)(lam, n) phi(n) + R(lam, n, phi(n)) with
     `a_field` the principal linear part, `d_field` an optional
     additive linear part and `residual` the remainder R, which must
-    vanish on the zero branch.  `residual(lam, times, states)` and
-    `residual_derivative(lam, times, states)` take the Nemitski form of
-    `NonlinearField.evaluator`: a (T, dim) stack of states at T times,
-    returning (T, dim) and (T, dim, dim) stacks, each validated once
-    with errors naming (lam, n).  `edge_derivative_plus`/`minus` record
+    vanish on the zero branch.  `residual(lams, times, states)` and
+    `residual_derivative(lams, times, states)` take the Nemitski form of
+    `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
+    samples at T times, returning (S, T, dim) and (S, T, dim, dim)
+    stacks, each validated once with errors naming (lam, n).  The
+    construction probes them once each, for every sample of
+    `a_field`.  `edge_derivative_plus`/`minus` record
     |D_x R(lam, n, 0)| at the far ends of the window; the linearization
     method wants these to vanish at infinity, summarized by
-    `residual_derivative_vanishes`.
+    `residual_derivative_vanishes`.  `to_nonlinear` reads A + D from
+    the linear parts' tables, all samples of a stack in one read.
     """
 
     a_field: DiscreteVectorField
@@ -423,23 +453,19 @@ class PerturbedSystemSpec:
         lo, hi = self.window
         if lo >= hi:
             raise InputError("the linear parts share no time window")
+        lams = np.arange(self.a_field.n_params)
         times = np.array(_time_probes((lo, hi)))
         edges = np.array([min(hi, 50), max(lo, -50)])
-        worst = 0.0
-        for lam in range(self.a_field.n_params):
-            r = self._residual(lam, times, np.zeros((len(times), d)))
-            worst = max(worst, float(np.abs(r).max()))
+        r = self._residual(lams, times, np.zeros((len(lams), len(times), d)))
+        worst = float(np.abs(r).max())
         if worst > TRIVIAL_BRANCH_TOL:
             raise InputError(
                 "the residual does not vanish on the zero branch: |R(lam, n, 0)| "
                 f"reaches {worst:.3e} > {TRIVIAL_BRANCH_TOL:.0e} on the probe grid"
             )
-        plus = minus = 0.0
-        for lam in range(self.a_field.n_params):
-            dr = np.abs(self._residual_derivative(lam, edges, np.zeros((2, d))))
-            plus, minus = max(plus, float(dr[0].max())), max(minus, float(dr[1].max()))
-        object.__setattr__(self, "edge_derivative_plus", plus)
-        object.__setattr__(self, "edge_derivative_minus", minus)
+        dr = np.abs(self._residual_derivative(lams, edges, np.zeros((len(lams), 2, d))))
+        object.__setattr__(self, "edge_derivative_plus", float(dr[:, 0].max()))
+        object.__setattr__(self, "edge_derivative_minus", float(dr[:, 1].max()))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -457,39 +483,43 @@ class PerturbedSystemSpec:
             and self.edge_derivative_minus < EDGE_DERIVATIVE_TOL
         )
 
-    def _residual(self, lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return _call_stack(self.residual, "residual", lam, times, states, (self.a_field.dim,))
+    def _residual(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        return _call_stack(self.residual, "residual", lams, times, states, (self.a_field.dim,))
 
-    def _residual_derivative(self, lam: int, times: np.ndarray, states: np.ndarray):
+    def _residual_derivative(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray):
         d = self.a_field.dim
         if self.residual_derivative is None:
-            return _central_difference(lambda x: self._residual(lam, times, x), states, FD_STEP)
+            return _central_difference(lambda x: self._residual(lams, times, x), states, FD_STEP)
         return _call_stack(
-            self.residual_derivative, "residual derivative", lam, times, states, (d, d)
+            self.residual_derivative, "residual derivative", lams, times, states, (d, d)
         )
 
-    def to_nonlinear(self) -> NonlinearField:
+    def to_nonlinear(
+        self, refiner: Callable[[int], NonlinearField] | None = None
+    ) -> NonlinearField:
         """Assemble the full nonlinear field x -> (A + D) x + R(., x).
 
-        A + D is read from the linear parts' tables, one stack per call.
+        A + D is read from the linear parts' tables, one read per call
+        for all its samples; `refiner` becomes the field's refiner hook.
         """
         a_field, d_field = self.a_field, self.d_field
 
-        def system_matrices(lam: int, times: np.ndarray) -> np.ndarray:
-            a = a_field.matrices_at(lam, times)
+        def system_matrices(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
+            a = _read_all(a_field, lams, times)
             if d_field is not None:
-                a = a + d_field.matrices_at(lam if d_field.loop is not None else 0, times)
+                a = a + _read_all(d_field, lams if d_field.loop is not None else [0], times)
             return a
 
-        def evaluate(lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-            linear = (system_matrices(lam, times) @ states[..., None])[..., 0]
-            return linear + self._residual(lam, times, states)
+        def evaluate(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+            linear = (system_matrices(lams, times) @ states[..., None])[..., 0]
+            return linear + self._residual(lams, times, states)
 
         derivative = None
         if self.residual_derivative is not None:
 
-            def derivative(lam: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-                return system_matrices(lam, times) + self._residual_derivative(lam, times, states)
+            def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+                linear = system_matrices(lams, times)
+                return linear + self._residual_derivative(lams, times, states)
 
         return NonlinearField(
             dim=a_field.dim,
@@ -498,7 +528,17 @@ class PerturbedSystemSpec:
             window=self.window,
             r0=self.r0,
             loop=a_field.loop,
+            refiner=refiner,
         )
+
+
+def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
+    """`field.stack`, raising the first sample's error."""
+    mats, errors = field.stack(lams, times)
+    failed = next((e for e in errors if e is not None), None)
+    if failed is not None:
+        raise failed.with_traceback(None)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +721,12 @@ class BifurcationCertificate:
                 )
 
 
-def _probe_grid(times, dim: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every (time, state) probe pair, time-major, as a stack of times and one of states.
+def _probe_grid(times, dim: int, r0: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (time, state) probe pair, time-major: a stack of times, one of states per sample.
 
     The states lie inside the trust ball: zero, the axes at 0.5 r0 and
-    a mixed point.
+    a mixed point; every one of the `samples` samples gets the same
+    (T, dim) states.
     """
     states = np.vstack(
         [
@@ -694,7 +735,7 @@ def _probe_grid(times, dim: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
             np.full(dim, -0.35 * r0 / max(1.0, float(np.sqrt(dim)))),
         ]
     )
-    return np.repeat(times, len(states)), np.tile(states, (len(times), 1))
+    return np.repeat(times, len(states)), np.tile(states, (samples, len(times), 1))
 
 
 def certify_bifurcation(
@@ -714,6 +755,17 @@ def certify_bifurcation(
     and fails the hypotheses outright; a scan with no pass and at
     least one indeterminate sample blocks certification with a
     refinement hint instead of a guess.
+
+    Every evaluation stacks the samples it needs: the F0 and F1 probes
+    make one `value` or derivative call per stack, over all samples or
+    over the probed ones.  Before F2 the linearization of every sample
+    is read once over the union of the F2 and F3 runs
+    (`dichotomy.family_run`), so its table fills with one evaluator
+    call per run of that union; this read never raises.  An entry that
+    fails validation keeps its error in the table, and an evaluator
+    call that raises is made again by the read that needs its entries,
+    so each error surfaces at the F2 or F3 read that needs the entry,
+    with the message a read of its own would give.
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
@@ -725,27 +777,23 @@ def certify_bifurcation(
     evidence: list[tuple[str, str]] = []
     n = f.n_params
 
-    # F0: trivial branch and derivative trust
+    # F0: trivial branch and derivative trust, every probed sample in one stack
     branch_times = np.array(_time_probes(f.window, extra=(opts.anchor_minus, opts.anchor_plus)))
-    zero = np.zeros((len(branch_times), f.dim))
-    branch_worst = 0.0
-    for lam in range(n):
-        branch_worst = max(branch_worst, float(np.abs(f.value(lam, branch_times, zero)).max()))
+    zero = np.zeros((n, len(branch_times), f.dim))
+    branch_worst = float(np.abs(f.value(np.arange(n), branch_times, zero)).max())
     evidence.append(("f0_trivial_branch_sup", f"{branch_worst:.3e}"))
     f0_ok = branch_worst <= TRIVIAL_BRANCH_TOL
 
-    lam_probes = sorted({0, n // 3, n // 2, (2 * n) // 3, n - 1})
+    lam_probes = np.array(sorted({0, n // 3, n // 2, (2 * n) // 3, n - 1}))
     time_probes = _time_probes(f.window, extra=(-9, 2, 10))
-    probe_times, probe_states = _probe_grid(time_probes, f.dim, f.r0)
+    probe_times, probe_states = _probe_grid(time_probes, f.dim, f.r0, len(lam_probes))
     core_times, core_states = _probe_grid(
-        [t for t in time_probes if abs(t) <= 10], f.dim, f.r0
+        [t for t in time_probes if abs(t) <= 10], f.dim, f.r0, len(lam_probes)
     )
     if f.derivative is not None:
-        deviation = 0.0
-        for lam in lam_probes:
-            fd = _fd_derivative(f, lam, core_times, core_states, opts.fd_step)
-            analytic = _derivatives(f, lam, core_times, core_states)
-            deviation = max(deviation, float(np.abs(analytic - fd).max()))
+        fd = _fd_derivative(f, lam_probes, core_times, core_states, opts.fd_step)
+        analytic = _derivatives(f, lam_probes, core_times, core_states)
+        deviation = float(np.abs(analytic - fd).max())
         f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
         evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
     else:
@@ -760,10 +808,8 @@ def certify_bifurcation(
         evidence.append(("f0_remainder_ratios", ", ".join(f"{r:.3e}" for r in ratios)))
 
     # F1: sampled derivative bound on the trust ball
-    bound = 0.0
-    for lam in lam_probes:
-        blocks = _derivatives(f, lam, probe_times, probe_states, opts.fd_step)
-        bound = max(bound, float(np.abs(blocks).max()))
+    blocks = _derivatives(f, lam_probes, probe_times, probe_states, opts.fd_step)
+    bound = float(np.abs(blocks).max())
     f1_ok = bool(np.isfinite(bound))
     evidence.append(("f1_derivative_sup", f"{bound:.3e}"))
     warnings.append(
@@ -776,6 +822,18 @@ def certify_bifurcation(
     )
 
     lin = linearize_at_zero(f, opts.fd_step)
+    # one read of every sample over the union of the F2 and F3 runs; an
+    # entry that fails keeps its error for the read that needs it
+    runs = (
+        family_run("plus", opts.anchor_plus, 2, opts.horizon),
+        family_run("minus", opts.anchor_minus, 2, opts.horizon),
+        family_run("plus", 0, opts.f3_window[1], opts.horizon),
+        family_run("minus", 0, -opts.f3_window[0], opts.horizon),
+    )
+    union = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in runs]))
+    union = union[(union >= f.window[0]) & (union <= f.window[1])]
+    if union.size:
+        lin.stack(range(n), union)
 
     # F2: half-line dichotomies along the loop and the index-bundle class
     try:
@@ -953,7 +1011,7 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
     def residual(flat):
         phi = flat.reshape(w, d)
         rows = np.empty((w + 1, d))
-        rows[: w - 1] = phi[1:] - f.value(lam, times, phi[:-1])
+        rows[: w - 1] = phi[1:] - f.value([lam], times, phi[None, :-1])[0]
         rows[w - 1] = p_lo @ phi[0]
         rows[w] = q_hi @ phi[-1]
         return rows.reshape(-1)
@@ -962,7 +1020,7 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
         phi = flat.reshape(w, d)
         # block (i, j) of the (w+1)d x wd matrix is jac[i, :, j, :]
         jac = np.zeros((w + 1, d, w, d))
-        jac[steps, :, steps, :] = -_derivatives(f, lam, times, phi[:-1], opts.fd_step)
+        jac[steps, :, steps, :] = -_derivatives(f, [lam], times, phi[None, :-1], opts.fd_step)[0]
         jac[steps, :, steps + 1, :] = np.eye(d)
         jac[w - 1, :, 0, :] = p_lo
         jac[w, :, w - 1, :] = q_hi

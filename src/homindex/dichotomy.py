@@ -510,7 +510,8 @@ def build_projector_families(
     """Certified projector families of many parameter samples in one sweep.
 
     The construction and checks are those of `build_projector_family`,
-    run once for all samples with the sample on numpy's leading axis.
+    run once for all samples with the sample on numpy's leading axis,
+    on the runs of one `field.stack` read of the samples not memoized.
     Returns, in the order of `lams`, each sample's `ProjectorFamily` or
     the `HomindexError` its build raised; a failing sample never stops
     the others.  Results are memoized on the field per (sample, side,
@@ -523,26 +524,24 @@ def build_projector_families(
         return [exc for _ in lams]
     key = (side, anchor, length, horizon, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
     memo = field._families
-    # read in sweep order (the plus sweep runs down from the far end), so
-    # a bad entry is named where a single-sample sweep meets it first
-    sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
-    todo, runs = [], []
-    for lam in dict.fromkeys(lams):
-        if (lam, key) in memo:
-            continue
-        try:
-            mats = field.matrices_at(lam, sweep)
-            runs.append(mats[::-1] if side == "plus" else mats)
-            todo.append(lam)
-        except HomindexError as exc:
-            memo[lam, key] = exc
+    todo = [lam for lam in dict.fromkeys(lams) if (lam, key) not in memo]
     if todo:
-        built = _build_batch(
-            np.stack(runs), side, anchor, horizon, times, offset,
-            tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
-        )
-        for lam, outcome in zip(todo, built):
-            memo[lam, key] = outcome
+        # one read of every sample, in sweep order (the plus sweep runs down
+        # from the far end), so a bad entry is named where its sweep meets it first
+        sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
+        mats, errors = field.stack(todo, sweep)
+        for lam, exc in zip(todo, errors):
+            if exc is not None:
+                memo[lam, key] = exc
+        good = [i for i, exc in enumerate(errors) if exc is None]
+        if good:
+            runs = mats[good, ::-1] if side == "plus" else mats[good]
+            built = _build_batch(
+                np.ascontiguousarray(runs), side, anchor, horizon, times, offset,
+                tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
+            )
+            for i, outcome in zip(good, built):
+                memo[todo[i], key] = outcome
     return [memo[lam, key] for lam in lams]
 
 

@@ -6,29 +6,36 @@ parameter loop.  The constructions here (hyperbolic families from a
 bundle, piecewise realizations, controlled perturbations) are the raw
 material for the dichotomy, index and bifurcation layers.
 
-Fields are evaluated over time ranges, never point by point.  An
-evaluator `evaluator(lam, times)` takes the index of a parameter sample
-and a 1-D integer array of T times and returns the (T, d, d) stack of
-the matrices at those times; the `middle` of a realization and the
-perturbation of `perturb_field` have the same form.
+Fields are evaluated over samples and time ranges at once, never point
+by point.  An evaluator `evaluator(lams, times)` takes a 1-D integer
+array of S parameter sample indices and a 1-D integer array of T times
+and returns the (S, T, d, d) stack of the matrices at those samples
+and times, the sample on the leading axis; the `middle` of a
+realization and the perturbation of `perturb_field` have the same
+form, and each of them is called once for all samples.
 
 Every `DiscreteVectorField` owns an exact table of the matrices read so
 far: per parameter sample, the sorted times and their matrices.  All
 reads (`matrix` for one entry, `matrices` for a time range,
-`matrices_at` for any times, in any order and with repeats) go through
-one `read`.  It evaluates only the requested times that are not yet
-known, one evaluator call per run of consecutive times, and validates
-each returned stack (shape, finiteness) once.  An entry that fails
-keeps a `NumericError` naming its (lam=..., n=...), so each (sample,
-time) reaches the evaluator at most once and a failed entry is never
-retried; among several bad entries a read names the first one in the
-order it asked for them.  Memory grows with the entries read, not with
-the span between them, so a probe at a far window edge costs one
-entry.  A field also carries two memos: the dichotomy layer fills one
-with a projector family per (sample, side, anchor, window length,
-horizon, tolerances), see `dichotomy.build_projector_families`, and
-the Fredholm layer the other with the spectrum summary of a truncation
-per (sample, window, family pair), see `fredholm.truncated_spectra`.
+`matrices_at` for any times, in any order and with repeats, and `stack`
+for many samples at once) go through one `read`.  It groups the
+requested samples by the times they are missing and makes one
+evaluator call per group and run of consecutive times, so a read of
+every sample over a range that none of them knows costs one call.  It
+validates each returned stack (shape, finiteness) once.  An entry that
+fails keeps a `NumericError` naming its (lam=..., n=...), so each
+(sample, time) reaches the evaluator at most once and a failed entry
+is never retried; a sample's read names its first bad entry in the
+order it asked for them, and a failing sample never spoils the others'
+entries.  Memory grows with the entries read, not with the span
+between them, so a probe at a far window edge costs one entry.  The
+table keeps only the evaluator and the dimension, never its field, so
+a dropped field is freed by reference counting.  A field also carries
+two memos: the dichotomy layer fills one with a projector family per
+(sample, side, anchor, window length, horizon, tolerances), see
+`dichotomy.build_projector_families`, and the Fredholm layer the other
+with the spectrum summary of a truncation per (sample, window, family
+pair), see `fredholm.truncated_spectra`.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, SamplingError
+from .errors import DomainError, HomindexError, InputError, NumericError, SamplingError
 
 __all__ = [
     "ParameterLoop",
@@ -120,14 +127,18 @@ class _MatrixTable:
     """Validated matrices of one field, evaluated on first use.
 
     Per sample, the table keeps the sorted times read so far with their
-    matrices, and the `NumericError` of each time that failed.  `read`
-    is its only access: one `searchsorted` finds the requested times
-    already known; the others, unless they failed before, are evaluated
-    one run of consecutive times per evaluator call and merged in.
+    matrices, and the `NumericError` of each time that failed.  It
+    holds the field's evaluator and dimension, not the field.  `read`
+    is its only access: one `searchsorted` per sample finds the
+    requested times already known; the others, unless they failed
+    before, are evaluated for all samples missing the same times at
+    once, one evaluator call per run of consecutive times, and merged
+    in.
     """
 
-    def __init__(self, field: "DiscreteVectorField"):
-        self._field = field
+    def __init__(self, evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int):
+        self._evaluator = evaluator
+        self._dim = dim
         #: per sample, the sorted known times and their (len, d, d) matrices
         self._known: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: per sample, the validation error of each failed time
@@ -141,49 +152,120 @@ class _MatrixTable:
         at = np.searchsorted(known, times)
         return at, known.take(at, mode="clip") == times
 
-    def read(self, lam: int, times: np.ndarray) -> np.ndarray:
-        """Read-only matrices of sample `lam` at the integer `times`, in their order.
+    def read(self, lams: list[int], times: np.ndarray, errors: list) -> np.ndarray:
+        """Read-only (S, T, d, d) matrices of samples `lams` at the integer `times`.
 
-        Times may repeat and come in any order.  Raises the error of
-        the first failed entry in the order of `times`.
+        Times may repeat and come in any order.  `errors` holds, per
+        sample, None or an error found before the read; a sample with
+        an error is skipped, and every other sample whose read fails
+        gets the error of its first failed entry in the order of
+        `times` (or the `HomindexError` its evaluator call raised).
+        The rows of failed samples are zero.
         """
-        at, known = self._locate(lam, times)
-        if not known.all():
-            self._fill(lam, np.unique(times[~known]))
+        rows: list = [None] * len(lams)
+        missing: dict[int, np.ndarray] = {}
+        unseen = None  # the sorted request, shared by the samples that know none of it
+        for s, lam in enumerate(lams):
+            if errors[s] is not None:
+                continue
             at, known = self._locate(lam, times)
-            if not known.all():
-                raise self._errors[lam][int(times[np.argmin(known)])].with_traceback(None)
-        out = self._known[lam][1][at]
+            if known.all():
+                rows[s] = self._known[lam][1][at]
+            elif known.any():
+                missing[lam] = np.unique(times[~known])
+            else:
+                unseen = np.unique(times) if unseen is None else unseen
+                missing[lam] = unseen
+        raised = self._fill(missing) if missing else {}
+        for s, lam in enumerate(lams):
+            if lam not in missing or errors[s] is not None:
+                continue
+            if lam in raised:
+                errors[s] = raised[lam]
+                continue
+            at, known = self._locate(lam, times)
+            if known.all():
+                rows[s] = self._known[lam][1][at]
+            else:
+                errors[s] = self._errors[lam][int(times[np.argmin(known)])]
+        if len(rows) == 1 and rows[0] is not None:
+            out = rows[0][None]  # no copy for the common one-sample read
+        else:
+            empty = np.zeros((len(times), self._dim, self._dim))
+            out = np.array([empty if r is None else r for r in rows])
+            out = out.reshape((len(rows),) + empty.shape)
         out.setflags(write=False)
         return out
 
-    def _fill(self, lam: int, todo: np.ndarray) -> None:
-        """Evaluate the sorted unknown times `todo` that have not failed, one call per run."""
-        errors = self._errors.setdefault(lam, {})
-        if errors:
-            todo = todo[[n not in errors for n in todo.tolist()]]
-        f = self._field
-        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
-            if not run.size:
-                continue
-            a = np.asarray(f.evaluator(lam, run), dtype=float)
-            if a.shape == (len(run), f.dim, f.dim):
-                bad = ~np.isfinite(a).all(axis=(1, 2))
-                what = "non-finite entries"
-            else:
-                bad = np.ones(len(run), dtype=bool)
-                shape = a.shape[1:] if a.shape[:1] == (len(run),) else a.shape
-                what = f"shape {shape}"
-            for n in run[bad].tolist():
-                errors[n] = NumericError(f"evaluator returned {what} at (lam={lam}, n={n})")
-            if bad.all():
+    def _fill(self, missing: dict[int, np.ndarray]) -> dict[int, Exception]:
+        """Evaluate each sample's sorted unknown times that have not failed.
+
+        Samples missing the same times form a group, evaluated with one
+        call per run of consecutive times.  Returns the samples whose
+        evaluator call raised a `HomindexError`, with that error.
+        """
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for lam, todo in missing.items():
+            failed = self._errors.setdefault(lam, {})
+            if failed:
+                todo = todo[[n not in failed for n in todo.tolist()]]
+            if todo.size:
+                groups.setdefault(todo.tobytes(), (todo, []))[1].append(lam)
+        raised: dict[int, Exception] = {}
+        for todo, group in groups.values():
+            for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
+                self._evaluate([lam for lam in group if lam not in raised], run, raised)
+        return raised
+
+    def _evaluate(self, lams: list[int], run: np.ndarray, raised: dict) -> None:
+        """One evaluator call for samples `lams` on the run of times `run`, merged in.
+
+        A call that raises is repeated per sample, so one sample's
+        failure spares the others; a sample whose own call raises a
+        `HomindexError` is entered in `raised`, any other exception
+        propagates.
+        """
+        if not lams:
+            return
+        try:
+            a = np.asarray(self._evaluator(np.array(lams), run), dtype=float)
+        except Exception as exc:
+            if len(lams) > 1:
+                for lam in lams:
+                    self._evaluate([lam], run, raised)
+                return
+            if not isinstance(exc, HomindexError):
+                raise
+            raised[lams[0]] = exc
+            return
+        d, size = self._dim, (len(lams), len(run))
+        if a.shape == size + (d, d):
+            bad = ~np.isfinite(a).all(axis=(2, 3))
+            what = "non-finite entries"
+        else:
+            bad = np.ones(size, dtype=bool)
+            shape = a.shape[2:] if a.shape[:2] == size else a.shape
+            what = f"shape {shape}"
+        flawed = bad.any(axis=1).tolist()
+        for s, lam in enumerate(lams):
+            new_times, new_values = run, a[s]
+            if flawed[s]:
+                for n in run[bad[s]].tolist():
+                    self._errors[lam][n] = NumericError(
+                        f"evaluator returned {what} at (lam={lam}, n={n})"
+                    )
+                if bad[s].all():
+                    continue
+                new_times, new_values = run[~bad[s]], new_values[~bad[s]]
+            if lam not in self._known:
+                self._known[lam] = (new_times, np.array(new_values))
                 continue
             # no known time lies inside a run of unknown ones: one insertion point
-            times, values = self._known.get(lam, (run[:0], a[:0]))
+            times, values = self._known[lam]
             at = int(np.searchsorted(times, run[0]))
             self._known[lam] = (
-                np.concatenate((times[:at], run[~bad], times[at:])),
-                np.concatenate((values[:at], a[~bad], values[at:])),
+                np.concatenate((times[:at], new_times, times[at:])),
+                np.concatenate((values[:at], new_values, values[at:])),
             )
 
 
@@ -191,20 +273,24 @@ class _MatrixTable:
 class DiscreteVectorField:
     """Matrix field (parameter sample, time) -> d x d real matrix.
 
-    `evaluator(lam, times)` receives the integer index of a parameter
-    sample (0 for unparametrized fields) and a 1-D integer array of T
-    consecutive times inside `window`, and returns the (T, d, d) stack
-    of the matrices at those times.  The exact table (see the module
-    docstring) calls it at most once per (sample, time), only for times
-    a read asked for, and validates each returned stack once: a stack
-    of the wrong shape fails every entry it was asked for, and a
-    non-finite matrix fails its own entry, each with a `NumericError`
-    naming (lam, n).  A read that meets failed entries raises the error
-    of the first one in the order of its requested times.
+    `evaluator(lams, times)` receives a 1-D integer array of S
+    parameter sample indices (all 0 for unparametrized fields) and a
+    1-D integer array of T consecutive times inside `window`, and
+    returns the (S, T, d, d) stack of the matrices at those samples and
+    times.  The exact table (see the module docstring) calls it at most
+    once per (sample, time), only for times a read asked for, with
+    every sample of a read that misses the same run in one call, and
+    validates each returned stack once: a stack of the wrong shape
+    fails every entry it was asked for, and a non-finite matrix fails
+    its own entry, each with a `NumericError` naming (lam, n).  A call
+    that raises is repeated sample by sample, so a failing sample
+    spares the others.  A read that meets failed entries raises the
+    error of the first one, samples first, then in the order of the
+    requested times; `stack` returns each sample's error instead.
     """
 
     dim: int
-    evaluator: Callable[[int, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     window: tuple[int, int] = _WIDE_WINDOW
     loop: ParameterLoop | None = None
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
@@ -222,22 +308,52 @@ class DiscreteVectorField:
             raise InputError("dimension must be at least 1")
         if self.window[0] >= self.window[1]:
             raise InputError("window must be a nonempty interval of times")
-        object.__setattr__(self, "_table", _MatrixTable(self))
+        object.__setattr__(self, "_table", _MatrixTable(self.evaluator, self.dim))
 
     @property
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
-    def _check(self, lam: int, lo: int, hi: int) -> None:
-        for n in (lo, hi):
+    def _times(self, times) -> np.ndarray:
+        """`times` as a nonempty 1-D integer array inside the window."""
+        times = np.asarray(times, dtype=np.int64).reshape(-1)
+        if times.size == 0:
+            raise InputError("no times requested")
+        for n in (int(times.min()), int(times.max())):
             if not (self.window[0] <= n <= self.window[1]):
                 raise InputError(f"time {n} outside the evaluable window {self.window}")
-        if not (0 <= lam < self.n_params):
-            raise InputError(f"parameter index {lam} outside range({self.n_params})")
+        return times
+
+    def stack(self, lams, times) -> tuple[np.ndarray, list]:
+        """Matrices of many samples in one read, and each sample's error.
+
+        Returns the read-only (S, T, d, d) stack of samples `lams` at
+        the integer `times` (in any order, with repeats) and, per
+        sample, None or the error its own read would raise; the rows of
+        a failed sample are zero.  Raises only for times outside the
+        window.
+        """
+        return self._stack(lams, self._times(times))
+
+    def _stack(self, lams, times: np.ndarray) -> tuple[np.ndarray, list]:
+        lams = [int(lam) for lam in lams]
+        errors = [
+            None
+            if 0 <= lam < self.n_params
+            else InputError(f"parameter index {lam} outside range({self.n_params})")
+            for lam in lams
+        ]
+        return self._table.read(lams, times, errors), errors
+
+    def _read(self, lam: int, times: np.ndarray) -> np.ndarray:
+        """Read-only (T, d, d) matrices of one sample; raises its first error."""
+        mats, (error,) = self._stack([lam], times)
+        if error is not None:
+            raise error.with_traceback(None)
+        return mats[0]
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
-        self._check(lam, n, n)
-        return self._table.read(int(lam), np.array([int(n)]))[0]
+        return self._read(lam, self._times([n]))[0]
 
     def matrices(self, lam: int, lo: int, hi: int) -> np.ndarray:
         """Read-only stack of the matrices at times lo..hi, shape (hi - lo + 1, d, d).
@@ -247,8 +363,7 @@ class DiscreteVectorField:
         """
         if lo > hi:
             raise InputError(f"time range [{lo}, {hi}] is empty")
-        self._check(lam, lo, hi)
-        return self._table.read(int(lam), np.arange(int(lo), int(hi) + 1))
+        return self._read(lam, self._times(np.arange(int(lo), int(hi) + 1)))
 
     def matrices_at(self, lam: int, times) -> np.ndarray:
         """Read-only stack of the matrices at the integer `times`, in their order.
@@ -256,11 +371,7 @@ class DiscreteVectorField:
         Times may repeat and come in any order.  Raises like `matrix`;
         among several bad entries, the first one in `times` is named.
         """
-        times = np.asarray(times, dtype=np.int64).reshape(-1)
-        if times.size == 0:
-            raise InputError("no times requested")
-        self._check(lam, int(times.min()), int(times.max()))
-        return self._table.read(int(lam), times)
+        return self._read(lam, self._times(times))
 
 
 @dataclass(frozen=True)
@@ -348,7 +459,7 @@ def autonomous_field(matrix, window: tuple[int, int] = _WIDE_WINDOW) -> Discrete
     a = _readonly(a)
     return DiscreteVectorField(
         dim=a.shape[0],
-        evaluator=lambda lam, times: np.broadcast_to(a, (len(times),) + a.shape),
+        evaluator=lambda lams, times: np.broadcast_to(a, (len(lams), len(times)) + a.shape),
         window=window,
     )
 
@@ -381,7 +492,7 @@ def tabulated_field(
     lo = window[0]
     return DiscreteVectorField(
         dim=v.shape[2],
-        evaluator=lambda lam, times: v[lam, times - lo],
+        evaluator=lambda lams, times: v[lams[:, None], times - lo],
         window=window,
         loop=loop,
     )
@@ -406,7 +517,9 @@ def construct_hyperbolic_family(bundle: SampledBundle, q: float) -> DiscreteVect
     mats = _readonly(mats)
     return DiscreteVectorField(
         dim=d,
-        evaluator=lambda lam, times: np.broadcast_to(mats[lam], (len(times), d, d)),
+        evaluator=lambda lams, times: np.broadcast_to(
+            mats[lams][:, None], (len(lams), len(times), d, d)
+        ),
         loop=bundle.loop,
     )
 
@@ -417,17 +530,18 @@ def realization_field(
     q: float = 0.5,
     kappa_minus: int = -8,
     kappa_plus: int = 8,
-    middle: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    middle: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> DiscreteVectorField:
     """Piecewise field realizing a prescribed pair of asymptotic bundles.
 
     Times below kappa_minus use the hyperbolic family of `stable_behind`,
     times above kappa_plus the hyperbolic family of `stable_ahead`, and
     the middle uses `middle` (identity by default), an evaluator of the
-    `DiscreteVectorField` form.  It is called once per sample, on all of
-    kappa_minus..kappa_plus, and its matrices must be finite and
-    invertible; the first offending (lam, n) in sample-then-time order
-    is named.  Requires kappa_minus < 0 < kappa_plus.
+    `DiscreteVectorField` form.  It is called once, for every sample on
+    all of kappa_minus..kappa_plus, and its matrices must be finite and
+    invertible; a stack of the wrong shape breaks every entry, and the
+    first offending (lam, n) in sample-then-time order is named.
+    Requires kappa_minus < 0 < kappa_plus.
     """
     if not (kappa_minus < 0 < kappa_plus):
         raise InputError("need kappa_minus < 0 < kappa_plus")
@@ -443,13 +557,12 @@ def realization_field(
     mid = np.broadcast_to(np.eye(d), (n_params, len(times), d, d)).copy()
     broken = np.zeros((n_params, len(times)), dtype=bool)
     if middle is not None:
-        for lam in range(n_params):
-            m = np.asarray(middle(lam, times), dtype=float)
-            if m.shape != mid.shape[1:]:
-                broken[lam] = True
-                continue
-            broken[lam] = ~np.isfinite(m).all(axis=(1, 2))
-            mid[lam, ~broken[lam]] = m[~broken[lam]]
+        m = np.asarray(middle(np.arange(n_params), times), dtype=float)
+        if m.shape != mid.shape:
+            broken[:] = True
+        else:
+            broken = ~np.isfinite(m).all(axis=(2, 3))
+            mid[~broken] = m[~broken]
     singular = np.linalg.svd(mid, compute_uv=False).min(axis=-1) < 1e-10
     if (broken | singular).any():
         lam, i = np.argwhere(broken | singular)[0].tolist()
@@ -458,13 +571,13 @@ def realization_field(
         raise DomainError(f"middle matrix at (lam={lam}, n={times[i]}) is not invertible")
     mid = _readonly(mid)
 
-    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
-        out = np.empty((len(times), d, d))
+    def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.empty((len(lams), len(times), d, d))
         before, after = times < kappa_minus, times > kappa_plus
         inside = ~(before | after)
-        out[before] = behind.evaluator(lam, times[before])
-        out[after] = ahead.evaluator(lam, times[after])
-        out[inside] = mid[lam, times[inside] - kappa_minus]
+        out[:, before] = behind.evaluator(lams, times[before])
+        out[:, after] = ahead.evaluator(lams, times[after])
+        out[:, inside] = mid[lams[:, None], times[inside] - kappa_minus]
         return out
 
     return DiscreteVectorField(
@@ -476,7 +589,7 @@ def realization_field(
 
 def perturb_field(
     base: DiscreteVectorField,
-    perturbation: Callable[[int, np.ndarray], np.ndarray],
+    perturbation: Callable[[np.ndarray, np.ndarray], np.ndarray],
     gamma_plus: float,
     gamma_minus: float,
     kappa_plus: int = 0,
@@ -489,9 +602,9 @@ def perturb_field(
     Returns the perturbed field together with a report stating whether
     the sampled perturbation norms stay within gamma_plus on times
     >= kappa_plus and within gamma_minus on times <= kappa_minus.  The
-    tails are sampled with one call per parameter sample; the first
-    broken (lam, n) is named.  The report records the verdict; it does
-    not stop the construction.
+    tails of every parameter sample are sampled with one call; the
+    first broken (lam, n) in sample-then-time order is named.  The
+    report records the verdict; it does not stop the construction.
     """
     if gamma_plus < 0 or gamma_minus < 0:
         raise InputError("perturbation budgets must be nonnegative")
@@ -499,21 +612,19 @@ def perturb_field(
     lo = max(base.window[0], kappa_minus - tail_samples)
     hi = min(base.window[1], kappa_plus + tail_samples)
     times = np.arange(lo, hi + 1)
-    obs_plus = 0.0
-    obs_minus = 0.0
-    for lam in range(base.n_params):
-        e = np.asarray(perturbation(lam, times), dtype=float)
-        bad = [0]  # a stack of the wrong shape is broken from its first time on
-        if e.shape == (len(times), d, d):
-            bad = np.flatnonzero(~np.isfinite(e).all(axis=(1, 2)))
-        if len(bad):
-            raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[bad[0]]})")
-        sizes = np.linalg.norm(e, 2, axis=(1, 2))
-        obs_plus = max(obs_plus, float(sizes[times >= kappa_plus].max(initial=0.0)))
-        obs_minus = max(obs_minus, float(sizes[times <= kappa_minus].max(initial=0.0)))
+    e = np.asarray(perturbation(np.arange(base.n_params), times), dtype=float)
+    bad = [(0, 0)]  # a stack of the wrong shape is broken from its first entry on
+    if e.shape == (base.n_params, len(times), d, d):
+        bad = np.argwhere(~np.isfinite(e).all(axis=(2, 3))).tolist()
+    if bad:
+        lam, i = bad[0]
+        raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[i]})")
+    sizes = np.linalg.norm(e, 2, axis=(2, 3))
+    obs_plus = float(sizes[:, times >= kappa_plus].max(initial=0.0))
+    obs_minus = float(sizes[:, times <= kappa_minus].max(initial=0.0))
 
-    def evaluate(lam: int, times: np.ndarray) -> np.ndarray:
-        return base.evaluator(lam, times) + np.asarray(perturbation(lam, times), dtype=float)
+    def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return base.evaluator(lams, times) + np.asarray(perturbation(lams, times), dtype=float)
 
     report = SmallnessReport(
         gamma_plus=gamma_plus,

@@ -216,18 +216,22 @@ class TruncationSpectrum:
     sigma_max: float
 
 
-def assemble_truncated(field: DiscreteVectorField, lam: int, window) -> np.ndarray:
-    """Step blocks of the finite section of phi(n+1) - A_n(lam) phi(n) on `window`.
+def assemble_truncated(field: DiscreteVectorField, lams, window) -> tuple[np.ndarray, list]:
+    """Step blocks of the finite sections of phi(n+1) - A_n(lam) phi(n) on `window`.
 
-    Returns the (w-1, d, d) stack of -A_n for lo <= n < hi.  Block row
-    i of the section maps the values (phi(lo), ..., phi(hi)) to
-    ``blocks[i] @ phi(lo + i) + phi(lo + i + 1)``: the section is block
-    lower-bidiagonal, and its identity blocks are implicit.
+    Returns the (S, w-1, d, d) stack of -A_n for lo <= n < hi, one row
+    per sample of `lams`, from one `field.stack` read, and each
+    sample's read error (None for a good row; a failed row is zero).
+    Block row i of a sample's section maps the values (phi(lo), ...,
+    phi(hi)) to ``blocks[s, i] @ phi(lo + i) + phi(lo + i + 1)``: the
+    section is block lower-bidiagonal, and its identity blocks are
+    implicit.
     """
     lo, hi = _as_window(window)
     if hi - lo + 1 < 2:
         raise InputError("truncation window needs at least two times")
-    return -field.matrices(lam, lo, hi - 1)
+    mats, errors = field.stack(lams, np.arange(lo, hi))
+    return -mats, errors
 
 
 def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> None:
@@ -617,7 +621,8 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
     The truncation on `window` = [lo, hi] has the block rows P-(lo),
     phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
     samples sit on numpy's leading axis (`_sigma_max`,
-    `_smallest_values`).  A sample that either routine leaves
+    `_smallest_values`), with the blocks of every sample from one
+    `assemble_truncated` read.  A sample that either routine leaves
     unresolved falls back to a values-only dense SVD of its own
     matrix, the only dense truncation formed.  Returns each sample's
     `TruncationSpectrum`, or the error reading its blocks or boundary
@@ -627,7 +632,7 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
     lo, hi = _as_window(window)
     d = field.dim
     memo = field._spectra
-    keys, pending, parts = [], {}, []
+    keys, pending = [], {}
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failed = next((f for f in (fam_plus, fam_minus) if isinstance(f, HomindexError)), None)
         if failed is not None:
@@ -635,25 +640,31 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
             continue
         key = (lam, lo, hi, id(fam_plus), id(fam_minus))
         keys.append(key)
-        if key in memo or key in pending:
-            continue
+        if key not in memo:
+            pending[key] = (lam, fam_plus, fam_minus)
+    if pending:
         try:
-            if fam_plus.dim != d or fam_minus.dim != d:
-                raise InputError("witness families and field disagree on the dimension")
-            part = (
-                assemble_truncated(field, lam, (lo, hi)),
-                fam_minus.projector(lo),
-                np.eye(d) - fam_plus.projector(hi),
-            )
+            steps, errors = assemble_truncated(field, [p[0] for p in pending.values()], (lo, hi))
         except HomindexError as exc:
-            memo[key] = (fam_plus, fam_minus, exc)
-            continue
-        pending[key] = (fam_plus, fam_minus)
-        parts.append(part)
-    if parts:
-        solved = _solve_spectra(*(np.stack(block) for block in zip(*parts)))
-        for (key, families), spectrum in zip(pending.items(), solved):
-            memo[key] = (*families, spectrum)
+            steps, errors = None, [exc] * len(pending)
+        items, rows, boundary = list(pending.items()), [], []
+        for i, (key, (_, fam_plus, fam_minus)) in enumerate(items):
+            try:
+                if fam_plus.dim != d or fam_minus.dim != d:
+                    raise InputError("witness families and field disagree on the dimension")
+                if errors[i] is not None:
+                    raise errors[i]
+                boundary.append((fam_minus.projector(lo), np.eye(d) - fam_plus.projector(hi)))
+            except HomindexError as exc:
+                memo[key] = (fam_plus, fam_minus, exc)
+                continue
+            rows.append(i)
+        if rows:
+            first, last = (np.stack(block) for block in zip(*boundary))
+            solved = _solve_spectra(steps[rows], first, last)
+            for i, spectrum in zip(rows, solved):
+                key, (_, fam_plus, fam_minus) = items[i]
+                memo[key] = (fam_plus, fam_minus, spectrum)
     return [k if isinstance(k, HomindexError) else memo[k][2] for k in keys]
 
 

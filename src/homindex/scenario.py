@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -130,13 +130,25 @@ def _expect_window(value, path: str) -> list:
     return [int(value[0]), int(value[1])]
 
 
+#: object-valued defaults whose field also takes another form, validated later
+_OBJECT_OR_OTHER = ("options.solve.rhs",)
+
+
 def _merge_defaults(given: dict, defaults: dict, path: str) -> dict:
+    """`given` over a deep copy of `defaults`, recursing into object-valued defaults.
+
+    A field whose default is an object must be an object, unless it is
+    one of `_OBJECT_OR_OTHER`.
+    """
     out = copy.deepcopy(defaults)
     for key, value in given.items():
+        where = f"{path}.{key}" if path else key
         if key not in defaults:
-            _fail(f"{path}.{key}" if path else key, "unknown field")
+            _fail(where, "unknown field")
         if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge_defaults(value, defaults[key], f"{path}.{key}" if path else key)
+            out[key] = _merge_defaults(value, defaults[key], where)
+        elif isinstance(defaults[key], dict) and where not in _OBJECT_OR_OTHER:
+            _fail(where, "expected an object")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -412,17 +424,20 @@ def _build_bundle(spec: dict, loop: ParameterLoop, dimension: int) -> SampledBun
 
 
 def _quadratic_decaying(amplitude: float):
-    """R(n, x) = amplitude e^{-|n|} (x0^2, x0 x1) and its fibre derivative, over stacks."""
+    """R(n, x) = amplitude e^{-|n|} (x0^2, x0 x1) and its fibre derivative.
 
-    def residual(lam, times, x):
-        w = amplitude * np.exp(-np.abs(times))
-        return w[:, None] * np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=-1)
+    Both take (S, T, 2) stacks of states, for S samples at T times.
+    """
 
-    def derivative(lam, times, x):
+    def residual(lams, times, x):
         w = amplitude * np.exp(-np.abs(times))
-        zero = np.zeros(len(times))
-        rows = [[2.0 * x[:, 0], zero], [x[:, 1], x[:, 0]]]
-        return w[:, None, None] * np.moveaxis(np.array(rows), -1, 0)
+        return w[:, None] * np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
+
+    def derivative(lams, times, x):
+        w = amplitude * np.exp(-np.abs(times))
+        zero = np.zeros(x.shape[:-1])
+        rows = [[2.0 * x[..., 0], zero], [x[..., 1], x[..., 0]]]
+        return w[:, None, None] * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
     return residual, derivative
 
@@ -601,27 +616,25 @@ class Scenario:
                 f"the '{spec['kind']}' field is linear; certification commands need "
                 "a 'system2' field"
             )
+        return self._nonlinear(spec, self.data["loop"]["n"])
 
-        def make(n_samples: int) -> NonlinearField:
-            loop = ParameterLoop.circle(n_samples)
-            a_field = self._build_realization(spec, loop)
-            residual_spec = spec["residual"]
-            if residual_spec["kind"] == "none":
-                dim = self.dimension
-                res = lambda lam, times, x: np.zeros((len(times), dim))  # noqa: E731
-                dres = lambda lam, times, x: np.zeros((len(times), dim, dim))  # noqa: E731
-            else:
-                res, dres = _quadratic_decaying(residual_spec["amplitude"])
-            system = PerturbedSystemSpec(
-                a_field=a_field,
-                residual=res,
-                residual_derivative=dres,
-                r0=spec["r0"],
-            )
-            f = system.to_nonlinear()
-            return replace(f, refiner=lambda k: make(n_samples * k))
-
-        return make(self.data["loop"]["n"])
+    def _nonlinear(self, spec: dict, n_samples: int) -> NonlinearField:
+        """The system2 field on an n-sample loop; its refiner builds the refined loops."""
+        a_field = self._build_realization(spec, ParameterLoop.circle(n_samples))
+        residual_spec = spec["residual"]
+        if residual_spec["kind"] == "none":
+            dim = self.dimension
+            res = lambda lams, times, x: np.zeros(x.shape)  # noqa: E731
+            dres = lambda lams, times, x: np.zeros(x.shape + (dim,))  # noqa: E731
+        else:
+            res, dres = _quadratic_decaying(residual_spec["amplitude"])
+        system = PerturbedSystemSpec(
+            a_field=a_field,
+            residual=res,
+            residual_derivative=dres,
+            r0=spec["r0"],
+        )
+        return system.to_nonlinear(refiner=lambda k: self._nonlinear(spec, n_samples * k))
 
 
 _BUILTIN_DOCUMENTS = {

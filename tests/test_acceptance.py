@@ -331,8 +331,8 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
         bumps = rng.standard_normal((16, 3, 3))
         bumps *= 0.99 * gamma / np.linalg.norm(bumps, ord=2, axis=(1, 2), keepdims=True)
 
-        def pert(lam, times, b=bumps):
-            return b[lam] / (1.0 + 0.05 * np.abs(times))[:, None, None]
+        def pert(lams, times, b=bumps):
+            return b[lams][:, None] / (1.0 + 0.05 * np.abs(times))[:, None, None]
 
         perturbed, smallness = perturb_field(
             rank_one, pert, gamma_plus=gamma, gamma_minus=gamma
@@ -359,8 +359,8 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
         bumps = rng.standard_normal((16, 2, 2))
         bumps *= 0.99 * gamma_m / np.linalg.norm(bumps, ord=2, axis=(1, 2), keepdims=True)
 
-        def pert(lam, times, b=bumps):
-            return b[lam] / (1.0 + 0.05 * np.abs(times))[:, None, None]
+        def pert(lams, times, b=bumps):
+            return b[lams][:, None] / (1.0 + 0.05 * np.abs(times))[:, None, None]
 
         perturbed, smallness = perturb_field(
             mobius, pert, gamma_plus=gamma_m, gamma_minus=gamma_m

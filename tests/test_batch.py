@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -26,9 +30,13 @@ from homindex.dichotomy import (
     verify_ed,
     verify_families,
 )
+import homindex.bifurcation as bifurcation
+import homindex.scenario as scenario_module
+from homindex.bifurcation import NonlinearField
+from homindex.cli import run
 from homindex.errors import InputError, NoDichotomyError, NumericError
 from homindex.field import DiscreteVectorField, ParameterLoop, tabulated_field
-from homindex.scenario import Scenario
+from homindex.scenario import Scenario, builtin_document
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -46,13 +54,17 @@ def counting_field(n_samples=8, bad=None):
     """Rotated saddles with an evaluator that counts its calls per (sample, time)."""
     calls = Counter()
 
-    def evaluate(lam, times):
-        calls.update((lam, n) for n in times.tolist())
+    def rotated(lam):
         c, s = np.cos(0.1 * lam), np.sin(0.1 * lam)
         rot = np.array([[c, -s], [s, c]])
-        out = np.broadcast_to(rot @ SADDLE @ rot.T, (len(times), 2, 2)).copy()
-        if bad is not None and bad[0] == lam:
-            out[times == bad[1]] = np.nan
+        return rot @ SADDLE @ rot.T
+
+    def evaluate(lams, times):
+        calls.update((lam, n) for lam in lams.tolist() for n in times.tolist())
+        one = np.array([rotated(lam) for lam in lams.tolist()])
+        out = np.repeat(one[:, None], len(times), axis=1)
+        if bad is not None:
+            out[(lams == bad[0])[:, None] & (times == bad[1])] = np.nan
         return out
 
     field = DiscreteVectorField(
@@ -121,11 +133,11 @@ def test_failing_sample_keeps_its_error_and_spares_the_others():
 
 def test_f2_names_the_first_failing_sample_in_loop_order():
     field = saddle_loop_field(n_samples=8, broken=5, window=(-10_000, 10_000))
-    zero = lambda lam, times, x: np.zeros((len(times), 2))  # noqa: E731
+    zero = lambda lams, times, x: np.zeros(x.shape)  # noqa: E731
     f = PerturbedSystemSpec(
         a_field=field,
         residual=zero,
-        residual_derivative=lambda lam, times, x: np.zeros((len(times), 2, 2)),
+        residual_derivative=lambda lams, times, x: np.zeros(x.shape + (2,)),
     ).to_nonlinear()
     cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
     assert cert.verdict == "hypotheses_failed" and not cert.f2_ok
@@ -164,8 +176,9 @@ def test_each_side_names_the_bad_entry_its_sweep_meets_first():
     for side, bad, named in (("plus", {5, 40}, 40), ("minus", {-60, -20}, -60)):
         field = DiscreteVectorField(
             dim=2,
-            evaluator=lambda lam, times, bad=bad: np.where(
-                np.isin(times, list(bad))[:, None, None], np.inf, SADDLE
+            evaluator=lambda lams, times, bad=bad: np.broadcast_to(
+                np.where(np.isin(times, list(bad))[:, None, None], np.inf, SADDLE),
+                (len(lams), len(times), 2, 2),
             ),
             window=(-200, 200),
             loop=ParameterLoop.circle(8),
@@ -177,9 +190,9 @@ def test_each_side_names_the_bad_entry_its_sweep_meets_first():
 def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_once():
     calls = Counter()
 
-    def evaluate(lam, times):
-        calls.update((lam, n) for n in times.tolist())
-        return np.zeros((len(times), 3, 3))
+    def evaluate(lams, times):
+        calls.update((lam, n) for lam in lams.tolist() for n in times.tolist())
+        return np.zeros((len(lams), len(times), 3, 3))
 
     field = DiscreteVectorField(dim=2, evaluator=evaluate, window=(-20, 20))
     with pytest.raises(NumericError, match=r"shape \(3, 3\) at \(lam=0, n=-5\)"):
@@ -196,11 +209,11 @@ def time_stamped_field(window=(-200, 200), bad=()):
     """Field whose entry (0, 0) is the time; the evaluator counts its calls per time."""
     calls = Counter()
 
-    def evaluate(lam, times):
-        calls.update(times.tolist())
-        out = np.broadcast_to(SADDLE, (len(times), 2, 2)).copy()
-        out[:, 0, 0] = times
-        out[np.isin(times, list(bad))] = np.inf
+    def evaluate(lams, times):
+        calls.update(n for _ in lams for n in times.tolist())
+        out = np.broadcast_to(SADDLE, (len(lams), len(times), 2, 2)).copy()
+        out[:, :, 0, 0] = times
+        out[:, np.isin(times, list(bad))] = np.inf
         return out
 
     return DiscreteVectorField(dim=2, evaluator=evaluate, window=window), calls
@@ -247,6 +260,115 @@ def test_localization_reuses_the_families_certification_built():
     assert found
     assert memo.keys() == before.keys()
     assert all(memo[key] is before[key] for key in before)
+
+
+def test_a_read_of_many_samples_fills_each_run_once_and_names_each_sample_s_error():
+    field, calls = counting_field(bad=(2, 5))
+    field.matrices(4, 0, 9)
+    mats, errors = field.stack([0, 2, 4, 9], np.arange(12, -1, -1))
+    assert mats.shape == (4, 13, 2, 2) and not mats.flags.writeable
+    assert [e is None for e in errors] == [True, False, True, False]
+    assert "(lam=2, n=5)" in str(errors[1]) and "outside range(8)" in str(errors[3])
+    assert not mats[1].any()
+    assert np.array_equal(mats[2], field.matrices(4, 0, 12)[::-1])
+    assert set(calls.values()) == {1}
+    # samples 0 and 2 missed [0, 12] (one call); sample 4 missed [10, 12] (one call)
+    assert sorted(n for lam, n in calls if lam == 4) == list(range(13))
+
+
+def certify_loop_document(ahead: dict) -> dict:
+    """A system2 document shaped like the certify-loop benchmark (n = 32, windows +-30)."""
+    doc = builtin_document("system2-mobius")
+    doc["loop"]["n"] = 32
+    doc["field"].update(stable_ahead=ahead, q=0.45)
+    doc["options"].update(f3_window=[-30, 30], localize_window=[-30, 30])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, verdict, most_values",
+    [
+        (builtin_document("system2-mobius"), "bifurcation_certified", None),
+        (certify_loop_document({"kind": "mobius"}), "bifurcation_certified", None),
+        (certify_loop_document({"kind": "trivial", "rank": 1}), "obstruction_vanishes", 12),
+    ],
+)
+def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
+    tmp_path, monkeypatch, doc, verdict, most_values
+):
+    calls = Counter()
+
+    def counted(label, evaluate):
+        def wrapped(*args):
+            calls[label] += 1
+            return evaluate(*args)
+
+        return wrapped
+
+    build = scenario_module.realization_field
+
+    def realization(*args, **kwargs):
+        field = build(*args, **kwargs)
+        return dataclasses.replace(field, evaluator=counted("realization", field.evaluator))
+
+    monkeypatch.setattr(scenario_module, "realization_field", realization)
+
+    def linearization(**kwargs):
+        kwargs["evaluator"] = counted("linearization", kwargs["evaluator"])
+        return DiscreteVectorField(**kwargs)
+
+    monkeypatch.setattr(bifurcation, "DiscreteVectorField", linearization)
+    value = NonlinearField.value
+
+    def counted_value(self, *args):
+        calls["value"] += 1
+        return value(self, *args)
+
+    monkeypatch.setattr(NonlinearField, "value", counted_value)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 0 and report["results"]["verdict"] == verdict
+    assert calls["linearization"] == 1
+    assert 1 <= calls["realization"] <= 16
+    if most_values is not None:
+        assert calls["value"] <= most_values
+
+
+def test_a_system2_build_probes_its_trivial_branch_once(monkeypatch):
+    calls = []
+    value = NonlinearField.value
+
+    def counted_value(self, lams, times, states):
+        calls.append(np.asarray(lams).tolist())
+        return value(self, lams, times, states)
+
+    monkeypatch.setattr(NonlinearField, "value", counted_value)
+    f = Scenario.builtin("system2-mobius").build_nonlinear()
+    assert calls == [list(range(16))]
+    refined = f.refiner(2)
+    assert calls[1:] == [list(range(32))] and refined.n_params == 32
+
+
+def test_dropped_fields_and_their_tables_are_freed_by_reference_counting():
+    gc.disable()
+    try:
+        field = Scenario.builtin("realization-mobius").build_field()
+        families = build_projector_families(field, range(16), "plus", 0, 20, horizon=40)
+        verify_families(families)
+        refs = [weakref.ref(field), weakref.ref(field._table)]
+        del field, families
+        assert [r() for r in refs] == [None, None]
+
+        f = Scenario.builtin("system2-mobius").build_nonlinear()
+        lin = linearize_at_zero(f)
+        certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+        refs = [weakref.ref(x) for x in (f, lin, lin._table)]
+        del f, lin
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_importing_the_cli_does_not_load_scipy():

@@ -43,8 +43,8 @@ def quadratic_field(window=(-50, 50)) -> NonlinearField:
     """Scalar f(x) = 0.5 x + x^2 with analytic derivative."""
     return NonlinearField(
         dim=1,
-        evaluator=lambda lam, times, x: 0.5 * x + x**2,
-        derivative=lambda lam, times, x: (0.5 + 2.0 * x)[:, :, None],
+        evaluator=lambda lams, times, x: 0.5 * x + x**2,
+        derivative=lambda lams, times, x: (0.5 + 2.0 * x)[..., None],
         window=window,
         r0=1.0,
     )
@@ -53,14 +53,14 @@ def quadratic_field(window=(-50, 50)) -> NonlinearField:
 def decaying_quadratic(amplitude=1.0):
     """R(n, x) = amplitude e^{-|n|} (x0^2, x0 x1) and its fibre derivative, over stacks."""
 
-    def residual(lam, times, x):
+    def residual(lams, times, x):
         w = amplitude * np.exp(-np.abs(times))[:, None]
-        return w * np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
+        return w * np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
 
-    def residual_derivative(lam, times, x):
+    def residual_derivative(lams, times, x):
         w = amplitude * np.exp(-np.abs(times))[:, None, None]
-        rows = [[2.0 * x[:, 0], np.zeros(len(x))], [x[:, 1], x[:, 0]]]
-        return w * np.moveaxis(np.array(rows), -1, 0)
+        rows = [[2.0 * x[..., 0], np.zeros(x.shape[:-1])], [x[..., 1], x[..., 0]]]
+        return w * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
     return residual, residual_derivative
 
@@ -90,8 +90,8 @@ def linear_system(stable_rank_ahead=1, stable_rank_behind=1, dim=2,
     )
     return PerturbedSystemSpec(
         a_field=a_field,
-        residual=lambda lam, times, x: np.zeros((len(times), dim)),
-        residual_derivative=lambda lam, times, x: np.zeros((len(times), dim, dim)),
+        residual=lambda lams, times, x: np.zeros(x.shape),
+        residual_derivative=lambda lams, times, x: np.zeros(x.shape + (dim,)),
         r0=1.0,
     )
 
@@ -107,8 +107,8 @@ def residual_oracle(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> f
     lo, hi = phi.window
     worst = 0.0
     for n in range(lo, hi):
-        step = np.asarray(f.evaluator(lam, np.array([n]), phi.value_at(n)[None]), dtype=float)
-        worst = max(worst, float(abs(phi.value_at(n + 1) - step[0]).max()))
+        step = f.evaluator(np.array([lam]), np.array([n]), phi.value_at(n)[None, None])
+        worst = max(worst, float(abs(phi.value_at(n + 1) - np.asarray(step)[0, 0]).max()))
     return worst
 
 
@@ -120,7 +120,7 @@ def test_nonlinear_field_trivial_branch_guard():
     with pytest.raises(InputError):
         NonlinearField(
             dim=1,
-            evaluator=lambda lam, times, x: 0.5 * x + 1e-6,
+            evaluator=lambda lams, times, x: 0.5 * x + 1e-6,
             window=(-10, 10),
             r0=1.0,
         )
@@ -180,8 +180,8 @@ def test_nemitski_apply_validation():
     with pytest.raises(InputError):
         nemitski_apply(f, 0, phi2)  # dimension mismatch
 
-    def broken(lam, times, x):
-        if np.any((times == 3) & np.any(x != 0.0, axis=1)):
+    def broken(lams, times, x):
+        if np.any((times == 3) & np.any(x != 0.0, axis=-1)):
             raise ValueError("boom")
         return 0.0 * x
 
@@ -236,7 +236,7 @@ def test_remainder_ratios_slope():
 
 def test_finite_difference_step_guards():
     f = NonlinearField(
-        dim=1, evaluator=lambda lam, times, x: 0.5 * x + x**2,
+        dim=1, evaluator=lambda lams, times, x: 0.5 * x + x**2,
         window=(-5, 5), r0=1.0,
     )
     phi = impulse_seq((-5, 5), at=0, value=0.1)
@@ -257,7 +257,7 @@ def test_linearize_at_zero_quadratic_and_linear():
 
     a = np.array([[0.3, 1.0], [0.0, 2.0]])
     f_lin = NonlinearField(
-        dim=2, evaluator=lambda lam, times, x: x @ a.T, window=(-30, 30), r0=1.0
+        dim=2, evaluator=lambda lams, times, x: x @ a.T, window=(-30, 30), r0=1.0
     )
     lin = linearize_at_zero(f_lin)
     for n in (-20, 0, 20):
@@ -292,7 +292,7 @@ def test_perturbed_system_side_conditions():
     with pytest.raises(InputError):
         PerturbedSystemSpec(
             a_field=a_field,
-            residual=lambda lam, times, x: np.array([1e-6, 0.0]) + 0.0 * x,
+            residual=lambda lams, times, x: np.array([1e-6, 0.0]) + 0.0 * x,
             r0=1.0,
         )
 
@@ -303,8 +303,10 @@ def test_perturbed_system_side_conditions():
 
     linear_tail = PerturbedSystemSpec(
         a_field=a_field,
-        residual=lambda lam, times, x: 0.1 * x,
-        residual_derivative=lambda lam, times, x: np.broadcast_to(0.1 * np.eye(2), (len(x), 2, 2)),
+        residual=lambda lams, times, x: 0.1 * x,
+        residual_derivative=lambda lams, times, x: np.broadcast_to(
+            0.1 * np.eye(2), x.shape[:-1] + (2, 2)
+        ),
         r0=1.0,
     )
     assert linear_tail.edge_derivative_plus == pytest.approx(0.1, rel=1e-9)
@@ -485,8 +487,8 @@ def test_localize_linear_fields_empty():
     autonomous = construct_hyperbolic_family(trivial_bundle(loop, 2, 1), 0.5)
     f2 = NonlinearField(
         dim=2,
-        evaluator=lambda lam, times, x: (autonomous.matrices_at(lam, times) @ x[..., None])[..., 0],
-        derivative=lambda lam, times, x: autonomous.matrices_at(lam, times),
+        evaluator=lambda lams, times, x: (autonomous.stack(lams, times)[0] @ x[..., None])[..., 0],
+        derivative=lambda lams, times, x: autonomous.stack(lams, times)[0],
         window=(-200, 200),
         r0=1.0,
         loop=loop,
@@ -509,14 +511,14 @@ def test_localize_requires_certificate_and_survives_divergence():
         mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=0.5
     )
 
-    def wild_residual(lam, times, x):
+    def wild_residual(lams, times, x):
         w = 1e4 * np.exp(-np.abs(times))[:, None]
-        return w * np.stack([x[:, 1] ** 2, x[:, 0] * x[:, 1]], axis=1)
+        return w * np.stack([x[..., 1] ** 2, x[..., 0] * x[..., 1]], axis=-1)
 
-    def wild_derivative(lam, times, x):
+    def wild_derivative(lams, times, x):
         w = 1e4 * np.exp(-np.abs(times))[:, None, None]
-        rows = [[np.zeros(len(x)), 2.0 * x[:, 1]], [x[:, 1], x[:, 0]]]
-        return w * np.moveaxis(np.array(rows), -1, 0)
+        rows = [[np.zeros(x.shape[:-1]), 2.0 * x[..., 1]], [x[..., 1], x[..., 0]]]
+        return w * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
     wild = PerturbedSystemSpec(
         a_field=a_field,

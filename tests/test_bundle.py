@@ -434,8 +434,9 @@ def test_index_bundle_class_perturbation_invariance():
         bump = rng.standard_normal((2, 2))
         bump *= 1e-3 / np.linalg.norm(bump, ord=2)
 
-        def pert(lam, times, b=bump):
-            return b / (1.0 + 0.5 * np.abs(times))[:, None, None]
+        def pert(lams, times, b=bump):
+            one = b / (1.0 + 0.5 * np.abs(times))[:, None, None]
+            return np.broadcast_to(one, (len(lams),) + one.shape)
 
         perturbed, report = perturb_field(base, pert, gamma_plus=2e-3,
                                           gamma_minus=2e-3)

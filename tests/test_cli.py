@@ -455,6 +455,15 @@ def test_malformed_solve_forcing_exits_three_naming_the_field(tmp_path, capsys, 
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("solve", [[], True, None, 7])
+def test_solve_options_that_are_not_an_object_exit_three(tmp_path, capsys, solve):
+    ref = write_doc(tmp_path, saddle_doc(options={"solve": solve}))
+    for command in ("solve", "spectrum"):
+        assert run([command, "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: scenario field 'options.solve': expected an object\n"
+
+
 @pytest.mark.parametrize("gap_ratio", [0.5, 1.0])
 def test_gap_ratio_at_most_one_exits_three_naming_the_field(tmp_path, capsys, gap_ratio):
     ref = write_doc(tmp_path, saddle_doc(tolerances={"gap_ratio": gap_ratio}))

@@ -127,12 +127,15 @@ def test_realization_field_pieces():
     with pytest.raises(InputError):
         realization_field(e, f, kappa_minus=1, kappa_plus=4)
     with pytest.raises(DomainError):
-        realization_field(e, f, middle=lambda lam, times: np.zeros((len(times), 2, 2)))
+        realization_field(e, f, middle=lambda lams, times: np.zeros((len(lams), len(times), 2, 2)))
 
 
 def test_perturbation_smallness_report():
     base = autonomous_field(np.diag([0.5, 2.0]), window=(-100, 100))
-    bump = lambda lam, times: 1e-3 * np.exp(-np.abs(times))[:, None, None] * np.eye(2)
+    def bump(lams, times):
+        one = 1e-3 * np.exp(-np.abs(times))[:, None, None] * np.eye(2)
+        return np.broadcast_to(one, (len(lams),) + one.shape)
+
     pert, report = perturb_field(base, bump, gamma_plus=1e-2, gamma_minus=1e-2)
     assert report.small
     assert report.observed_plus == pytest.approx(1e-3)
@@ -182,10 +185,10 @@ def test_stacked_constructor_checks_name_the_first_offender():
     def middle(broken, singular):
         """Identity middle, NaN at `broken` and zero at `singular` (lam, n) points."""
 
-        def evaluate(lam, times):
-            out = np.broadcast_to(np.eye(2), (len(times), 2, 2)).copy()
-            out[times == broken[1]] *= np.nan if lam == broken[0] else 1.0
-            out[times == singular[1]] *= 0.0 if lam == singular[0] else 1.0
+        def evaluate(lams, times):
+            out = np.broadcast_to(np.eye(2), (len(lams), len(times), 2, 2)).copy()
+            out[(lams == broken[0])[:, None] & (times == broken[1])] *= np.nan
+            out[(lams == singular[0])[:, None] & (times == singular[1])] *= 0.0
             return out
 
         return evaluate
@@ -196,13 +199,13 @@ def test_stacked_constructor_checks_name_the_first_offender():
     with pytest.raises(InputError, match=r"broken at \(lam=1, n=-2\)"):
         realization_field(e, f, middle=middle(broken=(1, -2), singular=(1, 3)))
     with pytest.raises(InputError, match=r"broken at \(lam=0, n=-8\)"):
-        realization_field(e, f, middle=lambda lam, times: np.eye(2))
+        realization_field(e, f, middle=lambda lams, times: np.eye(2))
 
     base = autonomous_field(np.diag([0.5, 2.0]), window=(-100, 100))
 
-    def spiky(lam, times):
-        out = np.zeros((len(times), 2, 2))
-        out[times == 7] = np.inf
+    def spiky(lams, times):
+        out = np.zeros((len(lams), len(times), 2, 2))
+        out[:, times == 7] = np.inf
         return out
 
     with pytest.raises(InputError, match=r"perturbation evaluator broken at \(lam=0, n=7\)"):

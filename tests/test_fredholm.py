@@ -94,25 +94,26 @@ def test_sequence_decay_flags_and_validation():
 
 def test_truncated_matrix_frozen_scalar_contraction():
     f = field.autonomous_field([[0.5]])
-    blocks = fredholm.assemble_truncated(f, 0, (0, 2))
+    (blocks,), errors = fredholm.assemble_truncated(f, [0], (0, 2))
+    assert errors == [None]
     np.testing.assert_array_equal(blocks, np.full((2, 1, 1), -0.5))
 
 
 def test_truncated_operator_shape_and_block_structure():
     f = field.autonomous_field(MIXED)
     window = (-5, 6)
-    blocks = fredholm.assemble_truncated(f, 0, window)
+    (blocks,), _ = fredholm.assemble_truncated(f, [0], window)
     w = window[1] - window[0] + 1
     assert blocks.shape == (w - 1, 2, 2)
     # one block -A_n per step n = lo, ..., hi - 1
     np.testing.assert_array_equal(blocks, np.broadcast_to(-MIXED, (w - 1, 2, 2)))
     with pytest.raises(InputError):
-        fredholm.assemble_truncated(f, 0, (3, 3))
+        fredholm.assemble_truncated(f, [0], (3, 3))
 
 
 def test_truncated_annihilates_sampled_solution():
     f = field.autonomous_field([[0.5]])
-    blocks = fredholm.assemble_truncated(f, 0, (0, 20))
+    (blocks,), _ = fredholm.assemble_truncated(f, [0], (0, 20))
     phi = seq((0, 20), 0.5 ** np.arange(21.0)[:, None])
     # block row i maps phi to blocks[i] phi(i) + phi(i + 1)
     residual = (blocks @ phi.values[:-1, :, None])[..., 0] + phi.values[1:]
@@ -418,7 +419,7 @@ def test_index_invariant_under_small_perturbations():
         bumps = rng.standard_normal((321, 2, 2))
         bumps *= 0.99 * gamma / np.linalg.norm(bumps, ord=2, axis=(1, 2), keepdims=True)
         perturbed, smallness = field.perturb_field(
-            base, lambda lam, times: bumps[times + 160], gamma_plus=gamma, gamma_minus=gamma
+            base, lambda lams, times: bumps[None, times + 160], gamma_plus=gamma, gamma_minus=gamma
         )
         assert smallness.small
         report = fredholm.kernel_cokernel(

@@ -124,8 +124,8 @@ def asymptotically_hyperbolic(seed: int, d: int, reach: int = 200) -> DiscreteVe
     table = np.where((times >= 0)[:, None, None], ahead, behind)
     table = table + decay * rng.standard_normal((len(times), d, d))
 
-    def evaluate(lam, n):
-        return table[n + reach]
+    def evaluate(lams, n):
+        return np.broadcast_to(table[n + reach], (len(lams), len(n), d, d))
 
     return DiscreteVectorField(dim=d, evaluator=evaluate, window=(-reach, reach))
 
@@ -147,8 +147,9 @@ def switching_field(ahead, behind) -> DiscreteVectorField:
     """diag(ahead) for n >= 0 and diag(behind) below."""
     a, b = np.diag(ahead), np.diag(behind)
 
-    def evaluate(lam, n):
-        return np.where((n >= 0)[:, None, None], a, b)
+    def evaluate(lams, n):
+        one = np.where((n >= 0)[:, None, None], a, b)
+        return np.broadcast_to(one, (len(lams),) + one.shape)
 
     return DiscreteVectorField(dim=len(ahead), evaluator=evaluate, window=(-200, 200))
 
