@@ -49,7 +49,7 @@ from .errors import (
     NumericError,
     SamplingError,
 )
-from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop
+from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
 from .fredholm import (
     DECAY_TOL,
     FiniteWindowSequence,
@@ -68,7 +68,6 @@ __all__ = [
     "F3Check",
     "check_F3",
     "CertifyOptions",
-    "NewtonOptions",
     "BifurcationCertificate",
     "certify_bifurcation",
     "localize_bifurcations",
@@ -90,6 +89,27 @@ EDGE_DERIVATIVE_TOL = 1e-6
 
 #: principal cosine between decaying subspaces that seeds a Newton run
 SEED_COSINE = 0.99
+
+#: Gauss-Newton iteration cap per run
+NEWTON_MAX_ITER = 50
+
+#: residual sup-norm at which a Gauss-Newton run stops
+NEWTON_TOL = 1e-11
+
+#: Armijo sufficient-decrease factor on the squared residual
+ARMIJO = 1e-4
+
+#: step shrink factor per backtracking trial
+BACKTRACK = 0.5
+
+#: smallest step fraction before a Gauss-Newton run counts as stalled
+MIN_STEP = 1e-6
+
+#: seed amplitudes, as fractions of r0, of the Newton runs per near-kernel direction
+SEED_SCALES = (1e-3, 1e-2, 1e-1)
+
+#: residual sup-norm a localized solution must reach
+ACCEPT_RESIDUAL = 1e-9
 
 
 def _time_probes(window, extra=()) -> list[int]:
@@ -166,9 +186,9 @@ class NonlinearField:
     `value` call.  `r0` is the radius of the state ball on which the
     model is trusted; `refiner(k)`, when given, returns the same system
     sampled on a k-fold refined parameter loop.  The linearization
-    along the trivial branch is memoized per finite-difference step
-    (see `linearize_at_zero`); it does not refer back to the system,
-    so a dropped system is freed by reference counting.
+    along the trivial branch is memoized in one slot (see
+    `linearize_at_zero`); it does not refer back to the system, so a
+    dropped system is freed by reference counting.
     """
 
     dim: int
@@ -178,9 +198,9 @@ class NonlinearField:
     r0: float = 1.0
     loop: ParameterLoop | None = None
     refiner: Callable[[int], "NonlinearField"] | None = None
-    #: linearizations along the trivial branch by finite-difference step
-    _linearizations: dict = dataclass_field(
-        init=False, repr=False, compare=False, default_factory=dict
+    #: the linearization along the trivial branch, once `linearize_at_zero` built it
+    _linearization: DiscreteVectorField | None = dataclass_field(
+        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self):
@@ -231,18 +251,8 @@ class NonlinearField:
         return _call_stack(self.evaluator, "evaluator", lams, times, states, (self.dim,))
 
 
-def _check_fd_step(h: float) -> None:
-    if not (h > 0.0):
-        raise InputError(f"finite-difference step must be positive, got {h}")
-    if 1.0 + h == 1.0:
-        raise NumericError(
-            f"finite-difference step {h:.1e} underflows at working precision"
-        )
-
-
 def _fd_derivative(f: NonlinearField, lams, times, states, h: float) -> np.ndarray:
     """Central-difference fibre derivatives of a stack, one `value` call per column and sign."""
-    _check_fd_step(h)
     return _central_difference(lambda x: f.value(lams, times, x), np.asarray(states, float), h)
 
 
@@ -309,14 +319,12 @@ def _check_substitution_domain(f: NonlinearField, phi: FiniteWindowSequence) -> 
         )
 
 
-def nemitski_apply(
-    f: NonlinearField, lam: int, phi: FiniteWindowSequence, decay_tol: float = DECAY_TOL
-) -> FiniteWindowSequence:
+def nemitski_apply(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> FiniteWindowSequence:
     """Substitution operator: the sequence n -> f(lam, n, phi(n))."""
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
     vals = f.value([lam], np.arange(lo, hi + 1), phi.values[None])[0]
-    return FiniteWindowSequence.tabulate((lo, hi), vals, decay_tol=decay_tol)
+    return FiniteWindowSequence.tabulate((lo, hi), vals)
 
 
 def nemitski_derivative(
@@ -328,7 +336,12 @@ def nemitski_derivative(
     each block is the analytic fibre derivative when the field carries
     one and a central finite difference with step `fd_step` otherwise.
     """
-    _check_fd_step(fd_step)
+    if not (fd_step > 0.0):
+        raise InputError(f"finite-difference step must be positive, got {fd_step}")
+    if 1.0 + fd_step == 1.0:
+        raise NumericError(
+            f"finite-difference step {fd_step:.1e} underflows at working precision"
+        )
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
     blocks = _derivatives(f, [lam], np.arange(lo, hi + 1), phi.values[None], fd_step)[0]
@@ -340,29 +353,18 @@ def remainder_ratios(
     lam: int,
     phi: FiniteWindowSequence,
     steps: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    direction=None,
 ) -> list[tuple[float, float, float]]:
     """Sup-norm Taylor remainders of the substitution operator along phi.
 
     Returns one row (h, remainder_sup, remainder_sup / h) per step h,
     where the remainder is F(phi + h u) - F(phi) - h L u with L the
-    fibre derivative along phi and u the probe direction (constant
-    all-ones by default, sup-normalized otherwise).  Differentiability
-    shows as ratios decreasing to zero with h.
+    fibre derivative along phi and u the constant all-ones probe
+    direction.  Differentiability shows as ratios decreasing to zero
+    with h.
     """
     _check_substitution_domain(f, phi)
     lo, hi = phi.window
-    w = hi - lo + 1
-    if direction is None:
-        u = np.ones((w, f.dim))
-    else:
-        u = np.asarray(direction, dtype=float)
-        if u.shape != (w, f.dim):
-            raise InputError(f"direction must have shape {(w, f.dim)}, got {u.shape}")
-        top = float(np.abs(u).max())
-        if top == 0.0:
-            raise InputError("direction must be nonzero")
-        u = u / top
+    u = np.ones((hi - lo + 1, f.dim))
     base = nemitski_apply(f, lam, phi)
     lin = nemitski_derivative(f, lam, phi)
     lu = np.einsum("nij,nj->ni", lin.blocks, u)
@@ -378,29 +380,29 @@ def remainder_ratios(
     return rows
 
 
-def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVectorField:
+def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
     """Linearization of the system along its trivial branch.
 
     The returned field evaluates the fibre derivative at zero; with an
     analytic derivative this is exact, otherwise it is sampled by
-    central differences.  The full derivative is kept, including any
-    decaying nonautonomous part that does not vanish at zero.  The same
-    system and step always give the same field object, so its matrix
-    table and family memo serve certification and localization alike.
-    Its evaluator holds the system's evaluator and derivative, not the
-    system that memoizes it, so the two are freed by reference counting.
+    central differences with step `FD_STEP`.  The full derivative is
+    kept, including any decaying nonautonomous part that does not
+    vanish at zero.  The same system always gives the same field
+    object, so its matrix table and family memo serve certification and
+    localization alike.  Its evaluator holds the system's evaluator and
+    derivative, not the system that memoizes it, so the two are freed
+    by reference counting.
     """
-    if fd_step in f._linearizations:
-        return f._linearizations[fd_step]
+    if f._linearization is not None:
+        return f._linearization
     dim, value, derivative = f.dim, f.evaluator, f.derivative
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
         zero = np.zeros((len(lams), len(times), dim))
         if derivative is not None:
             return _call_stack(derivative, "derivative", lams, times, zero, (dim, dim))
-        _check_fd_step(fd_step)
         return _central_difference(
-            lambda x: _call_stack(value, "evaluator", lams, times, x, (dim,)), zero, fd_step
+            lambda x: _call_stack(value, "evaluator", lams, times, x, (dim,)), zero, FD_STEP
         )
 
     lin = DiscreteVectorField(
@@ -409,18 +411,17 @@ def linearize_at_zero(f: NonlinearField, fd_step: float = FD_STEP) -> DiscreteVe
         window=f.window,
         loop=f.loop,
     )
-    f._linearizations[fd_step] = lin
+    object.__setattr__(f, "_linearization", lin)
     return lin
 
 
 @dataclass(frozen=True)
 class PerturbedSystemSpec:
-    """Nonlinear system assembled from linear parts and a small residual.
+    """Nonlinear system assembled from a linear part and a small residual.
 
-    Models phi(n+1) = (A + D)(lam, n) phi(n) + R(lam, n, phi(n)) with
-    `a_field` the principal linear part, `d_field` an optional
-    additive linear part and `residual` the remainder R, which must
-    vanish on the zero branch.  `residual(lams, times, states)` and
+    Models phi(n+1) = A(lam, n) phi(n) + R(lam, n, phi(n)) with
+    `a_field` the linear part and `residual` the remainder R, which
+    must vanish on the zero branch.  `residual(lams, times, states)` and
     `residual_derivative(lams, times, states)` take the Nemitski form of
     `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
     samples at T times, returning (S, T, dim) and (S, T, dim, dim)
@@ -429,13 +430,12 @@ class PerturbedSystemSpec:
     `a_field`.  `edge_derivative_plus`/`minus` record
     |D_x R(lam, n, 0)| at the far ends of the window; the linearization
     method wants these to vanish at infinity, summarized by
-    `residual_derivative_vanishes`.  `to_nonlinear` reads A + D from
-    the linear parts' tables, all samples of a stack in one read.
+    `residual_derivative_vanishes`.  `to_nonlinear` reads A from the
+    linear part's table, all samples of a stack in one read.
     """
 
     a_field: DiscreteVectorField
     residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    d_field: DiscreteVectorField | None = None
     residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     r0: float = 1.0
     edge_derivative_plus: float = dataclass_field(init=False, default=float("nan"))
@@ -443,16 +443,9 @@ class PerturbedSystemSpec:
 
     def __post_init__(self):
         d = self.a_field.dim
-        if self.d_field is not None:
-            if self.d_field.dim != d:
-                raise InputError("the linear parts live in different dimensions")
-            if self.d_field.n_params not in (1, self.a_field.n_params):
-                raise InputError("the linear parts disagree on the parameter samples")
         if not (self.r0 > 0.0):
             raise InputError("the trust radius r0 must be positive")
-        lo, hi = self.window
-        if lo >= hi:
-            raise InputError("the linear parts share no time window")
+        lo, hi = self.a_field.window
         lams = np.arange(self.a_field.n_params)
         times = np.array(_time_probes((lo, hi)))
         edges = np.array([min(hi, 50), max(lo, -50)])
@@ -466,14 +459,6 @@ class PerturbedSystemSpec:
         dr = np.abs(self._residual_derivative(lams, edges, np.zeros((len(lams), 2, d))))
         object.__setattr__(self, "edge_derivative_plus", float(dr[:, 0].max()))
         object.__setattr__(self, "edge_derivative_minus", float(dr[:, 1].max()))
-
-    @property
-    def window(self) -> tuple[int, int]:
-        lo, hi = self.a_field.window
-        if self.d_field is not None:
-            lo = max(lo, self.d_field.window[0])
-            hi = min(hi, self.d_field.window[1])
-        return (lo, hi)
 
     @property
     def residual_derivative_vanishes(self) -> bool:
@@ -497,48 +482,33 @@ class PerturbedSystemSpec:
     def to_nonlinear(
         self, refiner: Callable[[int], NonlinearField] | None = None
     ) -> NonlinearField:
-        """Assemble the full nonlinear field x -> (A + D) x + R(., x).
+        """Assemble the full nonlinear field x -> A x + R(., x).
 
-        A + D is read from the linear parts' tables, one read per call
-        for all its samples; `refiner` becomes the field's refiner hook.
+        A is read from the linear part's table, one read per call for
+        all its samples; `refiner` becomes the field's refiner hook.
         """
-        a_field, d_field = self.a_field, self.d_field
-
-        def system_matrices(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
-            a = _read_all(a_field, lams, times)
-            if d_field is not None:
-                a = a + _read_all(d_field, lams if d_field.loop is not None else [0], times)
-            return a
+        a_field = self.a_field
 
         def evaluate(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-            linear = (system_matrices(lams, times) @ states[..., None])[..., 0]
+            linear = (_read_all(a_field, lams, times) @ states[..., None])[..., 0]
             return linear + self._residual(lams, times, states)
 
         derivative = None
         if self.residual_derivative is not None:
 
             def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-                linear = system_matrices(lams, times)
+                linear = _read_all(a_field, lams, times)
                 return linear + self._residual_derivative(lams, times, states)
 
         return NonlinearField(
             dim=a_field.dim,
             evaluator=evaluate,
             derivative=derivative,
-            window=self.window,
+            window=a_field.window,
             r0=self.r0,
             loop=a_field.loop,
             refiner=refiner,
         )
-
-
-def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
-    """`field.stack`, raising the first sample's error."""
-    mats, errors = field.stack(lams, times)
-    failed = next((e for e in errors if e is not None), None)
-    if failed is not None:
-        raise failed.with_traceback(None)
-    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -647,21 +617,6 @@ class CertifyOptions:
     horizon: int = 40
     f3_window: tuple[int, int] = (-40, 40)
     manifold_dim: int | None = None
-    fd_step: float = FD_STEP
-
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Damped Gauss-Newton settings for bifurcation localization."""
-
-    max_iter: int = 50
-    tol: float = 1e-11
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-6
-    seed_scales: tuple[float, ...] = (1e-3, 1e-2, 1e-1)
-    accept_residual: float = 1e-9
-    fd_step: float = FD_STEP
 
 
 _VERDICTS = ("bifurcation_certified", "obstruction_vanishes", "hypotheses_failed")
@@ -791,7 +746,7 @@ def certify_bifurcation(
         [t for t in time_probes if abs(t) <= 10], f.dim, f.r0, len(lam_probes)
     )
     if f.derivative is not None:
-        fd = _fd_derivative(f, lam_probes, core_times, core_states, opts.fd_step)
+        fd = _fd_derivative(f, lam_probes, core_times, core_states, FD_STEP)
         analytic = _derivatives(f, lam_probes, core_times, core_states)
         deviation = float(np.abs(analytic - fd).max())
         f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
@@ -808,7 +763,7 @@ def certify_bifurcation(
         evidence.append(("f0_remainder_ratios", ", ".join(f"{r:.3e}" for r in ratios)))
 
     # F1: sampled derivative bound on the trust ball
-    blocks = _derivatives(f, lam_probes, probe_times, probe_states, opts.fd_step)
+    blocks = _derivatives(f, lam_probes, probe_times, probe_states)
     bound = float(np.abs(blocks).max())
     f1_ok = bool(np.isfinite(bound))
     evidence.append(("f1_derivative_sup", f"{bound:.3e}"))
@@ -821,7 +776,7 @@ def certify_bifurcation(
         "(delta_w1 = 0) does not rule out bifurcation"
     )
 
-    lin = linearize_at_zero(f, opts.fd_step)
+    lin = linearize_at_zero(f)
     # one read of every sample over the union of the F2 and F3 runs; an
     # entry that fails keeps its error for the read that needs it
     runs = (
@@ -991,7 +946,7 @@ def _seed_sequence(fam_plus, fam_minus, image_coords, kernel_coords, window) -> 
     return vals
 
 
-def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
+def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus):
     """One damped Gauss-Newton run; returns solution values or None.
 
     The residual stacks the recursion defects phi(n+1) - f(lam, n,
@@ -1020,7 +975,7 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
         phi = flat.reshape(w, d)
         # block (i, j) of the (w+1)d x wd matrix is jac[i, :, j, :]
         jac = np.zeros((w + 1, d, w, d))
-        jac[steps, :, steps, :] = -_derivatives(f, [lam], times, phi[None, :-1], opts.fd_step)[0]
+        jac[steps, :, steps, :] = -_derivatives(f, [lam], times, phi[None, :-1])[0]
         jac[steps, :, steps + 1, :] = np.eye(d)
         jac[w - 1, :, 0, :] = p_lo
         jac[w, :, w - 1, :] = q_hi
@@ -1030,8 +985,8 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
     try:
         with np.errstate(all="ignore"):
             r = residual(x)
-            for _ in range(opts.max_iter):
-                if float(np.abs(r).max()) <= opts.tol:
+            for _ in range(NEWTON_MAX_ITER):
+                if float(np.abs(r).max()) <= NEWTON_TOL:
                     break
                 step, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
                 base_sq = float(r @ r)
@@ -1040,17 +995,17 @@ def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus, opts):
                     cand = x + t * step
                     if float(np.abs(cand).max()) <= 100.0 * f.r0:
                         r_cand = residual(cand)
-                        if float(r_cand @ r_cand) <= (1.0 - opts.armijo * t) * base_sq:
+                        if float(r_cand @ r_cand) <= (1.0 - ARMIJO * t) * base_sq:
                             break
-                    t *= opts.backtrack
-                    if t < opts.min_step:
+                    t *= BACKTRACK
+                    if t < MIN_STEP:
                         _LOG.debug("parameter sample %d: Gauss-Newton stalled", lam)
                         return None
                 x, r = cand, r_cand
     except (NumericError, InputError, np.linalg.LinAlgError, FloatingPointError) as exc:
         _LOG.debug("parameter sample %d: Gauss-Newton aborted (%s)", lam, exc)
         return None
-    if float(np.abs(r).max()) > opts.accept_residual:
+    if float(np.abs(r).max()) > ACCEPT_RESIDUAL:
         return None
     return x.reshape(w, d)
 
@@ -1059,10 +1014,8 @@ def localize_bifurcations(
     f: NonlinearField,
     certificate: BifurcationCertificate,
     grid_refinement: int = 1,
-    newton: NewtonOptions | None = None,
     window: tuple[int, int] = (-30, 30),
     horizon: int = 40,
-    seed_cosine: float = SEED_COSINE,
     decay_tol: float = DECAY_TOL,
 ) -> list[tuple[int, FiniteWindowSequence]]:
     """Hunt nonzero bounded solutions near the linearization's near-kernels.
@@ -1070,10 +1023,11 @@ def localize_bifurcations(
     For every parameter sample the half-line projector families of the
     linearization are anchored at zero; samples whose forward- and
     backward-decaying subspaces meet at a principal cosine of at least
-    `seed_cosine` produce near-kernel seed sequences, which are scaled
-    by `seed_scales * r0` and polished with damped Gauss-Newton on the
-    boundary-conditioned residual.  A candidate is kept when its
-    residual sup-norm is at most `accept_residual` and its sup-norm
+    `SEED_COSINE` produce near-kernel seed sequences, which are scaled
+    by `SEED_SCALES * r0` and polished with damped Gauss-Newton on the
+    boundary-conditioned residual (the `NEWTON_*`, `ARMIJO`,
+    `BACKTRACK` and `MIN_STEP` constants).  A candidate is kept when its
+    residual sup-norm is at most `ACCEPT_RESIDUAL` and its sup-norm
     lies strictly between 10 * decay_tol (nontriviality) and r0 (the
     trust ball).  Failing families and divergent Newton runs are
     logged and skipped; localization never raises for them.
@@ -1088,7 +1042,6 @@ def localize_bifurcations(
         raise InputError(
             "localization requires the certificate produced by certify_bifurcation"
         )
-    opts = newton if newton is not None else NewtonOptions()
     lo, hi = int(window[0]), int(window[1])
     if not (lo < 0 < hi):
         raise InputError("the localization window must straddle time zero")
@@ -1102,16 +1055,14 @@ def localize_bifurcations(
         f = f.refiner(grid_refinement)
     if f.loop is None:
         raise InputError("localization scans a parameter loop; the field has none")
-    lin = linearize_at_zero(f, opts.fd_step)
+    lin = linearize_at_zero(f)
     lams = range(f.n_params)
     plus, minus = whole_line_families(lin, lams, (lo, hi), horizon)
     found: list[tuple[int, FiniteWindowSequence]] = []
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)
         if failure is None:
-            found.extend(
-                _hunt(f, lam, fam_plus, fam_minus, (lo, hi), opts, seed_cosine, decay_tol)
-            )
+            found.extend(_hunt(f, lam, fam_plus, fam_minus, (lo, hi), decay_tol))
         elif isinstance(failure, (CertificationError, NumericError)):
             _LOG.info("parameter sample %d skipped: %s", lam, failure)
         else:
@@ -1119,7 +1070,7 @@ def localize_bifurcations(
     return found
 
 
-def _hunt(f, lam, fam_plus, fam_minus, window, opts, seed_cosine, decay_tol):
+def _hunt(f, lam, fam_plus, fam_minus, window, decay_tol):
     """Newton-polished nonzero solutions seeded at one sample's near-kernel."""
     lo, hi = window
     overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
@@ -1128,13 +1079,11 @@ def _hunt(f, lam, fam_plus, fam_minus, window, opts, seed_cosine, decay_tol):
     u, cosines, vt = np.linalg.svd(overlap)
     accepted: list[np.ndarray] = []
     for k in range(len(cosines)):
-        if cosines[k] < seed_cosine:
+        if cosines[k] < SEED_COSINE:
             break
         base = _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], (lo, hi))
-        for scale in opts.seed_scales:
-            found = _gauss_newton(
-                f, lam, base * (scale * f.r0), (lo, hi), fam_plus, fam_minus, opts
-            )
+        for scale in SEED_SCALES:
+            found = _gauss_newton(f, lam, base * (scale * f.r0), (lo, hi), fam_plus, fam_minus)
             if found is None:
                 continue
             sup = float(np.abs(found).max())

@@ -52,6 +52,7 @@ from .errors import (
     NumericError,
     SamplingError,
 )
+from .field import _read_all
 from .fredholm import FiniteWindowSequence, green_solve, kernel_cokernel, truncated_spectra
 from .scenario import Scenario, builtin_names
 
@@ -76,11 +77,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_report(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
-
-
-def _render_scenario(data: dict) -> bytes:
+def _render_json(data: dict) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
@@ -425,9 +422,7 @@ def _cmd_realize(scenario: Scenario) -> CommandOutcome:
     n_params = field.n_params
     width = hi - lo + 1
     d = field.dim
-    table = np.empty((n_params, width, d, d))
-    for lam in range(n_params):
-        table[lam] = field.matrices(lam, lo, hi)
+    table = _read_all(field, range(n_params), np.arange(lo, hi + 1))
     doc = scenario.echo()
     doc["name"] = f"{scenario.name}-realized"
     doc["field"] = {
@@ -444,7 +439,7 @@ def _cmd_realize(scenario: Scenario) -> CommandOutcome:
         "bound": _num(np.abs(table).max()),
     }
     return CommandOutcome(
-        results=results, extra_files=[("realized.json", _render_scenario(doc))]
+        results=results, extra_files=[("realized.json", _render_json(doc))]
     )
 
 
@@ -543,7 +538,7 @@ def run(argv=None) -> int:
         }
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / REPORT_NAME).write_bytes(_render_report(report))
+        (out_dir / REPORT_NAME).write_bytes(_render_json(report))
         for name, payload in outcome.extra_files:
             (out_dir / name).write_bytes(payload)
         if args.format == "csv":

@@ -19,8 +19,9 @@ take one stacked call per step instead of one call per sample and step.
 The single-sample `build_projector_family` and `verify_ed` are batches
 of one.  A failing sample keeps the error a single-sample build would
 raise and never stops the others.  Families are memoized on the field
-per (sample, side, anchor, length, horizon, tolerances), and witnesses
-on their family, so the F2 and F3 scans, the index command and
+per (sample, side, anchor, length, horizon, tolerances), and each
+family keeps its fitted dichotomy constants (not a witness, which
+would point back at it), so the F2 and F3 scans, the index command and
 localization each build one batch per side and every later consumer
 reads the same objects.
 """
@@ -85,6 +86,15 @@ REFINE_REL = 1e-3
 
 #: fewest family steps on which dichotomy constants are fitted
 MIN_FIT_STEPS = 4
+
+#: relative slack allowed on the fitted dichotomy constants
+FIT_SLACK = 0.05
+
+#: most anchor times at which transition chains are sampled for the fit
+MAX_ANCHORS = 12
+
+#: dyadic step counts at which least-norm kernel preimages are probed
+INVERSE_PROBES = 4
 
 
 def _check_window(field: DiscreteVectorField, lo: int, hi: int) -> None:
@@ -234,9 +244,9 @@ class ProjectorFamily:
     image_steps: np.ndarray
     kernel_steps: np.ndarray
     bound: float
-    #: EDWitness (or the error) per verify_ed settings; filled by verify_families
-    _witnesses: dict = dataclass_field(
-        init=False, repr=False, compare=False, default_factory=dict
+    #: (k_const, alpha, checked_pairs) of the fit, or its error; set by verify_families
+    _fit: tuple | Exception | None = dataclass_field(
+        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self):
@@ -605,14 +615,13 @@ class EDWitness:
 
     The family's image contracts like ``k_const * alpha**delta`` and its
     kernel expands at least like ``alpha**(-delta) / k_const`` on every
-    checked pair, with `slack` allowed on the fitted constants.
+    checked pair, with `FIT_SLACK` allowed on the fitted constants.
     """
 
     family: ProjectorFamily
     k_const: float
     alpha: float
     checked_pairs: int
-    slack: float
 
     @property
     def side(self) -> str:
@@ -665,15 +674,18 @@ def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tupl
     return recorded
 
 
-def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: int) -> list:
-    """`verify_ed` for families of equal window length, rank and dimension."""
+def _verify_batch(fams: list) -> list:
+    """`verify_ed` fits for families of equal window length, rank and dimension.
+
+    Returns, per family, (k_const, alpha, checked_pairs) or its error.
+    """
     steps = len(fams[0].times) - 1
     if steps < MIN_FIT_STEPS:
         return [InputError("family window too short to fit dichotomy constants") for _ in fams]
     d = fams[0].dim
     r = fams[0].rank
     n = len(fams)
-    anchors = sorted(set(np.linspace(0, steps - 1, min(max_anchors, steps), dtype=int).tolist()))
+    anchors = sorted(set(np.linspace(0, steps - 1, min(MAX_ANCHORS, steps), dtype=int).tolist()))
     deltas = set()
     delta = 1
     while delta <= steps:
@@ -718,7 +730,7 @@ def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: in
     k_const = np.exp(log_k)
 
     # validate every sampled pair against the final constants with slack
-    budget = np.log1p(slack)
+    budget = np.log1p(FIT_SLACK)
     log_kc = np.log(k_const)[:, None]
     slope = x * log_alpha[:, None]
     for stable, y, _ in fits:
@@ -736,8 +748,8 @@ def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: in
 
     # backward form: least-norm preimages of kernel vectors decay like alpha**delta
     checked = np.full(n, len(points) * len(fits))
-    if d - r > 0 and inverse_probes > 0:
-        probe_deltas = sorted(deltas)[:inverse_probes]
+    if d - r > 0:
+        probe_deltas = sorted(deltas)[:INVERSE_PROBES]
         im_frames = np.stack([f.image_frames for f in fams])
         ker_frames = np.stack([f.kernel_frames for f in fams])
         inv_lo = np.linalg.inv(np.concatenate([im_frames[:, 0], ker_frames[:, 0]], axis=-1))
@@ -762,7 +774,7 @@ def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: in
                 z[j] = np.linalg.lstsq(phi[j], y_vec[j], rcond=None)[0]
             unreached = np.abs(phi @ z - y_vec).max(axis=-2) > 1e-8
             too_long = np.linalg.norm(z, axis=-2) > (
-                (1.0 + slack) * k_const[:, None] * alpha[:, None] ** delta
+                (1.0 + FIT_SLACK) * k_const[:, None] * alpha[:, None] ** delta
             )
             for j, col in _first_true((unreached | too_long) & probed[:, None]):
                 if unreached[j, col]:
@@ -776,51 +788,38 @@ def _verify_batch(fams: list, slack: float, max_anchors: int, inverse_probes: in
             checked += np.where(probed, d - r, 0)
 
     return [
-        errors[j]
-        if j in errors
-        else EDWitness(
-            family=fam,
-            k_const=float(k_const[j]),
-            alpha=float(alpha[j]),
-            checked_pairs=int(checked[j]),
-            slack=slack,
-        )
-        for j, fam in enumerate(fams)
+        errors.get(j, (float(k_const[j]), float(alpha[j]), int(checked[j])))
+        for j in range(n)
     ]
 
 
-def verify_families(
-    families, slack: float = 0.05, max_anchors: int = 12, inverse_probes: int = 4
-) -> list:
+def verify_families(families) -> list:
     """`verify_ed` for many families, batched over families of equal shape.
 
     Takes the outcomes of `build_projector_families`.  Returns, in
     order, each family's `EDWitness` or the `HomindexError` its
     validation raised; an error given in place of a family is passed
-    through.  Results are cached on the family per (slack, max_anchors,
-    inverse_probes).
+    through.  Each family caches its fitted constants (or the error),
+    so it is fitted once; the witness built from them is new on every
+    call and holds the only reference between the two.
     """
-    key = (slack, max_anchors, inverse_probes)
     groups: dict[tuple, dict[int, ProjectorFamily]] = {}
     for fam in families:
-        if isinstance(fam, ProjectorFamily) and key not in fam._witnesses:
+        if isinstance(fam, ProjectorFamily) and fam._fit is None:
             shape = (len(fam.times), fam.rank, fam.dim)
             groups.setdefault(shape, {})[id(fam)] = fam
     for group in groups.values():
         batch = list(group.values())
-        for fam, outcome in zip(batch, _verify_batch(batch, slack, max_anchors, inverse_probes)):
-            fam._witnesses[key] = outcome
-    return [fam._witnesses[key] if isinstance(fam, ProjectorFamily) else fam for fam in families]
+        for fam, fit in zip(batch, _verify_batch(batch)):
+            object.__setattr__(fam, "_fit", fit)
+    fits = [fam._fit if isinstance(fam, ProjectorFamily) else fam for fam in families]
+    return [
+        fit if isinstance(fit, Exception) else EDWitness(fam, *fit)
+        for fam, fit in zip(families, fits)
+    ]
 
 
-def verify_ed(
-    field: DiscreteVectorField,
-    lam: int,
-    family: ProjectorFamily,
-    slack: float = 0.05,
-    max_anchors: int = 12,
-    inverse_probes: int = 4,
-) -> EDWitness:
+def verify_ed(field: DiscreteVectorField, lam: int, family: ProjectorFamily) -> EDWitness:
     """Fit and validate dichotomy constants (K, alpha) on a projector family.
 
     Image and kernel transition chains are sampled over anchor times and
@@ -832,7 +831,7 @@ def verify_ed(
     fitted alpha reaches 1.  This is `verify_families` for one family,
     cache included.
     """
-    (outcome,) = verify_families([family], slack, max_anchors, inverse_probes)
+    (outcome,) = verify_families([family])
     return _raise_or_return(outcome)
 
 
@@ -876,8 +875,6 @@ def dichotomy_spectrum(
     horizon: int = HORIZON,
     zero_margin: float = ZERO_MARGIN,
     gap_ratio: float = GAP_RATIO,
-    trans_tol: float = TRANSVERSALITY_TOL,
-    refine_rel: float = REFINE_REL,
 ) -> SpectrumResult:
     """Scan the dichotomy spectrum of a field over a geometric gamma grid.
 
@@ -885,9 +882,10 @@ def dichotomy_spectrum(
     dichotomy over the window [-horizon, horizon]: rate groups must
     split cleanly on both half-lines, the stable-plus and
     unstable-minus ranks must sum to the dimension, and the two frames
-    must be transversal at time 0.  Failing gammas are covered by
-    closed intervals whose endpoints are refined by geometric bisection
-    to relative precision `refine_rel`; a rank change between two
+    must be transversal at time 0 (smallest singular value at least
+    `TRANSVERSALITY_TOL`).  Failing gammas are covered by closed
+    intervals whose endpoints are refined by geometric bisection to
+    relative precision `REFINE_REL`; a rank change between two
     passing gammas contributes the (degenerate) bracket around the
     crossing.
     """
@@ -914,7 +912,7 @@ def dichotomy_spectrum(
             return "no_ed"
         if s > 0 and u > 0:
             m = np.hstack([qp[:, s_mask], qm[:, u_mask]])
-            if np.linalg.svd(m, compute_uv=False).min() < trans_tol:
+            if np.linalg.svd(m, compute_uv=False).min() < TRANSVERSALITY_TOL:
                 return "no_ed"
         return f"ed:{s}"
 
@@ -935,7 +933,7 @@ def dichotomy_spectrum(
     ]
     while stack:
         lo, hi = stack.pop()
-        if probe(lo) == probe(hi) or hi / lo - 1.0 <= refine_rel:
+        if probe(lo) == probe(hi) or hi / lo - 1.0 <= REFINE_REL:
             continue
         mid = float(np.sqrt(lo * hi))
         probe(mid)
@@ -964,7 +962,7 @@ def dichotomy_spectrum(
     intervals.sort()
     merged = []
     for lo, hi in intervals:
-        if merged and lo <= merged[-1][1] * (1.0 + 2.0 * refine_rel):
+        if merged and lo <= merged[-1][1] * (1.0 + 2.0 * REFINE_REL):
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -978,16 +976,9 @@ def dichotomy_spectrum(
 
 
 def _family_from_projectors(
-    field: DiscreteVectorField,
-    lam: int,
-    times: np.ndarray,
-    projectors: np.ndarray,
-    side: str,
-    anchor: int,
-    tau_proj: float = TAU_PROJ,
-    tau_inv: float = TAU_INV,
-    sigma_reg: float = SIGMA_REG,
+    field: DiscreteVectorField, times: np.ndarray, projectors: np.ndarray, side: str, anchor: int
 ) -> ProjectorFamily:
+    """Validated family of the given projectors of parameter sample 0."""
     d = field.dim
     traces = np.array([float(np.trace(p)) for p in projectors])
     rank = int(round(traces[0]))
@@ -1008,31 +999,25 @@ def _family_from_projectors(
         im[i] = u[:, :rank]
         u2, s2, _ = np.linalg.svd(eye - p)
         ker[i] = u2[:, : d - rank]
-    mats = field.matrices(lam, int(times[0]), int(times[-2]))
+    mats = field.matrices(0, int(times[0]), int(times[-2]))
     (outcome,) = _assemble_batch(
-        mats[None], times, im[None], ker[None], side, anchor, tau_proj, tau_inv, sigma_reg
+        mats[None], times, im[None], ker[None], side, anchor, TAU_PROJ, TAU_INV, SIGMA_REG
     )
     return _raise_or_return(outcome)
 
 
-def shift_operator_projector(
-    field: DiscreteVectorField,
-    lam: int = 0,
-    n_times: int = 64,
-    nodes: int = 64,
-    margin: float = matrixcore.DEFAULT_MARGIN,
-) -> ProjectorFamily:
+def shift_operator_projector(field: DiscreteVectorField, n_times: int = 64) -> ProjectorFamily:
     """Dichotomy projectors from the weighted-shift operator route.
 
-    The field is closed periodically over a centered window of `n_times`
-    times; the weighted right shift then becomes an (n d) x (n d)
-    matrix whose unit-circle spectral projector, read off block by
-    block on the lattice basis, yields the dichotomy projectors.  A
-    boundary layer of n_times/8 on each side is discarded.  Requires
-    the closed operator to be hyperbolic; an eigenvalue near the unit
-    circle (which may be a truncation artifact, or a genuine failure of
-    the whole-line dichotomy) raises IndeterminateError with advice to
-    enlarge the window.
+    The field's parameter sample 0 is closed periodically over a
+    centered window of `n_times` times; the weighted right shift then
+    becomes an (n d) x (n d) matrix whose unit-circle spectral
+    projector, read off block by block on the lattice basis, yields the
+    dichotomy projectors.  A boundary layer of n_times/8 on each side is
+    discarded.  Requires the closed operator to be hyperbolic; an
+    eigenvalue near the unit circle (which may be a truncation artifact,
+    or a genuine failure of the whole-line dichotomy) raises
+    IndeterminateError with advice to enlarge the window.
     """
     if n_times < 16:
         raise InputError("the shift route needs at least 16 window times")
@@ -1043,10 +1028,10 @@ def shift_operator_projector(
     # block (i, i - 1 mod n_times) of the shift holds A(times[i - 1])
     big = np.zeros((n_times, d, n_times, d))
     rows = np.arange(n_times)
-    big[rows, :, rows - 1, :] = field.matrices(lam, int(times[0]), int(times[-1]))[rows - 1]
+    big[rows, :, rows - 1, :] = field.matrices(0, int(times[0]), int(times[-1]))[rows - 1]
     big = big.reshape(n_times * d, n_times * d)
     try:
-        split = matrixcore.spectral_projector_contour(big, nodes=nodes, margin=margin)
+        split = matrixcore.spectral_projector_contour(big)
     except (DomainError, IndeterminateError) as exc:
         raise IndeterminateError(
             "periodic closure of the weighted shift has an eigenvalue within the "
@@ -1059,6 +1044,4 @@ def shift_operator_projector(
     projs = np.stack(
         [split.stable_projector[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in keep]
     )
-    return _family_from_projectors(
-        field, lam, times[keep], projs, side="full", anchor=int(times[keep][0])
-    )
+    return _family_from_projectors(field, times[keep], projs, "full", int(times[keep][0]))

@@ -68,6 +68,9 @@ FRAME_TOL = 1e-10
 #: consecutive fibres may tilt by at most this principal angle
 MAX_FIBRE_ANGLE = np.pi / 3
 
+#: times on each side of 0 at which `perturb_field` samples the perturbation
+TAIL_SAMPLES = 50
+
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
 
@@ -374,6 +377,15 @@ class DiscreteVectorField:
         return self._read(lam, self._times(times))
 
 
+def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
+    """`field.stack`, raising the first sample's error."""
+    mats, errors = field.stack(lams, times)
+    failed = next((e for e in errors if e is not None), None)
+    if failed is not None:
+        raise failed.with_traceback(None)
+    return mats
+
+
 @dataclass(frozen=True)
 class SampledBundle:
     """Orthonormal frames of a rank-k subbundle over a parameter loop.
@@ -433,8 +445,6 @@ class SmallnessReport:
     gamma_minus: float
     observed_plus: float
     observed_minus: float
-    kappa_plus: int
-    kappa_minus: int
 
     @property
     def plus_ok(self) -> bool:
@@ -592,25 +602,23 @@ def perturb_field(
     perturbation: Callable[[np.ndarray, np.ndarray], np.ndarray],
     gamma_plus: float,
     gamma_minus: float,
-    kappa_plus: int = 0,
-    kappa_minus: int = 0,
-    tail_samples: int = 50,
 ) -> tuple[DiscreteVectorField, SmallnessReport]:
     """Additive perturbation of a field with sampled tail-size bookkeeping.
 
     `perturbation` is an evaluator of the `DiscreteVectorField` form.
     Returns the perturbed field together with a report stating whether
     the sampled perturbation norms stay within gamma_plus on times
-    >= kappa_plus and within gamma_minus on times <= kappa_minus.  The
-    tails of every parameter sample are sampled with one call; the
-    first broken (lam, n) in sample-then-time order is named.  The
-    report records the verdict; it does not stop the construction.
+    >= 0 and within gamma_minus on times <= 0.  The tails of every
+    parameter sample are sampled on the `TAIL_SAMPLES` times on each
+    side of 0, with one call; the first broken (lam, n) in
+    sample-then-time order is named.  The report records the verdict;
+    it does not stop the construction.
     """
     if gamma_plus < 0 or gamma_minus < 0:
         raise InputError("perturbation budgets must be nonnegative")
     d = base.dim
-    lo = max(base.window[0], kappa_minus - tail_samples)
-    hi = min(base.window[1], kappa_plus + tail_samples)
+    lo = max(base.window[0], -TAIL_SAMPLES)
+    hi = min(base.window[1], TAIL_SAMPLES)
     times = np.arange(lo, hi + 1)
     e = np.asarray(perturbation(np.arange(base.n_params), times), dtype=float)
     bad = [(0, 0)]  # a stack of the wrong shape is broken from its first entry on
@@ -620,8 +628,8 @@ def perturb_field(
         lam, i = bad[0]
         raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[i]})")
     sizes = np.linalg.norm(e, 2, axis=(2, 3))
-    obs_plus = float(sizes[:, times >= kappa_plus].max(initial=0.0))
-    obs_minus = float(sizes[:, times <= kappa_minus].max(initial=0.0))
+    obs_plus = float(sizes[:, times >= 0].max(initial=0.0))
+    obs_minus = float(sizes[:, times <= 0].max(initial=0.0))
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
         return base.evaluator(lams, times) + np.asarray(perturbation(lams, times), dtype=float)
@@ -631,8 +639,6 @@ def perturb_field(
         gamma_minus=gamma_minus,
         observed_plus=obs_plus,
         observed_minus=obs_minus,
-        kappa_plus=kappa_plus,
-        kappa_minus=kappa_minus,
     )
     out = DiscreteVectorField(
         dim=d,

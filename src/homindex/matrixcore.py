@@ -134,8 +134,8 @@ def is_hyperbolic(m, margin: float = DEFAULT_MARGIN) -> dict:
     return {"decision": decision, "gap": gap, "moduli": moduli}
 
 
-def _require_hyperbolic(a: np.ndarray, margin: float) -> dict:
-    verdict = is_hyperbolic(a, margin=margin)
+def _require_hyperbolic(a: np.ndarray) -> dict:
+    verdict = is_hyperbolic(a)
     if verdict["decision"] == "not_hyperbolic":
         raise DomainError(
             "matrix has an eigenvalue on the unit circle "
@@ -144,7 +144,7 @@ def _require_hyperbolic(a: np.ndarray, margin: float) -> dict:
     if verdict["decision"] == "indeterminate":
         raise IndeterminateError(
             "eigenvalue modulus within the hyperbolicity margin "
-            f"(gap {verdict['gap']:.3e} < margin {margin:.3e})"
+            f"(gap {verdict['gap']:.3e} < margin {DEFAULT_MARGIN:.3e})"
         )
     return verdict
 
@@ -191,13 +191,13 @@ def _contour_sum(a: np.ndarray, nodes: int) -> np.ndarray:
     return acc / nodes
 
 
-def spectral_projector_contour(m, nodes: int = 64, margin: float = DEFAULT_MARGIN) -> SpectralSplit:
+def spectral_projector_contour(m, nodes: int = 64) -> SpectralSplit:
     """Spectral projector onto the inside-the-circle part, by resolvent integral.
 
     Parameters
     ----------
     m : array_like
-        Real square hyperbolic matrix.
+        Real square hyperbolic matrix (margin `DEFAULT_MARGIN`).
     nodes : int
         Initial number of equispaced quadrature nodes on the unit circle
         (minimum 16).  The node count is doubled until two successive
@@ -217,7 +217,7 @@ def spectral_projector_contour(m, nodes: int = 64, margin: float = DEFAULT_MARGI
     a = _as_real_square(m)
     if nodes < 16:
         raise InputError("at least 16 quadrature nodes are required")
-    verdict = _require_hyperbolic(a, margin)
+    verdict = _require_hyperbolic(a)
 
     approx = _contour_sum(a, nodes)
     n = nodes
@@ -247,7 +247,7 @@ def spectral_projector_contour(m, nodes: int = 64, margin: float = DEFAULT_MARGI
     return _finalize_split(a, approx.real.copy(), verdict["gap"])
 
 
-def spectral_projector_eigen(m, margin: float = DEFAULT_MARGIN) -> SpectralSplit:
+def spectral_projector_eigen(m) -> SpectralSplit:
     """Spectral projector onto the inside-the-circle part, by eigendecomposition.
 
     Independent of the contour route; intended for cross-validation.
@@ -255,7 +255,7 @@ def spectral_projector_eigen(m, margin: float = DEFAULT_MARGIN) -> SpectralSplit
     that the matrix is numerically defective.
     """
     a = _as_real_square(m)
-    verdict = _require_hyperbolic(a, margin)
+    verdict = _require_hyperbolic(a)
     w, v = np.linalg.eig(a)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:

@@ -1,16 +1,18 @@
-"""Shared test utilities: independent oracles and random samplers.
+"""Shared test utilities: independent oracles, random samplers and fixtures.
 
 The oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
 evaluator and its convolution, a full SVD of the densely assembled
 boundary-conditioned truncation) so that library results can be
 checked against an implementation that shares no code with them.
+`half_line_witnesses` is a fixture, built with the library itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from homindex.dichotomy import build_projector_family, verify_ed
 from homindex.fredholm import FiniteWindowSequence
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "boundary_conditioned",
     "truncated_null_space",
     "span_gap",
+    "half_line_witnesses",
 ]
 
 
@@ -235,3 +238,12 @@ def span_gap(f, g) -> float:
         return q @ q.T
 
     return float(np.linalg.norm(orth_proj(f) - orth_proj(g), 2))
+
+
+def half_line_witnesses(field_, lam=0, length=30, horizon=40):
+    """Certified (plus, minus) witnesses of half-line families anchored at 0."""
+    fams = (
+        build_projector_family(field_, lam, "plus", 0, length=length, horizon=horizon),
+        build_projector_family(field_, lam, "minus", 0, length=length, horizon=horizon),
+    )
+    return tuple(verify_ed(field_, lam, fam) for fam in fams)

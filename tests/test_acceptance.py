@@ -10,7 +10,13 @@ counts, analytic class values), never against the code under test.
 import numpy as np
 import pytest
 
-from helpers import eig_projector, random_hyperbolic, random_orthogonal, rotation
+from helpers import (
+    eig_projector,
+    half_line_witnesses,
+    random_hyperbolic,
+    random_orthogonal,
+    rotation,
+)
 
 from homindex import matrixcore
 from homindex.bifurcation import (
@@ -42,14 +48,6 @@ from homindex.fredholm import FiniteWindowSequence, green_solve, kernel_cokernel
 from homindex.scenario import Scenario, builtin_names
 
 SADDLE = np.diag([0.5, 2.0])
-
-
-def half_line_witnesses(field_, lam=0, length=30, horizon=40):
-    fams = (
-        build_projector_family(field_, lam, "plus", 0, length=length, horizon=horizon),
-        build_projector_family(field_, lam, "minus", 0, length=length, horizon=horizon),
-    )
-    return tuple(verify_ed(field_, lam, fam) for fam in fams)
 
 
 def stencil_defect(field_, lam, phi, psi) -> float:

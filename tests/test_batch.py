@@ -31,6 +31,8 @@ from homindex.dichotomy import (
     verify_families,
 )
 import homindex.bifurcation as bifurcation
+import homindex.dichotomy as dichotomy
+import homindex.field as field_module
 import homindex.scenario as scenario_module
 from homindex.bifurcation import NonlinearField
 from homindex.cli import run
@@ -101,13 +103,24 @@ def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, len
         assert wit.checked_pairs == one_wit.checked_pairs
 
 
-def test_family_memo_returns_the_same_object():
+def test_family_memo_returns_the_same_object(monkeypatch):
     field = saddle_loop_field()
     batch = build_projector_families(field, range(8), "plus", 0, 20, horizon=40)
     assert build_projector_family(field, 3, "plus", 0, 20, horizon=40) is batch[3]
     assert build_projector_family(field, 3, "plus", 0, 21, horizon=40) is not batch[3]
-    (wit,) = verify_families([batch[3]])
-    assert verify_ed(field, 3, batch[3]) is wit
+    fits = []
+    verify_batch = dichotomy._verify_batch
+
+    def counted(fams):
+        fits.append(len(fams))
+        return verify_batch(fams)
+
+    monkeypatch.setattr(dichotomy, "_verify_batch", counted)
+    wit = verify_families(batch)[3]
+    again = verify_ed(field, 3, batch[3])
+    assert fits == [8]  # the batch fitted every family; verify_ed reads the cache
+    fields = ("family", "k_const", "alpha", "checked_pairs")
+    assert [getattr(again, k) for k in fields] == [getattr(wit, k) for k in fields]
     with pytest.raises(ValueError):
         batch[3].projectors[0, 0, 0] = 1.0  # shared families are read-only
 
@@ -336,6 +349,19 @@ def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
         assert calls["value"] <= most_values
 
 
+def test_realize_reads_every_sample_in_one_evaluator_call(tmp_path, monkeypatch):
+    calls = []
+    evaluate = field_module._MatrixTable._evaluate
+
+    def counted(self, lams, times, raised):
+        calls.append(list(lams))
+        return evaluate(self, lams, times, raised)
+
+    monkeypatch.setattr(field_module._MatrixTable, "_evaluate", counted)
+    assert run(["realize", "--scenario", "realization-mobius", "--out", str(tmp_path)]) == 0
+    assert calls == [list(range(16))]
+
+
 def test_a_system2_build_probes_its_trivial_branch_once(monkeypatch):
     calls = []
     value = NonlinearField.value
@@ -356,10 +382,10 @@ def test_dropped_fields_and_their_tables_are_freed_by_reference_counting():
     try:
         field = Scenario.builtin("realization-mobius").build_field()
         families = build_projector_families(field, range(16), "plus", 0, 20, horizon=40)
-        verify_families(families)
-        refs = [weakref.ref(field), weakref.ref(field._table)]
-        del field, families
-        assert [r() for r in refs] == [None, None]
+        witnesses = verify_families(families)
+        refs = [weakref.ref(x) for x in (field, field._table, families[0], witnesses[0])]
+        del field, families, witnesses
+        assert [r() for r in refs] == [None] * 4
 
         f = Scenario.builtin("system2-mobius").build_nonlinear()
         lin = linearize_at_zero(f)

@@ -22,7 +22,6 @@ from homindex.fredholm import FiniteWindowSequence
 from homindex.bifurcation import (
     BifurcationCertificate,
     CertifyOptions,
-    NewtonOptions,
     NonlinearField,
     PerturbedSystemSpec,
     certify_bifurcation,
@@ -459,9 +458,7 @@ def test_localize_system2_cluster_near_pi():
     ))
     assert cert.verdict == "bifurcation_certified"
 
-    found = localize_bifurcations(
-        f, cert, newton=NewtonOptions(), window=(-30, 30), horizon=40
-    )
+    found = localize_bifurcations(f, cert, window=(-30, 30), horizon=40)
     assert found, "expected at least one candidate near theta = pi"
     loop = f.loop
     spacing = 2.0 * np.pi / n

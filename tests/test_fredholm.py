@@ -20,6 +20,7 @@ from homindex.errors import (
 
 from helpers import (
     green_kernel,
+    half_line_witnesses,
     kernel_convolve,
     random_hyperbolic,
     random_orthogonal,
@@ -48,19 +49,6 @@ def apply_stencil(field_, lam, phi):
     for i, n in enumerate(range(lo, hi)):
         out[i] = phi.values[i + 1] - field_.matrix(lam, n) @ phi.values[i]
     return out
-
-
-def half_line_witnesses(field_, lam=0, length=30, horizon=40):
-    fam_p = dichotomy.build_projector_family(
-        field_, lam, side="plus", anchor=0, length=length, horizon=horizon
-    )
-    fam_m = dichotomy.build_projector_family(
-        field_, lam, side="minus", anchor=0, length=length, horizon=horizon
-    )
-    return (
-        dichotomy.verify_ed(field_, lam, fam_p),
-        dichotomy.verify_ed(field_, lam, fam_m),
-    )
 
 
 # ---------------------------------------------------------------- sequences
