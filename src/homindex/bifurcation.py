@@ -48,6 +48,7 @@ from .errors import (
     InputError,
     NumericError,
     SamplingError,
+    fresh,
 )
 from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
 from .fredholm import (
@@ -1036,7 +1037,7 @@ def localize_bifurcations(
     parameter index and solution size.  With `grid_refinement` > 1 the
     field's `refiner` hook supplies the finer loop and the returned
     indices refer to it.  The families of all samples are built as one
-    batch per side (or read from the memo certification filled).
+    batch of both sides (or read from the memo certification filled).
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1066,7 +1067,7 @@ def localize_bifurcations(
         elif isinstance(failure, (CertificationError, NumericError)):
             _LOG.info("parameter sample %d skipped: %s", lam, failure)
         else:
-            raise failure.with_traceback(None)
+            raise fresh(failure)
     return found
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import HORIZON, build_projector_families
+from .dichotomy import HORIZON, half_line_pairs
 from .errors import (
     HomindexError,
     InputError,
@@ -185,17 +185,14 @@ def _loop_anchor_projectors(
 ):
     """Certified half-line projectors at the anchors, one pair per sample.
 
-    Each side is built as one batch over the whole loop.  The first
+    Both sides of the whole loop are built as one batch.  The first
     failure in loop order (plus before minus within a sample) is raised
     with its sample named.
     """
     if field.loop is None:
         raise InputError("stable/unstable bundles need a field with a parameter loop")
     lams = range(len(field.loop))
-    plus = build_projector_families(field, lams, "plus", anchor_plus, length=2, horizon=horizon)
-    minus = build_projector_families(
-        field, lams, "minus", anchor_minus, length=2, horizon=horizon
-    )
+    plus, minus = half_line_pairs(field, lams, (anchor_plus, 2), (anchor_minus, 2), horizon)
     for i, pair in enumerate(zip(plus, minus)):
         for outcome in pair:
             if isinstance(outcome, HomindexError):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -215,7 +216,7 @@ def _cmd_index(scenario: Scenario) -> CommandOutcome:
     opts, tol = scenario.options, scenario.tolerances
     lo, hi = opts["index_window"]
     per = []
-    # one batch per side for every requested sample, then one batch of
+    # one batch of both sides for every requested sample, then one batch of
     # truncation spectra; the loop reads the memos
     plus, minus = whole_line_families(
         field, opts["lambdas"], (lo, hi), **_family_kwargs(scenario)
@@ -454,7 +455,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="homindex",
         description=(

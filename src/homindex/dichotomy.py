@@ -12,18 +12,22 @@ leaves the singular directions unchanged, so one pair of runs serves
 the whole gamma grid of a dichotomy spectrum scan.
 
 Loop-wide sweeps: the QR method is the same for every parameter
-sample, so `build_projector_families` runs it for many samples at once
-with the sample on numpy's leading axis: the sweep, the image and
-kernel marches, the family checks and the `verify_families` fits each
-take one stacked call per step instead of one call per sample and step.
-The single-sample `build_projector_family` and `verify_ed` are batches
-of one.  A failing sample keeps the error a single-sample build would
-raise and never stops the others.  Families are memoized on the field
-per (sample, side, anchor, length, horizon, tolerances), and each
-family keeps its fitted dichotomy constants (not a witness, which
-would point back at it), so the F2 and F3 scans, the index command and
-localization each build one batch per side and every later consumer
-reads the same objects.
+sample and both half-lines, so `build_projector_families` runs it for
+many samples at once with the sample on numpy's leading axis, and
+`half_line_pairs` for the plus and minus windows of many samples
+together: the sweep, the image and kernel marches, the family checks
+and the `verify_families` fits each take one stacked call per step
+instead of one call per sample, side and step.  numpy's stacked calls
+give every row the bits it would get alone, so a family is the same
+whatever it was batched with.  The single-sample
+`build_projector_family` and `verify_ed` are batches of one.  A
+failing sample keeps the error a single-sample build would raise and
+never stops the others.  Families are memoized on the field per
+(sample, side, anchor, length, horizon, tolerances), and each family
+keeps its fitted dichotomy constants (not a witness, which would point
+back at it), so the F2 and F3 scans, the index command, the class
+command and localization each build one batch for both sides and every
+later consumer reads the same objects.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import (
     NoDichotomyError,
     NumericError,
     WindowTooShortError,
+    fresh,
 )
 from .field import DiscreteVectorField
 
@@ -53,6 +58,7 @@ __all__ = [
     "family_run",
     "build_projector_family",
     "build_projector_families",
+    "half_line_pairs",
     "whole_line_families",
     "verify_ed",
     "verify_families",
@@ -135,28 +141,25 @@ def _generic_seed(d: int) -> np.ndarray:
     return _GENERIC_SEEDS[d]
 
 
-def _sweep(mats: np.ndarray, side: str, snapshot: int = 0):
-    """QR accumulation along stacked runs of factors.
+def _sweep(factors: np.ndarray, snapshot: int = 0):
+    """QR accumulation along stacked runs of factors, in the order given.
 
-    `mats` has shape (samples, times, d, d) and holds A(n) at
-    consecutive times.  The plus side accumulates the transposed
-    factors in decreasing time (right singular directions of the
-    forward propagator), the minus side the factors in increasing time.
-    Returns the final orthogonal factors (samples, d, d), the per-step
-    column log growth (samples, times, d) in sweep order, and the
-    factors after the first `snapshot` steps (None for 0).
+    `factors` has shape (samples, steps, d, d) and holds each run's
+    factors in the order the sweep applies them: a plus run the
+    transposed A(n) in decreasing time (right singular directions of
+    the forward propagator), a minus run the A(n) in increasing time.
+    Runs of both sides can share one stack.  Returns the final
+    orthogonal factors (samples, d, d), the per-step column log growth
+    (samples, steps, d) and the factors after the first `snapshot`
+    steps (None for 0).
     """
-    n_samples, n_times, d = mats.shape[0], mats.shape[1], mats.shape[-1]
+    n_samples, n_steps, d = factors.shape[0], factors.shape[1], factors.shape[-1]
     q = np.broadcast_to(_generic_seed(d), (n_samples, d, d))
-    logs = np.empty((n_samples, n_times, d))
-    if side == "plus":
-        factors, order = mats.swapaxes(-1, -2), range(n_times - 1, -1, -1)
-    else:
-        factors, order = mats, range(n_times)
+    logs = np.empty((n_samples, n_steps, d))
     far = None
-    for idx, k in enumerate(order):
-        q, logs[:, idx] = _qr_step(factors[:, k] @ q)
-        if idx == snapshot - 1:
+    for k in range(n_steps):
+        q, logs[:, k] = _qr_step(factors[:, k] @ q)
+        if k == snapshot - 1:
             far = q
     return q, logs, far
 
@@ -204,7 +207,8 @@ def _rate_run(field: DiscreteVectorField, lam: int, side: str, anchor: int, hori
     """
     lo, hi = family_run(side, anchor, 0, horizon)
     _check_window(field, lo, hi)
-    q, logs, _ = _sweep(field.matrices(lam, lo, hi)[None], side)
+    mats = field.matrices(lam, lo, hi)
+    q, logs, _ = _sweep((mats[::-1].swapaxes(-1, -2) if side == "plus" else mats)[None])
     return q[0], logs[0, horizon // 2 :].mean(axis=0)
 
 
@@ -287,8 +291,8 @@ def _assemble_batch(
     times: np.ndarray,
     im: np.ndarray,
     ker: np.ndarray,
-    side: str,
-    anchor: int,
+    sides: list,
+    anchors: list,
     tau_proj: float,
     tau_inv: float,
     sigma_reg: float,
@@ -296,13 +300,15 @@ def _assemble_batch(
 ) -> list:
     """Validate marched frames and package one projector family per sample.
 
-    `mats` (samples, steps, d, d) holds A(times[i]) for i < steps; `im`
-    and `ker` (samples, steps + 1, d, .) the image and kernel frames.
-    `errors` maps samples that already failed to their error.  Every
-    other sample gets its family, or the first error of the checks in
-    the order a single-sample run meets them: frame transversality at
-    each time, then per step invariance, kernel regularity and frame
-    transport, then idempotency.
+    Row j is a family of side `sides[j]` at `anchors[j]` on the times
+    `times[j]` (samples, steps + 1); `mats` (samples, steps, d, d)
+    holds A(times[j, i]) for i < steps, and `im` and `ker` (samples,
+    steps + 1, d, .) the image and kernel frames.  `errors` maps
+    samples that already failed to their error.  Every other sample
+    gets its family, or the first error of the checks in the order a
+    single-sample run meets them: frame transversality at each time,
+    then per step invariance, kernel regularity and frame transport,
+    then idempotency.
     """
     errors = {} if errors is None else errors
     d, r = im.shape[-2], im.shape[-1]
@@ -313,7 +319,7 @@ def _assemble_batch(
         errors.setdefault(
             j,
             NumericError(
-                f"image and kernel frames almost intersect at time {times[i]} "
+                f"image and kernel frames almost intersect at time {times[j, i]} "
                 f"(smallest singular value {smin[j, i]:.2e})"
             ),
         )
@@ -340,15 +346,18 @@ def _assemble_batch(
     transport_bad = transport > tau_inv * (1.0 + a_scale)
     for j, i in _first_true(invariance_bad | irregular | transport_bad):
         if invariance_bad[j, i]:
-            msg = f"invariance residual {resid[j, i]:.3e} at time {times[i]} exceeds {tau_inv:.1e}"
+            msg = (
+                f"invariance residual {resid[j, i]:.3e} at time {times[j, i]} "
+                f"exceeds {tau_inv:.1e}"
+            )
         elif irregular[j, i]:
             msg = (
-                f"kernel transition at time {times[i]} is not regular "
+                f"kernel transition at time {times[j, i]} is not regular "
                 f"(smallest singular value {ker_smin[j, i]:.3e} < {sigma_reg:.1e})"
             )
         else:
             msg = (
-                f"frame transport residual {transport[j, i]:.3e} at time {times[i]} "
+                f"frame transport residual {transport[j, i]:.3e} at time {times[j, i]} "
                 f"exceeds {tau_inv:.1e}"
             )
         errors.setdefault(j, CertificationError(msg))
@@ -369,9 +378,9 @@ def _assemble_batch(
         try:
             out.append(
                 ProjectorFamily(
-                    side=side,
-                    anchor=anchor,
-                    times=times,
+                    side=sides[j],
+                    anchor=anchors[j],
+                    times=times[j],
                     projectors=projectors[j],
                     rank=r,
                     image_frames=im[j],
@@ -382,7 +391,7 @@ def _assemble_batch(
                 )
             )
         except HomindexError as exc:
-            out.append(exc)
+            out.append(fresh(exc))
     return out
 
 
@@ -417,91 +426,187 @@ def _family_plan(field: DiscreteVectorField, side: str, anchor: int, length, hor
     return length, lo, hi, np.arange(anchor - length, anchor + 1), horizon
 
 
-def _build_batch(
-    mats, side, anchor, horizon, times, offset, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio
-) -> list:
-    """Families (or errors) for stacked swept runs `mats` (samples, run, d, d)."""
-    n_samples, run, d = mats.shape[0], mats.shape[1], mats.shape[-1]
-    length = len(times) - 1
-    # one sweep; the snapshot after `horizon` factors estimates the
-    # splitting at the far window end, the final state at the anchor
-    q, logs, far = _sweep(mats, side, snapshot=horizon)
-    rates = logs[:, run // 2 :].mean(axis=1)
-    out: list = [None] * n_samples
-    by_rank: dict[int, list[int]] = {}
-    masks = np.empty((n_samples, d), dtype=bool)
-    for j in range(n_samples):
-        status, below = _classify_rates(rates[j], 0.0, run, zero_margin, gap_ratio)
-        if status == "no_ed":
-            out[j] = NoDichotomyError(
-                f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
-                f"rate sits within {zero_margin:.1e} of zero"
+def _march_image(a: np.ndarray, seed: np.ndarray):
+    """Image frames marched backward through step preimages from `seed` at the last time.
+
+    `a` (samples, steps, d, d) holds the step matrices.  Returns the
+    frames (samples, steps + 1, d, r) and, per sample, the first error.
+    """
+    n, length, d, r = a.shape[0], a.shape[1], a.shape[-1], seed.shape[-1]
+    im = np.empty((n, length + 1, d, r))
+    im[:, length] = seed
+    errors: dict[int, Exception] = {}
+    for i in range(length - 1, -1, -1):
+        im[:, i], found = _preimage_frames(a[:, i], im[:, i + 1])
+        if found is None:
+            continue
+        for j in np.flatnonzero(found != r).tolist():
+            errors.setdefault(
+                j,
+                NumericError(
+                    f"preimage of a marched image frame has dimension {found[j]}, "
+                    f"expected {r}; the splitting is not regular here"
+                ),
             )
-        elif status == "indeterminate":
-            out[j] = IndeterminateError(
-                f"run of {run} steps is too short to separate the rate groups at anchor "
-                f"{anchor} ({side} side)"
+    return im, errors
+
+
+def _march_kernel(a: np.ndarray, seed: np.ndarray):
+    """Kernel frames marched forward by the field from `seed` at the first time.
+
+    Returns the frames (samples, steps + 1, d, d - r) and, per sample,
+    the first error.
+    """
+    n, length, d = a.shape[0], a.shape[1], a.shape[-1]
+    ker = np.empty((n, length + 1, d, seed.shape[-1]))
+    ker[:, 0] = seed
+    errors: dict[int, Exception] = {}
+    for i in range(length):
+        ker[:, i + 1], lost = _qr_frames(a[:, i] @ ker[:, i])
+        for j in np.flatnonzero(lost).tolist():
+            errors.setdefault(
+                j, NumericError("a marched frame lost rank; the splitting is not regular here")
             )
-        else:
-            masks[j] = below
-            by_rank.setdefault(int(below.sum()), []).append(j)
+    return ker, errors
 
-    for r, members in by_rank.items():
-        rows = np.array(members)
-        a = mats[rows, offset : offset + length]  # A(times[i]) for i < length
-        # below-rate columns first, each group in its original column order
-        order = np.argsort(~masks[rows], axis=1, kind="stable")[:, None, :]
-        at_far = np.take_along_axis(far[rows], order, axis=2)
-        at_anchor = np.take_along_axis(q[rows], order, axis=2)
-        errors: dict[int, Exception] = {}
-        im = np.empty((len(rows), length + 1, d, r))
-        ker = np.empty((len(rows), length + 1, d, d - r))
 
-        def march_image(seed):
-            # backward through step preimages
-            im[:, length] = seed
-            for i in range(length - 1, -1, -1):
-                im[:, i], found = _preimage_frames(a[:, i], im[:, i + 1])
-                if found is None:
-                    continue
-                for j in np.flatnonzero(found != r).tolist():
-                    errors.setdefault(
-                        j,
-                        NumericError(
-                            f"preimage of a marched image frame has dimension {found[j]}, "
-                            f"expected {r}; the splitting is not regular here"
-                        ),
-                    )
+def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
+    """Families (or errors) of the pending runs of both sides, built together.
 
-        def march_kernel(seed):
-            # forward by the field
-            ker[:, 0] = seed
-            for i in range(length):
-                ker[:, i + 1], lost = _qr_frames(a[:, i] @ ker[:, i])
-                for j in np.flatnonzero(lost).tolist():
-                    errors.setdefault(
-                        j,
-                        NumericError(
-                            "a marched frame lost rank; the splitting is not regular here"
-                        ),
-                    )
+    `pending` holds, per half-line window, (side, anchor, times, offset,
+    runs): `runs` (samples, run, d, d) is what its read returned, the
+    factors in sweep order (decreasing time on the plus side), and the
+    family's steps start `offset` into the run in increasing time.
+    Rows of equal run length share one sweep, and rows of equal run
+    length and rank one image march, one kernel march and one assembly;
+    numpy's stacked calls give each row the bits it would get alone.
+    Returns the outcomes window by window, in the order of their rows.
+    """
+    tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio = tolerances
+    out = [[None] * len(runs) for *_, runs in pending]
+    by_run: dict[int, list[int]] = {}
+    for w, (*_, runs) in enumerate(pending):
+        by_run.setdefault(runs.shape[1], []).append(w)
+    for run, windows in by_run.items():
+        origin, sides, anchors, times, factors, steps = [], [], [], [], [], []
+        for w in windows:
+            side, anchor, fam_times, offset, runs = pending[w]
+            n = len(runs)
+            origin += [(w, k) for k in range(n)]
+            sides += [side] * n
+            anchors += [anchor] * n
+            times += [fam_times] * n
+            ordered = runs[:, ::-1] if side == "plus" else runs
+            factors.append(runs.swapaxes(-1, -2) if side == "plus" else runs)
+            steps.append(ordered[:, offset : offset + len(fam_times) - 1])
+        times, factors, steps = np.stack(times), np.concatenate(factors), np.concatenate(steps)
+        d = factors.shape[-1]
+        # one sweep; the snapshot after `horizon` factors estimates the
+        # splitting at the far window end, the final state at the anchor
+        q, logs, far = _sweep(factors, snapshot=horizon)
+        del factors
+        rates = logs[:, run // 2 :].mean(axis=1)
+        by_rank: dict[int, list[int]] = {}
+        masks = np.empty((len(origin), d), dtype=bool)
+        for j, (side, anchor) in enumerate(zip(sides, anchors)):
+            w, k = origin[j]
+            status, below = _classify_rates(rates[j], 0.0, run, zero_margin, gap_ratio)
+            if status == "no_ed":
+                out[w][k] = NoDichotomyError(
+                    f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
+                    f"rate sits within {zero_margin:.1e} of zero"
+                )
+            elif status == "indeterminate":
+                out[w][k] = IndeterminateError(
+                    f"run of {run} steps is too short to separate the rate groups at anchor "
+                    f"{anchor} ({side} side)"
+                )
+            else:
+                masks[j] = below
+                by_rank.setdefault(int(below.sum()), []).append(j)
 
-        if side == "plus":
-            # canonical image: seeded at the far end, marched backward;
-            # free complement: fixed orthogonal at the anchor, marched forward
-            march_image(at_far[..., :r])
-            march_kernel(at_anchor[..., r:])
-        else:
-            # canonical kernel: seeded at the far (past) end, marched forward;
-            # free complement: fixed orthogonal at the anchor, marched backward
-            march_kernel(at_far[..., r:])
-            march_image(at_anchor[..., :r])
-        families = _assemble_batch(
-            a, times, im, ker, side, anchor, tau_proj, tau_inv, sigma_reg, errors
-        )
-        for j, family in zip(members, families):
-            out[j] = family
+        for r, members in by_rank.items():
+            rows = np.array(members)
+            # below-rate columns first, each group in its original column order
+            order = np.argsort(~masks[rows], axis=1, kind="stable")[:, None, :]
+            at_far = np.take_along_axis(far[rows], order, axis=2)
+            at_anchor = np.take_along_axis(q[rows], order, axis=2)
+            plus = np.array([sides[j] == "plus" for j in members])[:, None, None]
+            # plus: the canonical image is seeded at the far end and marched
+            # backward, the free complement fixed orthogonal at the anchor and
+            # marched forward; minus: the canonical kernel is seeded at the far
+            # (past) end and marched forward, the free complement at the anchor
+            a = steps[rows]
+            im, im_errors = _march_image(a, np.where(plus, at_far, at_anchor)[..., :r])
+            ker, ker_errors = _march_kernel(a, np.where(plus, at_anchor, at_far)[..., r:])
+            # each side meets the errors of its canonical march first
+            errors = {}
+            for i, j in enumerate(members):
+                pair = (im_errors, ker_errors) if sides[j] == "plus" else (ker_errors, im_errors)
+                canonical, free = pair
+                if i in canonical or i in free:
+                    errors[i] = canonical.get(i, free.get(i))
+            families = _assemble_batch(
+                a, times[rows], im, ker, [sides[j] for j in members],
+                [anchors[j] for j in members], tau_proj, tau_inv, sigma_reg, errors,
+            )
+            for j, family in zip(members, families):
+                w, k = origin[j]
+                out[w][k] = family
     return out
+
+
+def _build_windows(
+    field: DiscreteVectorField,
+    lams,
+    windows,
+    horizon: int,
+    tau_proj=TAU_PROJ,
+    tau_inv=TAU_INV,
+    sigma_reg=SIGMA_REG,
+    zero_margin=ZERO_MARGIN,
+    gap_ratio=GAP_RATIO,
+) -> list:
+    """Outcome lists of many samples on several half-line windows, built in one batch.
+
+    `windows` lists (side, anchor, length); the tolerances are those of
+    `build_projector_families`.  Each window keeps its own
+    memo key and its own `field.stack` read of the samples it has not
+    memoized, in its sweep order (the plus sweep runs down from the far
+    end), so a bad entry is named where that side's sweep meets it
+    first; the rows of all windows then go through one `_build_batch`.
+    """
+    memo = field._families
+    tolerances = (tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
+    keys, pending, owners = [], [], []
+    for side, anchor, length in windows:
+        try:
+            length, lo, hi, times, offset = _family_plan(field, side, anchor, length, horizon)
+        except HomindexError as exc:
+            keys.append(fresh(exc))
+            continue
+        key = (side, anchor, length, horizon) + tolerances
+        keys.append(key)
+        todo = [lam for lam in dict.fromkeys(lams) if (lam, key) not in memo]
+        if not todo:
+            continue
+        sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
+        mats, errors = field.stack(todo, sweep)
+        for lam, exc in zip(todo, errors):
+            if exc is not None:
+                memo[lam, key] = exc
+        good = [i for i, exc in enumerate(errors) if exc is None]
+        if good:
+            pending.append((side, anchor, times, offset, mats[good]))
+            owners.append((key, [todo[i] for i in good]))
+    if pending:
+        for (key, todo), built in zip(owners, _build_batch(pending, horizon, tolerances)):
+            for lam, outcome in zip(todo, built):
+                memo[lam, key] = outcome
+    return [
+        [key for _ in lams] if isinstance(key, HomindexError) else [memo[lam, key] for lam in lams]
+        for key in keys
+    ]
 
 
 def build_projector_families(
@@ -526,53 +631,50 @@ def build_projector_families(
     the `HomindexError` its build raised; a failing sample never stops
     the others.  Results are memoized on the field per (sample, side,
     anchor, length, horizon, tolerances), so any later request for the
-    same key, batched or single, returns the same object.
+    same key, batched or single, returns the same object.  This is
+    `half_line_pairs` with one side.
     """
-    try:
-        length, lo, hi, times, offset = _family_plan(field, side, anchor, length, horizon)
-    except HomindexError as exc:
-        return [exc for _ in lams]
-    key = (side, anchor, length, horizon, tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
-    memo = field._families
-    todo = [lam for lam in dict.fromkeys(lams) if (lam, key) not in memo]
-    if todo:
-        # one read of every sample, in sweep order (the plus sweep runs down
-        # from the far end), so a bad entry is named where its sweep meets it first
-        sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
-        mats, errors = field.stack(todo, sweep)
-        for lam, exc in zip(todo, errors):
-            if exc is not None:
-                memo[lam, key] = exc
-        good = [i for i, exc in enumerate(errors) if exc is None]
-        if good:
-            runs = mats[good, ::-1] if side == "plus" else mats[good]
-            built = _build_batch(
-                np.ascontiguousarray(runs), side, anchor, horizon, times, offset,
-                tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
-            )
-            for i, outcome in zip(good, built):
-                memo[todo[i], key] = outcome
-    return [memo[lam, key] for lam in lams]
+    (outcomes,) = _build_windows(
+        field, lams, [(side, anchor, length)], horizon,
+        tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio,
+    )
+    return outcomes
+
+
+def half_line_pairs(
+    field: DiscreteVectorField, lams, plus, minus, horizon: int = HORIZON, **tolerances
+) -> tuple[list, list]:
+    """Plus and minus families of many samples, both sides in one batch.
+
+    `plus` and `minus` are the (anchor, length) of each side's window;
+    `tolerances` are those of `build_projector_families`, which the
+    outcomes equal bit for bit, memo included.  Each side reads its own
+    runs and keeps its memo key and messages; the rows of both sides
+    share the sweep, the marches and the assembly wherever their run
+    lengths and ranks agree.  Returns the plus and minus outcome lists.
+    """
+    windows = [("plus",) + tuple(plus), ("minus",) + tuple(minus)]
+    fams_plus, fams_minus = _build_windows(field, lams, windows, horizon, **tolerances)
+    return fams_plus, fams_minus
 
 
 def whole_line_families(
     field: DiscreteVectorField, lams, window, horizon: int = HORIZON, **tolerances
 ) -> tuple[list, list]:
-    """Both half-line families anchored at 0 on `window`, one batch per side.
+    """Both half-line families anchored at 0 on `window`, built in one batch.
 
     The plus families cover [0, window[1]] and the minus families
-    [window[0], 0]; `tolerances` go to `build_projector_families`.
-    Returns the plus and minus outcome lists.
+    [window[0], 0] (`half_line_pairs`); on a symmetric window the two
+    sides share every sweep and march step.  Returns the plus and minus
+    outcome lists.
     """
     lo, hi = int(window[0]), int(window[1])
-    plus = build_projector_families(field, lams, "plus", 0, hi, horizon, **tolerances)
-    minus = build_projector_families(field, lams, "minus", 0, -lo, horizon, **tolerances)
-    return plus, minus
+    return half_line_pairs(field, lams, (0, hi), (0, -lo), horizon, **tolerances)
 
 
 def _raise_or_return(outcome):
     if isinstance(outcome, HomindexError):
-        raise outcome.with_traceback(None)
+        raise fresh(outcome)
     return outcome
 
 
@@ -1001,7 +1103,7 @@ def _family_from_projectors(
         ker[i] = u2[:, : d - rank]
     mats = field.matrices(0, int(times[0]), int(times[-2]))
     (outcome,) = _assemble_batch(
-        mats[None], times, im[None], ker[None], side, anchor, TAU_PROJ, TAU_INV, SIGMA_REG
+        mats[None], times[None], im[None], ker[None], [side], [anchor], TAU_PROJ, TAU_INV, SIGMA_REG
     )
     return _raise_or_return(outcome)
 

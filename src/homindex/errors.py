@@ -8,6 +8,8 @@ CertificationError means a hypothesis or certificate failed (exit 2).
 
 from __future__ import annotations
 
+import copy
+
 __all__ = [
     "HomindexError",
     "InputError",
@@ -18,6 +20,7 @@ __all__ = [
     "NoDichotomyError",
     "SamplingError",
     "WindowTooShortError",
+    "fresh",
 ]
 
 
@@ -59,3 +62,14 @@ class WindowTooShortError(HomindexError):
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
         self.required = required
+
+
+def fresh(exc: HomindexError) -> HomindexError:
+    """A new error of the same class, message and attributes, without a traceback.
+
+    The layers memoize errors on the field they came from.  Raising the
+    memoized object itself, or keeping one that was caught, would hang
+    a traceback on it whose frames hold the field, so the field and its
+    memo would sit in a reference cycle; raise or keep a fresh copy.
+    """
+    return copy.copy(exc)

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, HomindexError, InputError, NumericError, SamplingError
+from .errors import DomainError, HomindexError, InputError, NumericError, SamplingError, fresh
 
 __all__ = [
     "ParameterLoop",
@@ -239,7 +239,7 @@ class _MatrixTable:
                 return
             if not isinstance(exc, HomindexError):
                 raise
-            raised[lams[0]] = exc
+            raised[lams[0]] = fresh(exc)
             return
         d, size = self._dim, (len(lams), len(run))
         if a.shape == size + (d, d):
@@ -352,7 +352,7 @@ class DiscreteVectorField:
         """Read-only (T, d, d) matrices of one sample; raises its first error."""
         mats, (error,) = self._stack([lam], times)
         if error is not None:
-            raise error.with_traceback(None)
+            raise fresh(error)
         return mats[0]
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
@@ -382,7 +382,7 @@ def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
     mats, errors = field.stack(lams, times)
     failed = next((e for e in errors if e is not None), None)
     if failed is not None:
-        raise failed.with_traceback(None)
+        raise fresh(failed)
     return mats
 
 

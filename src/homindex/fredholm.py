@@ -15,17 +15,25 @@ boundary-conditioned truncation M: the block rows P-(lo), phi(n+1) -
 A_n phi(n) and I - P+(hi).  M is block lower-bidiagonal and is never
 formed.  `truncated_spectra` resolves, for many parameter samples at
 once (the sample on numpy's leading axis), only what the count needs:
-- sigma_max, by Lanczos on M^T M, certified to 1e-6 relative by a
-  block LDL^T of (1 + 2e-6) theta - M^T M;
+- sigma_max, by Lanczos on M^T M, certified to 1e-6 relative by an
+  odd-even block reduction of (1 + 2e-6) theta - M^T M whose pivots
+  must all be definite;
 - the values below the null cut 1e-8 sigma_max and the smallest one
-  above it, by inverse subspace iteration with a block
-  upper-bidiagonal R, R^T R = M^T M + mu I.  R comes from one batched
-  QR per block column of the rows of M plus regularization rows
-  sqrt(mu) I, sqrt(mu) = 1e-10 sigma_max.  Each step ends with a
-  Rayleigh-Ritz step on M itself and a residual test.
+  above it, by inverse subspace iteration with a factor R, R^T R =
+  M^T M + mu I, of M stacked on regularization rows sqrt(mu) I,
+  sqrt(mu) = 1e-10 sigma_max.  Each step ends with a Rayleigh-Ritz
+  step on M itself and a residual test.
+R and the definiteness test use odd-even (cyclic) reduction, after
+S. J. Wright, Stable parallel algorithms for two-point boundary value
+problems (SIAM J. Sci. Stat. Comput. 13, 1992): each level eliminates
+every other alive block column of all samples at once, R's with one
+batched QR and the test's with one batched pivot solve, so a window of
+w times takes ceil(log2(w + 1)) levels (8 at +-100) instead of w
+sequential steps, and each solve with R^T R two passes over them.
 A sample either routine leaves unresolved at its cap falls back to a
 values-only dense SVD of its own matrix, the only place M is formed.
-Everything costs O(w d^3) per sample and step on a window of w times.
+Everything costs O(w d^3) flops per sample and step on a window of w
+times.
 
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
@@ -45,6 +53,7 @@ from .errors import (
     IndeterminateError,
     InputError,
     WindowTooShortError,
+    fresh,
 )
 from .field import DiscreteVectorField
 
@@ -380,24 +389,43 @@ def _below_top(alphas: list, betas2: list, grid: np.ndarray) -> np.ndarray:
 def _gram_definite(sec: _Sections, shift: np.ndarray) -> np.ndarray:
     """Per sample, whether shift * I - M^T M is positive definite.
 
-    M^T M is block tridiagonal, and by Sylvester's law of inertia the
-    matrix is definite exactly when every pivot of its block LDL^T is.
+    M^T M is block tridiagonal.  Each odd-even level takes the Schur
+    complement of every other alive block column at once (one batched
+    pivot solve), leaving a block tridiagonal matrix on the others; by
+    Sylvester's law of inertia the matrix is definite exactly when
+    every pivot eliminated on the way is.  A sample whose pivot is not
+    finite or not definite is refused, and its blocks are replaced by
+    harmless ones so that the others go on.
     """
-    s, w, d = sec.count, sec.width, sec.dim
-    steps = sec.steps
-    shifted = shift[:, None, None, None] * np.eye(d) - sec.gram_diagonal()
-    pivots = np.empty_like(shifted)
-    pivots[:, 0] = shifted[:, 0]
-    try:
-        for c in range(w - 1):
-            pivots[:, c + 1] = shifted[:, c + 1] - steps[:, c] @ np.linalg.solve(
-                pivots[:, c], _t(steps[:, c])
-            )
-    except np.linalg.LinAlgError:  # a singular pivot: definiteness is not proved
-        return np.zeros(s, bool)
-    finite = np.isfinite(pivots).all(axis=(1, 2, 3))
-    pivots[~finite] = -1.0
-    return finite & (np.linalg.eigvalsh(pivots).min(axis=(1, 2)) > 0.0)
+    s, d = sec.count, sec.dim
+    eye = np.eye(d)
+    diag = shift[:, None, None, None] * eye - sec.gram_diagonal()
+    below = -sec.steps  # block (c + 1, c)
+    definite = np.ones(s, bool)
+    while diag.shape[1]:
+        pivots = diag[:, 0::2]
+        finite = np.isfinite(pivots).all(axis=(2, 3))
+        safe = np.where(finite[..., None, None], pivots, -eye)
+        definite &= (finite & (np.linalg.eigvalsh(safe)[..., 0] > 0.0)).all(axis=1)
+        if not definite.all():
+            refused = ~definite[:, None, None, None]
+            pivots = np.where(refused, eye, pivots)
+            diag, below = np.where(refused, eye, diag), np.where(refused, 0.0, below)
+        # elimination i couples to kept column i - 1 through left[i - 1]
+        # (block (2i, 2i - 1)) and to kept column i through right[i]
+        # (block (2i + 1, 2i))
+        left, right = below[:, 1::2], below[:, 0::2]
+        kept = diag[:, 1::2]
+        n_kept = kept.shape[1]
+        rhs = np.zeros(pivots.shape[:2] + (d, 2 * d))
+        rhs[:, 1:, :, :d] = left
+        rhs[:, :n_kept, :, d:] = _t(right)
+        solved = np.linalg.solve(pivots, rhs)
+        from_left, from_right = solved[..., :d], solved[..., d:]
+        kept = kept - right @ from_right[:, :n_kept]
+        kept[:, : left.shape[1]] -= _t(left) @ from_left[:, 1:]
+        diag, below = kept, -(right[:, 1:] @ from_left[:, 1:n_kept])
+    return definite
 
 
 def _sigma_max(sec: _Sections) -> np.ndarray:
@@ -410,8 +438,8 @@ def _sigma_max(sec: _Sections) -> np.ndarray:
     lower bound on sigma_max^2.  Once theta_k has moved less than
     rtol = `_SIGMA_MAX_RTOL` relative since the last check, or the
     geometric extrapolation of its last two moves says it will move
-    less than that, block LDL^T tries to prove L (1 + 2 rtol) an upper
-    bound (`_gram_definite`) for every sample still open.  On success
+    less than that, odd-even reduction tries to prove L (1 + 2 rtol) an
+    upper bound (`_gram_definite`) for every sample still open.  On success
     sqrt(L) <= sigma_max <= sqrt(L) (1 + rtol), and sqrt(L) is
     returned.  Samples without that certificate after `_LANCZOS_CAP`
     checks get nan.
@@ -480,31 +508,96 @@ def _sigma_max(sec: _Sections) -> np.ndarray:
     return sigma
 
 
-def _regularized_factor(sec: _Sections, root_mu: np.ndarray):
-    """Block upper-bidiagonal R with R^T R = M^T M + mu I.
+def _levels(width: int) -> list:
+    """(eliminated, kept) block-column slices of each odd-even level on `width` columns.
 
-    Column block c takes one batched QR of the carried block, block
-    row c+1 and the rows root_mu * I; R's diagonal blocks are then
-    invertible with smallest singular value at least root_mu.
-    Returns the diagonal (S, w, d, d) and superdiagonal (S, w-1, d, d)
-    blocks.
+    Level l eliminates the alive columns 2^l - 1, 3 * 2^l - 1, ... and
+    keeps the ones halfway between them, so ceil(log2(width + 1))
+    levels eliminate every column once.
+    """
+    out, stride = [], 1
+    while stride - 1 < width:
+        out.append((slice(stride - 1, None, 2 * stride), slice(2 * stride - 1, None, 2 * stride)))
+        stride *= 2
+    return out
+
+
+def _regularized_factor(sec: _Sections, root_mu: np.ndarray) -> list:
+    """Odd-even factor R of [M; root_mu I]: R^T R = M^T M + mu I.
+
+    Wright's orthogonal block cyclic reduction.  Every alive block
+    column p sits between two couplings: row blocks (2d rows) on the
+    columns p - 1 and p.  Each level eliminates every other alive
+    column with one batched QR of its own rows: root_mu * I and its two
+    couplings.  The first d rows of the triangle are R's block row of
+    that column, with one block on the column itself and one on each
+    alive neighbour (`_levels` gives the columns); the other 2d rows
+    couple the two neighbours, which are adjacent at the next level.
+    P-(lo) starts as the coupling left of column 0 and I - P+(hi) as
+    the one right of column w - 1.  The diagonal blocks have smallest
+    singular value at least root_mu.  Returns, per level, the diagonal
+    blocks (S, n, d, d) of its n eliminated columns, the blocks on the
+    kept column left of eliminated column i, for i >= 1, and those on
+    the kept column right of it, for i below the kept count.
     """
     s, w, d = sec.count, sec.width, sec.dim
     eye = np.eye(d)
-    stack = np.zeros((s, 3 * d, 2 * d))
-    stack[:, d : 2 * d, d:] = eye
-    stack[:, 2 * d :, :d] = root_mu[:, None, None] * eye
-    diag = np.empty((s, w, d, d))
-    upper = np.empty((s, w - 1, d, d))
-    carry = sec.first
-    for c in range(w - 1):
-        stack[:, :d, :d] = carry
-        stack[:, d : 2 * d, :d] = sec.steps[:, c]
+    # coupling p joins alive columns p - 1 (its `on_left` part) and p (its
+    # `on_right` part); couplings 0 and m hang off the ends of m alive columns
+    on_left = np.zeros((s, w + 1, 2 * d, d))
+    on_right = np.zeros((s, w + 1, 2 * d, d))
+    on_right[:, 0, :d] = sec.first
+    on_left[:, 1:w, :d] = sec.steps
+    on_right[:, 1:w, :d] = eye
+    on_left[:, w, :d] = sec.last
+    levels = []
+    while on_left.shape[1] > 1:
+        alive = on_left.shape[1] - 1
+        n_out, n_kept = (alive + 1) // 2, alive // 2
+        # eliminated column p's block columns: p, p - 1, p + 1
+        stack = np.zeros((s, n_out, 5 * d, 3 * d))
+        stack[..., :d, :d] = root_mu[:, None, None, None] * eye
+        stack[..., d : 3 * d, :d] = on_right[:, 0 : 2 * n_out : 2]
+        stack[..., d : 3 * d, d : 2 * d] = on_left[:, 0 : 2 * n_out : 2]
+        stack[..., 3 * d :, :d] = on_left[:, 1 : 2 * n_out : 2]
+        stack[..., 3 * d :, 2 * d :] = on_right[:, 1 : 2 * n_out : 2]
         r = np.linalg.qr(stack, mode="r")
-        diag[:, c], upper[:, c], carry = r[:, :d, :d], r[:, :d, d:], r[:, d:, d:]
-    tail = np.concatenate([carry, sec.last, stack[:, 2 * d :, :d]], axis=1)
-    diag[:, -1] = np.linalg.qr(tail, mode="r")
-    return diag, upper
+        levels.append(
+            (
+                np.ascontiguousarray(r[..., :d, :d]),
+                np.ascontiguousarray(r[:, 1:, :d, d : 2 * d]),
+                np.ascontiguousarray(r[:, :n_kept, :d, 2 * d :]),
+            )
+        )
+        # with an even count the last alive column stays, and so does its end coupling
+        end = slice(alive, None) if alive % 2 == 0 else slice(0, 0)
+        on_left = np.concatenate([r[..., d:, d : 2 * d], on_left[:, end]], axis=1)
+        on_right = np.concatenate([r[..., d:, 2 * d :], on_right[:, end]], axis=1)
+    return levels
+
+
+def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
+    """(R^T R)^-1 x in place, for x (S, w, d, p) and R from `_regularized_factor`.
+
+    `levels` holds each level's inverted diagonal blocks and its two
+    coupling blocks.  R^T z = x runs up the levels: an eliminated
+    column's z needs only what the earlier levels subtracted, and it is
+    subtracted from its kept neighbours in turn.  R y = z runs down:
+    an eliminated column's y needs only its neighbours', solved at the
+    later levels.  Each level is a few batched products.
+    """
+    plan = _levels(x.shape[1])
+    for (inv, left, right), (out, kept) in zip(levels, plan):
+        xo, xk = x[:, out], x[:, kept]
+        xo[...] = _t(inv) @ xo
+        xk -= _t(right) @ xo[:, : right.shape[1]]
+        xk[:, : left.shape[1]] -= _t(left) @ xo[:, 1:]
+    for (inv, left, right), (out, kept) in zip(levels[::-1], plan[::-1]):
+        xo, xk = x[:, out], x[:, kept]
+        xo[:, : right.shape[1]] -= right @ xk
+        xo[:, 1:] -= left @ xk[:, : left.shape[1]]
+        xo[...] = inv @ xo
+    return x
 
 
 def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
@@ -513,12 +606,13 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
     Inverse subspace iteration with the regularized factor R (root mu =
     `_REGULARIZATION` * sigma_max) on p = d + 3 columns, since the
     kernel has dimension at most d (all w d columns on a shorter
-    window).  Each step applies (R^T R)^-1 by two block sweeps and ends
-    with a Rayleigh-Ritz step on the unregularized M: the SVD of the
-    (w+1)d x p product M Q.  Without mu the null group (~1e-17) would
-    swamp the other columns of (M^T M)^-1 Q in rounding.  A sample
-    stops when the Ritz value that is smallest above the null cut has
-    residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
+    window).  Each step applies (R^T R)^-1 by the two passes of
+    `_gram_solve` over R's odd-even levels, about 2 log2(w) batched
+    steps, and ends with a Rayleigh-Ritz step on the unregularized M:
+    the SVD of the (w+1)d x p product M Q.  Without mu the null group
+    (~1e-17) would swamp the other columns of (M^T M)^-1 Q in rounding.
+    A sample stops when the Ritz value that is smallest above the null
+    cut has residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
     * sigma_max, gap being its distance to the nearest Ritz value
     farther than r from it (nearer ones count as its cluster, and with
     none farther the bound is r itself); the values below the cut are
@@ -527,13 +621,10 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
     """
     s, w, d = sec.count, sec.width, sec.dim
     p = min(d + 3, w * d)
-    diag, upper = _regularized_factor(sec, _REGULARIZATION * sigma_max)
-    inv = np.linalg.inv(diag)
-    # R^T z = b runs down: z_c = inv_c^T b_c - (inv_c^T U_{c-1}^T) z_{c-1};
-    # R z = b runs up:     z_c = inv_c b_c - (inv_c U_c) z_{c+1}
-    down = np.moveaxis(_t(inv[:, 1:]) @ _t(upper), 1, 0)
-    up = np.moveaxis(inv[:, :-1] @ upper, 1, 0)
-    del diag, upper
+    levels = [
+        (np.linalg.inv(diag), left, right)
+        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * sigma_max)
+    ]
     start = np.linalg.qr(np.random.default_rng(0).standard_normal((w * d, p)))[0]
     x = np.broadcast_to(start, (s, w * d, p))
     found: list = [None] * s
@@ -542,22 +633,14 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
     for _ in range(_ITERATION_CAP):
         if shrunk:
             part = sec.take(active)
-            a_inv = inv[active]
-            a_down, a_up = list(down[:, active]), list(up[:, active])
+            a_levels = [tuple(blocks[active] for blocks in level) for level in levels]
             cut = _NULL_CUT * sigma_max[active]
             tol = _VALUE_TOL * sigma_max[active]
             rows = np.arange(len(active))
-        # y = R^-1 R^-T x, both sweeps in place over the block columns
-        y = _t(a_inv) @ x.reshape(-1, w, d, p)
-        sweep = np.moveaxis(y, 1, 0)
-        for c in range(1, w):
-            sweep[c] -= a_down[c - 1] @ sweep[c - 1]
-        y = a_inv @ y
-        sweep = np.moveaxis(y, 1, 0)
-        for c in range(w - 2, -1, -1):
-            sweep[c] -= a_up[c] @ sweep[c + 1]
+        # y = R^-1 R^-T x
+        y = _gram_solve(a_levels, np.array(x.reshape(-1, w, d, p)))
         q = np.linalg.qr(y.reshape(-1, w * d, p))[0]
-        del y, sweep
+        del y
         # Rayleigh-Ritz on M, values ascending
         u, values, vt = np.linalg.svd(
             part.matvec(q.reshape(-1, w, d, p).transpose(2, 3, 0, 1))
@@ -646,17 +729,19 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
         try:
             steps, errors = assemble_truncated(field, [p[0] for p in pending.values()], (lo, hi))
         except HomindexError as exc:
-            steps, errors = None, [exc] * len(pending)
+            steps, errors = None, [fresh(exc)] * len(pending)
         items, rows, boundary = list(pending.items()), [], []
         for i, (key, (_, fam_plus, fam_minus)) in enumerate(items):
-            try:
-                if fam_plus.dim != d or fam_minus.dim != d:
-                    raise InputError("witness families and field disagree on the dimension")
-                if errors[i] is not None:
-                    raise errors[i]
-                boundary.append((fam_minus.projector(lo), np.eye(d) - fam_plus.projector(hi)))
-            except HomindexError as exc:
-                memo[key] = (fam_plus, fam_minus, exc)
+            failed = errors[i]
+            if fam_plus.dim != d or fam_minus.dim != d:
+                failed = InputError("witness families and field disagree on the dimension")
+            if failed is None:
+                try:
+                    boundary.append((fam_minus.projector(lo), np.eye(d) - fam_plus.projector(hi)))
+                except HomindexError as exc:
+                    failed = fresh(exc)
+            if failed is not None:
+                memo[key] = (fam_plus, fam_minus, failed)
                 continue
             rows.append(i)
         if rows:
@@ -730,7 +815,7 @@ def kernel_cokernel(
 
     (spectrum,) = truncated_spectra(field, [lam], (lo, hi), [fam_plus], [fam_minus])
     if isinstance(spectrum, HomindexError):
-        raise spectrum.with_traceback(None)
+        raise fresh(spectrum)
     dim_ker_truncated = _null_space(spectrum, gap_ratio)
 
     return IndexReport(

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -29,6 +30,7 @@ from homindex.dichotomy import (
     build_projector_family,
     verify_ed,
     verify_families,
+    whole_line_families,
 )
 import homindex.bifurcation as bifurcation
 import homindex.dichotomy as dichotomy
@@ -36,8 +38,25 @@ import homindex.field as field_module
 import homindex.scenario as scenario_module
 from homindex.bifurcation import NonlinearField
 from homindex.cli import run
-from homindex.errors import InputError, NoDichotomyError, NumericError
-from homindex.field import DiscreteVectorField, ParameterLoop, tabulated_field
+from homindex import fredholm
+from homindex.errors import (
+    HomindexError,
+    InputError,
+    NoDichotomyError,
+    NumericError,
+    WindowTooShortError,
+    fresh,
+)
+from homindex.bundle import index_bundle_pair
+from homindex.field import (
+    DiscreteVectorField,
+    ParameterLoop,
+    direct_sum,
+    mobius_bundle,
+    realization_field,
+    tabulated_field,
+    trivial_bundle,
+)
 from homindex.scenario import Scenario, builtin_document
 
 SADDLE = np.diag([0.5, 2.0])
@@ -395,6 +414,150 @@ def test_dropped_fields_and_their_tables_are_freed_by_reference_counting():
         assert [r() for r in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+FAMILY_ARRAYS = (
+    "times", "projectors", "image_frames", "kernel_frames", "image_steps", "kernel_steps"
+)
+
+
+def assert_same_bits(fused, alone):
+    """Outcome lists equal bit for bit: families array by array, errors by class and message."""
+    assert len(fused) == len(alone)
+    for a, b in zip(fused, alone):
+        if isinstance(b, HomindexError):
+            assert type(a) is type(b) and str(a) == str(b)
+            continue
+        assert (a.side, a.anchor, a.rank, a.bound) == (b.side, b.anchor, b.rank, b.bound)
+        for name in FAMILY_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def unequal_ranks_field() -> DiscreteVectorField:
+    """Realization with a rank-2 stable bundle ahead and a rank-1 one behind (index 1)."""
+    loop = ParameterLoop.circle(16)
+    ahead = direct_sum(mobius_bundle(loop), trivial_bundle(loop, 1, 1))
+    return realization_field(ahead, trivial_bundle(loop, 3, 1), q=0.5)
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [
+        (lambda: Scenario.builtin("mobius-double").build_field(), (-30, 30)),
+        (unequal_ranks_field, (-30, 30)),
+        (unequal_ranks_field, (-24, 41)),  # asymmetric: the sides sweep runs of two lengths
+        (lambda: counting_field(bad=(2, 15))[0], (-20, 20)),  # sample 2 fails on the plus side only
+    ],
+)
+def test_whole_line_families_equal_one_side_builds_bit_for_bit(make, window):
+    fused_field, plus_field, minus_field = make(), make(), make()
+    lams = range(fused_field.n_params)
+    plus, minus = whole_line_families(fused_field, lams, window, 40)
+    lo, hi = window
+    alone = (
+        build_projector_families(plus_field, lams, "plus", 0, hi, horizon=40),
+        build_projector_families(minus_field, lams, "minus", 0, -lo, horizon=40),
+    )
+    assert_same_bits(plus, alone[0])
+    assert_same_bits(minus, alone[1])
+    assert any(isinstance(fam, ProjectorFamily) for fam in plus + minus)
+
+
+def test_whole_line_families_cover_unequal_ranks_and_a_one_sided_failure():
+    plus, minus = whole_line_families(unequal_ranks_field(), range(16), (-30, 30), 40)
+    assert {fam.rank for fam in plus} == {2} and {fam.rank for fam in minus} == {1}
+    plus, minus = whole_line_families(counting_field(bad=(2, 15))[0], range(8), (-20, 20), 40)
+    assert isinstance(plus[2], NumericError) and "(lam=2, n=15)" in str(plus[2])
+    assert all(isinstance(fam, ProjectorFamily) for fam in plus[:2] + plus[3:] + minus)
+
+
+@pytest.mark.parametrize("anchors", [(8, -8), (8, -3)])
+def test_index_bundle_pair_families_equal_one_side_builds_bit_for_bit(anchors):
+    make = unequal_ranks_field
+    fused_field, plus_field, minus_field = make(), make(), make()
+    top, bottom = index_bundle_pair(fused_field, *anchors, horizon=40)
+    lams = range(16)
+    # the fused build memoized its families under the one-side keys
+    memo = dict(fused_field._families)
+    plus = build_projector_families(fused_field, lams, "plus", anchors[0], 2, horizon=40)
+    minus = build_projector_families(fused_field, lams, "minus", anchors[1], 2, horizon=40)
+    assert fused_field._families == memo
+    alone = (
+        build_projector_families(plus_field, lams, "plus", anchors[0], 2, horizon=40),
+        build_projector_families(minus_field, lams, "minus", anchors[1], 2, horizon=40),
+    )
+    assert_same_bits(plus, alone[0])
+    assert_same_bits(minus, alone[1])
+    assert (top.rank, bottom.rank) == (2, 1)
+
+
+def _error_of(call, *args, **kwargs):
+    """The class and message of the error `call` raises; the error itself is dropped."""
+    try:
+        call(*args, **kwargs)
+    except HomindexError as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{call.__name__} did not raise")
+
+
+def test_a_raised_memoized_error_does_not_keep_its_field_alive():
+    # a memoized error is raised as a fresh copy: raising the memoized object
+    # would give it a traceback whose frames hold the field that holds the memo
+    gc.disable()
+    try:
+        field = saddle_loop_field(broken=3)
+        build = (build_projector_family, field, 3, "plus", 0, 20)
+        first = _error_of(*build, horizon=40)
+        assert first[0] is NoDichotomyError
+        assert _error_of(*build, horizon=40) == first
+        ref = weakref.ref(field)
+        del field, build
+        assert ref() is None
+
+        field, _ = counting_field(bad=(2, 5))
+        message = r"evaluator returned non-finite entries at \(lam=2, n=5\)"
+        reads = ((field.matrices, (2, 0, 9)), (field_module._read_all, (field, [1, 2], range(9))))
+        for call, args in reads:
+            kind, text = _error_of(call, *args)
+            assert kind is NumericError and re.fullmatch(message, text)
+        ref = weakref.ref(field)
+        del field, reads, call, args
+        assert ref() is None
+
+        # a truncation read error, memoized by truncated_spectra
+        good, _ = counting_field()
+        plus, minus = whole_line_families(good, [0], (-30, 30), 40)
+        witnesses = (verify_ed(good, 0, plus[0]), verify_ed(good, 0, minus[0]))
+        field, _ = counting_field(bad=(0, 5))
+        for _ in range(2):
+            kind, text = _error_of(fredholm.kernel_cokernel, field, 0, (-30, 30), witnesses)
+            assert kind is NumericError and "(lam=0, n=5)" in text
+        ref = weakref.ref(field)
+        del field
+        assert ref() is None
+
+        # localization: a run that leaves the field window, kept in the outcome lists
+        f = Scenario.builtin("system2-mobius").build_nonlinear()
+        cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+        kind, _ = _error_of(localize_bifurcations, f, cert, window=(-9990, 30), horizon=40)
+        assert kind is WindowTooShortError
+        ref = weakref.ref(f)
+        del f, cert
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_fresh_error_keeps_its_class_message_and_attributes():
+    try:
+        raise WindowTooShortError("needs more", required=7)
+    except WindowTooShortError as exc:
+        caught = exc
+    copy = fresh(caught)
+    assert type(copy) is WindowTooShortError and copy is not caught
+    assert (str(copy), copy.required, copy.__traceback__) == ("needs more", 7, None)
+    assert caught.__traceback__ is not None
 
 
 def test_importing_the_cli_does_not_load_scipy():

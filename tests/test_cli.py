@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from homindex import cli
 from homindex.cli import run
 from homindex.dichotomy import MIN_FIT_STEPS
 from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document
@@ -90,6 +91,29 @@ def test_usage_errors_exit_three_and_help_exits_zero(capsys):
     assert run(["spectrum"]) == 3  # --scenario is required
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_usage_errors_keep_their_message(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    out = str(tmp_path / "o")
+    assert run(["projectors", "--scenario", "autonomous-saddle", "--out", out]) == 0
+    assert run(["projectors", "--scenario", "autonomous-saddle", "--out", out]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
+    # a usage error on the reused parser: argparse's own exit 2, mapped to 3,
+    # and the message a new parser prints
+    bad = ["spectrum", "--scenario", "autonomous-saddle", "--format", "xml"]
+    assert run(bad) == 3
+    reused = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser.__wrapped__().parse_args(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == reused
+    assert "invalid choice: 'xml'" in reused
+    assert run(bad) == 3
+    assert capsys.readouterr().err == reused
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_no_dichotomy_exits_two(tmp_path, capsys):

@@ -1,0 +1,140 @@
+"""The odd-even reduction of the truncation core against dense linear algebra.
+
+`fredholm._regularized_factor`, `_gram_solve` and `_gram_definite`
+work level by level on the blocks of a boundary-conditioned truncation
+M, eliminating every other alive block column at once.  Every width
+from 2 to 40 meets each pattern of even and odd alive counts at every
+level; each test compares with the densely formed M.
+"""
+
+import numpy as np
+import pytest
+
+from homindex import fredholm
+
+WIDTHS = range(2, 41)
+DIMS = (1, 2, 4)
+
+
+def sections(width: int, d: int, seed: int, count: int = 2) -> fredholm._Sections:
+    """Random blocks; the samples differ in scale, as the samples of a batch do."""
+    rng = np.random.default_rng(1000 * width + 10 * d + seed)
+    scale = np.array([0.5, 3.0, 1.0, 0.2])[:count, None, None, None]
+    steps = scale * rng.standard_normal((count, width - 1, d, d))
+    first = rng.standard_normal((count, d, d))
+    last = rng.standard_normal((count, d, d))
+    return fredholm._Sections(steps, first, last)
+
+
+def dense_factor(levels: list, width: int, d: int, i: int) -> np.ndarray:
+    """Sample i's R, with block row c the row eliminating column c."""
+    r = np.zeros((width, d, width, d))
+    for (out, kept), (diag, left, right) in zip(fredholm._levels(width), levels):
+        cols, neighbours = np.arange(width)[out], np.arange(width)[kept]
+        for j, c in enumerate(cols):
+            r[c, :, c] = diag[i, j]
+            if j >= 1:
+                r[c, :, neighbours[j - 1]] = left[i, j - 1]
+            if j < len(neighbours):
+                r[c, :, neighbours[j]] = right[i, j]
+    return r.reshape(width * d, width * d)
+
+
+def test_the_levels_eliminate_every_column_once():
+    for width in range(1, 70):
+        plan = fredholm._levels(width)
+        assert len(plan) == int(np.ceil(np.log2(width + 1)))
+        eliminated = np.concatenate([np.arange(width)[out] for out, _ in plan])
+        assert sorted(eliminated.tolist()) == list(range(width))
+    assert len(fredholm._levels(201)) == 8  # a +-100 window
+    assert len(fredholm._levels(601)) == 10  # a +-300 window
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_the_factor_squares_to_the_regularized_gram_matrix(d):
+    for width in WIDTHS:
+        sec = sections(width, d, seed=0)
+        root_mu = np.array([1e-3, 0.7])
+        levels = fredholm._regularized_factor(sec, root_mu)
+        assert len(levels) == len(fredholm._levels(width))
+        for i in range(sec.count):
+            m = sec.dense(i)
+            r = dense_factor(levels, width, d, i)
+            gram = m.T @ m + root_mu[i] ** 2 * np.eye(width * d)
+            scale = np.abs(gram).max()
+            assert np.abs(r.T @ r - gram).max() <= 1e-13 * scale, (width, i)
+            smallest = min(
+                np.linalg.svd(diag[i], compute_uv=False).min() for diag, _, _ in levels
+            )
+            assert smallest >= root_mu[i] * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_the_level_solve_matches_a_dense_solve(d):
+    rng = np.random.default_rng(d)
+    for width in WIDTHS:
+        sec = sections(width, d, seed=1)
+        root_mu = np.array([0.3, 0.05])
+        levels = [
+            (np.linalg.inv(diag), left, right)
+            for diag, left, right in fredholm._regularized_factor(sec, root_mu)
+        ]
+        x = rng.standard_normal((sec.count, width, d, 3))
+        y = fredholm._gram_solve(levels, x.copy())
+        for i in range(sec.count):
+            m = sec.dense(i)
+            gram = m.T @ m + root_mu[i] ** 2 * np.eye(width * d)
+            expected = np.linalg.solve(gram, x[i].reshape(width * d, 3))
+            got = y[i].reshape(width * d, 3)
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max(), (width, i)
+
+
+def dense_definite(sec: fredholm._Sections, shift: np.ndarray) -> list:
+    out = []
+    for i in range(sec.count):
+        m = sec.dense(i)
+        out.append(bool(np.linalg.eigvalsh(shift[i] * np.eye(m.shape[1]) - m.T @ m).min() > 0.0))
+    return out
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_definiteness_agrees_with_dense_eigenvalues_around_sigma_max(d):
+    for width in WIDTHS:
+        sec = sections(width, d, seed=2)
+        top = np.array([np.linalg.svd(sec.dense(i), compute_uv=False)[0] ** 2 for i in range(2)])
+        for factor, expected in ((1.0 + 1e-5, True), (1.0 - 1e-5, False)):
+            shift = top * factor
+            got = fredholm._gram_definite(sec, shift).tolist()
+            assert got == dense_definite(sec, shift) == [expected, expected], (width, factor)
+        # one sample above, one below: each gets its own verdict
+        shift = top * np.array([1.0 + 1e-5, 1.0 - 1e-5])
+        assert fredholm._gram_definite(sec, shift).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 17])
+def test_a_non_finite_block_refuses_only_its_sample(width):
+    sec = sections(width, 2, seed=3, count=3)
+    steps = np.array(sec.steps)
+    steps[1, (width - 1) // 2, 0, 1] = np.nan
+    sec = fredholm._Sections(steps, sec.first, sec.last)
+    top = np.array(
+        [np.linalg.svd(sec.dense(i), compute_uv=False)[0] ** 2 if i != 1 else 1.0 for i in range(3)]
+    )
+    with np.errstate(all="raise"):
+        got = fredholm._gram_definite(sec, top * 1.001).tolist()
+    assert got == [True, False, True]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 9])
+def test_a_singular_pivot_refuses_only_its_sample(width):
+    # sample 0: shift - (M^T M)_00 = diag(0, 0.4375) exactly, a singular
+    # pivot at the first level; sample 1 is definite
+    d = 2
+    steps = np.zeros((2, width - 1, d, d))
+    steps[:, :] = np.diag([0.5, 0.25])
+    first = np.stack([np.diag([0.5, 0.0]), np.diag([0.5, 0.0])])
+    last = np.stack([np.eye(d), np.eye(d)])
+    sec = fredholm._Sections(steps, first, last)
+    shift = np.array([0.5, 4.0])
+    assert dense_definite(sec, shift) == [False, True]
+    assert fredholm._gram_definite(sec, shift).tolist() == [False, True]
