@@ -533,7 +533,6 @@ class F3Check:
     kernel_dim: int | None = None
     consistent: bool | None = None
     sigma_min: float = float("nan")
-    sigma_max: float = float("nan")
     k_alpha_plus: tuple[float, float] | None = None
     k_alpha_minus: tuple[float, float] | None = None
     message: str = ""
@@ -577,9 +576,8 @@ def check_F3(
             lambda_index=int(lam),
             message=f"could not certify the half-line splittings or the kernel count: {exc}",
         )
-    # extreme singular values of the truncation with decay boundary rows
+    # smallest singular value of the truncation with decay boundary rows
     smin = float(report.smallest_singular_values[0])
-    smax = report.sigma_max
     ok = report.index == 0 and report.dim_ker == 0
     if ok:
         message = (
@@ -598,7 +596,6 @@ def check_F3(
         kernel_dim=report.dim_ker,
         consistent=report.consistent,
         sigma_min=smin,
-        sigma_max=smax,
         k_alpha_plus=(wit_plus.k_const, wit_plus.alpha),
         k_alpha_minus=(wit_minus.k_const, wit_minus.alpha),
         message=message,

@@ -40,6 +40,7 @@ from . import __version__
 from .bifurcation import CertifyOptions, certify_bifurcation, localize_bifurcations
 from .bundle import KOClassDesk, bundle_csv_rows, index_bundle_pair
 from .dichotomy import (
+    build_projector_families,
     build_projector_family,
     dichotomy_spectrum,
     verify_ed,
@@ -52,6 +53,7 @@ from .errors import (
     InputError,
     NumericError,
     SamplingError,
+    fresh,
 )
 from .field import _read_all
 from .fredholm import FiniteWindowSequence, green_solve, kernel_cokernel, truncated_spectra
@@ -176,16 +178,20 @@ def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts = scenario.options
     per, csvs = [], []
-    for lam in opts["lambdas"]:
-        fam = build_projector_family(
-            field,
-            lam,
-            opts["side"],
-            opts["anchor"],
-            length=opts["length"],
-            **_family_kwargs(scenario),
-        )
-        wit = verify_ed(field, lam, fam)
+    # one batch of families and one of fits for every requested sample; a
+    # failed build comes back in place of its fit, and the first failing
+    # sample decides the error
+    fams = build_projector_families(
+        field,
+        opts["lambdas"],
+        opts["side"],
+        opts["anchor"],
+        length=opts["length"],
+        **_family_kwargs(scenario),
+    )
+    for lam, fam, wit in zip(opts["lambdas"], fams, verify_families(fams)):
+        if isinstance(wit, HomindexError):
+            raise fresh(wit)
         d = field.dim
         per.append(
             {

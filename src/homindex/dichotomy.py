@@ -744,10 +744,15 @@ class EDWitness:
 
 
 def _fit_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares line slopes of the rows of `y` against `x`."""
+    """Least-squares line slopes of the rows of `y` against `x`.
+
+    One fit per row: a fit of many right-hand sides at once rounds each
+    differently from a fit of one, and a family's constants must not
+    depend on the batch it was fitted in.
+    """
     if len(x) == 1:
         return y[:, 0] / x[0]
-    return np.polyfit(x, y.T, 1)[0]
+    return np.array([np.polyfit(x, row, 1)[0] for row in y])
 
 
 def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tuple[int, int]]):

@@ -15,25 +15,25 @@ boundary-conditioned truncation M: the block rows P-(lo), phi(n+1) -
 A_n phi(n) and I - P+(hi).  M is block lower-bidiagonal and is never
 formed.  `truncated_spectra` resolves, for many parameter samples at
 once (the sample on numpy's leading axis), only what the count needs:
-- sigma_max, by Lanczos on M^T M, certified to 1e-6 relative by an
-  odd-even block reduction of (1 + 2e-6) theta - M^T M whose pivots
-  must all be definite;
-- the values below the null cut 1e-8 sigma_max and the smallest one
-  above it, by inverse subspace iteration with a factor R, R^T R =
-  M^T M + mu I, of M stacked on regularization rows sqrt(mu) I,
-  sqrt(mu) = 1e-10 sigma_max.  Each step ends with a Rayleigh-Ritz
-  step on M itself and a residual test.
-R and the definiteness test use odd-even (cyclic) reduction, after
-S. J. Wright, Stable parallel algorithms for two-point boundary value
-problems (SIAM J. Sci. Stat. Comput. 13, 1992): each level eliminates
-every other alive block column of all samples at once, R's with one
-batched QR and the test's with one batched pivot solve, so a window of
-w times takes ceil(log2(w + 1)) levels (8 at +-100) instead of w
+- a scale, the block-norm bound sqrt(|N|_1 |N|_inf) on sigma_max with
+  N_ij = |M_ij|_2 (Golub & Van Loan, Matrix Computations, 2.3); M has
+  at most two blocks per block row and column, so sigma_max <= scale
+  <= 2 sigma_max, from one batched norm and no loop;
+- the values below the null cut 1e-8 scale and the smallest one above
+  it, by inverse subspace iteration with a factor R, R^T R = M^T M +
+  mu I, of M stacked on regularization rows sqrt(mu) I, sqrt(mu) =
+  1e-10 scale.  Each step ends with a Rayleigh-Ritz step on M itself
+  and a residual test.
+R uses odd-even (cyclic) reduction, after S. J. Wright, Stable
+parallel algorithms for two-point boundary value problems (SIAM J.
+Sci. Stat. Comput. 13, 1992): each level eliminates every other alive
+block column of all samples at once with one batched QR, so a window
+of w times takes ceil(log2(w + 1)) levels (8 at +-100) instead of w
 sequential steps, and each solve with R^T R two passes over them.
-A sample either routine leaves unresolved at its cap falls back to a
-values-only dense SVD of its own matrix, the only place M is formed.
-Everything costs O(w d^3) flops per sample and step on a window of w
-times.
+A sample the iteration leaves unresolved at its cap falls back to a
+values-only dense SVD of its own matrix, the only place M is formed,
+cut with the same scale.  Everything costs O(w d^3) flops per sample
+and step on a window of w times.
 
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
@@ -43,6 +43,7 @@ formed over a long window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,27 +80,18 @@ SOLVE_TOL = 1e-8
 #: required gap between the zero and nonzero singular-value groups
 SV_GAP_RATIO = 1e3
 
-#: relative cutoff separating null from non-null singular values
+#: cutoff, relative to the scale, separating null from non-null singular values
 _NULL_CUT = 1e-8
 
-#: root of the regularization mu, relative to sigma_max, in the factor R
+#: root of the regularization mu, relative to the scale, in the factor R
 _REGULARIZATION = 1e-10
 
-#: the inverse iteration resolves the smallest kept value to this times sigma_max
-_VALUE_TOL = 1e-12
+#: the inverse iteration resolves the smallest kept value to this times the
+#: scale; the scale is at most 2 sigma_max, so this is at most 1e-12 sigma_max
+_VALUE_TOL = 5e-13
 
 #: inverse-iteration steps before a sample falls back to the dense SVD
 _ITERATION_CAP = 150
-
-#: relative accuracy to which sigma_max is certified
-_SIGMA_MAX_RTOL = 1e-6
-
-#: Lanczos steps between checks, and checks before the dense fallback
-_LANCZOS_CHECK = 32
-_LANCZOS_CAP = 32
-
-#: Sturm shifts per sample and pass
-_STURM_GRID = 64
 
 #: a principal cosine this close to one counts as an intersection
 _ANGLE_TOL = 1e-8
@@ -183,13 +175,13 @@ class IndexReport:
     the half-line projector rank difference, and the cokernel dimension
     is the kernel dimension minus the index.  The truncation's singular
     values are summarized, not listed: `smallest_singular_values` holds,
-    ascending, every value below the null cut and then the smallest
-    value above it, and `sigma_max` the largest.  `truncated_spectra`
-    resolves them on the blocks - the first group by inverse iteration
-    with the regularized block factor, stopped by a residual test at
-    about 1e-12 * `sigma_max`, and `sigma_max` by Lanczos, certified to
-    1e-6 relative - or, where that stays unresolved, by the counted
-    dense fallback.  The report holds no kernel basis.
+    ascending, every value below the null cut (1e-8 times the
+    truncation's block-norm scale, see `TruncationSpectrum`) and then
+    the smallest value above it.  `truncated_spectra` resolves them on
+    the blocks, by inverse iteration with the regularized block factor
+    stopped by a residual test at 5e-13 times the scale (at most 1e-12
+    sigma_max), or, where that stays unresolved, by the counted dense
+    fallback.  The report holds no kernel basis.
     """
 
     index: int
@@ -202,7 +194,6 @@ class IndexReport:
     smallest_singular_values: np.ndarray = dataclass_field(
         default_factory=lambda: np.empty(0), repr=False, compare=False
     )
-    sigma_max: float = dataclass_field(default=float("nan"), repr=False, compare=False)
 
     def __post_init__(self):
         if self.index != self.dim_ker - self.dim_coker:
@@ -218,11 +209,13 @@ class TruncationSpectrum:
     """The singular values of a boundary-conditioned truncation that the kernel count reads.
 
     `smallest` holds, ascending, every value below the null cut
-    (`1e-8 * sigma_max`) and then the smallest value above it.
+    (`1e-8 * scale`) and then the smallest value above it.  `scale` is
+    the block-norm bound sqrt(|N|_1 |N|_inf), N_ij = |M_ij|_2, on the
+    largest singular value sigma_max: sigma_max <= scale <= 2 sigma_max.
     """
 
     smallest: np.ndarray
-    sigma_max: float
+    scale: float
 
 
 def assemble_truncated(field: DiscreteVectorField, lams, window) -> tuple[np.ndarray, list]:
@@ -275,13 +268,13 @@ def _intersection_dimension(f_plus: np.ndarray, f_minus: np.ndarray) -> int:
 
 def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
     """Null dimension by the grouped singular-value rule."""
-    small, smax = spectrum.smallest, spectrum.sigma_max
-    cut = _NULL_CUT * smax
+    small, scale = spectrum.smallest, spectrum.scale
+    cut = _NULL_CUT * scale
     n_zero = int((small < cut).sum())
     smallest_kept = float(small[n_zero])
     if n_zero:
         largest_zero = float(small[n_zero - 1])
-        if smallest_kept < max(largest_zero, smax * 1e-15) * gap_ratio:
+        if smallest_kept < max(largest_zero, scale * 1e-15) * gap_ratio:
             raise IndeterminateError(
                 "no clear singular-value gap separates the null group "
                 f"({largest_zero:.3e}) from the rest ({smallest_kept:.3e}); "
@@ -310,47 +303,61 @@ class _Sections:
     The block rows of each (w+1)d x wd matrix M are, top to bottom:
     ``first`` = P-(lo) in block column 0; ``steps[i]`` = -A_n and the
     identity in block columns i and i+1; ``last`` = I - P+(hi) in
-    block column w-1.  M itself is never formed.  `matvec` and
-    `rmatvec` take vectors laid out as (d, k, S, columns).
+    block column w-1.  M itself is never formed.  `matvec` takes
+    vectors laid out as (S, w, d, k) and `rmatvec` as (S, w + 1, d, k).
+    `scale` bounds each sample's sigma_max within a factor of two.
     """
 
     def __init__(self, steps: np.ndarray, first: np.ndarray, last: np.ndarray):
         self.steps, self.first, self.last = steps, first, last
         self.count, self.width, self.dim = steps.shape[0], steps.shape[1] + 1, steps.shape[2]
-        self._steps = np.ascontiguousarray(steps.transpose(2, 3, 0, 1))
-        self._first = np.ascontiguousarray(first.transpose(1, 2, 0))
-        self._last = np.ascontiguousarray(last.transpose(1, 2, 0))
 
     def take(self, rows) -> "_Sections":
         return _Sections(self.steps[rows], self.first[rows], self.last[rows])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        d, k, s, w = x.shape
-        y = np.empty((d, k, s, w + 1))
-        np.einsum("ijs,jks->iks", self._first, x[..., 0], out=y[..., 0])
-        np.einsum("ijsn,jksn->iksn", self._steps, x[..., :-1], out=y[..., 1:w])
-        y[..., 1:w] += x[..., 1:]
-        np.einsum("ijs,jks->iks", self._last, x[..., -1], out=y[..., w])
+        s, w, d, k = x.shape
+        y = np.empty((s, w + 1, d, k))
+        np.matmul(self.first, x[:, 0], out=y[:, 0])
+        np.matmul(self.steps, x[:, :-1], out=y[:, 1:w])
+        y[:, 1:w] += x[:, 1:]
+        np.matmul(self.last, x[:, -1], out=y[:, w])
         return y
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        d, k, s, w1 = y.shape
-        x = np.empty((d, k, s, w1 - 1))
-        np.einsum("jisn,jksn->iksn", self._steps, y[..., 1:-1], out=x[..., :-1])
-        np.einsum("jis,jks->iks", self._last, y[..., -1], out=x[..., -1])
-        x[..., 1:] += y[..., 1:-1]
-        x[..., 0] += np.einsum("jis,jks->iks", self._first, y[..., 0])
+        s, w1, d, k = y.shape
+        x = np.empty((s, w1 - 1, d, k))
+        np.matmul(_t(self.steps), y[:, 1:-1], out=x[:, :-1])
+        np.matmul(_t(self.last), y[:, -1], out=x[:, -1])
+        x[:, 1:] += y[:, 1:-1]
+        x[:, 0] += _t(self.first) @ y[:, 0]
         return x
 
-    def gram_diagonal(self) -> np.ndarray:
-        """The (S, w, d, d) diagonal blocks of M^T M; steps[c] is its block (c+1, c)."""
-        s, w, d = self.count, self.width, self.dim
-        gram = np.zeros((s, w, d, d))
-        gram[:, :-1] += _t(self.steps) @ self.steps
-        gram[:, 1:] += np.eye(d)
-        gram[:, 0] += _t(self.first) @ self.first
-        gram[:, -1] += _t(self.last) @ self.last
-        return gram
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """Per sample, sqrt(|N|_1 |N|_inf) for the block norms N_ij = |M_ij|_2.
+
+        It bounds sigma_max from above (Golub & Van Loan, 2.3).  Every
+        block norm is at most sigma_max and every block row and column
+        holds at most two blocks, so it is at most 2 sigma_max.  The
+        identity blocks count as norm 1; the two roots keep a finite
+        table from overflowing.
+        """
+        norms = np.linalg.norm(
+            np.concatenate([self.first[:, None], self.steps, self.last[:, None]], axis=1),
+            2,
+            axis=(-2, -1),
+        )
+        first, steps, last = norms[:, 0], norms[:, 1:-1], norms[:, -1]
+        # block row i + 1 holds steps[i] and an identity; block column c holds
+        # steps[c] (first as well for c = 0) and the identity of step c - 1
+        # (last as well for c = w - 1)
+        row_sums = np.maximum(np.maximum(first, last), 1.0 + steps.max(axis=1))
+        column_sums = np.maximum(
+            np.maximum(first + steps[:, 0], 1.0 + last),
+            1.0 + steps[:, 1:].max(axis=1, initial=0.0),
+        )
+        return np.sqrt(column_sums) * np.sqrt(row_sums)
 
     def dense(self, i: int) -> np.ndarray:
         """Sample i's matrix M, formed densely (the fallback only)."""
@@ -362,150 +369,6 @@ class _Sections:
         blocks[cols + 1, :, cols + 1, :] = np.eye(d)
         blocks[w, :, w - 1, :] = self.last[i]
         return blocks.reshape((w + 1) * d, w * d)
-
-
-def _below_top(alphas: list, betas2: list, grid: np.ndarray) -> np.ndarray:
-    """Which shifts in `grid` (S, m) lie below the largest eigenvalue of T.
-
-    T is the symmetric tridiagonal matrix with diagonal `alphas` and
-    squared off-diagonal `betas2` (entry 0 unused), one value per
-    sample in each list.  A shift lies below the top eigenvalue exactly
-    when some pivot of the LDL^T factorization of T - shift I is
-    positive (Sturm count).  A pivot of exactly zero is read as a tiny
-    negative one: the next pivot becomes -inf.
-    """
-    pivot = alphas[0][:, None] - grid
-    largest = pivot.copy()
-    quotient = np.empty_like(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for alpha, beta2 in zip(alphas[1:], betas2[1:]):
-            np.divide(beta2[:, None], pivot, out=quotient)
-            np.subtract(alpha[:, None], grid, out=pivot)
-            pivot -= quotient
-            np.fmax(largest, pivot, out=largest)
-    return largest > 0
-
-
-def _gram_definite(sec: _Sections, shift: np.ndarray) -> np.ndarray:
-    """Per sample, whether shift * I - M^T M is positive definite.
-
-    M^T M is block tridiagonal.  Each odd-even level takes the Schur
-    complement of every other alive block column at once (one batched
-    pivot solve), leaving a block tridiagonal matrix on the others; by
-    Sylvester's law of inertia the matrix is definite exactly when
-    every pivot eliminated on the way is.  A sample whose pivot is not
-    finite or not definite is refused, and its blocks are replaced by
-    harmless ones so that the others go on.
-    """
-    s, d = sec.count, sec.dim
-    eye = np.eye(d)
-    diag = shift[:, None, None, None] * eye - sec.gram_diagonal()
-    below = -sec.steps  # block (c + 1, c)
-    definite = np.ones(s, bool)
-    while diag.shape[1]:
-        pivots = diag[:, 0::2]
-        finite = np.isfinite(pivots).all(axis=(2, 3))
-        safe = np.where(finite[..., None, None], pivots, -eye)
-        definite &= (finite & (np.linalg.eigvalsh(safe)[..., 0] > 0.0)).all(axis=1)
-        if not definite.all():
-            refused = ~definite[:, None, None, None]
-            pivots = np.where(refused, eye, pivots)
-            diag, below = np.where(refused, eye, diag), np.where(refused, 0.0, below)
-        # elimination i couples to kept column i - 1 through left[i - 1]
-        # (block (2i, 2i - 1)) and to kept column i through right[i]
-        # (block (2i + 1, 2i))
-        left, right = below[:, 1::2], below[:, 0::2]
-        kept = diag[:, 1::2]
-        n_kept = kept.shape[1]
-        rhs = np.zeros(pivots.shape[:2] + (d, 2 * d))
-        rhs[:, 1:, :, :d] = left
-        rhs[:, :n_kept, :, d:] = _t(right)
-        solved = np.linalg.solve(pivots, rhs)
-        from_left, from_right = solved[..., :d], solved[..., d:]
-        kept = kept - right @ from_right[:, :n_kept]
-        kept[:, : left.shape[1]] -= _t(left) @ from_left[:, 1:]
-        diag, below = kept, -(right[:, 1:] @ from_left[:, 1:n_kept])
-    return definite
-
-
-def _sigma_max(sec: _Sections) -> np.ndarray:
-    """Largest singular value of each section, by Lanczos on M^T M.
-
-    Every `_LANCZOS_CHECK` steps two Sturm passes over the Lanczos
-    matrix T_k raise a lower bound L to just below its top eigenvalue
-    theta_k: a geometric ladder of shifts above the last L, then a
-    linear grid inside the ladder cell that holds theta_k.  L is a
-    lower bound on sigma_max^2.  Once theta_k has moved less than
-    rtol = `_SIGMA_MAX_RTOL` relative since the last check, or the
-    geometric extrapolation of its last two moves says it will move
-    less than that, odd-even reduction tries to prove L (1 + 2 rtol) an
-    upper bound (`_gram_definite`) for every sample still open.  On success
-    sqrt(L) <= sigma_max <= sqrt(L) (1 + rtol), and sqrt(L) is
-    returned.  Samples without that certificate after `_LANCZOS_CAP`
-    checks get nan.
-    """
-    s, w, d = sec.count, sec.width, sec.dim
-    rows, last = np.arange(s), _STURM_GRID - 1
-    # M^T M in blocks, laid out (d, d, S, columns) like the vectors (d, S, w)
-    diagonal = np.ascontiguousarray(sec.gram_diagonal().transpose(2, 3, 0, 1))
-    below = sec._steps
-
-    def gram(x):
-        y = np.einsum("ijsn,jsn->isn", diagonal, x)
-        y[..., 1:] += np.einsum("ijsn,jsn->isn", below, x[..., :-1])
-        y[..., :-1] += np.einsum("jisn,jsn->isn", below, x[..., 1:])
-        return y
-
-    start = np.random.default_rng(0).standard_normal((d, 1, w))
-    q = np.broadcast_to(start / np.sqrt((start * start).sum()), (d, s, w))
-    previous = np.zeros_like(q)
-    beta = np.zeros(s)
-    alphas, betas2 = [], []
-    ladder = np.geomspace(1e-12, 1.0, _STURM_GRID)
-    spacing = np.linspace(0.0, 1.0, _STURM_GRID)
-    lower = np.zeros(s)
-    last_move = np.full(s, np.inf)
-    sigma = np.full(s, np.nan)
-    done = np.zeros(s, bool)
-    for step in range(1, _LANCZOS_CHECK * _LANCZOS_CAP + 1):
-        z = gram(q)
-        alpha = np.einsum("isn,isn->s", z, q)
-        z -= alpha[:, None] * q
-        z -= beta[:, None] * previous
-        alphas.append(alpha)
-        betas2.append(beta * beta)
-        beta = np.sqrt(np.einsum("isn,isn->s", z, z))
-        previous, q = q, z / np.where(beta > 0.0, beta, 1.0)[:, None]
-        if step % _LANCZOS_CHECK:
-            continue
-        # Gershgorin: theta_k is at most the largest row sum of T_k, whose
-        # entries are positive; off[i] couples rows i - 1 and i, off[0] = 0
-        off = np.sqrt(betas2)
-        row_sums = np.array(alphas) + off
-        row_sums[:-1] += off[1:]
-        grid = lower[:, None] + (row_sums.max(axis=0) - lower)[:, None] * ladder
-        n = _below_top(alphas, betas2, grid).sum(axis=1)
-        cell_top = grid[rows, np.minimum(n, last)]
-        # theta's move since the last check, and its geometric extrapolation
-        with np.errstate(divide="ignore", invalid="ignore"):
-            move = cell_top / lower - 1.0
-            ratio = move / last_move
-            ahead = np.where(
-                np.isfinite(last_move) & (ratio < 1.0), move * ratio / (1.0 - ratio), np.inf
-            )
-        stalled = ~done & (np.minimum(move, ahead) <= _SIGMA_MAX_RTOL)
-        last_move = move
-        cell_bottom = np.where(n > 0, grid[rows, np.maximum(n - 1, 0)], lower)
-        grid = cell_bottom[:, None] + (cell_top - cell_bottom)[:, None] * spacing
-        n = _below_top(alphas, betas2, grid).sum(axis=1)
-        lower = np.where(n > 0, grid[rows, np.maximum(n - 1, 0)], cell_bottom)
-        if stalled.any():
-            proved = ~done & _gram_definite(sec, lower * (1.0 + 2.0 * _SIGMA_MAX_RTOL))
-            sigma[proved] = np.sqrt(lower[proved])
-            done |= proved
-            if done.all():
-                break
-    return sigma
 
 
 def _levels(width: int) -> list:
@@ -526,13 +389,14 @@ def _regularized_factor(sec: _Sections, root_mu: np.ndarray) -> list:
     """Odd-even factor R of [M; root_mu I]: R^T R = M^T M + mu I.
 
     Wright's orthogonal block cyclic reduction.  Every alive block
-    column p sits between two couplings: row blocks (2d rows) on the
-    columns p - 1 and p.  Each level eliminates every other alive
-    column with one batched QR of its own rows: root_mu * I and its two
-    couplings.  The first d rows of the triangle are R's block row of
-    that column, with one block on the column itself and one on each
-    alive neighbour (`_levels` gives the columns); the other 2d rows
-    couple the two neighbours, which are adjacent at the next level.
+    column p sits between two couplings: row blocks on the columns
+    p - 1 and p, with d nonzero rows at the first level and 2d after
+    it.  Each level eliminates every other alive column with one
+    batched QR of its own rows: root_mu * I and its two couplings.  The
+    first d rows of the triangle are R's block row of that column, with
+    one block on the column itself and one on each alive neighbour
+    (`_levels` gives the columns); the other 2d rows couple the two
+    neighbours, which are adjacent at the next level.
     P-(lo) starts as the coupling left of column 0 and I - P+(hi) as
     the one right of column w - 1.  The diagonal blocks have smallest
     singular value at least root_mu.  Returns, per level, the diagonal
@@ -550,18 +414,20 @@ def _regularized_factor(sec: _Sections, root_mu: np.ndarray) -> list:
     on_left[:, 1:w, :d] = sec.steps
     on_right[:, 1:w, :d] = eye
     on_left[:, w, :d] = sec.last
-    levels = []
+    levels, c = [], d
     while on_left.shape[1] > 1:
         alive = on_left.shape[1] - 1
         n_out, n_kept = (alive + 1) // 2, alive // 2
-        # eliminated column p's block columns: p, p - 1, p + 1
-        stack = np.zeros((s, n_out, 5 * d, 3 * d))
+        # eliminated column p's block columns: p, p - 1, p + 1; a coupling
+        # has c nonzero rows, d at the first level and 2d after it
+        stack = np.zeros((s, n_out, d + 2 * c, 3 * d))
         stack[..., :d, :d] = root_mu[:, None, None, None] * eye
-        stack[..., d : 3 * d, :d] = on_right[:, 0 : 2 * n_out : 2]
-        stack[..., d : 3 * d, d : 2 * d] = on_left[:, 0 : 2 * n_out : 2]
-        stack[..., 3 * d :, :d] = on_left[:, 1 : 2 * n_out : 2]
-        stack[..., 3 * d :, 2 * d :] = on_right[:, 1 : 2 * n_out : 2]
+        stack[..., d : d + c, :d] = on_right[:, 0 : 2 * n_out : 2, :c]
+        stack[..., d : d + c, d : 2 * d] = on_left[:, 0 : 2 * n_out : 2, :c]
+        stack[..., d + c :, :d] = on_left[:, 1 : 2 * n_out : 2, :c]
+        stack[..., d + c :, 2 * d :] = on_right[:, 1 : 2 * n_out : 2, :c]
         r = np.linalg.qr(stack, mode="r")
+        c = 2 * d
         levels.append(
             (
                 np.ascontiguousarray(r[..., :d, :d]),
@@ -600,11 +466,11 @@ def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
+def _smallest_values(sec: _Sections) -> list:
     """The `TruncationSpectrum.smallest` group of each section, or None if unresolved.
 
     Inverse subspace iteration with the regularized factor R (root mu =
-    `_REGULARIZATION` * sigma_max) on p = d + 3 columns, since the
+    `_REGULARIZATION` * `sec.scale`) on p = d + 3 columns, since the
     kernel has dimension at most d (all w d columns on a shorter
     window).  Each step applies (R^T R)^-1 by the two passes of
     `_gram_solve` over R's odd-even levels, about 2 log2(w) batched
@@ -613,7 +479,7 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
     (~1e-17) would swamp the other columns of (M^T M)^-1 Q in rounding.
     A sample stops when the Ritz value that is smallest above the null
     cut has residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
-    * sigma_max, gap being its distance to the nearest Ritz value
+    * scale, gap being its distance to the nearest Ritz value
     farther than r from it (nearer ones count as its cluster, and with
     none farther the bound is r itself); the values below the cut are
     upper bounds on true ones (Cauchy interlacing).  Samples still
@@ -621,9 +487,10 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
     """
     s, w, d = sec.count, sec.width, sec.dim
     p = min(d + 3, w * d)
+    scale = sec.scale
     levels = [
         (np.linalg.inv(diag), left, right)
-        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * sigma_max)
+        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * scale)
     ]
     start = np.linalg.qr(np.random.default_rng(0).standard_normal((w * d, p)))[0]
     x = np.broadcast_to(start, (s, w * d, p))
@@ -634,8 +501,8 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
         if shrunk:
             part = sec.take(active)
             a_levels = [tuple(blocks[active] for blocks in level) for level in levels]
-            cut = _NULL_CUT * sigma_max[active]
-            tol = _VALUE_TOL * sigma_max[active]
+            cut = _NULL_CUT * scale[active]
+            tol = _VALUE_TOL * scale[active]
             rows = np.arange(len(active))
         # y = R^-1 R^-T x
         y = _gram_solve(a_levels, np.array(x.reshape(-1, w, d, p)))
@@ -643,9 +510,7 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
         del y
         # Rayleigh-Ritz on M, values ascending
         u, values, vt = np.linalg.svd(
-            part.matvec(q.reshape(-1, w, d, p).transpose(2, 3, 0, 1))
-            .transpose(2, 3, 0, 1)
-            .reshape(-1, (w + 1) * d, p),
+            part.matvec(q.reshape(-1, w, d, p)).reshape(-1, (w + 1) * d, p),
             full_matrices=False,
         )
         values, vt = values[:, ::-1], vt[:, ::-1]
@@ -655,8 +520,8 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
         k = (values < cut[:, None]).sum(axis=1)
         i = np.minimum(k, p - 1)
         at = values[rows, i]
-        left = u[rows, :, p - 1 - i].reshape(-1, w + 1, d).transpose(2, 0, 1)[:, None]
-        residual = part.rmatvec(left)[:, 0].transpose(1, 2, 0).reshape(-1, w * d)
+        left = u[rows, :, p - 1 - i].reshape(-1, w + 1, d, 1)
+        residual = part.rmatvec(left).reshape(-1, w * d)
         residual -= x[rows, :, i] * at[:, None]
         r = np.sqrt((residual * residual).sum(axis=1))
         del u, left, residual
@@ -678,22 +543,18 @@ def _smallest_values(sec: _Sections, sigma_max: np.ndarray) -> list:
 def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
     """Sample i's spectrum summary from a values-only dense SVD: the fallback."""
     values = np.linalg.svd(sec.dense(i), compute_uv=False)[::-1]
-    n_zero = int((values < _NULL_CUT * values[-1]).sum())
-    return TruncationSpectrum(values[: n_zero + 1], float(values[-1]))
+    scale = float(sec.scale[i])
+    n_zero = int((values < _NULL_CUT * scale).sum())
+    return TruncationSpectrum(values[: n_zero + 1], scale)
 
 
 def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
     """Spectrum summaries of stacked sections: structured, or dense where that is unresolved."""
     sec = _Sections(steps, first, last)
-    sigma = _sigma_max(sec)
-    out: list = [None] * sec.count
-    certified = np.flatnonzero(np.isfinite(sigma))
-    if certified.size:
-        found = _smallest_values(sec.take(certified), sigma[certified])
-        for i, small in zip(certified.tolist(), found):
-            if small is not None:
-                out[i] = TruncationSpectrum(small, float(sigma[i]))
-    return [spectrum or _dense_spectrum(sec, i) for i, spectrum in enumerate(out)]
+    return [
+        _dense_spectrum(sec, i) if small is None else TruncationSpectrum(small, float(scale))
+        for i, (small, scale) in enumerate(zip(_smallest_values(sec), sec.scale))
+    ]
 
 
 def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> list:
@@ -703,11 +564,11 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
     (or the errors their builds raised, which come back unchanged).
     The truncation on `window` = [lo, hi] has the block rows P-(lo),
     phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
-    samples sit on numpy's leading axis (`_sigma_max`,
+    samples sit on numpy's leading axis (`_Sections.scale`,
     `_smallest_values`), with the blocks of every sample from one
-    `assemble_truncated` read.  A sample that either routine leaves
-    unresolved falls back to a values-only dense SVD of its own
-    matrix, the only dense truncation formed.  Returns each sample's
+    `assemble_truncated` read.  A sample that the inverse iteration
+    leaves unresolved falls back to a values-only dense SVD of its own
+    matrix, the only dense truncation formed, cut with the same scale.  Returns each sample's
     `TruncationSpectrum`, or the error reading its blocks or boundary
     rows raised; outcomes are memoized on the field per (sample,
     window, family pair), where `kernel_cokernel` reads them.
@@ -770,12 +631,12 @@ def kernel_cokernel(
     the backward-decaying set and phi(n_max) to the forward-decaying
     one.  The second count reads the spectrum summary of
     `truncated_spectra` (a batch of one unless a batch over the samples
-    already filled the memo): the values below 1e-8 * sigma_max are
-    null, and a null group without a `gap_ratio` gap to the smallest
-    kept value, or an empty one whose smallest value lies within
-    `gap_ratio` of the cut, is indeterminate.  The index is the
-    projector rank difference; the report's flag records whether the
-    two kernel counts agree.
+    already filled the memo): the values below 1e-8 times its
+    block-norm scale (between sigma_max and 2 sigma_max) are null, and
+    a null group without a `gap_ratio` gap to the smallest kept value,
+    or an empty one whose smallest value lies within `gap_ratio` of the
+    cut, is indeterminate.  The index is the projector rank difference;
+    the report's flag records whether the two kernel counts agree.
     """
     lo, hi = _as_window(window)
     if hi - lo + 1 < 8:
@@ -827,7 +688,6 @@ def kernel_cokernel(
         consistent=dim_ker == dim_ker_truncated,
         dim_ker_truncated=dim_ker_truncated,
         smallest_singular_values=spectrum.smallest,
-        sigma_max=spectrum.sigma_max,
     )
 
 

@@ -11,6 +11,7 @@ checked against an implementation that shares no code with them.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from homindex.dichotomy import build_projector_family, verify_ed
 from homindex.fredholm import FiniteWindowSequence
@@ -27,6 +28,8 @@ __all__ = [
     "green_kernel",
     "kernel_convolve",
     "boundary_conditioned",
+    "block_norm_scale",
+    "assert_scale",
     "truncated_null_space",
     "span_gap",
     "half_line_witnesses",
@@ -195,19 +198,39 @@ def boundary_conditioned(field, lam, window, fam_plus, fam_minus) -> np.ndarray:
     return stacked
 
 
+def block_norm_scale(stacked: np.ndarray, d: int) -> float:
+    """Oracle: sqrt(|N|_1 |N|_inf) for the d x d block norms N_ij = |M_ij|_2 of a dense M.
+
+    Every block of the grid is taken, zero or not, in whatever order the
+    rows of `stacked` come.  The result bounds M's largest singular
+    value from above (Golub & Van Loan, Matrix Computations, 2.3).
+    """
+    rows, cols = stacked.shape[0] // d, stacked.shape[1] // d
+    blocks = stacked.reshape(rows, d, cols, d).transpose(0, 2, 1, 3)
+    norms = np.linalg.norm(blocks, 2, axis=(-2, -1))
+    return float(np.sqrt(norms.sum(axis=0).max()) * np.sqrt(norms.sum(axis=1).max()))
+
+
+def assert_scale(got: float, expected: float, sigma_max: float) -> None:
+    """A null-cut scale is `expected`, the closed form, and lies in [sigma_max, 2 sigma_max]."""
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+    assert sigma_max * (1.0 - 1e-12) <= got <= 2.0 * sigma_max
+
+
 def truncated_null_space(field, lam, window, witnesses, decay_tol=1e-6):
     """Oracle: full SVD of the boundary-conditioned truncation on `window`.
 
     Returns the singular values (descending) and the null vectors, each
     scaled to sup-norm one, as `FiniteWindowSequence`s.  A vector is
-    null when its singular value is below 1e-8 times the largest.  The
+    null when its singular value is below 1e-8 times `block_norm_scale`
+    of the matrix, the cut `fredholm.kernel_cokernel` uses.  The
     matrix comes from `boundary_conditioned`, which shares no code with
     `kernel_cokernel`.
     """
     wit_plus, wit_minus = witnesses
     stacked = boundary_conditioned(field, lam, window, wit_plus.family, wit_minus.family)
     svals, vt = np.linalg.svd(stacked, full_matrices=True)[1:]
-    n_null = int((svals < 1e-8 * svals[0]).sum())
+    n_null = int((svals < 1e-8 * block_norm_scale(stacked, field.dim)).sum())
     w, d = window[1] - window[0] + 1, field.dim
     basis = []
     for row in vt[len(svals) - n_null : len(svals)]:

@@ -18,6 +18,8 @@ from homindex.field import (
     realization_field,
     trivial_bundle,
 )
+from homindex import fredholm
+from homindex.dichotomy import whole_line_families
 from homindex.fredholm import FiniteWindowSequence
 from homindex.bifurcation import (
     BifurcationCertificate,
@@ -32,6 +34,8 @@ from homindex.bifurcation import (
     nemitski_derivative,
     remainder_ratios,
 )
+
+from helpers import assert_scale, block_norm_scale, boundary_conditioned
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,15 @@ def test_check_f3_autonomous_saddle_passes():
     assert res.verdict == "pass" and res.passed
     assert res.rank_plus == 1 and res.rank_minus == 1
     assert res.kernel_dim == 0
-    assert res.sigma_min > 0.0 and res.sigma_min < res.sigma_max
+    # sigma_min against the dense truncation; the null cut's scale is the
+    # closed form on its blocks, within [sigma_max, 2 sigma_max]
+    plus, minus = whole_line_families(field, [0], (-30, 30), 40)
+    dense = boundary_conditioned(field, 0, (-30, 30), plus[0], minus[0])
+    svals = np.linalg.svd(dense, compute_uv=False)
+    assert 0.0 < res.sigma_min < svals[0]
+    assert abs(res.sigma_min - svals[-1]) <= 1e-12 * svals[0]
+    (spectrum,) = fredholm.truncated_spectra(field, [0], (-30, 30), plus, minus)
+    assert_scale(spectrum.scale, block_norm_scale(dense, 2), svals[0])
 
 
 def test_check_f3_realization_pass_and_fail():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homindex import cli
+from homindex import cli, dichotomy
 from homindex.cli import run
 from homindex.dichotomy import MIN_FIT_STEPS
 from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document
@@ -335,6 +335,36 @@ def test_projectors_csv_layout(tmp_path):
     per = report_of(out)["results"]["per_lambda"][0]
     assert [int(r[0]) for r in rows] == per["times"]
     np.testing.assert_allclose([float(x) for x in rows[0][1:]], per["projectors"][0])
+
+
+def test_projectors_builds_every_sample_in_one_batch(tmp_path, monkeypatch):
+    # one `_build_batch` call for all samples, and each sample's files equal,
+    # byte for byte, those of a run that asks for that sample alone
+    calls = []
+    build_batch = dichotomy._build_batch
+
+    def counted(pending, *args):
+        calls.append(sum(len(runs) for *_, runs in pending))
+        return build_batch(pending, *args)
+
+    lams = [0, 5, 8, 12]
+    doc = builtin_document("realization-mobius")
+    doc["options"] = {"lambdas": lams}
+    out = tmp_path / "batch"
+    monkeypatch.setattr(dichotomy, "_build_batch", counted)
+    path = write_doc(tmp_path, doc)
+    assert run(["projectors", "--scenario", path, "--out", str(out), "--format", "csv"]) == 0
+    monkeypatch.undo()
+    assert calls == [len(lams)]
+    batch = report_of(out)["results"]["per_lambda"]
+    for lam, entry in zip(lams, batch):
+        doc["options"] = {"lambdas": [lam]}
+        alone = tmp_path / f"alone{lam}"
+        path = write_doc(tmp_path, doc, f"alone{lam}.json")
+        assert run(["projectors", "--scenario", path, "--out", str(alone), "--format", "csv"]) == 0
+        assert json.dumps(report_of(alone)["results"]["per_lambda"]) == json.dumps([entry])
+        name = f"projectors_lam{lam:03d}.csv"
+        assert (alone / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_index_csv_layout(tmp_path):

@@ -19,6 +19,9 @@ from homindex.errors import (
 )
 
 from helpers import (
+    assert_scale,
+    block_norm_scale,
+    boundary_conditioned,
     green_kernel,
     half_line_witnesses,
     kernel_convolve,
@@ -385,8 +388,13 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
         np.testing.assert_allclose(
             report.smallest_singular_values, small, rtol=0, atol=1e-12 * svals[0]
         )
-        # sigma_max to the certified Lanczos stop
-        assert abs(report.sigma_max - svals[0]) <= fredholm._SIGMA_MAX_RTOL * svals[0]
+        # the null cut's scale: the closed form on the dense blocks, within
+        # [sigma_max, 2 sigma_max]; the report's spectrum is in the field's memo
+        (spectrum,) = fredholm.truncated_spectra(
+            f, [lam], (lo, hi), [wit[0].family], [wit[1].family]
+        )
+        dense = boundary_conditioned(f, lam, (lo, hi), wit[0].family, wit[1].family)
+        assert_scale(spectrum.scale, block_norm_scale(dense, f.dim), svals[0])
         assert report.dim_ker_truncated == len(basis)
         kernels += len(basis)
     assert kernels > 0  # the Moebius flip gives some sample a kernel

@@ -1,16 +1,19 @@
 """The odd-even reduction of the truncation core against dense linear algebra.
 
-`fredholm._regularized_factor`, `_gram_solve` and `_gram_definite`
-work level by level on the blocks of a boundary-conditioned truncation
-M, eliminating every other alive block column at once.  Every width
-from 2 to 40 meets each pattern of even and odd alive counts at every
-level; each test compares with the densely formed M.
+`fredholm._regularized_factor` and `_gram_solve` work level by level
+on the blocks of a boundary-conditioned truncation M, eliminating every
+other alive block column at once.  Every width from 2 to 40 meets each
+pattern of even and odd alive counts at every level; each test compares
+with the densely formed M.  The null cut's scale, `_Sections.scale`, is
+checked on the same sections.
 """
 
 import numpy as np
 import pytest
 
 from homindex import fredholm
+
+from helpers import assert_scale, block_norm_scale
 
 WIDTHS = range(2, 41)
 DIMS = (1, 2, 4)
@@ -89,52 +92,50 @@ def test_the_level_solve_matches_a_dense_solve(d):
             assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max(), (width, i)
 
 
-def dense_definite(sec: fredholm._Sections, shift: np.ndarray) -> list:
-    out = []
-    for i in range(sec.count):
-        m = sec.dense(i)
-        out.append(bool(np.linalg.eigvalsh(shift[i] * np.eye(m.shape[1]) - m.T @ m).min() > 0.0))
-    return out
-
-
 @pytest.mark.parametrize("d", DIMS)
-def test_definiteness_agrees_with_dense_eigenvalues_around_sigma_max(d):
+def test_the_scale_bounds_sigma_max_within_two(d):
     for width in WIDTHS:
-        sec = sections(width, d, seed=2)
-        top = np.array([np.linalg.svd(sec.dense(i), compute_uv=False)[0] ** 2 for i in range(2)])
-        for factor, expected in ((1.0 + 1e-5, True), (1.0 - 1e-5, False)):
-            shift = top * factor
-            got = fredholm._gram_definite(sec, shift).tolist()
-            assert got == dense_definite(sec, shift) == [expected, expected], (width, factor)
-        # one sample above, one below: each gets its own verdict
-        shift = top * np.array([1.0 + 1e-5, 1.0 - 1e-5])
-        assert fredholm._gram_definite(sec, shift).tolist() == [True, False]
+        random = sections(width, d, seed=2)
+        zero = np.zeros_like(random.first)
+        for sec in (random, fredholm._Sections(random.steps, zero, zero)):
+            for i in range(sec.count):
+                m = sec.dense(i)
+                top = np.linalg.svd(m, compute_uv=False)[0]
+                assert_scale(sec.scale[i], block_norm_scale(m, d), top)
 
 
 @pytest.mark.parametrize("width", [2, 3, 8, 17])
-def test_a_non_finite_block_refuses_only_its_sample(width):
+def test_a_large_block_moves_only_its_own_samples_scale(width):
     sec = sections(width, 2, seed=3, count=3)
     steps = np.array(sec.steps)
-    steps[1, (width - 1) // 2, 0, 1] = np.nan
+    steps[1, (width - 1) // 2] *= 1e6
     sec = fredholm._Sections(steps, sec.first, sec.last)
-    top = np.array(
-        [np.linalg.svd(sec.dense(i), compute_uv=False)[0] ** 2 if i != 1 else 1.0 for i in range(3)]
-    )
-    with np.errstate(all="raise"):
-        got = fredholm._gram_definite(sec, top * 1.001).tolist()
-    assert got == [True, False, True]
+    alone = [float(sec.take([i]).scale[0]) for i in range(3)]
+    assert sec.scale.tolist() == alone
+    for i in range(3):
+        m = sec.dense(i)
+        assert_scale(sec.scale[i], block_norm_scale(m, 2), np.linalg.svd(m, compute_uv=False)[0])
+    assert sec.scale[1] > 1e5 * max(sec.scale[0], sec.scale[2])
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 9])
-def test_a_singular_pivot_refuses_only_its_sample(width):
-    # sample 0: shift - (M^T M)_00 = diag(0, 0.4375) exactly, a singular
-    # pivot at the first level; sample 1 is definite
+def test_a_zero_pivot_gives_only_its_sample_a_kernel(width):
+    # P-(lo) = diag(0.5, 0) leaves x_0 = (0, t) free: with a zero last block
+    # sample 0 has a one-dimensional kernel, with I - P+(hi) = I sample 1 none
+    # (its smallest value is about 0.9^(w - 1), well clear of the cut)
     d = 2
     steps = np.zeros((2, width - 1, d, d))
-    steps[:, :] = np.diag([0.5, 0.25])
+    steps[:, :] = np.diag([0.5, 0.9])
     first = np.stack([np.diag([0.5, 0.0]), np.diag([0.5, 0.0])])
-    last = np.stack([np.eye(d), np.eye(d)])
+    last = np.stack([np.zeros((d, d)), np.eye(d)])
     sec = fredholm._Sections(steps, first, last)
-    shift = np.array([0.5, 4.0])
-    assert dense_definite(sec, shift) == [False, True]
-    assert fredholm._gram_definite(sec, shift).tolist() == [False, True]
+    found = fredholm._smallest_values(sec)
+    for i, expected in enumerate((1, 0)):
+        assert found[i] is not None
+        svals = np.linalg.svd(sec.dense(i), compute_uv=False)
+        assert int((svals < 1e-8 * sec.scale[i]).sum()) == expected
+        spectrum = fredholm.TruncationSpectrum(found[i], float(sec.scale[i]))
+        assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == expected
+        np.testing.assert_allclose(
+            found[i], svals[::-1][: expected + 1], rtol=0, atol=1e-12 * svals[0]
+        )

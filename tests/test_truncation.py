@@ -1,12 +1,15 @@
 """The structured truncation solver against the dense oracle.
 
 `fredholm.truncated_spectra` counts the kernel of a boundary-conditioned
-truncation from a block QR factor, inverse subspace iteration and
-Lanczos, without forming the matrix.  These tests compare its null
-counts, gap verdicts, smallest kept value (to the 3 digits reports
-print) and sigma_max with a full SVD of the densely assembled matrix
-(`helpers.boundary_conditioned`), and check that no case needed the
-dense fallback.
+truncation from a block QR factor and inverse subspace iteration,
+without forming the matrix, against a null cut of 1e-8 times a
+block-norm scale.  These tests compare its null counts, gap verdicts
+and smallest kept value (to the 3 digits reports print) with a full SVD
+of the densely assembled matrix (`helpers.boundary_conditioned`), its
+scale with the closed form on that matrix's blocks
+(`helpers.block_norm_scale`) and with the largest singular value it
+bounds within a factor of two, and check that no case needed the dense
+fallback.
 """
 
 import json
@@ -34,7 +37,7 @@ from homindex.field import (
 )
 from homindex.scenario import Scenario, builtin_document, builtin_names
 
-from helpers import boundary_conditioned, random_hyperbolic
+from helpers import assert_scale, block_norm_scale, boundary_conditioned, random_hyperbolic
 from test_bifurcation import decaying_quadratic
 
 
@@ -46,26 +49,26 @@ def no_fallback(monkeypatch):
     monkeypatch.setattr(fredholm, "_dense_spectrum", refuse)
 
 
-def dense_null_count(svals: np.ndarray, gap_ratio: float):
+def dense_null_count(svals: np.ndarray, scale: float, gap_ratio: float):
     """Oracle: the grouped singular-value rule on a full descending spectrum.
 
-    Returns the null count, or None where the rule is indeterminate.
+    The cut is 1e-8 * `scale`.  Returns the null count, or None where
+    the rule is indeterminate.
     """
-    smax = svals[0]
-    cut = 1e-8 * smax
+    cut = 1e-8 * scale
     zero = svals < cut
     if zero.any():
-        if svals[~zero].min() < max(svals[zero].max(), 1e-15 * smax) * gap_ratio:
+        if svals[~zero].min() < max(svals[zero].max(), 1e-15 * scale) * gap_ratio:
             return None
     elif svals.min() < cut * gap_ratio:
         return None
     return int(zero.sum())
 
 
-def oracle_spectrum(field, lam, window, fam_plus, fam_minus) -> np.ndarray:
-    return np.linalg.svd(
-        boundary_conditioned(field, lam, window, fam_plus, fam_minus), compute_uv=False
-    )
+def oracle_spectrum(field, lam, window, fam_plus, fam_minus) -> tuple[np.ndarray, float]:
+    """The dense truncation's singular values, descending, and its block-norm scale."""
+    stacked = boundary_conditioned(field, lam, window, fam_plus, fam_minus)
+    return np.linalg.svd(stacked, compute_uv=False), block_norm_scale(stacked, field.dim)
 
 
 def assert_matches_oracle(field, lams, window, horizon=40, gap_ratio=fredholm.SV_GAP_RATIO):
@@ -76,21 +79,21 @@ def assert_matches_oracle(field, lams, window, horizon=40, gap_ratio=fredholm.SV
     for lam, fam_plus, fam_minus, spectrum in zip(lams, plus, minus, spectra):
         assert not isinstance(fam_plus, HomindexError), fam_plus
         assert not isinstance(fam_minus, HomindexError), fam_minus
-        svals = oracle_spectrum(field, lam, window, fam_plus, fam_minus)
-        expected = dense_null_count(svals, gap_ratio)
+        svals, scale = oracle_spectrum(field, lam, window, fam_plus, fam_minus)
+        expected = dense_null_count(svals, scale, gap_ratio)
         try:
             got = fredholm._null_space(spectrum, gap_ratio)
         except IndeterminateError:
             got = None
         assert got == expected, (lam, got, expected)
-        n_zero = int((svals < 1e-8 * svals[0]).sum())
+        n_zero = int((svals < 1e-8 * scale).sum())
         ascending = svals[::-1]
         assert len(spectrum.smallest) == n_zero + 1
         assert f"{spectrum.smallest[-1]:.3e}" == f"{ascending[n_zero]:.3e}"
         np.testing.assert_allclose(
             spectrum.smallest, ascending[: n_zero + 1], rtol=0, atol=1e-12 * svals[0]
         )
-        assert abs(spectrum.sigma_max - svals[0]) <= fredholm._SIGMA_MAX_RTOL * svals[0]
+        assert_scale(spectrum.scale, scale, svals[0])
         counts.append(got)
     return counts
 
@@ -192,8 +195,30 @@ def test_a_continuum_at_the_low_end_stops_on_the_residual(monkeypatch, no_fallba
     steps = sum(reduced) - 1
     assert 20 < steps < fredholm._ITERATION_CAP
     assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == 0
-    svals = oracle_spectrum(f, 0, window, plus[0], minus[0])
+    svals = oracle_spectrum(f, 0, window, plus[0], minus[0])[0]
     assert abs(spectrum.smallest[0] - svals[-1]) <= 1e-12 * svals[0]
+
+
+def test_the_dense_fallback_cuts_with_the_same_scale(monkeypatch):
+    # with no inverse-iteration step allowed every sample falls back to the
+    # dense SVD; its scale, null groups and kept values are the structured ones
+    scenario = Scenario.builtin("mobius-double")
+    f = scenario.build_field()
+    lams = scenario.options["lambdas"]
+    lo, hi = scenario.options["index_window"]
+    plus, minus = whole_line_families(f, lams, (lo, hi), scenario.horizon)
+    steps, errors = fredholm.assemble_truncated(f, lams, (lo, hi))
+    assert not any(errors)
+    first = np.stack([fam.projector(lo) for fam in minus])
+    last = np.stack([np.eye(f.dim) - fam.projector(hi) for fam in plus])
+    structured = fredholm._solve_spectra(steps, first, last)
+    monkeypatch.setattr(fredholm, "_ITERATION_CAP", 0)
+    dense = fredholm._solve_spectra(steps, first, last)
+    assert sum(len(s.smallest) > 1 for s in dense) > 0  # some sample has a kernel
+    for one, other in zip(structured, dense):
+        assert one.scale == other.scale
+        assert len(one.smallest) == len(other.smallest)
+        np.testing.assert_allclose(one.smallest, other.smallest, rtol=0, atol=1e-12 * one.scale)
 
 
 def test_index_exits_four_on_the_first_indeterminate_sample(tmp_path, capsys):
@@ -211,11 +236,11 @@ def test_index_exits_four_on_the_first_indeterminate_sample(tmp_path, capsys):
     f = scenario.build_field()
     window = tuple(scenario.options["index_window"])
     plus, minus = whole_line_families(f, [7], window, scenario.horizon)
-    svals = oracle_spectrum(f, 7, window, plus[0], minus[0])
-    assert dense_null_count(svals, 5e5) is None
+    svals, scale = oracle_spectrum(f, 7, window, plus[0], minus[0])
+    assert dense_null_count(svals, scale, 5e5) is None
     message = (
         f"the smallest singular value {svals[-1]:.3e} sits too close to the null "
-        f"cutoff {1e-8 * svals[0]:.3e} to certify an empty kernel; enlarge the "
+        f"cutoff {1e-8 * scale:.3e} to certify an empty kernel; enlarge the "
         "truncation window"
     )
     code = cli.run(["index", "--scenario", str(path), "--out", str(tmp_path / "out")])
@@ -245,11 +270,11 @@ def test_f3_marks_only_the_indeterminate_sample():
     lin = linearize_at_zero(f)
     check = check_F3(lin, 8, window=(-30, 30), horizon=options.horizon)
     plus, minus = whole_line_families(lin, [8], (-30, 30), options.horizon)
-    svals = oracle_spectrum(lin, 8, (-30, 30), plus[0], minus[0])
+    svals, scale = oracle_spectrum(lin, 8, (-30, 30), plus[0], minus[0])
     assert check.message == (
         "could not certify the half-line splittings or the kernel count: the "
         f"smallest singular value {svals[-1]:.3e} sits too close to the null cutoff "
-        f"{1e-8 * svals[0]:.3e} to certify an empty kernel; enlarge the truncation window"
+        f"{1e-8 * scale:.3e} to certify an empty kernel; enlarge the truncation window"
     )
 
 
