@@ -34,13 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .bundle import KOClassDesk, index_bundle_pair
-from .dichotomy import (
-    build_projector_family,
-    family_run,
-    verify_ed,
-    verify_families,
-    whole_line_families,
-)
+from .dichotomy import family_run, whole_line_families
 from .errors import (
     CertificationError,
     DomainError,
@@ -51,12 +45,7 @@ from .errors import (
     fresh,
 )
 from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
-from .fredholm import (
-    DECAY_TOL,
-    FiniteWindowSequence,
-    kernel_cokernel,
-    truncated_spectra,
-)
+from .fredholm import DECAY_TOL, FiniteWindowSequence, whole_line_index
 
 __all__ = [
     "NonlinearField",
@@ -531,10 +520,7 @@ class F3Check:
     rank_plus: int | None = None
     rank_minus: int | None = None
     kernel_dim: int | None = None
-    consistent: bool | None = None
     sigma_min: float = float("nan")
-    k_alpha_plus: tuple[float, float] | None = None
-    k_alpha_minus: tuple[float, float] | None = None
     message: str = ""
 
     def __post_init__(self):
@@ -544,6 +530,45 @@ class F3Check:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+
+def _f3_checks(field: DiscreteVectorField, lams, window, horizon: int) -> list:
+    """`check_F3` of many samples, from one `whole_line_index` batch."""
+    lo, hi = int(window[0]), int(window[1])
+    if not (lo < 0 < hi):
+        raise InputError("the F3 window must straddle time zero")
+    checks = []
+    for lam, report in zip(lams, whole_line_index(field, lams, (lo, hi), horizon)):
+        if isinstance(report, (CertificationError, NumericError)):
+            message = f"could not certify the half-line splittings or the kernel count: {report}"
+            checks.append(F3Check("indeterminate", int(lam), message=message))
+            continue
+        if isinstance(report, HomindexError):
+            raise fresh(report)
+        # smallest singular value of the truncation with decay boundary rows
+        smin = float(report.smallest_singular_values[0])
+        ok = report.index == 0 and report.dim_ker == 0
+        if ok:
+            message = (
+                f"no kernel and index 0 on [{lo}, {hi}] (smallest boundary-conditioned "
+                f"singular value {smin:.3e})"
+            )
+        elif report.index != 0:
+            message = f"Fredholm index {report.index} != 0 precludes invertibility"
+        else:
+            message = f"kernel of dimension {report.dim_ker} detected"
+        checks.append(
+            F3Check(
+                verdict="pass" if ok else "fail",
+                lambda_index=int(lam),
+                rank_plus=report.rank_plus,
+                rank_minus=report.rank_minus,
+                kernel_dim=report.dim_ker,
+                sigma_min=smin,
+                message=message,
+            )
+        )
+    return checks
 
 
 def check_F3(
@@ -559,47 +584,11 @@ def check_F3(
     through half-line projector families anchored at zero, a Fredholm
     index of zero and a trivial kernel.  Whenever a dichotomy cannot
     be certified or the kernel count is ambiguous, the verdict is
-    "indeterminate" rather than a guess in either direction.
+    "indeterminate" rather than a guess in either direction.  This is
+    the F3 scan of `certify_bifurcation` for one sample.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if not (lo < 0 < hi):
-        raise InputError("the F3 window must straddle time zero")
-    try:
-        fam_plus = build_projector_family(field, lam, "plus", 0, length=hi, horizon=horizon)
-        fam_minus = build_projector_family(field, lam, "minus", 0, length=-lo, horizon=horizon)
-        wit_plus = verify_ed(field, lam, fam_plus)
-        wit_minus = verify_ed(field, lam, fam_minus)
-        report = kernel_cokernel(field, lam, (lo, hi), (wit_plus, wit_minus))
-    except (CertificationError, NumericError) as exc:
-        return F3Check(
-            verdict="indeterminate",
-            lambda_index=int(lam),
-            message=f"could not certify the half-line splittings or the kernel count: {exc}",
-        )
-    # smallest singular value of the truncation with decay boundary rows
-    smin = float(report.smallest_singular_values[0])
-    ok = report.index == 0 and report.dim_ker == 0
-    if ok:
-        message = (
-            f"no kernel and index 0 on [{lo}, {hi}] (smallest boundary-conditioned "
-            f"singular value {smin:.3e})"
-        )
-    elif report.index != 0:
-        message = f"Fredholm index {report.index} != 0 precludes invertibility"
-    else:
-        message = f"kernel of dimension {report.dim_ker} detected"
-    return F3Check(
-        verdict="pass" if ok else "fail",
-        lambda_index=int(lam),
-        rank_plus=report.rank_plus,
-        rank_minus=report.rank_minus,
-        kernel_dim=report.dim_ker,
-        consistent=report.consistent,
-        sigma_min=smin,
-        k_alpha_plus=(wit_plus.k_const, wit_plus.alpha),
-        k_alpha_minus=(wit_minus.k_const, wit_minus.alpha),
-        message=message,
-    )
+    (check,) = _f3_checks(field, [lam], window, horizon)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +831,8 @@ def certify_bifurcation(
         )
 
     # F3 scan in loop order; the first passing sample becomes lambda0.
-    # The families, witnesses and truncation spectra of all samples are
-    # built as batches first; each check then reads them from the memos
-    # (and raises its own error for a window that does not straddle zero).
-    plus, minus = whole_line_families(lin, range(n), opts.f3_window, opts.horizon)
-    verify_families(plus + minus)
-    truncated_spectra(lin, range(n), opts.f3_window, plus, minus)
-    checks = [check_F3(lin, lam, window=opts.f3_window, horizon=opts.horizon) for lam in range(n)]
+    # One batch counts every sample's index and kernel.
+    checks = _f3_checks(lin, range(n), opts.f3_window, opts.horizon)
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)
     f3_ok = lambda0 is not None

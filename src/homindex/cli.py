@@ -43,9 +43,7 @@ from .dichotomy import (
     build_projector_families,
     build_projector_family,
     dichotomy_spectrum,
-    verify_ed,
     verify_families,
-    whole_line_families,
 )
 from .errors import (
     CertificationError,
@@ -56,7 +54,7 @@ from .errors import (
     fresh,
 )
 from .field import _read_all
-from .fredholm import FiniteWindowSequence, green_solve, kernel_cokernel, truncated_spectra
+from .fredholm import FiniteWindowSequence, green_solve, whole_line_index
 from .scenario import Scenario, builtin_names
 
 __all__ = ["run", "main"]
@@ -219,28 +217,16 @@ def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
 def _cmd_index(scenario: Scenario) -> CommandOutcome:
     scenario.check_times("index")
     field = scenario.build_field()
-    opts, tol = scenario.options, scenario.tolerances
-    lo, hi = opts["index_window"]
-    per = []
-    # one batch of both sides for every requested sample, then one batch of
-    # truncation spectra; the loop reads the memos
-    plus, minus = whole_line_families(
-        field, opts["lambdas"], (lo, hi), **_family_kwargs(scenario)
+    opts = scenario.options
+    # one batch of both sides, fits and truncation spectra for every
+    # requested sample; the first failing sample decides the error
+    reports = whole_line_index(
+        field, opts["lambdas"], opts["index_window"], **_family_kwargs(scenario)
     )
-    verify_families(plus + minus)
-    truncated_spectra(field, opts["lambdas"], (lo, hi), plus, minus)
-    for lam in opts["lambdas"]:
-        fam_plus = build_projector_family(
-            field, lam, "plus", 0, length=hi, **_family_kwargs(scenario)
-        )
-        fam_minus = build_projector_family(
-            field, lam, "minus", 0, length=-lo, **_family_kwargs(scenario)
-        )
-        wit_plus = verify_ed(field, lam, fam_plus)
-        wit_minus = verify_ed(field, lam, fam_minus)
-        rep = kernel_cokernel(
-            field, lam, (lo, hi), (wit_plus, wit_minus), gap_ratio=tol["gap_ratio"]
-        )
+    per = []
+    for lam, rep in zip(opts["lambdas"], reports):
+        if isinstance(rep, HomindexError):
+            raise fresh(rep)
         per.append(
             {
                 "lambda": lam,

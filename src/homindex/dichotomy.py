@@ -25,9 +25,10 @@ failing sample keeps the error a single-sample build would raise and
 never stops the others.  Families are memoized on the field per
 (sample, side, anchor, length, horizon, tolerances), and each family
 keeps its fitted dichotomy constants (not a witness, which would point
-back at it), so the F2 and F3 scans, the index command, the class
-command and localization each build one batch for both sides and every
-later consumer reads the same objects.
+back at it).  The F2 and F3 scans, the index command, the class
+command and localization each build one batch for both sides; a later
+request with the same key (localization after certification, or a
+single-sample call) gets the same objects back.
 """
 
 from __future__ import annotations

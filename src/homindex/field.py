@@ -31,11 +31,10 @@ entries.  Memory grows with the entries read, not with the span
 between them, so a probe at a far window edge costs one entry.  The
 table keeps only the evaluator and the dimension, never its field, so
 a dropped field is freed by reference counting.  A field also carries
-two memos: the dichotomy layer fills one with a projector family per
+one memo, which the dichotomy layer fills with a projector family per
 (sample, side, anchor, window length, horizon, tolerances), see
-`dichotomy.build_projector_families`, and the Fredholm layer the other
-with the spectrum summary of a truncation per (sample, window, family
-pair), see `fredholm.truncated_spectra`.
+`dichotomy.build_projector_families`; the Fredholm layer keeps nothing
+on it and reads the families it is handed.
 """
 
 from __future__ import annotations
@@ -299,10 +298,6 @@ class DiscreteVectorField:
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
     #: projector families by (sample, family key); filled by the dichotomy layer
     _families: dict = dataclass_field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    #: truncation spectra by (sample, window, family pair); filled by the Fredholm layer
-    _spectra: dict = dataclass_field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 

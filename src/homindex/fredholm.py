@@ -35,6 +35,10 @@ values-only dense SVD of its own matrix, the only place M is formed,
 cut with the same scale.  Everything costs O(w d^3) flops per sample
 and step on a window of w times.
 
+`whole_line_index` counts index and kernel for many samples at once,
+from half-line families anchored at zero; `kernel_cokernel` is the same
+count for one sample and given witnesses.
+
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
 formed over a long window.
@@ -47,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dichotomy import EDWitness, ProjectorFamily, verify_ed
+from .dichotomy import EDWitness, ProjectorFamily, verify_ed, verify_families, whole_line_families
 from .errors import (
     DomainError,
     HomindexError,
@@ -68,6 +72,7 @@ __all__ = [
     "assemble_truncated",
     "truncated_spectra",
     "kernel_cokernel",
+    "whole_line_index",
     "green_solve",
 ]
 
@@ -560,58 +565,98 @@ def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray) -> li
 def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> list:
     """Spectrum summaries of many samples' boundary-conditioned truncations, in one batch.
 
-    `plus[i]` and `minus[i]` are sample `lams[i]`'s half-line families
-    (or the errors their builds raised, which come back unchanged).
+    `plus[i]` and `minus[i]` are sample `lams[i]`'s half-line families.
     The truncation on `window` = [lo, hi] has the block rows P-(lo),
     phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
     samples sit on numpy's leading axis (`_Sections.scale`,
     `_smallest_values`), with the blocks of every sample from one
     `assemble_truncated` read.  A sample that the inverse iteration
     leaves unresolved falls back to a values-only dense SVD of its own
-    matrix, the only dense truncation formed, cut with the same scale.  Returns each sample's
-    `TruncationSpectrum`, or the error reading its blocks or boundary
-    rows raised; outcomes are memoized on the field per (sample,
-    window, family pair), where `kernel_cokernel` reads them.
+    matrix, the only dense truncation formed, cut with the same scale.
+    Returns each sample's `TruncationSpectrum`, or the error reading its
+    blocks raised.  Nothing is kept between calls.
     """
     lo, hi = _as_window(window)
-    d = field.dim
-    memo = field._spectra
-    keys, pending = [], {}
-    for lam, fam_plus, fam_minus in zip(lams, plus, minus):
-        failed = next((f for f in (fam_plus, fam_minus) if isinstance(f, HomindexError)), None)
-        if failed is not None:
-            keys.append(failed)
+    try:
+        steps, outcomes = assemble_truncated(field, lams, (lo, hi))
+    except HomindexError as exc:
+        return [fresh(exc) for _ in lams]
+    rows = [i for i, failed in enumerate(outcomes) if failed is None]
+    if rows:
+        first = np.stack([minus[i].projector(lo) for i in rows])
+        last = np.eye(field.dim) - np.stack([plus[i].projector(hi) for i in rows])
+        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last)):
+            outcomes[i] = spectrum
+    return outcomes
+
+
+def _subspace_count(field: DiscreteVectorField, lo: int, hi: int, fam_plus, fam_minus) -> dict:
+    """`kernel_cokernel`'s checks, in its order, and its counts before the truncation."""
+    if hi - lo + 1 < 8:
+        raise InputError("index computations need a truncation window of at least 8 times")
+    if fam_plus.side not in ("plus", "full"):
+        raise InputError(f"first witness must certify the plus side, got '{fam_plus.side}'")
+    if fam_minus.side not in ("minus", "full"):
+        raise InputError(f"second witness must certify the minus side, got '{fam_minus.side}'")
+    if fam_plus.dim != field.dim or fam_minus.dim != field.dim:
+        raise InputError("witness families and field disagree on the dimension")
+    kappa_hi, kappa_lo = fam_plus.anchor, fam_minus.anchor
+    if not (lo <= kappa_lo and kappa_hi <= hi):
+        raise InputError(
+            f"window [{lo}, {hi}] must contain both anchors {kappa_lo} and {kappa_hi}"
+        )
+    _require_coverage(fam_plus, min(0, kappa_hi), hi, "plus")
+    _require_coverage(fam_minus, lo, max(0, kappa_lo), "minus")
+
+    index = fam_plus.rank - fam_minus.rank
+    forward_decaying = fam_plus.image_frames[fam_plus.index_of(0)]
+    backward_decaying = fam_minus.kernel_frames[fam_minus.index_of(0)]
+    dim_ker = _intersection_dimension(forward_decaying, backward_decaying)
+    if dim_ker < index:
+        raise IndeterminateError(
+            f"the decaying subspaces meet in dimension {dim_ker}, below the "
+            f"index {index}; the witnesses and the window are inconsistent"
+        )
+    ranks = {"rank_plus": fam_plus.rank, "rank_minus": fam_minus.rank}
+    return dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
+
+
+def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: float) -> list:
+    """Each sample's `IndexReport`, or the first error its count meets.
+
+    `pairs[i]` is sample `lams[i]`'s (plus, minus) family pair, or the
+    error that stopped it earlier, which comes back unchanged.  The
+    samples that pass `_subspace_count` share one `truncated_spectra`
+    call; `gap_ratio` then separates each one's null group.
+    """
+    lo, hi = _as_window(window)
+    outcomes = []
+    for pair in pairs:
+        if not isinstance(pair, HomindexError):
+            try:
+                pair = _subspace_count(field, lo, hi, *pair)
+            except HomindexError as exc:
+                pair = fresh(exc)
+        outcomes.append(pair)
+    live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
+    plus, minus = [pairs[i][0] for i in live], [pairs[i][1] for i in live]
+    spectra = truncated_spectra(field, [lams[i] for i in live], (lo, hi), plus, minus)
+    for i, spectrum in zip(live, spectra):
+        if isinstance(spectrum, HomindexError):
+            outcomes[i] = spectrum
             continue
-        key = (lam, lo, hi, id(fam_plus), id(fam_minus))
-        keys.append(key)
-        if key not in memo:
-            pending[key] = (lam, fam_plus, fam_minus)
-    if pending:
         try:
-            steps, errors = assemble_truncated(field, [p[0] for p in pending.values()], (lo, hi))
-        except HomindexError as exc:
-            steps, errors = None, [fresh(exc)] * len(pending)
-        items, rows, boundary = list(pending.items()), [], []
-        for i, (key, (_, fam_plus, fam_minus)) in enumerate(items):
-            failed = errors[i]
-            if fam_plus.dim != d or fam_minus.dim != d:
-                failed = InputError("witness families and field disagree on the dimension")
-            if failed is None:
-                try:
-                    boundary.append((fam_minus.projector(lo), np.eye(d) - fam_plus.projector(hi)))
-                except HomindexError as exc:
-                    failed = fresh(exc)
-            if failed is not None:
-                memo[key] = (fam_plus, fam_minus, failed)
-                continue
-            rows.append(i)
-        if rows:
-            first, last = (np.stack(block) for block in zip(*boundary))
-            solved = _solve_spectra(steps[rows], first, last)
-            for i, spectrum in zip(rows, solved):
-                key, (_, fam_plus, fam_minus) = items[i]
-                memo[key] = (fam_plus, fam_minus, spectrum)
-    return [k if isinstance(k, HomindexError) else memo[k][2] for k in keys]
+            null = _null_space(spectrum, gap_ratio)
+        except IndeterminateError as exc:
+            outcomes[i] = fresh(exc)
+            continue
+        outcomes[i] = IndexReport(
+            **outcomes[i],
+            consistent=outcomes[i]["dim_ker"] == null,
+            dim_ker_truncated=null,
+            smallest_singular_values=spectrum.smallest,
+        )
+    return outcomes
 
 
 def kernel_cokernel(
@@ -619,7 +664,6 @@ def kernel_cokernel(
     lam: int,
     window,
     witnesses: tuple[EDWitness, EDWitness],
-    gap_ratio: float = SV_GAP_RATIO,
 ) -> IndexReport:
     """Kernel/cokernel dimensions and Fredholm index on a finite window.
 
@@ -630,65 +674,39 @@ def kernel_cokernel(
     of the truncated operator with rows appended that pin phi(n_min) to
     the backward-decaying set and phi(n_max) to the forward-decaying
     one.  The second count reads the spectrum summary of
-    `truncated_spectra` (a batch of one unless a batch over the samples
-    already filled the memo): the values below 1e-8 times its
-    block-norm scale (between sigma_max and 2 sigma_max) are null, and
-    a null group without a `gap_ratio` gap to the smallest kept value,
-    or an empty one whose smallest value lies within `gap_ratio` of the
+    `truncated_spectra`: the values below 1e-8 times its block-norm
+    scale (between sigma_max and 2 sigma_max) are null, and a null
+    group without a `SV_GAP_RATIO` gap to the smallest kept value, or an
+    empty one whose smallest value lies within `SV_GAP_RATIO` of the
     cut, is indeterminate.  The index is the projector rank difference;
     the report's flag records whether the two kernel counts agree.
     """
-    lo, hi = _as_window(window)
-    if hi - lo + 1 < 8:
-        raise InputError("index computations need a truncation window of at least 8 times")
-    wit_plus, wit_minus = witnesses
-    if wit_plus.side not in ("plus", "full"):
-        raise InputError(f"first witness must certify the plus side, got '{wit_plus.side}'")
-    if wit_minus.side not in ("minus", "full"):
-        raise InputError(f"second witness must certify the minus side, got '{wit_minus.side}'")
-    fam_plus = wit_plus.family
-    fam_minus = wit_minus.family
-    d = field.dim
-    if fam_plus.dim != d or fam_minus.dim != d:
-        raise InputError("witness families and field disagree on the dimension")
-    kappa_hi = fam_plus.anchor
-    kappa_lo = fam_minus.anchor
-    if not (lo <= kappa_lo and kappa_hi <= hi):
-        raise InputError(
-            f"window [{lo}, {hi}] must contain both anchors {kappa_lo} and {kappa_hi}"
-        )
-    _require_coverage(fam_plus, min(0, kappa_hi), hi, "plus")
-    _require_coverage(fam_minus, lo, max(0, kappa_lo), "minus")
+    pair = tuple(wit.family for wit in witnesses)
+    (outcome,) = _index_outcomes(field, [lam], window, [pair], SV_GAP_RATIO)
+    if isinstance(outcome, HomindexError):
+        raise fresh(outcome)
+    return outcome
 
-    rank_plus = fam_plus.rank
-    rank_minus = fam_minus.rank
-    index = rank_plus - rank_minus
 
-    forward_decaying = fam_plus.image_frames[fam_plus.index_of(0)]
-    backward_decaying = fam_minus.kernel_frames[fam_minus.index_of(0)]
-    dim_ker = _intersection_dimension(forward_decaying, backward_decaying)
-    dim_coker = dim_ker - index
-    if dim_coker < 0:
-        raise IndeterminateError(
-            f"the decaying subspaces meet in dimension {dim_ker}, below the "
-            f"index {index}; the witnesses and the window are inconsistent"
-        )
+def whole_line_index(field: DiscreteVectorField, lams, window, horizon: int, **tolerances) -> list:
+    """`kernel_cokernel` of many samples with half-line families anchored at 0 on `window`.
 
-    (spectrum,) = truncated_spectra(field, [lam], (lo, hi), [fam_plus], [fam_minus])
-    if isinstance(spectrum, HomindexError):
-        raise fresh(spectrum)
-    dim_ker_truncated = _null_space(spectrum, gap_ratio)
-
-    return IndexReport(
-        index=index,
-        dim_ker=dim_ker,
-        dim_coker=dim_coker,
-        rank_plus=rank_plus,
-        rank_minus=rank_minus,
-        consistent=dim_ker == dim_ker_truncated,
-        dim_ker_truncated=dim_ker_truncated,
-        smallest_singular_values=spectrum.smallest,
-    )
+    The families (`whole_line_families`), their fits and the truncation
+    spectra each come from one batch; `tolerances` are the family ones,
+    and their `gap_ratio` also separates the null groups.  Returns, in
+    the order of `lams`, each sample's `IndexReport` or the first error
+    a single-sample run meets: plus family, minus family, plus fit,
+    minus fit, then `kernel_cokernel`'s order.  A repeated sample is
+    counted once.
+    """
+    unique = list(dict.fromkeys(lams))
+    plus, minus = whole_line_families(field, unique, window, horizon, **tolerances)
+    fits = verify_families(plus + minus)
+    stages = zip(plus, minus, fits[: len(unique)], fits[len(unique) :])
+    pairs = [next((o for o in s if isinstance(o, HomindexError)), s[:2]) for s in stages]
+    gap_ratio = tolerances.get("gap_ratio", SV_GAP_RATIO)
+    counted = dict(zip(unique, _index_outcomes(field, unique, window, pairs, gap_ratio)))
+    return [counted[lam] for lam in lams]
 
 
 def _support_range(psi: FiniteWindowSequence):

@@ -7,6 +7,16 @@ analysis windows, horizons and tolerances, and per-command options.
 Loading materializes every default, so the scenario echoed into a
 report is complete and reruns byte-identically.  A small catalog of
 builtin scenarios is addressable by name.
+
+Each command reads only some of the tolerances.  ``spectrum`` reads
+``zero_margin`` and ``gap_ratio``.  ``projectors`` and ``index`` read
+the five family tolerances ``tau_proj``, ``tau_inv``, ``sigma_reg``,
+``zero_margin`` and ``gap_ratio`` (``index`` also separates its
+singular-value groups with ``gap_ratio``), and ``solve`` reads those
+and ``solve_tol`` and ``decay_tol``.  ``class`` reads none and
+``certify`` only ``decay_tol``: both build their families, and
+``certify`` its F3 kernel counts, with the module defaults.
+``realize`` only echoes them.
 """
 
 from __future__ import annotations

@@ -492,6 +492,80 @@ def test_index_bundle_pair_families_equal_one_side_builds_bit_for_bit(anchors):
     assert (top.rank, bottom.rank) == (2, 1)
 
 
+WHOLE_LINE_FIELDS = [
+    pytest.param(lambda: Scenario.builtin("system2-mobius").build_field(), id="system2-mobius"),
+    pytest.param(lambda: saddle_loop_field(broken=0), id="saddle-broken-0"),
+    pytest.param(lambda: saddle_loop_field(broken=5), id="saddle-broken-5"),
+]
+
+
+def single_index(field, lam, window, horizon):
+    """One sample's index the single-sample way, or the error it raises."""
+    lo, hi = window
+    try:
+        plus = build_projector_family(field, lam, "plus", 0, hi, horizon=horizon)
+        minus = build_projector_family(field, lam, "minus", 0, -lo, horizon=horizon)
+        witnesses = (verify_ed(field, lam, plus), verify_ed(field, lam, minus))
+        return fredholm.kernel_cokernel(field, lam, window, witnesses)
+    except HomindexError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("make", WHOLE_LINE_FIELDS)
+def test_whole_line_index_equals_kernel_cokernel_per_sample(make):
+    batched_field, single_field = make(), make()
+    # a repeated sample is counted once and reported at each of its places
+    lams = list(range(batched_field.n_params)) + [3, 0]
+    outcomes = fredholm.whole_line_index(batched_field, lams, (-30, 30), 40)
+    assert len(outcomes) == len(lams)
+    for lam, got in zip(lams, outcomes):
+        one = single_index(single_field, lam, (-30, 30), 40)
+        if isinstance(one, HomindexError):
+            assert type(got) is type(one) and str(got) == str(one)
+            continue
+        assert dataclasses.astuple(got)[:-1] == dataclasses.astuple(one)[:-1]
+        got_values, one_values = got.smallest_singular_values, one.smallest_singular_values
+        assert got_values.shape == one_values.shape
+        assert got_values.tobytes() == one_values.tobytes()
+    assert any(isinstance(o, fredholm.IndexReport) for o in outcomes)
+
+
+@pytest.mark.parametrize("make", WHOLE_LINE_FIELDS)
+def test_f3_scan_equals_check_f3_per_sample(make):
+    batched_field, single_field = make(), make()
+    lams = range(batched_field.n_params)
+    checks = bifurcation._f3_checks(batched_field, lams, (-30, 30), 40)
+    for lam, check in zip(lams, checks):
+        # repr shows every field, floats to the last bit and NaN equal to NaN
+        assert repr(check) == repr(check_F3(single_field, lam, window=(-30, 30), horizon=40))
+    assert any(check.passed for check in checks)
+
+
+@pytest.mark.parametrize("lambdas, decides", [([0, 7, 12], 7), ([0, 12, 7], 12)])
+def test_index_names_the_earlier_sample_whichever_stage_fails(tmp_path, capsys, lambdas, decides):
+    # with gap_ratio 5e5 sample 7's truncation count is indeterminate (exit 4),
+    # late in its run; sample 12, set to the identity, has no dichotomy and
+    # fails at its family build (exit 2), early in its run
+    assert run(["realize", "--scenario", "realization-mobius", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "realized.json").read_text())
+    values = np.array(doc["field"]["values"]).reshape(16, 201, 2, 2)
+    values[12] = np.eye(2)
+    doc["field"]["values"] = values.ravel().tolist()
+    doc["tolerances"] = {"gap_ratio": 5e5}
+
+    def index(lams):
+        doc["options"] = {"lambdas": lams}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["index", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    got, alone = index(lambdas), index([decides])
+    assert got == alone
+    assert got[0] == (4 if decides == 7 else 2)
+
+
 def _error_of(call, *args, **kwargs):
     """The class and message of the error `call` raises; the error itself is dropped."""
     try:
@@ -525,7 +599,7 @@ def test_a_raised_memoized_error_does_not_keep_its_field_alive():
         del field, reads, call, args
         assert ref() is None
 
-        # a truncation read error, memoized by truncated_spectra
+        # a truncation read error, kept in the field's matrix table
         good, _ = counting_field()
         plus, minus = whole_line_families(good, [0], (-30, 30), 40)
         witnesses = (verify_ed(good, 0, plus[0]), verify_ed(good, 0, minus[0]))

@@ -389,7 +389,7 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
             report.smallest_singular_values, small, rtol=0, atol=1e-12 * svals[0]
         )
         # the null cut's scale: the closed form on the dense blocks, within
-        # [sigma_max, 2 sigma_max]; the report's spectrum is in the field's memo
+        # [sigma_max, 2 sigma_max]
         (spectrum,) = fredholm.truncated_spectra(
             f, [lam], (lo, hi), [wit[0].family], [wit[1].family]
         )
