@@ -532,13 +532,13 @@ class F3Check:
         return self.verdict == "pass"
 
 
-def _f3_checks(field: DiscreteVectorField, lams, window, horizon: int) -> list:
-    """`check_F3` of many samples, from one `whole_line_index` batch."""
+def _f3_checks(field: DiscreteVectorField, lams, window, horizon: int, **tolerances) -> list:
+    """`check_F3` of many samples, from one `whole_line_index` batch with `tolerances`."""
     lo, hi = int(window[0]), int(window[1])
     if not (lo < 0 < hi):
         raise InputError("the F3 window must straddle time zero")
     checks = []
-    for lam, report in zip(lams, whole_line_index(field, lams, (lo, hi), horizon)):
+    for lam, report in zip(lams, whole_line_index(field, lams, (lo, hi), horizon, **tolerances)):
         if isinstance(report, (CertificationError, NumericError)):
             message = f"could not certify the half-line splittings or the kernel count: {report}"
             checks.append(F3Check("indeterminate", int(lam), message=message))
@@ -681,7 +681,7 @@ def _probe_grid(times, dim: int, r0: float, samples: int) -> tuple[np.ndarray, n
 
 
 def certify_bifurcation(
-    f: NonlinearField, options: CertifyOptions | None = None
+    f: NonlinearField, options: CertifyOptions | None = None, **tolerances
 ) -> BifurcationCertificate:
     """Run the four-stage certification of a loop-parametrized system.
 
@@ -707,7 +707,8 @@ def certify_bifurcation(
     fails validation keeps its error in the table, and an evaluator
     call that raises is made again by the read that needs its entries,
     so each error surfaces at the F2 or F3 read that needs the entry,
-    with the message a read of its own would give.
+    with the message a read of its own would give.  F2 and F3 take the
+    family `tolerances` of `half_line_pairs` (F3's kernel counts too).
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
@@ -780,7 +781,7 @@ def certify_bifurcation(
     # F2: half-line dichotomies along the loop and the index-bundle class
     try:
         stable, minus_image = index_bundle_pair(
-            lin, opts.anchor_plus, opts.anchor_minus, opts.horizon
+            lin, opts.anchor_plus, opts.anchor_minus, opts.horizon, **tolerances
         )
     except (CertificationError, NumericError, SamplingError) as exc:
         warnings.append(f"(F2) half-line dichotomies are unavailable: {exc}")
@@ -832,7 +833,7 @@ def certify_bifurcation(
 
     # F3 scan in loop order; the first passing sample becomes lambda0.
     # One batch counts every sample's index and kernel.
-    checks = _f3_checks(lin, range(n), opts.f3_window, opts.horizon)
+    checks = _f3_checks(lin, range(n), opts.f3_window, opts.horizon, **tolerances)
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)
     f3_ok = lambda0 is not None
@@ -999,6 +1000,7 @@ def localize_bifurcations(
     window: tuple[int, int] = (-30, 30),
     horizon: int = 40,
     decay_tol: float = DECAY_TOL,
+    **tolerances,
 ) -> list[tuple[int, FiniteWindowSequence]]:
     """Hunt nonzero bounded solutions near the linearization's near-kernels.
 
@@ -1017,8 +1019,8 @@ def localize_bifurcations(
     Returns (parameter index, solution sequence) pairs ordered by
     parameter index and solution size.  With `grid_refinement` > 1 the
     field's `refiner` hook supplies the finer loop and the returned
-    indices refer to it.  The families of all samples are built as one
-    batch of both sides (or read from the memo certification filled).
+    indices refer to it.  The families of all samples, with `tolerances`,
+    are one batch of both sides (or come from certification's memo).
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1039,7 +1041,7 @@ def localize_bifurcations(
         raise InputError("localization scans a parameter loop; the field has none")
     lin = linearize_at_zero(f)
     lams = range(f.n_params)
-    plus, minus = whole_line_families(lin, lams, (lo, hi), horizon)
+    plus, minus = whole_line_families(lin, lams, (lo, hi), horizon, **tolerances)
     found: list[tuple[int, FiniteWindowSequence]] = []
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)

@@ -178,21 +178,19 @@ def _with_sample_context(exc: HomindexError, i: int) -> HomindexError:
 
 
 def _loop_anchor_projectors(
-    field: DiscreteVectorField,
-    anchor_plus: int,
-    anchor_minus: int,
-    horizon: int,
+    field: DiscreteVectorField, anchor_plus: int, anchor_minus: int, **family
 ):
     """Certified half-line projectors at the anchors, one pair per sample.
 
-    Both sides of the whole loop are built as one batch.  The first
+    Both sides of the whole loop are built as one batch, with the
+    horizon and tolerances `family` of `half_line_pairs`.  The first
     failure in loop order (plus before minus within a sample) is raised
     with its sample named.
     """
     if field.loop is None:
         raise InputError("stable/unstable bundles need a field with a parameter loop")
     lams = range(len(field.loop))
-    plus, minus = half_line_pairs(field, lams, (anchor_plus, 2), (anchor_minus, 2), horizon)
+    plus, minus = half_line_pairs(field, lams, (anchor_plus, 2), (anchor_minus, 2), **family)
     for i, pair in enumerate(zip(plus, minus)):
         for outcome in pair:
             if isinstance(outcome, HomindexError):
@@ -213,7 +211,7 @@ def stable_unstable_bundles(
     backward-decaying set ker P-(lam, anchor_minus).  Any per-sample
     certification failure propagates with the failing sample named.
     """
-    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon)
+    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon=horizon)
     stable = bundle_from_projectors(
         field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
     )
@@ -228,9 +226,12 @@ def index_bundle_pair(
     anchor_plus: int,
     anchor_minus: int,
     horizon: int = HORIZON,
+    **tolerances,
 ) -> tuple[SampledBundle, SampledBundle]:
-    """The (im P+, im P-) pair whose formal difference is the index class."""
-    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon)
+    """The (im P+, im P-) pair of the index class; `tolerances` as in `half_line_pairs`."""
+    plus, minus = _loop_anchor_projectors(
+        field, anchor_plus, anchor_minus, horizon=horizon, **tolerances
+    )
     top = bundle_from_projectors(
         field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
     )

@@ -42,7 +42,7 @@ from .bundle import KOClassDesk, bundle_csv_rows, index_bundle_pair
 from .dichotomy import (
     build_projector_families,
     build_projector_family,
-    dichotomy_spectrum,
+    dichotomy_spectra,
     verify_families,
 )
 from .errors import (
@@ -124,17 +124,20 @@ def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts, tol = scenario.options, scenario.tolerances
     per, warnings, csvs = [], [], []
-    for lam in opts["lambdas"]:
-        res = dichotomy_spectrum(
-            field,
-            lam,
-            gamma_min=opts["gamma_min"],
-            gamma_max=opts["gamma_max"],
-            grid=opts["grid"],
-            horizon=scenario.horizon,
-            zero_margin=tol["zero_margin"],
-            gap_ratio=tol["gap_ratio"],
-        )
+    # one sweep for every requested sample; the first failing sample decides the error
+    spectra = dichotomy_spectra(
+        field,
+        opts["lambdas"],
+        gamma_min=opts["gamma_min"],
+        gamma_max=opts["gamma_max"],
+        grid=opts["grid"],
+        horizon=scenario.horizon,
+        zero_margin=tol["zero_margin"],
+        gap_ratio=tol["gap_ratio"],
+    )
+    for lam, res in zip(opts["lambdas"], spectra):
+        if isinstance(res, HomindexError):
+            raise fresh(res)
         per.append(
             {
                 "lambda": lam,
@@ -159,16 +162,14 @@ def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
     return CommandOutcome(results={"per_lambda": per}, warnings=warnings, csv_files=csvs)
 
 
+def _tolerances(scenario: Scenario) -> dict:
+    """The scenario's five family tolerances, as the family builds take them."""
+    keys = ("tau_proj", "tau_inv", "sigma_reg", "zero_margin", "gap_ratio")
+    return {key: scenario.tolerances[key] for key in keys}
+
+
 def _family_kwargs(scenario: Scenario) -> dict:
-    tol = scenario.tolerances
-    return {
-        "horizon": scenario.horizon,
-        "tau_proj": tol["tau_proj"],
-        "tau_inv": tol["tau_inv"],
-        "sigma_reg": tol["sigma_reg"],
-        "zero_margin": tol["zero_margin"],
-        "gap_ratio": tol["gap_ratio"],
-    }
+    return {"horizon": scenario.horizon, **_tolerances(scenario)}
 
 
 def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
@@ -262,10 +263,7 @@ def _cmd_class(scenario: Scenario) -> CommandOutcome:
     field = scenario.build_field()
     opts = scenario.options
     top, bottom = index_bundle_pair(
-        field,
-        opts["anchor_plus"],
-        opts["anchor_minus"],
-        horizon=scenario.horizon,
+        field, opts["anchor_plus"], opts["anchor_minus"], **_family_kwargs(scenario)
     )
     cls = KOClassDesk.of_pair(top, bottom)
     results = {
@@ -295,6 +293,7 @@ def _cmd_certify(scenario: Scenario) -> CommandOutcome:
             f3_window=tuple(opts["f3_window"]),
             manifold_dim=opts["manifold_dim"],
         ),
+        **_tolerances(scenario),
     )
     results = {
         "verdict": cert.verdict,
@@ -322,6 +321,7 @@ def _cmd_certify(scenario: Scenario) -> CommandOutcome:
                 window=tuple(opts["localize_window"]),
                 horizon=scenario.horizon,
                 decay_tol=scenario.tolerances["decay_tol"],
+                **_tolerances(scenario),
             )
             loop = f.refiner(opts["grid_refinement"]).loop if opts[
                 "grid_refinement"

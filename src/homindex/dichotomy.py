@@ -3,13 +3,18 @@
 Rates of long matrix products are accumulated with sequential QR
 factorizations, never by forming the product itself, so horizons of a
 few hundred steps are safe even when singular values spread over
-hundreds of decades.  The per-column averages of log |R_jj| over the
-second half of the run estimate the exponential rates; the associated
-orthonormal columns, grouped by rate, span the splitting subspaces.
+hundreds of decades.  The rates are the per-column means of log |R_jj|
+between the QR transient and the anchor (`_sweep`), so a longer run
+averages more steps (Dieci & Van Vleck, SIAM J. Numer. Anal. 40,
+2002); on a plus family run of `length + horizon` steps, length >=
+horizon/2, they cover the times [anchor + horizon/2, anchor + length +
+horizon/2).  The rates of a run of n steps split only across a gap of
+at least log(gap_ratio) / n.  The associated orthonormal columns,
+grouped by rate, span the splitting subspaces.
 
 Scaling the field by 1/gamma shifts every rate by -log(gamma) and
 leaves the singular directions unchanged, so one pair of runs serves
-the whole gamma grid of a dichotomy spectrum scan.
+every gamma of a dichotomy spectrum, read off the rates in closed form.
 
 Loop-wide sweeps: the QR method is the same for every parameter
 sample and both half-lines, so `build_projector_families` runs it for
@@ -20,15 +25,15 @@ and the `verify_families` fits each take one stacked call per step
 instead of one call per sample, side and step.  numpy's stacked calls
 give every row the bits it would get alone, so a family is the same
 whatever it was batched with.  The single-sample
-`build_projector_family` and `verify_ed` are batches of one.  A
-failing sample keeps the error a single-sample build would raise and
-never stops the others.  Families are memoized on the field per
-(sample, side, anchor, length, horizon, tolerances), and each family
-keeps its fitted dichotomy constants (not a witness, which would point
-back at it).  The F2 and F3 scans, the index command, the class
-command and localization each build one batch for both sides; a later
-request with the same key (localization after certification, or a
-single-sample call) gets the same objects back.
+`build_projector_family`, `verify_ed` and `dichotomy_spectrum` are
+batches of one.  A failing sample keeps the error a single-sample
+build would raise and never stops the others.  Families are memoized
+on the field per (sample, side, anchor, length, horizon, tolerances),
+and each family keeps its fitted dichotomy constants (not a witness,
+which would point back at it).  The F2 and F3 scans, the index
+command, the class command and localization each build one batch for
+both sides; a later request with the same key (localization after
+certification, or a single-sample call) gets the same objects back.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ __all__ = [
     "whole_line_families",
     "verify_ed",
     "verify_families",
+    "dichotomy_spectra",
     "dichotomy_spectrum",
     "shift_operator_projector",
 ]
@@ -79,7 +85,7 @@ TAU_INV = 1e-7
 #: idempotency tolerance for certified projector families
 TAU_PROJ = 1e-8
 
-#: consecutive-rate gaps below log(GAP_RATIO)/horizon are unresolved
+#: consecutive-rate gaps below log(GAP_RATIO)/(run length) are unresolved
 GAP_RATIO = 1e3
 
 #: a rate this close to the cut line means no dichotomy at that scaling
@@ -87,9 +93,6 @@ ZERO_MARGIN = 2e-3
 
 #: smallest singular value for stable/unstable frames counted transversal
 TRANSVERSALITY_TOL = 1e-6
-
-#: relative precision of spectrum interval endpoints
-REFINE_REL = 1e-3
 
 #: fewest family steps on which dichotomy constants are fitted
 MIN_FIT_STEPS = 4
@@ -142,27 +145,32 @@ def _generic_seed(d: int) -> np.ndarray:
     return _GENERIC_SEEDS[d]
 
 
-def _sweep(factors: np.ndarray, snapshot: int = 0):
+def _sweep(factors: np.ndarray, horizon: int):
     """QR accumulation along stacked runs of factors, in the order given.
 
-    `factors` has shape (samples, steps, d, d) and holds each run's
-    factors in the order the sweep applies them: a plus run the
-    transposed A(n) in decreasing time (right singular directions of
-    the forward propagator), a minus run the A(n) in increasing time.
-    Runs of both sides can share one stack.  Returns the final
-    orthogonal factors (samples, d, d), the per-step column log growth
-    (samples, steps, d) and the factors after the first `snapshot`
-    steps (None for 0).
+    `factors` has shape (samples, steps, d, d), steps >= `horizon`, and
+    holds each run's factors in the order the sweep applies them: a
+    plus run the transposed A(n) in decreasing time (right singular
+    directions of the forward propagator), a minus run the A(n) in
+    increasing time.  Runs of both sides can share one stack.  Returns
+    the final orthogonal factors (samples, d, d), the factors after the
+    first `horizon` steps, and the per-column rates (samples, d): the
+    means of log |R_jj| over the steps past the QR transient (the first
+    horizon/2) and short of the last horizon/2 (at the anchor, a
+    realization's identity middle), over horizon/2 steps at least.
     """
     n_samples, n_steps, d = factors.shape[0], factors.shape[1], factors.shape[-1]
     q = np.broadcast_to(_generic_seed(d), (n_samples, d, d))
-    logs = np.empty((n_samples, n_steps, d))
+    averaged = range(horizon // 2, max(horizon, n_steps - horizon // 2))
+    total = np.zeros((n_samples, d))
     far = None
     for k in range(n_steps):
-        q, logs[:, k] = _qr_step(factors[:, k] @ q)
-        if k == snapshot - 1:
+        q, logs = _qr_step(factors[:, k] @ q)
+        if k in averaged:
+            total += logs
+        if k == horizon - 1:
             far = q
-    return q, logs, far
+    return q, far, total / len(averaged)
 
 
 def _qr_frames(b: np.ndarray):
@@ -198,22 +206,7 @@ def _preimage_frames(a: np.ndarray, frame: np.ndarray):
     return vt[..., d - r :, :].swapaxes(-1, -2), d - rank
 
 
-def _rate_run(field: DiscreteVectorField, lam: int, side: str, anchor: int, horizon: int):
-    """Directions at `anchor` with per-column rate estimates for one side.
-
-    The plus side sorts them by forward stretch over [anchor,
-    anchor+horizon) (the right singular directions of the forward
-    propagator), the minus side by backward reach over
-    [anchor-horizon, anchor).
-    """
-    lo, hi = family_run(side, anchor, 0, horizon)
-    _check_window(field, lo, hi)
-    mats = field.matrices(lam, lo, hi)
-    q, logs, _ = _sweep((mats[::-1].swapaxes(-1, -2) if side == "plus" else mats)[None])
-    return q[0], logs[0, horizon // 2 :].mean(axis=0)
-
-
-def _classify_rates(rates, cut, horizon, zero_margin, gap_ratio):
+def _classify_rates(rates, cut, run, zero_margin, gap_ratio):
     """One-sided verdict: 'ed' with the below-cut mask, 'no_ed', or 'indeterminate'."""
     dist = float(np.abs(rates - cut).min())
     if dist < zero_margin:
@@ -221,7 +214,7 @@ def _classify_rates(rates, cut, horizon, zero_margin, gap_ratio):
     below = rates < cut
     if below.any() and (~below).any():
         gap = float(rates[~below].min() - rates[below].max())
-        if gap < np.log(gap_ratio) / horizon:
+        if gap < np.log(gap_ratio) / run:
             return "indeterminate", None
     return "ed", below
 
@@ -402,7 +395,7 @@ def family_run(side: str, anchor: int, length: int, horizon: int) -> tuple[int, 
     A family of `length` steps at `anchor` sweeps `length + horizon`
     factors: [anchor, anchor + length + horizon) on the plus side and
     [anchor - length - horizon, anchor) on the minus side.  With
-    `length` 0 this is the rate run of `dichotomy_spectrum`.
+    `length` = `horizon` this is the run of `dichotomy_spectra`.
     """
     run = length + horizon
     return (anchor, anchor + run - 1) if side == "plus" else (anchor - run, anchor - 1)
@@ -504,9 +497,8 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
         d = factors.shape[-1]
         # one sweep; the snapshot after `horizon` factors estimates the
         # splitting at the far window end, the final state at the anchor
-        q, logs, far = _sweep(factors, snapshot=horizon)
+        q, far, rates = _sweep(factors, horizon)
         del factors
-        rates = logs[:, run // 2 :].mean(axis=1)
         by_rank: dict[int, list[int]] = {}
         masks = np.empty((len(origin), d), dtype=bool)
         for j, (side, anchor) in enumerate(zip(sides, anchors)):
@@ -520,7 +512,7 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
             elif status == "indeterminate":
                 out[w][k] = IndeterminateError(
                     f"run of {run} steps is too short to separate the rate groups at anchor "
-                    f"{anchor} ({side} side)"
+                    f"{anchor} ({side} side); a longer family or horizon lengthens it"
                 )
             else:
                 masks[j] = below
@@ -945,13 +937,16 @@ def verify_ed(field: DiscreteVectorField, lam: int, family: ProjectorFamily) -> 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Dichotomy spectrum scan result.
+    """Dichotomy spectrum of one parameter sample.
 
-    `intervals` are sorted disjoint closed intervals covering the
-    scaling factors gamma where no dichotomy was detected (including
-    rank-change points); endpoints are bisection brackets of relative
-    width <= REFINE_REL.  `verdicts` holds the per-gridpoint verdict
-    strings ("ed:<stable rank>", "no_ed", "indeterminate").
+    `intervals` are the sorted disjoint closed intervals of scaling
+    factors gamma in [gamma_min, gamma_max] where no dichotomy was
+    detected.  Each endpoint is exactly a cell edge exp(rate +-
+    zero_margin) or gamma_min or gamma_max.  `verdicts` holds the
+    verdict strings ("ed:<stable rank>", "no_ed", "indeterminate") of
+    the `grid` points, and `n_probes` counts the classifications made.
+    The intervals are closures, but an edge is classified with a strict
+    margin: a grid point exactly on an interval's end may read "ed:<rank>".
     """
 
     intervals: tuple
@@ -974,6 +969,99 @@ class SpectrumResult:
         return float(d)
 
 
+def _verdict(lg, qp, rates_p, qm, rates_m, run, zero_margin, gap_ratio) -> str:
+    """Dichotomy verdict of the field scaled by exp(-lg), from the directions and rates at 0."""
+    status_p, s_mask = _classify_rates(rates_p, lg, run, zero_margin, gap_ratio)
+    status_m, _ = _classify_rates(rates_m, lg, run, zero_margin, gap_ratio)
+    # a rate at the cut on either side beats an unresolved gap
+    if "no_ed" in (status_p, status_m):
+        return "no_ed"
+    if "indeterminate" in (status_p, status_m):
+        return "indeterminate"
+    u_mask = rates_m > lg
+    s, u = int(s_mask.sum()), int(u_mask.sum())
+    if s + u != len(rates_p):
+        return "no_ed"
+    if s > 0 and u > 0:
+        m = np.hstack([qp[:, s_mask], qm[:, u_mask]])
+        if np.linalg.svd(m, compute_uv=False).min() < TRANSVERSALITY_TOL:
+            return "no_ed"
+    return f"ed:{s}"
+
+
+def _spectrum(gammas, *sample) -> SpectrumResult:
+    """Spectrum on a `gammas` grid of one `sample`: the `_verdict` arguments after lg.
+
+    The verdict at log gamma depends only on which rates lie below it
+    or within `zero_margin` of it, so it is constant between the edges
+    rate +- zero_margin.  Every edge bounds the failing cell around its
+    rate, so the failing cells' closures are the spectral intervals.
+    """
+    _, rates_p, _, rates_m, _, zero_margin, _ = sample
+    logs = np.log(gammas)
+    l_min, l_max = float(logs[0]), float(logs[-1])
+    rates = np.concatenate([rates_p, rates_m])
+    edges = set(np.concatenate([rates - zero_margin, rates + zero_margin]).tolist())
+    cuts = [l_min] + sorted(e for e in edges if l_min < e < l_max) + [l_max]
+    cells = [_verdict(0.5 * (a + b), *sample) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    ends = np.exp(cuts)
+    ends[[0, -1]] = gammas[[0, -1]]
+    failing = [not verdict.startswith("ed") for verdict in cells]
+    intervals = []
+    for k in np.flatnonzero(failing).tolist():
+        lo = intervals.pop()[0] if k and failing[k - 1] else float(ends[k])
+        intervals.append((lo, float(ends[k + 1])))
+
+    # a grid point takes its cell's verdict; one on an edge is classified itself
+    on_edge = {lg: _verdict(lg, *sample) for lg in logs.tolist() if lg in edges}
+    cell_of = np.minimum(np.searchsorted(cuts, logs, side="right") - 1, len(cells) - 1)
+    verdicts = [on_edge.get(lg, cells[i]) for lg, i in zip(logs.tolist(), cell_of.tolist())]
+    return SpectrumResult(tuple(intervals), gammas, tuple(verdicts), len(cells) + len(on_edge))
+
+
+def dichotomy_spectra(
+    field: DiscreteVectorField,
+    lams,
+    gamma_min: float = 0.05,
+    gamma_max: float = 20.0,
+    grid: int = 64,
+    horizon: int = HORIZON,
+    zero_margin: float = ZERO_MARGIN,
+    gap_ratio: float = GAP_RATIO,
+) -> list:
+    """Dichotomy spectra of many parameter samples from one batched sweep.
+
+    The field scaled by 1/gamma has a dichotomy when the rates split
+    cleanly on both half-lines, the stable-plus and unstable-minus ranks
+    sum to the dimension and the two frames are transversal at time 0
+    (`TRANSVERSALITY_TOL`).  The rates come from the runs
+    `family_run(side, 0, horizon, horizon)`: one `field.stack` reads
+    both of every sample in increasing time (so a sample fails as a
+    per-run read would), one sweep takes them all, and `_spectrum`
+    reads each sample's spectrum off its rates, one verdict per cell.
+    Returns each sample's `SpectrumResult` or error, in order.
+    """
+    if not (0.0 < gamma_min < gamma_max):
+        raise InputError("need 0 < gamma_min < gamma_max")
+    if grid < 16:
+        raise InputError("gamma grid needs at least 16 points")
+    if not zero_margin > 0.0:
+        raise InputError("zero_margin must be positive")
+    runs = [_family_plan(field, side, 0, horizon, horizon)[1:3] for side in ("plus", "minus")]
+    mats, errors = field.stack(lams, np.concatenate([np.arange(lo, hi + 1) for lo, hi in runs]))
+    good = [i for i, exc in enumerate(errors) if exc is None]
+    out = list(errors)
+    if good:
+        n, plus = len(good), mats[good, 2 * horizon - 1 :: -1].swapaxes(-1, -2)
+        q, _, rates = _sweep(np.concatenate([plus, mats[good, 2 * horizon :]]), horizon)
+        gammas = np.geomspace(gamma_min, gamma_max, grid)
+        for row, i in enumerate(good):
+            sample = (q[row], rates[row], q[n + row], rates[n + row])
+            out[i] = _spectrum(gammas, *sample, 2 * horizon, zero_margin, gap_ratio)
+    return out
+
+
 def dichotomy_spectrum(
     field: DiscreteVectorField,
     lam: int = 0,
@@ -984,103 +1072,11 @@ def dichotomy_spectrum(
     zero_margin: float = ZERO_MARGIN,
     gap_ratio: float = GAP_RATIO,
 ) -> SpectrumResult:
-    """Scan the dichotomy spectrum of a field over a geometric gamma grid.
-
-    For each gamma the field scaled by 1/gamma is tested for a
-    dichotomy over the window [-horizon, horizon]: rate groups must
-    split cleanly on both half-lines, the stable-plus and
-    unstable-minus ranks must sum to the dimension, and the two frames
-    must be transversal at time 0 (smallest singular value at least
-    `TRANSVERSALITY_TOL`).  Failing gammas are covered by closed
-    intervals whose endpoints are refined by geometric bisection to
-    relative precision `REFINE_REL`; a rank change between two
-    passing gammas contributes the (degenerate) bracket around the
-    crossing.
-    """
-    if not (0.0 < gamma_min < gamma_max):
-        raise InputError("need 0 < gamma_min < gamma_max")
-    if grid < 16:
-        raise InputError("gamma grid needs at least 16 points")
-    d = field.dim
-    qp, rates_p = _rate_run(field, lam, "plus", 0, horizon)
-    qm, rates_m = _rate_run(field, lam, "minus", 0, horizon)
-
-    def classify(gamma: float) -> str:
-        lg = np.log(gamma)
-        status_p, s_mask = _classify_rates(rates_p, lg, horizon, zero_margin, gap_ratio)
-        status_m, _ = _classify_rates(rates_m, lg, horizon, zero_margin, gap_ratio)
-        # a rate at the cut on either side beats an unresolved gap
-        if "no_ed" in (status_p, status_m):
-            return "no_ed"
-        if "indeterminate" in (status_p, status_m):
-            return "indeterminate"
-        u_mask = rates_m > lg
-        s, u = int(s_mask.sum()), int(u_mask.sum())
-        if s + u != d:
-            return "no_ed"
-        if s > 0 and u > 0:
-            m = np.hstack([qp[:, s_mask], qm[:, u_mask]])
-            if np.linalg.svd(m, compute_uv=False).min() < TRANSVERSALITY_TOL:
-                return "no_ed"
-        return f"ed:{s}"
-
-    probes: dict[float, str] = {}
-
-    def probe(g: float) -> str:
-        if g not in probes:
-            probes[g] = classify(g)
-        return probes[g]
-
-    grid_gammas = np.geomspace(gamma_min, gamma_max, grid)
-    for g in grid_gammas:
-        probe(float(g))
-    stack = [
-        (float(grid_gammas[i]), float(grid_gammas[i + 1]))
-        for i in range(grid - 1)
-        if probe(float(grid_gammas[i])) != probe(float(grid_gammas[i + 1]))
-    ]
-    while stack:
-        lo, hi = stack.pop()
-        if probe(lo) == probe(hi) or hi / lo - 1.0 <= REFINE_REL:
-            continue
-        mid = float(np.sqrt(lo * hi))
-        probe(mid)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-
-    def failing(c: str) -> bool:
-        return not c.startswith("ed")
-
-    gs = sorted(probes)
-    intervals = []
-    run = None
-    for g in gs:
-        if failing(probes[g]):
-            run = [g, g] if run is None else [run[0], g]
-        elif run is not None:
-            intervals.append(tuple(run))
-            run = None
-    if run is not None:
-        intervals.append(tuple(run))
-    for i in range(len(gs) - 1):
-        ca, cb = probes[gs[i]], probes[gs[i + 1]]
-        if not failing(ca) and not failing(cb) and ca != cb:
-            intervals.append((gs[i], gs[i + 1]))
-
-    intervals.sort()
-    merged = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1] * (1.0 + 2.0 * REFINE_REL):
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
-    return SpectrumResult(
-        intervals=tuple((lo, hi) for lo, hi in merged),
-        grid=grid_gammas,
-        verdicts=tuple(probes[float(g)] for g in grid_gammas),
-        n_probes=len(probes),
+    """Dichotomy spectrum of one parameter sample: `dichotomy_spectra` for a batch of one."""
+    (outcome,) = dichotomy_spectra(
+        field, [lam], gamma_min, gamma_max, grid, horizon, zero_margin, gap_ratio
     )
+    return _raise_or_return(outcome)
 
 
 def _family_from_projectors(

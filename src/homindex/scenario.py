@@ -9,13 +9,13 @@ report is complete and reruns byte-identically.  A small catalog of
 builtin scenarios is addressable by name.
 
 Each command reads only some of the tolerances.  ``spectrum`` reads
-``zero_margin`` and ``gap_ratio``.  ``projectors`` and ``index`` read
-the five family tolerances ``tau_proj``, ``tau_inv``, ``sigma_reg``,
-``zero_margin`` and ``gap_ratio`` (``index`` also separates its
-singular-value groups with ``gap_ratio``), and ``solve`` reads those
-and ``solve_tol`` and ``decay_tol``.  ``class`` reads none and
-``certify`` only ``decay_tol``: both build their families, and
-``certify`` its F3 kernel counts, with the module defaults.
+``zero_margin`` and ``gap_ratio``.  ``projectors``, ``index`` and
+``class`` read the five family tolerances ``tau_proj``, ``tau_inv``,
+``sigma_reg``, ``zero_margin`` and ``gap_ratio`` (``index`` also
+separates its singular-value groups with ``gap_ratio``).  ``certify``
+reads the five for its F2, F3 and localization families (and
+``gap_ratio`` for its F3 kernel counts) and ``decay_tol``, and
+``solve`` reads the five and ``solve_tol`` and ``decay_tol``.
 ``realize`` only echoes them.
 """
 
@@ -544,7 +544,7 @@ class Scenario:
             family("minus", 0, -window[0], path, path)
 
         if command == "spectrum":
-            whole_line((0, 0), "horizon")
+            whole_line((-horizon, horizon), "horizon")
         elif command == "projectors":
             family(opts["side"], opts["anchor"], opts["length"], "options.anchor", "options.length")
         elif command == "index":

@@ -483,6 +483,8 @@ def test_localize_system2_cluster_near_pi():
         assert 1e-5 < sup < f.r0
     # candidates at the exact kernel angle exist
     assert any(lam == n // 2 for lam, _ in found)
+    # the family tolerances reach localization: without a dichotomy every sample is skipped
+    assert localize_bifurcations(f, cert, window=(-30, 30), horizon=40, zero_margin=0.8) == []
 
 
 def test_localize_linear_fields_empty():

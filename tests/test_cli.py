@@ -8,6 +8,7 @@ library calls the subcommands wrap.
 """
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -579,14 +580,76 @@ def test_a_narrow_tabulated_window_serves_the_commands_whose_runs_fit(tmp_path, 
     doc = saddle_doc(field=field, options={"index_window": [-10, 10]})
     ref = write_doc(tmp_path, doc)
     # index reads [-50, 49] and projectors [0, 59] at horizon 40
-    for command in ("index", "projectors", "spectrum"):
+    for command in ("index", "projectors"):
         assert run([command, "--scenario", ref, "--out", str(tmp_path / command)]) == 0
+    # spectrum's runs of 2 horizons read [-80, 79]; a single horizon would fit
+    assert run(["spectrum", "--scenario", ref, "--out", str(tmp_path / "spectrum")]) == 3
+    err = capsys.readouterr().err
+    assert "scenario field 'horizon'" in err and "[0, 79]" in err
     doc["options"]["length"] = 60
     ref = write_doc(tmp_path, doc)
     assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "scenario field 'options.length'" in err and "[0, 99]" in err
     assert "Traceback" not in err
+
+
+def test_spectrum_names_the_sample_a_per_sample_run_names(tmp_path, capsys, monkeypatch):
+    # the realized realization-mobius table with non-finite entries on both runs
+    # of sample 5 and on the plus run of sample 9: a batch names sample 5's plus
+    # run entry, as sample 5's spectrum alone does
+    bad = {(5, -30), (5, 50), (9, 10)}
+    build = Scenario.build_field
+
+    def build_field(self):
+        field = build(self)
+
+        def evaluate(lams, times):
+            values = np.array(field.evaluator(lams, times))
+            for s, lam in enumerate(lams.tolist()):
+                for i, n in enumerate(times.tolist()):
+                    if (lam, n) in bad:
+                        values[s, i, 0, 0] = np.nan
+            return values
+
+        return dataclasses.replace(field, evaluator=evaluate)
+
+    assert run(["realize", "--scenario", "realization-mobius", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "realized.json").read_text())
+    assert doc["field"]["kind"] == "tabulated"
+    monkeypatch.setattr(Scenario, "build_field", build_field)
+
+    def spectrum(lams):
+        doc["options"] = {"lambdas": lams}
+        path = write_doc(tmp_path, doc)
+        capsys.readouterr()
+        code = run(["spectrum", "--scenario", path, "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    got = spectrum(list(range(16)))
+    assert got == spectrum([5])
+    assert got[0] == 4 and "non-finite entries at (lam=5, n=50)" in got[1]
+    assert spectrum([12, 9, 5]) == spectrum([9])
+    assert spectrum([0, 12])[0] == 0
+
+
+def test_class_and_certify_read_the_family_tolerances(tmp_path, capsys):
+    doc = builtin_document("system2-mobius")
+    doc["tolerances"] = {"zero_margin": 0.8}
+    ref = write_doc(tmp_path, doc)
+    for command in ("index", "projectors", "class", "certify"):
+        assert run([command, "--scenario", ref, "--out", str(tmp_path / command)]) == 2
+    assert report_of(tmp_path / "certify")["results"]["verdict"] == "hypotheses_failed"
+    err = capsys.readouterr().err
+    assert "error: parameter sample 0: no dichotomy detected at anchor 8" in err
+    assert "(F2) half-line dichotomies are unavailable" in err
+    # a gap ratio that F2 passes and two of F3's kernel counts cannot meet
+    doc["tolerances"] = {"gap_ratio": 5e5}
+    ref = write_doc(tmp_path, doc)
+    assert run(["certify", "--scenario", ref, "--out", str(tmp_path / "gap")]) == 0
+    results = report_of(tmp_path / "gap")["results"]
+    assert results["f3_verdicts"][7] == results["f3_verdicts"][9] == "indeterminate"
+    assert results["verdict"] == "bifurcation_certified"
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_product, random_hyperbolic, rotation, span_gap
+from homindex import dichotomy
 from homindex.dichotomy import (
     build_projector_family,
+    dichotomy_spectra,
     dichotomy_spectrum,
     shift_operator_projector,
     verify_ed,
@@ -21,6 +23,7 @@ from homindex.errors import (
     WindowTooShortError,
 )
 from homindex.field import autonomous_field, tabulated_field
+from homindex.scenario import Scenario
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -176,8 +179,15 @@ def test_splitting_indeterminate_until_horizon_grows():
     # rates +-0.02 are clear of the zero margin but their gap 0.04 is
     # below log(1e3)/100, so a 100-step run cannot split them
     field = autonomous_field(np.diag([0.98, 1.02]))
-    with pytest.raises(IndeterminateError):
+    with pytest.raises(IndeterminateError, match="run of 100 steps"):
         build_projector_family(field, 0, "plus", 0, length=60, horizon=40)
+    # a family of length L >= horizon/2 averages its rates over L steps,
+    # so a longer family resolves the gap at the same horizon once
+    # log(1e3)/(L + 40) is below it
+    for side in ("plus", "minus"):
+        for length in (200, 400):
+            fam = build_projector_family(field, 0, side, 0, length=length, horizon=40)
+            assert fam.rank == 1, (side, length)
     fam = build_projector_family(field, 0, "plus", 0, horizon=300)
     assert fam.rank == 1
     # a 0.04 rate gap separates the two axes slowly
@@ -195,7 +205,8 @@ def test_spectrum_diagonal_saddle():
     assert res.distance_to_one() >= 0.49
     near_one = int(np.argmin(np.abs(res.grid - 1.0)))
     assert res.verdicts[near_one] == "ed:1"
-    assert res.n_probes >= len(res.grid)
+    # one classification per cell between the points rate +- zero_margin
+    assert res.n_probes <= 4 * 2 + 1
 
 
 def test_spectrum_scaled_rotation_single_band():
@@ -231,6 +242,10 @@ def test_spectrum_and_splitting_input_validation():
         dichotomy_spectrum(field, gamma_min=0.0)
     with pytest.raises(InputError):
         dichotomy_spectrum(field, gamma_min=2.0, gamma_max=1.0)
+    with pytest.raises(InputError):
+        dichotomy_spectrum(field, zero_margin=0.0)
+    with pytest.raises(InputError):
+        dichotomy_spectrum(field, horizon=4)
     with pytest.raises(InputError):
         build_projector_family(field, 0, "sideways", 0)
     with pytest.raises(InputError):
@@ -279,7 +294,7 @@ def test_shift_route_unit_spectrum_is_indeterminate():
 
 
 def test_spectrum_verdict_stable_under_small_perturbations():
-    base = dichotomy_spectrum(saddle_field())
+    base = dichotomy_spectrum(saddle_field(), horizon=50)
     margin = base.distance_to_one()
     assert margin > 0.4
     radius = margin / 4.0
@@ -288,9 +303,133 @@ def test_spectrum_verdict_stable_under_small_perturbations():
         bumps = rng.standard_normal((200, 2, 2))
         bumps *= radius / np.linalg.norm(bumps, ord=2, axis=(1, 2), keepdims=True)
         field = tabulated_field(SADDLE + bumps, (-100, 99))
-        res = dichotomy_spectrum(field)
+        res = dichotomy_spectrum(field, horizon=50)
         assert res.admits_ed
         assert res.distance_to_one() > 0.1
+
+
+def realization_mobius():
+    """The builtin realization-mobius field (q = 0.5), its horizon and its samples."""
+    scenario = Scenario.builtin("realization-mobius")
+    return scenario.build_field(), scenario.horizon, scenario.options["lambdas"]
+
+
+def test_spectrum_of_a_realization_contains_q_and_its_inverse():
+    # the field is the identity on [-8, 8] and q-scaled beyond; the rates
+    # average the times h/2 to 1.5 h away from 0, past that middle
+    field, horizon, lams = realization_mobius()
+    for lam, res in zip(lams, dichotomy_spectra(field, lams, horizon=horizon)):
+        assert res.contains(0.5) and res.contains(2.0), (lam, res.intervals)
+        if res.admits_ed:
+            assert len(res.intervals) == 2, (lam, res.intervals)
+            for (lo, hi), target in zip(res.intervals, (0.5, 2.0)):
+                assert target - 1e-2 <= lo and hi <= target + 1e-2, (lam, res.intervals)
+
+
+def test_spectrum_cells_agree_with_a_dense_per_gamma_scan(monkeypatch):
+    """Cell verdicts and intervals against a direct verdict at each of 4,096 gammas."""
+    samples = []
+    cells = dichotomy._spectrum
+
+    def recorded(gammas, *sample):
+        samples.append(sample)
+        return cells(gammas, *sample)
+
+    monkeypatch.setattr(dichotomy, "_spectrum", recorded)
+    field, horizon, _ = realization_mobius()
+    results = dichotomy_spectra(field, [0, 4, 8, 12], grid=4096, horizon=horizon)
+    for f in (
+        saddle_field(),
+        autonomous_field(0.7 * rotation(1.0)),
+        autonomous_field(np.diag([1.0, 2.0])),
+        autonomous_field(np.diag([0.5, 0.51])),  # an unresolved gap: indeterminate
+    ):
+        results += dichotomy_spectra(f, [0], grid=4096)
+    seen = set()
+    for res, sample in zip(results, samples, strict=True):
+        rates = np.concatenate([sample[1], sample[3]])
+        zero_margin = sample[5]
+        edges = np.concatenate([rates - zero_margin, rates + zero_margin])
+        assert res.n_probes <= 2 * len(rates) + 1
+        for gamma, verdict in zip(res.grid, res.verdicts):
+            lg = np.log(gamma)
+            if np.abs(edges - lg).min() <= 1e-9:
+                continue
+            direct = dichotomy._verdict(lg, *sample)
+            assert verdict == direct, (gamma, verdict, direct)
+            assert res.contains(gamma) == (not direct.startswith("ed")), (gamma, res.intervals)
+            seen.add(direct.split(":")[0])
+    assert seen == {"ed", "no_ed", "indeterminate"}
+
+
+def test_a_grid_point_on_an_edge_is_classified_itself():
+    # rates log(gamma_k) - zero_margin on both sides of an autonomous
+    # saddle: the edge log(gamma_k) ends the failing cell around the lower
+    # rate and, classified with the strict margin, passes
+    gammas = np.geomspace(0.05, 20.0, 64)
+    zero_margin, upper = 2e-3, np.log(2.0)
+    for k in range(20, 30):
+        lower = np.log(gammas[k]) - zero_margin
+        if lower + zero_margin == np.log(gammas[k]):
+            break
+    else:
+        pytest.fail("no grid point whose log is an exact edge")
+    rates, frames = np.array([lower, upper]), np.eye(2)
+    sample = (frames, rates, frames, rates, 100, zero_margin, 1e3)
+    res = dichotomy._spectrum(gammas, *sample)
+    assert res.verdicts[k] == dichotomy._verdict(np.log(gammas[k]), *sample) == "ed:1"
+    assert res.verdicts[k - 1] == "ed:0" and res.verdicts[k + 1] == "ed:1"
+    # the interval is the failing cell's closure, so it ends on that edge
+    (lo, hi), _ = res.intervals
+    assert np.isclose(lo, np.exp(lower - zero_margin), rtol=1e-14)
+    assert np.isclose(hi, gammas[k], rtol=1e-14)
+    # one classification per cell, and one more for the point on an edge
+    assert res.n_probes == 5 + 1
+
+
+def test_a_default_family_and_the_spectrum_at_one_agree(monkeypatch):
+    # a family of length `horizon` at 0 sweeps the spectrum's run and
+    # averages the same steps, so its verdict is the spectrum's at gamma 1
+    samples = []
+    cells = dichotomy._spectrum
+
+    def recorded(gammas, *sample):
+        samples.append(sample)
+        return cells(gammas, *sample)
+
+    monkeypatch.setattr(dichotomy, "_spectrum", recorded)
+    cases = [
+        (saddle_field(), "ed:1", None),
+        (autonomous_field(np.diag([1.0, 2.0])), "no_ed", NoDichotomyError),
+        (autonomous_field(np.diag([0.98, 1.02])), "indeterminate", IndeterminateError),
+    ]
+    for field, verdict, error in cases:
+        dichotomy_spectrum(field, horizon=40)
+        assert dichotomy._verdict(0.0, *samples[-1]) == verdict
+        if error is None:
+            assert build_projector_family(field, 0, "plus", 0, horizon=40).rank == 1
+        else:
+            with pytest.raises(error):
+                build_projector_family(field, 0, "plus", 0, horizon=40)
+
+
+def test_spectra_rows_equal_single_sample_spectra():
+    field, horizon, lams = realization_mobius()
+    kwargs = {
+        "gamma_min": 0.1,
+        "gamma_max": 10.0,
+        "grid": 40,
+        "horizon": horizon,
+        "zero_margin": 3e-3,
+        "gap_ratio": 500.0,
+    }
+    batch = dichotomy_spectra(field, lams[::-1], **kwargs)
+    for lam, res in zip(lams[::-1], batch):
+        alone = dichotomy_spectrum(field, lam, **kwargs)
+        assert res.intervals == alone.intervals
+        assert res.verdicts == alone.verdicts
+        assert res.n_probes == alone.n_probes
+        assert np.array_equal(res.grid, alone.grid)
 
 
 def test_family_window_too_short():

@@ -402,7 +402,7 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
 
 def test_index_invariant_under_small_perturbations():
     base = field.autonomous_field(SADDLE, window=(-160, 160))
-    spectrum = dichotomy.dichotomy_spectrum(base, 0)
+    spectrum = dichotomy.dichotomy_spectrum(base, 0, horizon=80)
     margin = spectrum.distance_to_one()
     assert margin > 0.4
     gamma = margin / 4.0
