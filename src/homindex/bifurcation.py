@@ -21,7 +21,8 @@ pair has delta_w1 = 1, the orientation of the splitting flips along
 the loop and a homoclinic bifurcation from the trivial branch is
 forced somewhere on it; `localize_bifurcations` then hunts the
 nonzero bounded solutions with damped Gauss-Newton runs seeded from
-near-kernel directions of the linearization.
+near-kernel directions of the linearization, all runs in one lockstep
+batch whose steps come from `fredholm`'s block factor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ from .errors import (
     fresh,
 )
 from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
-from .fredholm import DECAY_TOL, FiniteWindowSequence, whole_line_index
+from .fredholm import (
+    DECAY_TOL,
+    FiniteWindowSequence,
+    section_least_squares,
+    whole_line_index,
+)
 
 __all__ = [
     "NonlinearField",
@@ -168,17 +174,18 @@ class NonlinearField:
     `derivative(lams, times, states)`, when given, returns the
     (S, T, dim, dim) stack of fibre derivatives.  Every consumer makes
     one call per stack: the probes at construction and in `certify`
-    stack every sample they need, and Gauss-Newton stacks one sample
-    (S = 1).  Each returned stack is validated once (shape, then
-    finiteness); errors name the (lam, n) of the first bad entry,
-    samples first.  The trivial branch f(lam, n, 0) = 0 is validated
-    at construction, for every sample on a probe grid, with one
-    `value` call.  `r0` is the radius of the state ball on which the
-    model is trusted; `refiner(k)`, when given, returns the same system
-    sampled on a k-fold refined parameter loop.  The linearization
-    along the trivial branch is memoized in one slot (see
-    `linearize_at_zero`); it does not refer back to the system, so a
-    dropped system is freed by reference counting.
+    stack every sample they need, and Gauss-Newton stacks every run of
+    its lockstep batch, each with its own sample (samples may repeat).
+    Each returned stack is validated once (shape, then finiteness);
+    errors name the (lam, n) of the first bad entry, samples first.
+    The trivial branch f(lam, n, 0) = 0 is validated at construction,
+    for every sample on a probe grid, with one `value` call.  `r0` is
+    the radius of the state ball on which the model is trusted;
+    `refiner(k)`, when given, returns the same system sampled on a
+    k-fold refined parameter loop.  The linearization along the trivial
+    branch is memoized in one slot (see `linearize_at_zero`); it does
+    not refer back to the system, so a dropped system is freed by
+    reference counting.
     """
 
     dim: int
@@ -929,68 +936,110 @@ def _seed_sequence(fam_plus, fam_minus, image_coords, kernel_coords, window) -> 
     return vals
 
 
-def _gauss_newton(f, lam, x0, window, fam_plus, fam_minus):
-    """One damped Gauss-Newton run; returns solution values or None.
+#: errors that end one Gauss-Newton run quietly
+_RUN_ERRORS = (NumericError, InputError, np.linalg.LinAlgError, FloatingPointError)
 
-    The residual stacks the recursion defects phi(n+1) - f(lam, n,
-    phi(n)) with two decay boundary rows, P-(lo) phi(lo) and
-    (I - P+(hi)) phi(hi), taken from the frozen linearization
-    families.  Steps are least-squares directions with Armijo
-    backtracking on the squared norm; stalls, blowups and non-finite
-    evaluations end the run quietly.
+
+def _by_run(fn, runs: np.ndarray, shape: tuple, *rows):
+    """`fn(runs, *rows)` for a lockstep batch of runs, and the mask of runs it failed.
+
+    `rows` are arrays aligned with `runs`.  When the batch call raises
+    one of `_RUN_ERRORS`, every run is called alone, so an error ends
+    only the runs whose own call raises; their output rows, of `shape`
+    each, are NaN.
+    """
+    try:
+        return fn(runs, *rows), np.zeros(len(runs), dtype=bool)
+    except _RUN_ERRORS:
+        pass
+    out = np.full((len(runs),) + shape, np.nan)
+    failed = np.zeros(len(runs), dtype=bool)
+    for i in range(len(runs)):
+        try:
+            out[i] = fn(runs[i : i + 1], *(a[i : i + 1] for a in rows))[0]
+        except _RUN_ERRORS as exc:
+            _LOG.debug("Gauss-Newton run %d aborted (%s)", int(runs[i]), exc)
+            failed[i] = True
+    return out, failed
+
+
+def _gauss_newton(f, lams, x0, window, p_lo, q_hi) -> list:
+    """Damped Gauss-Newton runs in lockstep; each run's solution values or None.
+
+    Run i starts from x0[i] (w, d) at parameter sample lams[i].  Its
+    residual stacks, in the row order of
+    `fredholm.section_least_squares`, the decay boundary row P-(lo)
+    phi(lo) (p_lo[i]), the recursion defects phi(n+1) - f(lam, n,
+    phi(n)) and (I - P+(hi)) phi(hi) (q_hi[i]), with the projectors
+    taken from the frozen linearization families.  Each step is that
+    solver's least-squares direction from the block factor of the
+    Jacobian: the minimum-norm step, tapered below 1e-10 times the
+    Jacobian's scale and with the directions below 1e-8 times it
+    removed, so at a bifurcation no step slides along the kernel.
+    Each iteration evaluates the derivatives of every active run in one
+    stacked call, each run's sample on the leading axis, and factors
+    them all at once; every backtracking round evaluates the residuals
+    of the runs still searching in one call.  A run keeps its own
+    Armijo step fraction on the squared norm, trust check and stall rule,
+    so it takes the steps it would take alone.  Stalls, blowups and
+    evaluations that raise or go non-finite end a run quietly and alone.
     """
     lo, hi = window
-    w = hi - lo + 1
-    d = f.dim
-    p_lo = fam_minus.projector(lo)
-    q_hi = np.eye(d) - fam_plus.projector(hi)
-    times, steps = np.arange(lo, hi), np.arange(w - 1)
+    w, d = hi - lo + 1, f.dim
+    times = np.arange(lo, hi)
+    lams = np.asarray(lams)
 
-    def residual(flat):
-        phi = flat.reshape(w, d)
-        rows = np.empty((w + 1, d))
-        rows[: w - 1] = phi[1:] - f.value([lam], times, phi[None, :-1])[0]
-        rows[w - 1] = p_lo @ phi[0]
-        rows[w] = q_hi @ phi[-1]
-        return rows.reshape(-1)
+    def residual(runs, x):
+        rows = np.empty((len(runs), w + 1, d))
+        rows[:, 0] = (p_lo[runs] @ x[:, 0, :, None])[..., 0]
+        rows[:, 1:w] = x[:, 1:] - f.value(lams[runs], times, x[:, :-1])
+        rows[:, w] = (q_hi[runs] @ x[:, -1, :, None])[..., 0]
+        return rows
 
-    def jacobian(flat):
-        phi = flat.reshape(w, d)
-        # block (i, j) of the (w+1)d x wd matrix is jac[i, :, j, :]
-        jac = np.zeros((w + 1, d, w, d))
-        jac[steps, :, steps, :] = -_derivatives(f, [lam], times, phi[None, :-1])[0]
-        jac[steps, :, steps + 1, :] = np.eye(d)
-        jac[w - 1, :, 0, :] = p_lo
-        jac[w, :, w - 1, :] = q_hi
-        return jac.reshape((w + 1) * d, w * d)
+    def direction(runs, x, r):
+        jac = _derivatives(f, lams[runs], times, x[:, :-1])
+        return section_least_squares(-jac, p_lo[runs], q_hi[runs], -r)
 
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    try:
-        with np.errstate(all="ignore"):
-            r = residual(x)
-            for _ in range(NEWTON_MAX_ITER):
-                if float(np.abs(r).max()) <= NEWTON_TOL:
-                    break
-                step, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
-                base_sq = float(r @ r)
-                t = 1.0
-                while True:
-                    cand = x + t * step
-                    if float(np.abs(cand).max()) <= 100.0 * f.r0:
-                        r_cand = residual(cand)
-                        if float(r_cand @ r_cand) <= (1.0 - ARMIJO * t) * base_sq:
-                            break
-                    t *= BACKTRACK
-                    if t < MIN_STEP:
-                        _LOG.debug("parameter sample %d: Gauss-Newton stalled", lam)
-                        return None
-                x, r = cand, r_cand
-    except (NumericError, InputError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        _LOG.debug("parameter sample %d: Gauss-Newton aborted (%s)", lam, exc)
-        return None
-    if float(np.abs(r).max()) > ACCEPT_RESIDUAL:
-        return None
-    return x.reshape(w, d)
+    def sup(a):
+        return np.abs(a).max(axis=(1, 2))
+
+    def squares(a):
+        flat = a.reshape(len(a), -1)
+        return (flat * flat).sum(axis=1)
+
+    x = np.array(x0, dtype=float)
+    with np.errstate(all="ignore"):
+        r, dead = _by_run(residual, np.arange(len(x)), (w + 1, d), x)
+        for _ in range(NEWTON_MAX_ITER):
+            runs = np.flatnonzero(~dead & (sup(r) > NEWTON_TOL))
+            if not runs.size:
+                break
+            step, failed = _by_run(direction, runs, (w, d), x[runs], r[runs])
+            dead[runs[failed]] = True
+            runs, step = runs[~failed], step[~failed]
+            base_sq = squares(r[runs])
+            t = np.ones(len(runs))
+            while runs.size:
+                cand = x[runs] + t[:, None, None] * step
+                searching = np.ones(len(runs), dtype=bool)
+                inside = np.flatnonzero(sup(cand) <= 100.0 * f.r0)
+                if inside.size:
+                    r_cand, failed = _by_run(residual, runs[inside], (w + 1, d), cand[inside])
+                    dead[runs[inside[failed]]] = True
+                    armijo = (1.0 - ARMIJO * t[inside]) * base_sq[inside]
+                    ok = ~failed & (squares(r_cand) <= armijo)
+                    done = inside[ok]
+                    x[runs[done]], r[runs[done]] = cand[done], r_cand[ok]
+                    searching[inside[failed | ok]] = False
+                t *= BACKTRACK
+                stalled = searching & (t < MIN_STEP)
+                for run in runs[stalled].tolist():
+                    _LOG.debug("parameter sample %d: Gauss-Newton stalled", lams[run])
+                dead[runs[stalled]] = True
+                keep = searching & ~stalled
+                runs, step, t, base_sq = runs[keep], step[keep], t[keep], base_sq[keep]
+    accepted = ~dead & (sup(r) <= ACCEPT_RESIDUAL)
+    return [x[i] if ok else None for i, ok in enumerate(accepted.tolist())]
 
 
 def localize_bifurcations(
@@ -1008,13 +1057,16 @@ def localize_bifurcations(
     linearization are anchored at zero; samples whose forward- and
     backward-decaying subspaces meet at a principal cosine of at least
     `SEED_COSINE` produce near-kernel seed sequences, which are scaled
-    by `SEED_SCALES * r0` and polished with damped Gauss-Newton on the
-    boundary-conditioned residual (the `NEWTON_*`, `ARMIJO`,
-    `BACKTRACK` and `MIN_STEP` constants).  A candidate is kept when its
-    residual sup-norm is at most `ACCEPT_RESIDUAL` and its sup-norm
-    lies strictly between 10 * decay_tol (nontriviality) and r0 (the
-    trust ball).  Failing families and divergent Newton runs are
-    logged and skipped; localization never raises for them.
+    by `SEED_SCALES * r0`.  Every (sample, cosine, scale) seed is then
+    polished by damped Gauss-Newton on the boundary-conditioned
+    residual (the `NEWTON_*`, `ARMIJO`, `BACKTRACK` and `MIN_STEP`
+    constants), all runs in one lockstep batch (`_gauss_newton`).  Per
+    sample, in (cosine, scale) order, a candidate is kept when its
+    residual sup-norm is at most `ACCEPT_RESIDUAL`, its sup-norm lies
+    strictly between 10 * decay_tol (nontriviality) and r0 (the trust
+    ball), and it differs by more than 1e-8 from every candidate kept
+    before it.  Failing families and divergent Newton runs are logged
+    and skipped; localization never raises for them.
 
     Returns (parameter index, solution sequence) pairs ordered by
     parameter index and solution size.  With `grid_refinement` > 1 the
@@ -1042,43 +1094,51 @@ def localize_bifurcations(
     lin = linearize_at_zero(f)
     lams = range(f.n_params)
     plus, minus = whole_line_families(lin, lams, (lo, hi), horizon, **tolerances)
-    found: list[tuple[int, FiniteWindowSequence]] = []
+    runs = []  # (sample, start, P-(lo), I - P+(hi)) in (sample, cosine, scale) order
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)
         if failure is None:
-            found.extend(_hunt(f, lam, fam_plus, fam_minus, (lo, hi), decay_tol))
+            p_lo = fam_minus.projector(lo)
+            q_hi = np.eye(f.dim) - fam_plus.projector(hi)
+            for base in _seeds(fam_plus, fam_minus, (lo, hi)):
+                runs += [(lam, base * (scale * f.r0), p_lo, q_hi) for scale in SEED_SCALES]
         elif isinstance(failure, (CertificationError, NumericError)):
             _LOG.info("parameter sample %d skipped: %s", lam, failure)
         else:
             raise fresh(failure)
+    if not runs:
+        return []
+    samples, starts, p_lo, q_hi = (np.array(column) for column in zip(*runs))
+    solutions = _gauss_newton(f, samples, starts, (lo, hi), p_lo, q_hi)
+    found: list[tuple[int, FiniteWindowSequence]] = []
+    for lam, group in itertools.groupby(zip(samples.tolist(), solutions), key=lambda run: run[0]):
+        accepted: list[np.ndarray] = []
+        for _, candidate in group:
+            if candidate is None:
+                continue
+            size = float(np.abs(candidate).max())
+            if not (10.0 * decay_tol < size < f.r0):
+                _LOG.debug("parameter sample %d: candidate rejected (sup %.3e)", lam, size)
+                continue
+            if any(float(np.abs(candidate - prev).max()) <= 1e-8 for prev in accepted):
+                continue
+            accepted.append(candidate)
+        accepted.sort(key=lambda a: float(np.abs(a).max()))
+        found += [
+            (lam, FiniteWindowSequence.tabulate((lo, hi), a, decay_tol=decay_tol))
+            for a in accepted
+        ]
     return found
 
 
-def _hunt(f, lam, fam_plus, fam_minus, window, decay_tol):
-    """Newton-polished nonzero solutions seeded at one sample's near-kernel."""
-    lo, hi = window
+def _seeds(fam_plus, fam_minus, window) -> list:
+    """Near-kernel seed sequences of one sample, one per principal cosine >= `SEED_COSINE`."""
     overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
     if overlap.size == 0:
         return []
     u, cosines, vt = np.linalg.svd(overlap)
-    accepted: list[np.ndarray] = []
-    for k in range(len(cosines)):
-        if cosines[k] < SEED_COSINE:
-            break
-        base = _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], (lo, hi))
-        for scale in SEED_SCALES:
-            found = _gauss_newton(f, lam, base * (scale * f.r0), (lo, hi), fam_plus, fam_minus)
-            if found is None:
-                continue
-            sup = float(np.abs(found).max())
-            if not (10.0 * decay_tol < sup < f.r0):
-                _LOG.debug("parameter sample %d: candidate rejected (sup %.3e)", lam, sup)
-                continue
-            if any(float(np.abs(found - prev).max()) <= 1e-8 for prev in accepted):
-                continue
-            accepted.append(found)
-    accepted.sort(key=lambda a: float(np.abs(a).max()))
     return [
-        (lam, FiniteWindowSequence.tabulate((lo, hi), a, decay_tol=decay_tol))
-        for a in accepted
+        _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], window)
+        for k in range(len(cosines))
+        if cosines[k] >= SEED_COSINE
     ]

@@ -173,6 +173,19 @@ def _sweep(factors: np.ndarray, horizon: int):
     return q, far, total / len(averaged)
 
 
+def _singular_values(x: np.ndarray) -> np.ndarray:
+    """Singular values (..., k) of a stack of matrices (..., m, n), descending.
+
+    A stack of 1 x 1 matrices gives |x| with no LAPACK call: the same
+    bits as LAPACK for |x| in [1e-138, 1e138], where LAPACK does not
+    rescale, and inf for an infinite entry (LAPACK gives NaN there) and
+    NaN for a NaN one (LAPACK raises).
+    """
+    if x.shape[-2:] == (1, 1):
+        return np.abs(x[..., 0])
+    return np.linalg.svd(x, compute_uv=False)
+
+
 def _qr_frames(b: np.ndarray):
     """Sign-normalized orthonormal frames of a stack (..., d, r).
 
@@ -207,16 +220,19 @@ def _preimage_frames(a: np.ndarray, frame: np.ndarray):
 
 
 def _classify_rates(rates, cut, run, zero_margin, gap_ratio):
-    """One-sided verdict: 'ed' with the below-cut mask, 'no_ed', or 'indeterminate'."""
-    dist = float(np.abs(rates - cut).min())
-    if dist < zero_margin:
-        return "no_ed", None
+    """One-sided verdicts of the rows of `rates` (n, d) against `cut`, and their below-cut masks.
+
+    A row is "no_ed" when a rate sits within `zero_margin` of the cut,
+    else "indeterminate" when the rates on the two sides of the cut are
+    closer than log(gap_ratio) / run, else "ed".  One masked min and max
+    over all rows gives each row's distance and gap.
+    """
     below = rates < cut
-    if below.any() and (~below).any():
-        gap = float(rates[~below].min() - rates[below].max())
-        if gap < np.log(gap_ratio) / run:
-            return "indeterminate", None
-    return "ed", below
+    dist = np.abs(rates - cut).min(axis=1)
+    gap = np.where(below, np.inf, rates).min(axis=1) - np.where(below, rates, -np.inf).max(axis=1)
+    split = below.any(axis=1) & (~below).any(axis=1)
+    status = np.where(split & (gap < np.log(gap_ratio) / run), "indeterminate", "ed")
+    return np.where(dist < zero_margin, "no_ed", status), below
 
 
 @dataclass(frozen=True)
@@ -307,7 +323,7 @@ def _assemble_batch(
     errors = {} if errors is None else errors
     d, r = im.shape[-2], im.shape[-1]
     basis = np.concatenate([im, ker], axis=-1)
-    smin = np.linalg.svd(basis, compute_uv=False).min(axis=-1)
+    smin = _singular_values(basis).min(axis=-1)
     crossing = smin < 1e-8
     for j, i in _first_true(crossing):
         errors.setdefault(
@@ -320,7 +336,11 @@ def _assemble_batch(
     # refused samples get a harmless basis so the stacked inverse stays finite
     basis = np.where(crossing[..., None, None], np.eye(d), basis)
     projectors = im @ np.linalg.inv(basis)[..., :r, :]
-    bound = np.linalg.svd(projectors, compute_uv=False)[..., 0].max(axis=1)
+    # for orthonormal frames, |P| = 1 / sin(smallest angle between image and
+    # kernel) = 1 / (s sqrt(2 - s^2)) with s = smin (the eigenvalues of
+    # basis^T basis are 1 +- the cosines); 0 for rank 0 and 1 for rank d
+    s = np.where(crossing | (r == d), 1.0, smin)
+    bound = (1.0 / (s * np.sqrt(2.0 - s * s))).max(axis=1) if r else np.zeros(len(mats))
 
     here, ahead = slice(None, -1), slice(1, None)
     im_steps = im[:, ahead].swapaxes(-1, -2) @ (mats @ im[:, here])
@@ -329,7 +349,7 @@ def _assemble_batch(
     resid = _max_abs(mats @ projectors[:, here] - projectors[:, ahead] @ mats)
     invariance_bad = resid > tau_inv * (1.0 + a_scale) * (1.0 + bound[:, None])
     if d - r > 0:
-        ker_smin = np.linalg.svd(ker_steps, compute_uv=False).min(axis=-1)
+        ker_smin = _singular_values(ker_steps).min(axis=-1)
     else:
         ker_smin = np.full(resid.shape, np.inf)
     irregular = ker_smin < sigma_reg
@@ -494,32 +514,28 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
             factors.append(runs.swapaxes(-1, -2) if side == "plus" else runs)
             steps.append(ordered[:, offset : offset + len(fam_times) - 1])
         times, factors, steps = np.stack(times), np.concatenate(factors), np.concatenate(steps)
-        d = factors.shape[-1]
         # one sweep; the snapshot after `horizon` factors estimates the
         # splitting at the far window end, the final state at the anchor
         q, far, rates = _sweep(factors, horizon)
         del factors
-        by_rank: dict[int, list[int]] = {}
-        masks = np.empty((len(origin), d), dtype=bool)
-        for j, (side, anchor) in enumerate(zip(sides, anchors)):
+        status, masks = _classify_rates(rates, 0.0, run, zero_margin, gap_ratio)
+        for j in np.flatnonzero(status != "ed").tolist():
             w, k = origin[j]
-            status, below = _classify_rates(rates[j], 0.0, run, zero_margin, gap_ratio)
-            if status == "no_ed":
+            side, anchor = sides[j], anchors[j]
+            if status[j] == "no_ed":
                 out[w][k] = NoDichotomyError(
                     f"no dichotomy detected at anchor {anchor} on the {side} side: a sampled "
                     f"rate sits within {zero_margin:.1e} of zero"
                 )
-            elif status == "indeterminate":
+            else:
                 out[w][k] = IndeterminateError(
                     f"run of {run} steps is too short to separate the rate groups at anchor "
                     f"{anchor} ({side} side); a longer family or horizon lengthens it"
                 )
-            else:
-                masks[j] = below
-                by_rank.setdefault(int(below.sum()), []).append(j)
-
-        for r, members in by_rank.items():
-            rows = np.array(members)
+        ranks = np.where(status == "ed", masks.sum(axis=1), -1)
+        for r in np.unique(ranks[ranks >= 0]).tolist():
+            rows = np.flatnonzero(ranks == r)
+            members = rows.tolist()
             # below-rate columns first, each group in its original column order
             order = np.argsort(~masks[rows], axis=1, kind="stable")[:, None, :]
             at_far = np.take_along_axis(far[rows], order, axis=2)
@@ -737,15 +753,16 @@ class EDWitness:
 
 
 def _fit_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares line slopes of the rows of `y` against `x`.
+    """Least-squares line slopes of the rows of `y` (n, p) against `x` (p,).
 
-    One fit per row: a fit of many right-hand sides at once rounds each
-    differently from a fit of one, and a family's constants must not
-    depend on the batch it was fitted in.
+    The closed form sum(dx (y - mean y)) / sum(dx^2), dx = x - mean x,
+    from reductions along each row only, so a family's constants do not
+    depend on the batch it was fitted in.  One point gives y / x.
     """
     if len(x) == 1:
         return y[:, 0] / x[0]
-    return np.array([np.polyfit(x, row, 1)[0] for row in y])
+    dx = x - x.mean()
+    return ((y - y.mean(axis=1, keepdims=True)) * dx).sum(axis=1) / (dx * dx).sum()
 
 
 def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tuple[int, int]]):
@@ -801,25 +818,38 @@ def _verify_batch(fams: list) -> list:
 
     fits = []  # (is_stable, log sizes (n, points), slope)
     if r > 0:
-        smax = np.linalg.svd(_chain_points(im_steps, anchors, points), compute_uv=False).max(-1)
+        smax = _singular_values(_chain_points(im_steps, anchors, points)).max(-1)
         y_s = np.log(np.maximum(smax, 1e-300))
         fits.append((True, y_s, _fit_slopes(x, y_s)))
     if d - r > 0:
-        smin = np.linalg.svd(_chain_points(ker_steps, anchors, points), compute_uv=False).min(-1)
+        smin = _singular_values(_chain_points(ker_steps, anchors, points)).min(-1)
         y_u = np.log(np.maximum(smin, 1e-300))
         fits.append((False, y_u, -_fit_slopes(x, y_u)))
     log_alpha = np.max([part for _, _, part in fits], axis=0)
 
     errors: dict[int, Exception] = {}
+    # a chain that overflowed has no size to fit; its family alone fails
+    for stable, y, _ in fits:
+        for j, p in _first_true(~np.isfinite(y)):
+            errors.setdefault(
+                j,
+                NumericError(
+                    f"the {'image' if stable else 'kernel'} transition chain at family offset "
+                    f"{offsets[p]}, {points[p][1]} steps is not finite"
+                ),
+            )
     for j in np.flatnonzero(log_alpha >= 0.0).tolist():
         stable_first, y, part = fits[0]
         if stable_first and part[j] == log_alpha[j]:
             p = int(np.argmax(y[j] / x))
         else:
             p = int(np.argmin(fits[-1][1][j] / x))
-        errors[j] = NoDichotomyError(
-            f"fitted rate alpha = {np.exp(log_alpha[j]):.6f} >= 1; offending orbit at "
-            f"family offset {offsets[p]}, {points[p][1]} steps"
+        errors.setdefault(
+            j,
+            NoDichotomyError(
+                f"fitted rate alpha = {np.exp(log_alpha[j]):.6f} >= 1; offending orbit at "
+                f"family offset {offsets[p]}, {points[p][1]} steps"
+            ),
         )
     alpha = np.exp(log_alpha)
 
@@ -910,7 +940,10 @@ def verify_families(families) -> list:
             groups.setdefault(shape, {})[id(fam)] = fam
     for group in groups.values():
         batch = list(group.values())
-        for fam, fit in zip(batch, _verify_batch(batch)):
+        # an overflowing chain fails its own family (`_verify_batch`), without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = _verify_batch(batch)
+        for fam, fit in zip(batch, fits):
             object.__setattr__(fam, "_fit", fit)
     fits = [fam._fit if isinstance(fam, ProjectorFamily) else fam for fam in families]
     return [
@@ -971,14 +1004,13 @@ class SpectrumResult:
 
 def _verdict(lg, qp, rates_p, qm, rates_m, run, zero_margin, gap_ratio) -> str:
     """Dichotomy verdict of the field scaled by exp(-lg), from the directions and rates at 0."""
-    status_p, s_mask = _classify_rates(rates_p, lg, run, zero_margin, gap_ratio)
-    status_m, _ = _classify_rates(rates_m, lg, run, zero_margin, gap_ratio)
+    status, below = _classify_rates(np.stack([rates_p, rates_m]), lg, run, zero_margin, gap_ratio)
     # a rate at the cut on either side beats an unresolved gap
-    if "no_ed" in (status_p, status_m):
+    if "no_ed" in status:
         return "no_ed"
-    if "indeterminate" in (status_p, status_m):
+    if "indeterminate" in status:
         return "indeterminate"
-    u_mask = rates_m > lg
+    s_mask, u_mask = below[0], rates_m > lg
     s, u = int(s_mask.sum()), int(u_mask.sum())
     if s + u != len(rates_p):
         return "no_ed"

@@ -35,6 +35,12 @@ values-only dense SVD of its own matrix, the only place M is formed,
 cut with the same scale.  Everything costs O(w d^3) flops per sample
 and step on a window of w times.
 
+The same factor serves the Gauss-Newton localization in `bifurcation`,
+whose Jacobian has M's block layout with -D_x f(lam, n, phi(n)) in
+place of -A_n: `section_least_squares` takes the minimum-norm
+least-squares step of many runs at once from the corrected seminormal
+equations, with the directions below the null cut projected out.
+
 `whole_line_index` counts index and kernel for many samples at once,
 from half-line families anchored at zero; `kernel_cokernel` is the same
 count for one sample and given witnesses.
@@ -471,17 +477,88 @@ def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gram_factor(sec: _Sections) -> list:
+    """`_regularized_factor` at root mu = `_REGULARIZATION` * scale, inverted for `_gram_solve`."""
+    return [
+        (np.linalg.inv(diag), left, right)
+        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * sec.scale)
+    ]
+
+
+def _ritz_step(sec: _Sections, levels: list, x: np.ndarray):
+    """One step of inverse subspace iteration on x (S, w d, p), then Rayleigh-Ritz on M.
+
+    Applies (R^T R)^-1 by the two passes of `_gram_solve` over R's
+    odd-even levels (`_gram_factor`), orthonormalizes, and takes the SVD
+    of the (w+1)d x p product M Q.  Returns, smallest Ritz value first,
+    the left vectors (S, (w+1)d, p), the values (S, p) and the right
+    vectors (S, w d, p).  Without mu the null group (~1e-17) would swamp
+    the other columns of (M^T M)^-1 Q in rounding.
+    """
+    w, d, p = sec.width, sec.dim, x.shape[-1]
+    y = _gram_solve(levels, np.array(x.reshape(-1, w, d, p)))
+    q = np.linalg.qr(y.reshape(-1, w * d, p))[0]
+    del y
+    u, values, vt = np.linalg.svd(
+        sec.matvec(q.reshape(-1, w, d, p)).reshape(-1, (w + 1) * d, p), full_matrices=False
+    )
+    return u[..., ::-1], values[:, ::-1], q @ _t(vt[:, ::-1])
+
+
+def _start(width: int, d: int) -> np.ndarray:
+    """The fixed orthonormal start (w d, p) of the inverse iteration, p = min(d + 3, w d).
+
+    The kernel of a section has dimension at most d.
+    """
+    p = min(d + 3, width * d)
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((width * d, p)))[0]
+
+
+def section_least_squares(
+    steps: np.ndarray, first: np.ndarray, last: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Minimum-norm least-squares solutions s of M s = rhs for S stacked sections.
+
+    M has the block rows of `_Sections`: ``first`` (S, d, d) on block
+    column 0, ``steps`` (S, w-1, d, d) with the identity on the next
+    column, and ``last`` (S, d, d) on block column w-1; ``rhs`` (S, w+1,
+    d) is laid out the same way.  Returns (S, w, d).  The solve uses
+    the factor R, R^T R = M^T M + mu I (sqrt(mu) = `_REGULARIZATION` *
+    scale), in the corrected seminormal equations (Bjorck, Linear
+    Algebra Appl. 88/89, 1987): s = (R^T R)^-1 M^T rhs, then one
+    refinement s += (R^T R)^-1 M^T (rhs - M s).  For a singular value
+    sigma that keeps the fraction 1 - (mu / (sigma^2 + mu))^2 of the
+    minimum-norm solution: all of it far above sqrt(mu).  Below
+    sqrt(eps) scale the regularization no longer damps rounding: the
+    rounding of M^T rhs along a null vector comes back multiplied by
+    1/mu, as a component about 1e3 |rhs| long.  So the Ritz vectors of
+    one inverse-iteration step (`_ritz_step`) whose values lie below
+    the null cut (1e-8 scale) are projected out; a section without such
+    a value keeps its solution bit for bit.  Each sample's rows get the
+    bits they would get alone.
+    """
+    sec = _Sections(steps, first, last)
+    levels = _gram_factor(sec)
+    b = rhs[..., None]
+    s = _gram_solve(levels, sec.rmatvec(b))
+    s += _gram_solve(levels, sec.rmatvec(b - sec.matvec(s)))
+    start = _start(sec.width, sec.dim)
+    x = np.broadcast_to(start, (sec.count,) + start.shape)
+    _, values, vectors = _ritz_step(sec, levels, x)
+    null = values < _NULL_CUT * sec.scale[:, None]
+    flat = s.reshape(sec.count, -1)
+    for i in np.flatnonzero(null.any(axis=1)).tolist():
+        v = vectors[i][:, null[i]]
+        flat[i] -= v @ (v.T @ flat[i])
+    return s[..., 0]
+
+
 def _smallest_values(sec: _Sections) -> list:
     """The `TruncationSpectrum.smallest` group of each section, or None if unresolved.
 
-    Inverse subspace iteration with the regularized factor R (root mu =
-    `_REGULARIZATION` * `sec.scale`) on p = d + 3 columns, since the
-    kernel has dimension at most d (all w d columns on a shorter
-    window).  Each step applies (R^T R)^-1 by the two passes of
-    `_gram_solve` over R's odd-even levels, about 2 log2(w) batched
-    steps, and ends with a Rayleigh-Ritz step on the unregularized M:
-    the SVD of the (w+1)d x p product M Q.  Without mu the null group
-    (~1e-17) would swamp the other columns of (M^T M)^-1 Q in rounding.
+    Inverse subspace iteration (`_ritz_step`) with the regularized
+    factor R (root mu = `_REGULARIZATION` * `sec.scale`) on the p
+    columns of `_start`, about 2 log2(w) batched steps each.
     A sample stops when the Ritz value that is smallest above the null
     cut has residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
     * scale, gap being its distance to the nearest Ritz value
@@ -491,13 +568,10 @@ def _smallest_values(sec: _Sections) -> list:
     unresolved after `_ITERATION_CAP` steps get None.
     """
     s, w, d = sec.count, sec.width, sec.dim
-    p = min(d + 3, w * d)
     scale = sec.scale
-    levels = [
-        (np.linalg.inv(diag), left, right)
-        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * scale)
-    ]
-    start = np.linalg.qr(np.random.default_rng(0).standard_normal((w * d, p)))[0]
+    levels = _gram_factor(sec)
+    start = _start(w, d)
+    p = start.shape[-1]
     x = np.broadcast_to(start, (s, w * d, p))
     found: list = [None] * s
     active = np.arange(s)
@@ -509,23 +583,12 @@ def _smallest_values(sec: _Sections) -> list:
             cut = _NULL_CUT * scale[active]
             tol = _VALUE_TOL * scale[active]
             rows = np.arange(len(active))
-        # y = R^-1 R^-T x
-        y = _gram_solve(a_levels, np.array(x.reshape(-1, w, d, p)))
-        q = np.linalg.qr(y.reshape(-1, w * d, p))[0]
-        del y
-        # Rayleigh-Ritz on M, values ascending
-        u, values, vt = np.linalg.svd(
-            part.matvec(q.reshape(-1, w, d, p)).reshape(-1, (w + 1) * d, p),
-            full_matrices=False,
-        )
-        values, vt = values[:, ::-1], vt[:, ::-1]
-        x = q @ _t(vt)
-        del q
+        u, values, x = _ritz_step(part, a_levels, x)
         # the first Ritz value at or above the cut, its residual and its gap
         k = (values < cut[:, None]).sum(axis=1)
         i = np.minimum(k, p - 1)
         at = values[rows, i]
-        left = u[rows, :, p - 1 - i].reshape(-1, w + 1, d, 1)
+        left = u[rows, :, i].reshape(-1, w + 1, d, 1)
         residual = part.rmatvec(left).reshape(-1, w * d)
         residual -= x[rows, :, i] * at[:, None]
         r = np.sqrt((residual * residual).sum(axis=1))

@@ -18,7 +18,7 @@ from homindex.field import (
     realization_field,
     trivial_bundle,
 )
-from homindex import fredholm
+from homindex import bifurcation, fredholm
 from homindex.dichotomy import whole_line_families
 from homindex.fredholm import FiniteWindowSequence
 from homindex.bifurcation import (
@@ -544,3 +544,118 @@ def test_localize_requires_certificate_and_survives_divergence():
     found = localize_bifurcations(fw, cert, window=(-20, 20), horizon=30)
     for lam, phi in found:
         assert residual_oracle(fw, lam, phi) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# lockstep Gauss-Newton
+
+
+def lockstep_inputs(f, lams, scales, window, horizon, tilt=0.0):
+    """Gauss-Newton runs at `lams`: each sample's principal near-kernel seed at `scales`.
+
+    The seed comes from the linearization's families anchored at zero,
+    whatever its cosine, plus `tilt` times seeded noise.  Returns the
+    samples, starts, P-(lo) and I - P+(hi) of the runs.
+    """
+    plus, minus = whole_line_families(linearize_at_zero(f), lams, window, horizon)
+    rng = np.random.default_rng(0)
+    runs = []
+    for lam, fam_plus, fam_minus in zip(lams, plus, minus):
+        overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
+        u, _, vt = np.linalg.svd(overlap)
+        base = bifurcation._seed_sequence(fam_plus, fam_minus, u[:, 0], vt[0], window)
+        p_lo = fam_minus.projector(window[0])
+        q_hi = np.eye(f.dim) - fam_plus.projector(window[1])
+        for scale in scales:
+            start = scale * base + tilt * rng.standard_normal(base.shape)
+            runs.append((lam, start, p_lo, q_hi))
+    return [np.array(column) for column in zip(*runs)]
+
+
+def same_outcome(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b)
+    )
+
+
+def test_each_lockstep_run_equals_a_batch_holding_it_alone(monkeypatch):
+    f = mobius_system(16).to_nonlinear()
+    window = (-30, 30)
+    lams, starts, p_lo, q_hi = lockstep_inputs(f, [6, 7, 8, 9], (1e-2, 0.3, 3.0), window, 40, 1e-3)
+    factored = []
+    solve = bifurcation.section_least_squares
+
+    def counting(steps, first, last, rhs):
+        factored.append(len(steps))
+        return solve(steps, first, last, rhs)
+
+    monkeypatch.setattr(bifurcation, "section_least_squares", counting)
+    batch = bifurcation._gauss_newton(f, lams, starts, window, p_lo, q_hi)
+    # one factor per iteration covers every active run; runs finish at different steps
+    assert factored[0] == len(lams) and factored == sorted(factored, reverse=True)
+    assert len(set(factored)) > 1
+    for i in range(len(lams)):
+        rows = slice(i, i + 1)
+        (alone,) = bifurcation._gauss_newton(
+            f, lams[rows], starts[rows], window, p_lo[rows], q_hi[rows]
+        )
+        assert same_outcome(alone, batch[i]), i
+    polished = [x for x in batch if x is not None]
+    assert len(polished) == len(lams)
+    for lam, start, x in zip(lams, starts, batch):
+        phi = FiniteWindowSequence.tabulate(window, x)
+        assert residual_oracle(f, int(lam), phi) <= 1e-9
+        if lam == 8:
+            # at the kernel angle the solutions form a line through the seed: the
+            # minimum-norm steps stay next to the start instead of sliding along it
+            assert float(np.abs(x - start).max()) <= 1e-2
+        else:
+            assert float(np.abs(x).max()) <= 1e-9
+
+
+def wild_system(broken_sample=None) -> NonlinearField:
+    """The violently nonlinear residual of the divergence test, on the n = 8 Moebius saddle.
+
+    With `broken_sample`, the residual of that sample is infinite
+    wherever a state leaves the box |x| <= 1.5.
+    """
+    loop = ParameterLoop.circle(8)
+    a_field = realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=0.5)
+
+    def residual(lams, times, x):
+        w = 1e4 * np.exp(-np.abs(times))[:, None]
+        out = w * np.stack([x[..., 1] ** 2, x[..., 0] * x[..., 1]], axis=-1)
+        far = (np.asarray(lams) == broken_sample)[:, None] & (np.abs(x).max(axis=-1) > 1.5)
+        out[far] = np.inf
+        return out
+
+    def derivative(lams, times, x):
+        w = 1e4 * np.exp(-np.abs(times))[:, None, None]
+        rows = [[np.zeros(x.shape[:-1]), 2.0 * x[..., 1]], [x[..., 1], x[..., 0]]]
+        return w * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+    return PerturbedSystemSpec(
+        a_field=a_field, residual=residual, residual_derivative=derivative, r0=1.0
+    ).to_nonlinear()
+
+
+def test_a_non_finite_sample_aborts_only_its_own_runs():
+    window = (-20, 20)
+    sound, broken = wild_system(), wild_system(broken_sample=4)
+    scales = (1e-4, 1e-2, 0.1, 3.0)
+    lams, starts, p_lo, q_hi = lockstep_inputs(sound, [3, 4, 5], scales, window, 30)
+    expected = bifurcation._gauss_newton(sound, lams, starts, window, p_lo, q_hi)
+    got = bifurcation._gauss_newton(broken, lams, starts, window, p_lo, q_hi)
+    differ = [i for i in range(len(lams)) if not same_outcome(expected[i], got[i])]
+    # the run at sample 4 that starts outside the box converges on the sound
+    # field and aborts on the broken one; every other run is untouched, the
+    # converging ones at the large start on samples 3 and 5 included
+    assert [(int(lams[i]), float(np.abs(starts[i]).max())) for i in differ] == [(4, 3.0)]
+    assert expected[differ[0]] is not None and got[differ[0]] is None
+    assert expected[-1] is not None
+
+    cert = certify_bifurcation(broken, CertifyOptions(
+        anchor_plus=8, anchor_minus=-8, horizon=30, f3_window=window
+    ))
+    for lam, phi in localize_bifurcations(broken, cert, window=window, horizon=30):
+        assert residual_oracle(broken, lam, phi) <= 1e-9

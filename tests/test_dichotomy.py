@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import dense_product, random_hyperbolic, rotation, span_gap
 from homindex import dichotomy
 from homindex.dichotomy import (
+    EDWitness,
+    ProjectorFamily,
     build_projector_family,
     dichotomy_spectra,
     dichotomy_spectrum,
@@ -20,6 +22,7 @@ from homindex.errors import (
     IndeterminateError,
     InputError,
     NoDichotomyError,
+    NumericError,
     WindowTooShortError,
 )
 from homindex.field import autonomous_field, tabulated_field
@@ -439,3 +442,129 @@ def test_family_window_too_short():
         build_projector_family(field, 0, "plus", 0)
     # default length equals the horizon, so the sweep wants 200 steps
     assert excinfo.value.required == 200
+
+
+# ---------------------------------------------------------------------------
+# the fit and assembly path without LAPACK on scalar blocks
+
+
+def test_scalar_singular_values_are_lapacks_bits():
+    rng = np.random.default_rng(11)
+    x = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-100, 100, 100_000)
+    stack = x.reshape(1000, 100, 1, 1)
+    got = dichotomy._singular_values(stack)
+    assert got.shape == (1000, 100, 1)
+    assert np.array_equal(got, np.linalg.svd(stack, compute_uv=False))
+    # non-finite entries: |x| (LAPACK gives NaN for inf and raises for NaN)
+    odd = dichotomy._singular_values(np.array([np.inf, -np.inf, np.nan, 0.0]).reshape(4, 1, 1))
+    assert odd[:2, 0].tolist() == [np.inf, np.inf]
+    assert np.isnan(odd[2, 0]) and odd[3, 0] == 0.0
+
+
+def rank_zero_family(growth: float, steps: int = 8) -> ProjectorFamily:
+    """A one-dimensional rank-0 family whose kernel grows by `growth` per step."""
+    return ProjectorFamily(
+        side="plus",
+        anchor=0,
+        times=np.arange(steps + 1),
+        projectors=np.zeros((steps + 1, 1, 1)),
+        rank=0,
+        image_frames=np.zeros((steps + 1, 1, 0)),
+        kernel_frames=np.ones((steps + 1, 1, 1)),
+        image_steps=np.zeros((steps, 0, 0)),
+        kernel_steps=np.full((steps, 1, 1), growth),
+        bound=0.0,
+    )
+
+
+def test_an_overflowing_chain_fails_its_own_family_only():
+    batch = [rank_zero_family(g) for g in (2.0, 1e200, 3.0, np.nan)]
+    got = dichotomy.verify_families(batch)
+    # a kernel chain of 1e200 per step is infinite after two steps, a NaN one at once
+    assert isinstance(got[1], NumericError)
+    assert "kernel transition chain at family offset 0, 2 steps is not finite" in str(got[1])
+    assert isinstance(got[3], NumericError)
+    assert "offset 0, 1 steps" in str(got[3])
+    for i, growth in ((0, 2.0), (2, 3.0)):
+        (alone,) = dichotomy.verify_families([rank_zero_family(growth)])
+        assert isinstance(got[i], EDWitness)
+        assert (got[i].k_const, got[i].alpha) == (alone.k_const, alone.alpha)
+        assert got[i].alpha == pytest.approx(1.0 / growth, rel=1e-12)
+
+
+def test_closed_form_slopes_match_polyfit_and_ignore_the_batch():
+    rng = np.random.default_rng(12)
+    for x in (
+        np.array([1.0, 2.0, 4.0, 8.0, 16.0, 21.0, 1.0, 2.0, 4.0, 8.0, 13.0]),
+        rng.uniform(0.0, 50.0, 30),
+        np.array([3.0, 5.0]),
+    ):
+        y = 3.0 * rng.standard_normal((40, 1)) * x + rng.standard_normal((40, len(x)))
+        got = dichotomy._fit_slopes(x, y)
+        expected = np.array([np.polyfit(x, row, 1)[0] for row in y])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        for i in range(len(y)):
+            assert dichotomy._fit_slopes(x, y[i : i + 1])[0] == got[i]
+
+
+def framed_pair(d: int, r: int, s: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal image (d, r) and kernel (d, d - r) frames with sigma_min([im, ker]) = s.
+
+    The first kernel column leans toward the first image column at the
+    cosine 1 - s^2; the eigenvalues of basis^T basis are 1 +- the cosines.
+    """
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    im, ker = q[:, :r], q[:, r:].copy()
+    if 0 < r < d:
+        cosine = 1.0 - s * s
+        ker[:, 0] = cosine * q[:, 0] + np.sqrt(1.0 - cosine * cosine) * q[:, r]
+    return im, ker
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_the_projector_bound_formula_matches_the_svd_of_p(d):
+    # |P| = 1 / (s sqrt(2 - s^2)), s = sigma_min([im, ker]), read off the basis SVD
+    # the assembly already takes.  Both it and the SVD of P carry an error of
+    # about eps / s (the conditioning of the basis; 4e-9 apart at s = 1e-7 and
+    # each within 2e-9 of a 40-digit reference), so below s = 2e-5 the
+    # tolerance follows 20 eps / s
+    rng = np.random.default_rng(13 + d)
+    for r in range(d + 1):
+        for s in (1.0, 0.5, 1e-2, 1e-4, 1e-5, 1e-6, 1e-7):
+            im, ker = framed_pair(d, r, s, rng)
+            frames = [np.stack([im, im])[None], np.stack([ker, ker])[None]]
+            (fam,) = dichotomy._assemble_batch(
+                np.eye(d)[None, None], np.array([[0, 1]]), *frames, ["plus"], [0],
+                dichotomy.TAU_PROJ, dichotomy.TAU_INV, dichotomy.SIGMA_REG,
+            )
+            assert isinstance(fam, ProjectorFamily), (r, s, fam)
+            expected = np.linalg.svd(fam.projectors[0], compute_uv=False)[0] if r else 0.0
+            if r in (0, d):
+                assert fam.bound == float(r > 0)
+                continue
+            tolerance = max(1e-10, 20.0 * np.finfo(float).eps / s)
+            assert abs(fam.bound - expected) <= tolerance * expected, (r, s)
+
+
+def one_row_verdict(rates, cut, run, zero_margin, gap_ratio):
+    """The one-sided rule, one row at a time: the oracle of the batched classification."""
+    if np.abs(rates - cut).min() < zero_margin:
+        return "no_ed"
+    below = rates < cut
+    if below.any() and (~below).any():
+        if rates[~below].min() - rates[below].max() < np.log(gap_ratio) / run:
+            return "indeterminate"
+    return "ed"
+
+
+def test_batched_rate_classification_matches_the_one_row_rule():
+    rng = np.random.default_rng(14)
+    offsets = rng.choice([-0.3, -0.05, -0.02, 0.0015, 0.02, 0.05, 0.4], (400, 3))
+    offsets += rng.uniform(-1e-3, 1e-3, offsets.shape) * rng.integers(0, 2, offsets.shape)
+    for cut in (0.0, 0.01, -0.03):
+        rates = cut + offsets
+        status, below = dichotomy._classify_rates(rates, cut, 120, 2e-3, 1e3)
+        expected = [one_row_verdict(row, cut, 120, 2e-3, 1e3) for row in rates]
+        assert status.tolist() == expected
+        assert set(expected) == {"ed", "no_ed", "indeterminate"}
+        assert np.array_equal(below, rates < cut)

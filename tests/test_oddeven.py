@@ -139,3 +139,79 @@ def test_a_zero_pivot_gives_only_its_sample_a_kernel(width):
         np.testing.assert_allclose(
             found[i], svals[::-1][: expected + 1], rtol=0, atol=1e-12 * svals[0]
         )
+
+
+def homoclinic_sections(width: int, d: int, seed: int, count: int = 3):
+    """Sections whose kernel is one homoclinic sequence v, returned with v (count, w, d).
+
+    In a random orthonormal frame the steps are diag(2, 1/2, ...) before
+    the middle time and diag(1/2, 2, ...) from it on, so the first frame
+    axis decays at both ends and every other axis grows at one of them;
+    P-(lo) and I - P+(hi) remove the first axis.  The other singular
+    values stay near 1/2 and above, far from the null cut.
+    """
+    rng = np.random.default_rng(7000 + 10 * width + d + seed)
+    steps = np.empty((count, width - 1, d, d))
+    first = np.empty((count, d, d))
+    kernel = np.empty((count, width, d))
+    for i in range(count):
+        frame = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        before, after = np.full(d, 2.0), np.full(d, 2.0)
+        before[1:], after[0] = 0.5, 0.5
+        axis = np.zeros(d)
+        axis[0] = 1.0
+        for n in range(width):
+            kernel[i, n] = frame @ (axis * 2.0 ** -abs(n - width // 2))
+        for n in range(width - 1):
+            steps[i, n] = -frame @ np.diag(before if n < width // 2 else after) @ frame.T
+        first[i] = np.eye(d) - np.outer(frame[:, 0], frame[:, 0])
+    return fredholm._Sections(steps, first, first.copy()), kernel
+
+
+def solve(sec: fredholm._Sections, rhs: np.ndarray) -> np.ndarray:
+    return fredholm.section_least_squares(sec.steps, sec.first, sec.last, rhs)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_the_least_squares_step_matches_lstsq_on_full_rank_sections(d):
+    rng = np.random.default_rng(40 + d)
+    for width in (2, 3, 8, 17, 40):
+        sec = sections(width, d, seed=4, count=4)
+        rhs = rng.standard_normal((sec.count, width + 1, d))
+        got = solve(sec, rhs)
+        for i in range(sec.count):
+            m = sec.dense(i)
+            assert np.linalg.svd(m, compute_uv=False)[-1] > 1e-4 * sec.scale[i]
+            expected = np.linalg.lstsq(m, rhs[i].reshape(-1), rcond=None)[0]
+            error = np.linalg.norm(got[i].reshape(-1) - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected), (width, i)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_the_least_squares_step_has_no_component_along_an_exact_null_vector(d):
+    # the seminormal step alone leaves a component about 1e2-1e3 |rhs| long
+    # along v; projecting out the Ritz vector takes it to the rounding of
+    # that vector, and the step is lstsq's minimum-norm one
+    rng = np.random.default_rng(50 + d)
+    for width in (8, 21, 41):
+        sec, kernel = homoclinic_sections(width, d, seed=0)
+        rhs = rng.standard_normal((sec.count, width + 1, d))
+        got = solve(sec, rhs)
+        for i in range(sec.count):
+            m, v = sec.dense(i), kernel[i].reshape(-1)
+            v = v / np.linalg.norm(v)
+            assert np.linalg.norm(m @ v) <= 1e-15 * sec.scale[i]
+            step = got[i].reshape(-1)
+            assert abs(v @ step) <= 1e-10 * np.linalg.norm(step), (width, i)
+            expected = np.linalg.lstsq(m, rhs[i].reshape(-1), rcond=None)[0]
+            assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_each_least_squares_solution_gets_the_bits_it_gets_alone():
+    rng = np.random.default_rng(60)
+    for sec in (sections(17, 2, seed=5, count=4), homoclinic_sections(17, 2, seed=1)[0]):
+        rhs = rng.standard_normal((sec.count, 18, 2))
+        batch = solve(sec, rhs)
+        for i in range(sec.count):
+            alone = solve(sec.take([i]), rhs[i : i + 1])
+            assert np.array_equal(alone[0], batch[i])
