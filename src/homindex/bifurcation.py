@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import KOClassDesk, index_bundle_pair
-from .dichotomy import family_run, whole_line_families
+from .bundle import KOClassDesk, _anchor_window, anchor_bundles
+from .dichotomy import whole_line_families
 from .errors import (
     CertificationError,
     DomainError,
@@ -49,6 +49,7 @@ from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
 from .fredholm import (
     DECAY_TOL,
     FiniteWindowSequence,
+    index_from_families,
     section_least_squares,
     whole_line_index,
 )
@@ -182,10 +183,8 @@ class NonlinearField:
     for every sample on a probe grid, with one `value` call.  `r0` is
     the radius of the state ball on which the model is trusted;
     `refiner(k)`, when given, returns the same system sampled on a
-    k-fold refined parameter loop.  The linearization along the trivial
-    branch is memoized in one slot (see `linearize_at_zero`); it does
-    not refer back to the system, so a dropped system is freed by
-    reference counting.
+    k-fold refined parameter loop.  Nothing is cached on the system:
+    `linearize_at_zero` builds a new linearization on every call.
     """
 
     dim: int
@@ -195,10 +194,6 @@ class NonlinearField:
     r0: float = 1.0
     loop: ParameterLoop | None = None
     refiner: Callable[[int], "NonlinearField"] | None = None
-    #: the linearization along the trivial branch, once `linearize_at_zero` built it
-    _linearization: DiscreteVectorField | None = dataclass_field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self):
         if self.dim < 1:
@@ -384,14 +379,10 @@ def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
     analytic derivative this is exact, otherwise it is sampled by
     central differences with step `FD_STEP`.  The full derivative is
     kept, including any decaying nonautonomous part that does not
-    vanish at zero.  The same system always gives the same field
-    object, so its matrix table and family memo serve certification and
-    localization alike.  Its evaluator holds the system's evaluator and
-    derivative, not the system that memoizes it, so the two are freed
-    by reference counting.
+    vanish at zero.  Each call returns a new field with an empty matrix
+    table.  Its evaluator holds the system's evaluator and derivative,
+    not the system, so a dropped system is freed by reference counting.
     """
-    if f._linearization is not None:
-        return f._linearization
     dim, value, derivative = f.dim, f.evaluator, f.derivative
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -402,14 +393,12 @@ def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
             lambda x: _call_stack(value, "evaluator", lams, times, x, (dim,)), zero, FD_STEP
         )
 
-    lin = DiscreteVectorField(
+    return DiscreteVectorField(
         dim=f.dim,
         evaluator=evaluate,
         window=f.window,
         loop=f.loop,
     )
-    object.__setattr__(f, "_linearization", lin)
-    return lin
 
 
 @dataclass(frozen=True)
@@ -541,11 +530,16 @@ class F3Check:
 
 def _f3_checks(field: DiscreteVectorField, lams, window, horizon: int, **tolerances) -> list:
     """`check_F3` of many samples, from one `whole_line_index` batch with `tolerances`."""
+    return _f3_verdicts(lams, window, whole_line_index(field, lams, window, horizon, **tolerances))
+
+
+def _f3_verdicts(lams, window, reports) -> list:
+    """F3 checks of samples `lams` from their index `reports` (or errors) on `window`."""
     lo, hi = int(window[0]), int(window[1])
     if not (lo < 0 < hi):
         raise InputError("the F3 window must straddle time zero")
     checks = []
-    for lam, report in zip(lams, whole_line_index(field, lams, (lo, hi), horizon, **tolerances)):
+    for lam, report in zip(lams, reports):
         if isinstance(report, (CertificationError, NumericError)):
             message = f"could not certify the half-line splittings or the kernel count: {report}"
             checks.append(F3Check("indeterminate", int(lam), message=message))
@@ -617,6 +611,17 @@ _VERDICTS = ("bifurcation_certified", "obstruction_vanishes", "hypotheses_failed
 
 
 @dataclass(frozen=True)
+class _Families:
+    """One batch of a linearization's families anchored at 0, and what it was built with."""
+
+    window: tuple[int, int]
+    horizon: int
+    tolerances: dict
+    plus: list
+    minus: list
+
+
+@dataclass(frozen=True)
 class BifurcationCertificate:
     """Outcome of the four-stage certification over a parameter loop.
 
@@ -627,7 +632,8 @@ class BifurcationCertificate:
     orientation flip that forces a bifurcation on the loop.
     "obstruction_vanishes" means every hypothesis was checked but the
     class is orientable (delta_w1 = 0), so this criterion is silent;
-    "hypotheses_failed" names the lost stage in `warnings`.
+    "hypotheses_failed" names the lost stage in `warnings`.  `families`
+    is the batch of linearization families F2 and F3 read, for reuse.
     """
 
     verdict: str
@@ -644,6 +650,7 @@ class BifurcationCertificate:
     f3_verdicts: tuple[str, ...] = ()
     evidence: tuple[tuple[str, str], ...] = ()
     warnings: tuple[str, ...] = ()
+    families: _Families | None = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.verdict not in _VERDICTS:
@@ -707,15 +714,13 @@ def certify_bifurcation(
 
     Every evaluation stacks the samples it needs: the F0 and F1 probes
     make one `value` or derivative call per stack, over all samples or
-    over the probed ones.  Before F2 the linearization of every sample
-    is read once over the union of the F2 and F3 runs
-    (`dichotomy.family_run`), so its table fills with one evaluator
-    call per run of that union; this read never raises.  An entry that
-    fails validation keeps its error in the table, and an evaluator
-    call that raises is made again by the read that needs its entries,
-    so each error surfaces at the F2 or F3 read that needs the entry,
-    with the message a read of its own would give.  F2 and F3 take the
-    family `tolerances` of `half_line_pairs` (F3's kernel counts too).
+    over the probed ones.  F2 and F3 read one `whole_line_families`
+    batch of the linearization on the hull of `f3_window` and the
+    anchors, with the family `tolerances` (F3's kernel counts too): F2
+    splits the bundles at the anchors off it, and any failed family
+    fails F2 with its sample named; F3 counts on `f3_window`
+    (`fredholm.index_from_families`).  The certificate carries the
+    batch for localization.
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
@@ -771,41 +776,30 @@ def certify_bifurcation(
         "(delta_w1 = 0) does not rule out bifurcation"
     )
 
+    # one batch of families anchored at 0 serves F2, F3 and localization
     lin = linearize_at_zero(f)
-    # one read of every sample over the union of the F2 and F3 runs; an
-    # entry that fails keeps its error for the read that needs it
-    runs = (
-        family_run("plus", opts.anchor_plus, 2, opts.horizon),
-        family_run("minus", opts.anchor_minus, 2, opts.horizon),
-        family_run("plus", 0, opts.f3_window[1], opts.horizon),
-        family_run("minus", 0, -opts.f3_window[0], opts.horizon),
-    )
-    union = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in runs]))
-    union = union[(union >= f.window[0]) & (union <= f.window[1])]
-    if union.size:
-        lin.stack(range(n), union)
+    f3_lo, f3_hi = opts.f3_window
+    window = _anchor_window(max(opts.anchor_plus, f3_hi), min(opts.anchor_minus, f3_lo))
+    plus, minus = whole_line_families(lin, range(n), window, opts.horizon, **tolerances)
+    families = _Families(window, opts.horizon, tolerances, plus, minus)
+
+    def certificate(verdict: str, **stages) -> BifurcationCertificate:
+        return BifurcationCertificate(
+            verdict=verdict, f0_ok=f0_ok, f1_ok=f1_ok, anchor_plus=opts.anchor_plus,
+            anchor_minus=opts.anchor_minus, evidence=tuple(evidence),
+            warnings=tuple(warnings), families=families, **stages,
+        )
 
     # F2: half-line dichotomies along the loop and the index-bundle class
     try:
-        stable, minus_image = index_bundle_pair(
-            lin, opts.anchor_plus, opts.anchor_minus, opts.horizon, **tolerances
+        stable, minus_image = anchor_bundles(
+            f.loop, plus, minus, opts.anchor_plus, opts.anchor_minus, "image"
         )
     except (CertificationError, NumericError, SamplingError) as exc:
         warnings.append(f"(F2) half-line dichotomies are unavailable: {exc}")
-        return BifurcationCertificate(
-            verdict="hypotheses_failed",
-            f0_ok=f0_ok,
-            f1_ok=f1_ok,
-            f2_ok=False,
-            f3_ok=False,
-            lambda0=None,
-            anchor_plus=opts.anchor_plus,
-            anchor_minus=opts.anchor_minus,
-            rank_plus=None,
-            rank_minus=None,
-            index_class=None,
-            evidence=tuple(evidence),
-            warnings=tuple(warnings),
+        return certificate(
+            "hypotheses_failed", f2_ok=False, f3_ok=False, lambda0=None,
+            rank_plus=None, rank_minus=None, index_class=None,
         )
     index_class = KOClassDesk.of_pair(stable, minus_image)
     rank_plus, rank_minus = stable.rank, minus_image.rank
@@ -822,25 +816,15 @@ def certify_bifurcation(
             "(F3) cannot hold at any sample: the Fredholm index is "
             f"{rank_plus - rank_minus}, not zero, so the linearization is never invertible"
         )
-        return BifurcationCertificate(
-            verdict="hypotheses_failed",
-            f0_ok=f0_ok,
-            f1_ok=f1_ok,
-            f2_ok=True,
-            f3_ok=False,
-            lambda0=None,
-            anchor_plus=opts.anchor_plus,
-            anchor_minus=opts.anchor_minus,
-            rank_plus=rank_plus,
-            rank_minus=rank_minus,
-            index_class=index_class,
-            evidence=tuple(evidence),
-            warnings=tuple(warnings),
+        return certificate(
+            "hypotheses_failed", f2_ok=True, f3_ok=False, lambda0=None,
+            rank_plus=rank_plus, rank_minus=rank_minus, index_class=index_class,
         )
 
     # F3 scan in loop order; the first passing sample becomes lambda0.
-    # One batch counts every sample's index and kernel.
-    checks = _f3_checks(lin, range(n), opts.f3_window, opts.horizon, **tolerances)
+    # One batch fits the families and counts every sample's index and kernel.
+    reports = index_from_families(lin, range(n), opts.f3_window, plus, minus, **tolerances)
+    checks = _f3_verdicts(range(n), opts.f3_window, reports)
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)
     f3_ok = lambda0 is not None
@@ -883,21 +867,9 @@ def certify_bifurcation(
             )
         )
 
-    return BifurcationCertificate(
-        verdict=verdict,
-        f0_ok=f0_ok,
-        f1_ok=f1_ok,
-        f2_ok=True,
-        f3_ok=f3_ok,
-        lambda0=lambda0,
-        anchor_plus=opts.anchor_plus,
-        anchor_minus=opts.anchor_minus,
-        rank_plus=rank_plus,
-        rank_minus=rank_minus,
-        index_class=index_class,
-        f3_verdicts=f3_verdicts,
-        evidence=tuple(evidence),
-        warnings=tuple(warnings),
+    return certificate(
+        verdict, f2_ok=True, f3_ok=f3_ok, lambda0=lambda0, rank_plus=rank_plus,
+        rank_minus=rank_minus, index_class=index_class, f3_verdicts=f3_verdicts,
     )
 
 
@@ -917,19 +889,19 @@ def _seed_sequence(fam_plus, fam_minus, image_coords, kernel_coords, window) -> 
     d = fam_plus.dim
     vals = np.empty((hi - lo + 1, d))
     c = np.asarray(image_coords, dtype=float)
-    for i in range(hi + 1):
+    for i in range(hi + 1):  # the plus family starts at time 0
         vals[i - lo] = fam_plus.image_frames[i] @ c
         if i < hi:
             c = fam_plus.image_steps[i] @ c
-    steps = len(fam_minus.times) - 1
+    first = fam_minus.index_of(lo)
     k = np.asarray(kernel_coords, dtype=float)
     coords = [k]
-    for i in range(steps - 1, -1, -1):
+    for i in range(fam_minus.index_of(0) - 1, first - 1, -1):
         k = np.linalg.solve(fam_minus.kernel_steps[i], k)
         coords.append(k)
     coords.reverse()
-    for i in range(steps):
-        vals[i] = fam_minus.kernel_frames[i] @ coords[i]
+    for i in range(-lo):
+        vals[i] = fam_minus.kernel_frames[first + i] @ coords[i]
     top = float(np.abs(vals).max())
     if top > 0.0:
         vals = vals / top
@@ -1049,6 +1021,7 @@ def localize_bifurcations(
     window: tuple[int, int] = (-30, 30),
     horizon: int = 40,
     decay_tol: float = DECAY_TOL,
+    warnings: list | None = None,
     **tolerances,
 ) -> list[tuple[int, FiniteWindowSequence]]:
     """Hunt nonzero bounded solutions near the linearization's near-kernels.
@@ -1071,8 +1044,11 @@ def localize_bifurcations(
     Returns (parameter index, solution sequence) pairs ordered by
     parameter index and solution size.  With `grid_refinement` > 1 the
     field's `refiner` hook supplies the finer loop and the returned
-    indices refer to it.  The families of all samples, with `tolerances`,
-    are one batch of both sides (or come from certification's memo).
+    indices refer to it.  The families of all samples are the
+    certificate's when they reach `window` on the unrefined loop with
+    this horizon and `tolerances`, else one batch of both sides.  A
+    localization that keeps nothing appends to `warnings`, when given,
+    a line naming the window, the Gauss-Newton runs and their fates.
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1091,9 +1067,18 @@ def localize_bifurcations(
         f = f.refiner(grid_refinement)
     if f.loop is None:
         raise InputError("localization scans a parameter loop; the field has none")
-    lin = linearize_at_zero(f)
     lams = range(f.n_params)
-    plus, minus = whole_line_families(lin, lams, (lo, hi), horizon, **tolerances)
+    kept = certificate.families
+    if (
+        grid_refinement == 1
+        and kept is not None
+        and (len(kept.plus), kept.horizon, kept.tolerances) == (f.n_params, horizon, tolerances)
+        and kept.window[0] <= lo < hi <= kept.window[1]
+    ):
+        plus, minus = kept.plus, kept.minus
+    else:
+        lin = linearize_at_zero(f)
+        plus, minus = whole_line_families(lin, lams, (lo, hi), horizon, **tolerances)
     runs = []  # (sample, start, P-(lo), I - P+(hi)) in (sample, cosine, scale) order
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)
@@ -1106,12 +1091,13 @@ def localize_bifurcations(
             _LOG.info("parameter sample %d skipped: %s", lam, failure)
         else:
             raise fresh(failure)
-    if not runs:
-        return []
-    samples, starts, p_lo, q_hi = (np.array(column) for column in zip(*runs))
-    solutions = _gauss_newton(f, samples, starts, (lo, hi), p_lo, q_hi)
+    solutions = []
+    if runs:
+        samples, starts, p_lo, q_hi = (np.array(column) for column in zip(*runs))
+        solutions = _gauss_newton(f, samples, starts, (lo, hi), p_lo, q_hi)
     found: list[tuple[int, FiniteWindowSequence]] = []
-    for lam, group in itertools.groupby(zip(samples.tolist(), solutions), key=lambda run: run[0]):
+    trivial = outside = 0
+    for lam, group in itertools.groupby(zip([r[0] for r in runs], solutions), key=lambda r: r[0]):
         accepted: list[np.ndarray] = []
         for _, candidate in group:
             if candidate is None:
@@ -1119,6 +1105,8 @@ def localize_bifurcations(
             size = float(np.abs(candidate).max())
             if not (10.0 * decay_tol < size < f.r0):
                 _LOG.debug("parameter sample %d: candidate rejected (sup %.3e)", lam, size)
+                outside += int(size >= f.r0)
+                trivial += int(size < f.r0)
                 continue
             if any(float(np.abs(candidate - prev).max()) <= 1e-8 for prev in accepted):
                 continue
@@ -1128,6 +1116,14 @@ def localize_bifurcations(
             (lam, FiniteWindowSequence.tabulate((lo, hi), a, decay_tol=decay_tol))
             for a in accepted
         ]
+    if not found and warnings is not None:
+        lost = sum(candidate is None for candidate in solutions)
+        warnings.append(
+            f"localization on [{lo}, {hi}] kept no candidate: of {len(runs)} Gauss-Newton "
+            f"runs, {lost} diverged or stalled, {trivial} converged to a sequence of "
+            f"sup-norm at most {10.0 * decay_tol:.1e} (trivial) and {outside} to one of "
+            f"sup-norm at least r0 = {f.r0:g} (outside the trust ball)"
+        )
     return found
 
 

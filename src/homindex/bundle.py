@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import HORIZON, half_line_pairs
-from .errors import (
-    HomindexError,
-    InputError,
-    NumericError,
-    SamplingError,
-    WindowTooShortError,
-)
+from .dichotomy import HORIZON, whole_line_families
+from .errors import HomindexError, InputError, NumericError, SamplingError, fresh
 from .field import DiscreteVectorField, ParameterLoop, SampledBundle
 
 __all__ = [
@@ -39,6 +33,7 @@ __all__ = [
     "KOClassDesk",
     "bundle_from_projectors",
     "first_sw_class",
+    "anchor_bundles",
     "stable_unstable_bundles",
     "index_bundle_pair",
     "index_bundle_class",
@@ -91,12 +86,13 @@ def bundle_from_projectors(
 ) -> SampledBundle:
     """Image or kernel subbundle of a sampled family of idempotents.
 
-    Each matrix must be idempotent to 1e-8 but may be oblique; one SVD
-    per sample reads off both parts, and the rank count at cutoff 1/2 is
-    unambiguous because the nonzero singular values of an idempotent are
-    at least 1.  A rank jump between consecutive samples means the
-    family cannot restrict a continuous projector-valued map, so there
-    is no bundle at this sampling.
+    Each matrix must be idempotent to 1e-8 but may be oblique; one
+    stacked idempotency check and one stacked SVD read off both parts,
+    and the rank count at cutoff 1/2 is unambiguous because the nonzero
+    singular values of an idempotent are at least 1.  Each check names
+    the first projector that fails it.  A rank jump between consecutive
+    samples means the family cannot restrict a continuous
+    projector-valued map, so there is no bundle at this sampling.
     """
     if part not in ("image", "kernel"):
         raise InputError(f"part must be 'image' or 'kernel', got {part!r}")
@@ -106,31 +102,32 @@ def bundle_from_projectors(
             f"expected one projector per loop sample ({len(loop)}), got {len(mats)}"
         )
     d = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    ranks = []
-    images = []
-    kernels = []
     for i, p in enumerate(mats):
         if p.ndim != 2 or p.shape != (d, d):
             raise InputError(f"projector {i} is not square of matching size: shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InputError(f"projector {i} has non-finite entries")
-        if abs(p @ p - p).max() > PROJECTOR_TOL:
-            raise InputError(f"matrix {i} is not idempotent to {PROJECTOR_TOL:.0e}")
-        u, sv, vt = np.linalg.svd(p)
-        r = int((sv > 0.5).sum())
-        ranks.append(r)
-        images.append(u[:, :r])
-        kernels.append(vt[r:].T)
-    for i in range(len(mats) - 1):
-        if ranks[i] != ranks[i + 1]:
-            raise SamplingError(
-                f"projector rank jumps from {ranks[i]} to {ranks[i + 1]} between "
-                f"loop samples {i} and {i + 1}: not a bundle at this sampling"
-            )
-    frames = images if part == "image" else kernels
-    rank = ranks[0] if part == "image" else d - ranks[0]
+    stack = np.stack(mats)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise InputError(f"projector {int(np.argmin(finite))} has non-finite entries")
+    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= PROJECTOR_TOL
+    if not idempotent.all():
+        raise InputError(
+            f"matrix {int(np.argmin(idempotent))} is not idempotent to {PROJECTOR_TOL:.0e}"
+        )
+    u, sv, vt = np.linalg.svd(stack)
+    ranks = (sv > 0.5).sum(axis=1)
+    jumps = np.flatnonzero(ranks[1:] != ranks[:-1])
+    if jumps.size:
+        i = int(jumps[0])
+        raise SamplingError(
+            f"projector rank jumps from {ranks[i]} to {ranks[i + 1]} between "
+            f"loop samples {i} and {i + 1}: not a bundle at this sampling"
+        )
+    r = int(ranks[0])
+    frames = u[:, :, :r] if part == "image" else vt[:, r:].swapaxes(1, 2)
+    rank = r if part == "image" else d - r
     label = name if name is not None else f"{part}-part"
-    return SampledBundle(loop=loop, rank=rank, frames=np.stack(frames), name=label)
+    return SampledBundle(loop=loop, rank=rank, frames=frames, name=label)
 
 
 def first_sw_class(bundle: SampledBundle) -> int:
@@ -171,31 +168,55 @@ def first_sw_class(bundle: SampledBundle) -> int:
 
 def _with_sample_context(exc: HomindexError, i: int) -> HomindexError:
     """Same error, message prefixed with the loop sample that failed."""
-    msg = f"parameter sample {i}: {exc}"
-    if isinstance(exc, WindowTooShortError):
-        return WindowTooShortError(msg, required=exc.required)
-    return type(exc)(msg)
+    named = fresh(exc)
+    named.args = (f"parameter sample {i}: {exc}",)
+    return named
 
 
-def _loop_anchor_projectors(
-    field: DiscreteVectorField, anchor_plus: int, anchor_minus: int, **family
-):
-    """Certified half-line projectors at the anchors, one pair per sample.
+def _anchor_window(anchor_plus: int, anchor_minus: int) -> tuple[int, int]:
+    """Window of the families anchored at 0 that reach both anchors, 2 steps a side at least."""
+    if not (anchor_minus <= 0 <= anchor_plus):
+        raise InputError(f"anchors {anchor_minus} and {anchor_plus} must straddle 0")
+    return min(anchor_minus, -2), max(anchor_plus, 2)
 
-    Both sides of the whole loop are built as one batch, with the
-    horizon and tolerances `family` of `half_line_pairs`.  The first
-    failure in loop order (plus before minus within a sample) is raised
-    with its sample named.
+
+def anchor_bundles(
+    loop: ParameterLoop, plus, minus, anchor_plus: int, anchor_minus: int, minus_part: str
+) -> tuple[SampledBundle, SampledBundle]:
+    """im P+(anchor_plus) and the `minus_part` of P-(anchor_minus) over the loop.
+
+    `plus` and `minus` are the outcome lists of `whole_line_families`
+    of every loop sample, on a window that holds both anchors.  The
+    first failure in loop order (plus before minus within a sample) is
+    raised with its sample named.  The bundles are split off orthogonal
+    projectors onto im P+ and ker P-, so im P- stands for the orthogonal
+    complement of ker P-: a family's own im P- is a free choice made at
+    time 0, which need not vary continuously along the loop, and every
+    complement has the same w1.
     """
-    if field.loop is None:
-        raise InputError("stable/unstable bundles need a field with a parameter loop")
-    lams = range(len(field.loop))
-    plus, minus = half_line_pairs(field, lams, (anchor_plus, 2), (anchor_minus, 2), **family)
     for i, pair in enumerate(zip(plus, minus)):
         for outcome in pair:
             if isinstance(outcome, HomindexError):
                 raise _with_sample_context(outcome, i) from outcome
-    return [p.projector(anchor_plus) for p in plus], [m.projector(anchor_minus) for m in minus]
+    im = np.stack([p.image_frames[p.index_of(anchor_plus)] for p in plus])
+    ker = np.stack([m.kernel_frames[m.index_of(anchor_minus)] for m in minus])
+    top = bundle_from_projectors(
+        loop, im @ im.swapaxes(1, 2), "image", f"im P+ at n={anchor_plus}"
+    )
+    name = f"{'im' if minus_part == 'image' else 'ker'} P- at n={anchor_minus}"
+    bottom = bundle_from_projectors(
+        loop, np.eye(ker.shape[1]) - ker @ ker.swapaxes(1, 2), minus_part, name
+    )
+    return top, bottom
+
+
+def _loop_bundles(field, anchor_plus, anchor_minus, horizon, minus_part, **tolerances):
+    """`anchor_bundles` of the field's loop, from one `whole_line_families` batch."""
+    if field.loop is None:
+        raise InputError("stable/unstable bundles need a field with a parameter loop")
+    window = _anchor_window(anchor_plus, anchor_minus)
+    plus, minus = whole_line_families(field, range(len(field.loop)), window, horizon, **tolerances)
+    return anchor_bundles(field.loop, plus, minus, anchor_plus, anchor_minus, minus_part)
 
 
 def stable_unstable_bundles(
@@ -206,19 +227,13 @@ def stable_unstable_bundles(
 ) -> tuple[SampledBundle, SampledBundle]:
     """Stable and unstable bundles of a parametrized field over its loop.
 
-    For each loop sample the half-line splittings are certified and the
+    For each loop sample the half-line splittings are certified by
+    families anchored at 0, anchor_minus <= 0 <= anchor_plus, and the
     fibres are the forward-decaying set im P+(lam, anchor_plus) and the
     backward-decaying set ker P-(lam, anchor_minus).  Any per-sample
     certification failure propagates with the failing sample named.
     """
-    plus, minus = _loop_anchor_projectors(field, anchor_plus, anchor_minus, horizon=horizon)
-    stable = bundle_from_projectors(
-        field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
-    )
-    unstable = bundle_from_projectors(
-        field.loop, minus, part="kernel", name=f"ker P- at n={anchor_minus}"
-    )
-    return stable, unstable
+    return _loop_bundles(field, anchor_plus, anchor_minus, horizon, "kernel")
 
 
 def index_bundle_pair(
@@ -228,17 +243,8 @@ def index_bundle_pair(
     horizon: int = HORIZON,
     **tolerances,
 ) -> tuple[SampledBundle, SampledBundle]:
-    """The (im P+, im P-) pair of the index class; `tolerances` as in `half_line_pairs`."""
-    plus, minus = _loop_anchor_projectors(
-        field, anchor_plus, anchor_minus, horizon=horizon, **tolerances
-    )
-    top = bundle_from_projectors(
-        field.loop, plus, part="image", name=f"im P+ at n={anchor_plus}"
-    )
-    bottom = bundle_from_projectors(
-        field.loop, minus, part="image", name=f"im P- at n={anchor_minus}"
-    )
-    return top, bottom
+    """The (im P+, im P-) pair of the index class; `tolerances` as in `whole_line_families`."""
+    return _loop_bundles(field, anchor_plus, anchor_minus, horizon, "image", **tolerances)
 
 
 def index_bundle_class(

@@ -321,6 +321,7 @@ def _cmd_certify(scenario: Scenario) -> CommandOutcome:
                 window=tuple(opts["localize_window"]),
                 horizon=scenario.horizon,
                 decay_tol=scenario.tolerances["decay_tol"],
+                warnings=warnings,
                 **_tolerances(scenario),
             )
             loop = f.refiner(opts["grid_refinement"]).loop if opts[

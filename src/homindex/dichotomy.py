@@ -19,7 +19,7 @@ every gamma of a dichotomy spectrum, read off the rates in closed form.
 Loop-wide sweeps: the QR method is the same for every parameter
 sample and both half-lines, so `build_projector_families` runs it for
 many samples at once with the sample on numpy's leading axis, and
-`half_line_pairs` for the plus and minus windows of many samples
+`whole_line_families` for the plus and minus windows of many samples
 together: the sweep, the image and kernel marches, the family checks
 and the `verify_families` fits each take one stacked call per step
 instead of one call per sample, side and step.  numpy's stacked calls
@@ -27,13 +27,11 @@ give every row the bits it would get alone, so a family is the same
 whatever it was batched with.  The single-sample
 `build_projector_family`, `verify_ed` and `dichotomy_spectrum` are
 batches of one.  A failing sample keeps the error a single-sample
-build would raise and never stops the others.  Families are memoized
-on the field per (sample, side, anchor, length, horizon, tolerances),
-and each family keeps its fitted dichotomy constants (not a witness,
-which would point back at it).  The F2 and F3 scans, the index
-command, the class command and localization each build one batch for
-both sides; a later request with the same key (localization after
-certification, or a single-sample call) gets the same objects back.
+build would raise and never stops the others.  Each command builds one
+batch of both sides, and a caller that needs the families again keeps
+them: `certify` builds one batch anchored at 0 that F2, F3 and
+localization all read.  Each family keeps its fitted dichotomy
+constants (not a witness, which would point back at it).
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ __all__ = [
     "family_run",
     "build_projector_family",
     "build_projector_families",
-    "half_line_pairs",
     "whole_line_families",
     "verify_ed",
     "verify_families",
@@ -244,8 +241,9 @@ class ProjectorFamily:
     and the step matrices satisfy
     ``A(times[i]) @ image_frames[i] = image_frames[i+1] @ image_steps[i]``
     (same for the kernel).  `bound` is the largest operator norm of a
-    projector in the family.  Families are shared through the field's
-    memo, so `build_projector_families` hands out read-only arrays.
+    projector in the family.  A family can serve several readers (a
+    certificate hands its families to localization), so
+    `build_projector_families` hands out read-only arrays.
     """
 
     side: str
@@ -579,43 +577,37 @@ def _build_windows(
     """Outcome lists of many samples on several half-line windows, built in one batch.
 
     `windows` lists (side, anchor, length); the tolerances are those of
-    `build_projector_families`.  Each window keeps its own
-    memo key and its own `field.stack` read of the samples it has not
-    memoized, in its sweep order (the plus sweep runs down from the far
-    end), so a bad entry is named where that side's sweep meets it
-    first; the rows of all windows then go through one `_build_batch`.
+    `build_projector_families`.  One `field.stack` of the runs of all
+    windows fills the table, one evaluator call per run of consecutive
+    times; each window then reads its own run from the table in its
+    sweep order (the plus sweep runs down from the far end), so a bad
+    entry is named where that side's sweep meets it first.  The rows of
+    all windows go through one `_build_batch`.
     """
-    memo = field._families
     tolerances = (tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
-    keys, pending, owners = [], [], []
+    out, plans = [], []
     for side, anchor, length in windows:
         try:
-            length, lo, hi, times, offset = _family_plan(field, side, anchor, length, horizon)
+            _, lo, hi, times, offset = _family_plan(field, side, anchor, length, horizon)
         except HomindexError as exc:
-            keys.append(fresh(exc))
-            continue
-        key = (side, anchor, length, horizon) + tolerances
-        keys.append(key)
-        todo = [lam for lam in dict.fromkeys(lams) if (lam, key) not in memo]
-        if not todo:
+            out.append([fresh(exc) for _ in lams])
             continue
         sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
-        mats, errors = field.stack(todo, sweep)
-        for lam, exc in zip(todo, errors):
-            if exc is not None:
-                memo[lam, key] = exc
-        good = [i for i, exc in enumerate(errors) if exc is None]
+        plans.append((len(out), side, anchor, times, offset, sweep))
+        out.append(None)
+    if plans:
+        field.stack(lams, np.concatenate([plan[-1] for plan in plans]))
+    pending, owners = [], []
+    for w, side, anchor, times, offset, sweep in plans:
+        mats, out[w] = field.stack(lams, sweep)
+        good = [i for i, exc in enumerate(out[w]) if exc is None]
         if good:
             pending.append((side, anchor, times, offset, mats[good]))
-            owners.append((key, [todo[i] for i in good]))
-    if pending:
-        for (key, todo), built in zip(owners, _build_batch(pending, horizon, tolerances)):
-            for lam, outcome in zip(todo, built):
-                memo[lam, key] = outcome
-    return [
-        [key for _ in lams] if isinstance(key, HomindexError) else [memo[lam, key] for lam in lams]
-        for key in keys
-    ]
+            owners.append((w, good))
+    for (w, good), built in zip(owners, _build_batch(pending, horizon, tolerances)):
+        for i, outcome in zip(good, built):
+            out[w][i] = outcome
+    return out
 
 
 def build_projector_families(
@@ -635,13 +627,9 @@ def build_projector_families(
 
     The construction and checks are those of `build_projector_family`,
     run once for all samples with the sample on numpy's leading axis,
-    on the runs of one `field.stack` read of the samples not memoized.
-    Returns, in the order of `lams`, each sample's `ProjectorFamily` or
-    the `HomindexError` its build raised; a failing sample never stops
-    the others.  Results are memoized on the field per (sample, side,
-    anchor, length, horizon, tolerances), so any later request for the
-    same key, batched or single, returns the same object.  This is
-    `half_line_pairs` with one side.
+    on the runs of one `field.stack` read.  Returns, in the order of
+    `lams`, each sample's `ProjectorFamily` or the `HomindexError` its
+    build raised; a failing sample never stops the others.
     """
     (outcomes,) = _build_windows(
         field, lams, [(side, anchor, length)], horizon,
@@ -650,35 +638,21 @@ def build_projector_families(
     return outcomes
 
 
-def half_line_pairs(
-    field: DiscreteVectorField, lams, plus, minus, horizon: int = HORIZON, **tolerances
-) -> tuple[list, list]:
-    """Plus and minus families of many samples, both sides in one batch.
-
-    `plus` and `minus` are the (anchor, length) of each side's window;
-    `tolerances` are those of `build_projector_families`, which the
-    outcomes equal bit for bit, memo included.  Each side reads its own
-    runs and keeps its memo key and messages; the rows of both sides
-    share the sweep, the marches and the assembly wherever their run
-    lengths and ranks agree.  Returns the plus and minus outcome lists.
-    """
-    windows = [("plus",) + tuple(plus), ("minus",) + tuple(minus)]
-    fams_plus, fams_minus = _build_windows(field, lams, windows, horizon, **tolerances)
-    return fams_plus, fams_minus
-
-
 def whole_line_families(
     field: DiscreteVectorField, lams, window, horizon: int = HORIZON, **tolerances
 ) -> tuple[list, list]:
     """Both half-line families anchored at 0 on `window`, built in one batch.
 
     The plus families cover [0, window[1]] and the minus families
-    [window[0], 0] (`half_line_pairs`); on a symmetric window the two
-    sides share every sweep and march step.  Returns the plus and minus
-    outcome lists.
+    [window[0], 0], each side bit for bit its `build_projector_families`
+    outcomes with `tolerances`; both sides share the sweep, marches and
+    assembly where their run lengths and ranks agree.  Returns the plus
+    and minus outcome lists.
     """
     lo, hi = int(window[0]), int(window[1])
-    return half_line_pairs(field, lams, (0, hi), (0, -lo), horizon, **tolerances)
+    windows = [("plus", 0, hi), ("minus", 0, -lo)]
+    plus, minus = _build_windows(field, lams, windows, horizon, **tolerances)
+    return plus, minus
 
 
 def _raise_or_return(outcome):
@@ -711,7 +685,7 @@ def build_projector_family(
     orthogonal at the seed time) is marched forward by the field.
     Idempotency, invariance, regularity and rank constancy are
     validated before returning.  This is `build_projector_families`
-    for a single sample, memo included.
+    for a single sample.
     """
     (outcome,) = build_projector_families(
         field, [lam], side, anchor, length, horizon,

@@ -30,11 +30,10 @@ order it asked for them, and a failing sample never spoils the others'
 entries.  Memory grows with the entries read, not with the span
 between them, so a probe at a far window edge costs one entry.  The
 table keeps only the evaluator and the dimension, never its field, so
-a dropped field is freed by reference counting.  A field also carries
-one memo, which the dichotomy layer fills with a projector family per
-(sample, side, anchor, window length, horizon, tolerances), see
-`dichotomy.build_projector_families`; the Fredholm layer keeps nothing
-on it and reads the families it is handed.
+a dropped field is freed by reference counting.  The table is all a
+field keeps: the dichotomy and Fredholm layers cache nothing on it,
+and a caller that needs projector families again keeps the ones it
+was handed.
 """
 
 from __future__ import annotations
@@ -296,10 +295,6 @@ class DiscreteVectorField:
     window: tuple[int, int] = _WIDE_WINDOW
     loop: ParameterLoop | None = None
     _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
-    #: projector families by (sample, family key); filled by the dichotomy layer
-    _families: dict = dataclass_field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         if self.dim < 1:

@@ -42,8 +42,9 @@ least-squares step of many runs at once from the corrected seminormal
 equations, with the directions below the null cut projected out.
 
 `whole_line_index` counts index and kernel for many samples at once,
-from half-line families anchored at zero; `kernel_cokernel` is the same
-count for one sample and given witnesses.
+from half-line families anchored at zero (`index_from_families` counts
+families built elsewhere); `kernel_cokernel` is the same count for one
+sample and given witnesses.
 
 Green solves march in the contracting direction of the relevant
 subbundle (images forward, kernels backward), so no propagator is ever
@@ -78,6 +79,7 @@ __all__ = [
     "assemble_truncated",
     "truncated_spectra",
     "kernel_cokernel",
+    "index_from_families",
     "whole_line_index",
     "green_solve",
 ]
@@ -751,24 +753,33 @@ def kernel_cokernel(
     return outcome
 
 
+def index_from_families(field: DiscreteVectorField, lams, window, plus, minus, **tolerances):
+    """`kernel_cokernel` of samples `lams` from their `whole_line_families` outcomes.
+
+    The families may reach beyond `window`.  Their fits and the
+    truncation spectra each come from one batch; the `gap_ratio` of the
+    family `tolerances` separates the null groups.  Returns each
+    sample's `IndexReport` or the first error a single-sample run meets:
+    plus family, minus family, plus fit, minus fit, then
+    `kernel_cokernel`'s.
+    """
+    fits = verify_families(list(plus) + list(minus))
+    stages = zip(plus, minus, fits[: len(plus)], fits[len(plus) :])
+    pairs = [next((o for o in s if isinstance(o, HomindexError)), s[:2]) for s in stages]
+    gap_ratio = tolerances.get("gap_ratio", SV_GAP_RATIO)
+    return _index_outcomes(field, lams, window, pairs, gap_ratio)
+
+
 def whole_line_index(field: DiscreteVectorField, lams, window, horizon: int, **tolerances) -> list:
     """`kernel_cokernel` of many samples with half-line families anchored at 0 on `window`.
 
-    The families (`whole_line_families`), their fits and the truncation
-    spectra each come from one batch; `tolerances` are the family ones,
-    and their `gap_ratio` also separates the null groups.  Returns, in
-    the order of `lams`, each sample's `IndexReport` or the first error
-    a single-sample run meets: plus family, minus family, plus fit,
-    minus fit, then `kernel_cokernel`'s order.  A repeated sample is
-    counted once.
+    `index_from_families` of one `whole_line_families` batch with the
+    family `tolerances`.  A repeated sample is counted once.
     """
     unique = list(dict.fromkeys(lams))
     plus, minus = whole_line_families(field, unique, window, horizon, **tolerances)
-    fits = verify_families(plus + minus)
-    stages = zip(plus, minus, fits[: len(unique)], fits[len(unique) :])
-    pairs = [next((o for o in s if isinstance(o, HomindexError)), s[:2]) for s in stages]
-    gap_ratio = tolerances.get("gap_ratio", SV_GAP_RATIO)
-    counted = dict(zip(unique, _index_outcomes(field, unique, window, pairs, gap_ratio)))
+    outcomes = index_from_families(field, unique, window, plus, minus, **tolerances)
+    counted = dict(zip(unique, outcomes))
     return [counted[lam] for lam in lams]
 
 

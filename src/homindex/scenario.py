@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .bifurcation import NonlinearField, PerturbedSystemSpec, linearize_at_zero
+from .bundle import _anchor_window
 from .dichotomy import MIN_FIT_STEPS, family_run
 from .errors import InputError
 from .field import (
@@ -539,9 +540,9 @@ class Scenario:
             sizes = ((anchor_path, abs(anchor)), (length_path, length), ("horizon", horizon))
             runs.append((sizes, family_run(side, anchor, length, horizon)))
 
-        def whole_line(window, path):
+        def whole_line(window, path, lo_path=None):
             family("plus", 0, window[1], path, path)
-            family("minus", 0, -window[0], path, path)
+            family("minus", 0, -window[0], lo_path or path, lo_path or path)
 
         if command == "spectrum":
             whole_line((-horizon, horizon), "horizon")
@@ -550,12 +551,14 @@ class Scenario:
         elif command == "index":
             whole_line(opts["index_window"], "options.index_window")
         elif command in ("class", "certify"):
-            family("plus", opts["anchor_plus"], 2, "options.anchor_plus", "options.anchor_plus")
-            family("minus", opts["anchor_minus"], 2, "options.anchor_minus", "options.anchor_minus")
-            if command == "certify":
-                whole_line(opts["f3_window"], "options.f3_window")
-                if opts["localize"]:
-                    whole_line(opts["localize_window"], "options.localize_window")
+            # one batch anchored at 0 reaches both anchors, and certify's F3 window
+            lo, hi = _anchor_window(opts["anchor_plus"], opts["anchor_minus"])
+            f3_lo, f3_hi = opts["f3_window"] if command == "certify" else (0, 0)
+            lo_path = "options.f3_window" if f3_lo <= lo else "options.anchor_minus"
+            hi_path = "options.f3_window" if f3_hi >= hi else "options.anchor_plus"
+            whole_line((min(lo, f3_lo), max(hi, f3_hi)), hi_path, lo_path)
+            if command == "certify" and opts["localize"]:
+                whole_line(opts["localize_window"], "options.localize_window")
         elif command == "solve":
             sol = opts["solve"]
             family(

@@ -1,4 +1,4 @@
-"""Loop-wide batches: the field table, the family memo and per-sample failures."""
+"""Loop-wide batches: the field table, shared family batches and per-sample failures."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from homindex.dichotomy import (
     whole_line_families,
 )
 import homindex.bifurcation as bifurcation
+import homindex.bundle as bundle
 import homindex.dichotomy as dichotomy
 import homindex.field as field_module
 import homindex.scenario as scenario_module
@@ -122,11 +123,9 @@ def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, len
         assert wit.checked_pairs == one_wit.checked_pairs
 
 
-def test_family_memo_returns_the_same_object(monkeypatch):
+def test_a_family_is_fitted_once_and_shared_read_only(monkeypatch):
     field = saddle_loop_field()
     batch = build_projector_families(field, range(8), "plus", 0, 20, horizon=40)
-    assert build_projector_family(field, 3, "plus", 0, 20, horizon=40) is batch[3]
-    assert build_projector_family(field, 3, "plus", 0, 21, horizon=40) is not batch[3]
     fits = []
     verify_batch = dichotomy._verify_batch
 
@@ -175,7 +174,7 @@ def test_f2_names_the_first_failing_sample_in_loop_order():
     assert cert.verdict == "hypotheses_failed" and not cert.f2_ok
     assert any(
         w.startswith("(F2) half-line dichotomies are unavailable: parameter sample 5: "
-                     "no dichotomy detected at anchor 8 on the plus side")
+                     "no dichotomy detected at anchor 0 on the plus side")
         for w in cert.warnings
     )
 
@@ -281,17 +280,59 @@ def test_a_read_names_its_first_bad_entry_in_request_order():
         assert sorted(calls) == [5, 40] and set(calls.values()) == {1}
 
 
-def test_localization_reuses_the_families_certification_built():
+def seeded_families(monkeypatch):
+    """The (plus, minus) family pairs localization seeds its Newton runs from, as it reads them."""
+    seen = []
+    seeds = bifurcation._seeds
+
+    def recorded(fam_plus, fam_minus, window):
+        seen.append((fam_plus, fam_minus))
+        return seeds(fam_plus, fam_minus, window)
+
+    monkeypatch.setattr(bifurcation, "_seeds", recorded)
+    return seen
+
+
+def test_localization_reuses_the_families_certification_built(monkeypatch):
     f = Scenario.builtin("system2-mobius").build_nonlinear()
-    assert linearize_at_zero(f) is linearize_at_zero(f)
     cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
     assert cert.verdict == "bifurcation_certified"
-    memo = linearize_at_zero(f)._families
-    before = dict(memo)
-    found = localize_bifurcations(f, cert, window=(-30, 30), horizon=40)
-    assert found
-    assert memo.keys() == before.keys()
-    assert all(memo[key] is before[key] for key in before)
+    assert cert.families.window == (-30, 30)
+    seen = seeded_families(monkeypatch)
+    monkeypatch.setattr(bifurcation, "whole_line_families", None)  # no second batch
+    for window in ((-30, 30), (-20, 20)):  # the F3 window, and one inside it
+        seen.clear()
+        assert localize_bifurcations(f, cert, window=window, horizon=40)
+        assert len(seen) == f.n_params
+        for lam, (fam_plus, fam_minus) in enumerate(seen):
+            assert fam_plus is cert.families.plus[lam] and fam_minus is cert.families.minus[lam]
+
+
+def test_localization_builds_its_own_batch_when_the_certificate_cannot_serve(monkeypatch):
+    f = Scenario.builtin("system2-mobius").build_nonlinear()
+    cert = certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
+    # a wider window, another horizon, other tolerances: each builds its own batch
+    for kwargs in (
+        dict(window=(-35, 30), horizon=40),
+        dict(window=(-30, 30), horizon=41),
+        dict(window=(-30, 30), horizon=40, gap_ratio=1e4),
+    ):
+        seen = seeded_families(monkeypatch)
+        assert localize_bifurcations(f, cert, **kwargs)
+        assert seen and not any(p is cert.families.plus[lam] for lam, (p, _) in enumerate(seen))
+
+
+def count_build_batches(monkeypatch) -> list:
+    """The number of families each `_build_batch` call builds, one entry per call."""
+    calls = []
+    build = dichotomy._build_batch
+
+    def counted(pending, horizon, tolerances):
+        calls.append(sum(len(runs) for *_, runs in pending))
+        return build(pending, horizon, tolerances)
+
+    monkeypatch.setattr(dichotomy, "_build_batch", counted)
+    return calls
 
 
 def test_a_read_of_many_samples_fills_each_run_once_and_names_each_sample_s_error():
@@ -472,24 +513,71 @@ def test_whole_line_families_cover_unequal_ranks_and_a_one_sided_failure():
     assert all(isinstance(fam, ProjectorFamily) for fam in plus[:2] + plus[3:] + minus)
 
 
-@pytest.mark.parametrize("anchors", [(8, -8), (8, -3)])
-def test_index_bundle_pair_families_equal_one_side_builds_bit_for_bit(anchors):
+@pytest.mark.parametrize("anchors", [(8, -8), (8, -3), (1, -1)])
+def test_index_bundle_pair_families_equal_one_side_builds_bit_for_bit(monkeypatch, anchors):
     make = unequal_ranks_field
     fused_field, plus_field, minus_field = make(), make(), make()
+    calls = count_build_batches(monkeypatch)
     top, bottom = index_bundle_pair(fused_field, *anchors, horizon=40)
+    assert calls == [32]  # both sides of the 16 samples, anchored at 0, in one batch
     lams = range(16)
-    # the fused build memoized its families under the one-side keys
-    memo = dict(fused_field._families)
-    plus = build_projector_families(fused_field, lams, "plus", anchors[0], 2, horizon=40)
-    minus = build_projector_families(fused_field, lams, "minus", anchors[1], 2, horizon=40)
-    assert fused_field._families == memo
+    # families anchored at 0 reaching each anchor, at least 2 steps a side
     alone = (
-        build_projector_families(plus_field, lams, "plus", anchors[0], 2, horizon=40),
-        build_projector_families(minus_field, lams, "minus", anchors[1], 2, horizon=40),
+        build_projector_families(plus_field, lams, "plus", 0, max(anchors[0], 2), horizon=40),
+        build_projector_families(minus_field, lams, "minus", 0, max(-anchors[1], 2), horizon=40),
     )
-    assert_same_bits(plus, alone[0])
-    assert_same_bits(minus, alone[1])
+    loop = fused_field.loop
+    one_top, one_bottom = bundle.anchor_bundles(loop, *alone, *anchors, "image")
+    for fused, one in ((top, one_top), (bottom, one_bottom)):
+        assert (fused.rank, fused.name) == (one.rank, one.name)
+        assert fused.frames.tobytes() == one.frames.tobytes()
     assert (top.rank, bottom.rank) == (2, 1)
+    # the bundles are the canonical subspaces: im P+ and the complement of ker P-
+    for lam, (p, m) in enumerate(zip(*alone)):
+        im = p.image_frames[p.index_of(anchors[0])]
+        ker = m.kernel_frames[m.index_of(anchors[1])]
+        assert np.allclose(top.projector(lam), im @ im.T, atol=1e-12)
+        assert np.allclose(bottom.projector(lam), np.eye(3) - ker @ ker.T, atol=1e-12)
+
+
+def test_certify_builds_one_family_batch(tmp_path, monkeypatch):
+    docs = [
+        builtin_document("system2-mobius"),
+        certify_loop_document({"kind": "mobius"}),
+        certify_loop_document({"kind": "trivial", "rank": 1}),
+    ]
+    for k, doc in enumerate(docs):
+        assert doc["options"]["localize"]
+        calls = count_build_batches(monkeypatch)
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out{k}"
+        assert run(["certify", "--scenario", str(path), "--out", str(out)]) == 0
+        # both sides of every sample: F2, F3 and localization read the one batch
+        assert calls == [2 * doc["loop"]["n"]]
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert len(results["candidates"]) >= (results["verdict"] == "bifurcation_certified")
+
+
+def test_an_anchor_beyond_the_f3_window_leaves_verdict_and_class(tmp_path, monkeypatch):
+    def certify(name, **options):
+        doc = builtin_document("system2-mobius")
+        doc["options"].update(options)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        calls = count_build_batches(monkeypatch)
+        assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
+        assert calls == [32]
+        return json.loads((tmp_path / name / "report.json").read_text())["results"]
+
+    default = certify("default")
+    wide = certify("wide", anchor_plus=40, localize_window=[-20, 20])
+    for key in ("verdict", "rank_plus", "rank_minus", "lambda0", "f3_verdicts"):
+        assert wide[key] == default[key], key
+    for key in ("virtual_rank", "delta_w1"):
+        assert wide["index_class"][key] == default["index_class"][key], key
+    assert wide["anchor_plus"] == 40 and wide["verdict"] == "bifurcation_certified"
+    assert wide["candidates"] and all(c["window"] == [-20, 20] for c in wide["candidates"])
 
 
 WHOLE_LINE_FIELDS = [

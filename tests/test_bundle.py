@@ -195,6 +195,44 @@ def test_bundle_from_projectors_validation():
     assert "not a bundle at this sampling" in str(excinfo.value)
 
 
+def test_bundle_from_projectors_names_the_first_bad_projector():
+    loop = ParameterLoop.circle(8)
+
+    def message(projs):
+        with pytest.raises(InputError) as info:
+            bundle_from_projectors(loop, projs, part="image")
+        return str(info.value)
+
+    # each check names the first projector that fails it: shape, finiteness, idempotency
+    projs = [np.diag([1.0, 0.0])] * 8
+    projs[5] = np.diag([1.0, 0.5])
+    projs[3] = np.diag([1.0, 0.5])
+    assert message(projs) == "matrix 3 is not idempotent to 1e-08"
+    projs[6] = np.full((2, 2), np.nan)
+    projs[4] = np.full((2, 2), np.inf)
+    assert message(projs) == "projector 4 has non-finite entries"
+    projs[7] = np.ones((2, 3))
+    projs[2] = np.ones((3, 3))
+    assert message(projs) == "projector 2 is not square of matching size: shape (3, 3)"
+
+
+def test_bundle_from_projectors_splits_each_sample_as_its_own_svd():
+    # the stacked SVD gives every sample the bits of an SVD of its own
+    loop = ParameterLoop.circle(8)
+    rng = np.random.default_rng(7)
+    base = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    projs = []
+    for _ in range(8):
+        basis = base + 0.02 * rng.standard_normal((3, 3))
+        projs.append(basis[:, :2] @ np.linalg.inv(basis)[:2])  # oblique, rank 2
+    image = bundle_from_projectors(loop, projs, part="image")
+    kernel = bundle_from_projectors(loop, projs, part="kernel")
+    for i, p in enumerate(projs):
+        u, _, vt = np.linalg.svd(p)
+        assert image.fibre(i).tobytes() == np.ascontiguousarray(u[:, :2]).tobytes()
+        assert kernel.fibre(i).tobytes() == np.ascontiguousarray(vt[2:].T).tobytes()
+
+
 def test_bundle_from_projectors_rank_zero_kernel():
     loop = ParameterLoop.circle(8)
     projs = [np.eye(2)] * 8

@@ -641,7 +641,7 @@ def test_class_and_certify_read_the_family_tolerances(tmp_path, capsys):
         assert run([command, "--scenario", ref, "--out", str(tmp_path / command)]) == 2
     assert report_of(tmp_path / "certify")["results"]["verdict"] == "hypotheses_failed"
     err = capsys.readouterr().err
-    assert "error: parameter sample 0: no dichotomy detected at anchor 8" in err
+    assert "error: parameter sample 0: no dichotomy detected at anchor 0" in err
     assert "(F2) half-line dichotomies are unavailable" in err
     # a gap ratio that F2 passes and two of F3's kernel counts cannot meet
     doc["tolerances"] = {"gap_ratio": 5e5}
@@ -805,3 +805,27 @@ def test_localization_is_skipped_when_not_certified(tmp_path, capsys):
     report = report_of(out)
     assert report["results"]["candidates"] == []
     assert any("localization skipped" in w for w in report["warnings"])
+
+
+def test_certify_warns_when_localization_keeps_no_candidate(tmp_path, capsys):
+    # q = 0.9: certified, but on the default +-30 window every Gauss-Newton run
+    # converges to the trivial sequence; the report says so, not an empty list alone
+    doc = builtin_document("system2-mobius")
+    doc["field"]["q"] = 0.9
+    ref = write_doc(tmp_path, doc)
+    assert run(["certify", "--scenario", ref, "--out", str(tmp_path / "q09")]) == 0
+    report = report_of(tmp_path / "q09")
+    assert report["results"]["verdict"] == "bifurcation_certified"
+    assert report["results"]["candidates"] == []
+    (line,) = [w for w in report["warnings"] if w.startswith("localization")]
+    assert line == (
+        "localization on [-30, 30] kept no candidate: of 3 Gauss-Newton runs, 0 diverged "
+        "or stalled, 3 converged to a sequence of sup-norm at most 1.0e-05 (trivial) and "
+        "0 to one of sup-norm at least r0 = 1 (outside the trust ball)"
+    )
+    assert f"warning: {line}" in capsys.readouterr().err
+    # a localization that keeps candidates adds no such line
+    assert run(["certify", "--scenario", "system2-mobius", "--out", str(tmp_path / "q05")]) == 0
+    report = report_of(tmp_path / "q05")
+    assert report["results"]["candidates"]
+    assert not [w for w in report["warnings"] if w.startswith("localization")]
