@@ -614,6 +614,7 @@ _VERDICTS = ("bifurcation_certified", "obstruction_vanishes", "hypotheses_failed
 class _Families:
     """One batch of a linearization's families anchored at 0, and what it was built with."""
 
+    source: NonlinearField
     window: tuple[int, int]
     horizon: int
     tolerances: dict
@@ -719,8 +720,11 @@ def certify_bifurcation(
     anchors, with the family `tolerances` (F3's kernel counts too): F2
     splits the bundles at the anchors off it, and any failed family
     fails F2 with its sample named; F3 counts on `f3_window`
-    (`fredholm.index_from_families`).  The certificate carries the
-    batch for localization.
+    (`fredholm.index_from_families`).  An anchor beyond `f3_window`
+    makes the batch longer than F3's window, and F3 then counts on a
+    batch of its own window (`fredholm.whole_line_index`), so its
+    verdicts never depend on the anchors.  The certificate carries the
+    first batch for localization.
     """
     opts = options if options is not None else CertifyOptions()
     if f.loop is None:
@@ -776,12 +780,11 @@ def certify_bifurcation(
         "(delta_w1 = 0) does not rule out bifurcation"
     )
 
-    # one batch of families anchored at 0 serves F2, F3 and localization
+    # one batch of families anchored at 0 serves F2, localization and, on its own window, F3
     lin = linearize_at_zero(f)
-    f3_lo, f3_hi = opts.f3_window
-    window = _anchor_window(max(opts.anchor_plus, f3_hi), min(opts.anchor_minus, f3_lo))
+    window = _anchor_window(opts.anchor_plus, opts.anchor_minus, reach=opts.f3_window)
     plus, minus = whole_line_families(lin, range(n), window, opts.horizon, **tolerances)
-    families = _Families(window, opts.horizon, tolerances, plus, minus)
+    families = _Families(f, window, opts.horizon, tolerances, plus, minus)
 
     def certificate(verdict: str, **stages) -> BifurcationCertificate:
         return BifurcationCertificate(
@@ -823,7 +826,12 @@ def certify_bifurcation(
 
     # F3 scan in loop order; the first passing sample becomes lambda0.
     # One batch fits the families and counts every sample's index and kernel.
-    reports = index_from_families(lin, range(n), opts.f3_window, plus, minus, **tolerances)
+    # Fits over families longer than the F3 window loosen their constants,
+    # so with an anchor beyond it F3 counts on its own window, as `index` does.
+    if window == tuple(opts.f3_window):
+        reports = index_from_families(lin, range(n), window, plus, minus, **tolerances)
+    else:
+        reports = whole_line_index(lin, range(n), opts.f3_window, opts.horizon, **tolerances)
     checks = _f3_verdicts(range(n), opts.f3_window, reports)
     f3_verdicts = tuple(c.verdict for c in checks)
     lambda0 = next((c.lambda_index for c in checks if c.passed), None)
@@ -1045,10 +1053,11 @@ def localize_bifurcations(
     parameter index and solution size.  With `grid_refinement` > 1 the
     field's `refiner` hook supplies the finer loop and the returned
     indices refer to it.  The families of all samples are the
-    certificate's when they reach `window` on the unrefined loop with
-    this horizon and `tolerances`, else one batch of both sides.  A
-    localization that keeps nothing appends to `warnings`, when given,
-    a line naming the window, the Gauss-Newton runs and their fates.
+    certificate's when they were built for `f` and reach `window` on
+    the unrefined loop with this horizon and `tolerances`, else one
+    batch of both sides.  A localization that keeps nothing appends to
+    `warnings`, when given, a line naming the window, the Gauss-Newton
+    runs and their fates.
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1072,6 +1081,7 @@ def localize_bifurcations(
     if (
         grid_refinement == 1
         and kept is not None
+        and kept.source is f
         and (len(kept.plus), kept.horizon, kept.tolerances) == (f.n_params, horizon, tolerances)
         and kept.window[0] <= lo < hi <= kept.window[1]
     ):

@@ -173,11 +173,11 @@ def _with_sample_context(exc: HomindexError, i: int) -> HomindexError:
     return named
 
 
-def _anchor_window(anchor_plus: int, anchor_minus: int) -> tuple[int, int]:
-    """Window of the families anchored at 0 that reach both anchors, 2 steps a side at least."""
+def _anchor_window(anchor_plus: int, anchor_minus: int, reach=(0, 0)) -> tuple[int, int]:
+    """Window of the families anchored at 0 that reach both anchors and `reach`, 2 steps a side."""
     if not (anchor_minus <= 0 <= anchor_plus):
         raise InputError(f"anchors {anchor_minus} and {anchor_plus} must straddle 0")
-    return min(anchor_minus, -2), max(anchor_plus, 2)
+    return min(anchor_minus, reach[0], -2), max(anchor_plus, reach[1], 2)
 
 
 def anchor_bundles(
@@ -198,15 +198,13 @@ def anchor_bundles(
         for outcome in pair:
             if isinstance(outcome, HomindexError):
                 raise _with_sample_context(outcome, i) from outcome
-    im = np.stack([p.image_frames[p.index_of(anchor_plus)] for p in plus])
-    ker = np.stack([m.kernel_frames[m.index_of(anchor_minus)] for m in minus])
-    top = bundle_from_projectors(
-        loop, im @ im.swapaxes(1, 2), "image", f"im P+ at n={anchor_plus}"
-    )
+    # one projector per sample: the frames' ranks may differ between samples
+    im = [p.image_frames[p.index_of(anchor_plus)] for p in plus]
+    ker = [m.kernel_frames[m.index_of(anchor_minus)] for m in minus]
+    top = bundle_from_projectors(loop, [u @ u.T for u in im], "image", f"im P+ at n={anchor_plus}")
     name = f"{'im' if minus_part == 'image' else 'ker'} P- at n={anchor_minus}"
-    bottom = bundle_from_projectors(
-        loop, np.eye(ker.shape[1]) - ker @ ker.swapaxes(1, 2), minus_part, name
-    )
+    eye = np.eye(ker[0].shape[0])
+    bottom = bundle_from_projectors(loop, [eye - k @ k.T for k in ker], minus_part, name)
     return top, bottom
 
 

@@ -552,11 +552,11 @@ class Scenario:
             whole_line(opts["index_window"], "options.index_window")
         elif command in ("class", "certify"):
             # one batch anchored at 0 reaches both anchors, and certify's F3 window
-            lo, hi = _anchor_window(opts["anchor_plus"], opts["anchor_minus"])
-            f3_lo, f3_hi = opts["f3_window"] if command == "certify" else (0, 0)
-            lo_path = "options.f3_window" if f3_lo <= lo else "options.anchor_minus"
-            hi_path = "options.f3_window" if f3_hi >= hi else "options.anchor_plus"
-            whole_line((min(lo, f3_lo), max(hi, f3_hi)), hi_path, lo_path)
+            reach = tuple(opts["f3_window"]) if command == "certify" else (0, 0)
+            lo, hi = _anchor_window(opts["anchor_plus"], opts["anchor_minus"], reach)
+            lo_path = "options.f3_window" if lo == reach[0] else "options.anchor_minus"
+            hi_path = "options.f3_window" if hi == reach[1] else "options.anchor_plus"
+            whole_line((lo, hi), hi_path, lo_path)
             if command == "certify" and opts["localize"]:
                 whole_line(opts["localize_window"], "options.localize_window")
         elif command == "solve":

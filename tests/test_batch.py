@@ -45,6 +45,7 @@ from homindex.errors import (
     InputError,
     NoDichotomyError,
     NumericError,
+    SamplingError,
     WindowTooShortError,
     fresh,
 )
@@ -177,6 +178,55 @@ def test_f2_names_the_first_failing_sample_in_loop_order():
                      "no dichotomy detected at anchor 0 on the plus side")
         for w in cert.warnings
     )
+
+
+def rank_jump_field(window=(-100, 100)):
+    """Saddle samples, but samples 1 and 2 contract in both directions: im P+ has rank 2 there."""
+    loop = ParameterLoop.circle(8)
+    values = np.tile(SADDLE, (8, window[1] - window[0] + 1, 1, 1))
+    values[1:3] = np.diag([0.5, 0.5])
+    return tabulated_field(values, window, loop=loop)
+
+
+RANK_JUMP = "projector rank jumps from 1 to 2 between loop samples 0 and 1"
+
+
+def zero_residual_system(field) -> NonlinearField:
+    return PerturbedSystemSpec(
+        a_field=field,
+        residual=lambda lams, times, x: np.zeros(x.shape),
+        residual_derivative=lambda lams, times, x: np.zeros(x.shape + (field.dim,)),
+    ).to_nonlinear()
+
+
+def test_a_rank_jump_along_the_loop_is_a_sampling_error_for_class_and_f2():
+    field = rank_jump_field()
+    with pytest.raises(SamplingError, match=RANK_JUMP):
+        index_bundle_pair(field, anchor_plus=8, anchor_minus=-8, horizon=40)
+    cert = certify_bifurcation(
+        zero_residual_system(field), CertifyOptions(horizon=40, f3_window=(-30, 30))
+    )
+    assert cert.verdict == "hypotheses_failed" and not cert.f2_ok
+    assert f"(F2) half-line dichotomies are unavailable: {RANK_JUMP}" in "\n".join(cert.warnings)
+
+
+def test_a_singular_step_beyond_the_anchors_fails_f2_for_the_whole_loop():
+    # sample 3's step at time 40 is zero, so every forward solution from 0 dies there:
+    # its stable space has rank 2 where the other samples' has rank 1.  F2 reads the
+    # families of the F3 window [-30, 30], whose runs reach time 69 at horizon 40, so
+    # the stable bundle's rank jump fails the whole loop.  2-step families at the
+    # anchors +-8 saw rank 1 at every sample, which only left F3 indeterminate there.
+    values = np.tile(SADDLE, (8, 201, 1, 1))
+    values[3, 140] = 0.0
+    field = tabulated_field(values, (-100, 100), loop=ParameterLoop.circle(8))
+    options = CertifyOptions(horizon=40, f3_window=(-30, 30))
+    assert (options.anchor_minus, options.anchor_plus) == (-8, 8)
+    cert = certify_bifurcation(zero_residual_system(field), options)
+    assert cert.verdict == "hypotheses_failed" and not cert.f2_ok and not cert.f3_ok
+    assert (
+        "(F2) half-line dichotomies are unavailable: projector rank jumps from 1 to 2 "
+        "between loop samples 2 and 3: not a bundle at this sampling"
+    ) in cert.warnings
 
 
 def test_non_finite_entry_is_named_and_every_entry_is_evaluated_once():
@@ -320,6 +370,11 @@ def test_localization_builds_its_own_batch_when_the_certificate_cannot_serve(mon
         seen = seeded_families(monkeypatch)
         assert localize_bifurcations(f, cert, **kwargs)
         assert seen and not any(p is cert.families.plus[lam] for lam, (p, _) in enumerate(seen))
+    # another system on the same loop never seeds from this certificate's families
+    g = Scenario.builtin("system2-mobius").build_nonlinear()
+    seen = seeded_families(monkeypatch)
+    assert localize_bifurcations(g, cert, window=(-30, 30), horizon=40)
+    assert seen and not any(p is cert.families.plus[lam] for lam, (p, _) in enumerate(seen))
 
 
 def count_build_batches(monkeypatch) -> list:
@@ -559,7 +614,8 @@ def test_certify_builds_one_family_batch(tmp_path, monkeypatch):
         assert len(results["candidates"]) >= (results["verdict"] == "bifurcation_certified")
 
 
-def test_an_anchor_beyond_the_f3_window_leaves_verdict_and_class(tmp_path, monkeypatch):
+@pytest.mark.parametrize("anchor_plus", [40, 3000])
+def test_an_anchor_beyond_the_f3_window_leaves_verdict_and_class(tmp_path, monkeypatch, anchor_plus):
     def certify(name, **options):
         doc = builtin_document("system2-mobius")
         doc["options"].update(options)
@@ -567,16 +623,21 @@ def test_an_anchor_beyond_the_f3_window_leaves_verdict_and_class(tmp_path, monke
         path.write_text(json.dumps(doc))
         calls = count_build_batches(monkeypatch)
         assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
-        assert calls == [32]
-        return json.loads((tmp_path / name / "report.json").read_text())["results"]
+        return calls, json.loads((tmp_path / name / "report.json").read_text())["results"]
 
-    default = certify("default")
-    wide = certify("wide", anchor_plus=40, localize_window=[-20, 20])
+    calls, default = certify("default")
+    assert calls == [32]
+    # F2 and localization read the families reaching the anchor; F3 counts on its
+    # own window, where fits over families out to 3000 would loosen every constant
+    calls, wide = certify("wide", anchor_plus=anchor_plus, localize_window=[-20, 20])
+    assert calls == [32, 32]
     for key in ("verdict", "rank_plus", "rank_minus", "lambda0", "f3_verdicts"):
         assert wide[key] == default[key], key
     for key in ("virtual_rank", "delta_w1"):
         assert wide["index_class"][key] == default["index_class"][key], key
-    assert wide["anchor_plus"] == 40 and wide["verdict"] == "bifurcation_certified"
+    f3_evidence = [row for row in default["evidence"] if row[0].startswith("f3_")]
+    assert len(f3_evidence) == 2 and all(row in wide["evidence"] for row in f3_evidence)
+    assert wide["anchor_plus"] == anchor_plus and wide["verdict"] == "bifurcation_certified"
     assert wide["candidates"] and all(c["window"] == [-20, 20] for c in wide["candidates"])
 
 

@@ -594,6 +594,19 @@ def test_a_narrow_tabulated_window_serves_the_commands_whose_runs_fit(tmp_path, 
     assert "Traceback" not in err
 
 
+def test_class_fails_with_exit_2_when_a_bundle_rank_jumps_along_the_loop(tmp_path, capsys):
+    # saddles, but samples 1 and 2 contract in both directions: im P+ jumps from rank 1 to 2
+    values = np.tile(np.diag([0.5, 2.0]), (8, 121, 1, 1))
+    values[1:3] = np.diag([0.5, 0.5])
+    field = {"kind": "tabulated", "window": [-60, 60], "shape": [8, 121, 2]}
+    field["values"] = [float(x) for x in values.ravel()]
+    ref = write_doc(tmp_path, saddle_doc(loop={"kind": "circle", "n": 8}, field=field))
+    assert run(["class", "--scenario", ref, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "projector rank jumps from 1 to 2 between loop samples 0 and 1" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_names_the_sample_a_per_sample_run_names(tmp_path, capsys, monkeypatch):
     # the realized realization-mobius table with non-finite entries on both runs
     # of sample 5 and on the plus run of sample 9: a batch names sample 5's plus
