@@ -586,7 +586,9 @@ def check_F3(
     index of zero and a trivial kernel.  Whenever a dichotomy cannot
     be certified or the kernel count is ambiguous, the verdict is
     "indeterminate" rather than a guess in either direction.  This is
-    the F3 scan of `certify_bifurcation` for one sample.
+    the F3 scan of `certify_bifurcation` for one sample.  No command
+    calls it: the tests take it as the per-sample reference for the
+    batch, and `perfbench/tracer.py` rebinds it by name.
     """
     (check,) = _f3_checks(field, [lam], window, horizon)
     return check
@@ -796,7 +798,7 @@ def certify_bifurcation(
     # F2: half-line dichotomies along the loop and the index-bundle class
     try:
         stable, minus_image = anchor_bundles(
-            f.loop, plus, minus, opts.anchor_plus, opts.anchor_minus, "image"
+            f.loop, plus, minus, opts.anchor_plus, opts.anchor_minus
         )
     except (CertificationError, NumericError, SamplingError) as exc:
         warnings.append(f"(F2) half-line dichotomies are unavailable: {exc}")

@@ -14,7 +14,10 @@ half-lines, the stable spaces im P+(lam, n) over the loop assemble into
 a bundle, as do the unstable spaces ker P-(lam, n); the index class of
 the associated difference operator is the formal difference
 [im P+] - [im P-], where im P- is the rank-nullity complement of the
-unstable bundle inside the trivial bundle.
+unstable bundle inside the trivial bundle.  `index_bundle_pair` (for
+`class`) and `certify`'s F2 split the pair (im P+, im P-) off one
+batch of families with `anchor_bundles`, and `KOClassDesk.of_pair`
+gives its class.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ __all__ = [
     "bundle_from_projectors",
     "first_sw_class",
     "anchor_bundles",
-    "stable_unstable_bundles",
     "index_bundle_pair",
-    "index_bundle_class",
     "bundle_csv_rows",
 ]
 
@@ -181,9 +182,9 @@ def _anchor_window(anchor_plus: int, anchor_minus: int, reach=(0, 0)) -> tuple[i
 
 
 def anchor_bundles(
-    loop: ParameterLoop, plus, minus, anchor_plus: int, anchor_minus: int, minus_part: str
+    loop: ParameterLoop, plus, minus, anchor_plus: int, anchor_minus: int
 ) -> tuple[SampledBundle, SampledBundle]:
-    """im P+(anchor_plus) and the `minus_part` of P-(anchor_minus) over the loop.
+    """im P+(anchor_plus) and im P-(anchor_minus) over the loop.
 
     `plus` and `minus` are the outcome lists of `whole_line_families`
     of every loop sample, on a window that holds both anchors.  The
@@ -202,36 +203,11 @@ def anchor_bundles(
     im = [p.image_frames[p.index_of(anchor_plus)] for p in plus]
     ker = [m.kernel_frames[m.index_of(anchor_minus)] for m in minus]
     top = bundle_from_projectors(loop, [u @ u.T for u in im], "image", f"im P+ at n={anchor_plus}")
-    name = f"{'im' if minus_part == 'image' else 'ker'} P- at n={anchor_minus}"
     eye = np.eye(ker[0].shape[0])
-    bottom = bundle_from_projectors(loop, [eye - k @ k.T for k in ker], minus_part, name)
+    bottom = bundle_from_projectors(
+        loop, [eye - k @ k.T for k in ker], "image", f"im P- at n={anchor_minus}"
+    )
     return top, bottom
-
-
-def _loop_bundles(field, anchor_plus, anchor_minus, horizon, minus_part, **tolerances):
-    """`anchor_bundles` of the field's loop, from one `whole_line_families` batch."""
-    if field.loop is None:
-        raise InputError("stable/unstable bundles need a field with a parameter loop")
-    window = _anchor_window(anchor_plus, anchor_minus)
-    plus, minus = whole_line_families(field, range(len(field.loop)), window, horizon, **tolerances)
-    return anchor_bundles(field.loop, plus, minus, anchor_plus, anchor_minus, minus_part)
-
-
-def stable_unstable_bundles(
-    field: DiscreteVectorField,
-    anchor_plus: int,
-    anchor_minus: int,
-    horizon: int = HORIZON,
-) -> tuple[SampledBundle, SampledBundle]:
-    """Stable and unstable bundles of a parametrized field over its loop.
-
-    For each loop sample the half-line splittings are certified by
-    families anchored at 0, anchor_minus <= 0 <= anchor_plus, and the
-    fibres are the forward-decaying set im P+(lam, anchor_plus) and the
-    backward-decaying set ker P-(lam, anchor_minus).  Any per-sample
-    certification failure propagates with the failing sample named.
-    """
-    return _loop_bundles(field, anchor_plus, anchor_minus, horizon, "kernel")
 
 
 def index_bundle_pair(
@@ -241,25 +217,18 @@ def index_bundle_pair(
     horizon: int = HORIZON,
     **tolerances,
 ) -> tuple[SampledBundle, SampledBundle]:
-    """The (im P+, im P-) pair of the index class; `tolerances` as in `whole_line_families`."""
-    return _loop_bundles(field, anchor_plus, anchor_minus, horizon, "image", **tolerances)
+    """The (im P+, im P-) pair of the index class over the field's loop.
 
-
-def index_bundle_class(
-    field: DiscreteVectorField,
-    anchor_plus: int,
-    anchor_minus: int,
-    horizon: int = HORIZON,
-) -> KOClassDesk:
-    """KO class [im P+] - [im P-] of the field's difference operator.
-
-    The minus-side constituent is the image bundle at anchor_minus; the
-    unstable bundle ker P- is its rank-nullity complement inside the
-    trivial bundle and carries the same w1 bit, but the class is
-    computed from the image bundle directly.
+    One `whole_line_families` batch with `tolerances`, anchored at 0 on
+    `_anchor_window`, certifies both half-line splittings of every loop
+    sample; `anchor_bundles` splits the pair off it.  The index class
+    is `KOClassDesk.of_pair` of the pair.
     """
-    top, bottom = index_bundle_pair(field, anchor_plus, anchor_minus, horizon)
-    return KOClassDesk.of_pair(top, bottom)
+    if field.loop is None:
+        raise InputError("stable/unstable bundles need a field with a parameter loop")
+    window = _anchor_window(anchor_plus, anchor_minus)
+    plus, minus = whole_line_families(field, range(len(field.loop)), window, horizon, **tolerances)
+    return anchor_bundles(field.loop, plus, minus, anchor_plus, anchor_minus)
 
 
 def bundle_csv_rows(bundle: SampledBundle):

@@ -152,6 +152,17 @@ def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
             warnings.append(
                 f"lambda {lam}: some spectrum gridpoints were numerically indeterminate"
             )
+        lo, hi = float(res.grid[0]), float(res.grid[-1])
+        off_grid = [
+            f"{side} side {', '.join(f'{g:.6g}' for g in outside)}"
+            for side, factors in zip(("plus", "minus"), res.rates)
+            if (outside := [g for g in factors if not lo <= g <= hi])
+        ]
+        if off_grid:
+            warnings.append(
+                f"lambda {lam}: growth rates outside the gamma grid [{lo:.6g}, {hi:.6g}] "
+                f"are spectral points the grid does not scan: {'; '.join(off_grid)}"
+            )
         csvs.append(
             (
                 f"spectrum_lam{lam:03d}.csv",

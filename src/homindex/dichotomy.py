@@ -26,12 +26,18 @@ instead of one call per sample, side and step.  numpy's stacked calls
 give every row the bits it would get alone, so a family is the same
 whatever it was batched with.  The single-sample
 `build_projector_family`, `verify_ed` and `dichotomy_spectrum` are
-batches of one.  A failing sample keeps the error a single-sample
-build would raise and never stops the others.  Each command builds one
+batches of one; no command calls `dichotomy_spectrum`.  A failing
+sample keeps the error a single-sample build would raise and never
+stops the others.  Each command builds one
 batch of both sides, and a caller that needs the families again keeps
 them: `certify` builds one batch anchored at 0 that F2, F3 and
 localization all read.  Each family keeps its fitted dichotomy
 constants (not a witness, which would point back at it).
+
+The weighted-shift route, which cross-checks the marched families
+through a unit-circle spectral projector, is a test oracle
+(`shift_operator_projector` in `tests/helpers.py`); it validates its
+projectors with this module's `_assemble_batch`.
 """
 
 from __future__ import annotations
@@ -40,10 +46,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import matrixcore
 from .errors import (
     CertificationError,
-    DomainError,
     HomindexError,
     IndeterminateError,
     InputError,
@@ -67,7 +71,6 @@ __all__ = [
     "verify_families",
     "dichotomy_spectra",
     "dichotomy_spectrum",
-    "shift_operator_projector",
 ]
 
 #: default one-sided horizon for rate estimation
@@ -765,6 +768,20 @@ def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tupl
     return recorded
 
 
+def _chain_sizes(chains: np.ndarray, largest: bool) -> np.ndarray:
+    """Largest or smallest singular value of each chain in a stack (..., k, k).
+
+    A chain with a non-finite entry gets NaN and never reaches LAPACK,
+    whose SVD may fail to converge on it.  The finite chains take one
+    stacked call, which gives each of them the bits it gets alone.
+    """
+    finite = np.isfinite(chains).all(axis=(-2, -1))
+    values = _singular_values(chains[finite])
+    sizes = np.full(finite.shape, np.nan)
+    sizes[finite] = values.max(-1) if largest else values.min(-1)
+    return sizes
+
+
 def _verify_batch(fams: list) -> list:
     """`verify_ed` fits for families of equal window length, rank and dimension.
 
@@ -792,11 +809,11 @@ def _verify_batch(fams: list) -> list:
 
     fits = []  # (is_stable, log sizes (n, points), slope)
     if r > 0:
-        smax = _singular_values(_chain_points(im_steps, anchors, points)).max(-1)
+        smax = _chain_sizes(_chain_points(im_steps, anchors, points), largest=True)
         y_s = np.log(np.maximum(smax, 1e-300))
         fits.append((True, y_s, _fit_slopes(x, y_s)))
     if d - r > 0:
-        smin = _singular_values(_chain_points(ker_steps, anchors, points)).min(-1)
+        smin = _chain_sizes(_chain_points(ker_steps, anchors, points), largest=False)
         y_u = np.log(np.maximum(smin, 1e-300))
         fits.append((False, y_u, -_fit_slopes(x, y_u)))
     log_alpha = np.max([part for _, _, part in fits], axis=0)
@@ -954,12 +971,16 @@ class SpectrumResult:
     the `grid` points, and `n_probes` counts the classifications made.
     The intervals are closures, but an edge is classified with a strict
     margin: a grid point exactly on an interval's end may read "ed:<rank>".
+    `rates` holds the growth factors exp(rate) that the plus and the
+    minus run measured, one ascending tuple per side; a factor outside
+    [gamma_min, gamma_max] is a spectral point the grid does not see.
     """
 
     intervals: tuple
     grid: np.ndarray
     verdicts: tuple
     n_probes: int
+    rates: tuple
 
     def contains(self, gamma: float) -> bool:
         return any(lo <= gamma <= hi for lo, hi in self.intervals)
@@ -968,12 +989,6 @@ class SpectrumResult:
     def admits_ed(self) -> bool:
         """Whether the unscaled field admits a dichotomy (1 outside the spectrum)."""
         return not self.contains(1.0)
-
-    def distance_to_one(self) -> float:
-        if not self.intervals:
-            return float("inf")
-        d = min(max(lo - 1.0, 1.0 - hi, 0.0) for lo, hi in self.intervals)
-        return float(d)
 
 
 def _verdict(lg, qp, rates_p, qm, rates_m, run, zero_margin, gap_ratio) -> str:
@@ -1023,7 +1038,10 @@ def _spectrum(gammas, *sample) -> SpectrumResult:
     on_edge = {lg: _verdict(lg, *sample) for lg in logs.tolist() if lg in edges}
     cell_of = np.minimum(np.searchsorted(cuts, logs, side="right") - 1, len(cells) - 1)
     verdicts = [on_edge.get(lg, cells[i]) for lg, i in zip(logs.tolist(), cell_of.tolist())]
-    return SpectrumResult(tuple(intervals), gammas, tuple(verdicts), len(cells) + len(on_edge))
+    factors = tuple(tuple(np.exp(np.sort(r)).tolist()) for r in (rates_p, rates_m))
+    return SpectrumResult(
+        tuple(intervals), gammas, tuple(verdicts), len(cells) + len(on_edge), factors
+    )
 
 
 def dichotomy_spectra(
@@ -1078,80 +1096,13 @@ def dichotomy_spectrum(
     zero_margin: float = ZERO_MARGIN,
     gap_ratio: float = GAP_RATIO,
 ) -> SpectrumResult:
-    """Dichotomy spectrum of one parameter sample: `dichotomy_spectra` for a batch of one."""
+    """Dichotomy spectrum of one parameter sample: `dichotomy_spectra` for a batch of one.
+
+    No command calls it: the tests take it as the per-sample reference
+    for the batch, and `perfbench/tracer.py` rebinds it by name.
+    """
     (outcome,) = dichotomy_spectra(
         field, [lam], gamma_min, gamma_max, grid, horizon, zero_margin, gap_ratio
     )
     return _raise_or_return(outcome)
 
-
-def _family_from_projectors(
-    field: DiscreteVectorField, times: np.ndarray, projectors: np.ndarray, side: str, anchor: int
-) -> ProjectorFamily:
-    """Validated family of the given projectors of parameter sample 0."""
-    d = field.dim
-    traces = np.array([float(np.trace(p)) for p in projectors])
-    rank = int(round(traces[0]))
-    if np.abs(traces - rank).max() > 1e-2:
-        raise CertificationError(
-            "projector ranks are not constant on the window: traces span "
-            f"[{traces.min():.4f}, {traces.max():.4f}]"
-        )
-    im = np.empty((len(times), d, rank))
-    ker = np.empty((len(times), d, d - rank))
-    eye = np.eye(d)
-    for i, p in enumerate(projectors):
-        u, s, _ = np.linalg.svd(p)
-        if rank > 0 and s[rank - 1] < 0.5:
-            raise NumericError(f"projector at time {times[i]} has an unclear image rank")
-        if rank < d and s[rank] > 0.5:
-            raise NumericError(f"projector at time {times[i]} has an unclear image rank")
-        im[i] = u[:, :rank]
-        u2, s2, _ = np.linalg.svd(eye - p)
-        ker[i] = u2[:, : d - rank]
-    mats = field.matrices(0, int(times[0]), int(times[-2]))
-    (outcome,) = _assemble_batch(
-        mats[None], times[None], im[None], ker[None], [side], [anchor], TAU_PROJ, TAU_INV, SIGMA_REG
-    )
-    return _raise_or_return(outcome)
-
-
-def shift_operator_projector(field: DiscreteVectorField, n_times: int = 64) -> ProjectorFamily:
-    """Dichotomy projectors from the weighted-shift operator route.
-
-    The field's parameter sample 0 is closed periodically over a
-    centered window of `n_times` times; the weighted right shift then
-    becomes an (n d) x (n d) matrix whose unit-circle spectral
-    projector, read off block by block on the lattice basis, yields the
-    dichotomy projectors.  A boundary layer of n_times/8 on each side is
-    discarded.  Requires the closed operator to be hyperbolic; an
-    eigenvalue near the unit circle (which may be a truncation artifact,
-    or a genuine failure of the whole-line dichotomy) raises
-    IndeterminateError with advice to enlarge the window.
-    """
-    if n_times < 16:
-        raise InputError("the shift route needs at least 16 window times")
-    d = field.dim
-    lo = -(n_times // 2)
-    times = np.arange(lo, lo + n_times)
-    _check_window(field, int(times[0]), int(times[-1]))
-    # block (i, i - 1 mod n_times) of the shift holds A(times[i - 1])
-    big = np.zeros((n_times, d, n_times, d))
-    rows = np.arange(n_times)
-    big[rows, :, rows - 1, :] = field.matrices(0, int(times[0]), int(times[-1]))[rows - 1]
-    big = big.reshape(n_times * d, n_times * d)
-    try:
-        split = matrixcore.spectral_projector_contour(big)
-    except (DomainError, IndeterminateError) as exc:
-        raise IndeterminateError(
-            "periodic closure of the weighted shift has an eigenvalue within the "
-            f"margin of the unit circle ({exc}); this can be a truncation artifact "
-            "- increase n_times, or check that the field admits a dichotomy on "
-            "the whole line"
-        ) from exc
-    discard = n_times // 8
-    keep = np.arange(discard, n_times - discard)
-    projs = np.stack(
-        [split.stable_projector[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in keep]
-    )
-    return _family_from_projectors(field, times[keep], projs, "full", int(times[keep][0]))

@@ -3,22 +3,21 @@
 A field assigns to each parameter sample and each lattice time a real
 d x d matrix.  Bundles are stored as orthonormal frames over a closed
 parameter loop.  The constructions here (hyperbolic families from a
-bundle, piecewise realizations, controlled perturbations) are the raw
-material for the dichotomy, index and bifurcation layers.
+bundle, piecewise realizations) are the raw material for the
+dichotomy, index and bifurcation layers.
 
 Fields are evaluated over samples and time ranges at once, never point
 by point.  An evaluator `evaluator(lams, times)` takes a 1-D integer
 array of S parameter sample indices and a 1-D integer array of T times
 and returns the (S, T, d, d) stack of the matrices at those samples
 and times, the sample on the leading axis; the `middle` of a
-realization and the perturbation of `perturb_field` have the same
-form, and each of them is called once for all samples.
+realization has the same form and is called once for all samples.
 
 Every `DiscreteVectorField` owns an exact table of the matrices read so
 far: per parameter sample, the sorted times and their matrices.  All
-reads (`matrix` for one entry, `matrices` for a time range,
-`matrices_at` for any times, in any order and with repeats, and `stack`
-for many samples at once) go through one `read`.  It groups the
+reads (`matrix` for one entry, `matrices` for a time range, and
+`stack` for many samples at any times, in any order and with repeats)
+go through one `read`.  It groups the
 requested samples by the times they are missing and makes one
 evaluator call per group and run of consecutive times, so a read of
 every sample over a range that none of them knows costs one call.  It
@@ -49,12 +48,10 @@ __all__ = [
     "ParameterLoop",
     "DiscreteVectorField",
     "SampledBundle",
-    "SmallnessReport",
     "autonomous_field",
     "tabulated_field",
     "construct_hyperbolic_family",
     "realization_field",
-    "perturb_field",
     "mobius_bundle",
     "trivial_bundle",
     "direct_sum",
@@ -65,9 +62,6 @@ FRAME_TOL = 1e-10
 
 #: consecutive fibres may tilt by at most this principal angle
 MAX_FIBRE_ANGLE = np.pi / 3
-
-#: times on each side of 0 at which `perturb_field` samples the perturbation
-TAIL_SAMPLES = 50
 
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
@@ -112,10 +106,6 @@ class ParameterLoop:
         return cls(samples=2.0 * np.pi * np.arange(n)[:, None] / n, angular=True)
 
     def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_samples(self) -> int:
         return self.samples.shape[0]
 
     def angle(self, i: int) -> float:
@@ -358,14 +348,6 @@ class DiscreteVectorField:
             raise InputError(f"time range [{lo}, {hi}] is empty")
         return self._read(lam, self._times(np.arange(int(lo), int(hi) + 1)))
 
-    def matrices_at(self, lam: int, times) -> np.ndarray:
-        """Read-only stack of the matrices at the integer `times`, in their order.
-
-        Times may repeat and come in any order.  Raises like `matrix`;
-        among several bad entries, the first one in `times` is named.
-        """
-        return self._read(lam, self._times(times))
-
 
 def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
     """`field.stack`, raising the first sample's error."""
@@ -425,28 +407,6 @@ class SampledBundle:
     def projector(self, i: int) -> np.ndarray:
         f = self.fibre(i)
         return f @ f.T
-
-
-@dataclass(frozen=True)
-class SmallnessReport:
-    """Sampled tail bounds for a perturbation against declared budgets."""
-
-    gamma_plus: float
-    gamma_minus: float
-    observed_plus: float
-    observed_minus: float
-
-    @property
-    def plus_ok(self) -> bool:
-        return self.observed_plus <= self.gamma_plus
-
-    @property
-    def minus_ok(self) -> bool:
-        return self.observed_minus <= self.gamma_minus
-
-    @property
-    def small(self) -> bool:
-        return self.plus_ok and self.minus_ok
 
 
 def autonomous_field(matrix, window: tuple[int, int] = _WIDE_WINDOW) -> DiscreteVectorField:
@@ -585,58 +545,6 @@ def realization_field(
         evaluator=evaluate,
         loop=stable_ahead.loop,
     )
-
-
-def perturb_field(
-    base: DiscreteVectorField,
-    perturbation: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    gamma_plus: float,
-    gamma_minus: float,
-) -> tuple[DiscreteVectorField, SmallnessReport]:
-    """Additive perturbation of a field with sampled tail-size bookkeeping.
-
-    `perturbation` is an evaluator of the `DiscreteVectorField` form.
-    Returns the perturbed field together with a report stating whether
-    the sampled perturbation norms stay within gamma_plus on times
-    >= 0 and within gamma_minus on times <= 0.  The tails of every
-    parameter sample are sampled on the `TAIL_SAMPLES` times on each
-    side of 0, with one call; the first broken (lam, n) in
-    sample-then-time order is named.  The report records the verdict;
-    it does not stop the construction.
-    """
-    if gamma_plus < 0 or gamma_minus < 0:
-        raise InputError("perturbation budgets must be nonnegative")
-    d = base.dim
-    lo = max(base.window[0], -TAIL_SAMPLES)
-    hi = min(base.window[1], TAIL_SAMPLES)
-    times = np.arange(lo, hi + 1)
-    e = np.asarray(perturbation(np.arange(base.n_params), times), dtype=float)
-    bad = [(0, 0)]  # a stack of the wrong shape is broken from its first entry on
-    if e.shape == (base.n_params, len(times), d, d):
-        bad = np.argwhere(~np.isfinite(e).all(axis=(2, 3))).tolist()
-    if bad:
-        lam, i = bad[0]
-        raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[i]})")
-    sizes = np.linalg.norm(e, 2, axis=(2, 3))
-    obs_plus = float(sizes[:, times >= 0].max(initial=0.0))
-    obs_minus = float(sizes[:, times <= 0].max(initial=0.0))
-
-    def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return base.evaluator(lams, times) + np.asarray(perturbation(lams, times), dtype=float)
-
-    report = SmallnessReport(
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        observed_plus=obs_plus,
-        observed_minus=obs_minus,
-    )
-    out = DiscreteVectorField(
-        dim=d,
-        evaluator=evaluate,
-        window=base.window,
-        loop=base.loop,
-    )
-    return out, report
 
 
 def mobius_bundle(loop: ParameterLoop) -> SampledBundle:

@@ -745,6 +745,8 @@ def kernel_cokernel(
     empty one whose smallest value lies within `SV_GAP_RATIO` of the
     cut, is indeterminate.  The index is the projector rank difference;
     the report's flag records whether the two kernel counts agree.
+    No command calls it: the tests take it as the per-sample reference
+    for the batch, and `perfbench/tracer.py` rebinds it by name.
     """
     pair = tuple(wit.family for wit in witnesses)
     (outcome,) = _index_outcomes(field, [lam], window, [pair], SV_GAP_RATIO)

@@ -1,19 +1,55 @@
 """Shared test utilities: independent oracles, random samplers and fixtures.
 
-The oracles here are deliberately small re-derivations (plain
+Most oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
 evaluator and its convolution, a full SVD of the densely assembled
-boundary-conditioned truncation) so that library results can be
-checked against an implementation that shares no code with them.
-`half_line_witnesses` is a fixture, built with the library itself.
+boundary-conditioned truncation, the distance of a spectrum to 1) so
+that library results can be checked against an implementation that
+shares no code with them.
+
+The rest reuse library code, and say which:
+
+- `shift_operator_projector` reads its projectors off the contour route
+  of `matrixcore` (a test module), but validates and packages them with
+  the library's `dichotomy._assemble_batch`, so the invariance, kernel
+  regularity and idempotency checks are the library's;
+- `perturb_field` builds a `DiscreteVectorField` around the library's
+  evaluator contract;
+- `stable_unstable_bundles` is `bundle.index_bundle_pair` with the
+  minus bundle replaced by its orthogonal complement;
+- `half_line_witnesses` is a fixture, built with the library itself.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
-from homindex.dichotomy import build_projector_family, verify_ed
+import matrixcore
+from homindex.bundle import bundle_from_projectors, index_bundle_pair
+from homindex.dichotomy import (
+    HORIZON,
+    SIGMA_REG,
+    TAU_INV,
+    TAU_PROJ,
+    ProjectorFamily,
+    _assemble_batch,
+    _check_window,
+    _raise_or_return,
+    build_projector_family,
+    verify_ed,
+)
+from homindex.errors import (
+    CertificationError,
+    DomainError,
+    IndeterminateError,
+    InputError,
+    NumericError,
+)
+from homindex.field import DiscreteVectorField, SampledBundle
 from homindex.fredholm import FiniteWindowSequence
 
 __all__ = [
@@ -32,8 +68,16 @@ __all__ = [
     "assert_scale",
     "truncated_null_space",
     "span_gap",
+    "distance_to_one",
+    "shift_operator_projector",
+    "SmallnessReport",
+    "perturb_field",
+    "stable_unstable_bundles",
     "half_line_witnesses",
 ]
+
+#: times on each side of 0 at which `perturb_field` samples the perturbation
+TAIL_SAMPLES = 50
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -261,6 +305,186 @@ def span_gap(f, g) -> float:
         return q @ q.T
 
     return float(np.linalg.norm(orth_proj(f) - orth_proj(g), 2))
+
+
+def distance_to_one(intervals) -> float:
+    """Oracle: distance from 1 to the union of closed `intervals`; inf when there are none."""
+    if not intervals:
+        return float("inf")
+    return float(min(max(lo - 1.0, 1.0 - hi, 0.0) for lo, hi in intervals))
+
+
+def _family_from_projectors(
+    field: DiscreteVectorField, times: np.ndarray, projectors: np.ndarray, side: str, anchor: int
+) -> ProjectorFamily:
+    """Validated family of the given projectors of parameter sample 0."""
+    d = field.dim
+    traces = np.array([float(np.trace(p)) for p in projectors])
+    rank = int(round(traces[0]))
+    if np.abs(traces - rank).max() > 1e-2:
+        raise CertificationError(
+            "projector ranks are not constant on the window: traces span "
+            f"[{traces.min():.4f}, {traces.max():.4f}]"
+        )
+    im = np.empty((len(times), d, rank))
+    ker = np.empty((len(times), d, d - rank))
+    eye = np.eye(d)
+    for i, p in enumerate(projectors):
+        u, s, _ = np.linalg.svd(p)
+        if rank > 0 and s[rank - 1] < 0.5:
+            raise NumericError(f"projector at time {times[i]} has an unclear image rank")
+        if rank < d and s[rank] > 0.5:
+            raise NumericError(f"projector at time {times[i]} has an unclear image rank")
+        im[i] = u[:, :rank]
+        u2, s2, _ = np.linalg.svd(eye - p)
+        ker[i] = u2[:, : d - rank]
+    mats = field.matrices(0, int(times[0]), int(times[-2]))
+    (outcome,) = _assemble_batch(
+        mats[None], times[None], im[None], ker[None], [side], [anchor], TAU_PROJ, TAU_INV, SIGMA_REG
+    )
+    return _raise_or_return(outcome)
+
+
+def shift_operator_projector(field: DiscreteVectorField, n_times: int = 64) -> ProjectorFamily:
+    """Oracle: dichotomy projectors from the weighted-shift operator route.
+
+    The field's parameter sample 0 is closed periodically over a
+    centered window of `n_times` times; the weighted right shift then
+    becomes an (n d) x (n d) matrix whose unit-circle spectral
+    projector, read off block by block on the lattice basis, yields the
+    dichotomy projectors.  A boundary layer of n_times/8 on each side is
+    discarded.  Requires the closed operator to be hyperbolic; an
+    eigenvalue near the unit circle (which may be a truncation artifact,
+    or a genuine failure of the whole-line dichotomy) raises
+    IndeterminateError with advice to enlarge the window.
+    """
+    if n_times < 16:
+        raise InputError("the shift route needs at least 16 window times")
+    d = field.dim
+    lo = -(n_times // 2)
+    times = np.arange(lo, lo + n_times)
+    _check_window(field, int(times[0]), int(times[-1]))
+    # block (i, i - 1 mod n_times) of the shift holds A(times[i - 1])
+    big = np.zeros((n_times, d, n_times, d))
+    rows = np.arange(n_times)
+    big[rows, :, rows - 1, :] = field.matrices(0, int(times[0]), int(times[-1]))[rows - 1]
+    big = big.reshape(n_times * d, n_times * d)
+    try:
+        split = matrixcore.spectral_projector_contour(big)
+    except (DomainError, IndeterminateError) as exc:
+        raise IndeterminateError(
+            "periodic closure of the weighted shift has an eigenvalue within the "
+            f"margin of the unit circle ({exc}); this can be a truncation artifact "
+            "- increase n_times, or check that the field admits a dichotomy on "
+            "the whole line"
+        ) from exc
+    discard = n_times // 8
+    keep = np.arange(discard, n_times - discard)
+    projs = np.stack(
+        [split.stable_projector[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in keep]
+    )
+    return _family_from_projectors(field, times[keep], projs, "full", int(times[keep][0]))
+
+
+@dataclass(frozen=True)
+class SmallnessReport:
+    """Sampled tail bounds for a perturbation against declared budgets."""
+
+    gamma_plus: float
+    gamma_minus: float
+    observed_plus: float
+    observed_minus: float
+
+    @property
+    def plus_ok(self) -> bool:
+        return self.observed_plus <= self.gamma_plus
+
+    @property
+    def minus_ok(self) -> bool:
+        return self.observed_minus <= self.gamma_minus
+
+    @property
+    def small(self) -> bool:
+        return self.plus_ok and self.minus_ok
+
+
+def perturb_field(
+    base: DiscreteVectorField,
+    perturbation: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    gamma_plus: float,
+    gamma_minus: float,
+) -> tuple[DiscreteVectorField, SmallnessReport]:
+    """Additive perturbation of a field with sampled tail-size bookkeeping.
+
+    `perturbation` is an evaluator of the `DiscreteVectorField` form.
+    Returns the perturbed field together with a report stating whether
+    the sampled perturbation norms stay within gamma_plus on times
+    >= 0 and within gamma_minus on times <= 0.  The tails of every
+    parameter sample are sampled on the `TAIL_SAMPLES` times on each
+    side of 0, with one call; the first broken (lam, n) in
+    sample-then-time order is named.  The report records the verdict;
+    it does not stop the construction.
+    """
+    if gamma_plus < 0 or gamma_minus < 0:
+        raise InputError("perturbation budgets must be nonnegative")
+    d = base.dim
+    lo = max(base.window[0], -TAIL_SAMPLES)
+    hi = min(base.window[1], TAIL_SAMPLES)
+    times = np.arange(lo, hi + 1)
+    e = np.asarray(perturbation(np.arange(base.n_params), times), dtype=float)
+    bad = [(0, 0)]  # a stack of the wrong shape is broken from its first entry on
+    if e.shape == (base.n_params, len(times), d, d):
+        bad = np.argwhere(~np.isfinite(e).all(axis=(2, 3))).tolist()
+    if bad:
+        lam, i = bad[0]
+        raise InputError(f"perturbation evaluator broken at (lam={lam}, n={times[i]})")
+    sizes = np.linalg.norm(e, 2, axis=(2, 3))
+    obs_plus = float(sizes[:, times >= 0].max(initial=0.0))
+    obs_minus = float(sizes[:, times <= 0].max(initial=0.0))
+
+    def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return base.evaluator(lams, times) + np.asarray(perturbation(lams, times), dtype=float)
+
+    report = SmallnessReport(
+        gamma_plus=gamma_plus,
+        gamma_minus=gamma_minus,
+        observed_plus=obs_plus,
+        observed_minus=obs_minus,
+    )
+    out = DiscreteVectorField(
+        dim=d,
+        evaluator=evaluate,
+        window=base.window,
+        loop=base.loop,
+    )
+    return out, report
+
+
+def stable_unstable_bundles(
+    field: DiscreteVectorField,
+    anchor_plus: int,
+    anchor_minus: int,
+    horizon: int = HORIZON,
+) -> tuple[SampledBundle, SampledBundle]:
+    """Stable and unstable bundles of a parametrized field over its loop.
+
+    The fibres are the forward-decaying set im P+(lam, anchor_plus) and
+    the backward-decaying set ker P-(lam, anchor_minus), from families
+    anchored at 0, anchor_minus <= 0 <= anchor_plus.  The unstable
+    bundle is the orthogonal complement of the index pair's im P-, which
+    `anchor_bundles` splits off as the complement of ker P-.  Any
+    per-sample certification failure propagates with the failing sample
+    named.
+    """
+    stable, minus_image = index_bundle_pair(field, anchor_plus, anchor_minus, horizon)
+    eye = np.eye(field.dim)
+    unstable = bundle_from_projectors(
+        field.loop,
+        [eye - minus_image.projector(i) for i in range(len(field.loop))],
+        "image",
+        f"ker P- at n={anchor_minus}",
+    )
+    return stable, unstable
 
 
 def half_line_witnesses(field_, lam=0, length=30, horizon=40):

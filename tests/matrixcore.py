@@ -6,6 +6,11 @@ spectrum inside the unit disc is computed two independent ways: by a
 trapezoid-rule resolvent integral over the unit circle, and by an
 eigendecomposition.  Both return the same `SpectralSplit`; keeping the
 two routes separate lets callers cross-validate them.
+
+No command reaches this module; it is a test oracle.  The tests
+cross-check the two routes (`test_matrixcore.py`, acceptance criterion
+1), and `helpers.shift_operator_projector` takes its dichotomy
+projectors from the contour route.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IndeterminateError, InputError, NumericError
+from homindex.errors import DomainError, IndeterminateError, InputError, NumericError
 
 __all__ = [
     "DEFAULT_MARGIN",

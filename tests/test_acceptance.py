@@ -10,15 +10,17 @@ counts, analytic class values), never against the code under test.
 import numpy as np
 import pytest
 
+import matrixcore
 from helpers import (
     eig_projector,
     half_line_witnesses,
+    perturb_field,
     random_hyperbolic,
     random_orthogonal,
     rotation,
+    shift_operator_projector,
 )
 
-from homindex import matrixcore
 from homindex.bifurcation import (
     CertifyOptions,
     certify_bifurcation,
@@ -26,12 +28,11 @@ from homindex.bifurcation import (
     nemitski_derivative,
     remainder_ratios,
 )
-from homindex.bundle import index_bundle_class
+from homindex.bundle import KOClassDesk, index_bundle_pair
 from homindex.cli import run
 from homindex.dichotomy import (
     build_projector_family,
     dichotomy_spectrum,
-    shift_operator_projector,
     verify_ed,
 )
 from homindex.field import (
@@ -39,7 +40,6 @@ from homindex.field import (
     autonomous_field,
     direct_sum,
     mobius_bundle,
-    perturb_field,
     realization_field,
     tabulated_field,
     trivial_bundle,
@@ -270,17 +270,19 @@ def test_criterion_07_realization_hits_the_requested_classes():
     loop = ParameterLoop.circle(16)
 
     f = realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1))
-    cls = index_bundle_class(f, anchor_plus=8, anchor_minus=-8, horizon=40)
+    cls = KOClassDesk.of_pair(*index_bundle_pair(f, anchor_plus=8, anchor_minus=-8, horizon=40))
     assert (cls.virtual_rank, cls.delta_w1) == (0, 1)
 
     for d, k, m in ((2, 1, 1), (3, 2, 1), (4, 3, 1), (4, 1, 3)):
         f = realization_field(trivial_bundle(loop, d, k), trivial_bundle(loop, d, m))
-        cls = index_bundle_class(f, anchor_plus=8, anchor_minus=-8, horizon=40)
+        cls = KOClassDesk.of_pair(
+            *index_bundle_pair(f, anchor_plus=8, anchor_minus=-8, horizon=40)
+        )
         assert (cls.virtual_rank, cls.delta_w1) == (k - m, 0)
 
     double = direct_sum(mobius_bundle(loop), mobius_bundle(loop))
     f = realization_field(double, trivial_bundle(loop, 4, 2))
-    cls = index_bundle_class(f, anchor_plus=8, anchor_minus=-8, horizon=40)
+    cls = KOClassDesk.of_pair(*index_bundle_pair(f, anchor_plus=8, anchor_minus=-8, horizon=40))
     assert (cls.virtual_rank, cls.delta_w1) == (0, 0)
 
 
@@ -316,7 +318,9 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
     assert margin > 0.4
     gamma = margin / 4.0
 
-    baseline_class = index_bundle_class(rank_one, anchor_plus=8, anchor_minus=-8, horizon=40)
+    baseline_class = KOClassDesk.of_pair(
+        *index_bundle_pair(rank_one, anchor_plus=8, anchor_minus=-8, horizon=40)
+    )
     assert (baseline_class.virtual_rank, baseline_class.delta_w1) == (1, 0)
     baseline_index = tuple(
         kernel_cokernel(rank_one, lam, (-30, 30), half_line_witnesses(rank_one, lam=lam)).index
@@ -336,7 +340,9 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
             rank_one, pert, gamma_plus=gamma, gamma_minus=gamma
         )
         assert smallness.small
-        cls = index_bundle_class(perturbed, anchor_plus=8, anchor_minus=-8, horizon=40)
+        cls = KOClassDesk.of_pair(
+            *index_bundle_pair(perturbed, anchor_plus=8, anchor_minus=-8, horizon=40)
+        )
         assert (cls.virtual_rank, cls.delta_w1) == (1, 0)
         for lam in range(16):
             report = kernel_cokernel(
@@ -349,7 +355,9 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
     assert margin_m > 0.4
     gamma_m = margin_m / 4.0
 
-    baseline_m = index_bundle_class(mobius, anchor_plus=8, anchor_minus=-8, horizon=40)
+    baseline_m = KOClassDesk.of_pair(
+        *index_bundle_pair(mobius, anchor_plus=8, anchor_minus=-8, horizon=40)
+    )
     assert (baseline_m.virtual_rank, baseline_m.delta_w1) == (0, 1)
 
     for trial in range(20):
@@ -364,7 +372,9 @@ def test_criterion_08_index_and_class_survive_margin_small_perturbations():
             mobius, pert, gamma_plus=gamma_m, gamma_minus=gamma_m
         )
         assert smallness.small
-        cls = index_bundle_class(perturbed, anchor_plus=8, anchor_minus=-8, horizon=40)
+        cls = KOClassDesk.of_pair(
+            *index_bundle_pair(perturbed, anchor_plus=8, anchor_minus=-8, horizon=40)
+        )
         assert (cls.virtual_rank, cls.delta_w1) == (0, 1)
 
 

@@ -9,7 +9,7 @@ the implementation under test.
 import numpy as np
 import pytest
 
-from helpers import random_orthogonal
+from helpers import perturb_field, random_orthogonal, stable_unstable_bundles
 
 from homindex.errors import (
     InputError,
@@ -23,7 +23,6 @@ from homindex.field import (
     construct_hyperbolic_family,
     direct_sum,
     mobius_bundle,
-    perturb_field,
     realization_field,
     tabulated_field,
     trivial_bundle,
@@ -33,8 +32,7 @@ from homindex.bundle import (
     bundle_csv_rows,
     bundle_from_projectors,
     first_sw_class,
-    index_bundle_class,
-    stable_unstable_bundles,
+    index_bundle_pair,
 )
 
 
@@ -419,16 +417,16 @@ def test_stable_unstable_bundles_per_sample_failure():
 
 
 # ---------------------------------------------------------------------------
-# index_bundle_class
+# the index class of index_bundle_pair
 
 
 def test_index_bundle_class_realization_generators():
     loop = ParameterLoop.circle(16)
 
-    cls = index_bundle_class(
+    cls = KOClassDesk.of_pair(*index_bundle_pair(
         realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=0.5),
         anchor_plus=8, anchor_minus=-8, horizon=20,
-    )
+    ))
     assert (cls.virtual_rank, cls.delta_w1) == (0, 1)
     # the realization theorem: the field's index class is the class of
     # the prescribed pair of asymptotic bundles
@@ -436,25 +434,25 @@ def test_index_bundle_class_realization_generators():
     assert (cls.virtual_rank, cls.delta_w1) == (pair.virtual_rank, pair.delta_w1)
 
     for k, m in ((2, 1), (1, 2), (3, 1)):
-        cls_km = index_bundle_class(
+        cls_km = KOClassDesk.of_pair(*index_bundle_pair(
             realization_field(trivial_bundle(loop, 3, k),
                               trivial_bundle(loop, 3, m), q=0.5),
             anchor_plus=8, anchor_minus=-8, horizon=20,
-        )
+        ))
         assert (cls_km.virtual_rank, cls_km.delta_w1) == (k - m, 0)
 
     both = direct_sum(mobius_bundle(loop), mobius_bundle(loop))
-    cls_mm = index_bundle_class(
+    cls_mm = KOClassDesk.of_pair(*index_bundle_pair(
         realization_field(both, trivial_bundle(loop, 4, 2), q=0.5),
         anchor_plus=8, anchor_minus=-8, horizon=20,
-    )
+    ))
     assert (cls_mm.virtual_rank, cls_mm.delta_w1) == (0, 0)
 
 
 def test_index_bundle_class_autonomous_is_zero():
     loop = ParameterLoop.circle(8)
     field = construct_hyperbolic_family(trivial_bundle(loop, 2, 1), 0.5)
-    cls = index_bundle_class(field, anchor_plus=0, anchor_minus=0, horizon=12)
+    cls = KOClassDesk.of_pair(*index_bundle_pair(field, anchor_plus=0, anchor_minus=0, horizon=12))
     assert (cls.virtual_rank, cls.delta_w1) == (0, 0)
     assert "im P+" in cls.provenance[0] and "im P-" in cls.provenance[1]
 
@@ -463,8 +461,8 @@ def test_index_bundle_class_perturbation_invariance():
     loop = ParameterLoop.circle(8)
     base = realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1),
                              q=0.5)
-    reference = index_bundle_class(base, anchor_plus=8, anchor_minus=-8,
-                                   horizon=16)
+    reference = KOClassDesk.of_pair(*index_bundle_pair(base, anchor_plus=8, anchor_minus=-8,
+                                                       horizon=16))
     assert (reference.virtual_rank, reference.delta_w1) == (0, 1)
 
     for seed in (11, 12, 13):
@@ -479,8 +477,8 @@ def test_index_bundle_class_perturbation_invariance():
         perturbed, report = perturb_field(base, pert, gamma_plus=2e-3,
                                           gamma_minus=2e-3)
         assert report.small
-        cls = index_bundle_class(perturbed, anchor_plus=8, anchor_minus=-8,
-                                 horizon=16)
+        cls = KOClassDesk.of_pair(*index_bundle_pair(perturbed, anchor_plus=8, anchor_minus=-8,
+                                                     horizon=16))
         assert (cls.virtual_rank, cls.delta_w1) == (
             reference.virtual_rank, reference.delta_w1
         )

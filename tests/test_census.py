@@ -1,14 +1,21 @@
-"""Census: every defaulted public parameter is set by some call.
+"""Census of the public API: what `src/homindex` exports, something uses.
 
-A defaulted parameter that no call ever sets has one value in use, so
-it belongs in a module constant, not in the public API.  This scans
-`src/homindex` with `ast`: for every name in a module's `__all__` (a
-function, the public methods of a class and the `init` fields of a
-dataclass), each parameter with a default must be set by at least one
-call in `src/` or `tests/`, by keyword or by position.  Calls are
-matched by the name they call, so a call `x.name(...)` counts for every
-exported `name`; a `*` or `**` argument counts as setting every
-parameter of the name it calls.
+Two rules, both read off `src/homindex` with `ast`:
+
+- Every defaulted public parameter is set by some call.  A defaulted
+  parameter that no call ever sets has one value in use, so it belongs
+  in a module constant, not in the public API.  For every name in a
+  module's `__all__` (a function, the public methods of a class and the
+  `init` fields of a dataclass), each parameter with a default must be
+  set by at least one call in `src/` or `tests/`, by keyword or by
+  position.  Calls are matched by the name they call, so a call
+  `x.name(...)` counts for every exported `name`; a `*` or `**`
+  argument counts as setting every parameter of the name it calls.
+- Every exported name is reached from `src/`.  Each name in a module's
+  `__all__` must be read (an `ast.Name` or `ast.Attribute`) somewhere in
+  `src/homindex` outside its own top-level definition, so `src/` holds
+  only what a command or another module reaches; code only the tests
+  call lives in `tests/`.  The exceptions are `TRACED_ONLY`.
 """
 
 from __future__ import annotations
@@ -19,6 +26,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "homindex"
 CALLERS = (ROOT / "src", ROOT / "tests")
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+#: (module, name) of the exported single-sample forms that nothing in `src/`
+#: calls since their batches replaced them; `perfbench/tracer.py` rebinds each
+#: by name (`owner.__dict__[attr]`), so removing one breaks the traced benchmark
+TRACED_ONLY = {
+    ("bifurcation", "check_F3"),
+    ("dichotomy", "dichotomy_spectrum"),
+    ("fredholm", "kernel_cokernel"),
+}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -149,3 +166,65 @@ def test_the_census_sees_the_public_api():
     assert ("field", "ParameterLoop.circle", "n") in found
     calls = _calls()
     assert _is_set(calls, "build_projector_family", "horizon", 5)
+
+
+def _references(package: Path) -> dict[str, set[tuple[str, str | None]]]:
+    """Per identifier, the (module, enclosing top-level name) of each `Name` or `Attribute` read."""
+    refs: dict[str, set[tuple[str, str | None]]] = {}
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.setdefault(node.id, set()).add((path.stem, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.setdefault(node.attr, set()).add((path.stem, owner))
+    return refs
+
+
+def _unreferenced(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    """(module, name) of each exported name that nothing in `package` reads outside its definition."""
+    refs = _references(package)
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for name in _exported(ast.parse(path.read_text(encoding="utf-8"))):
+            if not refs.get(name, set()) - {(path.stem, name)}:
+                out.add((path.stem, name))
+    return out
+
+
+def test_every_exported_name_is_reached_from_src():
+    unreached = _unreferenced() - TRACED_ONLY
+    assert not unreached, (
+        "exported names that nothing in src/homindex reads; move each to tests/ if only "
+        "tests use it, or delete it: " + ", ".join(f"{m}.{n}" for m, n in sorted(unreached))
+    )
+
+
+def test_the_traced_only_exceptions_are_current():
+    """Each exception is still unreached in src/ and still rebound by the tracer, by name."""
+    assert TRACED_ONLY <= _unreferenced(), "an exception is now reached from src/; drop it"
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for module, name in sorted(TRACED_ONLY):
+        assert name in strings and f"{module}.{name}" in strings, (module, name)
+
+
+def test_the_reach_rule_flags_a_planted_name(tmp_path):
+    """Guard the scan: a name read only inside its own definition is flagged, a read one is not."""
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "planted.py").write_text(
+        '__all__ = ["orphan", "used"]\n\n\n'
+        "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n\n"
+        "def used():\n    return 1\n\n\n"
+        "def _caller():\n    return used()\n",
+        encoding="utf-8",
+    )
+    found = _unreferenced(tmp_path)
+    assert ("planted", "orphan") in found
+    assert ("planted", "used") not in found
+    assert found - {("planted", "orphan")} == _unreferenced()

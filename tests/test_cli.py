@@ -10,6 +10,7 @@ library calls the subcommands wrap.
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -842,3 +843,52 @@ def test_certify_warns_when_localization_keeps_no_candidate(tmp_path, capsys):
     report = report_of(tmp_path / "q05")
     assert report["results"]["candidates"]
     assert not [w for w in report["warnings"] if w.startswith("localization")]
+
+
+@pytest.mark.parametrize(
+    "name, command, q",
+    [
+        ("realization-mobius", "index", 1e-20),
+        ("system2-mobius", "index", 1e-20),
+        ("realization-mobius", "projectors", 1e-40),
+        ("system2-mobius", "projectors", 1e-200),
+    ],
+)
+def test_overflowing_transition_chains_exit_four_naming_the_chain(
+    tmp_path, capsys, name, command, q
+):
+    # at q <= 1e-20 the kernel chains of the fit overflow within the family;
+    # LAPACK's SVD never sees them, and the fit names the first one
+    doc = builtin_document(name)
+    doc["field"]["q"] = q
+    ref = write_doc(tmp_path, doc)
+    assert run([command, "--scenario", ref, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(
+        r"^error: the kernel transition chain at family offset \d+, \d+ steps is not finite$",
+        err,
+        re.MULTILINE,
+    ), err
+
+
+def test_spectrum_warns_about_rates_outside_the_gamma_grid(tmp_path, capsys):
+    # q = 0.04: the spectral points 0.04 and 25 lie outside the default grid
+    # [0.05, 20], so the scan finds no interval; the report says why
+    doc = builtin_document("realization-mobius")
+    doc["field"]["q"] = 0.04
+    doc["options"] = {"lambdas": [0, 5]}
+    ref = write_doc(tmp_path, doc)
+    assert run(["spectrum", "--scenario", ref, "--out", str(tmp_path / "o")]) == 0
+    report = report_of(tmp_path / "o")
+    assert [p["intervals"] for p in report["results"]["per_lambda"]] == [[], []]
+    assert report["warnings"] == [
+        f"lambda {lam}: growth rates outside the gamma grid [0.05, 20] are spectral points "
+        "the grid does not scan: plus side 0.04, 25; minus side 0.04, 25"
+        for lam in (0, 5)
+    ]
+    err = capsys.readouterr().err
+    assert all(f"warning: {line}" in err for line in report["warnings"])
+    # rates inside the grid add no warning
+    assert run(["spectrum", "--scenario", "realization-mobius", "--out", str(tmp_path / "b")]) == 0
+    assert report_of(tmp_path / "b")["warnings"] == []

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_product, random_hyperbolic, rotation, span_gap
+from helpers import (
+    dense_product,
+    distance_to_one,
+    random_hyperbolic,
+    rotation,
+    shift_operator_projector,
+    span_gap,
+)
 from homindex import dichotomy
 from homindex.dichotomy import (
     EDWitness,
@@ -15,7 +22,6 @@ from homindex.dichotomy import (
     build_projector_family,
     dichotomy_spectra,
     dichotomy_spectrum,
-    shift_operator_projector,
     verify_ed,
 )
 from homindex.errors import (
@@ -205,7 +211,7 @@ def test_spectrum_diagonal_saddle():
     for (lo, hi), target in zip(res.intervals, (0.5, 2.0)):
         assert hi - lo <= 1e-2
         assert abs(0.5 * (lo + hi) - target) <= 1e-2
-    assert res.distance_to_one() >= 0.49
+    assert distance_to_one(res.intervals) >= 0.49
     near_one = int(np.argmin(np.abs(res.grid - 1.0)))
     assert res.verdicts[near_one] == "ed:1"
     # one classification per cell between the points rate +- zero_margin
@@ -234,7 +240,7 @@ def test_spectrum_flags_unit_modulus():
     res = dichotomy_spectrum(autonomous_field(np.diag([1.0, 2.0])))
     assert res.contains(1.0)
     assert not res.admits_ed
-    assert res.distance_to_one() == 0.0
+    assert distance_to_one(res.intervals) == 0.0
 
 
 def test_spectrum_and_splitting_input_validation():
@@ -298,7 +304,7 @@ def test_shift_route_unit_spectrum_is_indeterminate():
 
 def test_spectrum_verdict_stable_under_small_perturbations():
     base = dichotomy_spectrum(saddle_field(), horizon=50)
-    margin = base.distance_to_one()
+    margin = distance_to_one(base.intervals)
     assert margin > 0.4
     radius = margin / 4.0
     for seed in range(20):
@@ -308,7 +314,7 @@ def test_spectrum_verdict_stable_under_small_perturbations():
         field = tabulated_field(SADDLE + bumps, (-100, 99))
         res = dichotomy_spectrum(field, horizon=50)
         assert res.admits_ed
-        assert res.distance_to_one() > 0.1
+        assert distance_to_one(res.intervals) > 0.1
 
 
 def realization_mobius():

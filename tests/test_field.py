@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_product, quadratic_system_linearization, realization_matrix
+from helpers import (
+    dense_product,
+    perturb_field,
+    quadratic_system_linearization,
+    realization_matrix,
+)
 from homindex.bifurcation import CertifyOptions, certify_bifurcation, linearize_at_zero
 from homindex.errors import DomainError, InputError, SamplingError
 from homindex.field import (
@@ -18,7 +23,6 @@ from homindex.field import (
     construct_hyperbolic_family,
     direct_sum,
     mobius_bundle,
-    perturb_field,
     realization_field,
     tabulated_field,
     trivial_bundle,
@@ -221,8 +225,9 @@ def test_realization_entries_equal_the_pointwise_oracle():
         behind = _scenario_bundle(spec["stable_behind"], loop, field.dim)
         times = list(range(-80, 81)) + [-10_000, 10_000]
         for lam in range(field.n_params):
-            table = field.matrices_at(lam, times)
-            for n, entry in zip(times, table):
+            table, errors = field.stack([lam], times)
+            assert errors == [None]
+            for n, entry in zip(times, table[0]):
                 expected = realization_matrix(ahead, behind, spec["q"], -8, 8, lam, n)
                 assert np.array_equal(entry, expected), (name, lam, n)
 
@@ -237,7 +242,9 @@ def test_system2_linearization_entries_equal_the_pointwise_oracle():
     behind = _scenario_bundle(spec["stable_behind"], loop, 2)
     times = list(range(-70, 70)) + [-10_000, 10_000]
     for lam in range(lin.n_params):
-        for n, entry in zip(times, lin.matrices_at(lam, times)):
+        table, errors = lin.stack([lam], times)
+        assert errors == [None]
+        for n, entry in zip(times, table[0]):
             expected = quadratic_system_linearization(
                 realization_matrix(ahead, behind, spec["q"], -8, 8, lam, n),
                 spec["residual"]["amplitude"],

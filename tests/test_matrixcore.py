@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import eig_projector, random_hyperbolic, rotation
 from homindex.errors import DomainError, IndeterminateError, InputError, NumericError
-from homindex.matrixcore import (
+from matrixcore import (
     SpectralSplit,
     is_hyperbolic,
     spectral_projector_contour,
