@@ -81,9 +81,6 @@ FD_STEP = 1e-5
 #: analytic-versus-finite-difference derivative agreement required by F0
 F0_DERIVATIVE_TOL = 1e-6
 
-#: residual derivatives at the window edges below this count as vanishing
-EDGE_DERIVATIVE_TOL = 1e-6
-
 #: principal cosine between decaying subspaces that seeds a Newton run
 SEED_COSINE = 0.99
 
@@ -412,11 +409,10 @@ class PerturbedSystemSpec:
     `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
     samples at T times, returning (S, T, dim) and (S, T, dim, dim)
     stacks, each validated once with errors naming (lam, n).  The
-    construction probes them once each, for every sample of
-    `a_field`.  `edge_derivative_plus`/`minus` record
-    |D_x R(lam, n, 0)| at the far ends of the window; the linearization
-    method wants these to vanish at infinity, summarized by
-    `residual_derivative_vanishes`.  `to_nonlinear` reads A from the
+    construction probes the residual once on the zero branch, for every
+    sample of `a_field`.  Nothing asks D_x R(lam, n, 0) to vanish as
+    |n| grows: the half-line dichotomies of the linearization stand in
+    for asymptotic hyperbolicity.  `to_nonlinear` reads A from the
     linear part's table, all samples of a stack in one read.
     """
 
@@ -424,8 +420,6 @@ class PerturbedSystemSpec:
     residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     r0: float = 1.0
-    edge_derivative_plus: float = dataclass_field(init=False, default=float("nan"))
-    edge_derivative_minus: float = dataclass_field(init=False, default=float("nan"))
 
     def __post_init__(self):
         d = self.a_field.dim
@@ -434,7 +428,6 @@ class PerturbedSystemSpec:
         lo, hi = self.a_field.window
         lams = np.arange(self.a_field.n_params)
         times = np.array(_time_probes((lo, hi)))
-        edges = np.array([min(hi, 50), max(lo, -50)])
         r = self._residual(lams, times, np.zeros((len(lams), len(times), d)))
         worst = float(np.abs(r).max())
         if worst > TRIVIAL_BRANCH_TOL:
@@ -442,28 +435,9 @@ class PerturbedSystemSpec:
                 "the residual does not vanish on the zero branch: |R(lam, n, 0)| "
                 f"reaches {worst:.3e} > {TRIVIAL_BRANCH_TOL:.0e} on the probe grid"
             )
-        dr = np.abs(self._residual_derivative(lams, edges, np.zeros((len(lams), 2, d))))
-        object.__setattr__(self, "edge_derivative_plus", float(dr[:, 0].max()))
-        object.__setattr__(self, "edge_derivative_minus", float(dr[:, 1].max()))
-
-    @property
-    def residual_derivative_vanishes(self) -> bool:
-        """Whether |D_x R(., 0)| drops below tolerance at the window edges."""
-        return (
-            self.edge_derivative_plus < EDGE_DERIVATIVE_TOL
-            and self.edge_derivative_minus < EDGE_DERIVATIVE_TOL
-        )
 
     def _residual(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         return _call_stack(self.residual, "residual", lams, times, states, (self.a_field.dim,))
-
-    def _residual_derivative(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray):
-        d = self.a_field.dim
-        if self.residual_derivative is None:
-            return _central_difference(lambda x: self._residual(lams, times, x), states, FD_STEP)
-        return _call_stack(
-            self.residual_derivative, "residual derivative", lams, times, states, (d, d)
-        )
 
     def to_nonlinear(
         self, refiner: Callable[[int], NonlinearField] | None = None
@@ -473,7 +447,7 @@ class PerturbedSystemSpec:
         A is read from the linear part's table, one read per call for
         all its samples; `refiner` becomes the field's refiner hook.
         """
-        a_field = self.a_field
+        a_field, d = self.a_field, self.a_field.dim
 
         def evaluate(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
             linear = (_read_all(a_field, lams, times) @ states[..., None])[..., 0]
@@ -484,7 +458,9 @@ class PerturbedSystemSpec:
 
             def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
                 linear = _read_all(a_field, lams, times)
-                return linear + self._residual_derivative(lams, times, states)
+                return linear + _call_stack(
+                    self.residual_derivative, "residual derivative", lams, times, states, (d, d)
+                )
 
         return NonlinearField(
             dim=a_field.dim,
@@ -526,11 +502,6 @@ class F3Check:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def _f3_checks(field: DiscreteVectorField, lams, window, horizon: int, **tolerances) -> list:
-    """`check_F3` of many samples, from one `whole_line_index` batch with `tolerances`."""
-    return _f3_verdicts(lams, window, whole_line_index(field, lams, window, horizon, **tolerances))
 
 
 def _f3_verdicts(lams, window, reports) -> list:
@@ -590,7 +561,7 @@ def check_F3(
     calls it: the tests take it as the per-sample reference for the
     batch, and `perfbench/tracer.py` rebinds it by name.
     """
-    (check,) = _f3_checks(field, [lam], window, horizon)
+    (check,) = _f3_verdicts([lam], window, whole_line_index(field, [lam], window, horizon))
     return check
 
 
@@ -1027,7 +998,6 @@ def _gauss_newton(f, lams, x0, window, p_lo, q_hi) -> list:
 def localize_bifurcations(
     f: NonlinearField,
     certificate: BifurcationCertificate,
-    grid_refinement: int = 1,
     window: tuple[int, int] = (-30, 30),
     horizon: int = 40,
     decay_tol: float = DECAY_TOL,
@@ -1052,14 +1022,13 @@ def localize_bifurcations(
     and skipped; localization never raises for them.
 
     Returns (parameter index, solution sequence) pairs ordered by
-    parameter index and solution size.  With `grid_refinement` > 1 the
-    field's `refiner` hook supplies the finer loop and the returned
-    indices refer to it.  The families of all samples are the
-    certificate's when they were built for `f` and reach `window` on
-    the unrefined loop with this horizon and `tolerances`, else one
-    batch of both sides.  A localization that keeps nothing appends to
-    `warnings`, when given, a line naming the window, the Gauss-Newton
-    runs and their fates.
+    parameter index and solution size.  `f` may be the certified
+    system on a refined loop (its `refiner` hook), and the returned
+    indices refer to its loop.  The families of all samples are the
+    certificate's when they were built for `f` and reach `window` with
+    this horizon and `tolerances`, else one batch of both sides.  A
+    localization that keeps nothing appends to `warnings`, when given,
+    a line naming the window, the Gauss-Newton runs and their fates.
     """
     if not isinstance(certificate, BifurcationCertificate):
         raise InputError(
@@ -1068,21 +1037,12 @@ def localize_bifurcations(
     lo, hi = int(window[0]), int(window[1])
     if not (lo < 0 < hi):
         raise InputError("the localization window must straddle time zero")
-    if grid_refinement < 1:
-        raise InputError("grid_refinement must be at least 1")
-    if grid_refinement > 1:
-        if f.refiner is None:
-            raise InputError(
-                "grid refinement needs the field's refiner hook; this field has none"
-            )
-        f = f.refiner(grid_refinement)
     if f.loop is None:
         raise InputError("localization scans a parameter loop; the field has none")
     lams = range(f.n_params)
     kept = certificate.families
     if (
-        grid_refinement == 1
-        and kept is not None
+        kept is not None
         and kept.source is f
         and (len(kept.plus), kept.horizon, kept.tolerances) == (f.n_params, horizon, tolerances)
         and kept.window[0] <= lo < hi <= kept.window[1]

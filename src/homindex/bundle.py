@@ -3,11 +3,13 @@
 A subbundle of the trivial bundle over a sampled loop is stored as one
 orthonormal frame per sample (`SampledBundle`).  Over a loop the
 invariants this module tracks are the rank and the first
-Stiefel-Whitney bit w1, detected as the determinant sign of the
-monodromy of a frame transported once around the loop; formal
-differences of two bundles are recorded as `KOClassDesk` values
-(virtual rank, parity of the two w1 bits).  Higher characteristic
-classes and base spaces other than loops are out of scope.
+Stiefel-Whitney bit w1, the orientation: the determinant sign of the
+monodromy of a frame transported once around the loop, which is the
+parity of the negative determinants of the consecutive fibre
+overlaps; formal differences of two bundles are recorded as
+`KOClassDesk` values (virtual rank, parity of the two w1 bits).
+Higher characteristic classes and base spaces other than loops are out
+of scope.
 
 For a parametrized linear field with exponential splittings on both
 half-lines, the stable spaces im P+(lam, n) over the loop assemble into
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dichotomy import HORIZON, whole_line_families
-from .errors import HomindexError, InputError, NumericError, SamplingError, fresh
+from .errors import HomindexError, InputError, SamplingError, fresh
 from .field import DiscreteVectorField, ParameterLoop, SampledBundle
 
 __all__ = [
@@ -80,23 +82,19 @@ class KOClassDesk:
 
 
 def bundle_from_projectors(
-    loop: ParameterLoop,
-    projectors,
-    part: str,
-    name: str | None = None,
+    loop: ParameterLoop, projectors, name: str = "image-part"
 ) -> SampledBundle:
-    """Image or kernel subbundle of a sampled family of idempotents.
+    """Image subbundle of a sampled family of idempotents.
 
     Each matrix must be idempotent to 1e-8 but may be oblique; one
-    stacked idempotency check and one stacked SVD read off both parts,
+    stacked idempotency check and one stacked SVD read off the images,
     and the rank count at cutoff 1/2 is unambiguous because the nonzero
-    singular values of an idempotent are at least 1.  Each check names
-    the first projector that fails it.  A rank jump between consecutive
-    samples means the family cannot restrict a continuous
-    projector-valued map, so there is no bundle at this sampling.
+    singular values of an idempotent are at least 1.  The kernel of an
+    idempotent P is the image of I - P.  Each check names the first
+    projector that fails it.  A rank jump between consecutive samples
+    means the family cannot restrict a continuous projector-valued map,
+    so there is no bundle at this sampling.
     """
-    if part not in ("image", "kernel"):
-        raise InputError(f"part must be 'image' or 'kernel', got {part!r}")
     mats = [np.asarray(p, dtype=float) for p in projectors]
     if len(mats) != len(loop):
         raise InputError(
@@ -115,7 +113,7 @@ def bundle_from_projectors(
         raise InputError(
             f"matrix {int(np.argmin(idempotent))} is not idempotent to {PROJECTOR_TOL:.0e}"
         )
-    u, sv, vt = np.linalg.svd(stack)
+    u, sv, _ = np.linalg.svd(stack)
     ranks = (sv > 0.5).sum(axis=1)
     jumps = np.flatnonzero(ranks[1:] != ranks[:-1])
     if jumps.size:
@@ -125,46 +123,39 @@ def bundle_from_projectors(
             f"loop samples {i} and {i + 1}: not a bundle at this sampling"
         )
     r = int(ranks[0])
-    frames = u[:, :, :r] if part == "image" else vt[:, r:].swapaxes(1, 2)
-    rank = r if part == "image" else d - r
-    label = name if name is not None else f"{part}-part"
-    return SampledBundle(loop=loop, rank=rank, frames=frames, name=label)
+    return SampledBundle(loop=loop, rank=r, frames=u[:, :, :r], name=name)
 
 
 def first_sw_class(bundle: SampledBundle) -> int:
     """First Stiefel-Whitney bit of a sampled bundle.
 
-    Transport the frame at sample 0 once around the loop: project onto
-    the next fibre and re-orthonormalise by QR with positive diagonal,
-    which keeps the orientation of the projected frame.  The transport
-    returns to the starting fibre and the bundle is orientable exactly
-    when the monodromy determinant is positive, so
-    w1 = (1 - sign det)/2.  The determinant sign does not depend on the
-    starting sample or on how each fibre's frame is gauged, because
-    those choices conjugate the monodromy by orthogonal maps.
+    A frame transported once around the loop (projected onto each next
+    fibre and re-orthonormalised with positive orientation) returns
+    with a monodromy whose determinant sign is the product of the signs
+    of det(F_{i+1}^T F_i) over the consecutive fibre overlaps, the last
+    one closing the loop; the bundle is orientable exactly when that
+    sign is positive, so w1 is the parity of the negative overlap
+    determinants.  The parity does not depend on the starting sample or
+    on how each fibre's frame is gauged: a gauge change multiplies two
+    neighbouring overlaps by the same determinant sign.  `SampledBundle`
+    keeps consecutive fibres within a principal angle of pi/3, so each
+    determinant has size at least 2**-rank and its sign is exact.
     """
     if bundle.rank == 0:
         return 0  # the zero bundle is trivially orientable
-    n = len(bundle.loop)
-    u = np.array(bundle.fibre(0), dtype=float)
-    for i in range(1, n + 1):
-        j = i % n
-        f = bundle.fibre(j)
-        overlap = f.T @ u
-        if np.linalg.svd(overlap, compute_uv=False).min() <= TRANSPORT_TOL:
-            raise SamplingError(
-                f"frame transport from fibre {i - 1} to fibre {j} is singular "
-                "(a principal angle reaches pi/2); the loop sampling is too "
-                "coarse to carry monodromy"
-            )
-        q, r = np.linalg.qr(f @ overlap)
-        u = q * np.sign(np.diag(r))
-    det = float(np.linalg.det(bundle.fibre(0).T @ u))
-    if abs(abs(det) - 1.0) > 1e-6:
-        raise NumericError(
-            f"monodromy determinant drifted off the unit circle: |det| = {abs(det):.3e}"
+    frames = bundle.frames
+    overlaps = np.roll(frames, -1, axis=0).swapaxes(1, 2) @ frames
+    singular = np.flatnonzero(
+        np.linalg.svd(overlaps, compute_uv=False).min(axis=1) <= TRANSPORT_TOL
+    )
+    if singular.size:
+        i = int(singular[0])
+        raise SamplingError(
+            f"frame transport from fibre {i} to fibre {(i + 1) % len(frames)} is singular "
+            "(a principal angle reaches pi/2); the loop sampling is too "
+            "coarse to carry monodromy"
         )
-    return int(round((1.0 - np.sign(det)) / 2.0))
+    return int(np.count_nonzero(np.linalg.det(overlaps) < 0.0) % 2)
 
 
 def _with_sample_context(exc: HomindexError, i: int) -> HomindexError:
@@ -202,10 +193,10 @@ def anchor_bundles(
     # one projector per sample: the frames' ranks may differ between samples
     im = [p.image_frames[p.index_of(anchor_plus)] for p in plus]
     ker = [m.kernel_frames[m.index_of(anchor_minus)] for m in minus]
-    top = bundle_from_projectors(loop, [u @ u.T for u in im], "image", f"im P+ at n={anchor_plus}")
+    top = bundle_from_projectors(loop, [u @ u.T for u in im], f"im P+ at n={anchor_plus}")
     eye = np.eye(ker[0].shape[0])
     bottom = bundle_from_projectors(
-        loop, [eye - k @ k.T for k in ker], "image", f"im P- at n={anchor_minus}"
+        loop, [eye - k @ k.T for k in ker], f"im P- at n={anchor_minus}"
     )
     return top, bottom
 

@@ -325,24 +325,21 @@ def _cmd_certify(scenario: Scenario) -> CommandOutcome:
     csvs = []
     if opts["localize"]:
         if cert.verdict == "bifurcation_certified":
+            refined = f.refiner(opts["grid_refinement"]) if opts["grid_refinement"] > 1 else f
             found = localize_bifurcations(
-                f,
+                refined,
                 cert,
-                grid_refinement=opts["grid_refinement"],
                 window=tuple(opts["localize_window"]),
                 horizon=scenario.horizon,
                 decay_tol=scenario.tolerances["decay_tol"],
                 warnings=warnings,
                 **_tolerances(scenario),
             )
-            loop = f.refiner(opts["grid_refinement"]).loop if opts[
-                "grid_refinement"
-            ] > 1 else f.loop
             results["candidates"] = [
                 {"lambda": lam, **_sequence_dump(phi)} for lam, phi in found
             ]
             for i, (lam, phi) in enumerate(found):
-                csvs.append(_solution_csv(f"solution_{i:03d}.csv", loop, lam, phi))
+                csvs.append(_solution_csv(f"solution_{i:03d}.csv", refined.loop, lam, phi))
         else:
             results["candidates"] = []
             warnings.append(f"localization skipped: verdict is {cert.verdict}")

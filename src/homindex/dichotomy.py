@@ -31,8 +31,8 @@ sample keeps the error a single-sample build would raise and never
 stops the others.  Each command builds one
 batch of both sides, and a caller that needs the families again keeps
 them: `certify` builds one batch anchored at 0 that F2, F3 and
-localization all read.  Each family keeps its fitted dichotomy
-constants (not a witness, which would point back at it).
+localization all read.  A family holds no fit: every command fits
+each family once, and `verify_families` returns the witnesses.
 
 The weighted-shift route, which cross-checks the marched families
 through a unit-circle spectral projector, is a test oracle
@@ -42,7 +42,7 @@ projectors with this module's `_assemble_batch`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,10 +259,6 @@ class ProjectorFamily:
     image_steps: np.ndarray
     kernel_steps: np.ndarray
     bound: float
-    #: (k_const, alpha, checked_pairs) of the fit, or its error; set by verify_families
-    _fit: tuple | Exception | None = dataclass_field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def __post_init__(self):
         p = self.projectors
@@ -723,10 +719,9 @@ class EDWitness:
     def rank(self) -> int:
         return self.family.rank
 
-    def green_bound(self, projector_bound: float | None = None) -> float:
+    def green_bound(self) -> float:
         """Sup-norm bound for half-line Green solutions per unit forcing."""
-        bound = self.family.bound if projector_bound is None else projector_bound
-        return self.k_const * (1.0 + self.alpha) / (1.0 - self.alpha) * (1.0 + bound)
+        return self.k_const * (1.0 + self.alpha) / (1.0 - self.alpha) * (1.0 + self.family.bound)
 
 
 def _fit_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -920,26 +915,22 @@ def verify_families(families) -> list:
     Takes the outcomes of `build_projector_families`.  Returns, in
     order, each family's `EDWitness` or the `HomindexError` its
     validation raised; an error given in place of a family is passed
-    through.  Each family caches its fitted constants (or the error),
-    so it is fitted once; the witness built from them is new on every
-    call and holds the only reference between the two.
+    through.  A family listed twice is fitted once.
     """
     groups: dict[tuple, dict[int, ProjectorFamily]] = {}
     for fam in families:
-        if isinstance(fam, ProjectorFamily) and fam._fit is None:
+        if isinstance(fam, ProjectorFamily):
             shape = (len(fam.times), fam.rank, fam.dim)
             groups.setdefault(shape, {})[id(fam)] = fam
+    fits = {}
     for group in groups.values():
-        batch = list(group.values())
         # an overflowing chain fails its own family (`_verify_batch`), without warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            fits = _verify_batch(batch)
-        for fam, fit in zip(batch, fits):
-            object.__setattr__(fam, "_fit", fit)
-    fits = [fam._fit if isinstance(fam, ProjectorFamily) else fam for fam in families]
+            fits.update(zip(group, _verify_batch(list(group.values()))))
+    outcomes = [fits[id(fam)] if isinstance(fam, ProjectorFamily) else fam for fam in families]
     return [
         fit if isinstance(fit, Exception) else EDWitness(fam, *fit)
-        for fam, fit in zip(families, fits)
+        for fam, fit in zip(families, outcomes)
     ]
 
 
@@ -952,8 +943,7 @@ def verify_ed(field: DiscreteVectorField, lam: int, family: ProjectorFamily) -> 
     rates, and K is then the smallest constant covering every sampled
     pair.  The backward (inverse) form is validated on least-norm
     preimages of kernel vectors.  Raises NoDichotomyError when the
-    fitted alpha reaches 1.  This is `verify_families` for one family,
-    cache included.
+    fitted alpha reaches 1.  This is `verify_families` for one family.
     """
     (outcome,) = verify_families([family])
     return _raise_or_return(outcome)

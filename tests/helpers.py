@@ -481,7 +481,6 @@ def stable_unstable_bundles(
     unstable = bundle_from_projectors(
         field.loop,
         [eye - minus_image.projector(i) for i in range(len(field.loop))],
-        "image",
         f"ker P- at n={anchor_minus}",
     )
     return stable, unstable

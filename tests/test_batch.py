@@ -137,7 +137,7 @@ def test_a_family_is_fitted_once_and_shared_read_only(monkeypatch):
     monkeypatch.setattr(dichotomy, "_verify_batch", counted)
     wit = verify_families(batch)[3]
     again = verify_ed(field, 3, batch[3])
-    assert fits == [8]  # the batch fitted every family; verify_ed reads the cache
+    assert fits == [8, 1]  # one call fitted the batch; verify_ed fits its family again
     fields = ("family", "k_const", "alpha", "checked_pairs")
     assert [getattr(again, k) for k in fields] == [getattr(wit, k) for k in fields]
     with pytest.raises(ValueError):
@@ -684,7 +684,8 @@ def test_whole_line_index_equals_kernel_cokernel_per_sample(make):
 def test_f3_scan_equals_check_f3_per_sample(make):
     batched_field, single_field = make(), make()
     lams = range(batched_field.n_params)
-    checks = bifurcation._f3_checks(batched_field, lams, (-30, 30), 40)
+    reports = fredholm.whole_line_index(batched_field, lams, (-30, 30), 40)
+    checks = bifurcation._f3_verdicts(lams, (-30, 30), reports)
     for lam, check in zip(lams, checks):
         # repr shows every field, floats to the last bit and NaN equal to NaN
         assert repr(check) == repr(check_F3(single_field, lam, window=(-30, 30), horizon=40))

@@ -299,22 +299,6 @@ def test_perturbed_system_side_conditions():
             r0=1.0,
         )
 
-    decaying = mobius_system(8)
-    assert decaying.edge_derivative_plus < 1e-6
-    assert decaying.edge_derivative_minus < 1e-6
-    assert decaying.residual_derivative_vanishes
-
-    linear_tail = PerturbedSystemSpec(
-        a_field=a_field,
-        residual=lambda lams, times, x: 0.1 * x,
-        residual_derivative=lambda lams, times, x: np.broadcast_to(
-            0.1 * np.eye(2), x.shape[:-1] + (2, 2)
-        ),
-        r0=1.0,
-    )
-    assert linear_tail.edge_derivative_plus == pytest.approx(0.1, rel=1e-9)
-    assert not linear_tail.residual_derivative_vanishes
-
 
 # ---------------------------------------------------------------------------
 # F3 checks

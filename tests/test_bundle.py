@@ -113,14 +113,14 @@ def test_bundle_from_projectors_constant_diagonal():
     loop = ParameterLoop.circle(8)
     projs = [np.diag([1.0, 0.0])] * 8
 
-    image = bundle_from_projectors(loop, projs, part="image")
+    image = bundle_from_projectors(loop, projs)
     assert image.rank == 1 and image.dim == 2
     for i in range(8):
         assert abs(abs(image.fibre(i)[0, 0]) - 1.0) < 1e-12
         assert abs(image.fibre(i)[1, 0]) < 1e-12
     assert first_sw_class(image) == 0
 
-    kernel = bundle_from_projectors(loop, projs, part="kernel")
+    kernel = bundle_from_projectors(loop, [np.eye(2) - p for p in projs])
     assert kernel.rank == 1
     for i in range(8):
         assert abs(abs(kernel.fibre(i)[1, 0]) - 1.0) < 1e-12
@@ -133,7 +133,7 @@ def test_bundle_from_projectors_mobius_projectors():
     mb = mobius_bundle(loop)
     projs = [mb.projector(i) for i in range(64)]
 
-    image = bundle_from_projectors(loop, projs, part="image")
+    image = bundle_from_projectors(loop, projs)
     assert image.rank == 1
     for i in range(64):
         # same line as the Moebius fibre (sign of the frame is free)
@@ -141,7 +141,7 @@ def test_bundle_from_projectors_mobius_projectors():
     assert first_sw_class(image) == 1
 
     # the kernel part is the pointwise orthogonal complement here
-    kernel = bundle_from_projectors(loop, projs, part="kernel")
+    kernel = bundle_from_projectors(loop, [np.eye(2) - p for p in projs])
     for i in range(64):
         assert abs((kernel.fibre(i).T @ mb.fibre(i)).item()) < 1e-10
 
@@ -154,8 +154,8 @@ def test_bundle_from_projectors_oblique_whitney_complement():
     s_inv = np.linalg.inv(s)
     projs = [s @ mb.projector(i) @ s_inv for i in range(64)]
 
-    image = bundle_from_projectors(loop, projs, part="image")
-    kernel = bundle_from_projectors(loop, projs, part="kernel")
+    image = bundle_from_projectors(loop, projs)
+    kernel = bundle_from_projectors(loop, [np.eye(2) - p for p in projs])
     for i in range(64):
         # oracle: im(S Pi S^-1) = S * fibre, ker(S Pi S^-1) = S * (fibre complement)
         v = s @ mb.fibre(i)
@@ -177,18 +177,16 @@ def test_bundle_from_projectors_validation():
     good = [np.diag([1.0, 0.0])] * 8
 
     with pytest.raises(InputError):
-        bundle_from_projectors(loop, good[:5], part="image")
+        bundle_from_projectors(loop, good[:5])
     with pytest.raises(InputError):
-        bundle_from_projectors(loop, good, part="span")
+        bundle_from_projectors(loop, [np.diag([1.0, 0.5])] * 8)
     with pytest.raises(InputError):
-        bundle_from_projectors(loop, [np.diag([1.0, 0.5])] * 8, part="image")
-    with pytest.raises(InputError):
-        bundle_from_projectors(loop, [np.ones((2, 3))] * 8, part="image")
+        bundle_from_projectors(loop, [np.ones((2, 3))] * 8)
 
     jump = [np.diag([1.0, 0.0])] * 8
     jump[3] = np.eye(2)
     with pytest.raises(SamplingError) as excinfo:
-        bundle_from_projectors(loop, jump, part="image")
+        bundle_from_projectors(loop, jump)
     assert "samples 2 and 3" in str(excinfo.value)
     assert "not a bundle at this sampling" in str(excinfo.value)
 
@@ -198,7 +196,7 @@ def test_bundle_from_projectors_names_the_first_bad_projector():
 
     def message(projs):
         with pytest.raises(InputError) as info:
-            bundle_from_projectors(loop, projs, part="image")
+            bundle_from_projectors(loop, projs)
         return str(info.value)
 
     # each check names the first projector that fails it: shape, finiteness, idempotency
@@ -223,22 +221,24 @@ def test_bundle_from_projectors_splits_each_sample_as_its_own_svd():
     for _ in range(8):
         basis = base + 0.02 * rng.standard_normal((3, 3))
         projs.append(basis[:, :2] @ np.linalg.inv(basis)[:2])  # oblique, rank 2
-    image = bundle_from_projectors(loop, projs, part="image")
-    kernel = bundle_from_projectors(loop, projs, part="kernel")
-    for i, p in enumerate(projs):
-        u, _, vt = np.linalg.svd(p)
+    complements = [np.eye(3) - p for p in projs]
+    image = bundle_from_projectors(loop, projs)
+    kernel = bundle_from_projectors(loop, complements)
+    for i, (p, q) in enumerate(zip(projs, complements)):
+        u = np.linalg.svd(p)[0]
         assert image.fibre(i).tobytes() == np.ascontiguousarray(u[:, :2]).tobytes()
-        assert kernel.fibre(i).tobytes() == np.ascontiguousarray(vt[2:].T).tobytes()
+        u = np.linalg.svd(q)[0]
+        assert kernel.fibre(i).tobytes() == np.ascontiguousarray(u[:, :1]).tobytes()
 
 
 def test_bundle_from_projectors_rank_zero_kernel():
     loop = ParameterLoop.circle(8)
     projs = [np.eye(2)] * 8
-    kernel = bundle_from_projectors(loop, projs, part="kernel")
+    kernel = bundle_from_projectors(loop, [np.eye(2) - p for p in projs])
     assert kernel.rank == 0
     assert kernel.frames.shape == (8, 2, 0)
     assert first_sw_class(kernel) == 0
-    image = bundle_from_projectors(loop, projs, part="image")
+    image = bundle_from_projectors(loop, projs)
     assert image.rank == 2
     assert first_sw_class(image) == 0
 
@@ -274,6 +274,50 @@ def test_first_sw_class_matches_transport_oracle():
     # analytic parity for the winding family
     for half_turns in (0, 1, 2, 3):
         assert first_sw_class(winding_line_bundle(loop, half_turns)) == half_turns % 2
+
+
+def geodesic_loop(rng, dim: int, rank: int, waypoints: int) -> np.ndarray:
+    """Frames of a closed Grassmannian path through random waypoints.
+
+    Consecutive waypoints (the last back to the first) are joined by
+    geodesics, cut into steps whose largest principal angle is drawn
+    from [0.9, 0.99999] * pi/3, except for the last step of a segment.
+    Along a geodesic the principal angles between two points are the
+    step times the segment's angles, so every step stays below pi/3.
+    """
+    ends = [np.linalg.qr(rng.standard_normal((dim, rank)))[0] for _ in range(waypoints)]
+    frames = []
+    for x, y in zip(ends, ends[1:] + ends[:1]):
+        u, cosines, vt = np.linalg.svd(x.T @ y)
+        angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+        start = x @ u
+        away = y @ vt.T - start * cosines
+        sines = np.linalg.norm(away, axis=0)
+        away = np.divide(away, sines, out=np.zeros_like(away), where=sines > 1e-12)
+        t = 0.0
+        while t < 1.0:
+            frames.append(start * np.cos(t * angles) + away * np.sin(t * angles))
+            t += rng.uniform(0.9, 0.99999) * (np.pi / 3.0) / max(angles.max(), 1e-12)
+    return np.array(frames)
+
+
+def test_first_sw_class_at_the_sampling_limit_matches_transport_oracle():
+    # consecutive fibres just inside the pi/3 that SampledBundle allows, so
+    # the overlap determinants come close to their lower bound 2**-rank
+    rng = np.random.default_rng(1217)
+    for _ in range(40):
+        rank = int(rng.integers(1, 4))
+        dim = int(rng.integers(rank + 1, 7))
+        frames = geodesic_loop(rng, dim, rank, int(rng.integers(8, 12)))
+        for i in range(len(frames)):
+            gauge = random_orthogonal(rng, rank)
+            if rng.integers(2):
+                gauge[:, 0] *= -1.0  # either determinant sign
+            frames[i] = frames[i] @ gauge
+        bundle = SampledBundle(
+            loop=ParameterLoop.circle(len(frames)), rank=rank, frames=frames, name="limit"
+        )
+        assert first_sw_class(bundle) == (1 - transport_sign_oracle(frames)) // 2
 
 
 def test_first_sw_class_gauge_and_basepoint_invariance():

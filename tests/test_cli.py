@@ -809,6 +809,32 @@ def test_certified_bifurcation_localizes_near_the_halfway_angle(tmp_path):
     assert solution_files == [f"solution_{i:03d}.csv" for i in range(len(candidates))]
 
 
+def test_a_refined_localization_builds_the_refined_system_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    nonlinear = Scenario._nonlinear
+
+    def counted(self, spec, n_samples):
+        builds.append(n_samples)
+        return nonlinear(self, spec, n_samples)
+
+    monkeypatch.setattr(Scenario, "_nonlinear", counted)
+    doc = builtin_document("system2-mobius")
+    doc.setdefault("options", {}).update(localize=True, grid_refinement=2)
+    out = tmp_path / "out"
+    ref = write_doc(tmp_path, doc)
+    assert run(["certify", "--scenario", ref, "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert builds == [16, 32]
+    results = report_of(out)["results"]
+    assert results["verdict"] == "bifurcation_certified"
+    # the 32-sample loop flips its fibre at sample 16 (angle pi)
+    assert [cand["lambda"] for cand in results["candidates"]] == [16, 16, 16]
+    for i in range(3):
+        header, rows = read_csv(out / f"solution_{i:03d}.csv")
+        assert header[0] == "param_0"
+        assert {float(row[0]) for row in rows} == {np.pi}
+
+
 def test_localization_is_skipped_when_not_certified(tmp_path, capsys):
     doc = system2_doc(1, 1, {"kind": "quadratic_decaying", "amplitude": 1.0})
     doc["options"] = {"localize": True}

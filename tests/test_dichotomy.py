@@ -157,7 +157,7 @@ def test_verify_ed_frozen_constants_diagonal_saddle():
     assert witness.rank == 1
     assert witness.checked_pairs > 10
     # K (1 + alpha) / (1 - alpha) (1 + sup-norm of the family) = 6 exactly
-    assert witness.green_bound(fam.bound) == pytest.approx(6.0, abs=1e-8)
+    assert witness.green_bound() == pytest.approx(6.0, abs=1e-8)
 
 
 def test_verify_ed_slow_saddle_alpha():
