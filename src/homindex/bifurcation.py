@@ -180,7 +180,7 @@ class NonlinearField:
     for every sample on a probe grid, with one `value` call.  `r0` is
     the radius of the state ball on which the model is trusted;
     `refiner(k)`, when given, returns the same system sampled on a
-    k-fold refined parameter loop.  Nothing is cached on the system:
+    k-fold refined parameter loop.  The system keeps no values, and
     `linearize_at_zero` builds a new linearization on every call.
     """
 
@@ -376,9 +376,10 @@ def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
     analytic derivative this is exact, otherwise it is sampled by
     central differences with step `FD_STEP`.  The full derivative is
     kept, including any decaying nonautonomous part that does not
-    vanish at zero.  Each call returns a new field with an empty matrix
-    table.  Its evaluator holds the system's evaluator and derivative,
-    not the system, so a dropped system is freed by reference counting.
+    vanish at zero.  Each call returns a new field, which evaluates
+    every read afresh like any field.  Its evaluator holds the system's
+    evaluator and derivative, not the system, so a dropped system is
+    freed by reference counting.
     """
     dim, value, derivative = f.dim, f.evaluator, f.derivative
 
@@ -413,7 +414,7 @@ class PerturbedSystemSpec:
     sample of `a_field`.  Nothing asks D_x R(lam, n, 0) to vanish as
     |n| grows: the half-line dichotomies of the linearization stand in
     for asymptotic hyperbolicity.  `to_nonlinear` reads A from the
-    linear part's table, all samples of a stack in one read.
+    linear part, all samples of a stack in one read.
     """
 
     a_field: DiscreteVectorField
@@ -444,8 +445,8 @@ class PerturbedSystemSpec:
     ) -> NonlinearField:
         """Assemble the full nonlinear field x -> A x + R(., x).
 
-        A is read from the linear part's table, one read per call for
-        all its samples; `refiner` becomes the field's refiner hook.
+        A is read from the linear part, one read per call for all its
+        samples; `refiner` becomes the field's refiner hook.
         """
         a_field, d = self.a_field, self.a_field.dim
 

@@ -576,12 +576,10 @@ def _build_windows(
     """Outcome lists of many samples on several half-line windows, built in one batch.
 
     `windows` lists (side, anchor, length); the tolerances are those of
-    `build_projector_families`.  One `field.stack` of the runs of all
-    windows fills the table, one evaluator call per run of consecutive
-    times; each window then reads its own run from the table in its
-    sweep order (the plus sweep runs down from the far end), so a bad
-    entry is named where that side's sweep meets it first.  The rows of
-    all windows go through one `_build_batch`.
+    `build_projector_families`.  Each window reads its run with one
+    `field.stack` in its sweep order (the plus sweep runs down from the
+    far end), so a bad entry is named where that side's sweep meets it
+    first.  The rows of all windows go through one `_build_batch`.
     """
     tolerances = (tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio)
     out, plans = [], []
@@ -594,8 +592,6 @@ def _build_windows(
         sweep = np.arange(hi, lo - 1, -1) if side == "plus" else np.arange(lo, hi + 1)
         plans.append((len(out), side, anchor, times, offset, sweep))
         out.append(None)
-    if plans:
-        field.stack(lams, np.concatenate([plan[-1] for plan in plans]))
     pending, owners = [], []
     for w, side, anchor, times, offset, sweep in plans:
         mats, out[w] = field.stack(lams, sweep)
@@ -934,7 +930,7 @@ def verify_families(families) -> list:
     ]
 
 
-def verify_ed(field: DiscreteVectorField, lam: int, family: ProjectorFamily) -> EDWitness:
+def verify_ed(family: ProjectorFamily) -> EDWitness:
     """Fit and validate dichotomy constants (K, alpha) on a projector family.
 
     Image and kernel transition chains are sampled over anchor times and

@@ -67,10 +67,10 @@ class WindowTooShortError(HomindexError):
 def fresh(exc: HomindexError) -> HomindexError:
     """A new error of the same class, message and attributes, without a traceback.
 
-    A field's matrix table keeps the error of each failed entry.
-    Raising the kept object itself, or keeping one that was caught,
-    would hang a traceback on it whose frames hold the field, so the
-    field and its table would sit in a reference cycle; raise or keep a
-    fresh copy.
+    Batches keep the error of each failed sample next to the others'
+    results.  Raising the kept object itself, or keeping one that was
+    caught, would hang a traceback on it whose frames hold the field
+    and the batch, so they would sit in a reference cycle; raise or
+    keep a fresh copy.
     """
     return copy.copy(exc)

@@ -13,31 +13,25 @@ and returns the (S, T, d, d) stack of the matrices at those samples
 and times, the sample on the leading axis; the `middle` of a
 realization has the same form and is called once for all samples.
 
-Every `DiscreteVectorField` owns an exact table of the matrices read so
-far: per parameter sample, the sorted times and their matrices.  All
-reads (`matrix` for one entry, `matrices` for a time range, and
-`stack` for many samples at any times, in any order and with repeats)
-go through one `read`.  It groups the
-requested samples by the times they are missing and makes one
-evaluator call per group and run of consecutive times, so a read of
-every sample over a range that none of them knows costs one call.  It
-validates each returned stack (shape, finiteness) once.  An entry that
-fails keeps a `NumericError` naming its (lam=..., n=...), so each
-(sample, time) reaches the evaluator at most once and a failed entry
-is never retried; a sample's read names its first bad entry in the
-order it asked for them, and a failing sample never spoils the others'
-entries.  Memory grows with the entries read, not with the span
-between them, so a probe at a far window edge costs one entry.  The
-table keeps only the evaluator and the dimension, never its field, so
-a dropped field is freed by reference counting.  The table is all a
-field keeps: the dichotomy and Fredholm layers cache nothing on it,
-and a caller that needs projector families again keeps the ones it
-was handed.
+A field keeps no matrices: every read (`matrix` for one entry,
+`matrices` for a time range, and `stack` for many samples at any
+times, in any order and with repeats) evaluates on the spot.  It makes
+one evaluator call per run of consecutive distinct times, carrying
+every sample of the read without an error, so a read of every sample
+over a range costs one call.  It validates the read's stack (shape,
+finiteness) once: a sample with a bad entry gets a `NumericError`
+naming its first one, (lam=..., n=...), in the order it asked for
+them, and a failing sample never spoils the others' rows.  Memory
+grows with the entries read, not with the span between them, so a
+probe at a far window edge costs one entry.  The costly objects are
+the projector families, not the matrices: the dichotomy and Fredholm
+layers cache nothing on a field, and a caller that needs projector
+families again keeps the ones it was handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,6 +56,11 @@ FRAME_TOL = 1e-10
 
 #: consecutive fibres may tilt by at most this principal angle
 MAX_FIBRE_ANGLE = np.pi / 3
+
+#: smallest contraction factor q of a hyperbolic family: below it the
+#: rounding of (1/q)(I - Pi), about eps/q, exceeds 1e-4 of the stable
+#: eigenvalue q (q**2 < 1e4 * eps)
+MIN_CONTRACTION = float(np.sqrt(1e4 * np.finfo(float).eps))
 
 # window used for fields defined by closed-form generators
 _WIDE_WINDOW = (-10_000, 10_000)
@@ -114,152 +113,6 @@ class ParameterLoop:
         return float(self.samples[i % len(self), 0])
 
 
-class _MatrixTable:
-    """Validated matrices of one field, evaluated on first use.
-
-    Per sample, the table keeps the sorted times read so far with their
-    matrices, and the `NumericError` of each time that failed.  It
-    holds the field's evaluator and dimension, not the field.  `read`
-    is its only access: one `searchsorted` per sample finds the
-    requested times already known; the others, unless they failed
-    before, are evaluated for all samples missing the same times at
-    once, one evaluator call per run of consecutive times, and merged
-    in.
-    """
-
-    def __init__(self, evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray], dim: int):
-        self._evaluator = evaluator
-        self._dim = dim
-        #: per sample, the sorted known times and their (len, d, d) matrices
-        self._known: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: per sample, the validation error of each failed time
-        self._errors: dict[int, dict[int, Exception]] = {}
-
-    def _locate(self, lam: int, times: np.ndarray):
-        """Positions of `times` among the sample's known times, and which are known."""
-        if lam not in self._known:
-            return None, np.zeros(times.shape, dtype=bool)
-        known = self._known[lam][0]
-        at = np.searchsorted(known, times)
-        return at, known.take(at, mode="clip") == times
-
-    def read(self, lams: list[int], times: np.ndarray, errors: list) -> np.ndarray:
-        """Read-only (S, T, d, d) matrices of samples `lams` at the integer `times`.
-
-        Times may repeat and come in any order.  `errors` holds, per
-        sample, None or an error found before the read; a sample with
-        an error is skipped, and every other sample whose read fails
-        gets the error of its first failed entry in the order of
-        `times` (or the `HomindexError` its evaluator call raised).
-        The rows of failed samples are zero.
-        """
-        rows: list = [None] * len(lams)
-        missing: dict[int, np.ndarray] = {}
-        unseen = None  # the sorted request, shared by the samples that know none of it
-        for s, lam in enumerate(lams):
-            if errors[s] is not None:
-                continue
-            at, known = self._locate(lam, times)
-            if known.all():
-                rows[s] = self._known[lam][1][at]
-            elif known.any():
-                missing[lam] = np.unique(times[~known])
-            else:
-                unseen = np.unique(times) if unseen is None else unseen
-                missing[lam] = unseen
-        raised = self._fill(missing) if missing else {}
-        for s, lam in enumerate(lams):
-            if lam not in missing or errors[s] is not None:
-                continue
-            if lam in raised:
-                errors[s] = raised[lam]
-                continue
-            at, known = self._locate(lam, times)
-            if known.all():
-                rows[s] = self._known[lam][1][at]
-            else:
-                errors[s] = self._errors[lam][int(times[np.argmin(known)])]
-        if len(rows) == 1 and rows[0] is not None:
-            out = rows[0][None]  # no copy for the common one-sample read
-        else:
-            empty = np.zeros((len(times), self._dim, self._dim))
-            out = np.array([empty if r is None else r for r in rows])
-            out = out.reshape((len(rows),) + empty.shape)
-        out.setflags(write=False)
-        return out
-
-    def _fill(self, missing: dict[int, np.ndarray]) -> dict[int, Exception]:
-        """Evaluate each sample's sorted unknown times that have not failed.
-
-        Samples missing the same times form a group, evaluated with one
-        call per run of consecutive times.  Returns the samples whose
-        evaluator call raised a `HomindexError`, with that error.
-        """
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for lam, todo in missing.items():
-            failed = self._errors.setdefault(lam, {})
-            if failed:
-                todo = todo[[n not in failed for n in todo.tolist()]]
-            if todo.size:
-                groups.setdefault(todo.tobytes(), (todo, []))[1].append(lam)
-        raised: dict[int, Exception] = {}
-        for todo, group in groups.values():
-            for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
-                self._evaluate([lam for lam in group if lam not in raised], run, raised)
-        return raised
-
-    def _evaluate(self, lams: list[int], run: np.ndarray, raised: dict) -> None:
-        """One evaluator call for samples `lams` on the run of times `run`, merged in.
-
-        A call that raises is repeated per sample, so one sample's
-        failure spares the others; a sample whose own call raises a
-        `HomindexError` is entered in `raised`, any other exception
-        propagates.
-        """
-        if not lams:
-            return
-        try:
-            a = np.asarray(self._evaluator(np.array(lams), run), dtype=float)
-        except Exception as exc:
-            if len(lams) > 1:
-                for lam in lams:
-                    self._evaluate([lam], run, raised)
-                return
-            if not isinstance(exc, HomindexError):
-                raise
-            raised[lams[0]] = fresh(exc)
-            return
-        d, size = self._dim, (len(lams), len(run))
-        if a.shape == size + (d, d):
-            bad = ~np.isfinite(a).all(axis=(2, 3))
-            what = "non-finite entries"
-        else:
-            bad = np.ones(size, dtype=bool)
-            shape = a.shape[2:] if a.shape[:2] == size else a.shape
-            what = f"shape {shape}"
-        flawed = bad.any(axis=1).tolist()
-        for s, lam in enumerate(lams):
-            new_times, new_values = run, a[s]
-            if flawed[s]:
-                for n in run[bad[s]].tolist():
-                    self._errors[lam][n] = NumericError(
-                        f"evaluator returned {what} at (lam={lam}, n={n})"
-                    )
-                if bad[s].all():
-                    continue
-                new_times, new_values = run[~bad[s]], new_values[~bad[s]]
-            if lam not in self._known:
-                self._known[lam] = (new_times, np.array(new_values))
-                continue
-            # no known time lies inside a run of unknown ones: one insertion point
-            times, values = self._known[lam]
-            at = int(np.searchsorted(times, run[0]))
-            self._known[lam] = (
-                np.concatenate((times[:at], new_times, times[at:])),
-                np.concatenate((values[:at], new_values, values[at:])),
-            )
-
-
 @dataclass(frozen=True)
 class DiscreteVectorField:
     """Matrix field (parameter sample, time) -> d x d real matrix.
@@ -268,44 +121,32 @@ class DiscreteVectorField:
     parameter sample indices (all 0 for unparametrized fields) and a
     1-D integer array of T consecutive times inside `window`, and
     returns the (S, T, d, d) stack of the matrices at those samples and
-    times.  The exact table (see the module docstring) calls it at most
-    once per (sample, time), only for times a read asked for, with
-    every sample of a read that misses the same run in one call, and
-    validates each returned stack once: a stack of the wrong shape
-    fails every entry it was asked for, and a non-finite matrix fails
-    its own entry, each with a `NumericError` naming (lam, n).  A call
-    that raises is repeated sample by sample, so a failing sample
-    spares the others.  A read that meets failed entries raises the
-    error of the first one, samples first, then in the order of the
-    requested times; `stack` returns each sample's error instead.
+    times.  Every read calls it afresh (see the module docstring), once
+    per run of consecutive distinct times it asks for, with every
+    sample of the read that has no error, and validates the read's
+    stack once: a stack of the wrong shape fails every entry of its
+    run, and a non-finite matrix its own entry, each with a
+    `NumericError` naming (lam, n).  A call that raises is repeated
+    sample by sample, so a failing sample spares the others.  A read
+    that meets failed entries raises the error of the first one,
+    samples first, then in the order of the requested times; `stack`
+    returns each sample's error instead.
     """
 
     dim: int
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     window: tuple[int, int] = _WIDE_WINDOW
     loop: ParameterLoop | None = None
-    _table: _MatrixTable = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise InputError("dimension must be at least 1")
         if self.window[0] >= self.window[1]:
             raise InputError("window must be a nonempty interval of times")
-        object.__setattr__(self, "_table", _MatrixTable(self.evaluator, self.dim))
 
     @property
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
-
-    def _times(self, times) -> np.ndarray:
-        """`times` as a nonempty 1-D integer array inside the window."""
-        times = np.asarray(times, dtype=np.int64).reshape(-1)
-        if times.size == 0:
-            raise InputError("no times requested")
-        for n in (int(times.min()), int(times.max())):
-            if not (self.window[0] <= n <= self.window[1]):
-                raise InputError(f"time {n} outside the evaluable window {self.window}")
-        return times
 
     def stack(self, lams, times) -> tuple[np.ndarray, list]:
         """Matrices of many samples in one read, and each sample's error.
@@ -316,9 +157,12 @@ class DiscreteVectorField:
         a failed sample are zero.  Raises only for times outside the
         window.
         """
-        return self._stack(lams, self._times(times))
-
-    def _stack(self, lams, times: np.ndarray) -> tuple[np.ndarray, list]:
+        times = np.asarray(times, dtype=np.int64).reshape(-1)
+        if times.size == 0:
+            raise InputError("no times requested")
+        for n in (int(times.min()), int(times.max())):
+            if not (self.window[0] <= n <= self.window[1]):
+                raise InputError(f"time {n} outside the evaluable window {self.window}")
         lams = [int(lam) for lam in lams]
         errors = [
             None
@@ -326,17 +170,54 @@ class DiscreteVectorField:
             else InputError(f"parameter index {lam} outside range({self.n_params})")
             for lam in lams
         ]
-        return self._table.read(lams, times, errors), errors
+        distinct, order = np.unique(times, return_inverse=True)
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(distinct) > 1) + 1))
+        out = np.zeros((len(lams), len(distinct), self.dim, self.dim))
+        shapes = {}  # (sample, start of a run) -> the wrong shape its call returned
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(distinct)]):
+            live = [s for s, error in enumerate(errors) if error is None]
+            for rows, a in self._evaluate(lams, live, distinct[lo:hi], errors):
+                size = (len(rows), hi - lo)
+                if a.shape == size + (self.dim, self.dim):
+                    out[rows, lo:hi] = a
+                else:
+                    out[rows, lo:hi] = np.nan
+                    shape = a.shape[2:] if a.shape[:2] == size else a.shape
+                    shapes.update(((s, lo), shape) for s in rows)
+        out = out[:, order]
+        bad = ~np.isfinite(out).all(axis=(2, 3))
+        for s in np.flatnonzero(bad.any(axis=1)).tolist():
+            i = int(np.argmax(bad[s]))
+            lo = int(starts[np.searchsorted(starts, order[i], side="right") - 1])
+            what = f"shape {shapes[s, lo]}" if (s, lo) in shapes else "non-finite entries"
+            errors[s] = NumericError(f"evaluator returned {what} at (lam={lams[s]}, n={times[i]})")
+            out[s] = 0.0
+        out.setflags(write=False)
+        return out, errors
 
-    def _read(self, lam: int, times: np.ndarray) -> np.ndarray:
-        """Read-only (T, d, d) matrices of one sample; raises its first error."""
-        mats, (error,) = self._stack([lam], times)
-        if error is not None:
-            raise fresh(error)
-        return mats[0]
+    def _evaluate(self, lams: list[int], rows: list[int], run: np.ndarray, errors: list) -> list:
+        """(rows, stack) pairs of the samples `rows` on the run of times `run`.
+
+        One evaluator call carries every row.  A call that raises is
+        repeated per row, so one sample's failure spares the others; a
+        row whose own call raises a `HomindexError` keeps it in
+        `errors`, and any other exception propagates.
+        """
+        if not rows:
+            return []
+        try:
+            a = self.evaluator(np.array([lams[s] for s in rows]), run)
+            return [(rows, np.asarray(a, dtype=float))]
+        except Exception as exc:
+            if len(rows) > 1:
+                return [pair for s in rows for pair in self._evaluate(lams, [s], run, errors)]
+            if not isinstance(exc, HomindexError):
+                raise
+            errors[rows[0]] = fresh(exc)
+            return []
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
-        return self._read(lam, self._times([n]))[0]
+        return _read_all(self, [lam], [n])[0, 0]
 
     def matrices(self, lam: int, lo: int, hi: int) -> np.ndarray:
         """Read-only stack of the matrices at times lo..hi, shape (hi - lo + 1, d, d).
@@ -346,7 +227,7 @@ class DiscreteVectorField:
         """
         if lo > hi:
             raise InputError(f"time range [{lo}, {hi}] is empty")
-        return self._read(lam, self._times(np.arange(int(lo), int(hi) + 1)))
+        return _read_all(self, [lam], np.arange(int(lo), int(hi) + 1))[0]
 
 
 def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
@@ -464,10 +345,15 @@ def construct_hyperbolic_family(bundle: SampledBundle, q: float) -> DiscreteVect
     For each sample the matrix is q * Pi + (1/q) * (I - Pi) with Pi the
     orthogonal projector onto the fibre, so the fibre is exactly the
     stable space (eigenvalue q) and its orthogonal complement the
-    unstable one (eigenvalue 1/q).  Requires 0 < q < 1.
+    unstable one (eigenvalue 1/q).  Requires MIN_CONTRACTION <= q < 1.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"contraction factor q must lie in (0, 1), got {q}")
+    if q < MIN_CONTRACTION:
+        raise DomainError(
+            f"contraction factor q = {q} is below {MIN_CONTRACTION:.1e}, where the "
+            "rounding of (1/q)(I - Pi) swamps the stable eigenvalue q"
+        )
     d = bundle.dim
     eye = np.eye(d)
     mats = np.empty((len(bundle.loop), d, d))

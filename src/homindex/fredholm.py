@@ -863,7 +863,7 @@ def green_solve(
         tail_edge = covered[1] if side == "plus" else covered[0]
         needs_tail = support[1] > tail_edge if side == "plus" else support[0] < tail_edge
         if needs_tail:
-            witness = verify_ed(field, lam, pf)
+            witness = verify_ed(pf)
             bound = _tail_bound(witness, psi, tail_edge, side)
             if bound > solve_tol:
                 extension = 1

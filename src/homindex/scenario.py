@@ -35,6 +35,7 @@ from .dichotomy import MIN_FIT_STEPS, family_run
 from .errors import InputError
 from .field import (
     _WIDE_WINDOW,
+    MIN_CONTRACTION,
     DiscreteVectorField,
     ParameterLoop,
     SampledBundle,
@@ -245,6 +246,12 @@ def _validate_field_spec(spec, dimension: int, loop_spec, path: str = "field") -
         out["q"] = _expect_number(q, f"{path}.q")
         if not 0.0 < out["q"] < 1.0:
             _fail(f"{path}.q", f"contraction factor must lie in (0, 1), got {q!r}")
+        if out["q"] < MIN_CONTRACTION:
+            _fail(
+                f"{path}.q",
+                f"contraction factor {q!r} is below {MIN_CONTRACTION:.1e}, where the "
+                "rounding of (1/q)(I - Pi) swamps the stable eigenvalue q",
+            )
         out["kappa_plus"] = _expect_int(spec.get("kappa_plus", 8), f"{path}.kappa_plus")
         out["kappa_minus"] = _expect_int(spec.get("kappa_minus", -8), f"{path}.kappa_minus")
         if not (out["kappa_minus"] < 0 < out["kappa_plus"]):

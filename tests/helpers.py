@@ -492,4 +492,4 @@ def half_line_witnesses(field_, lam=0, length=30, horizon=40):
         build_projector_family(field_, lam, "plus", 0, length=length, horizon=horizon),
         build_projector_family(field_, lam, "minus", 0, length=length, horizon=horizon),
     )
-    return tuple(verify_ed(field_, lam, fam) for fam in fams)
+    return tuple(verify_ed(fam) for fam in fams)

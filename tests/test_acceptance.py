@@ -140,7 +140,7 @@ def test_criterion_03_ed_certificate_and_inverse_bound_for_the_saddle():
     on the image of the projector."""
     f = autonomous_field(SADDLE)
     fam = build_projector_family(f, 0, "plus", 0, length=40)
-    wit = verify_ed(f, 0, fam)
+    wit = verify_ed(fam)
     assert abs(wit.k_const - 1.0) <= 1e-6
     assert abs(wit.alpha - 0.5) <= 1e-6
 

@@ -1,4 +1,4 @@
-"""Loop-wide batches: the field table, shared family batches and per-sample failures."""
+"""Loop-wide batches: field reads, shared family batches and per-sample failures."""
 
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ def saddle_loop_field(n_samples=8, broken=None, window=(-100, 100)):
 
 
 def counting_field(n_samples=8, bad=None):
-    """Rotated saddles with an evaluator that counts its calls per (sample, time)."""
-    calls = Counter()
+    """Rotated saddles with an evaluator that records each call's samples and times."""
+    calls = []
 
     def rotated(lam):
         c, s = np.cos(0.1 * lam), np.sin(0.1 * lam)
@@ -83,7 +83,7 @@ def counting_field(n_samples=8, bad=None):
         return rot @ SADDLE @ rot.T
 
     def evaluate(lams, times):
-        calls.update((lam, n) for lam in lams.tolist() for n in times.tolist())
+        calls.append((lams.tolist(), times.tolist()))
         one = np.array([rotated(lam) for lam in lams.tolist()])
         out = np.repeat(one[:, None], len(times), axis=1)
         if bad is not None:
@@ -116,9 +116,9 @@ def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, len
             assert np.allclose(getattr(fam, name), getattr(one, name), rtol=0.0, atol=1e-12), name
         if length < 4:  # too short to fit constants: both paths refuse alike
             with pytest.raises(InputError, match=str(wit)):
-                verify_ed(single_field, lam, one)
+                verify_ed(one)
             continue
-        one_wit = verify_ed(single_field, lam, one)
+        one_wit = verify_ed(one)
         assert wit.k_const == pytest.approx(one_wit.k_const, rel=1e-12)
         assert wit.alpha == pytest.approx(one_wit.alpha, rel=1e-12)
         assert wit.checked_pairs == one_wit.checked_pairs
@@ -136,7 +136,7 @@ def test_a_family_is_fitted_once_and_shared_read_only(monkeypatch):
 
     monkeypatch.setattr(dichotomy, "_verify_batch", counted)
     wit = verify_families(batch)[3]
-    again = verify_ed(field, 3, batch[3])
+    again = verify_ed(batch[3])
     assert fits == [8, 1]  # one call fitted the batch; verify_ed fits its family again
     fields = ("family", "k_const", "alpha", "checked_pairs")
     assert [getattr(again, k) for k in fields] == [getattr(wit, k) for k in fields]
@@ -229,17 +229,23 @@ def test_a_singular_step_beyond_the_anchors_fails_f2_for_the_whole_loop():
     ) in cert.warnings
 
 
-def test_non_finite_entry_is_named_and_every_entry_is_evaluated_once():
+def test_non_finite_entry_is_named_by_every_read_and_spares_the_other_samples():
     field, calls = counting_field(bad=(2, 5))
     for _ in range(2):
         with pytest.raises(NumericError, match=r"non-finite entries at \(lam=2, n=5\)"):
             field.matrix(2, 5)
+    assert calls == [([2], [5])] * 2  # a field keeps nothing: each read evaluates afresh
+    calls.clear()
     batch = build_projector_families(field, range(8), "plus", 0, 30, horizon=40)
     assert isinstance(batch[2], NumericError)
     assert "(lam=2, n=5)" in str(batch[2])
     assert all(isinstance(batch[i], ProjectorFamily) for i in range(8) if i != 2)
+    # one read of one run: one call, carrying every sample, the failing one too
+    assert [lams for lams, _ in calls] == [list(range(8))]
     build_projector_families(field, range(8), "minus", 0, 30, horizon=40)
     build_projector_families(field, range(8), "plus", 8, 2, horizon=40)
+    assert [lams for lams, _ in calls] == [list(range(8))] * 3
+    calls.clear()
     verdicts = [check_F3(field, lam, window=(-30, 30), horizon=40).verdict for lam in range(8)]
     assert verdicts == ["pass"] * 2 + ["indeterminate"] + ["pass"] * 5
     for lam in range(8):
@@ -248,8 +254,10 @@ def test_non_finite_entry_is_named_and_every_entry_is_evaluated_once():
                 field.matrices(lam, -70, 69)
         else:
             assert field.matrices(lam, -70, 69).shape == (140, 2, 2)
-    assert set(calls.values()) == {1}
-    assert all((lam, n) in calls for lam in range(8) if lam != 2 for n in range(-70, 70))
+    # a read of one sample carries that sample alone, each requested time once
+    assert calls and all(len(lams) == 1 for lams, _ in calls)
+    assert all(len(set(times)) == len(times) for _, times in calls)
+    assert calls[-8:] == [([lam], list(range(-70, 70))) for lam in range(8)]
 
 
 def test_each_side_names_the_bad_entry_its_sweep_meets_first():
@@ -268,11 +276,11 @@ def test_each_side_names_the_bad_entry_its_sweep_meets_first():
             build_projector_family(field, 0, side, 0, 30, horizon=40)
 
 
-def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_once():
-    calls = Counter()
+def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_of_its_read():
+    calls = []
 
     def evaluate(lams, times):
-        calls.update((lam, n) for lam in lams.tolist() for n in times.tolist())
+        calls.append(times.tolist())
         return np.zeros((len(lams), len(times), 3, 3))
 
     field = DiscreteVectorField(dim=2, evaluator=evaluate, window=(-20, 20))
@@ -280,10 +288,37 @@ def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_once():
         field.matrices(0, -5, 5)
     with pytest.raises(NumericError, match=r"\(lam=0, n=2\)"):
         field.matrix(0, 2)
-    # only the two new times reach the evaluator; the lowest failure is named
-    with pytest.raises(NumericError, match=r"\(lam=0, n=-6\)"):
+    # a read that covers the failed times evaluates them again; the lowest failure is named
+    with pytest.raises(NumericError, match=r"shape \(3, 3\) at \(lam=0, n=-6\)"):
         field.matrices(0, -6, 6)
-    assert set(calls.values()) == {1} and len(calls) == 13
+    # one call per read, each requested time once
+    assert calls == [list(range(-5, 6)), [2], list(range(-6, 7))]
+
+
+def test_a_call_that_raises_is_retried_per_sample_and_spares_the_others():
+    calls = []
+
+    def evaluate(lams, times):
+        calls.append(lams.tolist())
+        if 3 in lams.tolist():
+            raise NumericError("sample 3 cannot be evaluated")
+        if 5 in lams.tolist():
+            raise ValueError("a bug in the evaluator")
+        return np.broadcast_to(SADDLE, (len(lams), len(times), 2, 2))
+
+    field = DiscreteVectorField(
+        dim=2, evaluator=evaluate, window=(-20, 20), loop=ParameterLoop.circle(8)
+    )
+    # two runs: the first call raises and is repeated per sample; sample 3
+    # keeps its error, and the second run's call carries the other two
+    mats, errors = field.stack([1, 3, 4], [0, 1, 5, 6])
+    assert calls == [[1, 3, 4], [1], [3], [4], [1, 4]]
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], NumericError) and str(errors[1]) == "sample 3 cannot be evaluated"
+    assert not mats[1].any() and np.array_equal(mats[2], np.broadcast_to(SADDLE, (4, 2, 2)))
+    # any other exception propagates
+    with pytest.raises(ValueError, match="a bug in the evaluator"):
+        field.stack([1, 5], [0])
 
 
 def time_stamped_field(window=(-200, 200), bad=()):
@@ -314,8 +349,9 @@ def test_unsorted_reads_with_repeats_come_back_in_request_order():
     (table,), _ = field.stack([0], times)
     assert table[:, 0, 0].tolist() == times
     assert np.array_equal(table[:, 1], np.broadcast_to(SADDLE[1], (len(times), 2)))
-    assert sorted(calls) == [-2, -1, 0, 1, 2, 3, 4, 5, 7, 8, 9]
-    assert set(calls.values()) == {1}
+    assert not table.flags.writeable
+    # each read evaluates each distinct time it asks for once, repeats included
+    assert calls == Counter(range(6)) + Counter([-2, -1, 3, 7, 8, 9])
 
 
 def test_a_read_names_its_first_bad_entry_in_request_order():
@@ -324,11 +360,11 @@ def test_a_read_names_its_first_bad_entry_in_request_order():
         _, (error,) = field.stack([0], times)
         assert isinstance(error, NumericError)
         assert re.search(rf"non-finite entries at \(lam=0, n={named}\)", str(error))
-        # both entries failed once; a read in the other order names the other one
+        # a read in the other order evaluates both again and names the other one
         other = 45 - named
-        _, (error,) = field.stack([0], times[::-1])
+        mats, (error,) = field.stack([0], times[::-1])
         assert re.search(rf"\(lam=0, n={other}\)", str(error))
-        assert sorted(calls) == [5, 40] and set(calls.values()) == {1}
+        assert not mats.any() and calls == Counter({5: 2, 40: 2})
 
 
 def seeded_families(monkeypatch):
@@ -394,15 +430,15 @@ def count_build_batches(monkeypatch) -> list:
 def test_a_read_of_many_samples_fills_each_run_once_and_names_each_sample_s_error():
     field, calls = counting_field(bad=(2, 5))
     field.matrices(4, 0, 9)
+    calls.clear()
     mats, errors = field.stack([0, 2, 4, 9], np.arange(12, -1, -1))
+    # one call on the run [0, 12] carries every sample in range, the failing one too
+    assert calls == [([0, 2, 4], list(range(13)))]
     assert mats.shape == (4, 13, 2, 2) and not mats.flags.writeable
     assert [e is None for e in errors] == [True, False, True, False]
     assert "(lam=2, n=5)" in str(errors[1]) and "outside range(8)" in str(errors[3])
     assert not mats[1].any()
     assert np.array_equal(mats[2], field.matrices(4, 0, 12)[::-1])
-    assert set(calls.values()) == {1}
-    # samples 0 and 2 missed [0, 12] (one call); sample 4 missed [10, 12] (one call)
-    assert sorted(n for lam, n in calls if lam == 4) == list(range(13))
 
 
 def certify_loop_document(ahead: dict) -> dict:
@@ -426,11 +462,25 @@ def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
     tmp_path, monkeypatch, doc, verdict, most_values
 ):
     calls = Counter()
+    reads = []  # (evaluator, samples) of each open read, the innermost last
+    strays = []  # evaluator calls that did not carry every sample of their read
+    stack = DiscreteVectorField.stack
+
+    def recorded_stack(self, lams, times):
+        reads.append((self.evaluator, [int(lam) for lam in lams]))
+        try:
+            return stack(self, lams, times)
+        finally:
+            reads.pop()
+
+    monkeypatch.setattr(DiscreteVectorField, "stack", recorded_stack)
 
     def counted(label, evaluate):
-        def wrapped(*args):
+        def wrapped(lams, *args):
             calls[label] += 1
-            return evaluate(*args)
+            if not reads or reads[-1][0] is not wrapped or reads[-1][1] != lams.tolist():
+                strays.append((label, lams.tolist()))
+            return evaluate(lams, *args)
 
         return wrapped
 
@@ -459,21 +509,26 @@ def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
     code = run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")])
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert code == 0 and report["results"]["verdict"] == verdict
-    assert calls["linearization"] == 1
-    assert 1 <= calls["realization"] <= 16
+    # every call carries all samples of its read (no sample fails here)
+    assert calls["linearization"] >= 1 and calls["realization"] >= 1 and strays == []
     if most_values is not None:
         assert calls["value"] <= most_values
 
 
 def test_realize_reads_every_sample_in_one_evaluator_call(tmp_path, monkeypatch):
     calls = []
-    evaluate = field_module._MatrixTable._evaluate
+    build = scenario_module.realization_field
 
-    def counted(self, lams, times, raised):
-        calls.append(list(lams))
-        return evaluate(self, lams, times, raised)
+    def realization(*args, **kwargs):
+        field = build(*args, **kwargs)
 
-    monkeypatch.setattr(field_module._MatrixTable, "_evaluate", counted)
+        def counted(lams, times):
+            calls.append(lams.tolist())
+            return field.evaluator(lams, times)
+
+        return dataclasses.replace(field, evaluator=counted)
+
+    monkeypatch.setattr(scenario_module, "realization_field", realization)
     assert run(["realize", "--scenario", "realization-mobius", "--out", str(tmp_path)]) == 0
     assert calls == [list(range(16))]
 
@@ -493,22 +548,22 @@ def test_a_system2_build_probes_its_trivial_branch_once(monkeypatch):
     assert calls[1:] == [list(range(32))] and refined.n_params == 32
 
 
-def test_dropped_fields_and_their_tables_are_freed_by_reference_counting():
+def test_dropped_fields_and_their_families_are_freed_by_reference_counting():
     gc.disable()
     try:
         field = Scenario.builtin("realization-mobius").build_field()
         families = build_projector_families(field, range(16), "plus", 0, 20, horizon=40)
         witnesses = verify_families(families)
-        refs = [weakref.ref(x) for x in (field, field._table, families[0], witnesses[0])]
+        refs = [weakref.ref(x) for x in (field, families[0], witnesses[0])]
         del field, families, witnesses
-        assert [r() for r in refs] == [None] * 4
+        assert [r() for r in refs] == [None] * 3
 
         f = Scenario.builtin("system2-mobius").build_nonlinear()
         lin = linearize_at_zero(f)
         certify_bifurcation(f, CertifyOptions(horizon=40, f3_window=(-30, 30)))
-        refs = [weakref.ref(x) for x in (f, lin, lin._table)]
+        refs = [weakref.ref(x) for x in (f, lin)]
         del f, lin
-        assert [r() for r in refs] == [None] * 3
+        assert [r() for r in refs] == [None] * 2
     finally:
         gc.enable()
 
@@ -655,7 +710,7 @@ def single_index(field, lam, window, horizon):
     try:
         plus = build_projector_family(field, lam, "plus", 0, hi, horizon=horizon)
         minus = build_projector_family(field, lam, "minus", 0, -lo, horizon=horizon)
-        witnesses = (verify_ed(field, lam, plus), verify_ed(field, lam, minus))
+        witnesses = (verify_ed(plus), verify_ed(minus))
         return fredholm.kernel_cokernel(field, lam, window, witnesses)
     except HomindexError as exc:
         return exc
@@ -727,8 +782,8 @@ def _error_of(call, *args, **kwargs):
 
 
 def test_a_raised_memoized_error_does_not_keep_its_field_alive():
-    # a memoized error is raised as a fresh copy: raising the memoized object
-    # would give it a traceback whose frames hold the field that holds the memo
+    # a kept error is raised as a fresh copy: raising the kept object would give
+    # it a traceback whose frames hold the field
     gc.disable()
     try:
         field = saddle_loop_field(broken=3)
@@ -750,10 +805,10 @@ def test_a_raised_memoized_error_does_not_keep_its_field_alive():
         del field, reads, call, args
         assert ref() is None
 
-        # a truncation read error, kept in the field's matrix table
+        # a truncation read error
         good, _ = counting_field()
         plus, minus = whole_line_families(good, [0], (-30, 30), 40)
-        witnesses = (verify_ed(good, 0, plus[0]), verify_ed(good, 0, minus[0]))
+        witnesses = (verify_ed(plus[0]), verify_ed(minus[0]))
         field, _ = counting_field(bad=(0, 5))
         for _ in range(2):
             kind, text = _error_of(fredholm.kernel_cokernel, field, 0, (-30, 30), witnesses)

@@ -19,6 +19,13 @@ import pytest
 from homindex import cli, dichotomy
 from homindex.cli import run
 from homindex.dichotomy import MIN_FIT_STEPS
+from homindex.errors import DomainError
+from homindex.field import (
+    MIN_CONTRACTION,
+    ParameterLoop,
+    construct_hyperbolic_family,
+    mobius_bundle,
+)
 from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document
 
 
@@ -871,6 +878,35 @@ def test_certify_warns_when_localization_keeps_no_candidate(tmp_path, capsys):
     assert not [w for w in report["warnings"] if w.startswith("localization")]
 
 
+def tabulated_mobius_builtin(name: str, q: float, window=(-120, 120)) -> dict:
+    """A Moebius builtin's linear field at contraction factor q, as a tabulated document.
+
+    Both `realization-mobius` and `system2-mobius` (whose residual has
+    no linear part) have q * Pi + (1/q) * (I - Pi) beyond kappa = +-8,
+    with Pi the Moebius fibre ahead and the first axis behind, and the
+    identity between.
+    """
+    doc = builtin_document(name)
+    assert doc["field"]["stable_ahead"] == {"kind": "mobius"}
+    n = doc["loop"]["n"]
+    half = np.pi * np.arange(n) / n
+    fibre = np.stack([np.cos(half), np.sin(half)], axis=1)
+    ahead = fibre[:, :, None] * fibre[:, None, :]
+    behind = np.broadcast_to(np.diag([1.0, 0.0]), ahead.shape)
+    times = np.arange(window[0], window[1] + 1)
+    values = np.broadcast_to(np.eye(2), (n, len(times), 2, 2)).copy()
+    for pi, where in ((ahead, times > 8), (behind, times < -8)):
+        values[:, where] = (q * pi + (1.0 / q) * (np.eye(2) - pi))[:, None]
+    doc["field"] = {
+        "kind": "tabulated",
+        "window": list(window),
+        "shape": [n, len(times), 2],
+        "values": values.ravel().tolist(),
+    }
+    doc.pop("options", None)
+    return doc
+
+
 @pytest.mark.parametrize(
     "name, command, q",
     [
@@ -884,10 +920,10 @@ def test_overflowing_transition_chains_exit_four_naming_the_chain(
     tmp_path, capsys, name, command, q
 ):
     # at q <= 1e-20 the kernel chains of the fit overflow within the family;
-    # LAPACK's SVD never sees them, and the fit names the first one
-    doc = builtin_document(name)
-    doc["field"]["q"] = q
-    ref = write_doc(tmp_path, doc)
+    # LAPACK's SVD never sees them, and the fit names the first one.  The
+    # loader refuses such q for the builtin constructions, so the builtin's
+    # linear matrices at q come as a tabulated field
+    ref = write_doc(tmp_path, tabulated_mobius_builtin(name, q))
     assert run([command, "--scenario", ref, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -896,6 +932,35 @@ def test_overflowing_transition_chains_exit_four_naming_the_chain(
         err,
         re.MULTILINE,
     ), err
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-20])
+@pytest.mark.parametrize("name", ["realization-mobius", "system2-mobius"])
+def test_a_contraction_factor_that_rounding_destroys_exits_three_naming_field_q(
+    tmp_path, capsys, name, q
+):
+    # below MIN_CONTRACTION the rounding of (1/q)(I - Pi) swamps the stable
+    # eigenvalue q, so the loader refuses q before anything is built
+    doc = builtin_document(name)
+    doc["field"]["q"] = q
+    ref = write_doc(tmp_path, doc)
+    for command in ("index", "class"):
+        assert run([command, "--scenario", ref, "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"scenario field 'field.q': contraction factor {q!r} is below 1.5e-06" in err
+    assert MIN_CONTRACTION == pytest.approx(1.49e-6, rel=1e-2)
+    with pytest.raises(DomainError, match="below 1.5e-06"):
+        construct_hyperbolic_family(mobius_bundle(ParameterLoop.circle(16)), q)
+
+
+def test_a_small_admissible_contraction_factor_keeps_the_class(tmp_path):
+    doc = builtin_document("realization-mobius")
+    doc["field"]["q"] = 1e-3
+    ref = write_doc(tmp_path, doc)
+    assert run(["class", "--scenario", ref, "--out", str(tmp_path / "o")]) == 0
+    index_class = report_of(tmp_path / "o")["results"]["index_class"]
+    assert index_class["virtual_rank"] == 0 and index_class["delta_w1"] == 1
 
 
 def test_spectrum_warns_about_rates_outside_the_gamma_grid(tmp_path, capsys):

@@ -151,7 +151,7 @@ def test_family_after_transient_matches_dense_product_oracle():
 def test_verify_ed_frozen_constants_diagonal_saddle():
     field = saddle_field()
     fam = build_projector_family(field, 0, "plus", 0, length=60)
-    witness = verify_ed(field, 0, fam)
+    witness = verify_ed(fam)
     assert witness.k_const == pytest.approx(1.0, abs=1e-9)
     assert witness.alpha == pytest.approx(0.5, abs=1e-9)
     assert witness.rank == 1
@@ -163,7 +163,7 @@ def test_verify_ed_frozen_constants_diagonal_saddle():
 def test_verify_ed_slow_saddle_alpha():
     field = autonomous_field(np.diag([0.9, 2.0]))
     fam = build_projector_family(field, 0, "plus", 0, length=60)
-    witness = verify_ed(field, 0, fam)
+    witness = verify_ed(fam)
     assert witness.alpha == pytest.approx(0.9, abs=1e-9)
     assert witness.k_const == pytest.approx(1.0, abs=1e-9)
 
@@ -173,7 +173,7 @@ def test_verify_ed_full_rank_contraction():
     fam = build_projector_family(field, 0, "plus", 0, length=60)
     assert fam.rank == 2
     assert np.allclose(fam.projectors, np.eye(2), atol=1e-10)
-    witness = verify_ed(field, 0, fam)
+    witness = verify_ed(fam)
     assert witness.alpha == pytest.approx(0.5, abs=1e-9)
     assert witness.k_const == pytest.approx(1.0, abs=1e-9)
 

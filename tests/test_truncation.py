@@ -285,7 +285,7 @@ def test_a_wide_window_needs_no_dense_matrix(no_fallback):
     f = scenario.build_field()
     window = (-300, 300)
     plus, minus = whole_line_families(f, [0], window, scenario.horizon)
-    witnesses = (verify_ed(f, 0, plus[0]), verify_ed(f, 0, minus[0]))
+    witnesses = (verify_ed(plus[0]), verify_ed(minus[0]))
     tracemalloc.start()
     try:
         report = fredholm.kernel_cokernel(f, 0, window, witnesses)
