@@ -409,33 +409,20 @@ class PerturbedSystemSpec:
     `residual_derivative(lams, times, states)` take the Nemitski form of
     `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
     samples at T times, returning (S, T, dim) and (S, T, dim, dim)
-    stacks, each validated once with errors naming (lam, n).  The
-    construction probes the residual once on the zero branch, for every
-    sample of `a_field`.  Nothing asks D_x R(lam, n, 0) to vanish as
-    |n| grows: the half-line dichotomies of the linearization stand in
-    for asymptotic hyperbolicity.  `to_nonlinear` reads A from the
-    linear part, all samples of a stack in one read.
+    stacks, each validated once with errors naming (lam, n).  The spec
+    itself checks nothing: `to_nonlinear` builds a `NonlinearField`,
+    whose construction checks `r0` and probes the trivial branch for
+    every sample, and A 0 = 0 makes that probe one of R.  Nothing asks
+    D_x R(lam, n, 0) to vanish as |n| grows: the half-line dichotomies
+    of the linearization stand in for asymptotic hyperbolicity.
+    `to_nonlinear` reads A from the linear part, all samples of a stack
+    in one read.
     """
 
     a_field: DiscreteVectorField
     residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
     r0: float = 1.0
-
-    def __post_init__(self):
-        d = self.a_field.dim
-        if not (self.r0 > 0.0):
-            raise InputError("the trust radius r0 must be positive")
-        lo, hi = self.a_field.window
-        lams = np.arange(self.a_field.n_params)
-        times = np.array(_time_probes((lo, hi)))
-        r = self._residual(lams, times, np.zeros((len(lams), len(times), d)))
-        worst = float(np.abs(r).max())
-        if worst > TRIVIAL_BRANCH_TOL:
-            raise InputError(
-                "the residual does not vanish on the zero branch: |R(lam, n, 0)| "
-                f"reaches {worst:.3e} > {TRIVIAL_BRANCH_TOL:.0e} on the probe grid"
-            )
 
     def _residual(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         return _call_stack(self.residual, "residual", lams, times, states, (self.a_field.dim,))
@@ -446,7 +433,9 @@ class PerturbedSystemSpec:
         """Assemble the full nonlinear field x -> A x + R(., x).
 
         A is read from the linear part, one read per call for all its
-        samples; `refiner` becomes the field's refiner hook.
+        samples; `refiner` becomes the field's refiner hook.  Raises
+        `InputError` when `r0` is not positive or R does not vanish on
+        the zero branch.
         """
         a_field, d = self.a_field, self.a_field.dim
 

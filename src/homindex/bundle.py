@@ -34,7 +34,6 @@ from .field import DiscreteVectorField, ParameterLoop, SampledBundle
 
 __all__ = [
     "PROJECTOR_TOL",
-    "TRANSPORT_TOL",
     "KOClassDesk",
     "bundle_from_projectors",
     "first_sw_class",
@@ -45,8 +44,6 @@ __all__ = [
 
 #: idempotency tolerance for projector inputs
 PROJECTOR_TOL = 1e-8
-#: a transport overlap with a singular value at or below this is singular
-TRANSPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,23 +135,16 @@ def first_sw_class(bundle: SampledBundle) -> int:
     determinants.  The parity does not depend on the starting sample or
     on how each fibre's frame is gauged: a gauge change multiplies two
     neighbouring overlaps by the same determinant sign.  `SampledBundle`
-    keeps consecutive fibres within a principal angle of pi/3, so each
-    determinant has size at least 2**-rank and its sign is exact.
+    keeps consecutive fibres within a principal angle of pi/3 (its
+    constructor bounds every overlap's singular values below by 1/2,
+    the loop's closing overlap included), so each determinant has size
+    at least 2**-rank and its sign is exact; nothing here is checked
+    again.
     """
     if bundle.rank == 0:
         return 0  # the zero bundle is trivially orientable
     frames = bundle.frames
     overlaps = np.roll(frames, -1, axis=0).swapaxes(1, 2) @ frames
-    singular = np.flatnonzero(
-        np.linalg.svd(overlaps, compute_uv=False).min(axis=1) <= TRANSPORT_TOL
-    )
-    if singular.size:
-        i = int(singular[0])
-        raise SamplingError(
-            f"frame transport from fibre {i} to fibre {(i + 1) % len(frames)} is singular "
-            "(a principal angle reaches pi/2); the loop sampling is too "
-            "coarse to carry monodromy"
-        )
     return int(np.count_nonzero(np.linalg.det(overlaps) < 0.0) % 2)
 
 

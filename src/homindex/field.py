@@ -10,8 +10,7 @@ Fields are evaluated over samples and time ranges at once, never point
 by point.  An evaluator `evaluator(lams, times)` takes a 1-D integer
 array of S parameter sample indices and a 1-D integer array of T times
 and returns the (S, T, d, d) stack of the matrices at those samples
-and times, the sample on the leading axis; the `middle` of a
-realization has the same form and is called once for all samples.
+and times, the sample on the leading axis.
 
 A field keeps no matrices: every read (`matrix` for one entry,
 `matrices` for a time range, and `stack` for many samples at any
@@ -376,18 +375,13 @@ def realization_field(
     q: float = 0.5,
     kappa_minus: int = -8,
     kappa_plus: int = 8,
-    middle: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> DiscreteVectorField:
     """Piecewise field realizing a prescribed pair of asymptotic bundles.
 
     Times below kappa_minus use the hyperbolic family of `stable_behind`,
     times above kappa_plus the hyperbolic family of `stable_ahead`, and
-    the middle uses `middle` (identity by default), an evaluator of the
-    `DiscreteVectorField` form.  It is called once, for every sample on
-    all of kappa_minus..kappa_plus, and its matrices must be finite and
-    invertible; a stack of the wrong shape breaks every entry, and the
-    first offending (lam, n) in sample-then-time order is named.
-    Requires kappa_minus < 0 < kappa_plus.
+    the middle, kappa_minus..kappa_plus, the identity.  Requires
+    kappa_minus < 0 < kappa_plus.
     """
     if not (kappa_minus < 0 < kappa_plus):
         raise InputError("need kappa_minus < 0 < kappa_plus")
@@ -398,32 +392,12 @@ def realization_field(
     ahead = construct_hyperbolic_family(stable_ahead, q)
     behind = construct_hyperbolic_family(stable_behind, q)
     d = stable_ahead.dim
-    n_params = len(stable_ahead.loop)
-    times = np.arange(kappa_minus, kappa_plus + 1)
-    mid = np.broadcast_to(np.eye(d), (n_params, len(times), d, d)).copy()
-    broken = np.zeros((n_params, len(times)), dtype=bool)
-    if middle is not None:
-        m = np.asarray(middle(np.arange(n_params), times), dtype=float)
-        if m.shape != mid.shape:
-            broken[:] = True
-        else:
-            broken = ~np.isfinite(m).all(axis=(2, 3))
-            mid[~broken] = m[~broken]
-    singular = np.linalg.svd(mid, compute_uv=False).min(axis=-1) < 1e-10
-    if (broken | singular).any():
-        lam, i = np.argwhere(broken | singular)[0].tolist()
-        if broken[lam, i]:
-            raise InputError(f"middle evaluator broken at (lam={lam}, n={times[i]})")
-        raise DomainError(f"middle matrix at (lam={lam}, n={times[i]}) is not invertible")
-    mid = _readonly(mid)
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = np.empty((len(lams), len(times), d, d))
+        out = np.broadcast_to(np.eye(d), (len(lams), len(times), d, d)).copy()
         before, after = times < kappa_minus, times > kappa_plus
-        inside = ~(before | after)
         out[:, before] = behind.evaluator(lams, times[before])
         out[:, after] = ahead.evaluator(lams, times[after])
-        out[:, inside] = mid[lams[:, None], times[inside] - kappa_minus]
         return out
 
     return DiscreteVectorField(

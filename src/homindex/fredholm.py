@@ -659,9 +659,9 @@ def _subspace_count(field: DiscreteVectorField, lo: int, hi: int, fam_plus, fam_
     """`kernel_cokernel`'s checks, in its order, and its counts before the truncation."""
     if hi - lo + 1 < 8:
         raise InputError("index computations need a truncation window of at least 8 times")
-    if fam_plus.side not in ("plus", "full"):
+    if fam_plus.side != "plus":
         raise InputError(f"first witness must certify the plus side, got '{fam_plus.side}'")
-    if fam_minus.side not in ("minus", "full"):
+    if fam_minus.side != "minus":
         raise InputError(f"second witness must certify the minus side, got '{fam_minus.side}'")
     if fam_plus.dim != field.dim or fam_minus.dim != field.dim:
         raise InputError("witness families and field disagree on the dimension")
@@ -833,7 +833,7 @@ def green_solve(
     """
     if side not in ("plus", "minus"):
         raise InputError(f"side must be 'plus' or 'minus', got '{side}'")
-    if pf.side not in (side, "full"):
+    if pf.side != side:
         raise InputError(f"a '{pf.side}' projector family cannot solve the {side} half-line")
     d = field.dim
     if psi.dim != d or pf.dim != d:

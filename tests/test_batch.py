@@ -154,7 +154,7 @@ def test_failing_sample_keeps_its_error_and_spares_the_others():
     batch = build_projector_families(field, range(8), "plus", 0, 30, horizon=40)
     assert isinstance(batch[k], NoDichotomyError) and str(batch[k]) == expected
     assert all(isinstance(batch[i], ProjectorFamily) for i in range(8) if i != k)
-    # the single-sample path (memo hit or fresh build) raises the same error
+    # the single-sample path raises the same error, on this field and on a new one
     for f in (field, saddle_loop_field(broken=k)):
         with pytest.raises(NoDichotomyError) as info:
             build_projector_family(f, k, "plus", 0, 30, horizon=40)
@@ -781,7 +781,7 @@ def _error_of(call, *args, **kwargs):
     raise AssertionError(f"{call.__name__} did not raise")
 
 
-def test_a_raised_memoized_error_does_not_keep_its_field_alive():
+def test_a_raised_kept_error_does_not_keep_its_field_alive():
     # a kept error is raised as a fresh copy: raising the kept object would give
     # it a traceback whose frames hold the field
     gc.disable()

@@ -292,12 +292,13 @@ def test_perturbed_system_side_conditions():
     a_field = realization_field(
         trivial_bundle(loop, 2, 1), trivial_bundle(loop, 2, 1), q=0.5
     )
-    with pytest.raises(InputError):
-        PerturbedSystemSpec(
-            a_field=a_field,
-            residual=lambda lams, times, x: np.array([1e-6, 0.0]) + 0.0 * x,
-            r0=1.0,
-        )
+    spec = PerturbedSystemSpec(
+        a_field=a_field,
+        residual=lambda lams, times, x: np.array([1e-6, 0.0]) + 0.0 * x,
+        r0=1.0,
+    )
+    with pytest.raises(InputError, match="not a trivial branch"):
+        spec.to_nonlinear()
 
 
 # ---------------------------------------------------------------------------

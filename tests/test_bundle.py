@@ -77,13 +77,6 @@ def winding_line_bundle(loop: ParameterLoop, half_turns: int, dim: int = 2,
                          name=f"winding-{half_turns}")
 
 
-class _UncheckedBundle(SampledBundle):
-    """Bypasses the constructor invariants to reach defensive branches."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", np.asarray(self.frames, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # KOClassDesk
 
@@ -360,22 +353,6 @@ def test_first_sw_class_additivity_on_random_pairs():
         assert first_sw_class(a) == ka % 2
         assert first_sw_class(b) == kb % 2
         assert first_sw_class(direct_sum(a, b)) == (ka + kb) % 2
-
-
-def test_first_sw_class_singular_transport_step():
-    # the constructor forbids consecutive tilts >= pi/3, so reach the
-    # defensive branch with a deliberately unchecked bundle: steps of
-    # pi/14 but a closing edge at a right angle to the start
-    loop = ParameterLoop.circle(8)
-    frames = np.zeros((8, 2, 1))
-    for i in range(8):
-        ang = np.pi * i / 14.0
-        frames[i, :, 0] = (np.cos(ang), np.sin(ang))
-    broken = _UncheckedBundle(loop=loop, rank=1, frames=frames, name="broken")
-    with pytest.raises(SamplingError) as excinfo:
-        first_sw_class(broken)
-    assert "7" in str(excinfo.value) and "0" in str(excinfo.value)
-    assert "too coarse" in str(excinfo.value)
 
 
 def test_rank_and_class_stable_under_loop_refinement():

@@ -31,8 +31,16 @@ from homindex.errors import (
     NumericError,
     WindowTooShortError,
 )
-from homindex.field import autonomous_field, tabulated_field
-from homindex.scenario import Scenario
+from homindex.field import (
+    ParameterLoop,
+    autonomous_field,
+    direct_sum,
+    mobius_bundle,
+    realization_field,
+    tabulated_field,
+    trivial_bundle,
+)
+from homindex.scenario import Scenario, builtin_names
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -496,6 +504,63 @@ def test_an_overflowing_chain_fails_its_own_family_only():
         assert isinstance(got[i], EDWitness)
         assert (got[i].k_const, got[i].alpha) == (alone.k_const, alone.alpha)
         assert got[i].alpha == pytest.approx(1.0 / growth, rel=1e-12)
+
+
+#: relative slack a backward preimage may take on the fitted constants
+FIT_SLACK = 0.05
+
+
+def backward_preimages(wit: EDWitness):
+    """Least-norm preimages of kernel vectors after 1, 2, 4 and 8 steps from offset 0.
+
+    The backward form of the dichotomy, solved per family with `lstsq`
+    on the transition matrix phi that the family's frames and steps
+    assemble.  Yields (delta, column norms of z, residual of phi z = y).
+    """
+    fam = wit.family
+    d, r = fam.dim, fam.rank
+    inv_lo = np.linalg.inv(np.concatenate([fam.image_frames[0], fam.kernel_frames[0]], axis=-1))
+    chain_im, chain_ker = np.eye(r), np.eye(d - r)
+    for delta in range(1, 9):
+        chain_im = fam.image_steps[delta - 1] @ chain_im
+        chain_ker = fam.kernel_steps[delta - 1] @ chain_ker
+        if delta in (1, 2, 4, 8):
+            blocks = np.zeros((d, d))
+            blocks[:r, :r] = chain_im
+            blocks[r:, r:] = chain_ker
+            basis_hi = np.concatenate([fam.image_frames[delta], fam.kernel_frames[delta]], axis=-1)
+            phi = basis_hi @ blocks @ inv_lo
+            y = fam.kernel_frames[delta]
+            z = np.linalg.lstsq(phi, y, rcond=None)[0]
+            yield delta, np.linalg.norm(z, axis=0), np.abs(phi @ z - y).max(initial=0.0)
+
+
+def test_the_growth_fit_bounds_the_backward_preimages():
+    # the fit checks no backward form: from offset 0 the growth fit covers
+    # steps 1, 2, 4 and 8, and on orthonormal frames |z| <= 1 / sigma_min of
+    # the kernel chain, so every preimage meets K alpha**delta to rounding
+    loop = ParameterLoop.circle(16)
+    fields = []
+    for name in builtin_names():
+        scenario = Scenario.builtin(name)
+        fields.append((scenario.build_field(), scenario.horizon))
+    ahead = direct_sum(direct_sum(mobius_bundle(loop), mobius_bundle(loop)), trivial_bundle(loop, 4, 1))
+    for q in (0.02, 0.97):
+        # q = 0.97 needs a run of 115 steps to separate its rates log q and -log q
+        fields.append((realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=q), 200))
+        fields.append((realization_field(ahead, trivial_bundle(loop, 8, 4), q=q), 200))
+    probed = 0
+    for field, horizon in fields:
+        plus, minus = dichotomy.whole_line_families(field, range(field.n_params), (-30, 30), horizon)
+        for wit in dichotomy.verify_families(plus + minus):
+            assert isinstance(wit, EDWitness), wit
+            for delta, norms, resid in backward_preimages(wit):
+                bound = wit.k_const * wit.alpha**delta
+                assert resid <= 1e-8
+                assert norms.max(initial=0.0) <= (1.0 + FIT_SLACK) * bound
+                assert norms.max(initial=0.0) <= (1.0 + 1e-12) * bound
+                probed += len(norms)
+    assert probed > 1000
 
 
 def test_closed_form_slopes_match_polyfit_and_ignore_the_batch():

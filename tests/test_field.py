@@ -130,8 +130,6 @@ def test_realization_field_pieces():
         assert np.allclose(fld.matrix(lam, 5), h_e.matrix(lam, 0))
     with pytest.raises(InputError):
         realization_field(e, f, kappa_minus=1, kappa_plus=4)
-    with pytest.raises(DomainError):
-        realization_field(e, f, middle=lambda lams, times: np.zeros((len(lams), len(times), 2, 2)))
 
 
 def test_perturbation_smallness_report():
@@ -183,27 +181,6 @@ def test_stacked_constructor_checks_name_the_first_offender():
         tilted[flipped] = [[0.0], [1.0]]
         with pytest.raises(SamplingError, match=named):
             SampledBundle(loop=loop, rank=1, frames=tilted)
-
-    e, f = mobius_bundle(ParameterLoop.circle(16)), trivial_bundle(ParameterLoop.circle(16), 2, 1)
-
-    def middle(broken, singular):
-        """Identity middle, NaN at `broken` and zero at `singular` (lam, n) points."""
-
-        def evaluate(lams, times):
-            out = np.broadcast_to(np.eye(2), (len(lams), len(times), 2, 2)).copy()
-            out[(lams == broken[0])[:, None] & (times == broken[1])] *= np.nan
-            out[(lams == singular[0])[:, None] & (times == singular[1])] *= 0.0
-            return out
-
-        return evaluate
-
-    # the first point in sample-then-time order decides which error is raised
-    with pytest.raises(DomainError, match=r"\(lam=1, n=3\) is not invertible"):
-        realization_field(e, f, middle=middle(broken=(2, -1), singular=(1, 3)))
-    with pytest.raises(InputError, match=r"broken at \(lam=1, n=-2\)"):
-        realization_field(e, f, middle=middle(broken=(1, -2), singular=(1, 3)))
-    with pytest.raises(InputError, match=r"broken at \(lam=0, n=-8\)"):
-        realization_field(e, f, middle=lambda lams, times: np.eye(2))
 
     base = autonomous_field(np.diag([0.5, 2.0]), window=(-100, 100))
 
