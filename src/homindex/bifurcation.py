@@ -4,9 +4,8 @@ localization of homoclinic bifurcations from the trivial branch.
 A nonlinear system phi(n+1) = f(lam, n, phi(n)) with trivial branch
 f(lam, n, 0) = 0 is certified in four stages:
 
-- F0: the trivial branch is exact and the fibre derivative can be
-  trusted (analytic/finite-difference agreement, or remainder decay
-  for derivative-free models);
+- F0: the trivial branch is exact and the fibre derivative, a required
+  part of every system, agrees with central differences of the system;
 - F1: sampled boundedness of the fibre derivatives on the state ball
   of radius r0 (equicontinuity stays an analytic obligation and is
   echoed as a warning, never silently assumed);
@@ -38,7 +37,6 @@ from .bundle import KOClassDesk, _anchor_window, anchor_bundles
 from .dichotomy import whole_line_families
 from .errors import (
     CertificationError,
-    DomainError,
     HomindexError,
     InputError,
     NumericError,
@@ -56,11 +54,7 @@ from .fredholm import (
 
 __all__ = [
     "NonlinearField",
-    "BlockDiagonalOperator",
     "PerturbedSystemSpec",
-    "nemitski_apply",
-    "nemitski_derivative",
-    "remainder_ratios",
     "linearize_at_zero",
     "F3Check",
     "check_F3",
@@ -75,7 +69,7 @@ _LOG = logging.getLogger("homindex.bifurcation")
 #: sup-norm tolerance for the trivial branch f(lam, n, 0) = 0
 TRIVIAL_BRANCH_TOL = 1e-12
 
-#: default central finite-difference step for fibre derivatives
+#: central finite-difference step of F0's derivative check
 FD_STEP = 1e-5
 
 #: analytic-versus-finite-difference derivative agreement required by F0
@@ -149,17 +143,6 @@ def _call_stack(fn, label: str, lams: np.ndarray, times: np.ndarray, states: np.
     return out
 
 
-def _central_difference(g, states: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians (..., d, d) of a stacked map g: (..., d) -> (..., d)."""
-    d = states.shape[-1]
-    cols = np.empty(states.shape + (d,))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        cols[..., j] = (g(states + e) - g(states - e)) / (2.0 * h)
-    return cols
-
-
 @dataclass(frozen=True)
 class NonlinearField:
     """Parametrized nonlinear difference system with a trivial branch.
@@ -169,11 +152,13 @@ class NonlinearField:
     array of S parameter sample indices, a 1-D integer array of T times
     inside `window` and an (S, T, dim) stack of states, and returns the
     (S, T, dim) stack of f(lams[s], times[i], states[s, i]);
-    `derivative(lams, times, states)`, when given, returns the
-    (S, T, dim, dim) stack of fibre derivatives.  Every consumer makes
-    one call per stack: the probes at construction and in `certify`
-    stack every sample they need, and Gauss-Newton stacks every run of
-    its lockstep batch, each with its own sample (samples may repeat).
+    `derivative(lams, times, states)`, which every system must have,
+    returns the (S, T, dim, dim) stack of fibre derivatives D_x f;
+    `certify` checks it against central differences (F0).  Every
+    consumer makes one call per stack: the probes at construction and
+    in `certify` stack every sample they need, and Gauss-Newton stacks
+    every run of its lockstep batch, each with its own sample (samples
+    may repeat).
     Each returned stack is validated once (shape, then finiteness);
     errors name the (lam, n) of the first bad entry, samples first.
     The trivial branch f(lam, n, 0) = 0 is validated at construction,
@@ -186,7 +171,7 @@ class NonlinearField:
 
     dim: int
     evaluator: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
+    derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     window: tuple[int, int] = _WIDE_WINDOW
     r0: float = 1.0
     loop: ParameterLoop | None = None
@@ -240,15 +225,23 @@ class NonlinearField:
         return _call_stack(self.evaluator, "evaluator", lams, times, states, (self.dim,))
 
 
-def _fd_derivative(f: NonlinearField, lams, times, states, h: float) -> np.ndarray:
-    """Central-difference fibre derivatives of a stack, one `value` call per column and sign."""
-    return _central_difference(lambda x: f.value(lams, times, x), np.asarray(states, float), h)
+def _fd_derivative(f: NonlinearField, lams, times, states) -> np.ndarray:
+    """Central-difference fibre derivatives (S, T, dim, dim) of a stack, step `FD_STEP`.
+
+    One `value` call per column and sign.
+    """
+    states = np.asarray(states, dtype=float)
+    cols = np.empty(states.shape + (f.dim,))
+    for j in range(f.dim):
+        e = np.zeros(f.dim)
+        e[j] = FD_STEP
+        ahead, behind = f.value(lams, times, states + e), f.value(lams, times, states - e)
+        cols[..., j] = (ahead - behind) / (2.0 * FD_STEP)
+    return cols
 
 
-def _derivatives(f: NonlinearField, lams, times, states, fd_step: float = FD_STEP):
-    """Fibre derivatives (S, T, dim, dim) at (times[i], states[s, i]): analytic, else FD."""
-    if f.derivative is None:
-        return _fd_derivative(f, lams, times, states, fd_step)
+def _derivatives(f: NonlinearField, lams, times, states):
+    """Fibre derivatives (S, T, dim, dim) at (times[i], states[s, i]), validated once."""
     lams = np.asarray(lams, dtype=np.int64)
     times = np.asarray(times, dtype=np.int64)
     states = np.asarray(states, dtype=float)
@@ -256,140 +249,21 @@ def _derivatives(f: NonlinearField, lams, times, states, fd_step: float = FD_STE
     return _call_stack(f.derivative, "derivative", lams, times, states, (f.dim, f.dim))
 
 
-@dataclass(frozen=True)
-class BlockDiagonalOperator:
-    """Pointwise matrix multiplier psi(n) -> B(n) psi(n) on a time window."""
-
-    window: tuple[int, int]
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=float)
-        object.__setattr__(self, "blocks", b)
-        lo, hi = self.window
-        if b.ndim != 3 or b.shape[1] != b.shape[2]:
-            raise InputError("blocks must form a (times, dim, dim) array")
-        if b.shape[0] != hi - lo + 1:
-            raise InputError(
-                f"window [{lo}, {hi}] needs {hi - lo + 1} blocks, got {b.shape[0]}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise InputError("blocks must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[1]
-
-    def block(self, n: int) -> np.ndarray:
-        lo, hi = self.window
-        if not (lo <= n <= hi):
-            raise InputError(f"time {n} outside the operator window [{lo}, {hi}]")
-        return self.blocks[n - lo]
-
-    def apply(self, phi: FiniteWindowSequence) -> FiniteWindowSequence:
-        if tuple(phi.window) != tuple(self.window):
-            raise InputError(
-                f"sequence window {phi.window} does not match the operator "
-                f"window {self.window}"
-            )
-        vals = np.einsum("nij,nj->ni", self.blocks, phi.values)
-        return FiniteWindowSequence.tabulate(self.window, vals)
-
-
-def _check_substitution_domain(f: NonlinearField, phi: FiniteWindowSequence) -> None:
-    lo, hi = phi.window
-    if lo < f.window[0] or hi > f.window[1]:
-        raise DomainError(
-            f"sequence window [{lo}, {hi}] leaves the field window {f.window}"
-        )
-    if phi.dim != f.dim:
-        raise InputError(
-            f"sequence dimension {phi.dim} does not match the field dimension {f.dim}"
-        )
-
-
-def nemitski_apply(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> FiniteWindowSequence:
-    """Substitution operator: the sequence n -> f(lam, n, phi(n))."""
-    _check_substitution_domain(f, phi)
-    lo, hi = phi.window
-    vals = f.value([lam], np.arange(lo, hi + 1), phi.values[None])[0]
-    return FiniteWindowSequence.tabulate((lo, hi), vals)
-
-
-def nemitski_derivative(
-    f: NonlinearField, lam: int, phi: FiniteWindowSequence, fd_step: float = FD_STEP
-) -> BlockDiagonalOperator:
-    """Fibre derivative of the substitution operator along phi.
-
-    The derivative of phi -> f(lam, ., phi(.)) acts block-diagonally;
-    each block is the analytic fibre derivative when the field carries
-    one and a central finite difference with step `fd_step` otherwise.
-    """
-    if not (fd_step > 0.0):
-        raise InputError(f"finite-difference step must be positive, got {fd_step}")
-    if 1.0 + fd_step == 1.0:
-        raise NumericError(
-            f"finite-difference step {fd_step:.1e} underflows at working precision"
-        )
-    _check_substitution_domain(f, phi)
-    lo, hi = phi.window
-    blocks = _derivatives(f, [lam], np.arange(lo, hi + 1), phi.values[None], fd_step)[0]
-    return BlockDiagonalOperator(window=(lo, hi), blocks=blocks)
-
-
-def remainder_ratios(
-    f: NonlinearField,
-    lam: int,
-    phi: FiniteWindowSequence,
-    steps: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-) -> list[tuple[float, float, float]]:
-    """Sup-norm Taylor remainders of the substitution operator along phi.
-
-    Returns one row (h, remainder_sup, remainder_sup / h) per step h,
-    where the remainder is F(phi + h u) - F(phi) - h L u with L the
-    fibre derivative along phi and u the constant all-ones probe
-    direction.  Differentiability shows as ratios decreasing to zero
-    with h.
-    """
-    _check_substitution_domain(f, phi)
-    lo, hi = phi.window
-    u = np.ones((hi - lo + 1, f.dim))
-    base = nemitski_apply(f, lam, phi)
-    lin = nemitski_derivative(f, lam, phi)
-    lu = np.einsum("nij,nj->ni", lin.blocks, u)
-    rows = []
-    for h in steps:
-        h = float(h)
-        if not (h > 0.0):
-            raise InputError("remainder steps must be positive")
-        shifted = FiniteWindowSequence.tabulate(phi.window, phi.values + h * u)
-        rem = nemitski_apply(f, lam, shifted).values - base.values - h * lu
-        sup = float(np.abs(rem).max())
-        rows.append((h, sup, sup / h))
-    return rows
-
-
 def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
     """Linearization of the system along its trivial branch.
 
-    The returned field evaluates the fibre derivative at zero; with an
-    analytic derivative this is exact, otherwise it is sampled by
-    central differences with step `FD_STEP`.  The full derivative is
-    kept, including any decaying nonautonomous part that does not
-    vanish at zero.  Each call returns a new field, which evaluates
-    every read afresh like any field.  Its evaluator holds the system's
-    evaluator and derivative, not the system, so a dropped system is
-    freed by reference counting.
+    The returned field evaluates the system's fibre derivative at zero,
+    exactly.  The full derivative is kept, including any decaying
+    nonautonomous part that does not vanish at zero.  Each call returns
+    a new field, which evaluates every read afresh like any field.  Its
+    evaluator holds the system's derivative, not the system, so a
+    dropped system is freed by reference counting.
     """
-    dim, value, derivative = f.dim, f.evaluator, f.derivative
+    dim, derivative = f.dim, f.derivative
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
         zero = np.zeros((len(lams), len(times), dim))
-        if derivative is not None:
-            return _call_stack(derivative, "derivative", lams, times, zero, (dim, dim))
-        return _central_difference(
-            lambda x: _call_stack(value, "evaluator", lams, times, x, (dim,)), zero, FD_STEP
-        )
+        return _call_stack(derivative, "derivative", lams, times, zero, (dim, dim))
 
     return DiscreteVectorField(
         dim=f.dim,
@@ -404,8 +278,9 @@ class PerturbedSystemSpec:
     """Nonlinear system assembled from a linear part and a small residual.
 
     Models phi(n+1) = A(lam, n) phi(n) + R(lam, n, phi(n)) with
-    `a_field` the linear part and `residual` the remainder R, which
-    must vanish on the zero branch.  `residual(lams, times, states)` and
+    `a_field` the linear part, `residual` the remainder R, which must
+    vanish on the zero branch, and `residual_derivative` its required
+    fibre derivative D_x R.  `residual(lams, times, states)` and
     `residual_derivative(lams, times, states)` take the Nemitski form of
     `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
     samples at T times, returning (S, T, dim) and (S, T, dim, dim)
@@ -421,7 +296,7 @@ class PerturbedSystemSpec:
 
     a_field: DiscreteVectorField
     residual: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
+    residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     r0: float = 1.0
 
     def _residual(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -443,14 +318,11 @@ class PerturbedSystemSpec:
             linear = (_read_all(a_field, lams, times) @ states[..., None])[..., 0]
             return linear + self._residual(lams, times, states)
 
-        derivative = None
-        if self.residual_derivative is not None:
-
-            def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-                linear = _read_all(a_field, lams, times)
-                return linear + _call_stack(
-                    self.residual_derivative, "residual derivative", lams, times, states, (d, d)
-                )
+        def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+            linear = _read_all(a_field, lams, times)
+            return linear + _call_stack(
+                self.residual_derivative, "residual derivative", lams, times, states, (d, d)
+            )
 
         return NonlinearField(
             dim=a_field.dim,
@@ -663,14 +535,14 @@ def certify_bifurcation(
 ) -> BifurcationCertificate:
     """Run the four-stage certification of a loop-parametrized system.
 
-    F0 revalidates the trivial branch and the fibre derivative
-    (analytic versus central differences on a probe grid, or remainder
-    decay for derivative-free models).  F1 samples the derivative
-    sup-norm on the r0 ball; equicontinuity remains an analytic
-    obligation and is echoed as a warning.  F2 certifies half-line
-    dichotomies at the anchors for every loop sample and assembles the
-    index-bundle class of the (im P+, im P-) pair.  F3 scans the loop
-    in sample order; the first invertible sample becomes `lambda0`.
+    F0 revalidates the trivial branch and checks the system's required
+    fibre derivative against central differences of the system on a
+    probe grid.  F1 samples the derivative sup-norm on the r0 ball;
+    equicontinuity remains an analytic obligation and is echoed as a
+    warning.  F2 certifies half-line dichotomies at the anchors for
+    every loop sample and assembles the index-bundle class of the
+    (im P+, im P-) pair.  F3 scans the loop in sample order; the first
+    invertible sample becomes `lambda0`.
     A rank mismatch between the half-line families makes F3 impossible
     and fails the hypotheses outright; a scan with no pass and at
     least one indeterminate sample blocks certification with a
@@ -712,22 +584,11 @@ def certify_bifurcation(
     core_times, core_states = _probe_grid(
         [t for t in time_probes if abs(t) <= 10], f.dim, f.r0, len(lam_probes)
     )
-    if f.derivative is not None:
-        fd = _fd_derivative(f, lam_probes, core_times, core_states, FD_STEP)
-        analytic = _derivatives(f, lam_probes, core_times, core_states)
-        deviation = float(np.abs(analytic - fd).max())
-        f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
-        evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
-    else:
-        lo = max(f.window[0], -6)
-        hi = min(f.window[1], 6)
-        ns = np.arange(lo, hi + 1)
-        probe_seq = FiniteWindowSequence.tabulate(
-            (lo, hi), 0.3 * f.r0 * (0.8 ** np.abs(ns))[:, None] * np.ones((1, f.dim))
-        )
-        ratios = [row[2] for row in remainder_ratios(f, 0, probe_seq)]
-        f0_ok = f0_ok and all(b < a for a, b in zip(ratios, ratios[1:]))
-        evidence.append(("f0_remainder_ratios", ", ".join(f"{r:.3e}" for r in ratios)))
+    fd = _fd_derivative(f, lam_probes, core_times, core_states)
+    analytic = _derivatives(f, lam_probes, core_times, core_states)
+    deviation = float(np.abs(analytic - fd).max())
+    f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
+    evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
 
     # F1: sampled derivative bound on the trust ball
     blocks = _derivatives(f, lam_probes, probe_times, probe_states)

@@ -688,18 +688,6 @@ class EDWitness:
     alpha: float
     checked_pairs: int
 
-    @property
-    def side(self) -> str:
-        return self.family.side
-
-    @property
-    def anchor(self) -> int:
-        return self.family.anchor
-
-    @property
-    def rank(self) -> int:
-        return self.family.rank
-
     def green_bound(self) -> float:
         """Sup-norm bound for half-line Green solutions per unit forcing."""
         return self.k_const * (1.0 + self.alpha) / (1.0 - self.alpha) * (1.0 + self.family.bound)

@@ -150,11 +150,11 @@ class DiscreteVectorField:
     def stack(self, lams, times) -> tuple[np.ndarray, list]:
         """Matrices of many samples in one read, and each sample's error.
 
-        Returns the read-only (S, T, d, d) stack of samples `lams` at
-        the integer `times` (in any order, with repeats) and, per
-        sample, None or the error its own read would raise; the rows of
-        a failed sample are zero.  Raises only for times outside the
-        window.
+        Returns the read-only (S, T, d, d) stack of samples `lams` (with
+        repeats) at the integer `times` (in any order, with repeats) and,
+        per sample, None or the error its own read would raise; the rows
+        of a failed sample are zero.  Each distinct sample and time is
+        evaluated once.  Raises only for times outside the window.
         """
         times = np.asarray(times, dtype=np.int64).reshape(-1)
         if times.size == 0:
@@ -162,7 +162,9 @@ class DiscreteVectorField:
         for n in (int(times.min()), int(times.max())):
             if not (self.window[0] <= n <= self.window[1]):
                 raise InputError(f"time {n} outside the evaluable window {self.window}")
-        lams = [int(lam) for lam in lams]
+        row_of = {}  # each distinct sample's row, in request order
+        back = np.array([row_of.setdefault(int(lam), len(row_of)) for lam in lams], np.int64)
+        lams = list(row_of)
         errors = [
             None
             if 0 <= lam < self.n_params
@@ -191,8 +193,9 @@ class DiscreteVectorField:
             what = f"shape {shapes[s, lo]}" if (s, lo) in shapes else "non-finite entries"
             errors[s] = NumericError(f"evaluator returned {what} at (lam={lams[s]}, n={times[i]})")
             out[s] = 0.0
+        out = out[back]
         out.setflags(write=False)
-        return out, errors
+        return out, [errors[s] for s in back]
 
     def _evaluate(self, lams: list[int], rows: list[int], run: np.ndarray, errors: list) -> list:
         """(rows, stack) pairs of the samples `rows` on the run of times `run`.

@@ -31,7 +31,15 @@ import numpy as np
 
 from .bifurcation import NonlinearField, PerturbedSystemSpec, linearize_at_zero
 from .bundle import _anchor_window
-from .dichotomy import MIN_FIT_STEPS, family_run
+from .dichotomy import (
+    GAP_RATIO,
+    MIN_FIT_STEPS,
+    SIGMA_REG,
+    TAU_INV,
+    TAU_PROJ,
+    ZERO_MARGIN,
+    family_run,
+)
 from .errors import InputError
 from .field import (
     _WIDE_WINDOW,
@@ -46,6 +54,7 @@ from .field import (
     tabulated_field,
     trivial_bundle,
 )
+from .fredholm import DECAY_TOL, SOLVE_TOL
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -65,13 +74,13 @@ _TOP_DEFAULTS = {
 }
 
 _TOLERANCE_DEFAULTS = {
-    "tau_proj": 1e-8,
-    "tau_inv": 1e-7,
-    "sigma_reg": 1e-6,
-    "zero_margin": 2e-3,
-    "gap_ratio": 1e3,
-    "decay_tol": 1e-6,
-    "solve_tol": 1e-8,
+    "tau_proj": TAU_PROJ,
+    "tau_inv": TAU_INV,
+    "sigma_reg": SIGMA_REG,
+    "zero_margin": ZERO_MARGIN,
+    "gap_ratio": GAP_RATIO,
+    "decay_tol": DECAY_TOL,
+    "solve_tol": SOLVE_TOL,
 }
 
 _OPTION_DEFAULTS = {

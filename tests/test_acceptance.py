@@ -25,8 +25,6 @@ from homindex.bifurcation import (
     CertifyOptions,
     certify_bifurcation,
     localize_bifurcations,
-    nemitski_derivative,
-    remainder_ratios,
 )
 from homindex.bundle import KOClassDesk, index_bundle_pair
 from homindex.cli import run
@@ -383,23 +381,30 @@ def test_criterion_09_nemitski_derivative_agreement_and_remainder_slope():
     quadratic family's Taylor remainder has log-log slope >= 1.8."""
     f = Scenario.builtin("system2-mobius").build_nonlinear()
     rng = np.random.default_rng(60_000)
-    phi = FiniteWindowSequence.tabulate((-10, 10), rng.uniform(-0.4, 0.4, (21, 2)))
-    lam = 3
+    phi = rng.uniform(-0.4, 0.4, (1, 21, 2))
+    lam, times = 3, np.arange(-10, 11)
 
-    operator = nemitski_derivative(f, lam, phi)
+    blocks = f.derivative(np.array([lam]), times, phi)[0]
     h = 1e-6
-    for i, n in enumerate(range(-10, 11)):
-        x = phi.values[i]
+    for i, n in enumerate(times):
+        x = phi[0, i]
         fd = np.empty((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
             fd[:, j] = (f.value(lam, n, x + e) - f.value(lam, n, x - e)) / (2.0 * h)
-        assert np.abs(operator.block(n) - fd).max() <= 1e-6
+        assert np.abs(blocks[i] - fd).max() <= 1e-6
 
-    rows = remainder_ratios(f, lam, phi, steps=(1e-2, 1e-3, 1e-4))
-    assert all(rem > 0 for _, rem, _ in rows)
-    for (h1, r1, _), (h2, r2, _) in zip(rows, rows[1:]):
+    # sup-norm remainder of F(phi + h u) - F(phi) - h F'(phi) u along u = (1, 1)
+    base = f.value([lam], times, phi)[0]
+    slope_u = blocks.sum(axis=2)
+    steps = (1e-2, 1e-3, 1e-4)
+    rems = [
+        float(np.abs(f.value([lam], times, phi + h)[0] - base - h * slope_u).max())
+        for h in steps
+    ]
+    assert all(rem > 0 for rem in rems)
+    for h1, r1, h2, r2 in zip(steps, rems, steps[1:], rems[1:]):
         slope = np.log(r1 / r2) / np.log(h1 / h2)
         assert slope >= 1.8
 

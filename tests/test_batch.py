@@ -295,6 +295,25 @@ def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_of_its_read():
     assert calls == [list(range(-5, 6)), [2], list(range(-6, 7))]
 
 
+def test_a_read_evaluates_each_repeated_sample_once_and_keeps_its_errors():
+    field, calls = counting_field(bad=(2, 5))
+    lams, times = [4, 2, 4, 0, 2, 9], [5, 6, 7]
+    mats, errors = field.stack(lams, times)
+    # one call, each distinct sample in range once, in request order: 9 entries, not 15
+    assert calls == [([4, 2, 0], times)]
+    for s, lam in enumerate(lams):
+        alone, (error,) = field.stack([lam], times)
+        assert np.array_equal(mats[s], alone[0])
+        assert type(errors[s]) is type(error) and str(errors[s]) == str(error)
+    assert [type(e).__name__ for e in errors] == [
+        "NoneType", "NumericError", "NoneType", "NoneType", "NumericError", "InputError"
+    ]
+    assert str(errors[1]) == "evaluator returned non-finite entries at (lam=2, n=5)"
+    # a read raises the error of the first failing sample it lists
+    with pytest.raises(InputError, match="parameter index 9"):
+        field_module._read_all(field, [0, 9, 2], times)
+
+
 def test_a_call_that_raises_is_retried_per_sample_and_spares_the_others():
     calls = []
 
@@ -462,12 +481,12 @@ def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
     tmp_path, monkeypatch, doc, verdict, most_values
 ):
     calls = Counter()
-    reads = []  # (evaluator, samples) of each open read, the innermost last
-    strays = []  # evaluator calls that did not carry every sample of their read
+    reads = []  # (evaluator, distinct samples) of each open read, the innermost last
+    strays = []  # evaluator calls that did not carry each sample of their read once
     stack = DiscreteVectorField.stack
 
     def recorded_stack(self, lams, times):
-        reads.append((self.evaluator, [int(lam) for lam in lams]))
+        reads.append((self.evaluator, list(dict.fromkeys(int(lam) for lam in lams))))
         try:
             return stack(self, lams, times)
         finally:
@@ -509,7 +528,7 @@ def test_certify_calls_each_evaluator_once_per_read_of_all_samples(
     code = run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")])
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert code == 0 and report["results"]["verdict"] == verdict
-    # every call carries all samples of its read (no sample fails here)
+    # every call carries each sample of its read once (no sample fails here)
     assert calls["linearization"] >= 1 and calls["realization"] >= 1 and strays == []
     if most_values is not None:
         assert calls["value"] <= most_values

@@ -6,10 +6,12 @@ geometry), or analytic structure of the built examples; nothing is
 copied from the implementation under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from homindex.errors import DomainError, InputError, NumericError
+from homindex.errors import InputError
 from homindex.field import (
     ParameterLoop,
     SampledBundle,
@@ -30,9 +32,6 @@ from homindex.bifurcation import (
     check_F3,
     linearize_at_zero,
     localize_bifurcations,
-    nemitski_apply,
-    nemitski_derivative,
-    remainder_ratios,
 )
 
 from helpers import assert_scale, block_norm_scale, boundary_conditioned
@@ -99,12 +98,6 @@ def linear_system(stable_rank_ahead=1, stable_rank_behind=1, dim=2,
     )
 
 
-def impulse_seq(window, at, value, d=1):
-    vals = np.zeros((window[1] - window[0] + 1, d))
-    vals[at - window[0]] = value
-    return FiniteWindowSequence.tabulate(window, vals)
-
-
 def residual_oracle(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> float:
     """Sup-norm defect of the recursion phi(n+1) = f_n(lam, phi(n))."""
     lo, hi = phi.window
@@ -116,7 +109,7 @@ def residual_oracle(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> f
 
 
 # ---------------------------------------------------------------------------
-# NonlinearField and Nemitski operations
+# NonlinearField
 
 
 def test_nonlinear_field_trivial_branch_guard():
@@ -124,6 +117,7 @@ def test_nonlinear_field_trivial_branch_guard():
         NonlinearField(
             dim=1,
             evaluator=lambda lams, times, x: 0.5 * x + 1e-6,
+            derivative=lambda lams, times, x: np.full(x.shape + (1,), 0.5),
             window=(-10, 10),
             r0=1.0,
         )
@@ -131,122 +125,36 @@ def test_nonlinear_field_trivial_branch_guard():
     assert f.n_params == 1
 
 
-def test_nemitski_apply_quadratic_impulse():
-    f = quadratic_field()
-    phi = impulse_seq((-5, 5), at=2, value=1.0)
-    out = nemitski_apply(f, 0, phi)
-    assert out.window == (-5, 5)
-    # 0.5 * 1 + 1^2 at the impulse, zero elsewhere
-    assert out.value_at(2)[0] == pytest.approx(1.5, abs=0.0)
-    mask = np.ones(11, dtype=bool)
-    mask[7] = False
-    assert abs(np.asarray(out.values)[mask]).max() == 0.0
-
-
-def test_nemitski_apply_zero_is_zero_exactly():
-    window = (-20, 20)
-    zero = FiniteWindowSequence.tabulate(
-        window, np.zeros((41, 2)), decay_tol=1e-6
-    )
+def test_value_is_zero_exactly_on_the_trivial_branch():
+    times = np.arange(-20, 21)
     f = mobius_system(8).to_nonlinear()
-    out = nemitski_apply(f, 3, zero)
-    assert abs(np.asarray(out.values)).max() == 0.0
-
+    assert abs(f.value([3], times, np.zeros((1, 41, 2)))).max() == 0.0
     fq = quadratic_field()
-    zero1 = FiniteWindowSequence.tabulate(window, np.zeros((41, 1)))
-    assert abs(np.asarray(nemitski_apply(fq, 0, zero1).values)).max() == 0.0
+    assert abs(fq.value([0], times, np.zeros((1, 41, 1)))).max() == 0.0
 
 
-def test_nemitski_apply_decay_flags_and_envelope():
-    f = quadratic_field(window=(-10, 100))
-    window = (0, 80)
-    ns = np.arange(0, 81)
-    phi = FiniteWindowSequence.tabulate(window, (0.8**ns)[:, None])
-    out = nemitski_apply(f, 0, phi)
-    # closed form: 0.5 * 0.8^n + 0.64^n
-    expected = 0.5 * 0.8**ns + 0.64**ns
-    assert abs(np.asarray(out.values)[:, 0] - expected).max() < 1e-15
-    assert out.decays_right and not out.decays_left
-    # independent geometric-envelope fit: log-magnitudes drop linearly
-    logs = np.log(np.asarray(out.values)[:, 0])
-    slope = np.polyfit(ns, logs, 1)[0]
-    assert slope < np.log(0.9)
-
-
-def test_nemitski_apply_validation():
+def test_value_validation_and_failure_names_the_time():
     f = quadratic_field(window=(-10, 10))
-    phi = impulse_seq((-20, 20), at=0, value=1.0)
-    with pytest.raises(DomainError):
-        nemitski_apply(f, 0, phi)  # sequence window exceeds the field's
-
-    phi2 = impulse_seq((-5, 5), at=0, value=np.array([1.0, 2.0]), d=2)
-    with pytest.raises(InputError):
-        nemitski_apply(f, 0, phi2)  # dimension mismatch
+    with pytest.raises(InputError, match="outside the evaluable window"):
+        f.value([0], np.arange(-20, 21), np.ones((1, 41, 1)))
+    with pytest.raises(InputError, match="states must form"):
+        f.value([0], np.arange(-5, 6), np.ones((1, 11, 2)))  # dimension mismatch
 
     def broken(lams, times, x):
         if np.any((times == 3) & np.any(x != 0.0, axis=-1)):
             raise ValueError("boom")
         return 0.0 * x
 
-    fb = NonlinearField(dim=1, evaluator=broken, window=(-5, 5), r0=1.0)
-    ones = FiniteWindowSequence.tabulate((-5, 5), np.ones((11, 1)))
+    fb = NonlinearField(
+        dim=1,
+        evaluator=broken,
+        derivative=lambda lams, times, x: np.zeros(x.shape + (1,)),
+        window=(-5, 5),
+        r0=1.0,
+    )
     with pytest.raises(InputError) as excinfo:
-        nemitski_apply(fb, 0, ones)
+        fb.value([0], np.arange(-5, 6), np.ones((1, 11, 1)))
     assert "n=3" in str(excinfo.value)
-
-
-def test_nemitski_derivative_quadratic_blocks():
-    f = quadratic_field()
-    window = (-4, 4)
-    phi = impulse_seq(window, at=1, value=1.0)
-    op = nemitski_derivative(f, 0, phi)
-    # D f = 0.5 + 2 phi: 0.5 everywhere except 2.5 at the impulse
-    for n in range(-4, 5):
-        expected = 2.5 if n == 1 else 0.5
-        assert op.block(n)[0, 0] == pytest.approx(expected, abs=1e-12)
-
-    # finite differences agree with the analytic derivative
-    f_fd = NonlinearField(
-        dim=1, evaluator=f.evaluator, window=f.window, r0=1.0
-    )
-    op_fd = nemitski_derivative(f_fd, 0, phi)
-    for n in range(-4, 5):
-        assert abs(op_fd.block(n)[0, 0] - op.block(n)[0, 0]) < 1e-6
-
-    # applying the diagonal operator is pointwise matrix action
-    psi = impulse_seq(window, at=1, value=2.0)
-    assert nemitski_derivative(f, 0, phi).apply(psi).value_at(1)[0] == pytest.approx(5.0)
-
-
-def test_remainder_ratios_slope():
-    f = quadratic_field()
-    window = (-6, 6)
-    phi = FiniteWindowSequence.tabulate(
-        window, 0.3 * (0.8 ** np.abs(np.arange(-6, 7)))[:, None]
-    )
-    steps = (1e-2, 1e-3, 1e-4)
-    rows = remainder_ratios(f, 0, phi, steps=steps)
-    hs = np.array([r[0] for r in rows])
-    remainders = np.array([r[1] for r in rows])
-    ratios = np.array([r[2] for r in rows])
-    assert np.all(np.diff(ratios) < 0)  # monotone decreasing
-    # the quadratic family has exact second-order remainder h^2
-    rem_slope = np.polyfit(np.log(hs), np.log(remainders), 1)[0]
-    assert rem_slope >= 1.8
-    ratio_slope = np.polyfit(np.log(hs), np.log(ratios), 1)[0]
-    assert 0.9 <= ratio_slope <= 1.1
-
-
-def test_finite_difference_step_guards():
-    f = NonlinearField(
-        dim=1, evaluator=lambda lams, times, x: 0.5 * x + x**2,
-        window=(-5, 5), r0=1.0,
-    )
-    phi = impulse_seq((-5, 5), at=0, value=0.1)
-    with pytest.raises(InputError):
-        nemitski_derivative(f, 0, phi, fd_step=0.0)
-    with pytest.raises(NumericError):
-        nemitski_derivative(f, 0, phi, fd_step=1e-17)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +168,11 @@ def test_linearize_at_zero_quadratic_and_linear():
 
     a = np.array([[0.3, 1.0], [0.0, 2.0]])
     f_lin = NonlinearField(
-        dim=2, evaluator=lambda lams, times, x: x @ a.T, window=(-30, 30), r0=1.0
+        dim=2,
+        evaluator=lambda lams, times, x: x @ a.T,
+        derivative=lambda lams, times, x: np.broadcast_to(a, x.shape + (2,)),
+        window=(-30, 30),
+        r0=1.0,
     )
     lin = linearize_at_zero(f_lin)
     for n in (-20, 0, 20):
@@ -277,14 +189,14 @@ def test_linearize_at_zero_system2_is_a_plus_d():
             expected = spec.a_field.matrix(lam, n)  # D2R(.,0) = 0 here
             assert abs(lin.matrix(lam, n) - expected).max() < 1e-10
 
-    # finite-difference route agrees to the pinned tolerance
-    f_fd = NonlinearField(
-        dim=2, evaluator=f.evaluator, window=f.window, r0=1.0, loop=f.loop
-    )
-    lin_fd = linearize_at_zero(f_fd)
+    # central differences of the system at zero agree to the pinned tolerance
+    h = 1e-5
     for lam in (0, 5):
         for n in (-9, 0, 9):
-            assert abs(lin_fd.matrix(lam, n) - lin.matrix(lam, n)).max() < 1e-6
+            fd = np.column_stack(
+                [(f.value(lam, n, h * e) - f.value(lam, n, -h * e)) / (2.0 * h) for e in np.eye(2)]
+            )
+            assert abs(fd - lin.matrix(lam, n)).max() < 1e-6
 
 
 def test_perturbed_system_side_conditions():
@@ -295,6 +207,7 @@ def test_perturbed_system_side_conditions():
     spec = PerturbedSystemSpec(
         a_field=a_field,
         residual=lambda lams, times, x: np.array([1e-6, 0.0]) + 0.0 * x,
+        residual_derivative=lambda lams, times, x: np.zeros(x.shape + (2,)),
         r0=1.0,
     )
     with pytest.raises(InputError, match="not a trivial branch"):
@@ -374,6 +287,23 @@ def test_certify_system2_mobius_certified():
     assert any("sufficient" in w for w in cert.warnings)
     assert cert.f3_verdicts[0] == "pass"
     assert cert.f3_verdicts[8] == "fail"  # theta = pi sample
+
+
+def test_certify_f0_rejects_a_wrong_derivative():
+    # a zero residual derivative misses D_x R(0, x) = [[2 x0, 0], [x1, x0]], which is
+    # 1 at the probe state x = (0.5 r0, 0) at time 0
+    spec = dataclasses.replace(
+        mobius_system(16), residual_derivative=lambda lams, times, x: np.zeros(x.shape + (2,))
+    )
+    cert = certify_bifurcation(spec.to_nonlinear(), CertifyOptions(
+        anchor_plus=8, anchor_minus=-8, horizon=40, f3_window=(-30, 30)
+    ))
+    assert not cert.f0_ok and cert.f1_ok and cert.f2_ok and cert.f3_ok
+    assert cert.verdict == "hypotheses_failed"
+    assert "(F0)/(F1) sampled validation failed; see the evidence table" in cert.warnings
+    evidence = dict(cert.evidence)
+    assert float(evidence["f0_derivative_deviation"]) == pytest.approx(1.0, abs=1e-3)
+    assert "f0_remainder_ratios" not in evidence
 
 
 def test_certify_linear_hyperbolic_obstruction_vanishes():

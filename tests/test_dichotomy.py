@@ -162,7 +162,7 @@ def test_verify_ed_frozen_constants_diagonal_saddle():
     witness = verify_ed(fam)
     assert witness.k_const == pytest.approx(1.0, abs=1e-9)
     assert witness.alpha == pytest.approx(0.5, abs=1e-9)
-    assert witness.rank == 1
+    assert witness.family.rank == 1
     assert witness.checked_pairs > 10
     # K (1 + alpha) / (1 - alpha) (1 + sup-norm of the family) = 6 exactly
     assert witness.green_bound() == pytest.approx(6.0, abs=1e-8)
