@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from homindex.errors import InputError
+from homindex.errors import InputError, NumericError
 from homindex.field import (
     ParameterLoop,
     SampledBundle,
@@ -155,6 +155,81 @@ def test_value_validation_and_failure_names_the_time():
     with pytest.raises(InputError) as excinfo:
         fb.value([0], np.arange(-5, 6), np.ones((1, 11, 1)))
     assert "n=3" in str(excinfo.value)
+
+
+def test_value_quadratic_impulse():
+    f = quadratic_field()
+    times = np.arange(-5, 6)
+    states = np.zeros((1, 11, 1))
+    states[0, 7, 0] = 1.0  # impulse at n = 2
+    out = f.value([0], times, states)
+    assert out.shape == (1, 11, 1)
+    # 0.5 * 1 + 1^2 at the impulse, zero elsewhere
+    assert out[0, 7, 0] == pytest.approx(1.5, abs=0.0)
+    mask = np.ones(11, dtype=bool)
+    mask[7] = False
+    assert abs(out[0, mask]).max() == 0.0
+
+
+def test_value_decay_closed_form():
+    f = quadratic_field(window=(-10, 100))
+    ns = np.arange(0, 81)
+    out = f.value([0], ns, (0.8**ns)[None, :, None])[0, :, 0]
+    # closed form: 0.5 * 0.8^n + 0.64^n
+    expected = 0.5 * 0.8**ns + 0.64**ns
+    assert abs(out - expected).max() < 1e-15
+    # independent geometric-envelope fit: log-magnitudes drop linearly
+    slope = np.polyfit(ns, np.log(out), 1)[0]
+    assert slope < np.log(0.9)
+
+
+def test_derivative_quadratic_blocks():
+    f = quadratic_field()
+    times = np.arange(-4, 5)
+    states = np.zeros((1, 9, 1))
+    states[0, 5, 0] = 1.0  # impulse at n = 1
+    blocks = bifurcation._derivatives(f, [0], times, states)
+    assert blocks.shape == (1, 9, 1, 1)
+    # D f = 0.5 + 2 phi: 0.5 everywhere except 2.5 at the impulse
+    for i, n in enumerate(times):
+        expected = 2.5 if n == 1 else 0.5
+        assert blocks[0, i, 0, 0] == pytest.approx(expected, abs=1e-12)
+
+    # central differences agree with the analytic derivative
+    fd = bifurcation._fd_derivative(f, [0], times, states)
+    assert fd.shape == blocks.shape
+    assert abs(fd - blocks).max() < 1e-6
+
+    # a block acts on a state as its matrix: 2.5 * 2 at the impulse
+    assert blocks[0, 5] @ np.array([2.0]) == pytest.approx([5.0])
+
+
+def test_derivatives_validate_the_stack_and_name_the_entry():
+    def make(derivative):
+        return NonlinearField(
+            dim=2,
+            evaluator=lambda lams, times, x: 0.5 * x,
+            derivative=derivative,
+            window=(-5, 5),
+            r0=1.0,
+        )
+
+    times = np.arange(-2, 3)
+    states = np.zeros((2, 5, 2))
+    with pytest.raises(InputError, match=r"derivative returned shape \(2,\) at \(lam=0, n=-2\)"):
+        bifurcation._derivatives(
+            make(lambda lams, times, x: np.zeros(x.shape)), [0, 0], times, states
+        )
+
+    def non_finite(lams, times, x):
+        out = np.broadcast_to(0.5 * np.eye(2), x.shape + (2,)).copy()
+        out[(times == 1)[None, :] & (np.arange(len(lams)) == 1)[:, None]] = np.nan
+        return out
+
+    with pytest.raises(NumericError, match=r"derivative returned non-finite values at \(lam=0, n=1\)"):
+        bifurcation._derivatives(make(non_finite), [0, 0], times, states)
+    with pytest.raises(InputError, match="outside the evaluable window"):
+        bifurcation._derivatives(make(non_finite), [0], np.arange(-6, 0), np.zeros((1, 6, 2)))
 
 
 # ---------------------------------------------------------------------------
