@@ -72,7 +72,10 @@ TRIVIAL_BRANCH_TOL = 1e-12
 #: central finite-difference step of F0's derivative check
 FD_STEP = 1e-5
 
-#: analytic-versus-finite-difference derivative agreement required by F0
+#: analytic-versus-finite-difference derivative agreement required by F0,
+#: relative to max(1, sup |analytic|): the difference's rounding, about
+#: eps |f| / FD_STEP, grows with the derivative (like 1/q on a
+#: hyperbolic family of contraction q)
 F0_DERIVATIVE_TOL = 1e-6
 
 #: principal cosine between decaying subspaces that seeds a Newton run
@@ -587,7 +590,7 @@ def certify_bifurcation(
     fd = _fd_derivative(f, lam_probes, core_times, core_states)
     analytic = _derivatives(f, lam_probes, core_times, core_states)
     deviation = float(np.abs(analytic - fd).max())
-    f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL
+    f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL * max(1.0, float(np.abs(analytic).max()))
     evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
 
     # F1: sampled derivative bound on the trust ball

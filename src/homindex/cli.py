@@ -383,23 +383,18 @@ def _cmd_solve(scenario: Scenario) -> CommandOutcome:
     fam = build_projector_family(
         field, lam, side, anchor, length=length, **_family_kwargs(scenario)
     )
+    lo, hi = scenario.forcing_window
+    mats = field.matrices(lam, lo, hi)
     solutions, csvs = [], []
     for i, (label, psi) in enumerate(_solve_forcings(scenario, field.dim)):
-        phi = green_solve(
-            field,
-            lam,
-            side,
-            anchor,
-            psi,
-            fam,
-            solve_tol=tol["solve_tol"],
-            decay_tol=tol["decay_tol"],
-        )
-        lo, hi = phi.window
-        mats = field.matrices(lam, lo, hi - 1)
+        phi = green_solve(fam, anchor, psi, decay_tol=tol["decay_tol"])
         steps = phi.values[1:] - (mats @ phi.values[:-1, :, None])[..., 0]
-        forcing = psi.values[lo - psi.window[0] : hi - psi.window[0]]
-        defect = float(np.abs(steps - forcing).max())
+        defect = float(np.abs(steps - psi.values).max())
+        if defect > tol["solve_tol"]:
+            raise NumericError(
+                f"solution {label}: defect {defect:.3e} of L phi - psi exceeds "
+                f"tolerances.solve_tol = {tol['solve_tol']:.1e}"
+            )
         solutions.append({"label": label, "defect_sup": _num(defect), **_sequence_dump(phi)})
         csvs.append(_solution_csv(f"solution_{i:03d}.csv", field.loop, lam, phi))
     results = {

@@ -26,13 +26,14 @@ instead of one call per sample, side and step.  numpy's stacked calls
 give every row the bits it would get alone, so a family is the same
 whatever it was batched with.  The single-sample
 `build_projector_family`, `verify_ed` and `dichotomy_spectrum` are
-batches of one; no command calls `dichotomy_spectrum`.  A failing
-sample keeps the error a single-sample build would raise and never
-stops the others.  Each command builds one
-batch of both sides, and a caller that needs the families again keeps
-them: `certify` builds one batch anchored at 0 that F2, F3 and
-localization all read.  A family holds no fit: every command fits
-each family once, and `verify_families` returns the witnesses.
+batches of one; no command calls `verify_ed` or
+`dichotomy_spectrum`.  A failing sample keeps the error a
+single-sample build would raise and never stops the others.  Each
+command builds one batch of both sides, and a caller that needs the
+families again keeps them: `certify` builds one batch anchored at 0
+that F2, F3 and localization all read.  A family holds no fit: a
+command fits each family at most once, and `verify_families` returns
+the witnesses.
 
 The weighted-shift route, which cross-checks the marched families
 through a unit-circle spectral projector, is a test oracle
@@ -862,6 +863,9 @@ def verify_ed(family: ProjectorFamily) -> EDWitness:
     pair.  The backward (inverse) bound on the kernel follows from the
     growth fit (see `_verify_batch`).  Raises NoDichotomyError when the
     fitted alpha reaches 1.  This is `verify_families` for one family.
+
+    No command calls it: the tests take it as the per-family reference
+    for the batch, and `perfbench/tracer.py` rebinds it by name.
     """
     (outcome,) = verify_families([family])
     return _raise_or_return(outcome)

@@ -6,18 +6,19 @@ parameter loop.  The constructions here (hyperbolic families from a
 bundle, piecewise realizations) are the raw material for the
 dichotomy, index and bifurcation layers.
 
-Fields are evaluated over samples and time ranges at once, never point
-by point.  An evaluator `evaluator(lams, times)` takes a 1-D integer
-array of S parameter sample indices and a 1-D integer array of T times
-and returns the (S, T, d, d) stack of the matrices at those samples
-and times, the sample on the leading axis.
+Fields are evaluated over samples and times at once, never point by
+point.  An evaluator `evaluator(lams, times)` takes a 1-D integer
+array of S parameter sample indices and a 1-D integer array of T
+distinct increasing times, consecutive or not, and returns the (S, T,
+d, d) stack of the matrices at those samples and times, the sample on
+the leading axis.
 
 A field keeps no matrices: every read (`matrix` for one entry,
 `matrices` for a time range, and `stack` for many samples at any
 times, in any order and with repeats) evaluates on the spot.  It makes
-one evaluator call per run of consecutive distinct times, carrying
-every sample of the read without an error, so a read of every sample
-over a range costs one call.  It validates the read's stack (shape,
+one evaluator call per read, at the read's distinct times and with
+every sample of the read without an error (a call that raises is
+repeated per sample).  It validates the read's stack (shape,
 finiteness) once: a sample with a bad entry gets a `NumericError`
 naming its first one, (lam=..., n=...), in the order it asked for
 them, and a failing sample never spoils the others' rows.  Memory
@@ -118,18 +119,18 @@ class DiscreteVectorField:
 
     `evaluator(lams, times)` receives a 1-D integer array of S
     parameter sample indices (all 0 for unparametrized fields) and a
-    1-D integer array of T consecutive times inside `window`, and
-    returns the (S, T, d, d) stack of the matrices at those samples and
-    times.  Every read calls it afresh (see the module docstring), once
-    per run of consecutive distinct times it asks for, with every
-    sample of the read that has no error, and validates the read's
-    stack once: a stack of the wrong shape fails every entry of its
-    run, and a non-finite matrix its own entry, each with a
-    `NumericError` naming (lam, n).  A call that raises is repeated
-    sample by sample, so a failing sample spares the others.  A read
-    that meets failed entries raises the error of the first one,
-    samples first, then in the order of the requested times; `stack`
-    returns each sample's error instead.
+    1-D integer array of T distinct increasing times inside `window`,
+    not necessarily consecutive, and returns the (S, T, d, d) stack of
+    the matrices at those samples and times.  Every read calls it
+    afresh (see the module docstring), once, with every sample of the
+    read that has no error and every distinct time it asks for, and
+    validates the read's stack once: a stack of the wrong shape fails
+    every entry of its read, and a non-finite matrix its own entry,
+    each with a `NumericError` naming (lam, n).  A call that raises is
+    repeated sample by sample, so a failing sample spares the others.
+    A read that meets failed entries raises the error of the first
+    one, samples first, then in the order of the requested times;
+    `stack` returns each sample's error instead.
     """
 
     dim: int
@@ -172,33 +173,29 @@ class DiscreteVectorField:
             for lam in lams
         ]
         distinct, order = np.unique(times, return_inverse=True)
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(distinct) > 1) + 1))
         out = np.zeros((len(lams), len(distinct), self.dim, self.dim))
-        shapes = {}  # (sample, start of a run) -> the wrong shape its call returned
-        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(distinct)]):
-            live = [s for s, error in enumerate(errors) if error is None]
-            for rows, a in self._evaluate(lams, live, distinct[lo:hi], errors):
-                size = (len(rows), hi - lo)
-                if a.shape == size + (self.dim, self.dim):
-                    out[rows, lo:hi] = a
-                else:
-                    out[rows, lo:hi] = np.nan
-                    shape = a.shape[2:] if a.shape[:2] == size else a.shape
-                    shapes.update(((s, lo), shape) for s in rows)
+        shapes = {}  # sample -> the wrong shape its call returned
+        live = [s for s, error in enumerate(errors) if error is None]
+        for rows, a in self._evaluate(lams, live, distinct, errors):
+            size = (len(rows), len(distinct))
+            if a.shape == size + (self.dim, self.dim):
+                out[rows] = a
+            else:
+                out[rows] = np.nan
+                shapes.update((s, a.shape[2:] if a.shape[:2] == size else a.shape) for s in rows)
         out = out[:, order]
         bad = ~np.isfinite(out).all(axis=(2, 3))
         for s in np.flatnonzero(bad.any(axis=1)).tolist():
             i = int(np.argmax(bad[s]))
-            lo = int(starts[np.searchsorted(starts, order[i], side="right") - 1])
-            what = f"shape {shapes[s, lo]}" if (s, lo) in shapes else "non-finite entries"
+            what = f"shape {shapes[s]}" if s in shapes else "non-finite entries"
             errors[s] = NumericError(f"evaluator returned {what} at (lam={lams[s]}, n={times[i]})")
             out[s] = 0.0
         out = out[back]
         out.setflags(write=False)
         return out, [errors[s] for s in back]
 
-    def _evaluate(self, lams: list[int], rows: list[int], run: np.ndarray, errors: list) -> list:
-        """(rows, stack) pairs of the samples `rows` on the run of times `run`.
+    def _evaluate(self, lams: list[int], rows: list[int], times: np.ndarray, errors: list) -> list:
+        """(rows, stack) pairs of the samples `rows` at the distinct increasing `times`.
 
         One evaluator call carries every row.  A call that raises is
         repeated per row, so one sample's failure spares the others; a
@@ -208,11 +205,11 @@ class DiscreteVectorField:
         if not rows:
             return []
         try:
-            a = self.evaluator(np.array([lams[s] for s in rows]), run)
+            a = self.evaluator(np.array([lams[s] for s in rows]), times)
             return [(rows, np.asarray(a, dtype=float))]
         except Exception as exc:
             if len(rows) > 1:
-                return [pair for s in rows for pair in self._evaluate(lams, [s], run, errors)]
+                return [pair for s in rows for pair in self._evaluate(lams, [s], times, errors)]
             if not isinstance(exc, HomindexError):
                 raise
             errors[rows[0]] = fresh(exc)

@@ -46,9 +46,11 @@ from half-line families anchored at zero (`index_from_families` counts
 families built elsewhere); `kernel_cokernel` is the same count for one
 sample and given witnesses.
 
-Green solves march in the contracting direction of the relevant
-subbundle (images forward, kernels backward), so no propagator is ever
-formed over a long window.
+`green_solve` reads only its projector family: the image part marches
+forward in image coordinates and the kernel part backward in kernel
+coordinates, each through the family's step matrices in the direction
+the dichotomy contracts it, so no propagator is ever formed over a long
+window.  Forcing outside the steps the family covers is refused.
 """
 
 from __future__ import annotations
@@ -58,13 +60,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dichotomy import EDWitness, ProjectorFamily, verify_ed, verify_families, whole_line_families
+from .dichotomy import EDWitness, ProjectorFamily, verify_families, whole_line_families
 from .errors import (
     DomainError,
     HomindexError,
     IndeterminateError,
     InputError,
-    WindowTooShortError,
     fresh,
 )
 from .field import DiscreteVectorField
@@ -87,7 +88,7 @@ __all__ = [
 #: sup-norm level under which a sequence counts as settled at a window end
 DECAY_TOL = 1e-6
 
-#: acceptable size of neglected Green-sum tails
+#: largest sup-norm defect of L phi - psi that `solve` accepts in a Green solution
 SOLVE_TOL = 1e-8
 
 #: required gap between the zero and nonzero singular-value groups
@@ -785,132 +786,59 @@ def whole_line_index(field: DiscreteVectorField, lams, window, horizon: int, **t
     return [counted[lam] for lam in lams]
 
 
-def _support_range(psi: FiniteWindowSequence):
-    """First and last time with a nonzero value, or None for zero input."""
-    hot = np.flatnonzero(np.abs(psi.values).max(axis=1) > 0.0)
-    if hot.size == 0:
-        return None
-    lo = psi.window[0]
-    return lo + int(hot[0]), lo + int(hot[-1])
-
-
-def _tail_bound(
-    witness: EDWitness, psi: FiniteWindowSequence, covered_hi: int, side: str
-) -> float:
-    """Worst-case size of the Green-sum tail the window cannot reach."""
-    lo = psi.window[0]
-    mags = np.abs(psi.values).max(axis=1)
-    times = lo + np.arange(len(mags))
-    outside = times > covered_hi if side == "plus" else times < covered_hi
-    if not np.any(mags[outside] > 0.0):
-        return 0.0
-    hot = times[outside & (mags > 0.0)]
-    gap = (hot.min() - covered_hi) if side == "plus" else (covered_hi - hot.max())
-    peak = float(mags[outside].max())
-    k, a = witness.k_const, witness.alpha
-    return k * a**gap / (1.0 - a) * peak
-
-
 def green_solve(
-    field: DiscreteVectorField,
-    lam: int,
-    side: str,
+    pf: ProjectorFamily,
     kappa: int,
     psi: FiniteWindowSequence,
-    pf: ProjectorFamily,
-    solve_tol: float = SOLVE_TOL,
     decay_tol: float = DECAY_TOL,
 ) -> FiniteWindowSequence:
-    """Half-line Green's-function solution phi with L phi = psi.
+    """Half-line Green's-function solution phi with L phi = psi, read off `pf` alone.
 
-    The causal part accumulates image components forward from the
-    anchor end of the half-line; the anticausal part accumulates kernel
-    components backward, dividing by the kernel transition factors, so
-    both marches run in their contracting direction.  Forcing the
-    family window cannot reach is refused once its certified-decay tail
-    estimate exceeds `solve_tol`, with the window extension that would
-    fix it reported.
+    On a family window [t0, t1], phi lives on [kappa, t1] on the plus
+    side and on [t0, kappa] on the minus side, and psi may force the
+    steps of that window, [kappa, t1 - 1] or [t0, kappa - 1]; forcing
+    anywhere else is refused.  Both parts march in frame coordinates:
+    the image part P(n + 1) psi(n) forward from the window's first time
+    through `pf.image_steps`, the kernel part backward from its last
+    time by solving with `pf.kernel_steps`, so each part's rounding
+    stays in its own subbundle, where the dichotomy contracts it.
     """
-    if side not in ("plus", "minus"):
-        raise InputError(f"side must be 'plus' or 'minus', got '{side}'")
-    if pf.side != side:
-        raise InputError(f"a '{pf.side}' projector family cannot solve the {side} half-line")
-    d = field.dim
-    if psi.dim != d or pf.dim != d:
-        raise InputError("field, forcing and projector family disagree on the dimension")
+    d, r = pf.dim, pf.rank
+    if psi.dim != d:
+        raise InputError(f"forcing of dimension {psi.dim} for a family of dimension {d}")
     t0, t1 = int(pf.times[0]), int(pf.times[-1])
-    ok = t0 <= kappa < t1 if side == "plus" else t0 < kappa <= t1
-    if not ok:
+    lo, hi = (kappa, t1) if pf.side == "plus" else (t0, kappa)
+    if not t0 <= lo < hi <= t1:
         raise InputError(
-            f"kappa = {kappa} leaves no {side} half-window inside the family "
+            f"kappa = {kappa} leaves no {pf.side} half-window inside the family "
             f"window [{t0}, {t1}]"
         )
+    hot = psi.window[0] + np.flatnonzero(np.abs(psi.values).max(axis=1) > 0.0)
+    if hot.size and (hot[0] < lo or hot[-1] > hi - 1):
+        raise InputError(
+            f"forcing has support on [{hot[0]}, {hot[-1]}], outside the {pf.side} "
+            f"window [{lo}, {hi - 1}] the family covers"
+        )
+    steps = np.arange(lo, hi)
+    inside = (steps >= psi.window[0]) & (steps <= psi.window[1])
+    forcing = np.zeros((len(steps), d, 1))
+    forcing[inside, :, 0] = psi.values[steps[inside] - psi.window[0]]
 
-    support = _support_range(psi)
-    if side == "plus":
-        out_lo, out_hi = kappa, t1
-        covered = (kappa, t1 - 1)
-    else:
-        out_lo, out_hi = t0, kappa
-        covered = (t0, kappa - 1)
-    if support is not None:
-        off_end = support[0] < kappa if side == "plus" else support[1] > kappa - 1
-        if off_end:
-            raise InputError(
-                f"forcing has support at times beyond kappa = {kappa}, off the "
-                f"{side} half-line"
-            )
-        tail_edge = covered[1] if side == "plus" else covered[0]
-        needs_tail = support[1] > tail_edge if side == "plus" else support[0] < tail_edge
-        if needs_tail:
-            witness = verify_ed(pf)
-            bound = _tail_bound(witness, psi, tail_edge, side)
-            if bound > solve_tol:
-                extension = 1
-                while True:
-                    moved = tail_edge + extension if side == "plus" else tail_edge - extension
-                    if _tail_bound(witness, psi, moved, side) <= solve_tol:
-                        break
-                    extension += 1
-                raise WindowTooShortError(
-                    f"forcing beyond the family window leaves a Green-sum tail of "
-                    f"{bound:.3e} > {solve_tol:.1e}; extend the certified family "
-                    f"window by {extension} steps",
-                    required=extension,
-                )
-
-    def psi_at(k: int) -> np.ndarray | None:
-        if psi.window[0] <= k <= psi.window[1]:
-            row = psi.values[k - psi.window[0]]
-            if np.any(row != 0.0):
-                return row
-        return None
-
-    times = np.arange(out_lo, out_hi + 1)
-    r = pf.rank
-    causal = np.zeros((len(times), d))
+    # the family's frames at the times lo..hi, its steps and P(n + 1) at n = lo..hi - 1
+    at, step = slice(lo - t0, hi - t0 + 1), slice(lo - t0, hi - t0)
+    im, ker = pf.image_frames[at], pf.kernel_frames[at]
+    image_part = pf.projectors[at][1:] @ forcing
+    a = np.zeros((len(steps) + 1, r, 1))
     if r > 0:
-        u = np.zeros(d)
-        mats = field.matrices(lam, out_lo, out_hi - 1)
-        for i, n in enumerate(times[:-1]):
-            forced = psi_at(int(n))
-            u = mats[i] @ u
-            if forced is not None:
-                u = u + pf.projector(int(n) + 1) @ forced
-            causal[i + 1] = u
-    anticausal = np.zeros((len(times), d))
+        pushed, im_steps = im[1:].swapaxes(-1, -2) @ image_part, pf.image_steps[step]
+        for i in range(len(steps)):
+            a[i + 1] = im_steps[i] @ a[i] + pushed[i]
+    c = np.zeros((len(steps) + 1, d - r, 1))
     if r < d:
-        c = np.zeros(d - r)
-        start = out_hi if support is None else min(out_hi, support[1] + 1)
-        for n in range(start - 1, out_lo - 1, -1):
-            i_step = pf.index_of(n)
-            forced = psi_at(n)
-            if forced is not None:
-                kernel_part = forced - pf.projector(n + 1) @ forced
-                c = c + pf.kernel_frames[i_step + 1].T @ kernel_part
-            c = np.linalg.solve(pf.kernel_steps[i_step], c)
-            anticausal[n - out_lo] = pf.kernel_frames[i_step] @ c
-
+        pulled = ker[1:].swapaxes(-1, -2) @ (forcing - image_part)
+        ker_steps = pf.kernel_steps[step]
+        for i in range(len(steps) - 1, -1, -1):
+            c[i] = np.linalg.solve(ker_steps[i], c[i + 1] + pulled[i])
     return FiniteWindowSequence.tabulate(
-        (out_lo, out_hi), causal - anticausal, decay_tol=decay_tol
+        (lo, hi), (im @ a - ker @ c)[..., 0], decay_tol=decay_tol
     )

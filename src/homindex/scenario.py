@@ -15,7 +15,8 @@ Each command reads only some of the tolerances.  ``spectrum`` reads
 separates its singular-value groups with ``gap_ratio``).  ``certify``
 reads the five for its F2, F3 and localization families (and
 ``gap_ratio`` for its F3 kernel counts) and ``decay_tol``, and
-``solve`` reads the five and ``solve_tol`` and ``decay_tol``.
+``solve`` reads the five and ``decay_tol``, and refuses (exit 4) a
+solution whose defect sup |L phi - psi| exceeds ``solve_tol``.
 ``realize`` only echoes them.
 """
 

@@ -202,7 +202,7 @@ def test_criterion_05_green_solutions_invert_the_stencil():
                     psi = FiniteWindowSequence.tabulate(
                         window, rng.standard_normal((30, d))
                     )
-                    phi = green_solve(f, 0, side, 0, psi, fam)
+                    phi = green_solve(fam, 0, psi)
                     assert stencil_defect(f, 0, phi, psi) <= 1e-10
                     solves += 1
     assert solves >= 50

@@ -328,10 +328,10 @@ def test_a_call_that_raises_is_retried_per_sample_and_spares_the_others():
     field = DiscreteVectorField(
         dim=2, evaluator=evaluate, window=(-20, 20), loop=ParameterLoop.circle(8)
     )
-    # two runs: the first call raises and is repeated per sample; sample 3
-    # keeps its error, and the second run's call carries the other two
+    # one call per read: it raises and is repeated per sample, and sample 3
+    # keeps its error
     mats, errors = field.stack([1, 3, 4], [0, 1, 5, 6])
-    assert calls == [[1, 3, 4], [1], [3], [4], [1, 4]]
+    assert calls == [[1, 3, 4], [1], [3], [4]]
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], NumericError) and str(errors[1]) == "sample 3 cannot be evaluated"
     assert not mats[1].any() and np.array_equal(mats[2], np.broadcast_to(SADDLE, (4, 2, 2)))

@@ -67,11 +67,11 @@ def decaying_quadratic(amplitude=1.0):
     return residual, residual_derivative
 
 
-def mobius_system(n_samples=16, amplitude=1.0) -> PerturbedSystemSpec:
+def mobius_system(n_samples=16, amplitude=1.0, q=0.5) -> PerturbedSystemSpec:
     """Saddle realization of (Moebius, trivial line) + decaying quadratic."""
     loop = ParameterLoop.circle(n_samples)
     a_field = realization_field(
-        mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=0.5
+        mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=q
     )
     residual, residual_derivative = decaying_quadratic(amplitude)
     return PerturbedSystemSpec(
@@ -379,6 +379,18 @@ def test_certify_f0_rejects_a_wrong_derivative():
     evidence = dict(cert.evidence)
     assert float(evidence["f0_derivative_deviation"]) == pytest.approx(1.0, abs=1e-3)
     assert "f0_remainder_ratios" not in evidence
+
+
+def test_certify_f0_scales_its_derivative_tolerance_with_the_derivative():
+    # at q = 5e-6 the derivative's entries reach about 1/q = 2e5, and central
+    # differences of the exact derivative deviate from it by about 1e-6 in
+    # absolute terms, 5e-12 of its size
+    cert = certify_bifurcation(mobius_system(16, q=5e-6).to_nonlinear(), CertifyOptions(
+        anchor_plus=8, anchor_minus=-8, horizon=40, f3_window=(-30, 30)
+    ))
+    deviation = float(dict(cert.evidence)["f0_derivative_deviation"])
+    assert bifurcation.F0_DERIVATIVE_TOL < deviation < 1e-5
+    assert cert.f0_ok and cert.f1_ok
 
 
 def test_certify_linear_hyperbolic_obstruction_vanishes():

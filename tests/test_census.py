@@ -34,6 +34,9 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 TRACED_ONLY = {
     ("bifurcation", "check_F3"),
     ("dichotomy", "dichotomy_spectrum"),
+    # the Green solve reads only its family and fits nothing; the tracer's
+    # ("dichotomy.verify_ed", hx["dichotomy"], "verify_ed") keeps the name
+    ("dichotomy", "verify_ed"),
     ("fredholm", "kernel_cokernel"),
 }
 

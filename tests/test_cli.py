@@ -477,6 +477,30 @@ def test_solve_defect_is_tiny_on_both_half_lines(tmp_path):
             assert sol["defect_sup"] <= 1e-10
 
 
+def test_long_half_line_solves_keep_a_tiny_defect(tmp_path):
+    # at length 140 rounding marched outside its subbundle would grow past the
+    # defect's reach (defects near 4 on mobius-double's minus side)
+    for name in ("realization-mobius", "mobius-double"):
+        for side in ("plus", "minus"):
+            doc = builtin_document(name)
+            doc.setdefault("options", {})["solve"] = {"side": side, "length": 140}
+            ref = write_doc(tmp_path, doc, name=f"{name}-{side}.json")
+            out = tmp_path / f"{name}-{side}"
+            assert run(["solve", "--scenario", ref, "--out", str(out)]) == 0, (name, side)
+            for sol in report_of(out)["results"]["solutions"]:
+                assert sol["defect_sup"] <= 1e-12, (name, side, sol["label"], sol["defect_sup"])
+
+
+def test_a_defect_above_solve_tol_exits_four_naming_it(tmp_path, capsys):
+    doc = builtin_document("realization-mobius")
+    doc["tolerances"] = {"solve_tol": 1e-20}
+    ref = write_doc(tmp_path, doc)
+    assert run(["solve", "--scenario", ref, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "solution seeded_000: defect" in err and "tolerances.solve_tol = 1.0e-20" in err
+    assert "Traceback" not in err
+
+
 def test_solve_accepts_explicit_impulses(tmp_path):
     doc = saddle_doc(
         options={"solve": {"rhs": [{"at": 3, "value": [1.0, 0.0]}]}}

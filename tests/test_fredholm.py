@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from homindex import dichotomy, field, fredholm
-from homindex.scenario import Scenario
+from homindex.scenario import Scenario, builtin_document
 from homindex.errors import (
     DomainError,
     IndeterminateError,
     InputError,
-    WindowTooShortError,
 )
 
 from helpers import (
@@ -122,7 +121,7 @@ def test_green_solve_scalar_contraction_impulse():
     fam = dichotomy.build_projector_family(f, 0, side="plus", anchor=0, length=60)
     assert fam.rank == 1
     psi = impulse((0, 59), 0, 1)
-    phi = fredholm.green_solve(f, 0, "plus", 0, psi, fam)
+    phi = fredholm.green_solve(fam, 0, psi)
     assert phi.window == (0, 60)
     assert phi.value_at(0)[0] == 0.0
     for n in range(1, 21):
@@ -136,7 +135,7 @@ def test_green_solve_scalar_expansion_impulse():
     fam = dichotomy.build_projector_family(f, 0, side="plus", anchor=0, length=60)
     assert fam.rank == 0
     psi = impulse((0, 59), 0, 1)
-    phi = fredholm.green_solve(f, 0, "plus", 0, psi, fam)
+    phi = fredholm.green_solve(fam, 0, psi)
     assert phi.value_at(0)[0] == pytest.approx(-0.5, abs=1e-15)
     assert np.abs(phi.values[1:]).max() <= 1e-15
     assert np.abs(apply_stencil(f, 0, phi) - psi.values).max() <= 1e-12
@@ -148,7 +147,7 @@ def test_green_solve_zero_forcing():
         fam = dichotomy.build_projector_family(f, 0, side=side, anchor=0, length=40)
         window = (0, 39) if side == "plus" else (-40, -1)
         psi = seq(window, np.zeros((40, 2)))
-        phi = fredholm.green_solve(f, 0, side, 0, psi, fam)
+        phi = fredholm.green_solve(fam, 0, psi)
         assert np.abs(phi.values).max() == 0.0
 
 
@@ -158,7 +157,7 @@ def test_green_solve_minus_side_impulse_saddle():
     psi_window = (-60, -1)
 
     # forcing along the contracting axis: causal response from the impulse on
-    stable = fredholm.green_solve(f, 0, "minus", 0, impulse(psi_window, -10, 2, comp=0), fam)
+    stable = fredholm.green_solve(fam, 0, impulse(psi_window, -10, 2, comp=0))
     assert stable.window == (-60, 0)
     assert np.abs(apply_stencil(f, 0, stable)
                   - impulse(psi_window, -10, 2, comp=0).values).max() <= 1e-12
@@ -167,7 +166,7 @@ def test_green_solve_minus_side_impulse_saddle():
     assert stable.value_at(0)[0] == pytest.approx(0.5**9, abs=1e-15)
 
     # forcing along the expanding axis: anticausal response below the impulse
-    unstable = fredholm.green_solve(f, 0, "minus", 0, impulse(psi_window, -10, 2, comp=1), fam)
+    unstable = fredholm.green_solve(fam, 0, impulse(psi_window, -10, 2, comp=1))
     assert np.abs(apply_stencil(f, 0, unstable)
                   - impulse(psi_window, -10, 2, comp=1).values).max() <= 1e-12
     assert unstable.value_at(-10)[1] == pytest.approx(-0.5, abs=1e-15)
@@ -181,7 +180,7 @@ def test_green_solve_matches_green_kernel_convolution():
     fam = dichotomy.build_projector_family(f, 0, side="plus", anchor=0, length=40)
     rng = np.random.default_rng(7)
     psi = seq((0, 30), rng.standard_normal((31, 2)))
-    phi = fredholm.green_solve(f, 0, "plus", 0, psi, fam)
+    phi = fredholm.green_solve(fam, 0, psi)
 
     kern = green_kernel(fam)
     conv = kernel_convolve(lambda n, k: kern(n, k + 1), psi, window=(0, 40))
@@ -205,29 +204,35 @@ def test_green_kernel_matches_dense_chain_oracle():
 
 def test_green_solve_window_and_support_validation():
     f = field.autonomous_field([[0.5]], window=(-200, 200))
-    fam = dichotomy.build_projector_family(f, 0, side="plus", anchor=0, length=40)
+    plus = dichotomy.build_projector_family(f, 0, side="plus", anchor=0, length=40)
+    minus = dichotomy.build_projector_family(f, 0, side="minus", anchor=0, length=40)
 
-    # forcing beyond the certified window edge: alpha = 0.5, K = 1 tail scan
-    far = impulse((0, 60), 50, 1)
-    with pytest.raises(WindowTooShortError) as info:
-        fredholm.green_solve(f, 0, "plus", 0, far, fam)
-    assert info.value.required == 11
+    # forcing beyond the family window is refused on either side, naming both
+    with pytest.raises(InputError, match=r"on \[50, 50\], outside the plus window \[0, 39\]"):
+        fredholm.green_solve(plus, 0, impulse((0, 60), 50, 1))
+    with pytest.raises(InputError, match=r"on \[-50, -50\], outside the minus window \[-40, -1\]"):
+        fredholm.green_solve(minus, 0, impulse((-60, -1), -50, 1))
+    # and so is forcing on the far side of kappa
+    with pytest.raises(InputError, match=r"support on \[2, 2\], outside the plus window \[5, 39\]"):
+        fredholm.green_solve(plus, 5, impulse((0, 20), 2, 1))
+    with pytest.raises(InputError, match="leaves no plus half-window"):
+        fredholm.green_solve(plus, 100, impulse((100, 120), 102, 1))
+    with pytest.raises(InputError, match="dimension"):
+        fredholm.green_solve(plus, 0, seq((0, 39), np.zeros((40, 2))))
+    # zeros outside the window are not forcing
+    phi = fredholm.green_solve(plus, 0, impulse((-10, 60), 3, 1))
+    assert phi.window == (0, 40) and phi.value_at(4)[0] == 1.0
 
-    with pytest.raises(InputError):
-        fredholm.green_solve(f, 0, "plus", 5, impulse((0, 20), 2, 1), fam)
-    with pytest.raises(InputError):
-        fredholm.green_solve(f, 0, "sideways", 0, impulse((0, 20), 2, 1), fam)
-    with pytest.raises(InputError):
-        fredholm.green_solve(f, 0, "plus", 100, impulse((100, 120), 102, 1), fam)
-    minus_psi = impulse((-20, -1), -5, 1)
-    with pytest.raises(InputError):
-        fredholm.green_solve(f, 0, "minus", 0, minus_psi, fam)  # plus-side family
+
+def nonnormal_table():
+    """Saddle on [-160, 160] with a non-normal transient near n = 0."""
+    table = np.array([SADDLE] * 321)
+    table[158:163] = np.array([[0.9, 0.4], [0.3, 1.1]])
+    return field.tabulated_field(table, window=(-160, 160))
 
 
 def test_green_solve_residuals_on_random_forcing():
-    table = np.array([SADDLE] * 321)
-    table[158:163] = np.array([[0.9, 0.4], [0.3, 1.1]])  # transient near n = 0
-    f2 = field.tabulated_field(table, window=(-160, 160))
+    f2 = nonnormal_table()
     f1 = field.autonomous_field([[0.5]], window=(-200, 200))
     rng = np.random.default_rng(11)
     for f_, d in ((f2, 2), (f1, 1)):
@@ -236,9 +241,47 @@ def test_green_solve_residuals_on_random_forcing():
             window = (0, 49) if side == "plus" else (-50, -1)
             for _ in range(10):
                 psi = seq(window, rng.standard_normal((50, d)))
-                phi = fredholm.green_solve(f_, 0, side, 0, psi, fam)
+                phi = fredholm.green_solve(fam, 0, psi)
                 resid = np.abs(apply_stencil(f_, 0, phi) - psi.values).max()
                 assert resid <= 1e-10, (side, d, resid)
+
+
+def test_green_solve_matches_the_convolution_past_a_nonnormal_stretch():
+    # rounding that leaves its subbundle past the transient is a homogeneous
+    # solution growing at the expansion rate: the stencil defect cannot see it; the
+    # Green-kernel oracle and the far-end condition (I - P(end)) phi(end) = 0 can
+    f = nonnormal_table()
+    rng = np.random.default_rng(11)
+    for side in ("plus", "minus"):
+        fam = dichotomy.build_projector_family(f, 0, side=side, anchor=0, length=50)
+        window = (0, 49) if side == "plus" else (-50, -1)
+        psi = seq(window, rng.standard_normal((50, 2)))
+        phi = fredholm.green_solve(fam, 0, psi)
+
+        kern = green_kernel(fam)
+        conv = kernel_convolve(lambda n, k: kern(n, k + 1), psi, window=phi.window)
+        assert np.abs(phi.values - conv).max() <= 1e-9, side
+        end = phi.window[1]
+        far = (np.eye(2) - fam.projector(end)) @ phi.value_at(end)
+        assert np.abs(far).max() <= 1e-12, side
+
+
+def test_green_solve_stays_under_the_green_bound_on_long_half_lines():
+    # sample 3 of both Moebius builtins at length 140, where rounding marched
+    # outside its subbundle would grow to sups near 1e23
+    for name in ("realization-mobius", "mobius-double"):
+        scenario = Scenario.from_dict(builtin_document(name))
+        f = scenario.build_field()
+        rng = np.random.default_rng(3)
+        for side in ("plus", "minus"):
+            fam = dichotomy.build_projector_family(
+                f, 3, side=side, anchor=0, length=140, horizon=scenario.horizon
+            )
+            window = (0, 139) if side == "plus" else (-140, -1)
+            psi = seq(window, rng.standard_normal((140, f.dim)))
+            phi = fredholm.green_solve(fam, 0, psi)
+            bound = dichotomy.verify_ed(fam).green_bound() * psi.norm_inf
+            assert phi.norm_inf <= bound, (name, side, phi.norm_inf, bound)
 
 
 # -------------------------------------------------------------- convolution
