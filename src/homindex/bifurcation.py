@@ -383,12 +383,13 @@ def _f3_verdicts(lams, window, reports) -> list:
         if isinstance(report, HomindexError):
             raise fresh(report)
         # smallest singular value of the truncation with decay boundary rows
-        smin = float(report.smallest_singular_values[0])
+        # (an upper bound, as precise as the kernel count needed it)
+        smin = float(report.truncation.smallest[0])
         ok = report.index == 0 and report.dim_ker == 0
         if ok:
             message = (
                 f"no kernel and index 0 on [{lo}, {hi}] (smallest boundary-conditioned "
-                f"singular value {smin:.3e})"
+                f"singular value at most {smin:.3e})"
             )
         elif report.index != 0:
             message = f"Fredholm index {report.index} != 0 precludes invertibility"
@@ -590,8 +591,10 @@ def certify_bifurcation(
     fd = _fd_derivative(f, lam_probes, core_times, core_states)
     analytic = _derivatives(f, lam_probes, core_times, core_states)
     deviation = float(np.abs(analytic - fd).max())
-    f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL * max(1.0, float(np.abs(analytic).max()))
+    scale = max(1.0, float(np.abs(analytic).max()))
+    f0_ok = f0_ok and deviation <= F0_DERIVATIVE_TOL * scale
     evidence.append(("f0_derivative_deviation", f"{deviation:.3e}"))
+    evidence.append(("f0_derivative_scale", f"{scale:.3e}"))
 
     # F1: sampled derivative bound on the trust ball
     blocks = _derivatives(f, lam_probes, probe_times, probe_states)
@@ -665,7 +668,9 @@ def certify_bifurcation(
     f3_ok = lambda0 is not None
     evidence.append(("f3_pass_count", f"{sum(c.passed for c in checks)}/{n}"))
     if f3_ok:
-        evidence.append(("f3_sigma_min_at_lambda0", f"{checks[lambda0].sigma_min:.3e}"))
+        # the one truncation value a report prints, resolved past its count
+        sigma_min = reports[lambda0].truncation.resolved().smallest[0]
+        evidence.append(("f3_sigma_min_at_lambda0", f"{sigma_min:.3e}"))
 
     if not f3_ok:
         if "indeterminate" in f3_verdicts:

@@ -20,7 +20,7 @@ Loop-wide sweeps: the QR method is the same for every parameter
 sample and both half-lines, so `build_projector_families` runs it for
 many samples at once with the sample on numpy's leading axis, and
 `whole_line_families` for the plus and minus windows of many samples
-together: the sweep, the image and kernel marches, the family checks
+together: the sweep, the free-complement march, the family checks
 and the `verify_families` fits each take one stacked call per step
 instead of one call per sample, side and step.  numpy's stacked calls
 give every row the bits it would get alone, so a family is the same
@@ -148,8 +148,9 @@ def _sweep(factors: np.ndarray, horizon: int):
     plus run the transposed A(n) in decreasing time (right singular
     directions of the forward propagator), a minus run the A(n) in
     increasing time.  Runs of both sides can share one stack.  Returns
-    the final orthogonal factors (samples, d, d), the factors after the
-    first `horizon` steps, and the per-column rates (samples, d): the
+    the orthogonal factors after each of the last steps - horizon + 1
+    steps (the frames at a family's times, far end first), the log
+    |R_jj| of the steps between them, and the per-column rates: the
     means of log |R_jj| over the steps past the QR transient (the first
     horizon/2) and short of the last horizon/2 (at the anchor, a
     realization's identity middle), over horizon/2 steps at least.
@@ -158,14 +159,17 @@ def _sweep(factors: np.ndarray, horizon: int):
     q = np.broadcast_to(_generic_seed(d), (n_samples, d, d))
     averaged = range(horizon // 2, max(horizon, n_steps - horizon // 2))
     total = np.zeros((n_samples, d))
-    far = None
+    frames = np.empty((n_samples, n_steps - horizon + 1, d, d))
+    logs_kept = np.empty((n_samples, n_steps - horizon, d))
     for k in range(n_steps):
         q, logs = _qr_step(factors[:, k] @ q)
         if k in averaged:
             total += logs
-        if k == horizon - 1:
-            far = q
-    return q, far, total / len(averaged)
+        if k >= horizon:
+            logs_kept[:, k - horizon] = logs
+        if k >= horizon - 1:
+            frames[:, k - horizon + 1] = q
+    return frames, logs_kept, total / len(averaged)
 
 
 def _singular_values(x: np.ndarray) -> np.ndarray:
@@ -181,37 +185,16 @@ def _singular_values(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)
 
 
-def _qr_frames(b: np.ndarray):
-    """Sign-normalized orthonormal frames of a stack (..., d, r).
+def _lost_rank(logs: np.ndarray, backward: np.ndarray) -> np.ndarray:
+    """Mask (rows, steps) of the steps whose factor lost rank on the columns it moved.
 
-    Also returns a mask of the stack entries whose columns lost rank.
+    `logs` (rows, steps, k) holds each step's log |R_jj|.  A row pulling
+    an image back (`backward`, through A(n)^T) loses rank at |R_jj| <=
+    1e-11 max(1, max |R_jj|), where the image's preimage outgrows it; a
+    row pushing a kernel forward through A(n) at |R_jj| < 1e-250.
     """
-    if b.shape[-1] == 0:
-        return b, np.zeros(b.shape[:-2], dtype=bool)
-    q, r = np.linalg.qr(b)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    lost = np.abs(diag).min(axis=-1) < 1e-250
-    return q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :], lost
-
-
-def _preimage_frames(a: np.ndarray, frame: np.ndarray):
-    """Orthonormal frames of the preimages {x : a x in span(frame)} for a stack.
-
-    Works for singular `a` as well.  Returns the frames and the
-    dimension each preimage actually has (None when the frame is empty
-    or full); a regular splitting keeps the frame's column count, and
-    the caller refuses the march otherwise.
-    """
-    d, r = a.shape[-1], frame.shape[-1]
-    if r == 0:
-        return np.zeros(a.shape[:-1] + (0,)), None
-    if r == d:
-        return np.broadcast_to(np.eye(d), a.shape), None
-    resid = (np.eye(d) - frame @ frame.swapaxes(-1, -2)) @ a
-    _, s, vt = np.linalg.svd(resid)
-    cutoff = np.maximum(s[..., 0], 1.0) * 1e-11
-    rank = (s > cutoff[..., None]).sum(axis=-1)
-    return vt[..., d - r :, :].swapaxes(-1, -2), d - rank
+    floor = np.where(backward[:, None], np.log(1e-11) + logs.max(-1, initial=0.0), np.log(1e-250))
+    return logs.min(axis=-1, initial=np.inf) <= floor
 
 
 def _classify_rates(rates, cut, run, zero_margin, gap_ratio):
@@ -423,50 +406,6 @@ def _family_plan(field: DiscreteVectorField, side: str, anchor: int, length, hor
     return length, lo, hi, np.arange(anchor - length, anchor + 1), horizon
 
 
-def _march_image(a: np.ndarray, seed: np.ndarray):
-    """Image frames marched backward through step preimages from `seed` at the last time.
-
-    `a` (samples, steps, d, d) holds the step matrices.  Returns the
-    frames (samples, steps + 1, d, r) and, per sample, the first error.
-    """
-    n, length, d, r = a.shape[0], a.shape[1], a.shape[-1], seed.shape[-1]
-    im = np.empty((n, length + 1, d, r))
-    im[:, length] = seed
-    errors: dict[int, Exception] = {}
-    for i in range(length - 1, -1, -1):
-        im[:, i], found = _preimage_frames(a[:, i], im[:, i + 1])
-        if found is None:
-            continue
-        for j in np.flatnonzero(found != r).tolist():
-            errors.setdefault(
-                j,
-                NumericError(
-                    f"preimage of a marched image frame has dimension {found[j]}, "
-                    f"expected {r}; the splitting is not regular here"
-                ),
-            )
-    return im, errors
-
-
-def _march_kernel(a: np.ndarray, seed: np.ndarray):
-    """Kernel frames marched forward by the field from `seed` at the first time.
-
-    Returns the frames (samples, steps + 1, d, d - r) and, per sample,
-    the first error.
-    """
-    n, length, d = a.shape[0], a.shape[1], a.shape[-1]
-    ker = np.empty((n, length + 1, d, seed.shape[-1]))
-    ker[:, 0] = seed
-    errors: dict[int, Exception] = {}
-    for i in range(length):
-        ker[:, i + 1], lost = _qr_frames(a[:, i] @ ker[:, i])
-        for j in np.flatnonzero(lost).tolist():
-            errors.setdefault(
-                j, NumericError("a marched frame lost rank; the splitting is not regular here")
-            )
-    return ker, errors
-
-
 def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
     """Families (or errors) of the pending runs of both sides, built together.
 
@@ -474,9 +413,12 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
     runs): `runs` (samples, run, d, d) is what its read returned, the
     factors in sweep order (decreasing time on the plus side), and the
     family's steps start `offset` into the run in increasing time.
-    Rows of equal run length share one sweep, and rows of equal run
-    length and rank one image march, one kernel march and one assembly;
-    numpy's stacked calls give each row the bits it would get alone.
+    Rows of equal run length share one sweep, whose frames at the
+    family times give each row's canonical subspace (the plus image,
+    the minus kernel), and rows of equal run length and rank one march
+    of the free complement and one assembly; numpy's stacked calls give
+    each row the bits it would get alone.  A step that is singular on a
+    marched or swept frame is a `NumericError` naming its time.
     Returns the outcomes window by window, in the order of their rows.
     """
     tau_proj, tau_inv, sigma_reg, zero_margin, gap_ratio = tolerances
@@ -497,10 +439,10 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
             factors.append(runs.swapaxes(-1, -2) if side == "plus" else runs)
             steps.append(ordered[:, offset : offset + len(fam_times) - 1])
         times, factors, steps = np.stack(times), np.concatenate(factors), np.concatenate(steps)
-        # one sweep; the snapshot after `horizon` factors estimates the
-        # splitting at the far window end, the final state at the anchor
-        q, far, rates = _sweep(factors, horizon)
+        # one sweep; its frames at the family times hold each splitting
+        frames, logs, rates = _sweep(factors, horizon)
         del factors
+        length, d = frames.shape[1] - 1, frames.shape[-1]
         status, masks = _classify_rates(rates, 0.0, run, zero_margin, gap_ratio)
         for j in np.flatnonzero(status != "ed").tolist():
             w, k = origin[j]
@@ -519,27 +461,47 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
         for r in np.unique(ranks[ranks >= 0]).tolist():
             rows = np.flatnonzero(ranks == r)
             members = rows.tolist()
-            # below-rate columns first, each group in its original column order
+            plus = np.array([sides[j] == "plus" for j in members])
+            fam_times = times[rows]
+            # the sweep's frames and step logs in increasing time, below-rate
+            # columns first, each group in its original column order
             order = np.argsort(~masks[rows], axis=1, kind="stable")[:, None, :]
-            at_far = np.take_along_axis(far[rows], order, axis=2)
-            at_anchor = np.take_along_axis(q[rows], order, axis=2)
-            plus = np.array([sides[j] == "plus" for j in members])[:, None, None]
-            # plus: the canonical image is seeded at the far end and marched
-            # backward, the free complement fixed orthogonal at the anchor and
-            # marched forward; minus: the canonical kernel is seeded at the far
-            # (past) end and marched forward, the free complement at the anchor
+            at = np.where(plus[:, None], np.arange(length, -1, -1), np.arange(length + 1))
+            basis = np.take_along_axis(frames[rows[:, None], at], order[:, :, None, :], axis=3)
+            between = np.where(plus[:, None], at[:, 1:], at[:, :-1])
+            step_logs = np.take_along_axis(logs[rows[:, None], between], order, axis=2)
+            canonical = _lost_rank(step_logs[..., r:], plus)
+            # the free complement from the anchor: the plus kernel forward
+            # through A(n), the minus image's complement backward through A(n)^T
             a = steps[rows]
-            im, im_errors = _march_image(a, np.where(plus, at_far, at_anchor)[..., :r])
-            ker, ker_errors = _march_kernel(a, np.where(plus, at_anchor, at_far)[..., r:])
-            # each side meets the errors of its canonical march first
+            free = np.empty((len(rows), length + 1, d, d - r))
+            free_logs = np.empty((len(rows), length, d - r))
+            free[:, 0] = np.where(plus[:, None, None], basis[:, 0, :, r:], basis[:, -1, :, r:])
+            if r < d:
+                moves = np.where(plus[:, None, None, None], a, a[:, ::-1].swapaxes(-1, -2))
+                for i in range(length):
+                    free[:, i + 1], free_logs[:, i] = _qr_step(moves[:, i] @ free[:, i])
+            free[~plus], free_logs[~plus] = free[~plus, ::-1], free_logs[~plus, ::-1]
+            free_lost = _lost_rank(free_logs, ~plus)
+            im, ker = basis[..., :r], basis[..., r:]
+            ker[plus] = free[plus]
+            if r and not plus.all():
+                im[~plus] = np.linalg.qr(free[~plus], mode="complete")[0][..., d - r :]
+            # a pulled-back image meets a singular step at its latest time, a pushed
+            # kernel at its earliest; each side meets its canonical frame's first
+            pulled = np.where(plus[:, None], canonical, free_lost) & (r > 0)
+            pushed = np.where(plus[:, None], free_lost, canonical)
             errors = {}
-            for i, j in enumerate(members):
-                pair = (im_errors, ker_errors) if sides[j] == "plus" else (ker_errors, im_errors)
-                canonical, free = pair
-                if i in canonical or i in free:
-                    errors[i] = canonical.get(i, free.get(i))
+            for i in np.flatnonzero(pulled.any(axis=1) | pushed.any(axis=1)).tolist():
+                if pulled[i].any() and (plus[i] or not pushed[i].any()):
+                    t = fam_times[i, length - 1 - pulled[i, ::-1].argmax()]
+                    lost = f"the preimage under A({t}) of the image frame has a dimension above {r}"
+                else:
+                    t = fam_times[i, pushed[i].argmax()]
+                    lost = f"A({t}) lost rank on the kernel frame"
+                errors[i] = NumericError(f"{lost}; the splitting is not regular at time {t}")
             families = _assemble_batch(
-                a, times[rows], im, ker, [sides[j] for j in members],
+                a, fam_times, im, ker, [sides[j] for j in members],
                 [anchors[j] for j in members], tau_proj, tau_inv, sigma_reg, errors,
             )
             for j, family in zip(members, families):
@@ -657,13 +619,17 @@ def build_projector_family(
 ) -> ProjectorFamily:
     """Certified invariant projector family on a half-line window.
 
-    One QR sweep over `length + horizon` steps classifies the rates and
-    yields splitting estimates at both window ends.  Each subspace is
-    then transported in the direction that attracts it, so rounding
-    errors contract instead of compounding: the forward-decaying image
-    is seeded at the far end of the window and marched backward through
-    step preimages, while the complement (the free choice, fixed
-    orthogonal at the seed time) is marched forward by the field.
+    One QR sweep over `length + horizon` steps classifies the rates,
+    and past its `horizon` transient its columns span the canonical
+    subspace at every family time: the QR method carries the leading
+    (faster-growing) columns exactly, so on the plus side, swept
+    backward through A(n)^T, the trailing ones span the preimages of
+    the decaying image, and on the minus side, swept forward, the
+    leading ones span the growing kernel (Dieci & Van Vleck, SIAM J.
+    Numer. Anal. 40, 2002).  The other subspace, the free choice, is
+    fixed orthogonal at the anchor and marched away from it: the plus
+    kernel forward through A(n), the complement of the minus image
+    backward through A(n)^T, since {x : A x in V}^perp = A^T V^perp.
     Idempotency, invariance, regularity and rank constancy are
     validated before returning.  This is `build_projector_families`
     for a single sample.
@@ -990,7 +956,8 @@ def dichotomy_spectra(
     out = list(errors)
     if good:
         n, plus = len(good), mats[good, 2 * horizon - 1 :: -1].swapaxes(-1, -2)
-        q, _, rates = _sweep(np.concatenate([plus, mats[good, 2 * horizon :]]), horizon)
+        frames, _, rates = _sweep(np.concatenate([plus, mats[good, 2 * horizon :]]), horizon)
+        q = frames[:, -1]
         gammas = np.geomspace(gamma_min, gamma_max, grid)
         for row, i in enumerate(good):
             sample = (q[row], rates[row], q[n + row], rates[n + row])

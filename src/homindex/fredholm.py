@@ -22,8 +22,8 @@ once (the sample on numpy's leading axis), only what the count needs:
 - the values below the null cut 1e-8 scale and the smallest one above
   it, by inverse subspace iteration with a factor R, R^T R = M^T M +
   mu I, of M stacked on regularization rows sqrt(mu) I, sqrt(mu) =
-  1e-10 scale.  Each step ends with a Rayleigh-Ritz step on M itself
-  and a residual test.
+  1e-10 scale, each step ending with a Rayleigh-Ritz step on M; a
+  sample stops as soon as its count is decided.
 R uses odd-even (cyclic) reduction, after S. J. Wright, Stable
 parallel algorithms for two-point boundary value problems (SIAM J.
 Sci. Stat. Comput. 13, 1992): each level eliminates every other alive
@@ -56,7 +56,7 @@ window.  Forcing outside the steps the family covers is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -114,11 +114,6 @@ _ANGLE_TOL = 1e-8
 _ANGLE_BAND = 1e-4
 
 
-def _as_window(window) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class FiniteWindowSequence:
     """Vector sequence on consecutive integer times with decay flags.
@@ -140,7 +135,7 @@ class FiniteWindowSequence:
         values,
         decay_tol: float = DECAY_TOL,
     ) -> "FiniteWindowSequence":
-        lo, hi = _as_window(window)
+        lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise InputError(f"window [{lo}, {hi}] is empty")
         v = np.array(values, dtype=float)
@@ -179,6 +174,28 @@ class FiniteWindowSequence:
 
 
 @dataclass(frozen=True)
+class TruncationSpectrum:
+    """The singular values of a boundary-conditioned truncation that the kernel count reads.
+
+    `smallest` holds, ascending, every value below the null cut
+    (`1e-8 * scale`) and then the smallest value above it, as Ritz
+    values (upper bounds on the true ones) as precise as the count
+    needed them; `error` estimates the last one's error, and
+    `resolved()` resolves it to `_VALUE_TOL` * scale by continuing the
+    iteration on this row.  `scale` is the block-norm bound sqrt(|N|_1
+    |N|_inf), N_ij = |M_ij|_2, on sigma_max: sigma_max <= scale <= 2 sigma_max.
+    """
+
+    smallest: np.ndarray
+    scale: float
+    error: float = 0.0
+    resume: object = dataclass_field(default=None, repr=False, compare=False)
+
+    def resolved(self) -> "TruncationSpectrum":
+        return self if self.resume is None else self.resume()
+
+
+@dataclass(frozen=True)
 class IndexReport:
     """Kernel, cokernel and index of the difference operator on a window.
 
@@ -188,14 +205,9 @@ class IndexReport:
     space.  The flag records their agreement; the index always equals
     the half-line projector rank difference, and the cokernel dimension
     is the kernel dimension minus the index.  The truncation's singular
-    values are summarized, not listed: `smallest_singular_values` holds,
-    ascending, every value below the null cut (1e-8 times the
-    truncation's block-norm scale, see `TruncationSpectrum`) and then
-    the smallest value above it.  `truncated_spectra` resolves them on
-    the blocks, by inverse iteration with the regularized block factor
-    stopped by a residual test at 5e-13 times the scale (at most 1e-12
-    sigma_max), or, where that stays unresolved, by the counted dense
-    fallback.  The report holds no kernel basis.
+    values are summarized, not listed: `truncation` is the
+    `TruncationSpectrum` the count read.  The report holds no kernel
+    basis.
     """
 
     index: int
@@ -205,9 +217,7 @@ class IndexReport:
     rank_minus: int
     consistent: bool
     dim_ker_truncated: int
-    smallest_singular_values: np.ndarray = dataclass_field(
-        default_factory=lambda: np.empty(0), repr=False, compare=False
-    )
+    truncation: TruncationSpectrum | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.index != self.dim_ker - self.dim_coker:
@@ -216,20 +226,6 @@ class IndexReport:
             raise InputError(
                 "a consistent report must have index equal to the projector rank difference"
             )
-
-
-@dataclass(frozen=True)
-class TruncationSpectrum:
-    """The singular values of a boundary-conditioned truncation that the kernel count reads.
-
-    `smallest` holds, ascending, every value below the null cut
-    (`1e-8 * scale`) and then the smallest value above it.  `scale` is
-    the block-norm bound sqrt(|N|_1 |N|_inf), N_ij = |M_ij|_2, on the
-    largest singular value sigma_max: sigma_max <= scale <= 2 sigma_max.
-    """
-
-    smallest: np.ndarray
-    scale: float
 
 
 def assemble_truncated(field: DiscreteVectorField, lams, window) -> tuple[np.ndarray, list]:
@@ -243,7 +239,7 @@ def assemble_truncated(field: DiscreteVectorField, lams, window) -> tuple[np.nda
     section is block lower-bidiagonal, and its identity blocks are
     implicit.
     """
-    lo, hi = _as_window(window)
+    lo, hi = int(window[0]), int(window[1])
     if hi - lo + 1 < 2:
         raise InputError("truncation window needs at least two times")
     mats, errors = field.stack(lams, np.arange(lo, hi))
@@ -259,25 +255,30 @@ def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> Non
         )
 
 
-def _intersection_dimension(f_plus: np.ndarray, f_minus: np.ndarray) -> int:
-    """Dimension of the meet of two orthonormal column spans.
+def _intersection_dimensions(pairs: list) -> list:
+    """Dimension of the meet of each family pair's decaying subspaces at time 0, or its refusal.
 
-    Counts principal cosines within `_ANGLE_TOL` of one and refuses
-    cosines inside the ambiguous band below that.
+    Counts the principal cosines between the plus image and the minus
+    kernel within `_ANGLE_TOL` of one, from one stacked SVD per rank
+    pair, and refuses cosines inside the ambiguous band below that.
     """
-    if f_plus.shape[1] == 0 or f_minus.shape[1] == 0:
-        return 0
-    cosines = np.clip(np.linalg.svd(f_plus.T @ f_minus, compute_uv=False), 0.0, 1.0)
-    gaps = 1.0 - cosines
-    ambiguous = (gaps > _ANGLE_TOL) & (gaps <= _ANGLE_BAND)
-    if np.any(ambiguous):
-        worst = float(gaps[ambiguous].min())
-        raise IndeterminateError(
-            "a principal angle between the decaying subspaces is ambiguous "
-            f"(cosine within {worst:.2e} of one); enlarge the window or refine "
-            "the parameter sampling to separate the subspaces"
-        )
-    return int(np.sum(gaps <= _ANGLE_TOL))
+    frames = [(p.image_frames[p.index_of(0)], m.kernel_frames[m.index_of(0)]) for p, m in pairs]
+    out: list = [0] * len(pairs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (f_plus, f_minus) in enumerate(frames):
+        if f_plus.shape[1] and f_minus.shape[1]:
+            groups.setdefault((f_plus.shape[1], f_minus.shape[1]), []).append(i)
+    for members in groups.values():
+        f_plus, f_minus = (np.stack([frames[i][k] for i in members]) for k in (0, 1))
+        cosines = np.linalg.svd(_t(f_plus) @ f_minus, compute_uv=False)
+        for i, gaps in zip(members, 1.0 - np.clip(cosines, 0.0, 1.0)):
+            ambiguous = gaps[(gaps > _ANGLE_TOL) & (gaps <= _ANGLE_BAND)]
+            out[i] = int(np.sum(gaps <= _ANGLE_TOL)) if not ambiguous.size else IndeterminateError(
+                "a principal angle between the decaying subspaces is ambiguous (cosine within "
+                f"{float(ambiguous.min()):.2e} of one); enlarge the window or refine the "
+                "parameter sampling to separate the subspaces"
+            )
+    return out
 
 
 def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
@@ -290,15 +291,15 @@ def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
         largest_zero = float(small[n_zero - 1])
         if smallest_kept < max(largest_zero, scale * 1e-15) * gap_ratio:
             raise IndeterminateError(
-                "no clear singular-value gap separates the null group "
-                f"({largest_zero:.3e}) from the rest ({smallest_kept:.3e}); "
-                "enlarge the truncation window"
+                f"no clear singular-value gap separates the null group ({largest_zero:.3e}, "
+                f"below the null cutoff {cut:.3e} = 1e-8 x the block-norm scale "
+                f"{scale:.3e}) from the rest ({smallest_kept:.3e})"
             )
     elif smallest_kept < cut * gap_ratio:
         raise IndeterminateError(
-            f"the smallest singular value {smallest_kept:.3e} sits too close "
-            f"to the null cutoff {cut:.3e} to certify an empty kernel; enlarge "
-            "the truncation window"
+            f"the smallest singular value {smallest_kept:.3e} sits too close to the null "
+            f"cutoff {cut:.3e} = 1e-8 x the block-norm scale {scale:.3e} to certify an "
+            "empty kernel"
         )
     return n_zero
 
@@ -482,10 +483,11 @@ def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
 
 def _gram_factor(sec: _Sections) -> list:
     """`_regularized_factor` at root mu = `_REGULARIZATION` * scale, inverted for `_gram_solve`."""
-    return [
-        (np.linalg.inv(diag), left, right)
-        for diag, left, right in _regularized_factor(sec, _REGULARIZATION * sec.scale)
-    ]
+    levels = _regularized_factor(sec, _REGULARIZATION * sec.scale)
+    # the diagonal blocks of all levels in one stacked inverse
+    inverses = np.linalg.inv(np.concatenate([diag for diag, _, _ in levels], axis=1))
+    inverses = np.split(inverses, np.cumsum([diag.shape[1] for diag, _, _ in levels])[:-1], axis=1)
+    return [(inverse, left, right) for inverse, (_, left, right) in zip(inverses, levels)]
 
 
 def _ritz_step(sec: _Sections, levels: list, x: np.ndarray):
@@ -556,35 +558,39 @@ def section_least_squares(
     return s[..., 0]
 
 
-def _smallest_values(sec: _Sections) -> list:
-    """The `TruncationSpectrum.smallest` group of each section, or None if unresolved.
+def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int = 0) -> list:
+    """Each section's `TruncationSpectrum`, or None where it stays unresolved.
 
     Inverse subspace iteration (`_ritz_step`) with the regularized
-    factor R (root mu = `_REGULARIZATION` * `sec.scale`) on the p
-    columns of `_start`, about 2 log2(w) batched steps each.
-    A sample stops when the Ritz value that is smallest above the null
-    cut has residual r = |M^T u - s v| with r^2 / gap <= `_VALUE_TOL`
-    * scale, gap being its distance to the nearest Ritz value
-    farther than r from it (nearer ones count as its cluster, and with
-    none farther the bound is r itself); the values below the cut are
-    upper bounds on true ones (Cauchy interlacing).  Samples still
-    unresolved after `_ITERATION_CAP` steps get None.
+    factor R (root mu = `_REGULARIZATION` * `sec.scale`) on the columns
+    of `_start`, or from step `done` on `x` with R's `levels`.  Ritz
+    values bound the true ones from above (interlacing).  The kept one
+    s, the first at or above the null cut, has residual r = |M^T u - s
+    v| and Kato-Temple error e = r^2 / gap (Parlett, The Symmetric
+    Eigenvalue Problem, 1998), gap being its distance to the nearest
+    Ritz value farther than r (with none, e = r).  A sample stops once
+    its count is decided, s - e clearing `_null_space`'s rule at
+    `gap_ratio` and s / 2 (early Ritz values can sit far above the true
+    ones), or once e <= `_VALUE_TOL` * scale, the only stop when
+    `gap_ratio` is None; `TruncationSpectrum.resolved` resumes the
+    former.  None after `_ITERATION_CAP` steps.
     """
     s, w, d = sec.count, sec.width, sec.dim
     scale = sec.scale
-    levels = _gram_factor(sec)
-    start = _start(w, d)
-    p = start.shape[-1]
-    x = np.broadcast_to(start, (s, w * d, p))
+    if levels is None:
+        levels, start = _gram_factor(sec), _start(w, d)
+        x = np.broadcast_to(start, (s,) + start.shape)
+    p = x.shape[-1]
     found: list = [None] * s
     active = np.arange(s)
     shrunk = True
-    for _ in range(_ITERATION_CAP):
+    for step in range(done, _ITERATION_CAP):
         if shrunk:
             part = sec.take(active)
             a_levels = [tuple(blocks[active] for blocks in level) for level in levels]
             cut = _NULL_CUT * scale[active]
             tol = _VALUE_TOL * scale[active]
+            floor = 1e-15 * scale[active]
             rows = np.arange(len(active))
         u, values, x = _ritz_step(part, a_levels, x)
         # the first Ritz value at or above the cut, its residual and its gap
@@ -601,14 +607,29 @@ def _smallest_values(sec: _Sections) -> list:
         distance = np.abs(values - at[:, None])
         gap = np.where(distance > r[:, None], distance, np.inf).min(axis=1)
         err = np.where(np.isfinite(gap), r * r / gap, r)
-        resolved = (k < p) & (err <= tol)
+        precise = (k < p) & (err <= tol)
+        resolved = precise.copy()
+        if gap_ratio is not None:
+            clear = np.where(k > 0, np.maximum(values[rows, np.maximum(k - 1, 0)], floor), cut)
+            resolved |= (k < p) & (at - err >= np.maximum(clear * gap_ratio, 0.5 * at))
         for j in np.flatnonzero(resolved).tolist():
-            found[active[j]] = values[j, : k[j] + 1].copy()
+            resume = None if precise[j] else partial(_resume, part, a_levels, x, j, step + 1)
+            found[active[j]] = TruncationSpectrum(
+                values[j, : k[j] + 1].copy(), float(scale[active[j]]), float(err[j]), resume
+            )
         if resolved.all():
             break
         shrunk = resolved.any()
         active, x = active[~resolved], x[~resolved]
     return found
+
+
+def _resume(part: _Sections, levels: list, x: np.ndarray, j: int, done: int):
+    """Row j's iteration continued alone from step `done` to `_VALUE_TOL`, or the dense fallback."""
+    one = part.take([j])
+    row_levels = [tuple(blocks[[j]] for blocks in level) for level in levels]
+    (spectrum,) = _smallest_values(one, None, row_levels, x[[j]], done)
+    return _dense_spectrum(one, 0) if spectrum is None else spectrum
 
 
 def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
@@ -619,16 +640,14 @@ def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
     return TruncationSpectrum(values[: n_zero + 1], scale)
 
 
-def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
+def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray, gap_ratio) -> list:
     """Spectrum summaries of stacked sections: structured, or dense where that is unresolved."""
     sec = _Sections(steps, first, last)
-    return [
-        _dense_spectrum(sec, i) if small is None else TruncationSpectrum(small, float(scale))
-        for i, (small, scale) in enumerate(zip(_smallest_values(sec), sec.scale))
-    ]
+    found = _smallest_values(sec, gap_ratio)
+    return [_dense_spectrum(sec, i) if one is None else one for i, one in enumerate(found)]
 
 
-def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> list:
+def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus, gap_ratio) -> list:
     """Spectrum summaries of many samples' boundary-conditioned truncations, in one batch.
 
     `plus[i]` and `minus[i]` are sample `lams[i]`'s half-line families.
@@ -639,10 +658,12 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
     `assemble_truncated` read.  A sample that the inverse iteration
     leaves unresolved falls back to a values-only dense SVD of its own
     matrix, the only dense truncation formed, cut with the same scale.
-    Returns each sample's `TruncationSpectrum`, or the error reading its
-    blocks raised.  Nothing is kept between calls.
+    The iteration stops each sample once its count under `_null_space`
+    at `gap_ratio` is decided.  Returns each sample's `TruncationSpectrum`
+    (which keeps what resolving its kept value needs), or the error
+    reading its blocks raised.
     """
-    lo, hi = _as_window(window)
+    lo, hi = int(window[0]), int(window[1])
     try:
         steps, outcomes = assemble_truncated(field, lams, (lo, hi))
     except HomindexError as exc:
@@ -651,13 +672,13 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus) -> 
     if rows:
         first = np.stack([minus[i].projector(lo) for i in rows])
         last = np.eye(field.dim) - np.stack([plus[i].projector(hi) for i in rows])
-        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last)):
+        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last, gap_ratio)):
             outcomes[i] = spectrum
     return outcomes
 
 
-def _subspace_count(field: DiscreteVectorField, lo: int, hi: int, fam_plus, fam_minus) -> dict:
-    """`kernel_cokernel`'s checks, in its order, and its counts before the truncation."""
+def _check_pair(field: DiscreteVectorField, lo: int, hi: int, fam_plus, fam_minus) -> None:
+    """`kernel_cokernel`'s checks of its window and witnesses, in its order."""
     if hi - lo + 1 < 8:
         raise InputError("index computations need a truncation window of at least 8 times")
     if fam_plus.side != "plus":
@@ -674,39 +695,41 @@ def _subspace_count(field: DiscreteVectorField, lo: int, hi: int, fam_plus, fam_
     _require_coverage(fam_plus, min(0, kappa_hi), hi, "plus")
     _require_coverage(fam_minus, lo, max(0, kappa_lo), "minus")
 
-    index = fam_plus.rank - fam_minus.rank
-    forward_decaying = fam_plus.image_frames[fam_plus.index_of(0)]
-    backward_decaying = fam_minus.kernel_frames[fam_minus.index_of(0)]
-    dim_ker = _intersection_dimension(forward_decaying, backward_decaying)
-    if dim_ker < index:
-        raise IndeterminateError(
-            f"the decaying subspaces meet in dimension {dim_ker}, below the "
-            f"index {index}; the witnesses and the window are inconsistent"
-        )
-    ranks = {"rank_plus": fam_plus.rank, "rank_minus": fam_minus.rank}
-    return dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
-
 
 def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: float) -> list:
     """Each sample's `IndexReport`, or the first error its count meets.
 
     `pairs[i]` is sample `lams[i]`'s (plus, minus) family pair, or the
     error that stopped it earlier, which comes back unchanged.  The
-    samples that pass `_subspace_count` share one `truncated_spectra`
-    call; `gap_ratio` then separates each one's null group.
+    samples that pass `_check_pair` share one subspace count and then
+    one `truncated_spectra` call; `gap_ratio` separates each null group.
     """
-    lo, hi = _as_window(window)
+    lo, hi = int(window[0]), int(window[1])
     outcomes = []
     for pair in pairs:
         if not isinstance(pair, HomindexError):
             try:
-                pair = _subspace_count(field, lo, hi, *pair)
+                _check_pair(field, lo, hi, *pair)
             except HomindexError as exc:
                 pair = fresh(exc)
         outcomes.append(pair)
+    live = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, HomindexError)]
+    for i, dim_ker in zip(live, _intersection_dimensions([pairs[i] for i in live])):
+        fam_plus, fam_minus = pairs[i]
+        index = fam_plus.rank - fam_minus.rank
+        if isinstance(dim_ker, HomindexError):
+            outcomes[i] = dim_ker
+        elif dim_ker < index:
+            outcomes[i] = IndeterminateError(
+                f"the decaying subspaces meet in dimension {dim_ker}, below the "
+                f"index {index}; the witnesses and the window are inconsistent"
+            )
+        else:
+            ranks = {"rank_plus": fam_plus.rank, "rank_minus": fam_minus.rank}
+            outcomes[i] = dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
     live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
     plus, minus = [pairs[i][0] for i in live], [pairs[i][1] for i in live]
-    spectra = truncated_spectra(field, [lams[i] for i in live], (lo, hi), plus, minus)
+    spectra = truncated_spectra(field, [lams[i] for i in live], (lo, hi), plus, minus, gap_ratio)
     for i, spectrum in zip(live, spectra):
         if isinstance(spectrum, HomindexError):
             outcomes[i] = spectrum
@@ -717,10 +740,8 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
             outcomes[i] = fresh(exc)
             continue
         outcomes[i] = IndexReport(
-            **outcomes[i],
-            consistent=outcomes[i]["dim_ker"] == null,
-            dim_ker_truncated=null,
-            smallest_singular_values=spectrum.smallest,
+            **outcomes[i], consistent=outcomes[i]["dim_ker"] == null,
+            dim_ker_truncated=null, truncation=spectrum,
         )
     return outcomes
 
@@ -744,8 +765,11 @@ def kernel_cokernel(
     scale (between sigma_max and 2 sigma_max) are null, and a null
     group without a `SV_GAP_RATIO` gap to the smallest kept value, or an
     empty one whose smallest value lies within `SV_GAP_RATIO` of the
-    cut, is indeterminate.  The index is the projector rank difference;
-    the report's flag records whether the two kernel counts agree.
+    cut, is indeterminate; the iteration stops once that rule is
+    decided, so the report's `truncation` holds its values only as
+    precisely as the count needed them.  The index is the projector
+    rank difference; the report's flag records whether the two kernel
+    counts agree.
     No command calls it: the tests take it as the per-sample reference
     for the batch, and `perfbench/tracer.py` rebinds it by name.
     """

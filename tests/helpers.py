@@ -3,8 +3,10 @@
 Most oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
 evaluator and its convolution, a full SVD of the densely assembled
-boundary-conditioned truncation, the distance of a spectrum to 1) so
-that library results can be checked against an implementation that
+boundary-conditioned truncation, the distance of a spectrum to 1, and
+`march_image` and `march_kernel`, the per-step frame marches that
+`dichotomy` ran before it read its canonical frames off the rate sweep)
+so that library results can be checked against an implementation that
 shares no code with them.
 
 The rest reuse library code, and say which:
@@ -50,7 +52,7 @@ from homindex.errors import (
     NumericError,
 )
 from homindex.field import DiscreteVectorField, SampledBundle
-from homindex.fredholm import FiniteWindowSequence
+from homindex.fredholm import _VALUE_TOL, FiniteWindowSequence
 
 __all__ = [
     "rotation",
@@ -66,9 +68,13 @@ __all__ = [
     "boundary_conditioned",
     "block_norm_scale",
     "assert_scale",
+    "assert_decided",
     "truncated_null_space",
     "span_gap",
     "distance_to_one",
+    "preimage_frames",
+    "march_image",
+    "march_kernel",
     "shift_operator_projector",
     "SmallnessReport",
     "perturb_field",
@@ -261,6 +267,29 @@ def assert_scale(got: float, expected: float, sigma_max: float) -> None:
     assert sigma_max * (1.0 - 1e-12) <= got <= 2.0 * sigma_max
 
 
+#: relative slack the kept value may take on its Kato-Temple error estimate,
+#: whose gap comes from Ritz values, not from the true spectrum
+TEMPLE_SLACK = 0.05
+
+
+def assert_decided(spectrum, expected, sigma_max):
+    """A spectrum summary against the dense values it summarizes, `expected` ascending.
+
+    The null group matches to 1e-12 sigma_max; the kept value is a Ritz
+    value, at or above its true value and within its own error estimate
+    of it (with `TEMPLE_SLACK`); the resolved summary matches to 1e-12
+    sigma_max and to the 3 digits a report prints.
+    """
+    got, rounding = spectrum.smallest, 1e-12 * sigma_max
+    np.testing.assert_allclose(got[:-1], expected[:-1], rtol=0, atol=rounding)
+    assert expected[-1] - rounding <= got[-1]
+    assert got[-1] - expected[-1] <= (1.0 + TEMPLE_SLACK) * spectrum.error + rounding
+    resolved = spectrum.resolved()
+    assert f"{resolved.smallest[-1]:.3e}" == f"{expected[-1]:.3e}"
+    np.testing.assert_allclose(resolved.smallest, expected, rtol=0, atol=rounding)
+    assert resolved.error <= _VALUE_TOL * spectrum.scale
+
+
 def truncated_null_space(field, lam, window, witnesses, decay_tol=1e-6):
     """Oracle: full SVD of the boundary-conditioned truncation on `window`.
 
@@ -312,6 +341,52 @@ def distance_to_one(intervals) -> float:
     if not intervals:
         return float("inf")
     return float(min(max(lo - 1.0, 1.0 - hi, 0.0) for lo, hi in intervals))
+
+
+def preimage_frames(a: np.ndarray, frame: np.ndarray):
+    """Oracle: orthonormal frames of the preimages {x : a x in span(frame)} for a stack.
+
+    Works for singular `a` as well.  Returns the frames and the
+    dimension each preimage actually has (None when the frame is empty
+    or full); a regular splitting keeps the frame's column count.
+    """
+    d, r = a.shape[-1], frame.shape[-1]
+    if r == 0:
+        return np.zeros(a.shape[:-1] + (0,)), None
+    if r == d:
+        return np.broadcast_to(np.eye(d), a.shape), None
+    resid = (np.eye(d) - frame @ frame.swapaxes(-1, -2)) @ a
+    _, s, vt = np.linalg.svd(resid)
+    cutoff = np.maximum(s[..., 0], 1.0) * 1e-11
+    rank = (s > cutoff[..., None]).sum(axis=-1)
+    return vt[..., d - r :, :].swapaxes(-1, -2), d - rank
+
+
+def march_image(a: np.ndarray, seed: np.ndarray):
+    """Oracle: image frames pulled back from `seed` at the last time, one preimage per step.
+
+    `a` (samples, steps, d, d) holds the step matrices.  Returns the
+    frames (samples, steps + 1, d, r) and, per sample, whether every
+    preimage kept dimension r.
+    """
+    n, length, d, r = a.shape[0], a.shape[1], a.shape[-1], seed.shape[-1]
+    im = np.empty((n, length + 1, d, r))
+    im[:, length] = seed
+    regular = np.ones(n, dtype=bool)
+    for i in range(length - 1, -1, -1):
+        im[:, i], found = preimage_frames(a[:, i], im[:, i + 1])
+        if found is not None:
+            regular &= found == r
+    return im, regular
+
+
+def march_kernel(a: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Oracle: kernel frames pushed forward by the field from `seed` at the first time, one QR a step."""
+    ker = np.empty((a.shape[0], a.shape[1] + 1) + seed.shape[1:])
+    ker[:, 0] = seed
+    for i in range(a.shape[1]):
+        ker[:, i + 1] = np.linalg.qr(a[:, i] @ ker[:, i])[0]
+    return ker
 
 
 def _family_from_projectors(

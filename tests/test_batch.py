@@ -748,7 +748,7 @@ def test_whole_line_index_equals_kernel_cokernel_per_sample(make):
             assert type(got) is type(one) and str(got) == str(one)
             continue
         assert dataclasses.astuple(got)[:-1] == dataclasses.astuple(one)[:-1]
-        got_values, one_values = got.smallest_singular_values, one.smallest_singular_values
+        got_values, one_values = got.truncation.smallest, one.truncation.smallest
         assert got_values.shape == one_values.shape
         assert got_values.tobytes() == one_values.tobytes()
     assert any(isinstance(o, fredholm.IndexReport) for o in outcomes)

@@ -34,7 +34,7 @@ from homindex.bifurcation import (
     localize_bifurcations,
 )
 
-from helpers import assert_scale, block_norm_scale, boundary_conditioned
+from helpers import assert_decided, assert_scale, block_norm_scale, boundary_conditioned
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +305,11 @@ def test_check_f3_autonomous_saddle_passes():
     plus, minus = whole_line_families(field, [0], (-30, 30), 40)
     dense = boundary_conditioned(field, 0, (-30, 30), plus[0], minus[0])
     svals = np.linalg.svd(dense, compute_uv=False)
-    assert 0.0 < res.sigma_min < svals[0]
-    assert abs(res.sigma_min - svals[-1]) <= 1e-12 * svals[0]
-    (spectrum,) = fredholm.truncated_spectra(field, [0], (-30, 30), plus, minus)
+    (spectrum,) = fredholm.truncated_spectra(
+        field, [0], (-30, 30), plus, minus, fredholm.SV_GAP_RATIO
+    )
+    assert res.sigma_min == spectrum.smallest[0]
+    assert_decided(spectrum, svals[-1:], svals[0])
     assert_scale(spectrum.scale, block_norm_scale(dense, 2), svals[0])
 
 
@@ -378,6 +380,9 @@ def test_certify_f0_rejects_a_wrong_derivative():
     assert "(F0)/(F1) sampled validation failed; see the evidence table" in cert.warnings
     evidence = dict(cert.evidence)
     assert float(evidence["f0_derivative_deviation"]) == pytest.approx(1.0, abs=1e-3)
+    assert float(evidence["f0_derivative_deviation"]) > (
+        bifurcation.F0_DERIVATIVE_TOL * float(evidence["f0_derivative_scale"])
+    )
     assert "f0_remainder_ratios" not in evidence
 
 
@@ -391,6 +396,12 @@ def test_certify_f0_scales_its_derivative_tolerance_with_the_derivative():
     deviation = float(dict(cert.evidence)["f0_derivative_deviation"])
     assert bifurcation.F0_DERIVATIVE_TOL < deviation < 1e-5
     assert cert.f0_ok and cert.f1_ok
+    # the scale row follows the deviation row, so a reader checks the gate
+    # deviation <= F0_DERIVATIVE_TOL * scale from the report alone
+    names = [name for name, _ in cert.evidence]
+    assert names[names.index("f0_derivative_deviation") + 1] == "f0_derivative_scale"
+    scale = float(dict(cert.evidence)["f0_derivative_scale"])
+    assert 1e5 < scale and deviation <= bifurcation.F0_DERIVATIVE_TOL * scale
 
 
 def test_certify_linear_hyperbolic_obstruction_vanishes():

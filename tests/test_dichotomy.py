@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     dense_product,
     distance_to_one,
+    march_image,
+    march_kernel,
     random_hyperbolic,
     rotation,
     shift_operator_projector,
@@ -32,6 +34,7 @@ from homindex.errors import (
     WindowTooShortError,
 )
 from homindex.field import (
+    DiscreteVectorField,
     ParameterLoop,
     autonomous_field,
     direct_sum,
@@ -561,6 +564,79 @@ def test_the_growth_fit_bounds_the_backward_preimages():
                 assert norms.max(initial=0.0) <= (1.0 + 1e-12) * bound
                 probed += len(norms)
     assert probed > 1000
+
+
+def test_sweep_frames_match_the_per_step_marches():
+    # the plus images and minus kernels are the rate sweep's columns, the free
+    # complements one stacked march; the per-step marches they replaced pull
+    # the image back one preimage SVD at a time from the family's last time and
+    # push the kernel forward one QR at a time from its first
+    loop = ParameterLoop.circle(16)
+    fields = []
+    for name in builtin_names():
+        scenario = Scenario.builtin(name)
+        fields.append((scenario.build_field(), scenario.horizon))
+    ahead = direct_sum(direct_sum(mobius_bundle(loop), mobius_bundle(loop)), trivial_bundle(loop, 4, 1))
+    for q in (0.02, 0.5, 0.97):
+        horizon = 200 if q == 0.97 else 40
+        fields.append((realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1), q=q), horizon))
+        fields.append((realization_field(ahead, trivial_bundle(loop, 8, 4), q=q), horizon))
+    # every field above has symmetric steps, so A(n)^T = A(n) there; these do not
+    rng = np.random.default_rng(24)
+    times = np.arange(-200, 201)
+    for d in (2, 3, 5, 8):
+        behind, ahead_m = (random_hyperbolic(rng, d, n_stable=d // 2, max_shear=4.0)[0] for _ in "ab")
+        bump = 0.1 * np.exp(-np.abs(times) / 4.0)[:, None, None] * rng.standard_normal((len(times), d, d))
+        table = np.where((times >= 0)[:, None, None], ahead_m, behind) + bump
+        fields.append((tabulated_field(table, (-200, 200)), 40))
+    compared = 0
+    for field, horizon in fields:
+        lams = list(range(field.n_params))
+        for fams in dichotomy.whole_line_families(field, lams, (-30, 30), horizon):
+            assert all(isinstance(fam, ProjectorFamily) for fam in fams), fams
+            mats = field.stack(lams, fams[0].times[:-1])[0]
+            image, regular = march_image(mats, np.stack([fam.image_frames[-1] for fam in fams]))
+            kernel = march_kernel(mats, np.stack([fam.kernel_frames[0] for fam in fams]))
+            assert regular.all()
+            for got, want in (
+                (np.stack([fam.image_frames for fam in fams]), image),
+                (np.stack([fam.kernel_frames for fam in fams]), kernel),
+            ):
+                if got.shape[-1]:
+                    cosines = np.linalg.svd(got.swapaxes(-1, -2) @ want, compute_uv=False)
+                    assert (1.0 - cosines.min(axis=-1)).max() <= 1e-12
+                    compared += cosines.shape[0] * cosines.shape[1]
+    assert compared > 19_000
+
+
+def singular_step_field(singular: np.ndarray) -> DiscreteVectorField:
+    """The saddle diag(0.5, 2) with A(5) = A(-5) = `singular`."""
+
+    def evaluate(lams, n):
+        mats = np.where((np.abs(n) == 5)[:, None, None], singular, SADDLE)
+        return np.broadcast_to(mats, (len(lams),) + mats.shape)
+
+    return DiscreteVectorField(dim=2, evaluator=evaluate, window=(-200, 200))
+
+
+def test_a_singular_step_is_refused_where_it_breaks_the_splitting():
+    # diag(0.5, 0) kills the expanding axis: the preimage of the plus image
+    # under A(5) is the whole plane, and A(-5)^T loses the complement of the
+    # minus image; each side names the time
+    plus, minus = dichotomy.whole_line_families(
+        singular_step_field(np.diag([0.5, 0.0])), [0], (-30, 30), 40
+    )
+    assert isinstance(plus[0], NumericError), plus[0]
+    assert str(plus[0]).endswith("the splitting is not regular at time 5")
+    assert isinstance(minus[0], NumericError), minus[0]
+    assert str(minus[0]).endswith("the splitting is not regular at time -5")
+    # diag(0, 2) kills the contracting axis only: a noninvertible step that
+    # keeps the splitting, so both families certify
+    plus, minus = dichotomy.whole_line_families(
+        singular_step_field(np.diag([0.0, 2.0])), [0], (-30, 30), 40
+    )
+    assert isinstance(plus[0], ProjectorFamily) and isinstance(minus[0], ProjectorFamily)
+    assert plus[0].rank == minus[0].rank == 1
 
 
 def test_closed_form_slopes_match_polyfit_and_ignore_the_batch():

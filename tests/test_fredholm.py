@@ -18,6 +18,7 @@ from homindex.errors import (
 )
 
 from helpers import (
+    assert_decided,
     assert_scale,
     block_norm_scale,
     boundary_conditioned,
@@ -429,14 +430,12 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
         svals, basis = truncated_null_space(f, lam, (lo, hi), wit)
         # the null group and the smallest kept value, ascending
         small = svals[::-1][: len(basis) + 1]
-        assert report.smallest_singular_values.shape == small.shape
-        np.testing.assert_allclose(
-            report.smallest_singular_values, small, rtol=0, atol=1e-12 * svals[0]
-        )
+        assert report.truncation.smallest.shape == small.shape
+        assert_decided(report.truncation, small, svals[0])
         # the null cut's scale: the closed form on the dense blocks, within
         # [sigma_max, 2 sigma_max]
         (spectrum,) = fredholm.truncated_spectra(
-            f, [lam], (lo, hi), [wit[0].family], [wit[1].family]
+            f, [lam], (lo, hi), [wit[0].family], [wit[1].family], fredholm.SV_GAP_RATIO
         )
         dense = boundary_conditioned(f, lam, (lo, hi), wit[0].family, wit[1].family)
         assert_scale(spectrum.scale, block_norm_scale(dense, f.dim), svals[0])

@@ -129,15 +129,15 @@ def test_a_zero_pivot_gives_only_its_sample_a_kernel(width):
     first = np.stack([np.diag([0.5, 0.0]), np.diag([0.5, 0.0])])
     last = np.stack([np.zeros((d, d)), np.eye(d)])
     sec = fredholm._Sections(steps, first, last)
-    found = fredholm._smallest_values(sec)
+    found = fredholm._smallest_values(sec, None)
     for i, expected in enumerate((1, 0)):
-        assert found[i] is not None
+        spectrum = found[i]
+        assert spectrum is not None and spectrum.scale == sec.scale[i]
         svals = np.linalg.svd(sec.dense(i), compute_uv=False)
         assert int((svals < 1e-8 * sec.scale[i]).sum()) == expected
-        spectrum = fredholm.TruncationSpectrum(found[i], float(sec.scale[i]))
         assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == expected
         np.testing.assert_allclose(
-            found[i], svals[::-1][: expected + 1], rtol=0, atol=1e-12 * svals[0]
+            spectrum.smallest, svals[::-1][: expected + 1], rtol=0, atol=1e-12 * svals[0]
         )
 
 
