@@ -152,6 +152,11 @@ def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
             warnings.append(
                 f"lambda {lam}: some spectrum gridpoints were numerically indeterminate"
             )
+        if res.at_one == "indeterminate":
+            warnings.append(
+                f"lambda {lam}: the verdict at gamma = 1 is indeterminate, so admits_ed "
+                "is undecided"
+            )
         lo, hi = float(res.grid[0]), float(res.grid[-1])
         off_grid = [
             f"{side} side {', '.join(f'{g:.6g}' for g in outside)}"

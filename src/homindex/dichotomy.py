@@ -15,6 +15,11 @@ grouped by rate, span the splitting subspaces.
 Scaling the field by 1/gamma shifts every rate by -log(gamma) and
 leaves the singular directions unchanged, so one pair of runs serves
 every gamma of a dichotomy spectrum, read off the rates in closed form.
+The whole line splits exactly where the plus image and the minus kernel
+at 0 are complementary, and their meet is the kernel of L (Palmer, Proc.
+AMS 104, 1988): one principal-angle rule, `_intersection_dimensions`,
+decides it for the spectrum and for `fredholm`'s count.  An undecided
+cell lies inside the spectral intervals; `spectrum` flags one at gamma = 1.
 
 Loop-wide sweeps: the QR method is the same for every parameter
 sample and both half-lines, so `build_projector_families` runs it for
@@ -92,8 +97,11 @@ GAP_RATIO = 1e3
 #: a rate this close to the cut line means no dichotomy at that scaling
 ZERO_MARGIN = 2e-3
 
-#: smallest singular value for stable/unstable frames counted transversal
-TRANSVERSALITY_TOL = 1e-6
+#: a principal cosine this close to one counts as an intersection
+_ANGLE_TOL = 1e-8
+
+#: cosines between the two thresholds are refused as ambiguous
+_ANGLE_BAND = 1e-4
 
 #: fewest family steps on which dichotomy constants are fitted
 MIN_FIT_STEPS = 4
@@ -852,6 +860,9 @@ class SpectrumResult:
     `rates` holds the growth factors exp(rate) that the plus and the
     minus run measured, one ascending tuple per side; a factor outside
     [gamma_min, gamma_max] is a spectral point the grid does not see.
+    An undecided ("indeterminate") cell lies inside the intervals.
+    `at_one` is the verdict at gamma = 1 (None off the grid); when it is
+    "indeterminate", `admits_ed` is undecided and `spectrum` flags it.
     """
 
     intervals: tuple
@@ -859,6 +870,7 @@ class SpectrumResult:
     verdicts: tuple
     n_probes: int
     rates: tuple
+    at_one: str | None
 
     def contains(self, gamma: float) -> bool:
         return any(lo <= gamma <= hi for lo, hi in self.intervals)
@@ -869,8 +881,38 @@ class SpectrumResult:
         return not self.contains(1.0)
 
 
+def _intersection_dimensions(frames: list) -> list:
+    """Dimension of the meet of each frame pair's subspaces, or its refusal.
+
+    `frames[i]` pairs orthonormal frames of the plus image and the minus
+    kernel at one time.  Counts the principal cosines between them within
+    `_ANGLE_TOL` of one, from one stacked SVD per rank pair, and refuses
+    cosines inside the ambiguous band below that.
+    """
+    out: list = [0] * len(frames)
+    groups: dict[tuple, list[int]] = {}
+    for i, (f_plus, f_minus) in enumerate(frames):
+        groups.setdefault((f_plus.shape[1], f_minus.shape[1]), []).append(i)
+    for members in groups.values():
+        f_plus, f_minus = (np.stack([frames[i][k] for i in members]) for k in (0, 1))
+        cosines = np.linalg.svd(f_plus.swapaxes(-1, -2) @ f_minus, compute_uv=False)
+        for i, gaps in zip(members, 1.0 - np.clip(cosines, 0.0, 1.0)):
+            ambiguous = gaps[(gaps > _ANGLE_TOL) & (gaps <= _ANGLE_BAND)]
+            out[i] = int(np.sum(gaps <= _ANGLE_TOL)) if not ambiguous.size else IndeterminateError(
+                "a principal angle between the decaying subspaces is ambiguous (cosine within "
+                f"{float(ambiguous.min()):.2e} of one); enlarge the window or refine the "
+                "parameter sampling to separate the subspaces"
+            )
+    return out
+
+
 def _verdict(lg, qp, rates_p, qm, rates_m, run, zero_margin, gap_ratio) -> str:
-    """Dichotomy verdict of the field scaled by exp(-lg), from the directions and rates at 0."""
+    """Dichotomy verdict of the field scaled by exp(-lg), from the directions and rates at 0.
+
+    Past the rate checks, `_intersection_dimensions` decides: a meet of the
+    stable plus and unstable minus directions is "no_ed", an ambiguous
+    angle "indeterminate".
+    """
     status, below = _classify_rates(np.stack([rates_p, rates_m]), lg, run, zero_margin, gap_ratio)
     # a rate at the cut on either side beats an unresolved gap
     if "no_ed" in status:
@@ -881,11 +923,10 @@ def _verdict(lg, qp, rates_p, qm, rates_m, run, zero_margin, gap_ratio) -> str:
     s, u = int(s_mask.sum()), int(u_mask.sum())
     if s + u != len(rates_p):
         return "no_ed"
-    if s > 0 and u > 0:
-        m = np.hstack([qp[:, s_mask], qm[:, u_mask]])
-        if np.linalg.svd(m, compute_uv=False).min() < TRANSVERSALITY_TOL:
-            return "no_ed"
-    return f"ed:{s}"
+    (meet,) = _intersection_dimensions([(qp[:, s_mask], qm[:, u_mask])])
+    if isinstance(meet, HomindexError):
+        return "indeterminate"
+    return "no_ed" if meet else f"ed:{s}"
 
 
 def _spectrum(gammas, *sample) -> SpectrumResult:
@@ -912,13 +953,16 @@ def _spectrum(gammas, *sample) -> SpectrumResult:
         lo = intervals.pop()[0] if k and failing[k - 1] else float(ends[k])
         intervals.append((lo, float(ends[k + 1])))
 
-    # a grid point takes its cell's verdict; one on an edge is classified itself
+    # the grid points, then gamma = 1, take their cell's verdict; a grid point
+    # on an edge is classified itself
     on_edge = {lg: _verdict(lg, *sample) for lg in logs.tolist() if lg in edges}
-    cell_of = np.minimum(np.searchsorted(cuts, logs, side="right") - 1, len(cells) - 1)
-    verdicts = [on_edge.get(lg, cells[i]) for lg, i in zip(logs.tolist(), cell_of.tolist())]
+    points = logs.tolist() + [0.0]
+    cell_of = np.minimum(np.searchsorted(cuts, points, side="right") - 1, len(cells) - 1)
+    *verdicts, at_one = [on_edge.get(lg, cells[i]) for lg, i in zip(points, cell_of.tolist())]
+    at_one = at_one if l_min <= 0.0 <= l_max else None
     factors = tuple(tuple(np.exp(np.sort(r)).tolist()) for r in (rates_p, rates_m))
     return SpectrumResult(
-        tuple(intervals), gammas, tuple(verdicts), len(cells) + len(on_edge), factors
+        tuple(intervals), gammas, tuple(verdicts), len(cells) + len(on_edge), factors, at_one
     )
 
 
@@ -936,8 +980,11 @@ def dichotomy_spectra(
 
     The field scaled by 1/gamma has a dichotomy when the rates split
     cleanly on both half-lines, the stable-plus and unstable-minus ranks
-    sum to the dimension and the two frames are transversal at time 0
-    (`TRANSVERSALITY_TOL`).  The rates come from the runs
+    sum to the dimension and the two frames do not meet at time 0 under
+    `index`'s principal-angle rule (`_intersection_dimensions`).  An
+    undecided cell lies inside the intervals, and `at_one` is the verdict
+    at gamma = 1.
+    The rates come from the runs
     `family_run(side, 0, horizon, horizon)`: one `field.stack` reads
     both of every sample in increasing time (so a sample fails as a
     per-run read would), one sweep takes them all, and `_spectrum`

@@ -60,7 +60,14 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dichotomy import EDWitness, ProjectorFamily, verify_families, whole_line_families
+from .dichotomy import (
+    GAP_RATIO,
+    EDWitness,
+    ProjectorFamily,
+    _intersection_dimensions,
+    verify_families,
+    whole_line_families,
+)
 from .errors import (
     DomainError,
     HomindexError,
@@ -73,7 +80,6 @@ from .field import DiscreteVectorField
 __all__ = [
     "DECAY_TOL",
     "SOLVE_TOL",
-    "SV_GAP_RATIO",
     "FiniteWindowSequence",
     "IndexReport",
     "TruncationSpectrum",
@@ -91,9 +97,6 @@ DECAY_TOL = 1e-6
 #: largest sup-norm defect of L phi - psi that `solve` accepts in a Green solution
 SOLVE_TOL = 1e-8
 
-#: required gap between the zero and nonzero singular-value groups
-SV_GAP_RATIO = 1e3
-
 #: cutoff, relative to the scale, separating null from non-null singular values
 _NULL_CUT = 1e-8
 
@@ -106,12 +109,6 @@ _VALUE_TOL = 5e-13
 
 #: inverse-iteration steps before a sample falls back to the dense SVD
 _ITERATION_CAP = 150
-
-#: a principal cosine this close to one counts as an intersection
-_ANGLE_TOL = 1e-8
-
-#: cosines between the two thresholds are refused as ambiguous
-_ANGLE_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -166,12 +163,6 @@ class FiniteWindowSequence:
     def norm_inf(self) -> float:
         return float(np.abs(self.values).max())
 
-    def value_at(self, n: int) -> np.ndarray:
-        lo, hi = self.window
-        if not (lo <= n <= hi):
-            raise InputError(f"time {n} outside the sequence window [{lo}, {hi}]")
-        return self.values[n - lo]
-
 
 @dataclass(frozen=True)
 class TruncationSpectrum:
@@ -199,8 +190,8 @@ class TruncationSpectrum:
 class IndexReport:
     """Kernel, cokernel and index of the difference operator on a window.
 
-    `dim_ker` comes from the subspace route (principal angles between
-    the forward- and backward-decaying subspaces at time zero);
+    `dim_ker` comes from the subspace route (the principal-angle rule
+    `_intersection_dimensions` at time zero, which `spectrum` reads too);
     `dim_ker_truncated` from the boundary-conditioned truncation's null
     space.  The flag records their agreement; the index always equals
     the half-line projector rank difference, and the cokernel dimension
@@ -253,32 +244,6 @@ def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> Non
             f"the {label} witness family covers times {list(have)} but the "
             f"computation needs [{lo}, {hi}]; rebuild it on a longer window"
         )
-
-
-def _intersection_dimensions(pairs: list) -> list:
-    """Dimension of the meet of each family pair's decaying subspaces at time 0, or its refusal.
-
-    Counts the principal cosines between the plus image and the minus
-    kernel within `_ANGLE_TOL` of one, from one stacked SVD per rank
-    pair, and refuses cosines inside the ambiguous band below that.
-    """
-    frames = [(p.image_frames[p.index_of(0)], m.kernel_frames[m.index_of(0)]) for p, m in pairs]
-    out: list = [0] * len(pairs)
-    groups: dict[tuple, list[int]] = {}
-    for i, (f_plus, f_minus) in enumerate(frames):
-        if f_plus.shape[1] and f_minus.shape[1]:
-            groups.setdefault((f_plus.shape[1], f_minus.shape[1]), []).append(i)
-    for members in groups.values():
-        f_plus, f_minus = (np.stack([frames[i][k] for i in members]) for k in (0, 1))
-        cosines = np.linalg.svd(_t(f_plus) @ f_minus, compute_uv=False)
-        for i, gaps in zip(members, 1.0 - np.clip(cosines, 0.0, 1.0)):
-            ambiguous = gaps[(gaps > _ANGLE_TOL) & (gaps <= _ANGLE_BAND)]
-            out[i] = int(np.sum(gaps <= _ANGLE_TOL)) if not ambiguous.size else IndeterminateError(
-                "a principal angle between the decaying subspaces is ambiguous (cosine within "
-                f"{float(ambiguous.min()):.2e} of one); enlarge the window or refine the "
-                "parameter sampling to separate the subspaces"
-            )
-    return out
 
 
 def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
@@ -701,7 +666,7 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
 
     `pairs[i]` is sample `lams[i]`'s (plus, minus) family pair, or the
     error that stopped it earlier, which comes back unchanged.  The
-    samples that pass `_check_pair` share one subspace count and then
+    samples that pass `_check_pair` share one `_intersection_dimensions` count and then
     one `truncated_spectra` call; `gap_ratio` separates each null group.
     """
     lo, hi = int(window[0]), int(window[1])
@@ -714,7 +679,11 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
                 pair = fresh(exc)
         outcomes.append(pair)
     live = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, HomindexError)]
-    for i, dim_ker in zip(live, _intersection_dimensions([pairs[i] for i in live])):
+    frames = [
+        (p.image_frames[p.index_of(0)], m.kernel_frames[m.index_of(0)])
+        for p, m in (pairs[i] for i in live)
+    ]
+    for i, dim_ker in zip(live, _intersection_dimensions(frames)):
         fam_plus, fam_minus = pairs[i]
         index = fam_plus.rank - fam_minus.rank
         if isinstance(dim_ker, HomindexError):
@@ -754,27 +723,20 @@ def kernel_cokernel(
 ) -> IndexReport:
     """Kernel/cokernel dimensions and Fredholm index on a finite window.
 
-    The kernel dimension is computed twice: geometrically, as the
-    dimension of the intersection at time zero of the forward-decaying
-    subspace (image of the plus family) with the backward-decaying one
-    (kernel of the minus family); and algebraically, as the null space
-    of the truncated operator with rows appended that pin phi(n_min) to
-    the backward-decaying set and phi(n_max) to the forward-decaying
-    one.  The second count reads the spectrum summary of
-    `truncated_spectra`: the values below 1e-8 times its block-norm
-    scale (between sigma_max and 2 sigma_max) are null, and a null
-    group without a `SV_GAP_RATIO` gap to the smallest kept value, or an
-    empty one whose smallest value lies within `SV_GAP_RATIO` of the
-    cut, is indeterminate; the iteration stops once that rule is
-    decided, so the report's `truncation` holds its values only as
-    precisely as the count needed them.  The index is the projector
-    rank difference; the report's flag records whether the two kernel
-    counts agree.
+    The kernel dimension is counted twice: geometrically, as the meet at
+    time zero of the plus image and the minus kernel
+    (`_intersection_dimensions`), and algebraically, as the null space
+    of the truncation whose boundary rows pin phi(lo) to the
+    backward-decaying set and phi(hi) to the forward-decaying one
+    (`truncated_spectra`, counted by `_null_space` at `GAP_RATIO`; the
+    report's `truncation` holds its values only as precisely as the
+    count needed them).  The index is the projector rank difference;
+    the report's flag records whether the two counts agree.
     No command calls it: the tests take it as the per-sample reference
     for the batch, and `perfbench/tracer.py` rebinds it by name.
     """
     pair = tuple(wit.family for wit in witnesses)
-    (outcome,) = _index_outcomes(field, [lam], window, [pair], SV_GAP_RATIO)
+    (outcome,) = _index_outcomes(field, [lam], window, [pair], GAP_RATIO)
     if isinstance(outcome, HomindexError):
         raise fresh(outcome)
     return outcome
@@ -793,7 +755,7 @@ def index_from_families(field: DiscreteVectorField, lams, window, plus, minus, *
     fits = verify_families(list(plus) + list(minus))
     stages = zip(plus, minus, fits[: len(plus)], fits[len(plus) :])
     pairs = [next((o for o in s if isinstance(o, HomindexError)), s[:2]) for s in stages]
-    gap_ratio = tolerances.get("gap_ratio", SV_GAP_RATIO)
+    gap_ratio = tolerances.get("gap_ratio", GAP_RATIO)
     return _index_outcomes(field, lams, window, pairs, gap_ratio)
 
 

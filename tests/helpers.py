@@ -218,6 +218,13 @@ def green_kernel(fam):
     return g
 
 
+def value_at(seq, n: int) -> np.ndarray:
+    """The vector of a `FiniteWindowSequence` at time `n`, which must lie in its window."""
+    lo, hi = seq.window
+    assert lo <= n <= hi, (n, seq.window)
+    return seq.values[n - lo]
+
+
 def kernel_convolve(kernel, phi, window) -> np.ndarray:
     """Oracle: values of (kernel * phi)(n) = sum_k kernel(n, k) phi(k) on `window`."""
     k_lo = phi.window[0]

@@ -19,6 +19,7 @@ from helpers import (
     random_orthogonal,
     rotation,
     shift_operator_projector,
+    value_at,
 )
 
 from homindex.bifurcation import (
@@ -54,7 +55,7 @@ def stencil_defect(field_, lam, phi, psi) -> float:
     worst = 0.0
     for i, n in enumerate(range(lo, hi)):
         row = phi.values[i + 1] - field_.matrix(lam, n) @ phi.values[i]
-        worst = max(worst, float(np.abs(row - psi.value_at(n)).max()))
+        worst = max(worst, float(np.abs(row - value_at(psi, n)).max()))
     return worst
 
 

@@ -21,7 +21,7 @@ from homindex.field import (
     trivial_bundle,
 )
 from homindex import bifurcation, fredholm
-from homindex.dichotomy import whole_line_families
+from homindex.dichotomy import GAP_RATIO, whole_line_families
 from homindex.fredholm import FiniteWindowSequence
 from homindex.bifurcation import (
     BifurcationCertificate,
@@ -34,7 +34,13 @@ from homindex.bifurcation import (
     localize_bifurcations,
 )
 
-from helpers import assert_decided, assert_scale, block_norm_scale, boundary_conditioned
+from helpers import (
+    assert_decided,
+    assert_scale,
+    block_norm_scale,
+    boundary_conditioned,
+    value_at,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,8 @@ def residual_oracle(f: NonlinearField, lam: int, phi: FiniteWindowSequence) -> f
     lo, hi = phi.window
     worst = 0.0
     for n in range(lo, hi):
-        step = f.evaluator(np.array([lam]), np.array([n]), phi.value_at(n)[None, None])
-        worst = max(worst, float(abs(phi.value_at(n + 1) - np.asarray(step)[0, 0]).max()))
+        step = f.evaluator(np.array([lam]), np.array([n]), value_at(phi, n)[None, None])
+        worst = max(worst, float(abs(value_at(phi, n + 1) - np.asarray(step)[0, 0]).max()))
     return worst
 
 
@@ -306,7 +312,7 @@ def test_check_f3_autonomous_saddle_passes():
     dense = boundary_conditioned(field, 0, (-30, 30), plus[0], minus[0])
     svals = np.linalg.svd(dense, compute_uv=False)
     (spectrum,) = fredholm.truncated_spectra(
-        field, [0], (-30, 30), plus, minus, fredholm.SV_GAP_RATIO
+        field, [0], (-30, 30), plus, minus, GAP_RATIO
     )
     assert res.sigma_min == spectrum.smallest[0]
     assert_decided(spectrum, svals[-1:], svals[0])

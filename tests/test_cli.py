@@ -19,14 +19,15 @@ import pytest
 from homindex import cli, dichotomy
 from homindex.cli import run
 from homindex.dichotomy import MIN_FIT_STEPS
-from homindex.errors import DomainError
+from homindex.errors import DomainError, IndeterminateError
 from homindex.field import (
     MIN_CONTRACTION,
     ParameterLoop,
     construct_hyperbolic_family,
     mobius_bundle,
 )
-from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document
+from homindex.fredholm import whole_line_index
+from homindex.scenario import SCHEMA_VERSION, Scenario, builtin_document, builtin_names
 
 
 def saddle_doc(**overrides) -> dict:
@@ -1007,3 +1008,59 @@ def test_spectrum_warns_about_rates_outside_the_gamma_grid(tmp_path, capsys):
     # rates inside the grid add no warning
     assert run(["spectrum", "--scenario", "realization-mobius", "--out", str(tmp_path / "b")]) == 0
     assert report_of(tmp_path / "b")["warnings"] == []
+
+
+def at_one_warning(lam: int) -> str:
+    return f"lambda {lam}: the verdict at gamma = 1 is indeterminate, so admits_ed is undecided"
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_spectrum_admits_a_dichotomy_exactly_where_index_finds_an_invertible_operator(
+    tmp_path, name
+):
+    # both read one principal-angle rule for the meet of the decaying subspaces
+    assert run(["spectrum", "--scenario", name, "--out", str(tmp_path / "s")]) == 0
+    assert run(["index", "--scenario", name, "--out", str(tmp_path / "i")]) == 0
+    spectra = report_of(tmp_path / "s")["results"]["per_lambda"]
+    reports = report_of(tmp_path / "i")["results"]["per_lambda"]
+    assert [s["lambda"] for s in spectra] == [r["lambda"] for r in reports]
+    invertible = [r["index"] == 0 and r["dim_ker"] == 0 for r in reports]
+    assert [s["admits_ed"] for s in spectra] == invertible
+
+
+def test_spectrum_flags_the_near_tangent_samples_that_index_refuses(tmp_path, capsys):
+    # at n = 256 the Moebius fibre beside theta = pi makes 1 - cos = 7.5e-5 with
+    # the behind complement, inside the band the meet rule refuses
+    doc = builtin_document("realization-mobius")
+    doc["loop"]["n"] = 256
+    doc["options"] = {"lambdas": [126, 127, 128, 129, 130]}
+    ref = write_doc(tmp_path, doc)
+    assert run(["spectrum", "--scenario", ref, "--out", str(tmp_path / "o")]) == 0
+    report = report_of(tmp_path / "o")
+    per = report["results"]["per_lambda"]
+    assert [p["admits_ed"] for p in per] == [True, False, False, False, True]
+    assert ["indeterminate" in p["verdicts"] for p in per] == [False, True, False, True, False]
+    assert [w for w in report["warnings"] if "gamma = 1" in w] == [
+        at_one_warning(127), at_one_warning(129)
+    ]
+    scenario = Scenario.from_dict(doc)
+    window, field = scenario.options["index_window"], scenario.build_field()
+    for outcome in whole_line_index(field, [127, 129], window, scenario.horizon):
+        assert isinstance(outcome, IndeterminateError)
+        assert "principal angle between the decaying subspaces is ambiguous" in str(outcome)
+    assert run(["index", "--scenario", ref, "--out", str(tmp_path / "i")]) == 4
+    assert "principal angle between the decaying subspaces is ambiguous" in capsys.readouterr().err
+
+
+def test_spectrum_warns_when_its_verdict_at_one_is_undecided(tmp_path):
+    # q = 0.97: the rate gap (about 0.06) is under log(1e3) / 80, so the cell
+    # holding gamma = 1 is indeterminate on every sample; it lies inside the
+    # intervals, so admits_ed reads false, and the report says it is undecided
+    doc = builtin_document("realization-mobius")
+    doc["field"]["q"] = 0.97
+    ref = write_doc(tmp_path, doc)
+    assert run(["spectrum", "--scenario", ref, "--out", str(tmp_path / "o")]) == 0
+    report = report_of(tmp_path / "o")
+    per = report["results"]["per_lambda"]
+    assert len(per) == 16 and not any(p["admits_ed"] for p in per)
+    assert report["warnings"] == [at_one_warning(p["lambda"]) for p in per]

@@ -43,7 +43,8 @@ from homindex.field import (
     tabulated_field,
     trivial_bundle,
 )
-from homindex.scenario import Scenario, builtin_names
+from homindex.fredholm import whole_line_index
+from homindex.scenario import Scenario, builtin_document, builtin_names
 
 SADDLE = np.diag([0.5, 2.0])
 
@@ -424,7 +425,7 @@ def test_a_default_family_and_the_spectrum_at_one_agree(monkeypatch):
         (autonomous_field(np.diag([0.98, 1.02])), "indeterminate", IndeterminateError),
     ]
     for field, verdict, error in cases:
-        dichotomy_spectrum(field, horizon=40)
+        assert dichotomy_spectrum(field, horizon=40).at_one == verdict
         assert dichotomy._verdict(0.0, *samples[-1]) == verdict
         if error is None:
             assert build_projector_family(field, 0, "plus", 0, horizon=40).rank == 1
@@ -450,6 +451,59 @@ def test_spectra_rows_equal_single_sample_spectra():
         assert res.verdicts == alone.verdicts
         assert res.n_probes == alone.n_probes
         assert np.array_equal(res.grid, alone.grid)
+
+
+def frame_pair(gap: float):
+    """A plus image and a minus kernel in R^3 whose one principal cosine is 1 - gap."""
+    angle = np.arccos(1.0 - gap)
+    plus = np.array([[1.0], [0.0], [0.0]])
+    minus = np.array([[np.cos(angle), 0.0], [np.sin(angle), 0.0], [0.0, 1.0]])
+    return plus, minus
+
+
+def test_the_meet_rule_counts_refuses_and_clears_by_the_principal_cosine():
+    # 1 - cos at most _ANGLE_TOL is a meet, up to _ANGLE_BAND it is refused
+    outcomes = dichotomy._intersection_dimensions(
+        [frame_pair(1e-12), frame_pair(1e-6), frame_pair(1e-2), (np.eye(3)[:, :0], np.eye(3))]
+    )
+    assert outcomes[0] == 1 and outcomes[2:] == [0, 0]
+    assert isinstance(outcomes[1], IndeterminateError)
+    assert "principal angle between the decaying subspaces is ambiguous" in str(outcomes[1])
+    # the spectrum's verdict reads the same rule off its stable and unstable directions
+    rates = np.log([0.5, 2.0, 2.0])
+    for gap, verdict in ((1e-12, "no_ed"), (1e-6, "indeterminate"), (1e-2, "ed:1")):
+        plus, minus = frame_pair(gap)
+        stable_minus = np.array([[-minus[1, 0]], [minus[0, 0]], [0.0]])
+        sample = (np.eye(3), rates, np.hstack([stable_minus, minus]), rates, 100, 2e-3, 1e3)
+        assert dichotomy._verdict(0.0, *sample) == verdict, gap
+
+
+def mobius_sum_scenario(copies: int, q: float, n: int) -> Scenario:
+    """A realization of `copies` Moebius lines ahead over a trivial rank-`copies` bundle behind."""
+    doc = builtin_document("realization-mobius")
+    doc["dimension"] = 2 * copies
+    doc["field"].update(
+        q=q,
+        stable_ahead={"kind": "mobius_sum", "copies": copies},
+        stable_behind={"kind": "trivial", "rank": copies},
+    )
+    doc["loop"]["n"] = n
+    return Scenario.from_dict(doc)
+
+
+def test_spectrum_and_index_agree_where_the_decaying_subspaces_meet_at_a_tiny_angle():
+    # copies 2 and 3 of the ahead sum lie in the complement of the behind
+    # bundle at every angle, so the kernel has dimension 2 and no sample
+    # splits; at q = 0.9 the meet at lambda 11 shows 1 - cos = 1.2e-12,
+    # which a sigma_min >= 1e-6 test of [Q+ | Q-] (1.09e-6) called transversal
+    scenario = mobius_sum_scenario(4, 0.9, 16)
+    field, lams, horizon = scenario.build_field(), scenario.options["lambdas"], scenario.horizon
+    assert horizon == 40 and len(lams) == 16
+    spectra = dichotomy_spectra(field, lams, horizon=horizon)
+    assert [res.admits_ed for res in spectra] == [False] * 16
+    assert {res.at_one for res in spectra} == {"no_ed"}
+    reports = whole_line_index(field, lams, (-60, 60), horizon)
+    assert [(rep.index, rep.dim_ker) for rep in reports] == [(0, 2)] * 16
 
 
 def test_family_window_too_short():

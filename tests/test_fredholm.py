@@ -30,6 +30,7 @@ from helpers import (
     random_hyperbolic,
     random_orthogonal,
     truncated_null_space,
+    value_at,
 )
 
 SADDLE = np.diag([0.5, 2.0])
@@ -71,8 +72,8 @@ def test_sequence_decay_flags_and_validation():
     # a 10-point window checks exactly its single outermost index per side
     assert not loud_left.decays_left
     assert loud_left.decays_right
-    assert loud_left.value_at(0)[0] == 1.0
-    assert loud_left.value_at(9)[0] == 1e-9
+    assert value_at(loud_left, 0)[0] == 1.0
+    assert value_at(loud_left, 9)[0] == 1e-9
 
     with pytest.raises(InputError):
         seq((0, 9), np.zeros((9, 1)))
@@ -124,9 +125,9 @@ def test_green_solve_scalar_contraction_impulse():
     psi = impulse((0, 59), 0, 1)
     phi = fredholm.green_solve(fam, 0, psi)
     assert phi.window == (0, 60)
-    assert phi.value_at(0)[0] == 0.0
+    assert value_at(phi, 0)[0] == 0.0
     for n in range(1, 21):
-        assert phi.value_at(n)[0] == pytest.approx(0.5 ** (n - 1), abs=1e-13)
+        assert value_at(phi, n)[0] == pytest.approx(0.5 ** (n - 1), abs=1e-13)
     assert np.abs(apply_stencil(f, 0, phi) - psi.values).max() <= 1e-12
     assert phi.decays_right
 
@@ -137,7 +138,7 @@ def test_green_solve_scalar_expansion_impulse():
     assert fam.rank == 0
     psi = impulse((0, 59), 0, 1)
     phi = fredholm.green_solve(fam, 0, psi)
-    assert phi.value_at(0)[0] == pytest.approx(-0.5, abs=1e-15)
+    assert value_at(phi, 0)[0] == pytest.approx(-0.5, abs=1e-15)
     assert np.abs(phi.values[1:]).max() <= 1e-15
     assert np.abs(apply_stencil(f, 0, phi) - psi.values).max() <= 1e-12
 
@@ -163,15 +164,15 @@ def test_green_solve_minus_side_impulse_saddle():
     assert np.abs(apply_stencil(f, 0, stable)
                   - impulse(psi_window, -10, 2, comp=0).values).max() <= 1e-12
     assert np.abs(stable.values[:51]).max() == 0.0  # zero through n = -10 inclusive
-    assert stable.value_at(-5)[0] == pytest.approx(0.5**4, abs=1e-15)
-    assert stable.value_at(0)[0] == pytest.approx(0.5**9, abs=1e-15)
+    assert value_at(stable, -5)[0] == pytest.approx(0.5**4, abs=1e-15)
+    assert value_at(stable, 0)[0] == pytest.approx(0.5**9, abs=1e-15)
 
     # forcing along the expanding axis: anticausal response below the impulse
     unstable = fredholm.green_solve(fam, 0, impulse(psi_window, -10, 2, comp=1))
     assert np.abs(apply_stencil(f, 0, unstable)
                   - impulse(psi_window, -10, 2, comp=1).values).max() <= 1e-12
-    assert unstable.value_at(-10)[1] == pytest.approx(-0.5, abs=1e-15)
-    assert unstable.value_at(-12)[1] == pytest.approx(-0.125, abs=1e-15)
+    assert value_at(unstable, -10)[1] == pytest.approx(-0.5, abs=1e-15)
+    assert value_at(unstable, -12)[1] == pytest.approx(-0.125, abs=1e-15)
     assert np.abs(unstable.values[60 - 9 :]).max() == 0.0  # zero strictly above -10
     assert unstable.decays_left
 
@@ -222,7 +223,7 @@ def test_green_solve_window_and_support_validation():
         fredholm.green_solve(plus, 0, seq((0, 39), np.zeros((40, 2))))
     # zeros outside the window are not forcing
     phi = fredholm.green_solve(plus, 0, impulse((-10, 60), 3, 1))
-    assert phi.window == (0, 40) and phi.value_at(4)[0] == 1.0
+    assert phi.window == (0, 40) and value_at(phi, 4)[0] == 1.0
 
 
 def nonnormal_table():
@@ -263,7 +264,7 @@ def test_green_solve_matches_the_convolution_past_a_nonnormal_stretch():
         conv = kernel_convolve(lambda n, k: kern(n, k + 1), psi, window=phi.window)
         assert np.abs(phi.values - conv).max() <= 1e-9, side
         end = phi.window[1]
-        far = (np.eye(2) - fam.projector(end)) @ phi.value_at(end)
+        far = (np.eye(2) - fam.projector(end)) @ value_at(phi, end)
         assert np.abs(far).max() <= 1e-12, side
 
 
@@ -435,7 +436,7 @@ def test_values_only_singular_values_match_a_full_svd(name, window):
         # the null cut's scale: the closed form on the dense blocks, within
         # [sigma_max, 2 sigma_max]
         (spectrum,) = fredholm.truncated_spectra(
-            f, [lam], (lo, hi), [wit[0].family], [wit[1].family], fredholm.SV_GAP_RATIO
+            f, [lam], (lo, hi), [wit[0].family], [wit[1].family], dichotomy.GAP_RATIO
         )
         dense = boundary_conditioned(f, lam, (lo, hi), wit[0].family, wit[1].family)
         assert_scale(spectrum.scale, block_norm_scale(dense, f.dim), svals[0])

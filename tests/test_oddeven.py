@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from homindex import fredholm
+from homindex.dichotomy import GAP_RATIO
 
 from helpers import assert_scale, block_norm_scale
 
@@ -135,7 +136,7 @@ def test_a_zero_pivot_gives_only_its_sample_a_kernel(width):
         assert spectrum is not None and spectrum.scale == sec.scale[i]
         svals = np.linalg.svd(sec.dense(i), compute_uv=False)
         assert int((svals < 1e-8 * sec.scale[i]).sum()) == expected
-        assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == expected
+        assert fredholm._null_space(spectrum, GAP_RATIO) == expected
         np.testing.assert_allclose(
             spectrum.smallest, svals[::-1][: expected + 1], rtol=0, atol=1e-12 * svals[0]
         )

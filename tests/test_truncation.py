@@ -26,7 +26,7 @@ from homindex.bifurcation import (
     check_F3,
     linearize_at_zero,
 )
-from homindex.dichotomy import verify_ed, whole_line_families
+from homindex.dichotomy import GAP_RATIO, verify_ed, whole_line_families
 from homindex.errors import HomindexError, IndeterminateError
 from homindex.field import (
     DiscreteVectorField,
@@ -79,7 +79,7 @@ def oracle_spectrum(field, lam, window, fam_plus, fam_minus) -> tuple[np.ndarray
     return np.linalg.svd(stacked, compute_uv=False), block_norm_scale(stacked, field.dim)
 
 
-def assert_matches_oracle(field, lams, window, horizon=40, gap_ratio=fredholm.SV_GAP_RATIO):
+def assert_matches_oracle(field, lams, window, horizon=40, gap_ratio=GAP_RATIO):
     """Compare every sample's structured spectrum summary with the dense oracle."""
     plus, minus = whole_line_families(field, lams, window, horizon)
     spectra = fredholm.truncated_spectra(field, lams, window, plus, minus, gap_ratio)
@@ -196,13 +196,13 @@ def test_a_continuum_at_the_low_end_stops_on_the_residual(monkeypatch, no_fallba
         return ritz_step(sec, levels, x)
 
     monkeypatch.setattr(fredholm, "_ritz_step", counting)
-    (spectrum,) = fredholm.truncated_spectra(f, [0], window, plus, minus, fredholm.SV_GAP_RATIO)
+    (spectrum,) = fredholm.truncated_spectra(f, [0], window, plus, minus, GAP_RATIO)
     decided = len(steps)
     resolved = spectrum.resolved()
     monkeypatch.undo()
     assert decided <= 3
     assert 20 < len(steps) < fredholm._ITERATION_CAP
-    assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == 0
+    assert fredholm._null_space(spectrum, GAP_RATIO) == 0
     svals = oracle_spectrum(f, 0, window, plus[0], minus[0])[0]
     assert_decided(spectrum, svals[::-1][:1], svals[0])
     assert abs(resolved.smallest[0] - svals[-1]) <= 1e-12 * svals[0]
@@ -220,9 +220,9 @@ def test_the_dense_fallback_cuts_with_the_same_scale(monkeypatch):
     assert not any(errors)
     first = np.stack([fam.projector(lo) for fam in minus])
     last = np.stack([np.eye(f.dim) - fam.projector(hi) for fam in plus])
-    structured = fredholm._solve_spectra(steps, first, last, fredholm.SV_GAP_RATIO)
+    structured = fredholm._solve_spectra(steps, first, last, GAP_RATIO)
     monkeypatch.setattr(fredholm, "_ITERATION_CAP", 0)
-    dense = fredholm._solve_spectra(steps, first, last, fredholm.SV_GAP_RATIO)
+    dense = fredholm._solve_spectra(steps, first, last, GAP_RATIO)
     monkeypatch.undo()
     assert sum(len(s.smallest) > 1 for s in dense) > 0  # some sample has a kernel
     for one, other in zip(structured, dense):
@@ -366,13 +366,13 @@ def test_an_index_wide_batch_decides_its_counts_in_at_most_four_ritz_steps(ritz_
     f = ladder_field(4)
     lams = [0, 3, 5, 8, 11, 14]
     plus, minus = whole_line_families(f, lams, (-100, 100), 40)
-    spectra = fredholm.truncated_spectra(f, lams, (-100, 100), plus, minus, fredholm.SV_GAP_RATIO)
+    spectra = fredholm.truncated_spectra(f, lams, (-100, 100), plus, minus, GAP_RATIO)
     assert 0 < len(ritz_steps) <= 4
     assert ritz_steps[0] == len(lams)
     for lam, fam_plus, fam_minus, spectrum in zip(lams, plus, minus, spectra):
         svals, scale = oracle_spectrum(f, lam, (-100, 100), fam_plus, fam_minus)
-        expected = dense_null_count(svals, scale, fredholm.SV_GAP_RATIO)
-        assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == expected
+        expected = dense_null_count(svals, scale, GAP_RATIO)
+        assert fredholm._null_space(spectrum, GAP_RATIO) == expected
 
 
 def test_a_continuum_of_triples_is_decided_without_the_dense_fallback(ritz_steps, no_fallback):
@@ -381,9 +381,9 @@ def test_a_continuum_of_triples_is_decided_without_the_dense_fallback(ritz_steps
     # cannot resolve within the iteration cap; the empty kernel is decided
     f = switching_field([0.5] * 3, [0.5] * 3)
     plus, minus = whole_line_families(f, [0], (-30, 30), 40)
-    (spectrum,) = fredholm.truncated_spectra(f, [0], (-30, 30), plus, minus, fredholm.SV_GAP_RATIO)
+    (spectrum,) = fredholm.truncated_spectra(f, [0], (-30, 30), plus, minus, GAP_RATIO)
     assert len(ritz_steps) <= 4
-    assert fredholm._null_space(spectrum, fredholm.SV_GAP_RATIO) == 0
+    assert fredholm._null_space(spectrum, GAP_RATIO) == 0
     svals = oracle_spectrum(f, 0, (-30, 30), plus[0], minus[0])[0]
     assert svals[-1] <= spectrum.smallest[0] <= svals[-1] + (1.0 + TEMPLE_SLACK) * spectrum.error
 
