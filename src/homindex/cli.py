@@ -39,12 +39,7 @@ import numpy as np
 from . import __version__
 from .bifurcation import CertifyOptions, certify_bifurcation, localize_bifurcations
 from .bundle import KOClassDesk, bundle_csv_rows, index_bundle_pair
-from .dichotomy import (
-    build_projector_families,
-    build_projector_family,
-    dichotomy_spectra,
-    verify_families,
-)
+from .dichotomy import _projectors, build_projector_families, dichotomy_spectra, verify_families
 from .errors import (
     CertificationError,
     HomindexError,
@@ -179,8 +174,8 @@ def _cmd_spectrum(scenario: Scenario) -> CommandOutcome:
 
 
 def _tolerances(scenario: Scenario) -> dict:
-    """The scenario's five family tolerances, as the family builds take them."""
-    keys = ("tau_proj", "tau_inv", "sigma_reg", "zero_margin", "gap_ratio")
+    """The scenario's four family tolerances, as the family builds take them."""
+    keys = ("tau_inv", "sigma_reg", "zero_margin", "gap_ratio")
     return {key: scenario.tolerances[key] for key in keys}
 
 
@@ -208,6 +203,7 @@ def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
         if isinstance(wit, HomindexError):
             raise fresh(wit)
         d = field.dim
+        projectors = _projectors(fam.image_frames, fam.kernel_frames)
         per.append(
             {
                 "lambda": lam,
@@ -219,13 +215,13 @@ def _cmd_projectors(scenario: Scenario) -> CommandOutcome:
                 "checked_pairs": int(wit.checked_pairs),
                 "green_bound": _num(wit.green_bound()),
                 "times": [int(t) for t in fam.times],
-                "projectors": [[_num(x) for x in p.ravel()] for p in fam.projectors],
+                "projectors": [[_num(x) for x in p.ravel()] for p in projectors],
             }
         )
         header = ["n"] + [f"p_{a}_{b}" for a in range(d) for b in range(d)]
         rows = [
             [int(t)] + [float(x) for x in p.ravel()]
-            for t, p in zip(fam.times, fam.projectors)
+            for t, p in zip(fam.times, projectors)
         ]
         csvs.append((f"projectors_lam{lam:03d}.csv", header, rows))
     return CommandOutcome(results={"per_lambda": per}, csv_files=csvs)
@@ -385,9 +381,11 @@ def _cmd_solve(scenario: Scenario) -> CommandOutcome:
     sopts = scenario.options["solve"]
     side, anchor, length = sopts["side"], sopts["anchor"], sopts["length"]
     lam = sopts["lambda"]
-    fam = build_projector_family(
-        field, lam, side, anchor, length=length, **_family_kwargs(scenario)
+    (fam,) = build_projector_families(
+        field, [lam], side, anchor, length=length, **_family_kwargs(scenario)
     )
+    if isinstance(fam, HomindexError):
+        raise fresh(fam)
     lo, hi = scenario.forcing_window
     mats = field.matrices(lam, lo, hi)
     solutions, csvs = [], []

@@ -688,12 +688,9 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
         index = fam_plus.rank - fam_minus.rank
         if isinstance(dim_ker, HomindexError):
             outcomes[i] = dim_ker
-        elif dim_ker < index:
-            outcomes[i] = IndeterminateError(
-                f"the decaying subspaces meet in dimension {dim_ker}, below the "
-                f"index {index}; the witnesses and the window are inconsistent"
-            )
         else:
+            # frames of ranks r+ and d - r- meet in at least r+ - r- = index
+            # dimensions, so the cokernel count is never negative
             ranks = {"rank_plus": fam_plus.rank, "rank_minus": fam_minus.rank}
             outcomes[i] = dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
     live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
@@ -783,11 +780,12 @@ def green_solve(
     On a family window [t0, t1], phi lives on [kappa, t1] on the plus
     side and on [t0, kappa] on the minus side, and psi may force the
     steps of that window, [kappa, t1 - 1] or [t0, kappa - 1]; forcing
-    anywhere else is refused.  Both parts march in frame coordinates:
-    the image part P(n + 1) psi(n) forward from the window's first time
-    through `pf.image_steps`, the kernel part backward from its last
-    time by solving with `pf.kernel_steps`, so each part's rounding
-    stays in its own subbundle, where the dichotomy contracts it.
+    anywhere else is refused.  Both parts march in frame coordinates,
+    read off one solve with the frames [U V] at n + 1: the image part
+    P(n + 1) psi(n) forward from the window's first time through
+    `pf.image_steps`, the kernel part backward from its last time by
+    solving with `pf.kernel_steps`, so each part's rounding stays in
+    its own subbundle, where the dichotomy contracts it.
     """
     d, r = pf.dim, pf.rank
     if psi.dim != d:
@@ -810,21 +808,20 @@ def green_solve(
     forcing = np.zeros((len(steps), d, 1))
     forcing[inside, :, 0] = psi.values[steps[inside] - psi.window[0]]
 
-    # the family's frames at the times lo..hi, its steps and P(n + 1) at n = lo..hi - 1
+    # the family's frames at the times lo..hi, its steps, and psi(n) in the frames at n + 1
     at, step = slice(lo - t0, hi - t0 + 1), slice(lo - t0, hi - t0)
     im, ker = pf.image_frames[at], pf.kernel_frames[at]
-    image_part = pf.projectors[at][1:] @ forcing
+    coords = np.linalg.solve(np.concatenate([im[1:], ker[1:]], axis=-1), forcing)
     a = np.zeros((len(steps) + 1, r, 1))
     if r > 0:
-        pushed, im_steps = im[1:].swapaxes(-1, -2) @ image_part, pf.image_steps[step]
+        im_steps = pf.image_steps[step]
         for i in range(len(steps)):
-            a[i + 1] = im_steps[i] @ a[i] + pushed[i]
+            a[i + 1] = im_steps[i] @ a[i] + coords[i, :r]
     c = np.zeros((len(steps) + 1, d - r, 1))
     if r < d:
-        pulled = ker[1:].swapaxes(-1, -2) @ (forcing - image_part)
         ker_steps = pf.kernel_steps[step]
         for i in range(len(steps) - 1, -1, -1):
-            c[i] = np.linalg.solve(ker_steps[i], c[i + 1] + pulled[i])
+            c[i] = np.linalg.solve(ker_steps[i], c[i + 1] + coords[i, r:])
     return FiniteWindowSequence.tabulate(
         (lo, hi), (im @ a - ker @ c)[..., 0], decay_tol=decay_tol
     )

@@ -10,14 +10,13 @@ builtin scenarios is addressable by name.
 
 Each command reads only some of the tolerances.  ``spectrum`` reads
 ``zero_margin`` and ``gap_ratio``.  ``projectors``, ``index`` and
-``class`` read the five family tolerances ``tau_proj``, ``tau_inv``,
-``sigma_reg``, ``zero_margin`` and ``gap_ratio`` (``index`` also
-separates its singular-value groups with ``gap_ratio``).  ``certify``
-reads the five for its F2, F3 and localization families (and
-``gap_ratio`` for its F3 kernel counts) and ``decay_tol``, and
-``solve`` reads the five and ``decay_tol``, and refuses (exit 4) a
-solution whose defect sup |L phi - psi| exceeds ``solve_tol``.
-``realize`` only echoes them.
+``class`` read the four family tolerances ``tau_inv``, ``sigma_reg``,
+``zero_margin`` and ``gap_ratio`` (``index`` also separates its
+singular-value groups with ``gap_ratio``).  ``certify`` reads the
+four for its F2, F3 and localization families (and ``gap_ratio`` for
+its F3 kernel counts) and ``decay_tol``, and ``solve`` reads the four
+and ``decay_tol``, and refuses (exit 4) a solution whose defect sup
+|L phi - psi| exceeds ``solve_tol``.  ``realize`` only echoes them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .dichotomy import (
     MIN_FIT_STEPS,
     SIGMA_REG,
     TAU_INV,
-    TAU_PROJ,
     ZERO_MARGIN,
     family_run,
 )
@@ -75,7 +73,6 @@ _TOP_DEFAULTS = {
 }
 
 _TOLERANCE_DEFAULTS = {
-    "tau_proj": TAU_PROJ,
     "tau_inv": TAU_INV,
     "sigma_reg": SIGMA_REG,
     "zero_margin": ZERO_MARGIN,

@@ -12,9 +12,10 @@ shares no code with them.
 The rest reuse library code, and say which:
 
 - `shift_operator_projector` reads its projectors off the contour route
-  of `matrixcore` (a test module), but validates and packages them with
-  the library's `dichotomy._assemble_batch`, so the invariance, kernel
-  regularity and idempotency checks are the library's;
+  of `matrixcore` (a test module), but validates and packages their
+  frames with the library's `dichotomy._assemble_batch`, so the frame
+  transversality, kernel regularity and frame transport checks are the
+  library's;
 - `perturb_field` builds a `DiscreteVectorField` around the library's
   evaluator contract;
 - `stable_unstable_bundles` is `bundle.index_bundle_pair` with the
@@ -36,7 +37,6 @@ from homindex.dichotomy import (
     HORIZON,
     SIGMA_REG,
     TAU_INV,
-    TAU_PROJ,
     ProjectorFamily,
     _assemble_batch,
     _check_window,
@@ -399,7 +399,7 @@ def march_kernel(a: np.ndarray, seed: np.ndarray) -> np.ndarray:
 def _family_from_projectors(
     field: DiscreteVectorField, times: np.ndarray, projectors: np.ndarray, side: str, anchor: int
 ) -> ProjectorFamily:
-    """Validated family of the given projectors of parameter sample 0."""
+    """Validated family of the frames of the given projectors of parameter sample 0."""
     d = field.dim
     traces = np.array([float(np.trace(p)) for p in projectors])
     rank = int(round(traces[0]))
@@ -422,7 +422,7 @@ def _family_from_projectors(
         ker[i] = u2[:, : d - rank]
     mats = field.matrices(0, int(times[0]), int(times[-2]))
     (outcome,) = _assemble_batch(
-        mats[None], times[None], im[None], ker[None], [side], [anchor], TAU_PROJ, TAU_INV, SIGMA_REG
+        mats[None], times[None], im[None], ker[None], [side], [anchor], TAU_INV, SIGMA_REG
     )
     return _raise_or_return(outcome)
 

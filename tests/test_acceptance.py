@@ -174,8 +174,8 @@ def test_criterion_04_truncated_shift_projector_is_the_constant_saddle_projector
     fam = shift_operator_projector(autonomous_field(SADDLE), n_times=64)
     expected = np.diag([1.0, 0.0])
     assert len(fam.times) == 48  # an eighth is discarded at each end
-    for p in fam.projectors:
-        assert np.abs(p - expected).max() <= 1e-6
+    for n in fam.times:
+        assert np.abs(fam.projector(n) - expected).max() <= 1e-6
 
 
 def test_criterion_05_green_solutions_invert_the_stencil():

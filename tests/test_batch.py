@@ -112,7 +112,7 @@ def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, len
         one = build_projector_family(single_field, lam, side, anchor, length, horizon=40)
         assert isinstance(fam, ProjectorFamily) and fam.rank == one.rank
         assert np.array_equal(fam.times, one.times)
-        for name in ("projectors", "image_frames", "kernel_frames", "image_steps", "kernel_steps"):
+        for name in ("image_frames", "kernel_frames", "image_steps", "kernel_steps"):
             assert np.allclose(getattr(fam, name), getattr(one, name), rtol=0.0, atol=1e-12), name
         if length < 4:  # too short to fit constants: both paths refuse alike
             with pytest.raises(InputError, match=str(wit)):
@@ -122,6 +122,26 @@ def test_batched_families_equal_batch_of_one_on_system2_mobius(side, anchor, len
         assert wit.k_const == pytest.approx(one_wit.k_const, rel=1e-12)
         assert wit.alpha == pytest.approx(one_wit.alpha, rel=1e-12)
         assert wit.checked_pairs == one_wit.checked_pairs
+
+
+@pytest.mark.parametrize(
+    "tolerance,message",
+    [
+        ({"tau_inv": 1e-30}, "exceeds 1.0e-30"),
+        ({"sigma_reg": 10.0}, "< 1.0e+01"),
+        ({"zero_margin": 0.8}, "within 8.0e-01 of zero"),
+        ({"gap_ratio": 1e300}, "too short to separate the rate groups"),
+    ],
+)
+def test_the_single_form_hands_each_tolerance_to_the_batch(tolerance, message):
+    # a non-normal saddle, whose frame transport leaves a rounding residual
+    table = np.broadcast_to([[0.5, 3.0], [0.0, 2.0]], (201, 2, 2))
+    field = tabulated_field(table, (-100, 100))
+    assert isinstance(build_projector_family(field, 0, "plus", 0, 20, 40), ProjectorFamily)
+    (batch,) = build_projector_families(field, [0], "plus", 0, 20, 40, **tolerance)
+    assert isinstance(batch, HomindexError) and message in str(batch)
+    with pytest.raises(type(batch), match=re.escape(str(batch))):
+        build_projector_family(field, 0, "plus", 0, 20, 40, **tolerance)
 
 
 def test_a_family_is_fitted_once_and_shared_read_only(monkeypatch):
@@ -141,7 +161,7 @@ def test_a_family_is_fitted_once_and_shared_read_only(monkeypatch):
     fields = ("family", "k_const", "alpha", "checked_pairs")
     assert [getattr(again, k) for k in fields] == [getattr(wit, k) for k in fields]
     with pytest.raises(ValueError):
-        batch[3].projectors[0, 0, 0] = 1.0  # shared families are read-only
+        batch[3].image_frames[0, 0, 0] = 1.0  # shared families are read-only
 
 
 def test_failing_sample_keeps_its_error_and_spares_the_others():
@@ -587,9 +607,7 @@ def test_dropped_fields_and_their_families_are_freed_by_reference_counting():
         gc.enable()
 
 
-FAMILY_ARRAYS = (
-    "times", "projectors", "image_frames", "kernel_frames", "image_steps", "kernel_steps"
-)
+FAMILY_ARRAYS = ("times", "image_frames", "kernel_frames", "image_steps", "kernel_steps")
 
 
 def assert_same_bits(fused, alone):

@@ -33,6 +33,9 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 #: by name (`owner.__dict__[attr]`), so removing one breaks the traced benchmark
 TRACED_ONLY = {
     ("bifurcation", "check_F3"),
+    # `solve` builds its one family through `build_projector_families`; the
+    # tracer's ("dichotomy.build_projector_family", ...) keeps the name
+    ("dichotomy", "build_projector_family"),
     ("dichotomy", "dichotomy_spectrum"),
     # the Green solve reads only its family and fits nothing; the tracer's
     # ("dichotomy.verify_ed", hx["dichotomy"], "verify_ed") keeps the name

@@ -698,9 +698,7 @@ def test_class_and_certify_read_the_family_tolerances(tmp_path, capsys):
     assert results["verdict"] == "bifurcation_certified"
 
 
-@pytest.mark.parametrize(
-    "key", ["tau_proj", "tau_inv", "sigma_reg", "zero_margin", "decay_tol", "solve_tol"]
-)
+@pytest.mark.parametrize("key", ["tau_inv", "sigma_reg", "zero_margin", "decay_tol", "solve_tol"])
 @pytest.mark.parametrize("value", [0.0, 1.0, 5.0])
 def test_tolerances_outside_the_unit_interval_exit_three_naming_the_field(
     tmp_path, capsys, key, value
@@ -709,6 +707,15 @@ def test_tolerances_outside_the_unit_interval_exit_three_naming_the_field(
     assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"scenario field 'tolerances.{key}'" in err and "must lie in (0, 1)" in err
+    assert "Traceback" not in err
+
+
+def test_the_retired_idempotency_tolerance_exits_three_as_an_unknown_field(tmp_path, capsys):
+    # a family is its frames: no projector stack is checked, so nothing reads tau_proj
+    ref = write_doc(tmp_path, saddle_doc(tolerances={"tau_proj": 1e-8}))
+    assert run(["projectors", "--scenario", ref, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "scenario field 'tolerances.tau_proj': unknown field" in err
     assert "Traceback" not in err
 
 

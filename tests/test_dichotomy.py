@@ -27,6 +27,7 @@ from homindex.dichotomy import (
     verify_ed,
 )
 from homindex.errors import (
+    CertificationError,
     IndeterminateError,
     InputError,
     NoDichotomyError,
@@ -57,6 +58,11 @@ def anchor_frames(fam):
     """Image and kernel frames of a family at its anchor."""
     i = fam.index_of(fam.anchor)
     return fam.image_frames[i], fam.kernel_frames[i]
+
+
+def family_projectors(fam) -> np.ndarray:
+    """The projectors (times, d, d) the family forms from its frames, one time at a time."""
+    return np.stack([fam.projector(n) for n in fam.times])
 
 
 def test_splitting_on_diagonal_saddle():
@@ -98,6 +104,36 @@ def test_splitting_spans_match_eigenspaces(seed, dim, forward):
         assert span_gap(kernel, eig_subspace(m, "unstable")) <= 1e-7
 
 
+def assert_family_contract(fam, mats):
+    """What a certified family's projectors satisfy on the steps `mats` (steps, d, d).
+
+    Invariance to 1e-7 and idempotency to 1e-8 (1 + bound)^2, max-abs, and
+    the bound `_assemble_batch` states from the checks it makes: in
+    operator norms, |A P_i - P_{i+1} A| <= |R_i| (1 + bound) / sigma_min(B_i)
+    for the transport residual R_i, up to the rounding of P, eps cond(B_i) |P_i|,
+    times |A|.
+    """
+    p = family_projectors(fam)
+    assert np.abs(p.trace(axis1=1, axis2=2) - fam.rank).max() <= 1e-8
+    invariance = mats @ p[:-1] - p[1:] @ mats
+    assert np.abs(invariance).max() <= 1e-7
+    assert np.abs(p @ p - p).max() <= 1e-8 * (1.0 + fam.bound) ** 2
+    d, r = fam.dim, fam.rank
+    basis = np.concatenate([fam.image_frames, fam.kernel_frames], axis=-1)
+    steps = np.zeros(mats.shape)
+    steps[:, :r, :r], steps[:, r:, r:] = fam.image_steps, fam.kernel_steps
+    transport = mats @ basis[:-1] - basis[1:] @ steps
+    sv = np.linalg.svd(basis, compute_uv=False)
+    norm = lambda x: np.linalg.norm(x, 2, axis=(-2, -1))  # noqa: E731
+    bound = norm(transport) * (1.0 + fam.bound) / sv[:-1, -1]
+    rounding = d * np.finfo(float).eps * sv[:-1, 0] / sv[:-1, -1]
+    rounding *= (1.0 + norm(mats)) * (1.0 + fam.bound)
+    assert (norm(invariance) <= bound + rounding).all()
+    if r < d:
+        smallest = np.linalg.svd(fam.kernel_steps, compute_uv=False).min()
+        assert smallest >= 1e-6
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 4), st.booleans())
 def test_certified_family_random_fields(seed, dim, forward):
@@ -108,21 +144,36 @@ def test_certified_family_random_fields(seed, dim, forward):
     fam = build_projector_family(field, 0, side, 0, length=20)
     assert fam.rank == int((moduli < 1.0).sum())
     assert fam.bound >= 1.0 or fam.rank in (0, dim)
-    worst_inv = 0.0
-    worst_idem = 0.0
-    for i in range(len(fam.times) - 1):
-        worst_inv = max(
-            worst_inv, float(np.abs(m @ fam.projectors[i] - fam.projectors[i + 1] @ m).max())
-        )
-    for p in fam.projectors:
-        worst_idem = max(worst_idem, float(np.abs(p @ p - p).max()))
-    assert worst_inv <= 1e-7
-    assert worst_idem <= 1e-8 * (1.0 + fam.bound) ** 2
-    if fam.rank < dim:
-        smallest = min(
-            float(np.linalg.svd(s, compute_uv=False).min()) for s in fam.kernel_steps
-        )
-        assert smallest >= 1e-6
+    assert_family_contract(fam, np.broadcast_to(m, (20, dim, dim)))
+
+
+def non_normal_table(rng, d: int, n_stable: int, cond: float, times: int) -> np.ndarray:
+    """Steps S D(n) S^-1 with cond(S) = cond, D(n) triangular stable and unstable blocks."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    conj = q1 @ np.diag(np.geomspace(1.0, cond, d)) @ q2
+    moduli = np.concatenate([rng.uniform(0.2, 0.6, n_stable), rng.uniform(1.8, 4.0, d - n_stable)])
+    diag = moduli * rng.choice([-1.0, 1.0], (times, d))
+    blocks = np.triu(rng.uniform(-0.3, 0.3, (times, d, d)), 1)
+    blocks[:, n_stable:, :n_stable] = 0.0
+    blocks[:, :n_stable, n_stable:] = 0.0
+    blocks[:, np.arange(d), np.arange(d)] = diag
+    return conj @ blocks @ np.linalg.inv(conj)
+
+
+def test_certified_family_random_non_normal_tables():
+    # the frames' projectors keep the contract on time-varying non-normal steps
+    # conjugated by matrices of condition number up to 1e3
+    rng = np.random.default_rng(2026)
+    for d in range(2, 7):
+        for k in range(6):
+            n_stable = int(rng.integers(0, d + 1))
+            cond = 10.0 ** rng.uniform(0.0, 3.0) if k else 1e3
+            field = tabulated_field(non_normal_table(rng, d, n_stable, cond, 241), (-120, 120))
+            side = ("plus", "minus")[k % 2]
+            fam = build_projector_family(field, 0, side, 0, length=20)
+            assert fam.rank == n_stable, (d, k)
+            lo = 0 if side == "plus" else -20
+            assert_family_contract(fam, field.matrices(0, lo, lo + 19))
 
 
 def test_family_is_constant_for_diagonal_saddle():
@@ -133,7 +184,7 @@ def test_family_is_constant_for_diagonal_saddle():
     assert minus.times[0] == -30 and minus.times[-1] == 0
     for fam in (plus, minus):
         assert fam.rank == 1
-        assert np.allclose(fam.projectors, np.diag([1.0, 0.0]), atol=1e-10)
+        assert np.allclose(family_projectors(fam), np.diag([1.0, 0.0]), atol=1e-10)
     assert np.allclose(plus.projector(7), np.diag([1.0, 0.0]), atol=1e-10)
     assert minus.index_of(-30) == 0
 
@@ -184,7 +235,7 @@ def test_verify_ed_full_rank_contraction():
     field = autonomous_field(np.diag([0.9, 2.0]) / 4.0)
     fam = build_projector_family(field, 0, "plus", 0, length=60)
     assert fam.rank == 2
-    assert np.allclose(fam.projectors, np.eye(2), atol=1e-10)
+    assert np.allclose(family_projectors(fam), np.eye(2), atol=1e-10)
     witness = verify_ed(fam)
     assert witness.alpha == pytest.approx(0.5, abs=1e-9)
     assert witness.k_const == pytest.approx(1.0, abs=1e-9)
@@ -278,13 +329,13 @@ def test_shift_route_autonomous_saddle():
     assert fam.times[0] == -24 and fam.times[-1] == 23
     assert len(fam.times) == 48
     assert fam.rank == 1
-    assert np.abs(fam.projectors - np.diag([1.0, 0.0])).max() <= 1e-6
+    assert np.abs(family_projectors(fam) - np.diag([1.0, 0.0])).max() <= 1e-6
 
 
 def test_shift_route_full_contraction():
     fam = shift_operator_projector(autonomous_field(0.5 * np.eye(2)), n_times=32)
     assert fam.rank == 2
-    assert np.abs(fam.projectors - np.eye(2)).max() <= 1e-8
+    assert np.abs(family_projectors(fam) - np.eye(2)).max() <= 1e-8
     with pytest.raises(InputError):
         shift_operator_projector(saddle_field(), n_times=8)
 
@@ -434,6 +485,17 @@ def test_a_default_family_and_the_spectrum_at_one_agree(monkeypatch):
                 build_projector_family(field, 0, "plus", 0, horizon=40)
 
 
+def test_admits_ed_reads_the_verdict_at_one_off_the_grid():
+    # a grid from gamma 1.5 up does not hold gamma = 1; its verdict is taken
+    # there all the same, so lambda 8, where the decaying subspaces meet, admits
+    # no dichotomy
+    field, horizon, _ = realization_mobius()
+    at_zero, at_eight = dichotomy_spectra(field, [0, 8], gamma_min=1.5, horizon=horizon)
+    assert at_zero.grid[0] == 1.5
+    assert (at_zero.at_one, at_zero.admits_ed) == ("ed:1", True)
+    assert (at_eight.at_one, at_eight.admits_ed) == ("no_ed", False)
+
+
 def test_spectra_rows_equal_single_sample_spectra():
     field, horizon, lams = realization_mobius()
     kwargs = {
@@ -476,6 +538,25 @@ def test_the_meet_rule_counts_refuses_and_clears_by_the_principal_cosine():
         stable_minus = np.array([[-minus[1, 0]], [minus[0, 0]], [0.0]])
         sample = (np.eye(3), rates, np.hstack([stable_minus, minus]), rates, 100, 2e-3, 1e3)
         assert dichotomy._verdict(0.0, *sample) == verdict, gap
+
+
+def test_frames_meet_in_at_least_the_excess_of_their_ranks():
+    # orthonormal frames of ranks r+ and d - r- in R^d, r+ > r-, meet in at least
+    # r+ - r- dimensions with cosines one up to rounding, so the index count
+    # never exceeds the kernel count
+    rng = np.random.default_rng(19)
+    for d in range(2, 9):
+        pairs, excess = [], []
+        for r_plus in range(1, d + 1):
+            for r_minus in range(r_plus):
+                for _ in range(3):
+                    plus = np.linalg.qr(rng.standard_normal((d, r_plus)))[0]
+                    minus = np.linalg.qr(rng.standard_normal((d, d - r_minus)))[0]
+                    pairs.append((plus, minus))
+                    excess.append(r_plus - r_minus)
+        counts = dichotomy._intersection_dimensions(pairs)
+        assert len(counts) == 3 * d * (d + 1) // 2
+        assert all(isinstance(c, int) and c >= e for c, e in zip(counts, excess)), d
 
 
 def mobius_sum_scenario(copies: int, q: float, n: int) -> Scenario:
@@ -538,7 +619,6 @@ def rank_zero_family(growth: float, steps: int = 8) -> ProjectorFamily:
         side="plus",
         anchor=0,
         times=np.arange(steps + 1),
-        projectors=np.zeros((steps + 1, 1, 1)),
         rank=0,
         image_frames=np.zeros((steps + 1, 1, 0)),
         kernel_frames=np.ones((steps + 1, 1, 1)),
@@ -736,15 +816,36 @@ def test_the_projector_bound_formula_matches_the_svd_of_p(d):
             frames = [np.stack([im, im])[None], np.stack([ker, ker])[None]]
             (fam,) = dichotomy._assemble_batch(
                 np.eye(d)[None, None], np.array([[0, 1]]), *frames, ["plus"], [0],
-                dichotomy.TAU_PROJ, dichotomy.TAU_INV, dichotomy.SIGMA_REG,
+                dichotomy.TAU_INV, dichotomy.SIGMA_REG,
             )
             assert isinstance(fam, ProjectorFamily), (r, s, fam)
-            expected = np.linalg.svd(fam.projectors[0], compute_uv=False)[0] if r else 0.0
+            expected = np.linalg.svd(fam.projector(0), compute_uv=False)[0] if r else 0.0
             if r in (0, d):
                 assert fam.bound == float(r > 0)
                 continue
             tolerance = max(1e-10, 20.0 * np.finfo(float).eps / s)
             assert abs(fam.bound - expected) <= tolerance * expected, (r, s)
+
+
+def test_a_step_off_the_frames_fails_frame_transport_at_its_time():
+    # the assembly forms no projector: a step that carries the image off the
+    # next image frame is refused by the frame transport check, at that time
+    rng = np.random.default_rng(5)
+    m, _ = random_hyperbolic(rng, 3, n_stable=1)
+    field = autonomous_field(m)
+    fam = build_projector_family(field, 0, "plus", 0, length=10)
+    mats = field.matrices(0, 0, 9).copy()
+    args = (
+        fam.times[None], fam.image_frames[None], fam.kernel_frames[None], ["plus"], [0],
+        dichotomy.TAU_INV, dichotomy.SIGMA_REG,
+    )
+    (again,) = dichotomy._assemble_batch(mats[None], *args)
+    assert again.bound == fam.bound
+    assert again.image_steps.tobytes() == fam.image_steps.tobytes()
+    mats[6] += 1e-3 * np.outer(fam.kernel_frames[7][:, 0], fam.image_frames[6][:, 0])
+    (refused,) = dichotomy._assemble_batch(mats[None], *args)
+    assert isinstance(refused, CertificationError)
+    assert "frame transport residual" in str(refused) and "at time 6 exceeds" in str(refused)
 
 
 def one_row_verdict(rates, cut, run, zero_margin, gap_ratio):
