@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .bundle import KOClassDesk, _anchor_window, anchor_bundles
-from .dichotomy import whole_line_families
+from .dichotomy import _projectors_at, whole_line_families
 from .errors import (
     CertificationError,
     HomindexError,
@@ -910,18 +910,22 @@ def localize_bifurcations(
     else:
         lin = linearize_at_zero(f)
         plus, minus = whole_line_families(lin, lams, (lo, hi), horizon, **tolerances)
-    runs = []  # (sample, start, P-(lo), I - P+(hi)) in (sample, cosine, scale) order
+    good = []
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         failure = next((o for o in (fam_plus, fam_minus) if isinstance(o, HomindexError)), None)
         if failure is None:
-            p_lo = fam_minus.projector(lo)
-            q_hi = np.eye(f.dim) - fam_plus.projector(hi)
-            for base in _seeds(fam_plus, fam_minus, (lo, hi)):
-                runs += [(lam, base * (scale * f.r0), p_lo, q_hi) for scale in SEED_SCALES]
+            good.append(lam)
         elif isinstance(failure, (CertificationError, NumericError)):
             _LOG.info("parameter sample %d skipped: %s", lam, failure)
         else:
             raise fresh(failure)
+    runs = []  # (sample, start, P-(lo), I - P+(hi)) in (sample, cosine, scale) order
+    if good:
+        p_lo = _projectors_at([minus[lam] for lam in good], lo)
+        q_hi = np.eye(f.dim) - _projectors_at([plus[lam] for lam in good], hi)
+        for lam, p, q in zip(good, p_lo, q_hi):
+            for base in _seeds(plus[lam], minus[lam], (lo, hi)):
+                runs += [(lam, base * (scale * f.r0), p, q) for scale in SEED_SCALES]
     solutions = []
     if runs:
         samples, starts, p_lo, q_hi = (np.array(column) for column in zip(*runs))

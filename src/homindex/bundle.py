@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dichotomy import HORIZON, whole_line_families
+from .dichotomy import HORIZON, _generic_seed, whole_line_families
 from .errors import HomindexError, InputError, SamplingError, fresh
 from .field import DiscreteVectorField, ParameterLoop, SampledBundle
 
@@ -120,7 +120,35 @@ def bundle_from_projectors(
             f"loop samples {i} and {i + 1}: not a bundle at this sampling"
         )
     r = int(ranks[0])
-    return SampledBundle(loop=loop, rank=r, frames=u[:, :, :r], name=name)
+    return SampledBundle(loop=loop, rank=r, frames=_gauged(u[:, :, :r]), name=name)
+
+
+def _polar(m: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factors W V^T of a stack of square matrices W S V^T."""
+    w, _, vt = np.linalg.svd(m)
+    return w @ vt
+
+
+def _gauged(frames: np.ndarray) -> np.ndarray:
+    """The same fibres with frames that depend on the fibres, not on how an SVD spanned them.
+
+    Sample 0's frame is the one nearest the first columns E of the
+    sweep's generic seed, U0 polar(U0^T E), and each later sample's the
+    one nearest the frame before it, U_i polar(U_i^T F_{i-1}).  A
+    rounding-level change of a fibre then moves its frame at rounding
+    level, where an SVD may rotate or flip it.  Since polar(M G) =
+    polar(M) G for orthogonal G, the gauges are the overlaps' polar
+    factors multiplied up along the loop.
+    """
+    r = frames.shape[-1]
+    if r == 0:
+        return frames
+    previous = np.concatenate([_generic_seed(frames.shape[1])[None, :, :r], frames[:-1]])
+    steps = _polar(frames.swapaxes(-1, -2) @ previous)
+    gauges = [steps[0]]
+    for step in steps[1:]:
+        gauges.append(step @ gauges[-1])
+    return frames @ np.stack(gauges)
 
 
 def first_sw_class(bundle: SampledBundle) -> int:

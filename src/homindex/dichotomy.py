@@ -1,9 +1,12 @@
 """Exponential splittings, dichotomy certification and dichotomy spectra.
 
-Rates of long matrix products are accumulated with sequential QR
-factorizations, never by forming the product itself, so horizons of a
-few hundred steps are safe even when singular values spread over
-hundreds of decades.  The rates are the per-column means of log |R_jj|
+Rates of long matrix products are accumulated with QR factorizations
+along the run, never by forming the whole product, so horizons of a few
+hundred steps are safe even when singular values spread over hundreds
+of decades.  The recurrence (`_advance`) forms products of 4 steps
+only, which keeps it to one sequential QR per block and a few stacked
+ones, and it redoes a row one step at a time where such a product lost
+accuracy.  The rates are the per-column means of log |R_jj|
 between the QR transient and the anchor (`_sweep`), so a longer run
 averages more steps (Dieci & Van Vleck, SIAM J. Numer. Anal. 40,
 2002); on a plus family run of `length + horizon` steps, length >=
@@ -26,8 +29,9 @@ sample and both half-lines, so `build_projector_families` runs it for
 many samples at once with the sample on numpy's leading axis, and
 `whole_line_families` for the plus and minus windows of many samples
 together: the sweep, the free-complement march, the family checks
-and the `verify_families` fits each take one stacked call per step
-instead of one call per sample, side and step.  numpy's stacked calls
+and the `verify_families` fits each take a few stacked calls (per
+block of steps, per doubling of a chain) instead of one call per
+sample, side and step.  numpy's stacked calls
 give every row the bits it would get alone, so a family is the same
 whatever it was batched with.  The single-sample
 `build_projector_family`, `verify_ed` and `dichotomy_spectrum` are
@@ -117,16 +121,99 @@ def _check_window(field: DiscreteVectorField, lo: int, hi: int) -> None:
         )
 
 
-def _qr_step(b: np.ndarray):
-    """One QR accumulation step on a stack of matrices (..., d, d).
+#: factors per block of the blocked QR recurrence (`_advance`)
+_BLOCK = 4
 
-    Returns the sign-normalized orthogonal factors and the log moduli of
-    the diagonal of R (floored at 1e-300).
-    """
+#: largest seam between a block's stepped end frame and the next block's start frame
+_SEAM_TOL = 1e-10
+
+
+def _qr_diagonal(b: np.ndarray):
+    """Unnormalized Q factors of a stack (..., d, p) and the diagonals of their R factors."""
     q, r = np.linalg.qr(b)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    return q * sign[..., None, :], np.log(np.maximum(np.abs(diag), 1e-300))
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def _signs(diag: np.ndarray) -> np.ndarray:
+    return np.where(diag < 0.0, -1.0, 1.0)
+
+
+def _blocked(factors: np.ndarray, start: np.ndarray, k: int):
+    """`_advance` in blocks of `k` factors: frames, R diagonals and each row's largest seam.
+
+    A Householder QR of B S, S a diagonal of signs, takes the reflections
+    of B's and returns (Q, R S), so each loop runs on unnormalized
+    factors, and the signs of the R diagonals, multiplied up along the
+    blocks and then along the steps inside each block, normalize the
+    frames afterwards.  A row whose block products leave the
+    floating-point range enters the QRs with zeros in their place and
+    gets an infinite seam.  With k = 1 the block-start frames are the
+    frames.
+    """
+    rows, steps, d = factors.shape[:3]
+    p = start.shape[-1]
+    n_blocks = -(-steps // k)
+    pad = n_blocks * k - steps
+    if pad:  # the last block's missing steps are identities, whose results are dropped
+        eye = np.broadcast_to(np.eye(d), (rows, pad, d, d))
+        factors = np.concatenate([factors, eye], axis=1)
+    blocks = factors.reshape(rows, n_blocks, k, d, d)
+    # the products of every block but the last: k - 1 stacked matmuls
+    heading = n_blocks if k == 1 else n_blocks - 1
+    products = blocks[:, :heading, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, k):
+            products = blocks[:, :heading, j] @ products
+    if k > 1:
+        out_of_range = ~(_max_abs(products).max(axis=1, initial=0.0) <= 1e300)
+        products[out_of_range] = 0.0
+    # the block-start frames: one sequential QR per block
+    heads = np.empty((rows, heading + 1, d, p))
+    heads[:, 0] = start
+    head_diags = np.ones(heads.shape[:2] + (p,))
+    for b in range(heading):
+        heads[:, b + 1], head_diags[:, b + 1] = _qr_diagonal(products[:, b] @ heads[:, b])
+    heads *= np.cumprod(_signs(head_diags), axis=1)[..., None, :]
+    if k == 1:
+        inner, diags, seams = heads[:, 1:, None], head_diags[:, 1:, None], np.zeros(rows)
+    else:
+        # the frames inside the blocks: k per-step QRs, each stacked over all blocks
+        q = heads
+        inner = np.empty(heads.shape[:2] + (k, d, p))
+        diags = np.empty(heads.shape[:2] + (k, p))
+        for j in range(k):
+            q, diags[:, :, j] = _qr_diagonal(blocks[:, :, j] @ q)
+            inner[:, :, j] = q
+        inner *= np.cumprod(_signs(diags), axis=2)[..., None, :]
+        seams = _max_abs(inner[:, :-1, -1] - heads[:, 1:]).max(axis=1, initial=0.0)
+        seams[out_of_range] = np.inf
+    frames = np.concatenate([start[:, None], inner.reshape(rows, -1, d, p)[:, :steps]], axis=1)
+    return frames, diags.reshape(rows, -1, p)[:, :steps], seams
+
+
+def _advance(factors: np.ndarray, start: np.ndarray):
+    """The QR recurrence Q_{t+1} R_t = F_t Q_t along stacked runs, in blocks of `_BLOCK` steps.
+
+    `factors` (rows, steps, d, d) holds each run's F_t in the order
+    applied, and `start` (rows, d, p) the orthonormal Q_0.  Returns the
+    frames Q_t (rows, steps + 1, d, p), signed so that every R_t has a
+    nonnegative diagonal, and the log |R_t,jj| (rows, steps, p), floored
+    at 1e-300.  The products of each block's factors take k - 1 stacked
+    matmuls, one sequential QR per block gives the block-start frames,
+    and k per-step QRs, each stacked over all blocks, the frames and R
+    diagonals at every time.  A product loses accuracy like eps exp(k
+    times the spread of the rates), so each row checks its own seams,
+    the distances between a block's stepped end frame and the next
+    block's start frame: a row with a seam above `_SEAM_TOL` (or a
+    non-finite one) is redone one step per block, which is the
+    sequential recurrence.  The rule reads only the row's own data, so
+    a row gets the bits it gets in a batch of one.
+    """
+    frames, diags, seams = _blocked(factors, start, _BLOCK)
+    redo = np.flatnonzero(~(seams <= _SEAM_TOL))
+    if redo.size:
+        frames[redo], diags[redo], _ = _blocked(factors[redo], start[redo], 1)
+    return frames, np.log(np.maximum(np.abs(diags), 1e-300))
 
 
 _GENERIC_SEEDS: dict[int, np.ndarray] = {}
@@ -154,29 +241,21 @@ def _sweep(factors: np.ndarray, horizon: int):
     holds each run's factors in the order the sweep applies them: a
     plus run the transposed A(n) in decreasing time (right singular
     directions of the forward propagator), a minus run the A(n) in
-    increasing time.  Runs of both sides can share one stack.  Returns
-    the orthogonal factors after each of the last steps - horizon + 1
-    steps (the frames at a family's times, far end first), the log
-    |R_jj| of the steps between them, and the per-column rates: the
-    means of log |R_jj| over the steps past the QR transient (the first
-    horizon/2) and short of the last horizon/2 (at the anchor, a
-    realization's identity middle), over horizon/2 steps at least.
+    increasing time.  Runs of both sides can share one stack, and the
+    recurrence runs in blocks of steps (`_advance`).  Returns the
+    orthogonal factors after each of the last steps - horizon + 1 steps
+    (the frames at a family's times, far end first), the log |R_jj| of
+    the steps between them, and the per-column rates: the means of log
+    |R_jj| over the steps past the QR transient (the first horizon/2)
+    and short of the last horizon/2 (at the anchor, a realization's
+    identity middle), over horizon/2 steps at least.
     """
     n_samples, n_steps, d = factors.shape[0], factors.shape[1], factors.shape[-1]
-    q = np.broadcast_to(_generic_seed(d), (n_samples, d, d))
-    averaged = range(horizon // 2, max(horizon, n_steps - horizon // 2))
-    total = np.zeros((n_samples, d))
-    frames = np.empty((n_samples, n_steps - horizon + 1, d, d))
-    logs_kept = np.empty((n_samples, n_steps - horizon, d))
-    for k in range(n_steps):
-        q, logs = _qr_step(factors[:, k] @ q)
-        if k in averaged:
-            total += logs
-        if k >= horizon:
-            logs_kept[:, k - horizon] = logs
-        if k >= horizon - 1:
-            frames[:, k - horizon + 1] = q
-    return frames, logs_kept, total / len(averaged)
+    frames, logs = _advance(factors, np.broadcast_to(_generic_seed(d), (n_samples, d, d)))
+    averaged = slice(horizon // 2, max(horizon, n_steps - horizon // 2))
+    # a sum over a middle axis adds the steps in order, as a running total does
+    rates = logs[:, averaged].sum(axis=1) / (averaged.stop - averaged.start)
+    return frames[:, horizon:], logs[:, horizon:], rates
 
 
 def _singular_values(x: np.ndarray) -> np.ndarray:
@@ -223,6 +302,25 @@ def _classify_rates(rates, cut, run, zero_margin, gap_ratio):
 def _projectors(im: np.ndarray, ker: np.ndarray) -> np.ndarray:
     """Projectors (..., d, d) onto the image frames along the kernel frames, U (B^-1)[:r]."""
     return im @ np.linalg.inv(np.concatenate([im, ker], axis=-1))[..., : im.shape[-1], :]
+
+
+def _projectors_at(families: list, n: int) -> np.ndarray:
+    """Projectors (len(families), d, d) of the families at time `n`: one `_projectors` call per rank.
+
+    Each row has the bits of its family's `projector(n)`.
+    """
+    by_rank: dict[int, list[int]] = {}
+    for i, fam in enumerate(families):
+        by_rank.setdefault(fam.rank, []).append(i)
+    d = families[0].dim
+    out = np.empty((len(families), d, d))
+    for members in by_rank.values():
+        im, ker = (
+            np.stack([getattr(families[i], name)[families[i].index_of(n)] for i in members])
+            for name in ("image_frames", "kernel_frames")
+        )
+        out[members] = _projectors(im, ker)
+    return out
 
 
 @dataclass(frozen=True)
@@ -283,6 +381,22 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
+def _smallest_sine(im: np.ndarray, ker: np.ndarray) -> np.ndarray:
+    """Sine of the smallest principal angle between complementary orthonormal frames (..., d, .).
+
+    sigma_min((I - U U^T) V), taken on the frame with fewer columns: on
+    complementary frames the other's extra singular values are 1.  A
+    one-column frame gives a vector norm, and an empty frame 1.
+    """
+    small, big = (im, ker) if im.shape[-1] <= ker.shape[-1] else (ker, im)
+    if small.shape[-1] == 0:
+        return np.ones(small.shape[:-2])
+    off = small - big @ (big.swapaxes(-1, -2) @ small)
+    if small.shape[-1] == 1:
+        return np.sqrt((off[..., 0] ** 2).sum(axis=-1))
+    return _singular_values(off).min(axis=-1)
+
+
 def _assemble_batch(
     mats: np.ndarray,
     times: np.ndarray,
@@ -316,7 +430,10 @@ def _assemble_batch(
     """
     errors = {} if errors is None else errors
     d, r = im.shape[-2], im.shape[-1]
-    smin = _singular_values(np.concatenate([im, ker], axis=-1)).min(axis=-1)
+    sine = _smallest_sine(im, ker)
+    # the eigenvalues of B^T B, B = [U V], are 1 +- the principal cosines, so
+    # sigma_min(B) = sqrt(1 - cos) = sin / sqrt(1 + cos) at the smallest angle
+    smin = sine / np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sine * sine, 0.0)))
     crossing = smin < 1e-8
     for j, i in _first_true(crossing):
         errors.setdefault(
@@ -327,10 +444,9 @@ def _assemble_batch(
             ),
         )
     # for orthonormal frames, |P| = 1 / sin(smallest angle between image and
-    # kernel) = 1 / (s sqrt(2 - s^2)) with s = smin (the eigenvalues of
-    # basis^T basis are 1 +- the cosines); 0 for rank 0 and 1 for rank d
-    s = np.where(crossing | (r == d), 1.0, smin)
-    bound = (1.0 / (s * np.sqrt(2.0 - s * s))).max(axis=1) if r else np.zeros(len(mats))
+    # kernel); 0 for rank 0 and 1 for rank d
+    s = np.where(crossing, 1.0, sine)
+    bound = (1.0 / s).max(axis=1) if r else np.zeros(len(mats))
 
     here, ahead = slice(None, -1), slice(1, None)
     im_steps = im[:, ahead].swapaxes(-1, -2) @ (mats @ im[:, here])
@@ -477,13 +593,13 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
             # the free complement from the anchor: the plus kernel forward
             # through A(n), the minus image's complement backward through A(n)^T
             a = steps[rows]
-            free = np.empty((len(rows), length + 1, d, d - r))
-            free_logs = np.empty((len(rows), length, d - r))
-            free[:, 0] = np.where(plus[:, None, None], basis[:, 0, :, r:], basis[:, -1, :, r:])
+            seed = np.where(plus[:, None, None], basis[:, 0, :, r:], basis[:, -1, :, r:])
             if r < d:
                 moves = np.where(plus[:, None, None, None], a, a[:, ::-1].swapaxes(-1, -2))
-                for i in range(length):
-                    free[:, i + 1], free_logs[:, i] = _qr_step(moves[:, i] @ free[:, i])
+                free, free_logs = _advance(moves, seed)
+            else:
+                free = np.empty((len(rows), length + 1, d, 0))
+                free_logs = np.empty((len(rows), length, 0))
             free[~plus], free_logs[~plus] = free[~plus, ::-1], free_logs[~plus, ::-1]
             free_lost = _lost_rank(free_logs, ~plus)
             im, ker = basis[..., :r], basis[..., r:]
@@ -630,6 +746,9 @@ def build_projector_family(
     fixed orthogonal at the anchor and marched away from it: the plus
     kernel forward through A(n), the complement of the minus image
     backward through A(n)^T, since {x : A x in V}^perp = A^T V^perp.
+    The sweep and the march are the same QR recurrence, run in blocks
+    of 4 steps and redone one step at a time for a sample whose block
+    products lost accuracy (`_advance`).
     Frame transversality, kernel regularity and frame transport are
     validated before returning, and they bound the invariance and
     idempotency of the projectors (`_assemble_batch`).  This is
@@ -677,30 +796,48 @@ def _fit_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((y - y.mean(axis=1, keepdims=True)) * dx).sum(axis=1) / (dx * dx).sum()
 
 
-def _chain_points(steps_stack: np.ndarray, anchors: list[int], points: list[tuple[int, int]]):
+def _chain_points(steps_stack: np.ndarray, points: list[tuple[int, int]]):
     """Transition chains at every sample point (anchor a, delta) at once.
 
     `steps_stack` (samples, steps, k, k) holds per-step transition
     matrices; the chain of a point is steps[a+delta-1] @ ... @ steps[a].
-    All anchors advance together through the steps, so the work is one
-    stacked product per step.  Returns (samples, points, k, k).
+    A dyadic table holds the chains of 2^l steps from every start, each
+    level one stacked product of two halves from the level below.  A
+    point whose delta is a power of two reads its entry; any other
+    point (the `_verify_batch` points (0, steps)) multiplies the
+    entries of the binary digits of delta in order.  Returns (samples,
+    points, k, k).
     """
-    n_samples, n_steps, k = steps_stack.shape[0], steps_stack.shape[1], steps_stack.shape[-1]
-    chains = np.broadcast_to(np.eye(k), (n_samples, len(anchors), k, k)).copy()
-    recorded = np.empty((n_samples, len(points), k, k))
-    where = {pt: p for p, pt in enumerate(points)}
-    for t in range(n_steps):
-        live = sum(a <= t for a in anchors)  # anchors are sorted
-        chains[:, :live] = steps_stack[:, t, None] @ chains[:, :live]
-        slots = [
-            (i, where[a, t - a + 1])
-            for i, a in enumerate(anchors[:live])
-            if (a, t - a + 1) in where
-        ]
-        if slots:
-            src, dst = zip(*slots)
-            recorded[:, list(dst)] = chains[:, list(src)]
-    return recorded
+    longest = max(delta for _, delta in points)
+    table = [steps_stack]
+    while 2 ** len(table) <= longest:
+        span, half = 2 ** (len(table) - 1), table[-1]
+        table.append(half[:, span:] @ half[:, : half.shape[1] - span])
+    chains = []
+    for a, delta in points:
+        level = delta.bit_length() - 1
+        chain, at = table[level][:, a], a + 2**level
+        for level in range(level - 1, -1, -1):
+            if delta >> level & 1:
+                chain, at = table[level][:, at] @ chain, at + 2**level
+        chains.append(chain)
+    return np.stack(chains, axis=1)
+
+
+def _fit_points(steps: int) -> list[tuple[int, int]]:
+    """The (anchor, delta) points a fit samples on a family of `steps` steps.
+
+    Up to `MAX_ANCHORS` anchors spread over the window, each with the
+    powers of two that fit in it, and (0, steps); in anchor-major,
+    delta-minor order, the order of the checks.
+    """
+    anchors = sorted(set(np.linspace(0, steps - 1, min(MAX_ANCHORS, steps), dtype=int).tolist()))
+    return [
+        (a, delta)
+        for a in anchors
+        for delta in range(1, steps - a + 1)
+        if delta & (delta - 1) == 0 or delta == steps
+    ]
 
 
 def _chain_sizes(chains: np.ndarray, largest: bool) -> np.ndarray:
@@ -721,6 +858,8 @@ def _verify_batch(fams: list) -> list:
     """`verify_ed` fits for families of equal window length, rank and dimension.
 
     Returns, per family, (k_const, alpha, checked_pairs) or its error.
+    The chains at the `_fit_points` come from a doubling table
+    (`_chain_points`), one stacked product per doubling.
     K is the maximum over the sampled pairs, so every pair meets the
     constants by construction.  The backward bound needs no check of
     its own: the chains from offset 0 cover steps 1, 2, 4, ..., and on
@@ -734,15 +873,7 @@ def _verify_batch(fams: list) -> list:
     d = fams[0].dim
     r = fams[0].rank
     n = len(fams)
-    anchors = sorted(set(np.linspace(0, steps - 1, min(MAX_ANCHORS, steps), dtype=int).tolist()))
-    deltas = set()
-    delta = 1
-    while delta <= steps:
-        deltas.add(delta)
-        delta *= 2
-    deltas.add(steps)
-    # sample points in anchor-major, delta-minor order: the order of the checks
-    points = [(a, dl) for a in anchors for dl in range(1, steps - a + 1) if dl in deltas]
+    points = _fit_points(steps)
     offsets = [a for a, _ in points]
     x = np.array([dl for _, dl in points], dtype=float)
     im_steps = np.stack([f.image_steps for f in fams])
@@ -750,11 +881,11 @@ def _verify_batch(fams: list) -> list:
 
     fits = []  # (is_stable, log sizes (n, points), slope)
     if r > 0:
-        smax = _chain_sizes(_chain_points(im_steps, anchors, points), largest=True)
+        smax = _chain_sizes(_chain_points(im_steps, points), largest=True)
         y_s = np.log(np.maximum(smax, 1e-300))
         fits.append((True, y_s, _fit_slopes(x, y_s)))
     if d - r > 0:
-        smin = _chain_sizes(_chain_points(ker_steps, anchors, points), largest=False)
+        smin = _chain_sizes(_chain_points(ker_steps, points), largest=False)
         y_u = np.log(np.maximum(smin, 1e-300))
         fits.append((False, y_u, -_fit_slopes(x, y_u)))
     log_alpha = np.max([part for _, _, part in fits], axis=0)

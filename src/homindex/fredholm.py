@@ -65,6 +65,7 @@ from .dichotomy import (
     EDWitness,
     ProjectorFamily,
     _intersection_dimensions,
+    _projectors_at,
     verify_families,
     whole_line_families,
 )
@@ -635,8 +636,8 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus, gap
         return [fresh(exc) for _ in lams]
     rows = [i for i, failed in enumerate(outcomes) if failed is None]
     if rows:
-        first = np.stack([minus[i].projector(lo) for i in rows])
-        last = np.eye(field.dim) - np.stack([plus[i].projector(hi) for i in rows])
+        first = _projectors_at([minus[i] for i in rows], lo)
+        last = np.eye(field.dim) - _projectors_at([plus[i] for i in rows], hi)
         for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last, gap_ratio)):
             outcomes[i] = spectrum
     return outcomes

@@ -3,11 +3,13 @@
 Most oracles here are deliberately small re-derivations (plain
 eigendecomposition, dense propagator products, a Green's-function
 evaluator and its convolution, a full SVD of the densely assembled
-boundary-conditioned truncation, the distance of a spectrum to 1, and
+boundary-conditioned truncation, the distance of a spectrum to 1,
 `march_image` and `march_kernel`, the per-step frame marches that
-`dichotomy` ran before it read its canonical frames off the rate sweep)
-so that library results can be checked against an implementation that
-shares no code with them.
+`dichotomy` ran before it read its canonical frames off the rate sweep,
+and `qr_recurrence` and `per_step_sweep`, the one-step-at-a-time QR
+recurrence it ran before it stepped in blocks) so that library results
+can be checked against an implementation that shares no code with them.
+`per_step_sweep` takes its generic start from `dichotomy._generic_seed`.
 
 The rest reuse library code, and say which:
 
@@ -40,6 +42,7 @@ from homindex.dichotomy import (
     ProjectorFamily,
     _assemble_batch,
     _check_window,
+    _generic_seed,
     _raise_or_return,
     build_projector_family,
     verify_ed,
@@ -75,6 +78,8 @@ __all__ = [
     "preimage_frames",
     "march_image",
     "march_kernel",
+    "qr_recurrence",
+    "per_step_sweep",
     "shift_operator_projector",
     "SmallnessReport",
     "perturb_field",
@@ -394,6 +399,43 @@ def march_kernel(a: np.ndarray, seed: np.ndarray) -> np.ndarray:
     for i in range(a.shape[1]):
         ker[:, i + 1] = np.linalg.qr(a[:, i] @ ker[:, i])[0]
     return ker
+
+
+def qr_recurrence(factors: np.ndarray, start: np.ndarray):
+    """Oracle: the QR recurrence Q_{t+1} R_t = F_t Q_t one step at a time, each R_t signed nonnegative.
+
+    `factors` (rows, steps, d, d) in the order applied, `start` (rows, d,
+    p).  Returns the frames (rows, steps + 1, d, p) and the log |R_t,jj|
+    (rows, steps, p), floored at 1e-300: the march `dichotomy` ran
+    before it stepped in blocks.
+    """
+    rows, steps, d = factors.shape[:3]
+    frames = np.empty((rows, steps + 1, d, start.shape[-1]))
+    logs = np.empty((rows, steps, start.shape[-1]))
+    frames[:, 0] = start
+    for t in range(steps):
+        q, r = np.linalg.qr(factors[:, t] @ frames[:, t])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        frames[:, t + 1] = q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+        logs[:, t] = np.log(np.maximum(np.abs(diag), 1e-300))
+    return frames, logs
+
+
+def per_step_sweep(factors: np.ndarray, horizon: int):
+    """Oracle: `dichotomy._sweep` one step at a time, with a running total of the rates.
+
+    Returns the frames after each of the last steps - horizon + 1 steps,
+    the log |R_jj| of the steps between them and the rates, the means of
+    the log |R_jj| past the first horizon/2 steps and short of the last
+    horizon/2, over horizon/2 steps at least.
+    """
+    rows, steps, d = factors.shape[:3]
+    frames, logs = qr_recurrence(factors, np.broadcast_to(_generic_seed(d), (rows, d, d)))
+    averaged = range(horizon // 2, max(horizon, steps - horizon // 2))
+    total = np.zeros((rows, d))
+    for t in averaged:
+        total += logs[:, t]
+    return frames[:, horizon:], logs[:, horizon:], total / len(averaged)
 
 
 def _family_from_projectors(

@@ -27,6 +27,7 @@ from homindex.field import (
     tabulated_field,
     trivial_bundle,
 )
+from homindex.dichotomy import _generic_seed
 from homindex.bundle import (
     KOClassDesk,
     bundle_csv_rows,
@@ -205,8 +206,30 @@ def test_bundle_from_projectors_names_the_first_bad_projector():
     assert message(projs) == "projector 2 is not square of matching size: shape (3, 3)"
 
 
+def one_at_a_time_gauge(projs, r):
+    """Frames of the projectors' images from one SVD each, gauged one sample at a time.
+
+    Sample 0's gauge is the polar factor of U0^T E, E the first r columns
+    of the sweep's generic seed, and each later gauge the polar factor
+    of U_i^T U_{i-1} times the gauge before it.
+    """
+    frames, previous, gauge = [], None, None
+    for p in projs:
+        u = np.linalg.svd(p)[0][:, :r]
+        if previous is None:
+            w, _, vt = np.linalg.svd(u.T @ _generic_seed(len(p))[:, :r])
+            gauge = w @ vt
+        else:
+            w, _, vt = np.linalg.svd(u.T @ previous)
+            gauge = (w @ vt) @ gauge
+        previous = u
+        frames.append(u @ gauge)
+    return frames
+
+
 def test_bundle_from_projectors_splits_each_sample_as_its_own_svd():
-    # the stacked SVD gives every sample the bits of an SVD of its own
+    # the stacked SVD and gauge give every sample the bits of an SVD and a
+    # gauge step of its own
     loop = ParameterLoop.circle(8)
     rng = np.random.default_rng(7)
     base = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
@@ -217,11 +240,9 @@ def test_bundle_from_projectors_splits_each_sample_as_its_own_svd():
     complements = [np.eye(3) - p for p in projs]
     image = bundle_from_projectors(loop, projs)
     kernel = bundle_from_projectors(loop, complements)
-    for i, (p, q) in enumerate(zip(projs, complements)):
-        u = np.linalg.svd(p)[0]
-        assert image.fibre(i).tobytes() == np.ascontiguousarray(u[:, :2]).tobytes()
-        u = np.linalg.svd(q)[0]
-        assert kernel.fibre(i).tobytes() == np.ascontiguousarray(u[:, :1]).tobytes()
+    for bundle, mats, r in ((image, projs, 2), (kernel, complements, 1)):
+        for i, frame in enumerate(one_at_a_time_gauge(mats, r)):
+            assert bundle.fibre(i).tobytes() == np.ascontiguousarray(frame).tobytes()
 
 
 def test_bundle_from_projectors_rank_zero_kernel():
