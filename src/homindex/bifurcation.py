@@ -43,7 +43,7 @@ from .errors import (
     SamplingError,
     fresh,
 )
-from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _read_all
+from .field import _WIDE_WINDOW, DiscreteVectorField, ParameterLoop, _raised, _read_all, _validate
 from .fredholm import (
     DECAY_TOL,
     FiniteWindowSequence,
@@ -112,40 +112,6 @@ def _time_probes(window, extra=()) -> list[int]:
     return sorted(probes)
 
 
-def _call_stack(fn, label: str, lams: np.ndarray, times: np.ndarray, states: np.ndarray, shape):
-    """`fn(lams, times, states)` as a float stack of shape (S, T, *shape), validated once.
-
-    A wrong shape is reported at the first sample and time, a non-finite
-    entry at its own (sample, time), samples first.  A call that raises
-    is narrowed to its first failing entry, samples first, which names
-    the (lam, n) of the error; this is the only place a stack is
-    evaluated entry by entry.
-    """
-    try:
-        out = np.asarray(fn(lams, times, states), dtype=float)
-    except Exception as exc:
-        lam, n, x, cause = lams[0], times[0], states[0, 0], exc
-        for s, i in itertools.product(range(len(lams)), range(len(times))):
-            try:
-                fn(lams[s : s + 1], times[i : i + 1], states[s : s + 1, i : i + 1])
-            except Exception as entry_exc:
-                lam, n, x, cause = lams[s], times[i], states[s, i], entry_exc
-                break
-        raise InputError(
-            f"{label} failure at (lam={lam}, n={n}, |x|={float(np.abs(x).max()):.3e}): {cause}"
-        ) from cause
-    size = (len(lams), len(times))
-    if out.shape != size + shape:
-        entry_shape = out.shape[2:] if out.shape[:2] == size else out.shape
-        raise InputError(
-            f"{label} returned shape {entry_shape} at (lam={lams[0]}, n={times[0]})"
-        )
-    if not np.isfinite(out).all():
-        s, i = np.argwhere(~np.isfinite(out.reshape(size + (-1,))).all(axis=2))[0]
-        raise NumericError(f"{label} returned non-finite values at (lam={lams[s]}, n={times[i]})")
-    return out
-
-
 @dataclass(frozen=True)
 class NonlinearField:
     """Parametrized nonlinear difference system with a trivial branch.
@@ -161,15 +127,16 @@ class NonlinearField:
     consumer makes one call per stack: the probes at construction and
     in `certify` stack every sample they need, and Gauss-Newton stacks
     every run of its lockstep batch, each with its own sample (samples
-    may repeat).
-    Each returned stack is validated once (shape, then finiteness);
-    errors name the (lam, n) of the first bad entry, samples first.
-    The trivial branch f(lam, n, 0) = 0 is validated at construction,
-    for every sample on a probe grid, with one `value` call.  `r0` is
-    the radius of the state ball on which the model is trusted;
-    `refiner(k)`, when given, returns the same system sampled on a
-    k-fold refined parameter loop.  The system keeps no values, and
-    `linearize_at_zero` builds a new linearization on every call.
+    may repeat).  `value` and the derivative reads validate each
+    returned stack once, with `field._validate`, the validator of every
+    field read; a read raises the first error, samples first, named at
+    the (lam, n) of its first bad entry.  The trivial branch
+    f(lam, n, 0) = 0 is validated at construction, for every sample on
+    a probe grid, with one `value` call.  `r0` is the radius of the
+    state ball on which the model is trusted; `refiner(k)`, when given,
+    returns the same system sampled on a k-fold refined parameter loop.
+    The system keeps no values, and `linearize_at_zero` builds a new
+    linearization on every call.
     """
 
     dim: int
@@ -200,32 +167,17 @@ class NonlinearField:
     def n_params(self) -> int:
         return len(self.loop) if self.loop is not None else 1
 
-    def _check(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> None:
-        if lams.ndim != 1 or times.ndim != 1:
-            raise InputError("samples and times must each form a 1-D array of indices")
-        for n in (int(times.min()), int(times.max())):
-            if not (self.window[0] <= n <= self.window[1]):
-                raise InputError(f"time {n} outside the evaluable window {self.window}")
-        outside = lams[(lams < 0) | (lams >= self.n_params)]
-        if outside.size:
-            raise InputError(f"parameter index {outside[0]} outside range({self.n_params})")
-        size = (len(lams), len(times), self.dim)
-        if states.shape != size:
-            raise InputError(f"states must form a {size} stack, got shape {states.shape}")
-
     def value(self, lams, times, states) -> np.ndarray:
         """The (S, T, dim) stack f(lams[s], times[i], states[s, i]), validated once.
 
         A scalar sample and time with one state vector give that single
         (dim,) value, through the same stacked call.
         """
-        lams = np.asarray(lams, dtype=np.int64)
-        times = np.asarray(times, dtype=np.int64)
-        states = np.asarray(states, dtype=float)
-        if times.ndim == 0:
-            return self.value(lams.reshape(1), times.reshape(1), states.reshape(1, 1, -1))[0, 0]
-        self._check(lams, times, states)
-        return _call_stack(self.evaluator, "evaluator", lams, times, states, (self.dim,))
+        if np.ndim(times) == 0:
+            one = np.reshape(lams, 1), np.reshape(times, 1), np.reshape(states, (1, 1, -1))
+            return self.value(*one)[0, 0]
+        stack = _validate(self.evaluator, "evaluator", self, lams, times, (self.dim,), states)
+        return _raised(*stack)
 
 
 def _fd_derivative(f: NonlinearField, lams, times, states) -> np.ndarray:
@@ -244,12 +196,8 @@ def _fd_derivative(f: NonlinearField, lams, times, states) -> np.ndarray:
 
 
 def _derivatives(f: NonlinearField, lams, times, states):
-    """Fibre derivatives (S, T, dim, dim) at (times[i], states[s, i]), validated once."""
-    lams = np.asarray(lams, dtype=np.int64)
-    times = np.asarray(times, dtype=np.int64)
-    states = np.asarray(states, dtype=float)
-    f._check(lams, times, states)
-    return _call_stack(f.derivative, "derivative", lams, times, states, (f.dim, f.dim))
+    """Fibre derivatives (S, T, dim, dim) at (times[i], states[s, i]), validated like `value`."""
+    return _raised(*_validate(f.derivative, "derivative", f, lams, times, (f.dim, f.dim), states))
 
 
 def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
@@ -259,14 +207,14 @@ def linearize_at_zero(f: NonlinearField) -> DiscreteVectorField:
     exactly.  The full derivative is kept, including any decaying
     nonautonomous part that does not vanish at zero.  Each call returns
     a new field, which evaluates every read afresh like any field.  Its
-    evaluator holds the system's derivative, not the system, so a
-    dropped system is freed by reference counting.
+    evaluator calls the system's derivative raw: the field's own read
+    validates the stack, once.  It holds the derivative, not the
+    system, so a dropped system is freed by reference counting.
     """
     dim, derivative = f.dim, f.derivative
 
     def evaluate(lams: np.ndarray, times: np.ndarray) -> np.ndarray:
-        zero = np.zeros((len(lams), len(times), dim))
-        return _call_stack(derivative, "derivative", lams, times, zero, (dim, dim))
+        return derivative(lams, times, np.zeros((len(lams), len(times), dim)))
 
     return DiscreteVectorField(
         dim=f.dim,
@@ -287,14 +235,15 @@ class PerturbedSystemSpec:
     `residual_derivative(lams, times, states)` take the Nemitski form of
     `NonlinearField.evaluator`: an (S, T, dim) stack of states of S
     samples at T times, returning (S, T, dim) and (S, T, dim, dim)
-    stacks, each validated once with errors naming (lam, n).  The spec
-    itself checks nothing: `to_nonlinear` builds a `NonlinearField`,
-    whose construction checks `r0` and probes the trivial branch for
-    every sample, and A 0 = 0 makes that probe one of R.  Nothing asks
-    D_x R(lam, n, 0) to vanish as |n| grows: the half-line dichotomies
-    of the linearization stand in for asymptotic hyperbolicity.
-    `to_nonlinear` reads A from the linear part, all samples of a stack
-    in one read.
+    stacks.  The spec itself checks nothing: `to_nonlinear` builds a
+    `NonlinearField`, whose construction checks `r0` and probes the
+    trivial branch for every sample, and A 0 = 0 makes that probe one
+    of R.  Nothing asks D_x R(lam, n, 0) to vanish as |n| grows: the
+    half-line dichotomies of the linearization stand in for asymptotic
+    hyperbolicity.  The system's reads (`value`, its derivatives and
+    its linearization's) validate A x + R and A + D_x R once, with
+    errors naming (lam, n); A itself is validated by its own read of
+    the linear part, all samples of a stack in one read.
     """
 
     a_field: DiscreteVectorField
@@ -302,30 +251,33 @@ class PerturbedSystemSpec:
     residual_derivative: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     r0: float = 1.0
 
-    def _residual(self, lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return _call_stack(self.residual, "residual", lams, times, states, (self.a_field.dim,))
-
     def to_nonlinear(
         self, refiner: Callable[[int], NonlinearField] | None = None
     ) -> NonlinearField:
         """Assemble the full nonlinear field x -> A x + R(., x).
 
         A is read from the linear part, one read per call for all its
-        samples; `refiner` becomes the field's refiner hook.  Raises
-        `InputError` when `r0` is not positive or R does not vanish on
-        the zero branch.
+        samples; R and D_x R are called raw, and a remainder whose shape
+        differs from A's term is refused rather than broadcast.
+        `refiner` becomes the field's refiner hook.  Raises `InputError`
+        when `r0` is not positive or R does not vanish on the zero branch.
         """
-        a_field, d = self.a_field, self.a_field.dim
+        a_field, residual, d_residual = self.a_field, self.residual, self.residual_derivative
+
+        def plus(linear: np.ndarray, remainder, name: str) -> np.ndarray:
+            # numpy would broadcast a remainder of a smaller shape unseen
+            remainder = np.asarray(remainder, dtype=float)
+            if remainder.shape != linear.shape:
+                raise ValueError(f"{name} returned shape {remainder.shape}, not {linear.shape}")
+            return linear + remainder
 
         def evaluate(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
             linear = (_read_all(a_field, lams, times) @ states[..., None])[..., 0]
-            return linear + self._residual(lams, times, states)
+            return plus(linear, residual(lams, times, states), "residual")
 
         def derivative(lams: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
             linear = _read_all(a_field, lams, times)
-            return linear + _call_stack(
-                self.residual_derivative, "residual derivative", lams, times, states, (d, d)
-            )
+            return plus(linear, d_residual(lams, times, states), "residual derivative")
 
         return NonlinearField(
             dim=a_field.dim,

@@ -106,6 +106,10 @@ _ANGLE_TOL = 1e-8
 #: cosines between the two thresholds are refused as ambiguous
 _ANGLE_BAND = 1e-4
 
+#: spectrum cut points closer than this, relative to max(1, |cut|), are one:
+#: rates equal up to the sweep's rounding (10 eps measured) give edges that close
+_CUT_TOL = 64 * np.finfo(float).eps
+
 #: fewest family steps on which dichotomy constants are fitted
 MIN_FIT_STEPS = 4
 
@@ -307,7 +311,7 @@ def _projectors(im: np.ndarray, ker: np.ndarray) -> np.ndarray:
 def _projectors_at(families: list, n: int) -> np.ndarray:
     """Projectors (len(families), d, d) of the families at time `n`: one `_projectors` call per rank.
 
-    Each row has the bits of its family's `projector(n)`.
+    Each row has the bits of `_projectors` on its family's frames at `n` alone.
     """
     by_rank: dict[int, list[int]] = {}
     for i, fam in enumerate(families):
@@ -329,7 +333,7 @@ class ProjectorFamily:
 
     `image_frames[i]` and `kernel_frames[i]` hold orthonormal bases of
     the image and kernel of the projector at time `times[i]`, which
-    `projector` forms from them, and the step matrices satisfy
+    `_projectors` forms from them, and the step matrices satisfy
     ``A(times[i]) @ image_frames[i] = image_frames[i+1] @ image_steps[i]``
     (same for the kernel).  `bound` is the largest operator norm of a
     projector in the family.  A family can serve several readers (a
@@ -364,10 +368,6 @@ class ProjectorFamily:
         if not (0 <= i < len(self.times)):
             raise InputError(f"time {n} outside the family window [{self.times[0]}, {self.times[-1]}]")
         return i
-
-    def projector(self, n: int) -> np.ndarray:
-        i = self.index_of(n)
-        return _projectors(self.image_frames[i], self.kernel_frames[i])
 
 
 def _first_true(bad: np.ndarray):
@@ -1000,9 +1000,6 @@ class SpectrumResult:
     rates: tuple
     at_one: str
 
-    def contains(self, gamma: float) -> bool:
-        return any(lo <= gamma <= hi for lo, hi in self.intervals)
-
     @property
     def admits_ed(self) -> bool:
         """Whether the unscaled field admits a dichotomy (its verdict at gamma = 1)."""
@@ -1064,12 +1061,16 @@ def _spectrum(gammas, *sample) -> SpectrumResult:
     or within `zero_margin` of it, so it is constant between the edges
     rate +- zero_margin.  Every edge bounds the failing cell around its
     rate, so the failing cells' closures are the spectral intervals.
+    Edges within `_CUT_TOL` of each other are one cut, at the smallest,
+    so equal rates leave no empty cell whose count moves with rounding.
     """
     _, rates_p, _, rates_m, _, zero_margin, _ = sample
     logs = np.log(gammas)
     l_min, l_max = float(logs[0]), float(logs[-1])
     rates = np.concatenate([rates_p, rates_m])
-    edges = set(np.concatenate([rates - zero_margin, rates + zero_margin]).tolist())
+    edges = np.sort(np.concatenate([rates - zero_margin, rates + zero_margin]))
+    apart = np.diff(edges, prepend=-np.inf) > _CUT_TOL * np.maximum(1.0, np.abs(edges))
+    edges = set(edges[apart].tolist())
     cuts = [l_min] + sorted(e for e in edges if l_min < e < l_max) + [l_max]
     cells = [_verdict(0.5 * (a + b), *sample) for a, b in zip(cuts[:-1], cuts[1:])]
 

@@ -15,18 +15,20 @@ the leading axis.
 
 A field keeps no matrices: every read (`matrix` for one entry,
 `matrices` for a time range, and `stack` for many samples at any
-times, in any order and with repeats) evaluates on the spot.  It makes
-one evaluator call per read, at the read's distinct times and with
-every sample of the read without an error (a call that raises is
-repeated per sample).  It validates the read's stack (shape,
-finiteness) once: a sample with a bad entry gets a `NumericError`
-naming its first one, (lam=..., n=...), in the order it asked for
-them, and a failing sample never spoils the others' rows.  Memory
-grows with the entries read, not with the span between them, so a
-probe at a far window edge costs one entry.  The costly objects are
-the projector families, not the matrices: the dichotomy and Fredholm
-layers cache nothing on a field, and a caller that needs projector
-families again keeps the ones it was handed.
+times, in any order and with repeats) evaluates on the spot, with one
+evaluator call at the read's distinct times.  Memory grows with the
+entries read, not with the span between them, so a probe at a far
+window edge costs one entry.  The costly objects are the projector
+families, not the matrices: the dichotomy and Fredholm layers cache
+nothing on a field, and a caller that needs projector families again
+keeps the ones it was handed.
+
+Every stacked read, of a field here or of a nonlinear system in
+`bifurcation`, is validated once, by `_validate`, which states the
+rules: each failing sample gets its own error, named at its first bad
+(lam=..., n=...), and spares the others.  A system composed of other
+evaluators calls them raw, so only its outer read validates; a field
+it reads is validated by that field's own read.
 """
 
 from __future__ import annotations
@@ -122,15 +124,10 @@ class DiscreteVectorField:
     1-D integer array of T distinct increasing times inside `window`,
     not necessarily consecutive, and returns the (S, T, d, d) stack of
     the matrices at those samples and times.  Every read calls it
-    afresh (see the module docstring), once, with every sample of the
-    read that has no error and every distinct time it asks for, and
-    validates the read's stack once: a stack of the wrong shape fails
-    every entry of its read, and a non-finite matrix its own entry,
-    each with a `NumericError` naming (lam, n).  A call that raises is
-    repeated sample by sample, so a failing sample spares the others.
-    A read that meets failed entries raises the error of the first
-    one, samples first, then in the order of the requested times;
-    `stack` returns each sample's error instead.
+    afresh and `_validate` checks the stack once (see the module
+    docstring).  A read that meets failed entries raises the error of
+    the first one, samples first, then in the order of the requested
+    times; `stack` returns each sample's error instead.
     """
 
     dim: int
@@ -157,63 +154,17 @@ class DiscreteVectorField:
         of a failed sample are zero.  Each distinct sample and time is
         evaluated once.  Raises only for times outside the window.
         """
-        times = np.asarray(times, dtype=np.int64).reshape(-1)
-        if times.size == 0:
-            raise InputError("no times requested")
-        for n in (int(times.min()), int(times.max())):
-            if not (self.window[0] <= n <= self.window[1]):
-                raise InputError(f"time {n} outside the evaluable window {self.window}")
         row_of = {}  # each distinct sample's row, in request order
         back = np.array([row_of.setdefault(int(lam), len(row_of)) for lam in lams], np.int64)
-        lams = list(row_of)
-        errors = [
-            None
-            if 0 <= lam < self.n_params
-            else InputError(f"parameter index {lam} outside range({self.n_params})")
-            for lam in lams
-        ]
+        times = np.asarray(times, dtype=np.int64).reshape(-1)
         distinct, order = np.unique(times, return_inverse=True)
-        out = np.zeros((len(lams), len(distinct), self.dim, self.dim))
-        shapes = {}  # sample -> the wrong shape its call returned
-        live = [s for s, error in enumerate(errors) if error is None]
-        for rows, a in self._evaluate(lams, live, distinct, errors):
-            size = (len(rows), len(distinct))
-            if a.shape == size + (self.dim, self.dim):
-                out[rows] = a
-            else:
-                out[rows] = np.nan
-                shapes.update((s, a.shape[2:] if a.shape[:2] == size else a.shape) for s in rows)
-        out = out[:, order]
-        bad = ~np.isfinite(out).all(axis=(2, 3))
-        for s in np.flatnonzero(bad.any(axis=1)).tolist():
-            i = int(np.argmax(bad[s]))
-            what = f"shape {shapes[s]}" if s in shapes else "non-finite entries"
-            errors[s] = NumericError(f"evaluator returned {what} at (lam={lams[s]}, n={times[i]})")
-            out[s] = 0.0
+        out, errors = _validate(
+            self.evaluator, "evaluator", self, list(row_of), distinct, (self.dim, self.dim),
+            order=order,
+        )
         out = out[back]
         out.setflags(write=False)
         return out, [errors[s] for s in back]
-
-    def _evaluate(self, lams: list[int], rows: list[int], times: np.ndarray, errors: list) -> list:
-        """(rows, stack) pairs of the samples `rows` at the distinct increasing `times`.
-
-        One evaluator call carries every row.  A call that raises is
-        repeated per row, so one sample's failure spares the others; a
-        row whose own call raises a `HomindexError` keeps it in
-        `errors`, and any other exception propagates.
-        """
-        if not rows:
-            return []
-        try:
-            a = self.evaluator(np.array([lams[s] for s in rows]), times)
-            return [(rows, np.asarray(a, dtype=float))]
-        except Exception as exc:
-            if len(rows) > 1:
-                return [pair for s in rows for pair in self._evaluate(lams, [s], times, errors)]
-            if not isinstance(exc, HomindexError):
-                raise
-            errors[rows[0]] = fresh(exc)
-            return []
 
     def matrix(self, lam: int, n: int) -> np.ndarray:
         return _read_all(self, [lam], [n])[0, 0]
@@ -229,13 +180,99 @@ class DiscreteVectorField:
         return _read_all(self, [lam], np.arange(int(lo), int(hi) + 1))[0]
 
 
-def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
-    """`field.stack`, raising the first sample's error."""
-    mats, errors = field.stack(lams, times)
+def _validate(fn, label: str, field, lams, times, shape: tuple, states=None, order=None):
+    """The (S, T, *shape) stack of `fn` over rows `lams` at `times`, and each row's error.
+
+    The one validator of every stacked read: `fn(lams, times)` is a
+    field's evaluator, `fn(lams, times, states)` a nonlinear system's,
+    with an (S, T, dim) stack of `states`; `field` gives the window, the
+    sample range and dim.  Times that are not a nonempty 1-D array
+    inside the window, and states of the wrong shape, raise an
+    `InputError` for the whole read.  Otherwise each row gets None or
+    its error:
+
+    - a sample outside the range, an `InputError`;
+    - the live rows go through one call, repeated row by row when it
+      raises, so a failing row spares the others: a `HomindexError`
+      that a row raises alone is kept, and any other exception becomes
+      an `InputError` naming the row's first failing (lam, n);
+    - a stack of the wrong shape, an `InputError` for each of its rows;
+    - a non-finite entry, a `NumericError` naming its (lam, n).
+
+    The returned time axis, and the order in which entries are named,
+    is `times[order]` (`times` when `order` is None); a failed row is zero.
+    """
+    lams, times = np.asarray(lams, dtype=np.int64), np.asarray(times, dtype=np.int64)
+    if lams.ndim != 1 or times.ndim != 1:
+        raise InputError("samples and times must each form a 1-D array of indices")
+    if times.size == 0:
+        raise InputError("no times requested")
+    for n in (int(times.min()), int(times.max())):
+        if not (field.window[0] <= n <= field.window[1]):
+            raise InputError(f"time {n} outside the evaluable window {field.window}")
+    size = (len(lams), len(times))
+    args = () if states is None else (np.asarray(states, dtype=float),)
+    if args and args[0].shape != size + (field.dim,):
+        expected = size + (field.dim,)
+        raise InputError(f"states must form a {expected} stack, got shape {args[0].shape}")
+    named = times if order is None else times[order]  # the requested times, in order
+    n_params, errors = field.n_params, [None] * len(lams)
+    outside = [s for s, lam in enumerate(lams.tolist()) if not 0 <= lam < n_params]
+    for s in outside:
+        errors[s] = InputError(f"parameter index {lams[s]} outside range({n_params})")
+
+    def call(rows):
+        """(rows, stack) pairs of the live `rows`: one call, repeated per row when it raises."""
+        try:
+            return [(rows, np.asarray(fn(lams[rows], times, *(a[rows] for a in args)), float))]
+        except Exception as exc:
+            if len(rows) > 1:
+                return [pair for k in range(len(rows)) for pair in call(rows[k : k + 1])]
+            s = int(rows[0])
+            if isinstance(exc, HomindexError):
+                errors[s] = fresh(exc)
+                return []
+            n = named[0]
+            for i in dict.fromkeys(range(len(times)) if order is None else order.tolist()):
+                try:
+                    fn(lams[s : s + 1], times[i : i + 1], *(a[s : s + 1, i : i + 1] for a in args))
+                except Exception as entry_exc:  # the row's first failing time
+                    n, exc = times[i], entry_exc
+                    break
+            errors[s] = InputError(f"{label} failure at (lam={lams[s]}, n={n}): {exc}")
+            return []
+
+    out = np.zeros(size + shape)
+    live = np.flatnonzero([error is None for error in errors]) if outside else np.arange(len(lams))
+    for rows, a in call(live) if live.size else ():
+        if a.shape == (len(rows), len(times)) + shape:
+            out[rows] = a
+            continue
+        got = a.shape[2:] if a.shape[:2] == (len(rows), len(times)) else a.shape
+        for s in rows.tolist():
+            errors[s] = InputError(f"{label} returned shape {got} at (lam={lams[s]}, n={named[0]})")
+    if order is not None:
+        out = out[:, order]
+    if not np.isfinite(out).all():  # a cheap pass first: locating bad entries costs more
+        bad = ~np.isfinite(out).all(axis=tuple(range(2, out.ndim)))
+        for s in np.flatnonzero(bad.any(axis=1)).tolist():
+            at = f"(lam={lams[s]}, n={named[int(np.argmax(bad[s]))]})"
+            errors[s] = NumericError(f"{label} returned non-finite entries at {at}")
+            out[s] = 0.0
+    return out, errors
+
+
+def _raised(out, errors):
+    """`out`, or the first of `errors` raised, samples first."""
     failed = next((e for e in errors if e is not None), None)
     if failed is not None:
         raise fresh(failed)
-    return mats
+    return out
+
+
+def _read_all(field: DiscreteVectorField, lams, times) -> np.ndarray:
+    """`field.stack`, raising the first sample's error."""
+    return _raised(*field.stack(lams, times))
 
 
 @dataclass(frozen=True)

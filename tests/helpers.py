@@ -13,6 +13,8 @@ can be checked against an implementation that shares no code with them.
 
 The rest reuse library code, and say which:
 
+- `projector_at` forms a family's projector at one time from its
+  frames with the library's `dichotomy._projectors`;
 - `shift_operator_projector` reads its projectors off the contour route
   of `matrixcore` (a test module), but validates and packages their
   frames with the library's `dichotomy._assemble_batch`, so the frame
@@ -43,6 +45,7 @@ from homindex.dichotomy import (
     _assemble_batch,
     _check_window,
     _generic_seed,
+    _projectors,
     _raise_or_return,
     build_projector_family,
     verify_ed,
@@ -75,6 +78,8 @@ __all__ = [
     "truncated_null_space",
     "span_gap",
     "distance_to_one",
+    "in_spectrum",
+    "projector_at",
     "preimage_frames",
     "march_image",
     "march_kernel",
@@ -223,6 +228,12 @@ def green_kernel(fam):
     return g
 
 
+def projector_at(fam: ProjectorFamily, n: int) -> np.ndarray:
+    """The projector of `fam` at time `n`, formed from its frames by `dichotomy._projectors`."""
+    i = fam.index_of(n)
+    return _projectors(fam.image_frames[i], fam.kernel_frames[i])
+
+
 def value_at(seq, n: int) -> np.ndarray:
     """The vector of a `FiniteWindowSequence` at time `n`, which must lie in its window."""
     lo, hi = seq.window
@@ -255,8 +266,8 @@ def boundary_conditioned(field, lam, window, fam_plus, fam_minus) -> np.ndarray:
     for i, n in enumerate(range(lo, hi)):
         stacked[i * d : (i + 1) * d, i * d : (i + 1) * d] = -field.matrix(lam, n)
         stacked[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = np.eye(d)
-    stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
-    stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
+    stacked[(w - 1) * d : w * d, :d] = projector_at(fam_minus, lo)
+    stacked[w * d :, (w - 1) * d :] = np.eye(d) - projector_at(fam_plus, hi)
     return stacked
 
 
@@ -346,6 +357,11 @@ def span_gap(f, g) -> float:
         return q @ q.T
 
     return float(np.linalg.norm(orth_proj(f) - orth_proj(g), 2))
+
+
+def in_spectrum(res, gamma: float) -> bool:
+    """Whether `gamma` lies in one of the closed intervals of a `SpectrumResult`."""
+    return any(lo <= gamma <= hi for lo, hi in res.intervals)
 
 
 def distance_to_one(intervals) -> float:

@@ -15,6 +15,7 @@ from helpers import (
     eig_projector,
     half_line_witnesses,
     perturb_field,
+    projector_at,
     random_hyperbolic,
     random_orthogonal,
     rotation,
@@ -146,7 +147,7 @@ def test_criterion_03_ed_certificate_and_inverse_bound_for_the_saddle():
     times = [int(t) for t in fam.times]
     for i in range(len(times) - 1):
         a = f.matrix(0, times[i])
-        residual = a @ fam.projector(times[i]) - fam.projector(times[i + 1]) @ a
+        residual = a @ projector_at(fam, times[i]) - projector_at(fam, times[i + 1]) @ a
         assert np.abs(residual).max() <= 1e-7
 
     # contraction on the image at rate alpha is equivalent to the
@@ -156,7 +157,7 @@ def test_criterion_03_ed_certificate_and_inverse_bound_for_the_saddle():
     for _ in range(50):
         n, k = sorted(rng.integers(0, 31, size=2))
         x = rng.standard_normal(2)
-        y = fam.projector(k) @ x
+        y = projector_at(fam, k) @ x
         if np.linalg.norm(y) < 1e-9:
             continue
         propagator = np.linalg.matrix_power(SADDLE, k - n)
@@ -164,7 +165,7 @@ def test_criterion_03_ed_certificate_and_inverse_bound_for_the_saddle():
         lower = (1.0 / wit.k_const) * (1.0 / wit.alpha) ** (k - n) * np.linalg.norm(y)
         assert np.linalg.norm(z) >= lower * (1.0 - 1e-9)
         # the preimage lies in the image of the projector
-        leak = (np.eye(2) - fam.projector(n)) @ z
+        leak = (np.eye(2) - projector_at(fam, n)) @ z
         assert np.linalg.norm(leak) <= 1e-9 * np.linalg.norm(z)
 
 
@@ -175,7 +176,7 @@ def test_criterion_04_truncated_shift_projector_is_the_constant_saddle_projector
     expected = np.diag([1.0, 0.0])
     assert len(fam.times) == 48  # an eighth is discarded at each end
     for n in fam.times:
-        assert np.abs(fam.projector(n) - expected).max() <= 1e-6
+        assert np.abs(projector_at(fam, n) - expected).max() <= 1e-6
 
 
 def test_criterion_05_green_solutions_invert_the_stencil():
@@ -248,8 +249,8 @@ def test_criterion_06_formula_index_equals_truncated_rank_index():
         for i, n in enumerate(range(lo, hi)):
             stacked[i * d : (i + 1) * d, i * d : (i + 1) * d] = -f.matrix(0, n)
             stacked[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = np.eye(d)
-        stacked[(w - 1) * d : w * d, :d] = fam_minus.projector(lo)
-        stacked[w * d :, (w - 1) * d :] = np.eye(d) - fam_plus.projector(hi)
+        stacked[(w - 1) * d : w * d, :d] = projector_at(fam_minus, lo)
+        stacked[w * d :, (w - 1) * d :] = np.eye(d) - projector_at(fam_plus, hi)
         svals = np.linalg.svd(stacked, compute_uv=False)
         cut = 1e-8 * svals[0]
         assert not np.any((svals > cut / 10) & (svals < cut * 10)), (

@@ -304,12 +304,13 @@ def test_a_stack_of_the_wrong_shape_fails_each_requested_entry_of_its_read():
         return np.zeros((len(lams), len(times), 3, 3))
 
     field = DiscreteVectorField(dim=2, evaluator=evaluate, window=(-20, 20))
-    with pytest.raises(NumericError, match=r"shape \(3, 3\) at \(lam=0, n=-5\)"):
+    # a malformed shape is an input error (errors.InputError)
+    with pytest.raises(InputError, match=r"shape \(3, 3\) at \(lam=0, n=-5\)"):
         field.matrices(0, -5, 5)
-    with pytest.raises(NumericError, match=r"\(lam=0, n=2\)"):
+    with pytest.raises(InputError, match=r"\(lam=0, n=2\)"):
         field.matrix(0, 2)
     # a read that covers the failed times evaluates them again; the lowest failure is named
-    with pytest.raises(NumericError, match=r"shape \(3, 3\) at \(lam=0, n=-6\)"):
+    with pytest.raises(InputError, match=r"shape \(3, 3\) at \(lam=0, n=-6\)"):
         field.matrices(0, -6, 6)
     # one call per read, each requested time once
     assert calls == [list(range(-5, 6)), [2], list(range(-6, 7))]
@@ -355,9 +356,97 @@ def test_a_call_that_raises_is_retried_per_sample_and_spares_the_others():
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], NumericError) and str(errors[1]) == "sample 3 cannot be evaluated"
     assert not mats[1].any() and np.array_equal(mats[2], np.broadcast_to(SADDLE, (4, 2, 2)))
-    # any other exception propagates
-    with pytest.raises(ValueError, match="a bug in the evaluator"):
-        field.stack([1, 5], [0])
+    # any other exception is the failing sample's InputError, named at its first
+    # failing (lam, n), and spares the others too
+    mats, errors = field.stack([1, 5], [0, 2])
+    assert errors[0] is None and isinstance(errors[1], InputError)
+    assert str(errors[1]) == "evaluator failure at (lam=5, n=0): a bug in the evaluator"
+    assert not mats[1].any() and np.array_equal(mats[0], np.broadcast_to(SADDLE, (2, 2, 2)))
+
+
+def test_a_sample_whose_evaluator_raises_fails_alone_in_a_family_batch():
+    # the batch's read raises, each sample is read alone, and sample 3's read
+    # is narrowed to its first failing time in the plus sweep's order (down
+    # from the far end)
+    def evaluate(lams, times):
+        if 3 in lams.tolist() and np.isin([7, 12], times).any():
+            raise ValueError("no value here")
+        return np.broadcast_to(SADDLE, (len(lams), len(times), 2, 2))
+
+    field = DiscreteVectorField(
+        dim=2, evaluator=evaluate, window=(-100, 100), loop=ParameterLoop.circle(8)
+    )
+    batch = build_projector_families(field, range(8), "plus", 0, 30, horizon=40)
+    assert isinstance(batch[3], InputError)
+    assert str(batch[3]) == "evaluator failure at (lam=3, n=12): no value here"
+    clean = build_projector_families(saddle_loop_field(), range(8), "plus", 0, 30, horizon=40)
+    others = [batch[lam] for lam in range(8) if lam != 3]
+    for fam, one in zip(others, clean[:3] + clean[4:]):
+        assert isinstance(fam, ProjectorFamily)
+        assert fam.image_frames.tobytes() == one.image_frames.tobytes()
+    assert not any(isinstance(w, HomindexError) for w in verify_families(others))
+
+
+def test_a_non_finite_residual_is_named_through_value_and_the_linearization():
+    base = realization_field(
+        mobius_bundle(ParameterLoop.circle(8)), trivial_bundle(ParameterLoop.circle(8), 2, 1)
+    )
+
+    def residual(lams, times, x):
+        # non-finite at (lam 2, n 3) off the trivial branch, which stays exact
+        bad = (lams == 2)[:, None] & (times == 3)[None, :] & np.any(x != 0.0, axis=-1)
+        return np.where(bad[..., None], np.nan, 0.0 * x)
+
+    def residual_derivative(lams, times, x):
+        out = np.zeros(x.shape + (2,))
+        out[(lams == 2)[:, None] & (times == 4)[None, :]] = np.inf
+        return out
+
+    f = PerturbedSystemSpec(base, residual, residual_derivative).to_nonlinear()
+    times = np.arange(0, 6)
+    message = r"^{} returned non-finite entries at \(lam=2, n={}\)$"
+    with pytest.raises(NumericError, match=message.format("evaluator", 3)):
+        f.value([0, 2, 5], times, np.ones((3, 6, 2)))
+    with pytest.raises(NumericError, match=message.format("derivative", 4)):
+        bifurcation._derivatives(f, [0, 2], times, np.zeros((2, 6, 2)))
+    lin = linearize_at_zero(f)
+    mats, errors = lin.stack([0, 2, 5], times)
+    assert errors[0] is None and errors[2] is None
+    assert type(errors[1]) is NumericError
+    assert str(errors[1]) == "evaluator returned non-finite entries at (lam=2, n=4)"
+    assert np.array_equal(mats[[0, 2]], base.stack([0, 5], times)[0])
+    with pytest.raises(NumericError, match=r"\(lam=2, n=4\)"):
+        lin.matrices(2, 0, 5)
+
+
+def test_each_certify_read_is_validated_once_plus_its_linear_part(monkeypatch, tmp_path):
+    # on `certify` of system2-mobius every read of the system or its linearization
+    # is validated by one `_validate` call, inside which the linear part's own read
+    # makes the only other
+    validate, reads, open_reads = field_module._validate, [], []
+
+    def counted(fn, label, owner, *args, **kwargs):
+        read = (type(owner).__name__, label, fn.__qualname__, [])
+        (open_reads[-1][3] if open_reads else reads).append(read)
+        open_reads.append(read)
+        try:
+            return validate(fn, label, owner, *args, **kwargs)
+        finally:
+            open_reads.pop()
+
+    monkeypatch.setattr(field_module, "_validate", counted)
+    monkeypatch.setattr(bifurcation, "_validate", counted)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(builtin_document("system2-mobius")))
+    assert run(["certify", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    linear_part = ("DiscreteVectorField", "evaluator", "realization_field.<locals>.evaluate", [])
+    kinds = {tuple(read[:3]) for read in reads}
+    assert kinds == {
+        ("NonlinearField", "evaluator", "PerturbedSystemSpec.to_nonlinear.<locals>.evaluate"),
+        ("NonlinearField", "derivative", "PerturbedSystemSpec.to_nonlinear.<locals>.derivative"),
+        ("DiscreteVectorField", "evaluator", "linearize_at_zero.<locals>.evaluate"),
+    }
+    assert len(reads) > 10 and all(read[3] == [linear_part] for read in reads), reads
 
 
 def time_stamped_field(window=(-200, 200), bad=()):

@@ -39,6 +39,7 @@ from helpers import (
     assert_scale,
     block_norm_scale,
     boundary_conditioned,
+    projector_at,
     value_at,
 )
 
@@ -232,10 +233,32 @@ def test_derivatives_validate_the_stack_and_name_the_entry():
         out[(times == 1)[None, :] & (np.arange(len(lams)) == 1)[:, None]] = np.nan
         return out
 
-    with pytest.raises(NumericError, match=r"derivative returned non-finite values at \(lam=0, n=1\)"):
+    message = r"derivative returned non-finite entries at \(lam=0, n=1\)"
+    with pytest.raises(NumericError, match=message):
         bifurcation._derivatives(make(non_finite), [0, 0], times, states)
     with pytest.raises(InputError, match="outside the evaluable window"):
         bifurcation._derivatives(make(non_finite), [0], np.arange(-6, 0), np.zeros((1, 6, 2)))
+
+
+def test_a_residual_of_a_smaller_shape_is_refused_not_broadcast():
+    # A x + R and A + D_x R would broadcast an (S, T, 1) R or an (S, T, d) D_x R
+    loop = ParameterLoop.circle(8)
+    a_field = realization_field(mobius_bundle(loop), trivial_bundle(loop, 2, 1))
+    zero = lambda lams, times, x: np.zeros(x.shape)  # noqa: E731
+    narrow = lambda lams, times, x: np.zeros(x.shape[:-1] + (1,))  # noqa: E731
+    with pytest.raises(InputError, match=r"^evaluator failure at \(lam=0, n=-10000\): residual "
+                       r"returned shape \(1, 1, 1\), not \(1, 1, 2\)$"):
+        PerturbedSystemSpec(a_field, narrow, zero).to_nonlinear()
+    f = PerturbedSystemSpec(a_field, zero, zero).to_nonlinear()
+    with pytest.raises(InputError, match=r"^derivative failure at \(lam=3, n=-1\): residual "
+                       r"derivative returned shape \(1, 1, 2\), not \(1, 1, 2, 2\)$"):
+        bifurcation._derivatives(f, [3], [-1, 0], np.zeros((1, 2, 2)))
+    lin = linearize_at_zero(f)
+    _, (error,) = lin.stack([5], [7])
+    assert str(error) == (
+        "evaluator failure at (lam=5, n=7): residual derivative returned shape (1, 1, 2), "
+        "not (1, 1, 2, 2)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +606,8 @@ def lockstep_inputs(f, lams, scales, window, horizon, tilt=0.0):
         overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
         u, _, vt = np.linalg.svd(overlap)
         base = bifurcation._seed_sequence(fam_plus, fam_minus, u[:, 0], vt[0], window)
-        p_lo = fam_minus.projector(window[0])
-        q_hi = np.eye(f.dim) - fam_plus.projector(window[1])
+        p_lo = projector_at(fam_minus, window[0])
+        q_hi = np.eye(f.dim) - projector_at(fam_plus, window[1])
         for scale in scales:
             start = scale * base + tilt * rng.standard_normal(base.shape)
             runs.append((lam, start, p_lo, q_hi))

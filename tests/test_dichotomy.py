@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from helpers import (
     dense_product,
     distance_to_one,
+    in_spectrum,
     march_image,
     march_kernel,
+    projector_at,
     random_hyperbolic,
     rotation,
     shift_operator_projector,
@@ -62,7 +64,7 @@ def anchor_frames(fam):
 
 def family_projectors(fam) -> np.ndarray:
     """The projectors (times, d, d) the family forms from its frames, one time at a time."""
-    return np.stack([fam.projector(n) for n in fam.times])
+    return np.stack([projector_at(fam, n) for n in fam.times])
 
 
 def test_splitting_on_diagonal_saddle():
@@ -185,7 +187,7 @@ def test_family_is_constant_for_diagonal_saddle():
     for fam in (plus, minus):
         assert fam.rank == 1
         assert np.allclose(family_projectors(fam), np.diag([1.0, 0.0]), atol=1e-10)
-    assert np.allclose(plus.projector(7), np.diag([1.0, 0.0]), atol=1e-10)
+    assert np.allclose(projector_at(plus, 7), np.diag([1.0, 0.0]), atol=1e-10)
     assert minus.index_of(-30) == 0
 
 
@@ -204,10 +206,10 @@ def test_family_after_transient_matches_dense_product_oracle():
 
     fam = build_projector_family(field, 0, "plus", 0, length=60)
     assert fam.rank == 1
-    assert np.allclose(fam.projector(0), expected_p0, atol=1e-8)
+    assert np.allclose(projector_at(fam, 0), expected_p0, atol=1e-8)
     for n in range(40, 61):
-        assert np.allclose(fam.projector(n), np.diag([1.0, 0.0]), atol=1e-9)
-    resid = np.abs(transient @ fam.projector(4) - fam.projector(5) @ transient).max()
+        assert np.allclose(projector_at(fam, n), np.diag([1.0, 0.0]), atol=1e-9)
+    resid = np.abs(transient @ projector_at(fam, 4) - projector_at(fam, 5) @ transient).max()
     assert resid <= 1e-10
 
 
@@ -269,7 +271,7 @@ def test_splitting_indeterminate_until_horizon_grows():
 def test_spectrum_diagonal_saddle():
     res = dichotomy_spectrum(saddle_field())
     assert len(res.intervals) == 2
-    assert res.contains(0.5) and res.contains(2.0)
+    assert in_spectrum(res, 0.5) and in_spectrum(res, 2.0)
     assert res.admits_ed
     for (lo, hi), target in zip(res.intervals, (0.5, 2.0)):
         assert hi - lo <= 1e-2
@@ -286,7 +288,7 @@ def test_spectrum_scaled_rotation_single_band():
     assert len(res.intervals) == 1
     lo, hi = res.intervals[0]
     assert hi - lo <= 1e-2
-    assert res.contains(0.7)
+    assert in_spectrum(res, 0.7)
     assert res.admits_ed
 
 
@@ -301,7 +303,7 @@ def test_spectrum_scaling_covariance():
 
 def test_spectrum_flags_unit_modulus():
     res = dichotomy_spectrum(autonomous_field(np.diag([1.0, 2.0])))
-    assert res.contains(1.0)
+    assert in_spectrum(res, 1.0)
     assert not res.admits_ed
     assert distance_to_one(res.intervals) == 0.0
 
@@ -350,9 +352,9 @@ def test_shift_route_agrees_with_marching_families():
     plus = build_projector_family(field, 0, "plus", 0, length=22, horizon=24)
     minus = build_projector_family(field, 0, "minus", 0, length=24, horizon=24)
     for n in range(12, 21):
-        assert np.abs(shift_fam.projector(n) - plus.projector(n)).max() <= 1e-6
+        assert np.abs(projector_at(shift_fam, n) - projector_at(plus, n)).max() <= 1e-6
     for n in range(-20, -11):
-        assert np.abs(shift_fam.projector(n) - minus.projector(n)).max() <= 1e-6
+        assert np.abs(projector_at(shift_fam, n) - projector_at(minus, n)).max() <= 1e-6
 
 
 def test_shift_route_unit_spectrum_is_indeterminate():
@@ -391,7 +393,7 @@ def test_spectrum_of_a_realization_contains_q_and_its_inverse():
     # average the times h/2 to 1.5 h away from 0, past that middle
     field, horizon, lams = realization_mobius()
     for lam, res in zip(lams, dichotomy_spectra(field, lams, horizon=horizon)):
-        assert res.contains(0.5) and res.contains(2.0), (lam, res.intervals)
+        assert in_spectrum(res, 0.5) and in_spectrum(res, 2.0), (lam, res.intervals)
         if res.admits_ed:
             assert len(res.intervals) == 2, (lam, res.intervals)
             for (lo, hi), target in zip(res.intervals, (0.5, 2.0)):
@@ -429,9 +431,41 @@ def test_spectrum_cells_agree_with_a_dense_per_gamma_scan(monkeypatch):
                 continue
             direct = dichotomy._verdict(lg, *sample)
             assert verdict == direct, (gamma, verdict, direct)
-            assert res.contains(gamma) == (not direct.startswith("ed")), (gamma, res.intervals)
+            assert in_spectrum(res, gamma) == (not direct.startswith("ed")), (gamma, res.intervals)
             seen.add(direct.split(":")[0])
     assert seen == {"ed", "no_ed", "indeterminate"}
+
+
+def test_spectrum_counts_do_not_move_with_rounding(monkeypatch):
+    # rates equal up to rounding (the rank-2 fibres of mobius-double, the rate
+    # groups of a realization) give one cut: every rate nudged by 4 ulp, all up,
+    # all down, alternately or at random, keeps each sample's count and verdicts
+    samples = []
+    cells = dichotomy._spectrum
+
+    def recorded(gammas, *sample):
+        samples.append((gammas, sample))
+        return cells(gammas, *sample)
+
+    monkeypatch.setattr(dichotomy, "_spectrum", recorded)
+    results = []
+    for name in ("mobius-double", "realization-mobius"):
+        field = Scenario.builtin(name).build_field()
+        results += dichotomy_spectra(field, range(field.n_params))
+    rng = np.random.default_rng(7)
+    for res, (gammas, (qp, rates_p, qm, rates_m, *rest)) in zip(results, samples, strict=True):
+        d = len(rates_p)
+        for signs in (np.ones(2 * d), -np.ones(2 * d), (-1.0) ** np.arange(2 * d),
+                      rng.choice([-1.0, 1.0], 2 * d)):
+            rates = np.concatenate([rates_p, rates_m])
+            rates = rates + 4.0 * signs * np.abs(np.spacing(rates))
+            got = cells(gammas, qp, rates[:d], qm, rates[d:], *rest)
+            assert got.n_probes == res.n_probes, (res.rates, signs)
+            assert (got.verdicts, got.at_one) == (res.verdicts, res.at_one)
+            assert len(got.intervals) == len(res.intervals)
+            assert np.allclose(got.intervals, res.intervals, rtol=1e-14, atol=0.0)
+    # so the count is a function of the scenario: one value per builtin
+    assert len({r.n_probes for r in results[:16]}) == len({r.n_probes for r in results[16:]}) == 1
 
 
 def test_a_grid_point_on_an_edge_is_classified_itself():
@@ -819,7 +853,7 @@ def test_the_projector_bound_formula_matches_the_svd_of_p(d):
                 dichotomy.TAU_INV, dichotomy.SIGMA_REG,
             )
             assert isinstance(fam, ProjectorFamily), (r, s, fam)
-            expected = np.linalg.svd(fam.projector(0), compute_uv=False)[0] if r else 0.0
+            expected = np.linalg.svd(projector_at(fam, 0), compute_uv=False)[0] if r else 0.0
             if r in (0, d):
                 assert fam.bound == float(r > 0)
                 continue

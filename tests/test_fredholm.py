@@ -27,6 +27,7 @@ from helpers import (
     half_line_witnesses,
     kernel_convolve,
     perturb_field,
+    projector_at,
     random_hyperbolic,
     random_orthogonal,
     truncated_null_space,
@@ -197,10 +198,10 @@ def test_green_kernel_matches_dense_chain_oracle():
     for m in range(0, 9):
         for n in range(0, 9):
             if m <= n:
-                expected = np.linalg.matrix_power(MIXED, n - m) @ fam.projector(m)
+                expected = np.linalg.matrix_power(MIXED, n - m) @ projector_at(fam, m)
             else:
                 chain = np.linalg.matrix_power(MIXED, m - n)
-                expected = -np.linalg.solve(chain, eye - fam.projector(m))
+                expected = -np.linalg.solve(chain, eye - projector_at(fam, m))
             assert np.abs(kern(n, m) - expected).max() <= 1e-10, (n, m)
 
 
@@ -264,7 +265,7 @@ def test_green_solve_matches_the_convolution_past_a_nonnormal_stretch():
         conv = kernel_convolve(lambda n, k: kern(n, k + 1), psi, window=phi.window)
         assert np.abs(phi.values - conv).max() <= 1e-9, side
         end = phi.window[1]
-        far = (np.eye(2) - fam.projector(end)) @ value_at(phi, end)
+        far = (np.eye(2) - projector_at(fam, end)) @ value_at(phi, end)
         assert np.abs(far).max() <= 1e-12, side
 
 

@@ -8,7 +8,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import per_step_sweep, qr_recurrence, random_hyperbolic, random_orthogonal
+from helpers import (
+    per_step_sweep,
+    projector_at,
+    qr_recurrence,
+    random_hyperbolic,
+    random_orthogonal,
+)
 from homindex import dichotomy
 from homindex.bundle import bundle_csv_rows, bundle_from_projectors, first_sw_class, index_bundle_pair
 from homindex.cli import run
@@ -322,7 +328,7 @@ def test_the_boundary_projectors_of_a_batch_have_each_family_s_bits():
     for n in (0, 7, 20):
         got = dichotomy._projectors_at(fams, n)
         for row, fam in zip(got, fams):
-            assert row.tobytes() == fam.projector(n).tobytes()
+            assert row.tobytes() == projector_at(fam, n).tobytes()
 
 
 def test_a_rounding_level_change_of_the_projectors_moves_no_csv_frame_entry():

@@ -44,6 +44,7 @@ from helpers import (
     assert_scale,
     block_norm_scale,
     boundary_conditioned,
+    projector_at,
     random_hyperbolic,
 )
 from test_bifurcation import decaying_quadratic
@@ -218,8 +219,8 @@ def test_the_dense_fallback_cuts_with_the_same_scale(monkeypatch):
     plus, minus = whole_line_families(f, lams, (lo, hi), scenario.horizon)
     steps, errors = fredholm.assemble_truncated(f, lams, (lo, hi))
     assert not any(errors)
-    first = np.stack([fam.projector(lo) for fam in minus])
-    last = np.stack([np.eye(f.dim) - fam.projector(hi) for fam in plus])
+    first = np.stack([projector_at(fam, lo) for fam in minus])
+    last = np.stack([np.eye(f.dim) - projector_at(fam, hi) for fam in plus])
     structured = fredholm._solve_spectra(steps, first, last, GAP_RATIO)
     monkeypatch.setattr(fredholm, "_ITERATION_CAP", 0)
     dense = fredholm._solve_spectra(steps, first, last, GAP_RATIO)
