@@ -183,16 +183,21 @@ class NonlinearField:
 def _fd_derivative(f: NonlinearField, lams, times, states) -> np.ndarray:
     """Central-difference fibre derivatives (S, T, dim, dim) of a stack, step `FD_STEP`.
 
-    One `value` call per column and sign.
+    One `value` call: the T times repeated for each column and sign, in the
+    order (column 0 ahead, column 0 behind, column 1 ahead, ...), so a
+    sample's first bad entry is the one a read per column and sign meets
+    first.
     """
     states = np.asarray(states, dtype=float)
-    cols = np.empty(states.shape + (f.dim,))
-    for j in range(f.dim):
-        e = np.zeros(f.dim)
-        e[j] = FD_STEP
-        ahead, behind = f.value(lams, times, states + e), f.value(lams, times, states - e)
-        cols[..., j] = (ahead - behind) / (2.0 * FD_STEP)
-    return cols
+    # (S, column, sign, T, dim)
+    shifted = np.stack([np.stack([states + e, states - e], 1) for e in FD_STEP * np.eye(f.dim)], 1)
+    n_samples, n_times = states.shape[:2]
+    values = f.value(
+        lams,
+        np.tile(np.asarray(times), 2 * f.dim),
+        shifted.reshape(n_samples, 2 * f.dim * n_times, f.dim),
+    ).reshape(n_samples, f.dim, 2, n_times, f.dim)
+    return ((values[:, :, 0] - values[:, :, 1]) / (2.0 * FD_STEP)).transpose(0, 2, 3, 1)
 
 
 def _derivatives(f: NonlinearField, lams, times, states):
@@ -300,8 +305,9 @@ class F3Check:
 
     "pass" certifies index zero and a trivial kernel on the window;
     "fail" certifies a kernel or a nonzero index; "indeterminate"
-    records that a dichotomy could not be certified or the null group
-    could not be separated - never a silent false pass.
+    records that a dichotomy could not be certified, the null group
+    could not be separated or the geometric and truncated kernel counts
+    disagree - never a silent false pass.
     """
 
     verdict: str
@@ -322,7 +328,12 @@ class F3Check:
 
 
 def _f3_verdicts(lams, window, reports) -> list:
-    """F3 checks of samples `lams` from their index `reports` (or errors) on `window`."""
+    """F3 checks of samples `lams` from their index `reports` (or errors) on `window`.
+
+    A nonzero index fails; otherwise a sample whose geometric and
+    truncated kernel counts disagree is "indeterminate", and the counts
+    decide the rest.
+    """
     lo, hi = int(window[0]), int(window[1])
     if not (lo < 0 < hi):
         raise InputError("the F3 window must straddle time zero")
@@ -337,19 +348,23 @@ def _f3_verdicts(lams, window, reports) -> list:
         # smallest singular value of the truncation with decay boundary rows
         # (an upper bound, as precise as the kernel count needed it)
         smin = float(report.truncation.smallest[0])
-        ok = report.index == 0 and report.dim_ker == 0
-        if ok:
-            message = (
+        if report.index != 0:
+            verdict, message = "fail", f"Fredholm index {report.index} != 0 precludes invertibility"
+        elif not report.consistent:
+            verdict, message = "indeterminate", (
+                f"the geometric kernel count {report.dim_ker} and the truncated count "
+                f"{report.dim_ker_truncated} on [{lo}, {hi}] disagree"
+            )
+        elif report.dim_ker == 0:
+            verdict, message = "pass", (
                 f"no kernel and index 0 on [{lo}, {hi}] (smallest boundary-conditioned "
                 f"singular value at most {smin:.3e})"
             )
-        elif report.index != 0:
-            message = f"Fredholm index {report.index} != 0 precludes invertibility"
         else:
-            message = f"kernel of dimension {report.dim_ker} detected"
+            verdict, message = "fail", f"kernel of dimension {report.dim_ker} detected"
         checks.append(
             F3Check(
-                verdict="pass" if ok else "fail",
+                verdict=verdict,
                 lambda_index=int(lam),
                 rank_plus=report.rank_plus,
                 rank_minus=report.rank_minus,
@@ -669,35 +684,37 @@ def certify_bifurcation(
 # localization
 
 
-def _seed_sequence(fam_plus, fam_minus, image_coords, kernel_coords, window) -> np.ndarray:
-    """Near-kernel seed marched stably in the family frames, sup-normalized.
+def _seed_sequences(plus: list, minus: list, image_coords, kernel_coords, window) -> np.ndarray:
+    """Near-kernel seeds (seeds, w, d) marched stably in their family frames, sup-normalized.
 
-    The forward-decaying part is transported by the image transition
-    factors of the plus family and the backward-decaying part by
-    solving the kernel transition factors of the minus family
-    backward, so both marches contract their rounding errors.
+    Seed i starts from `image_coords[i]` in the image frame at 0 of
+    `plus[i]` and from `kernel_coords[i]` in the kernel frame at 0 of
+    `minus[i]`; the families come from one batch, so they share their
+    times.  The forward-decaying part is transported by the image
+    transition factors of the plus family and the backward-decaying part
+    by solving the kernel transition factors of the minus family
+    backward, so both marches contract their rounding errors.  Every
+    seed takes the same loop over times, with one stacked product or
+    solve per step, which gives each seed the bits it gets alone.
     """
     lo, hi = window
-    d = fam_plus.dim
-    vals = np.empty((hi - lo + 1, d))
-    c = np.asarray(image_coords, dtype=float)
-    for i in range(hi + 1):  # the plus family starts at time 0
-        vals[i - lo] = fam_plus.image_frames[i] @ c
+    first, zero = minus[0].index_of(lo), minus[0].index_of(0)
+    vals = np.empty((len(plus), hi - lo + 1, plus[0].dim))
+    c = np.asarray(image_coords, dtype=float)[..., None]
+    frames = np.stack([fam.image_frames[: hi + 1] for fam in plus])  # the plus family starts at 0
+    steps = np.stack([fam.image_steps[:hi] for fam in plus])
+    for i in range(hi + 1):
+        vals[:, i - lo] = (frames[:, i] @ c)[..., 0]
         if i < hi:
-            c = fam_plus.image_steps[i] @ c
-    first = fam_minus.index_of(lo)
-    k = np.asarray(kernel_coords, dtype=float)
-    coords = [k]
-    for i in range(fam_minus.index_of(0) - 1, first - 1, -1):
-        k = np.linalg.solve(fam_minus.kernel_steps[i], k)
-        coords.append(k)
-    coords.reverse()
-    for i in range(-lo):
-        vals[i] = fam_minus.kernel_frames[first + i] @ coords[i]
-    top = float(np.abs(vals).max())
-    if top > 0.0:
-        vals = vals / top
-    return vals
+            c = steps[:, i] @ c
+    k = np.asarray(kernel_coords, dtype=float)[..., None]
+    frames = np.stack([fam.kernel_frames[first:zero] for fam in minus])
+    steps = np.stack([fam.kernel_steps[first:zero] for fam in minus])
+    for i in range(zero - first - 1, -1, -1):
+        k = np.linalg.solve(steps[:, i], k)
+        vals[:, i] = (frames[:, i] @ k)[..., 0]
+    top = np.abs(vals).max(axis=(1, 2))
+    return vals / np.where(top > 0.0, top, 1.0)[:, None, None]
 
 
 #: errors that end one Gauss-Newton run quietly
@@ -873,10 +890,11 @@ def localize_bifurcations(
             raise fresh(failure)
     runs = []  # (sample, start, P-(lo), I - P+(hi)) in (sample, cosine, scale) order
     if good:
-        p_lo = _projectors_at([minus[lam] for lam in good], lo)
-        q_hi = np.eye(f.dim) - _projectors_at([plus[lam] for lam in good], hi)
-        for lam, p, q in zip(good, p_lo, q_hi):
-            for base in _seeds(plus[lam], minus[lam], (lo, hi)):
+        good_plus, good_minus = [plus[lam] for lam in good], [minus[lam] for lam in good]
+        p_lo = _projectors_at(good_minus, lo)
+        q_hi = np.eye(f.dim) - _projectors_at(good_plus, hi)
+        for lam, p, q, bases in zip(good, p_lo, q_hi, _seeds(good_plus, good_minus, (lo, hi))):
+            for base in bases:
                 runs += [(lam, base * (scale * f.r0), p, q) for scale in SEED_SCALES]
     solutions = []
     if runs:
@@ -914,14 +932,32 @@ def localize_bifurcations(
     return found
 
 
-def _seeds(fam_plus, fam_minus, window) -> list:
-    """Near-kernel seed sequences of one sample, one per principal cosine >= `SEED_COSINE`."""
-    overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
-    if overlap.size == 0:
-        return []
-    u, cosines, vt = np.linalg.svd(overlap)
-    return [
-        _seed_sequence(fam_plus, fam_minus, u[:, k], vt[k], window)
-        for k in range(len(cosines))
-        if cosines[k] >= SEED_COSINE
-    ]
+def _seeds(plus: list, minus: list, window) -> list:
+    """Each sample's near-kernel seed sequences, one per principal cosine >= `SEED_COSINE`.
+
+    `plus[i]` and `minus[i]` are sample i's families, from one batch.
+    The overlaps of the image and kernel frames at 0 take one stacked
+    SVD per pair of ranks, and the seeds of all samples of those ranks
+    one march (`_seed_sequences`).
+    """
+    out: list = [[] for _ in plus]
+    groups: dict[tuple, list[int]] = {}
+    for i, (fam_plus, fam_minus) in enumerate(zip(plus, minus)):
+        groups.setdefault((fam_plus.rank, fam_minus.rank), []).append(i)
+    for members in groups.values():
+        overlaps = np.stack(
+            [plus[i].image_frames[0].T @ minus[i].kernel_frames[minus[i].index_of(0)] for i in members]
+        )
+        if overlaps.size == 0:
+            continue
+        u, cosines, vt = np.linalg.svd(overlaps)
+        rows, cols = np.nonzero(cosines >= SEED_COSINE)
+        if rows.size:
+            seeded = [members[j] for j in rows.tolist()]
+            bases = _seed_sequences(
+                [plus[i] for i in seeded], [minus[i] for i in seeded],
+                u[rows, :, cols], vt[rows, cols], window,
+            )
+            for i, base in zip(seeded, bases):
+                out[i].append(base)
+    return out

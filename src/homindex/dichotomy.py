@@ -6,11 +6,14 @@ hundred steps are safe even when singular values spread over hundreds
 of decades.  The recurrence (`_advance`) forms products of 4 steps
 only, which keeps it to one sequential QR per block and a few stacked
 ones, and it redoes a row one step at a time where such a product lost
-accuracy.  The rates are the per-column means of log |R_jj|
-between the QR transient and the anchor (`_sweep`), so a longer run
-averages more steps (Dieci & Van Vleck, SIAM J. Numer. Anal. 40,
-2002); on a plus family run of `length + horizon` steps, length >=
-horizon/2, they cover the times [anchor + horizon/2, anchor + length +
+accuracy.  Blocks of at most two rows, the planar case, never reach
+LAPACK: the QRs (`_qr_diagonal`), the complements (`_complement`) and
+the 2 x 2 singular values (`_singular_values`) are closed forms,
+evaluated elementwise over the stack.  The rates are the per-column
+means of log |R_jj| between the QR transient and the anchor
+(`_sweep`), so a longer run averages more steps (Dieci & Van Vleck,
+SIAM J. Numer. Anal. 40, 2002); on a plus family run of `length +
+horizon` steps, length >= horizon/2, they cover the times [anchor + horizon/2, anchor + length +
 horizon/2).  The rates of a run of n steps split only across a gap of
 at least log(gap_ratio) / n.  The associated orthonormal columns,
 grouped by rate, span the splitting subspaces.
@@ -132,10 +135,60 @@ _BLOCK = 4
 _SEAM_TOL = 1e-10
 
 
+def _reflection(x: np.ndarray):
+    """LAPACK's Householder reflection of 2-row stacks x (..., 2, p): H (..., 2, 2), beta, tau, v.
+
+    dlarfg's and dorg2r's formulas for a first column (alpha, c): beta =
+    -sign(alpha) hypot(alpha, c), tau = (beta - alpha) / beta, v = (1,
+    c / (alpha - beta)) and H = I - tau v v^T, so that H x has (beta, 0)
+    first; no reflection (tau = 0, H = I, beta = alpha) when c is exactly
+    0.  Elementwise over the stack.
+    """
+    alpha, c = x[..., 0, 0], x[..., 1, 0]
+    reflect = c != 0.0
+    beta = np.where(reflect, -np.copysign(np.hypot(alpha, c), alpha), alpha)
+    tau = (beta - alpha) / np.where(reflect, beta, 1.0)
+    v = c * (1.0 / np.where(reflect, alpha - beta, 1.0))
+    h = np.empty(alpha.shape + (2, 2))
+    h[..., 0, 0] = 1.0 - tau
+    h[..., 0, 1] = h[..., 1, 0] = off = -tau * v
+    h[..., 1, 1] = 1.0 + v * off
+    return h, beta, tau, v
+
+
 def _qr_diagonal(b: np.ndarray):
-    """Unnormalized Q factors of a stack (..., d, p) and the diagonals of their R factors."""
+    """Unnormalized Q factors of a stack (..., d, p) and the diagonals of their R factors.
+
+    Blocks of one or two rows take LAPACK's Householder QR in closed form,
+    elementwise over the stack (`_reflection`; a 1-row block is its own
+    R), so a row keeps the bits it gets alone; Q and R then agree with
+    LAPACK's to a few ulp of the block's norm, and the QR of B S, S a
+    diagonal of signs, is still (Q, R S) exactly, up to the signs of
+    zeros.  Larger blocks go to LAPACK.
+    """
+    m, p = b.shape[-2:]
+    if m == 1 and p:
+        return np.ones(b.shape[:-2] + (1, 1)), b[..., 0, :1]
+    if m == 2 and p:
+        h, beta, tau, v = _reflection(b)
+        if p == 1:
+            return h[..., :1], beta[..., None]
+        # H applied to the second column, as dlarf does: b1 - tau v (v^T b1)
+        below = b[..., 1, 1] + v * (-tau * (b[..., 0, 1] + v * b[..., 1, 1]))
+        return h, np.stack([beta, below], -1)
     q, r = np.linalg.qr(b)
     return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def _complement(x: np.ndarray) -> np.ndarray:
+    """Orthonormal complements (..., d, d - p) of the column spans of stacked frames (..., d, p).
+
+    The last columns of each frame's complete QR: of `_reflection`'s H for
+    a 2 x 1 frame, with no LAPACK call, else of LAPACK's.
+    """
+    if x.shape[-2:] == (2, 1):
+        return _reflection(x)[0][..., 1:]
+    return np.linalg.qr(x, mode="complete")[0][..., x.shape[-1] :]
 
 
 def _signs(diag: np.ndarray) -> np.ndarray:
@@ -205,8 +258,10 @@ def _advance(factors: np.ndarray, start: np.ndarray):
     at 1e-300.  The products of each block's factors take k - 1 stacked
     matmuls, one sequential QR per block gives the block-start frames,
     and k per-step QRs, each stacked over all blocks, the frames and R
-    diagonals at every time.  A product loses accuracy like eps exp(k
-    times the spread of the rates), so each row checks its own seams,
+    diagonals at every time.  Every QR is `_qr_diagonal`'s: at d <= 2 a
+    closed form, within a few ulp of LAPACK's Householder QR, with no
+    LAPACK call.  A product loses accuracy like eps exp(k times the
+    spread of the rates), so each row checks its own seams,
     the distances between a block's stepped end frame and the next
     block's start frame: a row with a seam above `_SEAM_TOL` (or a
     non-finite one) is redone one step per block, which is the
@@ -234,7 +289,9 @@ def _generic_seed(d: int) -> np.ndarray:
     if d not in _GENERIC_SEEDS:
         rng = np.random.default_rng(776_000 + d)
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        _GENERIC_SEEDS[d] = q * np.sign(np.diag(r))
+        seed = q * np.sign(np.diag(r))
+        seed.setflags(write=False)
+        _GENERIC_SEEDS[d] = seed
     return _GENERIC_SEEDS[d]
 
 
@@ -265,13 +322,28 @@ def _sweep(factors: np.ndarray, horizon: int):
 def _singular_values(x: np.ndarray) -> np.ndarray:
     """Singular values (..., k) of a stack of matrices (..., m, n), descending.
 
-    A stack of 1 x 1 matrices gives |x| with no LAPACK call: the same
-    bits as LAPACK for |x| in [1e-138, 1e138], where LAPACK does not
-    rescale, and inf for an infinite entry (LAPACK gives NaN there) and
-    NaN for a NaN one (LAPACK raises).
+    1 x 1 and 2 x 2 blocks take closed forms, elementwise over the stack
+    and with no LAPACK call, so each keeps the bits it gets alone.  A
+    1 x 1 block gives |x|: the same bits as LAPACK for |x| in [1e-138,
+    1e138], where LAPACK does not rescale, and inf for an infinite entry
+    (LAPACK gives NaN there) and NaN for a NaN one (LAPACK raises).  A
+    2 x 2 block [[a, b], [c, d]] is the sum of a scaled rotation [[E, -H],
+    [H, E]] and a scaled reflection [[F, G], [G, -F]], E, F = (a +- d)/2
+    and G, H = (c +- b)/2, so its values are hypot(E, H) +- hypot(F, G)
+    (after Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990): both
+    within a few ulp of the larger, as LAPACK's are, with no overflow
+    short of the larger value's own; a non-finite entry gives
+    inf or NaN for the larger value and NaN for the smaller (LAPACK
+    raises or gives NaN).  Larger blocks give LAPACK's values, the bits
+    of `np.linalg.norm(x, 2)` in the first.
     """
     if x.shape[-2:] == (1, 1):
         return np.abs(x[..., 0])
+    if x.shape[-2:] == (2, 2):
+        h = 0.5 * x  # exact for normal entries, and the sums below cannot overflow
+        a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+        big, small = np.hypot(a + d, c - b), np.hypot(a - d, c + b)
+        return np.stack([big + small, np.abs(big - small)], axis=-1)
     return np.linalg.svd(x, compute_uv=False)
 
 
@@ -605,7 +677,7 @@ def _build_batch(pending: list, horizon: int, tolerances: tuple) -> list:
             im, ker = basis[..., :r], basis[..., r:]
             ker[plus] = free[plus]
             if r and not plus.all():
-                im[~plus] = np.linalg.qr(free[~plus], mode="complete")[0][..., d - r :]
+                im[~plus] = _complement(free[~plus])
             # a pulled-back image meets a singular step at its latest time, a pushed
             # kernel at its earliest; each side meets its canonical frame's first
             pulled = np.where(plus[:, None], canonical, free_lost) & (r > 0)

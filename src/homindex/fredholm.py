@@ -18,7 +18,8 @@ once (the sample on numpy's leading axis), only what the count needs:
 - a scale, the block-norm bound sqrt(|N|_1 |N|_inf) on sigma_max with
   N_ij = |M_ij|_2 (Golub & Van Loan, Matrix Computations, 2.3); M has
   at most two blocks per block row and column, so sigma_max <= scale
-  <= 2 sigma_max, from one batched norm and no loop;
+  <= 2 sigma_max, from the block norms of all samples at once (in
+  closed form at d <= 2, `dichotomy._singular_values`) and no loop;
 - the values below the null cut 1e-8 scale and the smallest one above
   it, by inverse subspace iteration with a factor R, R^T R = M^T M +
   mu I, of M stacked on regularization rows sqrt(mu) I, sqrt(mu) =
@@ -66,6 +67,7 @@ from .dichotomy import (
     ProjectorFamily,
     _intersection_dimensions,
     _projectors_at,
+    _singular_values,
     verify_families,
     whole_line_families,
 )
@@ -322,13 +324,12 @@ class _Sections:
         block norm is at most sigma_max and every block row and column
         holds at most two blocks, so it is at most 2 sigma_max.  The
         identity blocks count as norm 1; the two roots keep a finite
-        table from overflowing.
+        table from overflowing.  The block norms are the largest values
+        of `_singular_values`: at d <= 2 its closed forms, within a few
+        ulp of LAPACK's, and LAPACK's own bits above.
         """
-        norms = np.linalg.norm(
-            np.concatenate([self.first[:, None], self.steps, self.last[:, None]], axis=1),
-            2,
-            axis=(-2, -1),
-        )
+        blocks = np.concatenate([self.first[:, None], self.steps, self.last[:, None]], axis=1)
+        norms = _singular_values(blocks)[..., 0]
         first, steps, last = norms[:, 0], norms[:, 1:-1], norms[:, -1]
         # block row i + 1 holds steps[i] and an identity; block column c holds
         # steps[c] (first as well for c = 0) and the identity of step c - 1
@@ -447,11 +448,30 @@ def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _upper_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of invertible upper triangular blocks (..., d, d).
+
+    Blocks of at most two rows are back-substituted in closed form,
+    [[a, b], [0, c]]^-1 = [[1/a, -b (1/c) / a], [0, 1/c]], elementwise
+    over the stack with no LAPACK call (each entry within a few ulp of
+    LAPACK's); larger blocks go to LAPACK.
+    """
+    d = u.shape[-1]
+    if d > 2:
+        return np.linalg.inv(u)
+    out = np.zeros(u.shape)
+    out[..., 0, 0] = 1.0 / u[..., 0, 0]
+    if d == 2:
+        out[..., 1, 1] = 1.0 / u[..., 1, 1]
+        out[..., 0, 1] = -(u[..., 0, 1] * out[..., 1, 1]) / u[..., 0, 0]
+    return out
+
+
 def _gram_factor(sec: _Sections) -> list:
     """`_regularized_factor` at root mu = `_REGULARIZATION` * scale, inverted for `_gram_solve`."""
     levels = _regularized_factor(sec, _REGULARIZATION * sec.scale)
-    # the diagonal blocks of all levels in one stacked inverse
-    inverses = np.linalg.inv(np.concatenate([diag for diag, _, _ in levels], axis=1))
+    # the upper triangular diagonal blocks of all levels in one stacked inverse
+    inverses = _upper_inverse(np.concatenate([diag for diag, _, _ in levels], axis=1))
     inverses = np.split(inverses, np.cumsum([diag.shape[1] for diag, _, _ in levels])[:-1], axis=1)
     return [(inverse, left, right) for inverse, (_, left, right) in zip(inverses, levels)]
 
@@ -476,13 +496,21 @@ def _ritz_step(sec: _Sections, levels: list, x: np.ndarray):
     return u[..., ::-1], values[:, ::-1], q @ _t(vt[:, ::-1])
 
 
+_STARTS: dict[tuple[int, int], np.ndarray] = {}
+
+
 def _start(width: int, d: int) -> np.ndarray:
     """The fixed orthonormal start (w d, p) of the inverse iteration, p = min(d + 3, w d).
 
-    The kernel of a section has dimension at most d.
+    The kernel of a section has dimension at most d.  Made once per
+    (width, d) and read-only.
     """
-    p = min(d + 3, width * d)
-    return np.linalg.qr(np.random.default_rng(0).standard_normal((width * d, p)))[0]
+    if (width, d) not in _STARTS:
+        p = min(d + 3, width * d)
+        start = np.linalg.qr(np.random.default_rng(0).standard_normal((width * d, p)))[0]
+        start.setflags(write=False)
+        _STARTS[width, d] = start
+    return _STARTS[width, d]
 
 
 def section_least_squares(
@@ -539,7 +567,13 @@ def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int =
     `gap_ratio` and s / 2 (early Ritz values can sit far above the true
     ones), or once e <= `_VALUE_TOL` * scale, the only stop when
     `gap_ratio` is None; `TruncationSpectrum.resolved` resumes the
-    former.  None after `_ITERATION_CAP` steps.
+    former.  A sample with a null value is never decided at the first
+    step from `_start`: the start's components along the null vectors,
+    amplified by about 1/mu against the others, swamp the rest of the
+    subspace in its orthonormalization, so the Ritz pairs above the null
+    group are rounding noise there (a start moved by 1e-15 moved one from
+    1.30 to 1.46 on a section whose true value is 0.27).
+    None after `_ITERATION_CAP` steps.
     """
     s, w, d = sec.count, sec.width, sec.dim
     scale = sec.scale
@@ -577,7 +611,10 @@ def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int =
         resolved = precise.copy()
         if gap_ratio is not None:
             clear = np.where(k > 0, np.maximum(values[rows, np.maximum(k - 1, 0)], floor), cut)
-            resolved |= (k < p) & (at - err >= np.maximum(clear * gap_ratio, 0.5 * at))
+            # the first step from the start decides no sample with a null value
+            # (see the docstring)
+            trusted = (k == 0) | (step > 0)
+            resolved |= trusted & (k < p) & (at - err >= np.maximum(clear * gap_ratio, 0.5 * at))
         for j in np.flatnonzero(resolved).tolist():
             resume = None if precise[j] else partial(_resume, part, a_levels, x, j, step + 1)
             found[active[j]] = TruncationSpectrum(

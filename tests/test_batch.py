@@ -446,7 +446,8 @@ def test_each_certify_read_is_validated_once_plus_its_linear_part(monkeypatch, t
         ("NonlinearField", "derivative", "PerturbedSystemSpec.to_nonlinear.<locals>.derivative"),
         ("DiscreteVectorField", "evaluator", "linearize_at_zero.<locals>.evaluate"),
     }
-    assert len(reads) > 10 and all(read[3] == [linear_part] for read in reads), reads
+    # F0's central differences take one read of the system, so a certify makes 9 in all
+    assert len(reads) > 5 and all(read[3] == [linear_part] for read in reads), reads
 
 
 def time_stamped_field(window=(-200, 200), bad=()):
@@ -500,9 +501,9 @@ def seeded_families(monkeypatch):
     seen = []
     seeds = bifurcation._seeds
 
-    def recorded(fam_plus, fam_minus, window):
-        seen.append((fam_plus, fam_minus))
-        return seeds(fam_plus, fam_minus, window)
+    def recorded(plus, minus, window):
+        seen.extend(zip(plus, minus))
+        return seeds(plus, minus, window)
 
     monkeypatch.setattr(bifurcation, "_seeds", recorded)
     return seen

@@ -211,6 +211,59 @@ def test_derivative_quadratic_blocks():
     assert blocks[0, 5] @ np.array([2.0]) == pytest.approx([5.0])
 
 
+def per_column_differences(f, lams, times, states):
+    """Oracle: F0's central differences with one `value` read per column and sign."""
+    cols = np.empty(states.shape + (f.dim,))
+    for j in range(f.dim):
+        e = np.zeros(f.dim)
+        e[j] = bifurcation.FD_STEP
+        ahead, behind = f.value(lams, times, states + e), f.value(lams, times, states - e)
+        cols[..., j] = (ahead - behind) / (2.0 * bifurcation.FD_STEP)
+    return cols
+
+
+def test_f0_differences_are_one_read_with_the_bits_of_a_read_per_column(monkeypatch):
+    f = mobius_system(16).to_nonlinear()
+    lams = np.array([0, 5, 8, 15])
+    times, states = bifurcation._probe_grid(list(range(-10, 11)), f.dim, f.r0, len(lams))
+    expected = per_column_differences(f, lams, times, states)
+    validate, reads = bifurcation._validate, []
+
+    def counted(fn, label, *args, **kwargs):
+        reads.append(label)
+        return validate(fn, label, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "_validate", counted)
+    got = bifurcation._fd_derivative(f, lams, times, states)
+    assert reads == ["evaluator"]  # 2 dim = 4 reads before
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_a_failing_difference_probe_names_the_entry_a_read_per_column_names(failure):
+    # sample 1 fails only where column 1 is perturbed down, at time 2
+    def evaluate(lams, times, x):
+        bad = (lams[:, None] == 1) & (times[None, :] == 2) & (x[..., 1] < 0.0)
+        if failure == "raise" and bad.any():
+            raise ValueError("probe refused")
+        out = 0.5 * x
+        out[bad] = np.nan
+        return out
+
+    f = NonlinearField(
+        dim=2,
+        evaluator=evaluate,
+        derivative=lambda lams, times, x: np.broadcast_to(0.5 * np.eye(2), x.shape + (2,)),
+        window=(-5, 5),
+        loop=ParameterLoop.circle(8),
+    )
+    lams, times, states = [0, 1], np.arange(-2, 3), np.zeros((2, 5, 2))
+    error = InputError if failure == "raise" else NumericError
+    for differences in (per_column_differences, bifurcation._fd_derivative):
+        with pytest.raises(error, match=r"\(lam=1, n=2\)"):
+            differences(f, lams, times, states)
+
+
 def test_derivatives_validate_the_stack_and_name_the_entry():
     def make(derivative):
         return NonlinearField(
@@ -393,6 +446,49 @@ def test_certify_system2_mobius_certified():
     assert any("sufficient" in w for w in cert.warnings)
     assert cert.f3_verdicts[0] == "pass"
     assert cert.f3_verdicts[8] == "fail"  # theta = pi sample
+
+
+@pytest.mark.parametrize("lam, honest", [(0, "pass"), (8, "fail")])
+def test_f3_is_indeterminate_where_the_two_kernel_counts_disagree(monkeypatch, lam, honest):
+    # sample 0 has no kernel and sample 8 (theta = pi) a kernel of dimension 1;
+    # a truncated count that says otherwise makes the sample indeterminate
+    f = mobius_system(16).to_nonlinear()
+    options = CertifyOptions(horizon=40, f3_window=(-30, 30))
+    before = certify_bifurcation(f, options)
+    index_from_families, seen = bifurcation.index_from_families, []
+
+    def disagreeing(*args, **kwargs):
+        reports = index_from_families(*args, **kwargs)
+        wrong = 1 - reports[lam].dim_ker
+        reports[lam] = dataclasses.replace(reports[lam], consistent=False, dim_ker_truncated=wrong)
+        seen.append(reports)
+        return reports
+
+    monkeypatch.setattr(bifurcation, "index_from_families", disagreeing)
+    after = certify_bifurcation(f, options)
+    assert before.f3_verdicts[lam] == honest
+    verdicts = list(before.f3_verdicts)
+    verdicts[lam] = "indeterminate"
+    assert list(after.f3_verdicts) == verdicts
+    assert after.verdict == before.verdict == "bifurcation_certified"
+    assert after.lambda0 == (1 if lam == 0 else 0)
+    (check,) = bifurcation._f3_verdicts([lam], (-30, 30), [seen[0][lam]])
+    dim_ker = seen[0][lam].dim_ker
+    assert check.message == (
+        f"the geometric kernel count {dim_ker} and the truncated count {1 - dim_ker} "
+        "on [-30, 30] disagree"
+    )
+
+
+def test_a_nonzero_index_fails_f3_whatever_the_kernel_counts():
+    spectrum = fredholm.TruncationSpectrum(np.array([1e-17, 0.5]), 1.0)
+    report = fredholm.IndexReport(
+        index=1, dim_ker=1, dim_coker=0, rank_plus=2, rank_minus=1,
+        consistent=False, dim_ker_truncated=2, truncation=spectrum,
+    )
+    (check,) = bifurcation._f3_verdicts([3], (-30, 30), [report])
+    assert check.verdict == "fail"
+    assert check.message == "Fredholm index 1 != 0 precludes invertibility"
 
 
 def test_certify_f0_rejects_a_wrong_derivative():
@@ -605,13 +701,59 @@ def lockstep_inputs(f, lams, scales, window, horizon, tilt=0.0):
     for lam, fam_plus, fam_minus in zip(lams, plus, minus):
         overlap = fam_plus.image_frames[0].T @ fam_minus.kernel_frames[fam_minus.index_of(0)]
         u, _, vt = np.linalg.svd(overlap)
-        base = bifurcation._seed_sequence(fam_plus, fam_minus, u[:, 0], vt[0], window)
+        (base,) = bifurcation._seed_sequences([fam_plus], [fam_minus], u[None, :, 0], vt[None, 0], window)
         p_lo = projector_at(fam_minus, window[0])
         q_hi = np.eye(f.dim) - projector_at(fam_plus, window[1])
         for scale in scales:
             start = scale * base + tilt * rng.standard_normal(base.shape)
             runs.append((lam, start, p_lo, q_hi))
     return [np.array(column) for column in zip(*runs)]
+
+
+def marched_seed(fam_plus, fam_minus, image_coords, kernel_coords, window):
+    """Oracle: one seed marched alone, a product or solve per step with 1-D coordinates."""
+    lo, hi = window
+    vals = np.empty((hi - lo + 1, fam_plus.dim))
+    c = np.asarray(image_coords, dtype=float)
+    for i in range(hi + 1):
+        vals[i - lo] = fam_plus.image_frames[i] @ c
+        if i < hi:
+            c = fam_plus.image_steps[i] @ c
+    first, k = fam_minus.index_of(lo), np.asarray(kernel_coords, dtype=float)
+    for i in range(fam_minus.index_of(0) - 1, first - 1, -1):
+        k = np.linalg.solve(fam_minus.kernel_steps[i], k)
+        vals[i - first] = fam_minus.kernel_frames[i] @ k
+    top = float(np.abs(vals).max())
+    return vals / top if top > 0.0 else vals
+
+
+def test_all_seeds_march_together_with_the_bits_of_each_alone(monkeypatch):
+    f = mobius_system(16).to_nonlinear()
+    window = (-30, 30)
+    plus, minus = whole_line_families(linearize_at_zero(f), range(16), window, 40)
+    rng = np.random.default_rng(7)
+    image, kernel = rng.standard_normal((16, 1)), rng.standard_normal((16, 1))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    got = bifurcation._seed_sequences(plus, minus, image, kernel, window)
+    assert len(solves) == 30  # one stacked solve per step, 30 per seed before
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for lam in range(16):
+        expected = marched_seed(plus[lam], minus[lam], image[lam], kernel[lam], window)
+        assert got[lam].tobytes() == expected.tobytes()
+    # localization seeds through one stacked SVD and one march for all samples
+    seeds = bifurcation._seeds(plus, minus, window)
+    for lam in range(16):
+        overlap = plus[lam].image_frames[0].T @ minus[lam].kernel_frames[minus[lam].index_of(0)]
+        u, cosines, vt = np.linalg.svd(overlap)
+        expected = [
+            marched_seed(plus[lam], minus[lam], u[:, k], vt[k], window)
+            for k in range(len(cosines))
+            if cosines[k] >= bifurcation.SEED_COSINE
+        ]
+        assert [seed.tobytes() for seed in seeds[lam]] == [seed.tobytes() for seed in expected]
+    assert sum(map(len, seeds)) >= 1
 
 
 def same_outcome(a, b) -> bool:
