@@ -135,21 +135,35 @@ _BLOCK = 4
 _SEAM_TOL = 1e-10
 
 
-def _reflection(x: np.ndarray):
-    """LAPACK's Householder reflection of 2-row stacks x (..., 2, p): H (..., 2, 2), beta, tau, v.
+def _householder(x: np.ndarray):
+    """LAPACK's Householder reflector of the first columns of 2-row stacks x (..., 2, p): beta, tau, v.
 
-    dlarfg's and dorg2r's formulas for a first column (alpha, c): beta =
-    -sign(alpha) hypot(alpha, c), tau = (beta - alpha) / beta, v = (1,
-    c / (alpha - beta)) and H = I - tau v v^T, so that H x has (beta, 0)
-    first; no reflection (tau = 0, H = I, beta = alpha) when c is exactly
-    0.  Elementwise over the stack.
+    dlarfg's formulas for a first column (alpha, c): beta = -sign(alpha)
+    hypot(alpha, c), tau = (beta - alpha) / beta and v = (1, c / (alpha -
+    beta)), so that H = I - tau v v^T maps (alpha, c) to (beta, 0); no
+    reflection (tau = 0, beta = alpha) when c is exactly 0.  Elementwise
+    over the stack.
     """
     alpha, c = x[..., 0, 0], x[..., 1, 0]
     reflect = c != 0.0
     beta = np.where(reflect, -np.copysign(np.hypot(alpha, c), alpha), alpha)
     tau = (beta - alpha) / np.where(reflect, beta, 1.0)
     v = c * (1.0 / np.where(reflect, alpha - beta, 1.0))
-    h = np.empty(alpha.shape + (2, 2))
+    return beta, tau, v
+
+
+def _reflected_corner(x: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entry (1, 1) of H x for 2-row stacks (..., 2, p >= 2), as dlarf forms it: x1 - tau v (v^T x1)."""
+    return x[..., 1, 1] + v * (-tau * (x[..., 0, 1] + v * x[..., 1, 1]))
+
+
+def _reflection(x: np.ndarray):
+    """`_householder`'s reflection of 2-row stacks x (..., 2, p) as a matrix: H (..., 2, 2), beta, tau, v.
+
+    H = I - tau v v^T, formed as dorg2r forms it.
+    """
+    beta, tau, v = _householder(x)
+    h = np.empty(beta.shape + (2, 2))
     h[..., 0, 0] = 1.0 - tau
     h[..., 0, 1] = h[..., 1, 0] = off = -tau * v
     h[..., 1, 1] = 1.0 + v * off
@@ -173,9 +187,7 @@ def _qr_diagonal(b: np.ndarray):
         h, beta, tau, v = _reflection(b)
         if p == 1:
             return h[..., :1], beta[..., None]
-        # H applied to the second column, as dlarf does: b1 - tau v (v^T b1)
-        below = b[..., 1, 1] + v * (-tau * (b[..., 0, 1] + v * b[..., 1, 1]))
-        return h, np.stack([beta, below], -1)
+        return h, np.stack([beta, _reflected_corner(b, tau, v)], -1)
     q, r = np.linalg.qr(b)
     return q, np.diagonal(r, axis1=-2, axis2=-1)
 
@@ -329,21 +341,32 @@ def _singular_values(x: np.ndarray) -> np.ndarray:
     (LAPACK gives NaN there) and NaN for a NaN one (LAPACK raises).  A
     2 x 2 block [[a, b], [c, d]] is the sum of a scaled rotation [[E, -H],
     [H, E]] and a scaled reflection [[F, G], [G, -F]], E, F = (a +- d)/2
-    and G, H = (c +- b)/2, so its values are hypot(E, H) +- hypot(F, G)
-    (after Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990): both
-    within a few ulp of the larger, as LAPACK's are, with no overflow
-    short of the larger value's own; a non-finite entry gives
-    inf or NaN for the larger value and NaN for the smaller (LAPACK
-    raises or gives NaN).  Larger blocks give LAPACK's values, the bits
-    of `np.linalg.norm(x, 2)` in the first.
+    and G, H = (c +- b)/2, so its larger value is hypot(E, H) + hypot(F,
+    G) (after Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990), within
+    a few ulp of itself and with no overflow short of its own.  Their
+    difference would be accurate only to a few ulp of the larger value,
+    so the smaller is taken as LAPACK takes it: the block is reduced to
+    its triangular factor [[r11, r12], [0, r22]] (`_householder`, the
+    bidiagonal form LAPACK's SVD starts from), and sigma_min = |r11 r22|
+    / sigma_max, as in LAPACK's dlas2.  It is then accurate to a few ulp
+    of itself wherever r22 is, which holds on triangular and graded
+    blocks such as the kernel chains of the fit (diag(1e20, 1) gives 1,
+    not 0).  A non-finite entry gives inf or NaN for the larger value
+    and NaN for the smaller (LAPACK raises or gives NaN).  Larger blocks
+    give LAPACK's values, the bits of `np.linalg.norm(x, 2)` in the
+    first.
     """
     if x.shape[-2:] == (1, 1):
         return np.abs(x[..., 0])
     if x.shape[-2:] == (2, 2):
         h = 0.5 * x  # exact for normal entries, and the sums below cannot overflow
         a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
-        big, small = np.hypot(a + d, c - b), np.hypot(a - d, c + b)
-        return np.stack([big + small, np.abs(big - small)], axis=-1)
+        smax = np.hypot(a + d, c - b) + np.hypot(a - d, c + b)
+        r11, tau, v = _householder(x)
+        # |r11| / smax <= 1 up to rounding, so the product cannot overflow
+        smin = np.abs(r11) / np.where(smax > 0.0, smax, 1.0) * np.abs(_reflected_corner(x, tau, v))
+        smin = np.minimum(smin, smax)
+        return np.stack([smax, np.where(np.isfinite(smax), smin, np.nan)], axis=-1)
     return np.linalg.svd(x, compute_uv=False)
 
 

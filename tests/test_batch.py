@@ -447,7 +447,7 @@ def test_each_certify_read_is_validated_once_plus_its_linear_part(monkeypatch, t
         ("DiscreteVectorField", "evaluator", "linearize_at_zero.<locals>.evaluate"),
     }
     # F0's central differences take one read of the system, so a certify makes 9 in all
-    assert len(reads) > 5 and all(read[3] == [linear_part] for read in reads), reads
+    assert len(reads) == 9 and all(read[3] == [linear_part] for read in reads), reads
 
 
 def time_stamped_field(window=(-200, 200), bad=()):

@@ -6,8 +6,10 @@ blocks of at most two rows elementwise, with no LAPACK call.  Each must
 agree with the LAPACK result it replaces to a few ulp of the block's
 norm, on random stacks and on the blocks where a formula could slip:
 an exactly zero subdiagonal, signed zeros, axis-aligned factors, entries
-near the recurrence's product cap (1e300) and near 1e-300.  Each must
-give a row the bits that row gets in a batch of one.
+near the recurrence's product cap (1e300) and near 1e-300.  The smaller
+singular value of a graded 2 x 2 block must agree to a few ulp of
+itself, as LAPACK's does.  Each must give a row the bits that row gets
+in a batch of one.
 """
 
 from __future__ import annotations
@@ -131,6 +133,32 @@ def test_singular_values_agree_with_lapack_on_adversarial_blocks():
     assert (np.abs(got - ref) <= ULPS * EPS * ref[..., :1]).all()
     # the block norms of `_Sections.scale`, against the norm they replaced
     assert (np.abs(got[..., 0] - two_norms(x)) <= ULPS * EPS * two_norms(x)).all()
+
+
+def graded_blocks(n=400, seed=6):
+    """Nearly upper triangular blocks graded by up to 1e30: the shape of the fit's kernel chains."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, 2, 2))
+    x[:, 0, 0] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 30.0, n)
+    x[:, 0, 1] = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    x[:, 1, 1] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    x[:, 1, 0] = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, -3.0, n)
+    x[: n // 2, 1, 0] = 0.0
+    return x
+
+
+def test_the_smaller_singular_value_is_accurate_to_a_few_ulp_of_itself_on_graded_blocks():
+    # hypot(E, H) - hypot(F, G) is accurate only to a few ulp of the larger
+    # value, and gives exactly 0 on the first two blocks
+    exact = np.array([[[1e20, 0.0], [0.0, 1.0]], [[1e20, 1.0], [0.0, 1.0]], [[1.0, 1e20], [0.0, 1.0]]])
+    got = _singular_values(exact)
+    assert got[0].tolist() == [1e20, 1.0]
+    assert got[1, 1] == pytest.approx(1.0, rel=2 * EPS)
+    assert got[2, 1] == pytest.approx(1e-20, rel=2 * EPS)
+    x = graded_blocks()
+    got, ref = _singular_values(x), np.linalg.svd(x, compute_uv=False)
+    assert ref[:, 1].min() > 0.0 and (ref[:, 0] / ref[:, 1]).max() > 1e30
+    assert (np.abs(got - ref) <= ULPS * EPS * ref).all()
 
 
 def test_larger_blocks_keep_the_bits_of_lapacks_norm():

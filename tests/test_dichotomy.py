@@ -677,6 +677,30 @@ def test_an_overflowing_chain_fails_its_own_family_only():
         assert got[i].alpha == pytest.approx(1.0 / growth, rel=1e-12)
 
 
+def test_a_rank_two_kernel_with_two_distinct_rates_fits_as_with_lapacks_values(monkeypatch):
+    # kernel rates 20 and 2 per step on triangular steps, the shape the QR
+    # recurrence gives: over 16 steps the chain is graded by 10^16 > 1 / eps,
+    # and its smaller singular value, 2^16, sets alpha = 1/2
+    steps = 16
+    family = ProjectorFamily(
+        side="plus",
+        anchor=0,
+        times=np.arange(steps + 1),
+        rank=0,
+        image_frames=np.zeros((steps + 1, 2, 0)),
+        kernel_frames=np.broadcast_to(np.eye(2), (steps + 1, 2, 2)),
+        image_steps=np.zeros((steps, 0, 0)),
+        kernel_steps=np.broadcast_to(np.array([[20.0, 1.0], [0.0, 2.0]]), (steps, 2, 2)),
+        bound=0.0,
+    )
+    got = verify_ed(family)
+    monkeypatch.setattr(dichotomy, "_singular_values", lambda x: np.linalg.svd(x, compute_uv=False))
+    ref = verify_ed(family)
+    assert got.alpha == pytest.approx(0.5, rel=1e-4)
+    assert got.alpha == pytest.approx(ref.alpha, rel=1e-14)
+    assert got.k_const == pytest.approx(ref.k_const, rel=1e-14)
+
+
 #: relative slack a backward preimage may take on the fitted constants
 FIT_SLACK = 0.05
 

@@ -209,6 +209,37 @@ def test_a_continuum_at_the_low_end_stops_on_the_residual(monkeypatch, no_fallba
     assert abs(resolved.smallest[0] - svals[-1]) <= 1e-12 * svals[0]
 
 
+@pytest.mark.parametrize("draw", range(8))
+def test_no_section_with_a_null_value_is_decided_at_the_first_step(draw, monkeypatch, no_fallback):
+    # a section with a null pair (d = 2, seed 10 of the random fields above;
+    # kept value 0.267): from `_start`, and from `_start` moved by 1e-15 in
+    # the later draws, the first step's Ritz pair above the null group is
+    # rounding noise (1.61 with error estimate 0.50 from the unmoved start),
+    # so only a later step may decide the count
+    f = asymptotically_hyperbolic(2010, 2)
+    plus, minus = whole_line_families(f, [0], (-30, 30), 40)
+    start, rng = fredholm._start, np.random.default_rng(draw)
+
+    def moved(width, d):
+        x = start(width, d)
+        return x if draw == 0 else x + 1e-15 * rng.standard_normal(x.shape)
+
+    steps = []
+    ritz_step = fredholm._ritz_step
+
+    def counting(sec, levels, x):
+        steps.append(sec.count)
+        return ritz_step(sec, levels, x)
+
+    monkeypatch.setattr(fredholm, "_start", moved)
+    monkeypatch.setattr(fredholm, "_ritz_step", counting)
+    (spectrum,) = fredholm.truncated_spectra(f, [0], (-30, 30), plus, minus, GAP_RATIO)
+    assert len(steps) >= 2
+    assert fredholm._null_space(spectrum, GAP_RATIO) == 2
+    svals = oracle_spectrum(f, 0, (-30, 30), plus[0], minus[0])[0]
+    assert_decided(spectrum, svals[::-1][:3], svals[0])
+
+
 def test_the_dense_fallback_cuts_with_the_same_scale(monkeypatch):
     # with no inverse-iteration step allowed every sample falls back to the
     # dense SVD; its scale, null groups and kept values are the structured ones
