@@ -307,7 +307,10 @@ class F3Check:
     "fail" certifies a kernel or a nonzero index; "indeterminate"
     records that a dichotomy could not be certified, the null group
     could not be separated or the geometric and truncated kernel counts
-    disagree - never a silent false pass.
+    disagree - never a silent false pass.  `sigma_min` bounds the
+    smallest boundary-conditioned singular value as `sigma_min_bound`
+    says: "at most" for a Ritz value of the inverse iteration, "at
+    least" for the floor the screen proved (`TruncationSpectrum.floor`).
     """
 
     verdict: str
@@ -316,6 +319,7 @@ class F3Check:
     rank_minus: int | None = None
     kernel_dim: int | None = None
     sigma_min: float = float("nan")
+    sigma_min_bound: str = ""
     message: str = ""
 
     def __post_init__(self):
@@ -345,9 +349,10 @@ def _f3_verdicts(lams, window, reports) -> list:
             continue
         if isinstance(report, HomindexError):
             raise fresh(report)
-        # smallest singular value of the truncation with decay boundary rows
-        # (an upper bound, as precise as the kernel count needed it)
+        # smallest singular value of the truncation with decay boundary rows:
+        # a Ritz value as precise as the kernel count needed it, or a proved floor
         smin = float(report.truncation.smallest[0])
+        bound = "at least" if report.truncation.floor else "at most"
         if report.index != 0:
             verdict, message = "fail", f"Fredholm index {report.index} != 0 precludes invertibility"
         elif not report.consistent:
@@ -358,7 +363,7 @@ def _f3_verdicts(lams, window, reports) -> list:
         elif report.dim_ker == 0:
             verdict, message = "pass", (
                 f"no kernel and index 0 on [{lo}, {hi}] (smallest boundary-conditioned "
-                f"singular value at most {smin:.3e})"
+                f"singular value {bound} {smin:.3e})"
             )
         else:
             verdict, message = "fail", f"kernel of dimension {report.dim_ker} detected"
@@ -370,6 +375,7 @@ def _f3_verdicts(lams, window, reports) -> list:
                 rank_minus=report.rank_minus,
                 kernel_dim=report.dim_ker,
                 sigma_min=smin,
+                sigma_min_bound=bound,
                 message=message,
             )
         )

@@ -20,21 +20,30 @@ once (the sample on numpy's leading axis), only what the count needs:
   at most two blocks per block row and column, so sigma_max <= scale
   <= 2 sigma_max, from the block norms of all samples at once (in
   closed form at d <= 2, `dichotomy._singular_values`) and no loop;
-- the values below the null cut 1e-8 scale and the smallest one above
-  it, by inverse subspace iteration with a factor R, R^T R = M^T M +
-  mu I, of M stacked on regularization rows sqrt(mu) I, sqrt(mu) =
-  1e-10 scale, each step ending with a Rayleigh-Ritz step on M; a
-  sample stops as soon as its count is decided.
-R uses odd-even (cyclic) reduction, after S. J. Wright, Stable
-parallel algorithms for two-point boundary value problems (SIAM J.
-Sci. Stat. Comput. 13, 1992): each level eliminates every other alive
-block column of all samples at once with one batched QR, so a window
-of w times takes ceil(log2(w + 1)) levels (8 at +-100) instead of w
-sequential steps, and each solve with R^T R two passes over them.
-A sample the iteration leaves unresolved at its cap falls back to a
-values-only dense SVD of its own matrix, the only place M is formed,
-cut with the same scale.  Everything costs O(w d^3) flops per sample
-and step on a window of w times.
+- where the geometric count (`_intersection_dimensions`) is 0, a
+  screen: one block Cholesky of M^T M - tau^2 I, tau = 2 gap_ratio x
+  the null cut, whose success proves sigma_min above the empty-kernel
+  rule's threshold (`_screen`), and the count is 0 with no iteration;
+- elsewhere, and where the screen fails, the values below the null cut
+  1e-8 scale and the smallest one above it, by inverse subspace
+  iteration with a factor R, R^T R = M^T M + mu I, of M stacked on
+  regularization rows sqrt(mu) I, sqrt(mu) = 1e-10 scale, each step
+  ending with a Rayleigh-Ritz step on M; a sample stops as soon as its
+  count is decided.
+The geometric count picks the method, never the answer: a section with
+a kernel fails the screen whatever that count says, and where the
+screen succeeds the iteration would decide the same 0.  Both work on
+odd-even (cyclic) reduction, after S. J. Wright, Stable parallel
+algorithms for two-point boundary value problems (SIAM J. Sci. Stat.
+Comput. 13, 1992): each level eliminates every other alive block
+column of all samples at once, so a window of w times takes
+ceil(log2(w + 1)) levels (8 at +-100) instead of w sequential steps.
+R takes one batched QR per level, each solve with R^T R two passes
+over them; the screen factors M^T M - tau^2 I elementwise, with no
+LAPACK call.  A sample the iteration leaves unresolved at its cap
+falls back to a values-only dense SVD of its own matrix, the only
+place M is formed, cut with the same scale.  Everything costs O(w d^3)
+flops per sample and step on a window of w times.
 
 The same factor serves the Gauss-Newton localization in `bifurcation`,
 whose Jacobian has M's block layout with -D_x f(lam, n, phi(n)) in
@@ -57,7 +66,7 @@ window.  Forcing outside the steps the family covers is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -174,19 +183,28 @@ class TruncationSpectrum:
     `smallest` holds, ascending, every value below the null cut
     (`1e-8 * scale`) and then the smallest value above it, as Ritz
     values (upper bounds on the true ones) as precise as the count
-    needed them; `error` estimates the last one's error, and
-    `resolved()` resolves it to `_VALUE_TOL` * scale by continuing the
-    iteration on this row.  `scale` is the block-norm bound sqrt(|N|_1
-    |N|_inf), N_ij = |M_ij|_2, on sigma_max: sigma_max <= scale <= 2 sigma_max.
+    needed them; `error` estimates the last one's error.  Where `floor`
+    is set, the screen (`_screen`) decided the count instead:
+    `smallest` holds one value, a proved lower bound on sigma_min at
+    least twice gap_ratio times the cut, not a Ritz value, and the
+    count is 0.  `resolved()` resolves the smallest kept value to
+    `_VALUE_TOL` * scale by running the inverse iteration on this row
+    alone from its start (`section`).  `scale` is the block-norm bound
+    sqrt(|N|_1 |N|_inf), N_ij = |M_ij|_2, on sigma_max: sigma_max <=
+    scale <= 2 sigma_max.
     """
 
     smallest: np.ndarray
     scale: float
     error: float = 0.0
-    resume: object = dataclass_field(default=None, repr=False, compare=False)
+    floor: bool = False
+    section: object = dataclass_field(default=None, repr=False, compare=False)
 
     def resolved(self) -> "TruncationSpectrum":
-        return self if self.resume is None else self.resume()
+        if not self.floor and self.error <= _VALUE_TOL * self.scale:
+            return self
+        (one,) = _smallest_values(self.section, None)
+        return _dense_spectrum(self.section, 0) if one is None else one
 
 
 @dataclass(frozen=True)
@@ -250,7 +268,9 @@ def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> Non
 
 
 def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
-    """Null dimension by the grouped singular-value rule."""
+    """Null dimension by the grouped singular-value rule; 0 on a screened floor."""
+    if spectrum.floor:
+        return 0
     small, scale = spectrum.smallest, spectrum.scale
     cut = _NULL_CUT * scale
     n_zero = int((small < cut).sum())
@@ -296,7 +316,10 @@ class _Sections:
         self.count, self.width, self.dim = steps.shape[0], steps.shape[1] + 1, steps.shape[2]
 
     def take(self, rows) -> "_Sections":
-        return _Sections(self.steps[rows], self.first[rows], self.last[rows])
+        part = _Sections(self.steps[rows], self.first[rows], self.last[rows])
+        if "scale" in self.__dict__:  # each row's scale has the bits it gets alone
+            part.__dict__["scale"] = self.scale[rows]
+        return part
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         s, w, d, k = x.shape
@@ -451,19 +474,21 @@ def _gram_solve(levels: list, x: np.ndarray) -> np.ndarray:
 def _upper_inverse(u: np.ndarray) -> np.ndarray:
     """Inverses of a stack of invertible upper triangular blocks (..., d, d).
 
-    Blocks of at most two rows are back-substituted in closed form,
-    [[a, b], [0, c]]^-1 = [[1/a, -b (1/c) / a], [0, 1/c]], elementwise
-    over the stack with no LAPACK call (each entry within a few ulp of
-    LAPACK's); larger blocks go to LAPACK.
+    Back-substitution from the bottom row up, elementwise over the stack
+    with no LAPACK call: row i of the inverse X is 1 / u_ii on the
+    diagonal and -(sum_k u_ik X_kj) / u_ii right of it.  At d = 2 that
+    is [[a, b], [0, c]]^-1 = [[1/a, -b (1/c) / a], [0, 1/c]]; each entry
+    lies within a few ulp of LAPACK's.
     """
     d = u.shape[-1]
-    if d > 2:
-        return np.linalg.inv(u)
     out = np.zeros(u.shape)
-    out[..., 0, 0] = 1.0 / u[..., 0, 0]
-    if d == 2:
-        out[..., 1, 1] = 1.0 / u[..., 1, 1]
-        out[..., 0, 1] = -(u[..., 0, 1] * out[..., 1, 1]) / u[..., 0, 0]
+    for i in range(d - 1, -1, -1):
+        out[..., i, i] = 1.0 / u[..., i, i]
+        if i < d - 1:
+            acc = u[..., i, i + 1, None] * out[..., i + 1, i + 1 :]
+            for k in range(i + 2, d):
+                acc[..., k - i - 1 :] += u[..., i, k, None] * out[..., k, k:]
+            out[..., i, i + 1 :] = -acc / u[..., i, i, None]
     return out
 
 
@@ -552,39 +577,38 @@ def section_least_squares(
     return s[..., 0]
 
 
-def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int = 0) -> list:
+def _smallest_values(sec: _Sections, gap_ratio) -> list:
     """Each section's `TruncationSpectrum`, or None where it stays unresolved.
 
     Inverse subspace iteration (`_ritz_step`) with the regularized
     factor R (root mu = `_REGULARIZATION` * `sec.scale`) on the columns
-    of `_start`, or from step `done` on `x` with R's `levels`.  Ritz
-    values bound the true ones from above (interlacing).  The kept one
-    s, the first at or above the null cut, has residual r = |M^T u - s
-    v| and Kato-Temple error e = r^2 / gap (Parlett, The Symmetric
-    Eigenvalue Problem, 1998), gap being its distance to the nearest
-    Ritz value farther than r (with none, e = r).  A sample stops once
-    its count is decided, s - e clearing `_null_space`'s rule at
-    `gap_ratio` and s / 2 (early Ritz values can sit far above the true
-    ones), or once e <= `_VALUE_TOL` * scale, the only stop when
-    `gap_ratio` is None; `TruncationSpectrum.resolved` resumes the
-    former.  A sample with a null value is never decided at the first
-    step from `_start`: the start's components along the null vectors,
-    amplified by about 1/mu against the others, swamp the rest of the
-    subspace in its orthonormalization, so the Ritz pairs above the null
-    group are rounding noise there (a start moved by 1e-15 moved one from
-    1.30 to 1.46 on a section whose true value is 0.27).
-    None after `_ITERATION_CAP` steps.
+    of `_start`.  Ritz values bound the true ones from above
+    (interlacing).  The kept one s, the first at or above the null cut,
+    has residual r = |M^T u - s v| and Kato-Temple error e = r^2 / gap
+    (Parlett, The Symmetric Eigenvalue Problem, 1998), gap being its
+    distance to the nearest Ritz value farther than r (with none, e =
+    r).  A sample stops once its count is decided, s - e clearing
+    `_null_space`'s rule at `gap_ratio` and s / 2 (early Ritz values can
+    sit far above the true ones), or once e <= `_VALUE_TOL` * scale, the
+    only stop when `gap_ratio` is None, which is how
+    `TruncationSpectrum.resolved` runs a row.  A sample with a null
+    value is never decided at the first step from `_start`: the start's
+    components along the null vectors, amplified by about 1/mu against
+    the others, swamp the rest of the subspace in its
+    orthonormalization, so the Ritz pairs above the null group are
+    rounding noise there (a start moved by 1e-15 moved one from 1.30 to
+    1.46 on a section whose true value is 0.27).  None after
+    `_ITERATION_CAP` steps.
     """
     s, w, d = sec.count, sec.width, sec.dim
     scale = sec.scale
-    if levels is None:
-        levels, start = _gram_factor(sec), _start(w, d)
-        x = np.broadcast_to(start, (s,) + start.shape)
+    levels, start = _gram_factor(sec), _start(w, d)
+    x = np.broadcast_to(start, (s,) + start.shape)
     p = x.shape[-1]
     found: list = [None] * s
     active = np.arange(s)
     shrunk = True
-    for step in range(done, _ITERATION_CAP):
+    for step in range(_ITERATION_CAP):
         if shrunk:
             part = sec.take(active)
             a_levels = [tuple(blocks[active] for blocks in level) for level in levels]
@@ -607,8 +631,7 @@ def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int =
         distance = np.abs(values - at[:, None])
         gap = np.where(distance > r[:, None], distance, np.inf).min(axis=1)
         err = np.where(np.isfinite(gap), r * r / gap, r)
-        precise = (k < p) & (err <= tol)
-        resolved = precise.copy()
+        resolved = (k < p) & (err <= tol)
         if gap_ratio is not None:
             clear = np.where(k > 0, np.maximum(values[rows, np.maximum(k - 1, 0)], floor), cut)
             # the first step from the start decides no sample with a null value
@@ -616,23 +639,16 @@ def _smallest_values(sec: _Sections, gap_ratio, levels=None, x=None, done: int =
             trusted = (k == 0) | (step > 0)
             resolved |= trusted & (k < p) & (at - err >= np.maximum(clear * gap_ratio, 0.5 * at))
         for j in np.flatnonzero(resolved).tolist():
-            resume = None if precise[j] else partial(_resume, part, a_levels, x, j, step + 1)
-            found[active[j]] = TruncationSpectrum(
-                values[j, : k[j] + 1].copy(), float(scale[active[j]]), float(err[j]), resume
+            row = int(active[j])
+            found[row] = TruncationSpectrum(
+                values[j, : k[j] + 1].copy(), float(scale[row]), float(err[j]),
+                section=sec.take([row]),
             )
         if resolved.all():
             break
         shrunk = resolved.any()
         active, x = active[~resolved], x[~resolved]
     return found
-
-
-def _resume(part: _Sections, levels: list, x: np.ndarray, j: int, done: int):
-    """Row j's iteration continued alone from step `done` to `_VALUE_TOL`, or the dense fallback."""
-    one = part.take([j])
-    row_levels = [tuple(blocks[[j]] for blocks in level) for level in levels]
-    (spectrum,) = _smallest_values(one, None, row_levels, x[[j]], done)
-    return _dense_spectrum(one, 0) if spectrum is None else spectrum
 
 
 def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
@@ -643,27 +659,148 @@ def _dense_spectrum(sec: _Sections, i: int) -> TruncationSpectrum:
     return TruncationSpectrum(values[: n_zero + 1], scale)
 
 
-def _solve_spectra(steps: np.ndarray, first: np.ndarray, last: np.ndarray, gap_ratio) -> list:
-    """Spectrum summaries of stacked sections: structured, or dense where that is unresolved."""
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^T y for blocks laid out matrix axes first, (d, k, ...) and (d, l, ...), elementwise."""
+    out = x[0, :, None] * y[0, None, :]
+    for k in range(1, x.shape[0]):
+        out += x[k, :, None] * y[k, None, :]
+    return out
+
+
+def _cholesky_rows(a: np.ndarray, alive: np.ndarray, pivot_floor: float):
+    """Rows r (d, n, ...) of a point Cholesky of the block rows a = [D C], n >= d.
+
+    The matrix axes come first and the stack after them.  r = [R X]
+    with R upper triangular, R^T R = D and R^T X = C, row by row with
+    the inner products of the Cholesky algorithm, elementwise over the
+    stack: no LAPACK call, and a failed block row raises nothing.  A
+    row stays `alive` while every pivot exceeds `pivot_floor` and every
+    entry of r stays within 2; a failed row's r is zero from its
+    failing row of R on.  Returns r and the flags.
+    """
+    r = np.zeros(a.shape)
+    for j in range(a.shape[0]):
+        row = a[j, j:]
+        for k in range(j):
+            row = row - r[k, j] * r[k, j:]
+        good = row[0] > pivot_floor
+        row = row / np.sqrt(np.where(good, row[0], 1.0))
+        alive = alive & good & (np.abs(row) <= 2.0).all(axis=0)
+        r[j, j:] = np.where(alive, row, 0.0)
+    return r, alive
+
+
+def _screen(sec: _Sections, gap_ratio: float) -> np.ndarray:
+    """Per section, a proved floor on sigma_min(M), or 0 where none is proved.
+
+    One block Cholesky of T = (M^T M - tau^2 I) / scale^2, tau = 2
+    gap_ratio `_NULL_CUT` scale: T is block tridiagonal, with diagonal
+    blocks S_c^T S_c + I (P-(lo)^T P-(lo) + S_0^T S_0 first and I +
+    (I - P+(hi))^T (I - P+(hi)) last) and subdiagonal blocks S_c, for
+    the steps S_c = -A_n.  Block cyclic reduction on the odd-even plan
+    of `_levels` (alive columns 0, 2, 4, ... at each level) is the
+    Cholesky of a symmetric permutation of T: each level factors its
+    eliminated columns' block rows [D, T_left, T_right] with
+    `_cholesky_rows` and subtracts X^T X from its kept neighbours.  The
+    blocks are laid out matrix axes first, so every operation is
+    elementwise over long runs of the stack and each row keeps the bits
+    it gets alone.
+
+    A Cholesky that runs to completion gives R^T R = T + E with |E| <=
+    gamma_m |R^T| |R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Thm 10.3), m - 1 the most terms of an
+    inner product.  T's diagonal is at most 1 (scale >= sigma_max), so
+    every column of R has 2-norm at most 1 (to within E); a block row of
+    R holds three blocks and a block column at most 2L + 1 over L
+    levels, so m = (2L + 1) d + 1 and |E|_2 <= |R|_1 |R|_inf gamma_m <=
+    3 d sqrt(m) gamma_m, with forming T adding less again.  Success, every
+    pivot above rho = 6 d m^1.5 eps, thus proves sigma_min^2 >= tau^2 -
+    rho scale^2, and rho <= c (w d) eps (3.7e-13 at d = 2, w = 61; 3.1e-12
+    at d = 4, w = 201).  The screen stands aside (all 0) where rho
+    exceeds tau^2 / 4 in units of scale, which it does for any gap_ratio
+    below about 61 on the first window and 175 on the second; else a
+    proved floor sqrt(tau^2 - rho scale^2) >= 0.86 tau, at least 1.7
+    times the `_null_space` threshold gap_ratio x the cut.
+    """
+    s, w, d = sec.count, sec.width, sec.dim
+    terms = (2 * len(_levels(w)) + 1) * d + 1
+    rho = 6.0 * d * terms**1.5 * np.finfo(float).eps
+    tau = 2.0 * gap_ratio * _NULL_CUT
+    if s == 0 or 4.0 * rho > tau * tau:
+        return np.zeros(s)
+    inv = 1.0 / sec.scale
+    steps = np.moveaxis(sec.steps, (2, 3), (0, 1)) * inv[:, None]
+    first = np.moveaxis(sec.first, (1, 2), (0, 1)) * inv
+    last = np.moveaxis(sec.last, (1, 2), (0, 1)) * inv
+    diag = np.empty((d, d, s, w))
+    diag[..., :-1] = _gram(steps, steps)
+    diag[..., -1] = _gram(last, last)
+    diag[..., 0] += _gram(first, first)
+    eye = np.arange(d)
+    diag[eye, eye, :, 1:] += (inv * inv)[:, None]
+    diag[eye, eye] -= tau * tau
+    sub = steps * inv[:, None]
+    alive = np.ones(s, dtype=bool)
+    while diag.shape[-1]:
+        n_out, n_kept = (diag.shape[-1] + 1) // 2, diag.shape[-1] // 2
+        rows = np.zeros((d, 3 * d, s, n_out))
+        rows[:, :d] = diag[..., 0::2]
+        rows[:, d : 2 * d, :, 1:] = sub[..., 1::2]
+        rows[:, 2 * d :, :, :n_kept] = np.swapaxes(sub[..., 0::2], 0, 1)
+        r, flags = _cholesky_rows(rows, alive[:, None], rho)
+        alive = flags.all(axis=1)
+        # X on the kept column left of eliminated column i >= 1, and right of i < n_kept
+        left, right = r[:, d : 2 * d, :, 1:], r[:, 2 * d :, :, :n_kept]
+        kept = diag[..., 1::2] - _gram(right, right)
+        kept[..., : n_out - 1] -= _gram(left, left)
+        sub = -_gram(right[..., 1:], left[..., : n_kept - 1])
+        diag = kept
+    return np.where(alive, np.sqrt(tau * tau - rho) * sec.scale, 0.0)
+
+
+def _solve_spectra(
+    steps: np.ndarray, first: np.ndarray, last: np.ndarray, gap_ratio, screen=None
+) -> list:
+    """Spectrum summaries of stacked sections: screened, iterated, or dense where unresolved.
+
+    The sections flagged in `screen` go to `_screen` first; the rest,
+    and those whose screen fails, to `_smallest_values`.
+    """
     sec = _Sections(steps, first, last)
-    found = _smallest_values(sec, gap_ratio)
-    return [_dense_spectrum(sec, i) if one is None else one for i, one in enumerate(found)]
+    scale = sec.scale  # computed once, for every part taken below
+    found: list = [None] * sec.count
+    rows = [] if screen is None else np.flatnonzero(screen).tolist()
+    for i, floor in zip(rows, _screen(sec.take(rows), gap_ratio).tolist()):
+        if floor > 0.0:
+            one = sec.take([i])
+            found[i] = TruncationSpectrum(np.array([floor]), float(scale[i]), floor=True, section=one)
+    rest = [i for i, one in enumerate(found) if one is None]
+    if rest:
+        part = sec.take(rest)
+        for j, one in enumerate(_smallest_values(part, gap_ratio)):
+            found[rest[j]] = _dense_spectrum(part, j) if one is None else one
+    return found
 
 
-def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus, gap_ratio) -> list:
+def truncated_spectra(
+    field: DiscreteVectorField, lams, window, plus, minus, gap_ratio, screen=None
+) -> list:
     """Spectrum summaries of many samples' boundary-conditioned truncations, in one batch.
 
     `plus[i]` and `minus[i]` are sample `lams[i]`'s half-line families.
     The truncation on `window` = [lo, hi] has the block rows P-(lo),
     phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
-    samples sit on numpy's leading axis (`_Sections.scale`,
+    samples sit on numpy's leading axis (`_Sections.scale`, `_screen`,
     `_smallest_values`), with the blocks of every sample from one
-    `assemble_truncated` read.  A sample that the inverse iteration
-    leaves unresolved falls back to a values-only dense SVD of its own
-    matrix, the only dense truncation formed, cut with the same scale.
-    The iteration stops each sample once its count under `_null_space`
-    at `gap_ratio` is decided.  Returns each sample's `TruncationSpectrum`
-    (which keeps what resolving its kept value needs), or the error
+    `assemble_truncated` read.  The samples flagged in `screen` (those
+    whose geometric count is 0) go to `_screen` first: where it succeeds
+    the summary is a proved floor and the count is 0.  The rest, and
+    those whose screen fails, go to the inverse iteration, which stops
+    each sample once its count under `_null_space` at `gap_ratio` is
+    decided; a sample it leaves unresolved falls back to a values-only
+    dense SVD of its own matrix, the only dense truncation formed, cut
+    with the same scale.  Returns each sample's `TruncationSpectrum`
+    (which keeps its own blocks, for `resolved()`), or the error
     reading its blocks raised.
     """
     lo, hi = int(window[0]), int(window[1])
@@ -675,7 +812,8 @@ def truncated_spectra(field: DiscreteVectorField, lams, window, plus, minus, gap
     if rows:
         first = _projectors_at([minus[i] for i in rows], lo)
         last = np.eye(field.dim) - _projectors_at([plus[i] for i in rows], hi)
-        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last, gap_ratio)):
+        flags = None if screen is None else [bool(screen[i]) for i in rows]
+        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last, gap_ratio, flags)):
             outcomes[i] = spectrum
     return outcomes
 
@@ -705,7 +843,8 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
     `pairs[i]` is sample `lams[i]`'s (plus, minus) family pair, or the
     error that stopped it earlier, which comes back unchanged.  The
     samples that pass `_check_pair` share one `_intersection_dimensions` count and then
-    one `truncated_spectra` call; `gap_ratio` separates each null group.
+    one `truncated_spectra` call, which screens the samples whose
+    geometric count is 0; `gap_ratio` separates each null group.
     """
     lo, hi = int(window[0]), int(window[1])
     outcomes = []
@@ -733,7 +872,10 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
             outcomes[i] = dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
     live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
     plus, minus = [pairs[i][0] for i in live], [pairs[i][1] for i in live]
-    spectra = truncated_spectra(field, [lams[i] for i in live], (lo, hi), plus, minus, gap_ratio)
+    screen = [outcomes[i]["dim_ker"] == 0 for i in live]
+    spectra = truncated_spectra(
+        field, [lams[i] for i in live], (lo, hi), plus, minus, gap_ratio, screen
+    )
     for i, spectrum in zip(live, spectra):
         if isinstance(spectrum, HomindexError):
             outcomes[i] = spectrum
@@ -765,8 +907,12 @@ def kernel_cokernel(
     backward-decaying set and phi(hi) to the forward-decaying one
     (`truncated_spectra`, counted by `_null_space` at `GAP_RATIO`; the
     report's `truncation` holds its values only as precisely as the
-    count needed them).  The index is the projector rank difference;
-    the report's flag records whether the two counts agree.
+    count needed them).  Where the geometric count is 0 the truncated
+    one tries the screen first, and a success is a proved floor on
+    sigma_min (`TruncationSpectrum.floor`); a section with a kernel
+    fails it whatever the geometric count, so a disagreement still
+    shows.  The index is the projector rank difference; the report's
+    flag records whether the two counts agree.
     No command calls it: the tests take it as the per-sample reference
     for the batch, and `perfbench/tracer.py` rebinds it by name.
     """

@@ -38,6 +38,7 @@ import pytest
 import matrixcore
 from homindex.bundle import bundle_from_projectors, index_bundle_pair
 from homindex.dichotomy import (
+    GAP_RATIO,
     HORIZON,
     SIGMA_REG,
     TAU_INV,
@@ -295,19 +296,28 @@ def assert_scale(got: float, expected: float, sigma_max: float) -> None:
 TEMPLE_SLACK = 0.05
 
 
-def assert_decided(spectrum, expected, sigma_max):
+def assert_decided(spectrum, expected, sigma_max, gap_ratio=GAP_RATIO):
     """A spectrum summary against the dense values it summarizes, `expected` ascending.
 
-    The null group matches to 1e-12 sigma_max; the kept value is a Ritz
-    value, at or above its true value and within its own error estimate
-    of it (with `TEMPLE_SLACK`); the resolved summary matches to 1e-12
-    sigma_max and to the 3 digits a report prints.
+    A screened summary holds one floor, at most the true sigma_min and
+    at least 1.7 x the empty-kernel threshold `gap_ratio` x the null cut;
+    its resolved value lies within `_VALUE_TOL` * scale of the true
+    one.  Otherwise the null group matches to 1e-12 sigma_max and the
+    kept value is a Ritz value, at or above its true value and within
+    its own error estimate of it (with `TEMPLE_SLACK`).  Either way the
+    resolved summary matches to 1e-12 sigma_max and to the 3 digits a
+    report prints.
     """
     got, rounding = spectrum.smallest, 1e-12 * sigma_max
-    np.testing.assert_allclose(got[:-1], expected[:-1], rtol=0, atol=rounding)
-    assert expected[-1] - rounding <= got[-1]
-    assert got[-1] - expected[-1] <= (1.0 + TEMPLE_SLACK) * spectrum.error + rounding
     resolved = spectrum.resolved()
+    if spectrum.floor:
+        assert len(got) == 1 and len(expected) == 1 and spectrum.error == 0.0
+        assert 1.7 * gap_ratio * 1e-8 * spectrum.scale <= got[0] <= expected[0]
+        assert abs(resolved.smallest[0] - expected[0]) <= _VALUE_TOL * spectrum.scale
+    else:
+        np.testing.assert_allclose(got[:-1], expected[:-1], rtol=0, atol=rounding)
+        assert expected[-1] - rounding <= got[-1]
+        assert got[-1] - expected[-1] <= (1.0 + TEMPLE_SLACK) * spectrum.error + rounding
     assert f"{resolved.smallest[-1]:.3e}" == f"{expected[-1]:.3e}"
     np.testing.assert_allclose(resolved.smallest, expected, rtol=0, atol=rounding)
     assert resolved.error <= _VALUE_TOL * spectrum.scale

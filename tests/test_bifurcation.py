@@ -382,15 +382,19 @@ def test_check_f3_autonomous_saddle_passes():
     assert res.verdict == "pass" and res.passed
     assert res.rank_plus == 1 and res.rank_minus == 1
     assert res.kernel_dim == 0
-    # sigma_min against the dense truncation; the null cut's scale is the
-    # closed form on its blocks, within [sigma_max, 2 sigma_max]
+    # sigma_min against the dense truncation: the empty geometric count sends
+    # the sample to the screen, whose floor lies below the dense value and
+    # resolves to within _VALUE_TOL * scale of it; the null cut's scale is
+    # the closed form on its blocks, within [sigma_max, 2 sigma_max]
     plus, minus = whole_line_families(field, [0], (-30, 30), 40)
     dense = boundary_conditioned(field, 0, (-30, 30), plus[0], minus[0])
     svals = np.linalg.svd(dense, compute_uv=False)
     (spectrum,) = fredholm.truncated_spectra(
-        field, [0], (-30, 30), plus, minus, GAP_RATIO
+        field, [0], (-30, 30), plus, minus, GAP_RATIO, screen=[True]
     )
-    assert res.sigma_min == spectrum.smallest[0]
+    assert spectrum.floor and res.sigma_min_bound == "at least"
+    assert res.sigma_min == spectrum.smallest[0] <= svals[-1]
+    assert res.message.endswith(f"singular value at least {res.sigma_min:.3e})")
     assert_decided(spectrum, svals[-1:], svals[0])
     assert_scale(spectrum.scale, block_norm_scale(dense, 2), svals[0])
 

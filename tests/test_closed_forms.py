@@ -190,7 +190,9 @@ def upper_blocks(shape, seed=3):
     return u
 
 
-@pytest.mark.parametrize("shape", [(100, 2, 2), (4, 6, 2, 2), (30, 1, 1)])
+@pytest.mark.parametrize(
+    "shape", [(100, 2, 2), (4, 6, 2, 2), (30, 1, 1), (50, 3, 3), (6, 20, 4, 4), (10, 8, 8)]
+)
 def test_the_triangular_inverse_agrees_with_lapack(shape):
     u = upper_blocks(shape).reshape(-1, *shape[-2:])
     if shape[-1] == 2:
@@ -199,6 +201,18 @@ def test_the_triangular_inverse_agrees_with_lapack(shape):
     # each entry to a few ulp of the inverse's own size
     assert (np.abs(got - ref) <= ULPS * EPS * np.abs(ref).max(axis=(-2, -1), keepdims=True)).all()
     assert (np.tril(got, -1) == 0.0).all()
+
+
+def test_the_triangular_inverse_keeps_the_two_row_closed_form_bits():
+    # [[a, b], [0, c]]^-1 = [[1/a, -b (1/c) / a], [0, 1/c]], entry for entry
+    u = np.concatenate(
+        [upper_blocks((100, 2, 2)), np.triu(adversarial_blocks()[[0, 1, 7, 8, 9, 11, 13, 14]])]
+    )
+    a, b, c = u[:, 0, 0], u[:, 0, 1], u[:, 1, 1]
+    closed = np.zeros(u.shape)
+    closed[:, 0, 0], closed[:, 1, 1] = 1.0 / a, 1.0 / c
+    closed[:, 0, 1] = -(b * closed[:, 1, 1]) / a
+    assert _upper_inverse(u).tobytes() == closed.tobytes()
 
 
 @pytest.mark.parametrize(
