@@ -309,8 +309,10 @@ class F3Check:
     could not be separated or the geometric and truncated kernel counts
     disagree - never a silent false pass.  `sigma_min` bounds the
     smallest boundary-conditioned singular value as `sigma_min_bound`
-    says: "at most" for a Ritz value of the inverse iteration, "at
-    least" for the floor the screen proved (`TruncationSpectrum.floor`).
+    says: "at most" for a Ritz value of the inverse iteration or of a
+    deflated screen's kernel basis, "at least" for the floor the screen
+    proved where it left no value below the cut
+    (`TruncationSpectrum.floor`).
     """
 
     verdict: str
@@ -349,10 +351,12 @@ def _f3_verdicts(lams, window, reports) -> list:
             continue
         if isinstance(report, HomindexError):
             raise fresh(report)
-        # smallest singular value of the truncation with decay boundary rows:
-        # a Ritz value as precise as the kernel count needed it, or a proved floor
-        smin = float(report.truncation.smallest[0])
-        bound = "at least" if report.truncation.floor else "at most"
+        # smallest singular value of the truncation with decay boundary rows: a
+        # Ritz value as precise as the kernel count needed it or, where a
+        # screen left no value below the cut, a proved floor
+        truncation = report.truncation
+        smin = float(truncation.smallest[0])
+        bound = "at least" if truncation.floor and len(truncation.smallest) == 1 else "at most"
         if report.index != 0:
             verdict, message = "fail", f"Fredholm index {report.index} != 0 precludes invertibility"
         elif not report.consistent:

@@ -20,10 +20,15 @@ once (the sample on numpy's leading axis), only what the count needs:
   at most two blocks per block row and column, so sigma_max <= scale
   <= 2 sigma_max, from the block norms of all samples at once (in
   closed form at d <= 2, `dichotomy._singular_values`) and no loop;
-- where the geometric count (`_intersection_dimensions`) is 0, a
-  screen: one block Cholesky of M^T M - tau^2 I, tau = 2 gap_ratio x
-  the null cut, whose success proves sigma_min above the empty-kernel
-  rule's threshold (`_screen`), and the count is 0 with no iteration;
+- where the geometric count (`_intersection_dimensions`) is k, a
+  screen: one block Cholesky of M'^T M' - tau^2 I, tau = 2 gap_ratio x
+  the null cut, whose success proves sigma_min(M') above the
+  empty-kernel rule's threshold (`_screen`).  M' = M at k = 0; at k > 0
+  M' adds one rank-k block at time 0 that pushes the kernel the
+  families give out of the solutions (`_kernel_witnesses`,
+  `_deflate`), which bounds M's (k + 1)-th smallest value by the same
+  floor, and k Ritz values on that kernel bound the null group from
+  above: the count is k with no iteration;
 - elsewhere, and where the screen fails, the values below the null cut
   1e-8 scale and the smallest one above it, by inverse subspace
   iteration with a factor R, R^T R = M^T M + mu I, of M stacked on
@@ -31,19 +36,20 @@ once (the sample on numpy's leading axis), only what the count needs:
   ending with a Rayleigh-Ritz step on M; a sample stops as soon as its
   count is decided.
 The geometric count picks the method, never the answer: a section with
-a kernel fails the screen whatever that count says, and where the
-screen succeeds the iteration would decide the same 0.  Both work on
-odd-even (cyclic) reduction, after S. J. Wright, Stable parallel
-algorithms for two-point boundary value problems (SIAM J. Sci. Stat.
-Comput. 13, 1992): each level eliminates every other alive block
-column of all samples at once, so a window of w times takes
-ceil(log2(w + 1)) levels (8 at +-100) instead of w sequential steps.
-R takes one batched QR per level, each solve with R^T R two passes
-over them; the screen factors M^T M - tau^2 I elementwise, with no
-LAPACK call.  A sample the iteration leaves unresolved at its cap
-falls back to a values-only dense SVD of its own matrix, the only
-place M is formed, cut with the same scale.  Everything costs O(w d^3)
-flops per sample and step on a window of w times.
+more than k small values fails the screen, one with fewer keeps a Ritz
+value above half the cut, and where the screen succeeds the iteration
+would decide the same k.  Both work on odd-even (cyclic) reduction,
+after S. J. Wright, Stable parallel algorithms for two-point boundary
+value problems (SIAM J. Sci. Stat. Comput. 13, 1992): each level
+eliminates every other alive block column of all samples at once, so
+a window of w times takes ceil(log2(w + 1)) levels (8 at +-100)
+instead of w sequential steps.  R takes one batched QR per level,
+each solve with R^T R two passes over them; the screen factors
+M'^T M' - tau^2 I elementwise, with no LAPACK call.  A sample the
+iteration leaves unresolved at its cap falls back to a values-only
+dense SVD of its own matrix, the only place M is formed, cut with the
+same scale.  Everything costs O(w d^3) flops per sample and step on a
+window of w times.
 
 The same factor serves the Gauss-Newton localization in `bifurcation`,
 whose Jacobian has M's block layout with -D_x f(lam, n, phi(n)) in
@@ -74,6 +80,7 @@ from .dichotomy import (
     GAP_RATIO,
     EDWitness,
     ProjectorFamily,
+    _complement,
     _intersection_dimensions,
     _projectors_at,
     _singular_values,
@@ -184,14 +191,15 @@ class TruncationSpectrum:
     (`1e-8 * scale`) and then the smallest value above it, as Ritz
     values (upper bounds on the true ones) as precise as the count
     needed them; `error` estimates the last one's error.  Where `floor`
-    is set, the screen (`_screen`) decided the count instead:
-    `smallest` holds one value, a proved lower bound on sigma_min at
-    least twice gap_ratio times the cut, not a Ritz value, and the
-    count is 0.  `resolved()` resolves the smallest kept value to
-    `_VALUE_TOL` * scale by running the inverse iteration on this row
-    alone from its start (`section`).  `scale` is the block-norm bound
-    sqrt(|N|_1 |N|_inf), N_ij = |M_ij|_2, on sigma_max: sigma_max <=
-    scale <= 2 sigma_max.
+    is set, the screen (`_screen`) decided the count k instead:
+    `smallest` holds the k Ritz values of M on a kernel basis
+    (`_deflate`), all below half the cut, and then a proved lower bound
+    on the (k + 1)-th smallest value, at least 1.7 times gap_ratio times
+    the cut, not a Ritz value.  `resolved()` resolves the smallest kept
+    value to `_VALUE_TOL` * scale by running the inverse iteration on
+    this row alone from its start (`section`).  `scale` is the
+    block-norm bound sqrt(|N|_1 |N|_inf), N_ij = |M_ij|_2, on
+    sigma_max: sigma_max <= scale <= 2 sigma_max.
     """
 
     smallest: np.ndarray
@@ -268,9 +276,9 @@ def _require_coverage(fam: ProjectorFamily, lo: int, hi: int, label: str) -> Non
 
 
 def _null_space(spectrum: TruncationSpectrum, gap_ratio: float) -> int:
-    """Null dimension by the grouped singular-value rule; 0 on a screened floor."""
+    """Null dimension by the grouped singular-value rule; the values before a screened floor."""
     if spectrum.floor:
-        return 0
+        return len(spectrum.smallest) - 1
     small, scale = spectrum.smallest, spectrum.scale
     cut = _NULL_CUT * scale
     n_zero = int((small < cut).sum())
@@ -758,28 +766,139 @@ def _screen(sec: _Sections, gap_ratio: float) -> np.ndarray:
     return np.where(alive, np.sqrt(tau * tau - rho) * sec.scale, 0.0)
 
 
+def _deflate(sec: _Sections, rows, column: int, basis: np.ndarray, push: np.ndarray):
+    """Turn sections `rows` of `sec` into M' = M + E, rank E <= k, for a kernel of dimension k.
+
+    In place, on sections made for `_screen`.  `basis` (n, w, d, k)
+    spans each section's approximate kernel, with orthonormal columns V
+    in its block at `column`; `push` (n, d, k) has orthonormal columns
+    C.  E = C V^T on the step block at `column`: M' keeps M's block
+    layout, and where M's kernel is span(basis) the push sends it where
+    no other solution of that block row lands, so M' is invertible.
+    Whatever the basis, the (k + 1)-th smallest singular value of M is
+    at least sigma_min(M + E) (Weyl: sigma_{i+k}(M) <= sigma_i(M + E)
+    counted from the largest), which is at least `_screen`'s floor on
+    the formed M' less the returned slack 4 eps (|S'|_F + k), a bound
+    on the rounding of the changed block S'.  The scale of M' is M's
+    plus |C|_F |V|_F >= |E|_2, so it bounds sigma_max(M') as `_screen`
+    needs.  Returns the slack and, ascending, the singular values (n,
+    k) of M Q for an orthonormal Q spanning `basis`: each bounds M's
+    value of the same rank from above (Courant-Fischer).
+    """
+    n, w, d, k = basis.shape
+    q = np.linalg.qr(basis.reshape(n, w * d, k))[0]
+    image = sec.take(rows).matvec(q.reshape(n, w, d, k)).reshape(n, (w + 1) * d, k)
+    ritz = np.linalg.svd(image, compute_uv=False)[:, ::-1]
+    v = basis[:, column]
+    sec.steps[rows, column] += push @ _t(v)
+    changed = np.sqrt((sec.steps[rows, column] ** 2).sum(axis=(1, 2)))
+    sec.scale[rows] += np.sqrt((push**2).sum(axis=(1, 2)) * (v**2).sum(axis=(1, 2)))
+    return 4.0 * np.finfo(float).eps * (changed + k), ritz
+
+
 def _solve_spectra(
     steps: np.ndarray, first: np.ndarray, last: np.ndarray, gap_ratio, screen=None
 ) -> list:
     """Spectrum summaries of stacked sections: screened, iterated, or dense where unresolved.
 
-    The sections flagged in `screen` go to `_screen` first; the rest,
-    and those whose screen fails, to `_smallest_values`.
+    `screen[i]` is True to screen section i for an empty kernel, a
+    (column, basis, push) witness of a kernel of dimension k > 0 from
+    `_kernel_witnesses` to screen it after `_deflate`, or None.  Every
+    screened section goes to one `_screen` call.  A deflated screen
+    decides the count k where the floor holds and every Ritz value on
+    the basis lies below half the null cut, far above their rounding.
+    Every other section, and every failed screen, goes to
+    `_smallest_values`.
     """
     sec = _Sections(steps, first, last)
     scale = sec.scale  # computed once, for every part taken below
     found: list = [None] * sec.count
-    rows = [] if screen is None else np.flatnonzero(screen).tolist()
-    for i, floor in zip(rows, _screen(sec.take(rows), gap_ratio).tolist()):
-        if floor > 0.0:
-            one = sec.take([i])
-            found[i] = TruncationSpectrum(np.array([floor]), float(scale[i]), floor=True, section=one)
+    rows = [i for i, entry in enumerate(screen or ()) if entry is True or isinstance(entry, tuple)]
+    part = sec.take(rows)  # copies, which `_deflate` changes
+    ritz, slack = [np.zeros(0)] * len(rows), np.zeros(len(rows))
+    groups: dict[int, list[int]] = {}
+    for j, i in enumerate(rows):
+        if screen[i] is not True:
+            groups.setdefault(screen[i][2].shape[-1], []).append(j)
+    for members in groups.values():
+        column = screen[rows[members[0]]][0]
+        basis, push = (np.stack([screen[rows[j]][n] for j in members]) for n in (1, 2))
+        slack[members], values = _deflate(part, members, column, basis, push)
+        for j, one in zip(members, values):
+            ritz[j] = one
+    floors = _screen(part, gap_ratio) - slack
+    for j, i in enumerate(rows):
+        if floors[j] > 0.0 and (ritz[j] <= 0.5 * _NULL_CUT * scale[i]).all():
+            found[i] = TruncationSpectrum(
+                np.append(ritz[j], floors[j]), float(scale[i]), floor=True, section=sec.take([i])
+            )
     rest = [i for i, one in enumerate(found) if one is None]
     if rest:
         part = sec.take(rest)
         for j, one in enumerate(_smallest_values(part, gap_ratio)):
             found[rest[j]] = _dense_spectrum(part, j) if one is None else one
     return found
+
+
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """Products steps[:, j] @ ... @ steps[:, 0] of every prefix of (S, n, r, r) steps.
+
+    Hillis-Steele doubling: after the round of span s each entry holds
+    the product of the up to 2s steps ending at it, so ceil(log2 n)
+    stacked products replace n sequential ones.
+    """
+    out, span = np.array(steps), 1
+    while span < out.shape[1]:
+        out[:, span:] = out[:, span:] @ out[:, :-span]
+        span *= 2
+    return out
+
+
+def _kernel_witnesses(steps: np.ndarray, plus, minus, lo: int, hi: int, counts) -> list:
+    """Each section's `_solve_spectra` screen entry from its geometric kernel count.
+
+    True for a count of 0.  For a count k > 0 at index <= 0, with time
+    0 inside the window, the witness (column, basis, push), column
+    being time 0's block column.  The basis starts from the k principal
+    vectors of the plus image and the minus kernel at time 0 whose
+    cosines are nearest one, the meet `_intersection_dimensions`
+    counted, and marches forward through the plus family's image steps
+    and backward through the inverses of the minus family's kernel
+    steps, each in the direction its family contracts.  The push is an
+    orthonormal complement of A_0 times the minus kernel's other
+    directions plus the plus image at time 1: a solution from the minus
+    kernel at time 0 that the pushed block row 0 sends into the plus
+    image at time 1 has no kernel component, so it is 0 (`_deflate`).  None
+    elsewhere.  The witness only picks the method: however poor it is,
+    a screen it passes proves the count.
+    """
+    out: list = [None] * len(counts)
+    groups: dict[tuple, list[int]] = {}
+    for i, k in enumerate(counts):
+        if k == 0:
+            out[i] = True
+        elif k > 0 and plus[i].rank <= minus[i].rank and lo < 0 < hi:
+            groups.setdefault((plus[i].rank, minus[i].rank, k), []).append(i)
+    for (_, _, k), rows in groups.items():
+        at = [(plus[i].index_of(0), minus[i].index_of(0)) for i in rows]
+        im = np.stack([plus[i].image_frames[p : p + hi + 1] for i, (p, _) in zip(rows, at)])
+        im_steps = np.stack([plus[i].image_steps[p : p + hi] for i, (p, _) in zip(rows, at)])
+        ker = np.stack([minus[i].kernel_frames[m + lo : m + 1] for i, (_, m) in zip(rows, at)])
+        ker_steps = np.stack([minus[i].kernel_steps[m + lo : m] for i, (_, m) in zip(rows, at)])
+        y, _, vh = np.linalg.svd(_t(im[:, 0]) @ ker[:, -1])
+        z = _t(vh)
+        # a kernel step maps kernel coordinates at n to those at n + 1
+        inverse = 1.0 / ker_steps if ker_steps.shape[-1] == 1 else np.linalg.inv(ker_steps)
+        forward = _prefix_products(im_steps) @ y[:, None, :, :k]
+        backward = _prefix_products(inverse[:, ::-1])[:, ::-1] @ z[:, None, :, :k]
+        basis = np.concatenate(
+            [ker[:, :-1] @ backward, im[:, :1] @ y[:, None, :, :k], im[:, 1:] @ forward], axis=1
+        )
+        reached = np.concatenate([steps[rows, -lo] @ ker[:, -1] @ z[..., k:], im[:, 1]], axis=-1)
+        push = _complement(reached)[..., :k]
+        for j, i in enumerate(rows):
+            out[i] = (-lo, basis[j], push[j])
+    return out
 
 
 def truncated_spectra(
@@ -792,16 +911,18 @@ def truncated_spectra(
     phi(n+1) - A_n phi(n) and I - P+(hi); it stays in blocks, and all
     samples sit on numpy's leading axis (`_Sections.scale`, `_screen`,
     `_smallest_values`), with the blocks of every sample from one
-    `assemble_truncated` read.  The samples flagged in `screen` (those
-    whose geometric count is 0) go to `_screen` first: where it succeeds
-    the summary is a proved floor and the count is 0.  The rest, and
-    those whose screen fails, go to the inverse iteration, which stops
-    each sample once its count under `_null_space` at `gap_ratio` is
-    decided; a sample it leaves unresolved falls back to a values-only
-    dense SVD of its own matrix, the only dense truncation formed, cut
-    with the same scale.  Returns each sample's `TruncationSpectrum`
-    (which keeps its own blocks, for `resolved()`), or the error
-    reading its blocks raised.
+    `assemble_truncated` read.  `screen`, where given, holds each
+    sample's geometric kernel count k (families covering the window):
+    those samples go to `_screen` first, at k > 0 on the section
+    deflated along a kernel basis the families give
+    (`_kernel_witnesses`).  Where it succeeds the summary ends in a
+    proved floor and the count is k.  The rest, and those whose screen
+    fails, go to the inverse iteration, which stops each sample once
+    its count under `_null_space` at `gap_ratio` is decided; a sample it
+    leaves unresolved falls back to a values-only dense SVD of its own
+    matrix, the only dense truncation formed, cut with the same scale.
+    Returns each sample's `TruncationSpectrum` (which keeps its own
+    blocks, for `resolved()`), or the error reading its blocks raised.
     """
     lo, hi = int(window[0]), int(window[1])
     try:
@@ -810,10 +931,14 @@ def truncated_spectra(
         return [fresh(exc) for _ in lams]
     rows = [i for i, failed in enumerate(outcomes) if failed is None]
     if rows:
-        first = _projectors_at([minus[i] for i in rows], lo)
-        last = np.eye(field.dim) - _projectors_at([plus[i] for i in rows], hi)
-        flags = None if screen is None else [bool(screen[i]) for i in rows]
-        for i, spectrum in zip(rows, _solve_spectra(steps[rows], first, last, gap_ratio, flags)):
+        steps, plus, minus = steps[rows], [plus[i] for i in rows], [minus[i] for i in rows]
+        first = _projectors_at(minus, lo)
+        last = np.eye(field.dim) - _projectors_at(plus, hi)
+        entries = None
+        if screen is not None:
+            counts = [screen[i] for i in rows]
+            entries = _kernel_witnesses(steps, plus, minus, lo, hi, counts)
+        for i, spectrum in zip(rows, _solve_spectra(steps, first, last, gap_ratio, entries)):
             outcomes[i] = spectrum
     return outcomes
 
@@ -843,8 +968,8 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
     `pairs[i]` is sample `lams[i]`'s (plus, minus) family pair, or the
     error that stopped it earlier, which comes back unchanged.  The
     samples that pass `_check_pair` share one `_intersection_dimensions` count and then
-    one `truncated_spectra` call, which screens the samples whose
-    geometric count is 0; `gap_ratio` separates each null group.
+    one `truncated_spectra` call, which screens every sample against its
+    geometric count; `gap_ratio` separates each null group.
     """
     lo, hi = int(window[0]), int(window[1])
     outcomes = []
@@ -872,7 +997,7 @@ def _index_outcomes(field: DiscreteVectorField, lams, window, pairs, gap_ratio: 
             outcomes[i] = dict(index=index, dim_ker=dim_ker, dim_coker=dim_ker - index, **ranks)
     live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
     plus, minus = [pairs[i][0] for i in live], [pairs[i][1] for i in live]
-    screen = [outcomes[i]["dim_ker"] == 0 for i in live]
+    screen = [outcomes[i]["dim_ker"] for i in live]
     spectra = truncated_spectra(
         field, [lams[i] for i in live], (lo, hi), plus, minus, gap_ratio, screen
     )
@@ -907,11 +1032,11 @@ def kernel_cokernel(
     backward-decaying set and phi(hi) to the forward-decaying one
     (`truncated_spectra`, counted by `_null_space` at `GAP_RATIO`; the
     report's `truncation` holds its values only as precisely as the
-    count needed them).  Where the geometric count is 0 the truncated
-    one tries the screen first, and a success is a proved floor on
-    sigma_min (`TruncationSpectrum.floor`); a section with a kernel
-    fails it whatever the geometric count, so a disagreement still
-    shows.  The index is the projector rank difference; the report's
+    count needed them).  The truncated count tries the screen against
+    the geometric count k first, and a success is a proved floor on the
+    (k + 1)-th smallest value (`TruncationSpectrum.floor`); a section
+    with another number of small values fails it, so a disagreement
+    still shows.  The index is the projector rank difference; the report's
     flag records whether the two counts agree.
     No command calls it: the tests take it as the per-sample reference
     for the batch, and `perfbench/tracer.py` rebinds it by name.

@@ -299,9 +299,11 @@ TEMPLE_SLACK = 0.05
 def assert_decided(spectrum, expected, sigma_max, gap_ratio=GAP_RATIO):
     """A spectrum summary against the dense values it summarizes, `expected` ascending.
 
-    A screened summary holds one floor, at most the true sigma_min and
-    at least 1.7 x the empty-kernel threshold `gap_ratio` x the null cut;
-    its resolved value lies within `_VALUE_TOL` * scale of the true
+    A screened summary ends in a floor, at most the true value of its
+    rank and at least 1.7 x the empty-kernel threshold `gap_ratio` x
+    the null cut, after the Ritz values of a deflated screen's kernel
+    basis, each at or above its true value and below half the cut; its
+    resolved kept value lies within `_VALUE_TOL` * scale of the true
     one.  Otherwise the null group matches to 1e-12 sigma_max and the
     kept value is a Ritz value, at or above its true value and within
     its own error estimate of it (with `TEMPLE_SLACK`).  Either way the
@@ -311,9 +313,11 @@ def assert_decided(spectrum, expected, sigma_max, gap_ratio=GAP_RATIO):
     got, rounding = spectrum.smallest, 1e-12 * sigma_max
     resolved = spectrum.resolved()
     if spectrum.floor:
-        assert len(got) == 1 and len(expected) == 1 and spectrum.error == 0.0
-        assert 1.7 * gap_ratio * 1e-8 * spectrum.scale <= got[0] <= expected[0]
-        assert abs(resolved.smallest[0] - expected[0]) <= _VALUE_TOL * spectrum.scale
+        assert len(got) == len(expected) and spectrum.error == 0.0
+        assert (expected[:-1] - rounding <= got[:-1]).all()
+        assert (got[:-1] <= 0.5e-8 * spectrum.scale).all()
+        assert 1.7 * gap_ratio * 1e-8 * spectrum.scale <= got[-1] <= expected[-1]
+        assert abs(resolved.smallest[-1] - expected[-1]) <= _VALUE_TOL * spectrum.scale
     else:
         np.testing.assert_allclose(got[:-1], expected[:-1], rtol=0, atol=rounding)
         assert expected[-1] - rounding <= got[-1]

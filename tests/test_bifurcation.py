@@ -390,7 +390,7 @@ def test_check_f3_autonomous_saddle_passes():
     dense = boundary_conditioned(field, 0, (-30, 30), plus[0], minus[0])
     svals = np.linalg.svd(dense, compute_uv=False)
     (spectrum,) = fredholm.truncated_spectra(
-        field, [0], (-30, 30), plus, minus, GAP_RATIO, screen=[True]
+        field, [0], (-30, 30), plus, minus, GAP_RATIO, screen=[0]
     )
     assert spectrum.floor and res.sigma_min_bound == "at least"
     assert res.sigma_min == spectrum.smallest[0] <= svals[-1]

@@ -1,13 +1,15 @@
-"""The empty-kernel screen against the dense oracle.
+"""The kernel screen against the dense oracle.
 
-Where the geometric kernel count of a sample is 0, `fredholm._screen`
-tries one block Cholesky of M^T M - tau^2 I, tau = 2 gap_ratio x the null
-cut, before any inverse-iteration step.  These tests check that every
-floor it proves lies below the true smallest singular value of the dense
-truncation, that every count stays the dense one, that a section with a
-kernel fails it whatever the geometric count says, that it stands
-aside where tau^2 nears the rounding level, and that each row keeps the
-bits it gets alone.
+Before any inverse-iteration step, `fredholm._screen` tries one block
+Cholesky of M'^T M' - tau^2 I, tau = 2 gap_ratio x the null cut: M' = M
+where the geometric kernel count of a sample is 0, and M deflated by a
+rank-k block along the families' kernel basis where it is k > 0.  These
+tests check that every floor it proves lies below the dense
+truncation's true value of its rank and every Ritz value of a kernel
+basis above its own, that every count stays the dense one, that a
+section whose kernel the geometric count misses fails it, that a poor
+kernel basis decides nothing, that it stands aside where tau^2 nears
+the rounding level, and that each row keeps the bits it gets alone.
 """
 
 import json
@@ -61,8 +63,12 @@ def assert_screen_matches_oracle(field, lams, window, horizon=40) -> int:
         spectrum = report.truncation
         if spectrum.floor:
             screened += 1
-            assert report.dim_ker == 0 and expected == 0
-            assert 1.7 * GAP_RATIO * 1e-8 * scale <= spectrum.smallest[0] <= svals[-1]
+            ascending = svals[::-1]
+            assert report.dim_ker == expected == len(spectrum.smallest) - 1
+            assert 1.7 * GAP_RATIO * 1e-8 * scale <= spectrum.smallest[-1] <= ascending[expected]
+            # the Ritz values on a deflated screen's kernel basis bound the null group
+            assert (ascending[:expected] <= spectrum.smallest[:-1] + 1e-15 * scale).all()
+            assert (spectrum.smallest[:-1] <= 0.5e-8 * scale).all()
             assert spectrum.scale == pytest.approx(scale, rel=1e-12)
     return screened
 
@@ -83,8 +89,9 @@ def test_every_builtin_screen_agrees_with_the_dense_oracle(name, window):
     lams = scenario.options["lambdas"]
     window = tuple(scenario.options[window])
     screened = assert_screen_matches_oracle(f, lams, window, scenario.horizon)
-    # a Moebius sum of two copies has a kernel at every sample
-    assert screened == 0 if name == "mobius-double" else screened > 0
+    # every sample, also where a kernel sits (a Moebius sum of two copies
+    # has one at every sample, the Moebius flip sample 8 one)
+    assert screened == len(lams)
 
 
 def grid_field(q: float, d: int):
@@ -107,7 +114,8 @@ def grid_field(q: float, d: int):
 def test_the_screen_agrees_with_the_dense_oracle_across_contraction_and_dimension(q, d):
     # sample 8 sits at the Moebius flip, where the kernel is one-dimensional
     screened = assert_screen_matches_oracle(grid_field(q, d), [0, 3, 8, 12], (-30, 30))
-    assert screened >= (3 if q < 0.9 else 0)
+    # at q = 0.9 the flip sample's families are refused at horizon 40
+    assert screened == (4 if q < 0.9 else 3)
 
 
 def flip_sample_reports(monkeypatch, dims):
@@ -136,7 +144,56 @@ def test_a_geometric_kernel_over_an_invertible_section_is_flagged(monkeypatch):
     clean, kernel = flip_sample_reports(monkeypatch, [1, 1])
     assert not clean.truncation.floor
     assert clean.dim_ker == 1 and clean.dim_ker_truncated == 0 and not clean.consistent
+    # the flip sample's kernel is screened after the rank-one deflation
+    assert kernel.truncation.floor and len(kernel.truncation.smallest) == 2
     assert kernel.consistent and kernel.dim_ker_truncated == 1
+
+
+def test_a_poor_kernel_basis_decides_nothing(monkeypatch):
+    # a random basis in place of the families' at the flip sample: its Ritz
+    # value sits far above the cut, so the iteration counts the kernel
+    witnesses = fredholm._kernel_witnesses
+
+    def scrambled(*args):
+        rng = np.random.default_rng(7)
+        return [
+            (e[0], rng.standard_normal(e[1].shape), e[2]) if isinstance(e, tuple) else e
+            for e in witnesses(*args)
+        ]
+
+    monkeypatch.setattr(fredholm, "_kernel_witnesses", scrambled)
+    clean, kernel = fredholm.whole_line_index(grid_field(0.5, 2), [0, 8], (-30, 30), 40)
+    assert clean.truncation.floor and clean.consistent and clean.dim_ker_truncated == 0
+    assert not kernel.truncation.floor
+    assert kernel.consistent and kernel.dim_ker_truncated == 1
+
+
+def test_a_two_dimensional_kernel_is_screened_after_a_rank_two_deflation():
+    # two Moebius lines ahead of two trivial ones at d = 4: the flip sample
+    # has a kernel of dimension 2
+    loop = ParameterLoop.circle(16)
+    ahead = direct_sum(mobius_bundle(loop), mobius_bundle(loop))
+    behind = direct_sum(trivial_bundle(loop, 2, 1), trivial_bundle(loop, 2, 1))
+    f = realization_field(ahead, behind, q=0.5)
+    assert assert_screen_matches_oracle(f, [0, 8], (-30, 30)) == 2
+    clean, kernel = fredholm.whole_line_index(f, [0, 8], (-30, 30), 40)
+    assert len(clean.truncation.smallest) == 1 and clean.dim_ker_truncated == 0
+    assert len(kernel.truncation.smallest) == 3 and kernel.dim_ker_truncated == 2
+
+
+def test_each_deflated_row_keeps_the_bits_it_gets_alone():
+    scenario = Scenario.builtin("mobius-double")
+    f = scenario.build_field()
+    lams = scenario.options["lambdas"]
+    window = tuple(scenario.options["index_window"])
+    plus, minus = whole_line_families(f, lams, window, scenario.horizon)
+    batch = fredholm.truncated_spectra(f, lams, window, plus, minus, GAP_RATIO, [1] * len(lams))
+    for i, lam in enumerate(lams):
+        (alone,) = fredholm.truncated_spectra(
+            f, [lam], window, [plus[i]], [minus[i]], GAP_RATIO, [1]
+        )
+        assert alone.floor and batch[i].floor
+        assert alone.smallest.tobytes() == batch[i].smallest.tobytes()
 
 
 def test_index_reads_inconsistent_where_the_geometric_count_misses_a_kernel(
